@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race short vet bench bench-smoke
+.PHONY: build test race short vet bench bench-smoke bench-harness-smoke
 
 build:
 	$(GO) build ./...
@@ -29,3 +29,11 @@ bench:
 # the tracked trajectory file is not clobbered with smoke-scale numbers.
 bench-smoke:
 	$(GO) run ./cmd/oipa-bench -out - -scale 0.3 -theta 5000
+
+# The real ruler at smoke length: benchmark/ builds oipa-serve from the
+# tree, drives 5 s of cold_prepare over loopback, and its oracle
+# recomputes sampled answers in-process through the unpruned explicit
+# layout constructor. Fails unless the run's last line reports every
+# checked answer exact and no request failed.
+bench-harness-smoke:
+	bash benchmark/run.sh --workload cold_prepare --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'

@@ -46,7 +46,7 @@ func main() {
 		ratio     = flag.Float64("ratio", 0.5, "beta/alpha ratio of the default adoption model (beta=1)")
 		theta     = flag.Int("theta", 50_000, "default MRR samples per prepared instance")
 		maxTheta  = flag.Int("maxtheta", 2_000_000, "reject requests above this many samples")
-		layouts   = flag.Int("layouts", 128, "piece-layout cache capacity")
+		layouts   = flag.Int("layouts", 128, "piece-layout cache capacity, in layouts: each holds 12 bytes per edge the piece can cross plus 32 per node, and 8 per graph edge plus 24 per node more once /v1/simulate has used it (layout_bytes at /metrics is the total)")
 		instances = flag.Int("instances", 8, "prepared-instance cache capacity")
 		sketchK   = flag.Int("sketch-k", 0, "bottom-k coverage sketch size attached to prepared indexes (0 = disabled): estimates and interior solve evaluations at theta >= 8k are served from the sketch in O(k) per seed, with exact-scan fallback and exact re-verification of published utilities")
 		memBudget = flag.Int64("mem-budget", 0, "soft resident-bytes budget for prepared artifacts (0 = ungoverned): over budget, cold grown entries are theta-shrunk to their recently requested theta, then fully cold entries are LRU-evicted")

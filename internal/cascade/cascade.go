@@ -31,11 +31,12 @@ import (
 // sampler runs in reverse. It is not safe for concurrent use; create one
 // per goroutine (see EstimateSpread).
 type Simulator struct {
-	g      *graph.Graph
-	lay    *graph.PieceLayout
-	outOff []int64
-	outTo  []int32
-	w      *traverse.Walker
+	g        *graph.Graph
+	outOff   []int64
+	outTo    []int32
+	outDist  []graph.NodeDist
+	outProbs []float64
+	w        *traverse.Walker
 }
 
 // NewSimulator returns a simulator for the given graph and per-edge
@@ -52,23 +53,18 @@ func NewSimulator(g *graph.Graph, probs []float64) (*Simulator, error) {
 
 // NewSimulatorLayout returns a simulator over a prebuilt piece layout.
 // The layout is shared, read-only; only the scratch state is per-instance.
+// A topic-built layout builds its forward side here, on first use.
 func NewSimulatorLayout(lay *graph.PieceLayout) *Simulator {
-	g := lay.Graph()
-	outOff, outTo := g.OutCSR()
-	return &Simulator{
-		g:      g,
-		lay:    lay,
-		outOff: outOff,
-		outTo:  outTo,
-		w:      traverse.NewWalker(g.N()),
-	}
+	s := &Simulator{g: lay.Graph(), w: traverse.NewWalker(lay.Graph().N())}
+	s.outOff, s.outTo, s.outDist, s.outProbs = lay.Forward()
+	return s
 }
 
 // Run performs one cascade from the seed set and returns the number of
 // activated nodes (including seeds; duplicate seeds count once). If out
 // is non-nil, activated node ids are appended to it in activation order.
 func (s *Simulator) Run(seeds []int32, rng *xrand.SplitMix64, out *[]int32) int {
-	order := s.w.Run(s.outOff, s.outTo, s.lay.OutDist, s.lay.OutProbs, seeds, rng)
+	order := s.w.Run(s.outOff, s.outTo, s.outDist, s.outProbs, seeds, rng)
 	if out != nil {
 		*out = append(*out, order...)
 	}

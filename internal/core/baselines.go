@@ -40,7 +40,7 @@ func SolveIM(inst *Instance, seed uint64) (*Result, error) {
 		}
 	} else {
 		g := inst.Problem.G
-		lay, err := g.Layout(g.PieceProbs(topic.FromDense(uniform)))
+		lay, err := g.PieceLayout(topic.FromDense(uniform))
 		if err != nil {
 			return nil, err
 		}

@@ -244,12 +244,14 @@ func Prepare(p *Problem, theta int, seed uint64) (*Instance, error) {
 	pieceProbs := make([][]float64, l)
 	layouts := make([]*graph.PieceLayout, l)
 	for j, piece := range p.Campaign.Pieces {
-		pieceProbs[j] = p.G.PieceProbs(piece.Dist)
-		lay, err := p.G.Layout(pieceProbs[j])
+		lay, err := p.G.PieceLayout(piece.Dist)
 		if err != nil {
 			return nil, err
 		}
 		layouts[j] = lay
+		// Edge-id-ordered probabilities, for callers that simulate or
+		// re-sample from the instance (Instance.PieceProbs).
+		pieceProbs[j] = p.G.PieceProbs(piece.Dist)
 	}
 	inst, err := PrepareLayouts(p, layouts, theta, seed)
 	if err != nil {
@@ -267,9 +269,9 @@ func Prepare(p *Problem, theta int, seed uint64) (*Instance, error) {
 // concurrently over one graph.
 //
 // layouts[j] must be piece j's layout on p.G. Instances prepared this
-// way leave PieceProbs nil (the layout already carries the probabilities
-// in both CSR orders); code that needs edge-id-ordered probabilities
-// should use Prepare.
+// way leave PieceProbs nil (the layout carries the probabilities in
+// traversal order); code that needs edge-id-ordered probabilities should
+// use Prepare.
 func PrepareLayouts(p *Problem, layouts []*graph.PieceLayout, theta int, seed uint64) (*Instance, error) {
 	return PrepareLayoutsCtx(context.Background(), p, layouts, theta, seed)
 }

@@ -212,7 +212,6 @@ func replayCombined(mx *graph.Multiplex, campaign topic.Campaign, inst *core.Ins
 		}
 		combLays[j] = lay
 	}
-	inOff, inFrom := comb.InCSR()
 	w := traverse.NewWalker(comb.N())
 	n := uint64(mx.N())
 	for i := 0; i < theta; i++ {
@@ -221,8 +220,8 @@ func replayCombined(mx *graph.Multiplex, campaign topic.Campaign, inst *core.Ins
 		if root != inst.MRR.Root(i) {
 			return false, i, nil
 		}
-		for j := range campaign.Pieces {
-			visited := w.RunFrom(inOff, inFrom, combLays[j].InDist, combLays[j].InProbs, root, rng)
+		for j, lay := range combLays {
+			visited := w.RunFrom(lay.InOff, lay.InFrom, lay.InDist, lay.InProbs, root, rng)
 			var want []int32
 			for _, v := range visited {
 				if int(v) < mx.N() {

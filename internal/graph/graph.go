@@ -11,10 +11,17 @@
 // dense int32 identifiers in [0, N).
 //
 // For sampling hot paths, PieceLayout (layout.go) materializes one
-// piece's activation probabilities in CSR position order for both
-// directions and precomputes per-node uniformity metadata, enabling
-// sequential probability reads and geometric-skip edge sampling in the
-// rrset and cascade packages.
+// piece's homogeneous influence graph G_j (§V-A) as a reverse CSR with
+// the activation probabilities in position order and per-node uniformity
+// metadata, enabling sequential probability reads and geometric-skip edge
+// sampling in the rrset and cascade packages. A layout built from a topic
+// vector (Graph.PieceLayout, LayoutCache.Get, Multiplex.Layouts) is
+// pruned — edges with p(t, e) = 0 are not in G_j and are not stored — and
+// is walked through its own InOff/InFrom; a layout built from an explicit
+// probability vector (Graph.Layout) is unpruned and stays position-
+// aligned with Graph.InCSR/OutCSR, which is what tests and harnesses that
+// index by graph position rely on. Both walk to identical sets, because a
+// zero-probability edge never draws a random number.
 package graph
 
 import (
@@ -45,6 +52,14 @@ type Graph struct {
 
 	// probs[eid] is the topic-wise influence vector of edge eid.
 	probs []topic.Vector
+
+	// The same vectors flattened in reverse-CSR position order, for the
+	// one streaming pass that builds a piece layout: the in-edge at
+	// position pos carries topics topicIdx[topicOff[pos]:topicOff[pos+1]]
+	// (ascending) with values topicVal[...].
+	topicOff []int64
+	topicIdx []int32
+	topicVal []float64
 }
 
 // N returns the number of vertices.
@@ -93,13 +108,7 @@ func (g *Graph) EdgeProb(eid int32) topic.Vector { return g.probs[eid] }
 func (g *Graph) PieceProbs(t topic.Vector) []float64 {
 	out := make([]float64, len(g.probs))
 	for eid, p := range g.probs {
-		v := t.Dot(p)
-		if v < 0 {
-			v = 0
-		} else if v > 1 {
-			v = 1
-		}
-		out[eid] = v
+		out[eid] = clamp01(t.Dot(p))
 	}
 	return out
 }
@@ -290,6 +299,21 @@ func (b *Builder) Build() (*Graph, error) {
 		cursor[v]++
 		g.inFrom[pos] = b.from[idx]
 		g.inEdge[pos] = int32(eid)
+	}
+
+	// Flatten the topic vectors in reverse-CSR position order.
+	entries := 0
+	for _, p := range g.probs {
+		entries += p.NNZ()
+	}
+	g.topicOff = make([]int64, m+1)
+	g.topicIdx = make([]int32, 0, entries)
+	g.topicVal = make([]float64, 0, entries)
+	for pos, eid := range g.inEdge {
+		p := g.probs[eid]
+		g.topicIdx = append(g.topicIdx, p.Idx...)
+		g.topicVal = append(g.topicVal, p.Val...)
+		g.topicOff[pos+1] = int64(len(g.topicIdx))
 	}
 	return g, nil
 }

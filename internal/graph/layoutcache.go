@@ -1,16 +1,16 @@
 package graph
 
 import (
-	"fmt"
 	"sync"
 
 	"oipa/internal/topic"
 )
 
-// LayoutCache caches PieceLayouts keyed by topic-vector hash, so repeated
-// Prepare calls over the same pieces — parameter sweeps re-running a
-// campaign, or a long-running query service answering many requests over
-// one graph — stop paying the O(n + m) PieceProbs + Layout rebuild.
+// LayoutCache caches topic-built PieceLayouts (Graph.PieceLayout) keyed
+// by topic-vector hash, so repeated Prepare calls over the same pieces —
+// parameter sweeps re-running a campaign, or a long-running query service
+// answering many requests over one graph — stop paying the O(n + m)
+// rebuild.
 //
 // The cache is safe for concurrent use. Concurrent Get calls for the same
 // vector are de-duplicated: one goroutine builds, the rest wait for the
@@ -32,16 +32,17 @@ type LayoutCache struct {
 type layoutEntry struct {
 	t       topic.Vector
 	lay     *PieceLayout
-	err     error
-	ready   chan struct{} // closed when lay/err are set
+	ready   chan struct{} // closed when lay is set
 	lastUse int64
 }
 
 // NewLayoutCache returns a cache over g holding at most capacity layouts
-// (capacity <= 0 means unbounded). A full-graph layout costs O(n + m)
-// memory — two float64s and two NodeDists per edge/node — so services
-// size the capacity to the number of distinct pieces they expect to be
-// hot.
+// (capacity <= 0 means unbounded). A cached layout is the piece's pruned
+// reverse CSR: 12 bytes per live edge (an edge the piece gives a positive
+// probability) plus 32 per node, and a further 8 per graph edge and 24
+// per node once a forward simulation has asked for the forward side
+// (MemUsage reports what is actually held). Services size the capacity to
+// the number of distinct pieces they expect to be hot.
 func NewLayoutCache(g *Graph, capacity int) *LayoutCache {
 	return &LayoutCache{g: g, capacity: capacity, entries: make(map[uint64][]*layoutEntry)}
 }
@@ -54,11 +55,8 @@ func (c *LayoutCache) Graph() *Graph { return c.g }
 // it is immutable and safe for concurrent use by any number of samplers
 // and simulators.
 func (c *LayoutCache) Get(t topic.Vector) (*PieceLayout, error) {
-	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("graph: layout cache: %w", err)
-	}
-	if nnz := t.NNZ(); nnz > 0 && int(t.Idx[nnz-1]) >= c.g.Z() {
-		return nil, fmt.Errorf("graph: layout cache: topic index %d outside [0,%d)", t.Idx[nnz-1], c.g.Z())
+	if err := c.g.checkPiece(t); err != nil {
+		return nil, err
 	}
 	h := t.Hash()
 
@@ -70,7 +68,7 @@ func (c *LayoutCache) Get(t topic.Vector) (*PieceLayout, error) {
 			e.lastUse = c.clock
 			c.mu.Unlock()
 			<-e.ready
-			return e.lay, e.err
+			return e.lay, nil
 		}
 	}
 	// Miss: insert an in-flight entry so concurrent requests for the same
@@ -83,16 +81,9 @@ func (c *LayoutCache) Get(t topic.Vector) (*PieceLayout, error) {
 	c.evictLocked()
 	c.mu.Unlock()
 
-	e.lay, e.err = c.g.Layout(c.g.PieceProbs(t))
+	e.lay = c.g.pieceLayout(e.t)
 	close(e.ready)
-	if e.err != nil {
-		// Failed builds are not worth caching; drop the entry so a later
-		// Get retries.
-		c.mu.Lock()
-		c.removeLocked(h, e)
-		c.mu.Unlock()
-	}
-	return e.lay, e.err
+	return e.lay, nil
 }
 
 // evictLocked drops least-recently-used completed entries until the size
@@ -145,6 +136,28 @@ func (c *LayoutCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.size
+}
+
+// MemUsage sums PieceLayout.MemUsage over the completed entries: the
+// bytes the cache keeps alive, forward sides included once built.
+func (c *LayoutCache) MemUsage() int64 {
+	c.mu.Lock()
+	lays := make([]*PieceLayout, 0, c.size)
+	for _, chain := range c.entries {
+		for _, e := range chain {
+			select {
+			case <-e.ready:
+				lays = append(lays, e.lay)
+			default: // in-flight
+			}
+		}
+	}
+	c.mu.Unlock()
+	b := int64(0)
+	for _, lay := range lays {
+		b += lay.MemUsage()
+	}
+	return b
 }
 
 // Stats returns the cumulative hit and miss counts.

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -42,14 +43,43 @@ func TestLayoutCacheHitReturnsSameLayout(t *testing.T) {
 	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
 		t.Fatalf("stats = (%d hits, %d misses), want (1, 1)", hits, misses)
 	}
-	// The cached layout must match a direct build.
+	// The cached layout must mean what a direct build means: per node,
+	// the same dispatch metadata and the same live (from, p) in-edges in
+	// the same order — array positions differ, the cached one is pruned.
 	direct, err := g.Layout(g.PieceProbs(t1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pos := range direct.InProbs {
-		if l1.InProbs[pos] != direct.InProbs[pos] {
-			t.Fatalf("cached layout differs from direct build at in-pos %d", pos)
+	sameMeaning(t, l1, direct)
+}
+
+// liveEdge is one in-edge a walk can cross.
+type liveEdge struct {
+	from int32
+	p    float64
+}
+
+// liveIn lists node v's in-edges with p > 0 in layout order.
+func liveIn(l *PieceLayout, v int) []liveEdge {
+	var out []liveEdge
+	for pos := l.InOff[v]; pos < l.InOff[v+1]; pos++ {
+		if p := l.InProbs[pos]; p > 0 {
+			out = append(out, liveEdge{l.InFrom[pos], p})
+		}
+	}
+	return out
+}
+
+// sameMeaning fails unless the two layouts describe the same per-piece
+// graph: equal InDist and equal live in-edge lists at every node.
+func sameMeaning(t *testing.T, got, want *PieceLayout) {
+	t.Helper()
+	for v := 0; v < want.Graph().N(); v++ {
+		if got.InDist[v] != want.InDist[v] {
+			t.Fatalf("node %d: InDist %+v, want %+v", v, got.InDist[v], want.InDist[v])
+		}
+		if a, b := liveIn(got, v), liveIn(want, v); !slices.Equal(a, b) {
+			t.Fatalf("node %d: live in-edges %v, want %v", v, a, b)
 		}
 	}
 }

@@ -16,13 +16,27 @@
 // estimator (Eq. 6, with Eq. 1's zero-when-uncovered semantics) plugs the
 // per-sample coverage counts into the logistic model.
 //
-// The sampling engine works on graph.PieceLayout views of the edge
-// probabilities: probabilities are read in reverse-CSR position order (no
+// The sampling engine walks graph.PieceLayouts: a layout is one piece's
+// homogeneous influence graph G_j as a reverse CSR of its own
+// (InOff/InFrom) with the probabilities alongside in position order (no
 // per-edge indirection), and nodes whose in-edges share one probability —
 // the weighted-cascade case, p = 1/in-degree — are sampled with
 // geometric-skip jumps (SUBSIM-style), paying O(1 + p·indeg) RNG draws
 // instead of O(indeg) coin flips. Mixed-probability nodes fall back to
 // one flip per in-edge.
+//
+// A layout built from a topic vector (Graph.PieceLayout, LayoutCache.Get,
+// Multiplex.Layouts, core.Prepare) is pruned: edges with p(t, e) = 0 are
+// not in G_j and are not stored, which on sparse topic data is most of
+// every in-range the walk would otherwise scan. A layout built from an
+// explicit probability vector (Graph.Layout — SampleMRR, the baselines'
+// collections, tests and the benchmark harness) keeps every edge and
+// stays aligned with Graph.InCSR positions. Both sample the same sets:
+// per-node dispatch metadata is computed over the full in-range either
+// way, and a zero-probability edge never draws a random number, so sample
+// i is bit-identical under either representation (pinned by
+// layoutparity_test.go). Samplers therefore always walk the layout's own
+// arrays, never the graph's.
 //
 // # Sharded storage
 //

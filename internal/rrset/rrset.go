@@ -3,6 +3,7 @@ package rrset
 import (
 	"context"
 	"fmt"
+	"runtime"
 
 	"oipa/internal/bitset"
 	"oipa/internal/graph"
@@ -12,25 +13,24 @@ import (
 )
 
 // sampler holds the per-goroutine reverse-BFS scratch state: the shared
-// randomized-BFS core of internal/traverse pointed at the reverse CSR.
+// randomized-BFS core of internal/traverse.
 type sampler struct {
-	inOff  []int64
-	inFrom []int32
-	w      *traverse.Walker
+	w *traverse.Walker
 }
 
 func newSampler(g *graph.Graph) *sampler {
-	inOff, inFrom := g.InCSR()
-	return &sampler{inOff: inOff, inFrom: inFrom, w: traverse.NewWalker(g.N())}
+	return &sampler{w: traverse.NewWalker(g.N())}
 }
 
 // sample grows the RR set of root under the given piece layout and
 // appends its nodes (including the root) to out. The traversal — per-node
 // uniform/mixed dispatch, geometric-skip jumps, RNG draw order — is
-// traverse.Walker.Run over the reverse CSR with the layout's in-edge
-// arrays; the cascade simulator runs the identical core forward.
+// traverse.Walker.Run over the layout's own reverse CSR (the pruned
+// per-piece graph for a topic-built layout, the graph's reverse CSR for
+// an explicit-probability one — same sets either way); the cascade
+// simulator runs the identical core forward.
 func (s *sampler) sample(root int32, lay *graph.PieceLayout, rng *xrand.SplitMix64, out []int32) []int32 {
-	order := s.w.RunFrom(s.inOff, s.inFrom, lay.InDist, lay.InProbs, root, rng)
+	order := s.w.RunFrom(lay.InOff, lay.InFrom, lay.InDist, lay.InProbs, root, rng)
 	return append(out, order...)
 }
 
@@ -81,6 +81,34 @@ func (m *MRRCollection) newPieceSampler() pieceSampler {
 		return &muxSampler{w: traverse.NewMultiWalker(m.n, m.mux.LayerSizes()), pieces: pieces}
 	}
 	return &mrrSampler{s: newSampler(m.g), layouts: m.layouts}
+}
+
+// workerSamplers keeps one pieceSampler per extend worker for the length
+// of one growth call, so a growth chunked for cancellation (ExtendToCtx)
+// builds its walkers, visited stamps and multiplex layer tables once per
+// worker rather than once per worker per chunk. Worker w of store.extend
+// is one goroutine at a time, and a growth call's runs are sequential,
+// so slot w needs no lock.
+type workerSamplers struct {
+	newSampler func() pieceSampler
+	slots      []pieceSampler
+}
+
+func newWorkerSamplers(newSampler func() pieceSampler) *workerSamplers {
+	return &workerSamplers{newSampler: newSampler, slots: make([]pieceSampler, runtime.GOMAXPROCS(0))}
+}
+
+// get returns worker w's sampler, constructing it on first use. A worker
+// index past the slots (GOMAXPROCS raised mid-growth) gets a sampler of
+// its own for the run.
+func (ws *workerSamplers) get(w int) pieceSampler {
+	if w >= len(ws.slots) {
+		return ws.newSampler()
+	}
+	if ws.slots[w] == nil {
+		ws.slots[w] = ws.newSampler()
+	}
+	return ws.slots[w]
 }
 
 // collCore is the read side shared by Collection and View: the sharded
@@ -269,10 +297,13 @@ func (c *Collection) ExtendTo(theta int) {
 	count := theta - start
 	c.roots = append(c.roots, make([]int32, count)...)
 	n := uint64(c.n)
-	c.st.extend(count, func() func(i int, sh *shard) {
+	c.st.extend(count, func(int) func(i int, sh *shard) {
 		s := c.newPieceSampler()
+		// One generator per worker, re-seeded per sample: the sampler
+		// interface would otherwise force a heap allocation per sample.
+		rng := new(xrand.SplitMix64)
 		return func(i int, sh *shard) {
-			rng := xrand.Derive(c.seed, uint64(start+i))
+			rng.Reseed(c.seed, uint64(start+i))
 			root := int32(rng.Uint64n(n))
 			c.roots[start+i] = root
 			sh.nodes = s.samplePiece(root, 0, rng, sh.nodes)
@@ -632,7 +663,7 @@ func SampleMRRWithRoots(g *graph.Graph, pieceProbs [][]float64, roots []int32, s
 	m := newMRRCollection(g, layouts, seed)
 	m.rootsPinned = true
 	m.roots = append([]int32(nil), roots...)
-	m.sampleRange(0, len(roots))
+	m.sampleRange(0, len(roots), newWorkerSamplers(m.newPieceSampler))
 	return m, nil
 }
 
@@ -679,6 +710,13 @@ const extendCtxChunk = 8192
 // never be canceled (ctx.Done() == nil) skips the chunking and samples
 // the whole delta as one run.
 func (m *MRRCollection) ExtendToCtx(ctx context.Context, theta int) error {
+	return m.extendToCtx(ctx, theta, newWorkerSamplers(m.newPieceSampler))
+}
+
+// extendToCtx is ExtendToCtx drawing its per-worker samplers from the
+// given set, which lives for this one call (a test passes a counting
+// factory to pin one construction per worker, not per chunk).
+func (m *MRRCollection) extendToCtx(ctx context.Context, theta int, samplers *workerSamplers) error {
 	start := m.Theta()
 	if theta <= start {
 		return nil
@@ -694,6 +732,7 @@ func (m *MRRCollection) ExtendToCtx(ctx context.Context, theta int) error {
 		chunk = extendCtxChunk
 	}
 	n := uint64(m.n)
+	var rng xrand.SplitMix64
 	for start < theta {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -704,10 +743,10 @@ func (m *MRRCollection) ExtendToCtx(ctx context.Context, theta int) error {
 		}
 		m.roots = append(m.roots, make([]int32, end-start)...)
 		for i := start; i < end; i++ {
-			rng := xrand.Derive(m.seed, uint64(i))
+			rng.Reseed(m.seed, uint64(i))
 			m.roots[i] = int32(rng.Uint64n(n))
 		}
-		m.sampleRange(start, end)
+		m.sampleRange(start, end, samplers)
 		start = end
 	}
 	return nil
@@ -773,8 +812,9 @@ func (m *MRRCollection) DropSampleCounts() int64 {
 // sampleRange samples the sets of roots [start, theta), which must
 // already be present in m.roots, optionally fusing the per-(piece,
 // node) membership counting that BuildIndex consumes into the sampling
-// blocks.
-func (m *MRRCollection) sampleRange(start, theta int) {
+// blocks. Each worker samples through its slot of samplers, which the
+// caller keeps across the runs of one growth.
+func (m *MRRCollection) sampleRange(start, theta int, samplers *workerSamplers) {
 	n := uint64(m.n)
 	gn := m.n
 	l := m.l
@@ -798,12 +838,15 @@ func (m *MRRCollection) sampleRange(start, theta int) {
 		}
 	}
 	counted := m.st.counted
-	m.st.extend(theta-start, func() func(i int, sh *shard) {
-		s := m.newPieceSampler()
+	m.st.extend(theta-start, func(w int) func(i int, sh *shard) {
+		s := samplers.get(w)
+		// One generator per worker, re-seeded per sample: the sampler
+		// interface would otherwise force a heap allocation per sample.
+		rng := new(xrand.SplitMix64)
 		return func(i int, sh *shard) {
 			// Re-burn the root draw (same call, so the stream position
 			// matches the root derivation exactly even when Uint64n rejects).
-			rng := xrand.Derive(m.seed, uint64(start+i))
+			rng.Reseed(m.seed, uint64(start+i))
 			rng.Uint64n(n)
 			if counted && sh.counts == nil {
 				sh.counts = make([]int32, l*gn)

@@ -72,7 +72,8 @@ type store struct {
 // via an atomic counter: a worker that finishes a block of small sets
 // immediately claims the next unclaimed block (work stealing), so no
 // static partition can strand work behind a straggler. worker is the
-// per-goroutine state factory — called once per spawned worker, it
+// per-goroutine state factory — called once per spawned worker with the
+// worker's index (stable across runs: worker w always owns shards[w]), it
 // returns the closure invoked per sample index, which must append
 // exactly setsPerSample sets to the shard it is handed (closing each
 // with closeSet). The factory indirection keeps the store agnostic of
@@ -81,7 +82,7 @@ type store struct {
 // reused (and grown in place) across runs, and the block directory
 // entries are pre-allocated here and written by their owning workers,
 // so the run finishes with no stitch pass of any kind.
-func (st *store) extend(count int, worker func() func(i int, sh *shard)) {
+func (st *store) extend(count int, worker func(w int) func(i int, sh *shard)) {
 	if count <= 0 {
 		return
 	}
@@ -100,7 +101,7 @@ func (st *store) extend(count int, worker func() func(i int, sh *shard)) {
 		go func(w int) {
 			defer wg.Done()
 			sh := &st.shards[w]
-			fn := worker()
+			fn := worker(w)
 			for {
 				b := int(next.Add(1)) - 1
 				if b >= numBlocks {

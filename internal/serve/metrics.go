@@ -248,6 +248,10 @@ type MetricsSnapshot struct {
 		LayoutHits         int64 `json:"layout_hits"`
 		LayoutMisses       int64 `json:"layout_misses"`
 		Layouts            int   `json:"layouts"`
+		// LayoutBytes is what the cached layouts hold (pruned reverse
+		// arrays, plus forward arrays once a simulation built them);
+		// it sits outside ResidentBytes.
+		LayoutBytes int64 `json:"layout_bytes"`
 		// Phase is the registry's artifact-lifecycle timing: full
 		// preparations, growth steps, the index share of both, and
 		// governor shrinks.

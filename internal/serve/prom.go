@@ -67,6 +67,7 @@ func (s *Server) writePrometheus(w io.Writer) error {
 	pw.Counter("oipa_layout_cache_hits_total", "Piece-layout cache hits.", "", float64(snap.Registry.LayoutHits))
 	pw.Counter("oipa_layout_cache_misses_total", "Piece-layout cache misses.", "", float64(snap.Registry.LayoutMisses))
 	pw.Gauge("oipa_layout_cache_entries", "Cached piece layouts.", "", float64(snap.Registry.Layouts))
+	pw.Gauge("oipa_layout_cache_bytes", "Bytes held by cached piece layouts (not part of resident_bytes).", "", float64(snap.Registry.LayoutBytes))
 
 	pw.Counter("oipa_jobs_submitted_total", "Async jobs accepted.", "", float64(snap.Jobs.Submitted))
 	pw.Counter("oipa_jobs_done_total", "Async jobs completed successfully.", "", float64(snap.Jobs.Done))

@@ -360,6 +360,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap.Registry.MemBudget = s.cfg.MemBudget
 	snap.Registry.LayoutHits, snap.Registry.LayoutMisses = s.reg.Layouts().Stats()
 	snap.Registry.Layouts = s.reg.Layouts().Len()
+	snap.Registry.LayoutBytes = s.reg.Layouts().MemUsage()
 	snap.Jobs.Queued = s.jobs.queued()
 	snap.Server.AdmitQueued = s.admit.queued()
 	snap.Server.Draining = s.inflight.isDraining()

@@ -29,11 +29,10 @@ type Layer struct {
 }
 
 // LayerOf builds the reverse-direction (RR-sampling) Layer view of one
-// multiplex layer under one piece layout. toGlobal/toLocal follow the
-// Layer field conventions.
+// multiplex layer under one piece layout — the layout's own reverse CSR,
+// pruned or not. toGlobal/toLocal follow the Layer field conventions.
 func LayerOf(lay *graph.PieceLayout, toGlobal, toLocal []int32) Layer {
-	off, adj := lay.Graph().InCSR()
-	return Layer{Off: off, Adj: adj, Dist: lay.InDist, Probs: lay.InProbs, ToGlobal: toGlobal, ToLocal: toLocal}
+	return Layer{Off: lay.InOff, Adj: lay.InFrom, Dist: lay.InDist, Probs: lay.InProbs, ToGlobal: toGlobal, ToLocal: toLocal}
 }
 
 func (l *Layer) size() int { return len(l.Off) - 1 }

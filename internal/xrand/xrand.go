@@ -32,8 +32,17 @@ func New(seed uint64) *SplitMix64 {
 // the pair is mixed through two rounds of the SplitMix64 finalizer before
 // becoming the state.
 func Derive(seed, idx uint64) *SplitMix64 {
-	x := mix(seed ^ mix(idx+0x9e3779b97f4a7c15))
-	return &SplitMix64{state: x}
+	r := new(SplitMix64)
+	r.Reseed(seed, idx)
+	return r
+}
+
+// Reseed repositions r at the start of stream (seed, idx) — exactly the
+// state Derive(seed, idx) starts in — so a worker that draws one stream
+// per work item can keep a single generator instead of allocating one
+// per item.
+func (r *SplitMix64) Reseed(seed, idx uint64) {
+	r.state = mix(seed ^ mix(idx+0x9e3779b97f4a7c15))
 }
 
 // mix is the 64-bit finalizer from MurmurHash3 as used by SplitMix64.
