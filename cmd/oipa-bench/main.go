@@ -569,7 +569,7 @@ func solveParallel(g *graph.Graph, pool []int32, campaign topic.Campaign, theta,
 		K:        k,
 		Model:    logistic.Model{Alpha: steepA, Beta: steepB},
 	}
-	inst, err := core.Prepare(prob, theta, 1)
+	inst, err := core.Prepare(context.Background(), prob, theta, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -675,7 +675,7 @@ func multiplexSection(run func(string, func(*testing.B)), g *graph.Graph, pool [
 		}
 	})
 	prob := &core.Problem{Mux: mx, Campaign: campaign, Pool: pool, K: k, Model: model}
-	minst, err := core.PrepareMultiplexLayouts(prob, muxLayouts, theta, 1)
+	minst, err := core.Prepare(context.Background(), prob, theta, 1, muxLayouts...)
 	if err != nil {
 		log.Fatal(err)
 	}

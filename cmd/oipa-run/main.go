@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -74,7 +75,7 @@ func main() {
 		K:        *k,
 		Model:    logistic.Model{Alpha: 1 / *ratio, Beta: 1},
 	}
-	inst, err := core.Prepare(prob, *theta, *seed+2)
+	inst, err := core.Prepare(context.Background(), prob, *theta, *seed+2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func main() {
 	}
 
 	if *simulate {
-		mc, err := cascade.EstimateAdoptionLayouts(g, inst.Layouts, res.Plan.Seeds, prob.Model, *simRuns, *seed+4)
+		mc, err := cascade.EstimateAdoptionLayouts(g, inst.LayerLayouts(0), res.Plan.Seeds, prob.Model, *simRuns, *seed+4)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -138,7 +138,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv.PublishExpvar("oipa-serve")
 	log.Printf("graph %s: n=%d m=%d topics=%d, pool=%d promoters", *graphPath, g.N(), g.M(), g.Z(), len(pool))
 	if len(muxLayers) > 0 {
 		log.Printf("multiplex serving: %d layers (base graph is layer 0)", len(muxLayers)+1)

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -61,7 +62,7 @@ func main() {
 		// yields only a ~12% conviction probability, two issues ~27%.
 		Model: logistic.Model{Alpha: 3, Beta: 1},
 	}
-	inst, err := core.Prepare(problem, 100_000, 5)
+	inst, err := core.Prepare(context.Background(), problem, 100_000, 5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		truth, err := cascade.EstimateAdoptionLayouts(dataset.G, inst.Layouts, res.Plan.Seeds, problem.Model, 20_000, 99)
+		truth, err := cascade.EstimateAdoptionLayouts(dataset.G, inst.LayerLayouts(0), res.Plan.Seeds, problem.Model, 20_000, 99)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -42,7 +43,7 @@ func main() {
 		K:        40,
 		Model:    logistic.Model{Alpha: 2, Beta: 1},
 	}
-	inst, err := core.Prepare(problem, 100_000, 9)
+	inst, err := core.Prepare(context.Background(), problem, 100_000, 9)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,13 +57,17 @@ func main() {
 		log.Fatal(err)
 	}
 
+	pieceProbs := make([][]float64, campaign.L())
+	for j, piece := range campaign.Pieces {
+		pieceProbs[j] = dataset.G.PieceProbs(piece.Dist)
+	}
 	gammas := []float64{-0.5, -0.25, 0, 0.25, 0.5}
 	const runs = 20_000
-	oipaRows, err := interdep.StressPlan(dataset.G, inst.PieceProbs, oipa.Plan.Seeds, problem.Model, gammas, runs, 100)
+	oipaRows, err := interdep.StressPlan(dataset.G, pieceProbs, oipa.Plan.Seeds, problem.Model, gammas, runs, 100)
 	if err != nil {
 		log.Fatal(err)
 	}
-	timRows, err := interdep.StressPlan(dataset.G, inst.PieceProbs, tim.Plan.Seeds, problem.Model, gammas, runs, 100)
+	timRows, err := interdep.StressPlan(dataset.G, pieceProbs, tim.Plan.Seeds, problem.Model, gammas, runs, 100)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -93,7 +94,7 @@ func main() {
 		K:     2,
 		Model: model,
 	}
-	inst, err := core.Prepare(problem, 20000, 7)
+	inst, err := core.Prepare(context.Background(), problem, 20000, 7)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -48,7 +49,7 @@ func main() {
 	}
 
 	// 5. Prepare MRR samples (parallel, deterministic) and solve.
-	inst, err := core.Prepare(problem, 50_000, 1)
+	inst, err := core.Prepare(context.Background(), problem, 50_000, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

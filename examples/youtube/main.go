@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,7 @@ func main() {
 			K:        40,
 			Model:    logistic.Model{Alpha: 1 / ratio, Beta: 1},
 		}
-		inst, err := core.Prepare(problem, 100_000, 21)
+		inst, err := core.Prepare(context.Background(), problem, 100_000, 21)
 		if err != nil {
 			log.Fatal(err)
 		}

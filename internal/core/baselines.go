@@ -26,25 +26,16 @@ func SolveIM(inst *Instance, seed uint64) (*Result, error) {
 	for i := range uniform {
 		uniform[i] = 1 / float64(len(uniform))
 	}
-	var col *rrset.Collection
-	if mx := inst.Problem.Mux; mx != nil {
-		// Topic-agnostic over the multiplex: the uniform mixture's walk
-		// couples across layers exactly like the campaign pieces' walks.
-		lays, err := mx.Layouts(topic.FromDense(uniform))
-		if err != nil {
-			return nil, err
-		}
-		col, err = rrset.NewCollectionMultiplexLayouts(mx, lays, seed)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		g := inst.Problem.G
-		lay, err := g.PieceLayout(topic.FromDense(uniform))
-		if err != nil {
-			return nil, err
-		}
-		col = rrset.NewCollectionLayout(lay, seed)
+	// Over a multiplex the uniform mixture's walk couples across layers
+	// exactly like the campaign pieces' walks.
+	p := inst.Problem
+	lays, err := p.pieceLayouts(topic.FromDense(uniform))
+	if err != nil {
+		return nil, err
+	}
+	col, err := rrset.NewCollectionLayers(p.G, p.Mux, lays, seed)
+	if err != nil {
+		return nil, err
 	}
 	col.ExtendTo(inst.Theta())
 	cover, err := im.GreedyCover(col.View(), inst.Problem.Pool, inst.Problem.K)
@@ -173,26 +164,16 @@ func closedOutNeighborhood(p *Problem, v int32, mark *bitset.Stamp) []int32 {
 	mark.Reset()
 	mark.Mark(int(v))
 	out := []int32{v}
-	if p.Mux == nil {
-		to, _ := p.G.OutNeighbors(v)
-		for _, u := range to {
-			if mark.MarkOnce(int(u)) {
-				out = append(out, u)
-			}
-		}
-		return out
-	}
-	for a := 0; a < p.Mux.L(); a++ {
-		g := p.Mux.Layer(a)
+	for a := 0; a < p.layers(); a++ {
+		g, toGlobal, toLocal := p.layer(a)
 		lv := v
-		if toLocal := p.Mux.ToLocal(a); toLocal != nil {
+		if toLocal != nil {
 			lv = toLocal[v]
 		}
 		if lv < 0 || int(lv) >= g.N() {
 			continue // v absent from this layer
 		}
 		to, _ := g.OutNeighbors(lv)
-		toGlobal := p.Mux.ToGlobal(a)
 		for _, lu := range to {
 			u := lu
 			if toGlobal != nil {

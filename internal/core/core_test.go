@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -154,11 +155,11 @@ func TestPlanOperations(t *testing.T) {
 
 func TestPrepareValidates(t *testing.T) {
 	p := paperProblem(t, 2)
-	if _, err := Prepare(p, 0, 1); err == nil {
+	if _, err := Prepare(context.Background(), p, 0, 1); err == nil {
 		t.Fatal("zero theta accepted")
 	}
 	p.K = -1
-	if _, err := Prepare(p, 100, 1); err == nil {
+	if _, err := Prepare(context.Background(), p, 100, 1); err == nil {
 		t.Fatal("invalid problem accepted")
 	}
 	big := paperProblem(t, 2)
@@ -167,7 +168,7 @@ func TestPrepareValidates(t *testing.T) {
 		pieces[i] = topic.Piece{Name: "x", Dist: topic.SingleTopic(0)}
 	}
 	big.Campaign.Pieces = pieces
-	if _, err := Prepare(big, 100, 1); err == nil {
+	if _, err := Prepare(context.Background(), big, 100, 1); err == nil {
 		t.Fatal("40 pieces accepted (mask limit is 32)")
 	}
 }
@@ -177,7 +178,7 @@ func TestBABSolvesPaperExample(t *testing.T) {
 	// σ ≈ 1.05. On the deterministic example graph the MRR estimate
 	// concentrates tightly around the exact value.
 	p := paperProblem(t, 2)
-	inst, err := Prepare(p, 20000, 7)
+	inst, err := Prepare(context.Background(), p, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestBABSolvesPaperExample(t *testing.T) {
 
 func TestBABPSolvesPaperExample(t *testing.T) {
 	p := paperProblem(t, 2)
-	inst, err := Prepare(p, 20000, 7)
+	inst, err := Prepare(context.Background(), p, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestBABMatchesBruteForceOnRandomInstances(t *testing.T) {
 	// the sampled instance. Empirically it should be optimal or nearly so.
 	for seed := uint64(1); seed <= 8; seed++ {
 		p := randomProblem(t, seed, 25, 80, 5, 2, 3)
-		inst, err := Prepare(p, 400, seed)
+		inst, err := Prepare(context.Background(), p, 400, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +246,7 @@ func TestBABPApproximationGuarantee(t *testing.T) {
 	const eps = 0.5
 	for seed := uint64(1); seed <= 6; seed++ {
 		p := randomProblem(t, seed, 25, 80, 5, 2, 3)
-		inst, err := Prepare(p, 400, seed)
+		inst, err := Prepare(context.Background(), p, 400, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func TestBABPApproximationGuarantee(t *testing.T) {
 func TestBABPCloseToBAB(t *testing.T) {
 	// The paper reports near-equivalent utilities for BAB and BAB-P.
 	p := randomProblem(t, 42, 60, 250, 10, 3, 5)
-	inst, err := Prepare(p, 2000, 3)
+	inst, err := Prepare(context.Background(), p, 2000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestBABPFewerTauEvalsPerBoundCall(t *testing.T) {
 	// O(k·n). Compare the per-call averages (node counts differ between
 	// the two searches, so totals are not directly comparable).
 	p := randomProblem(t, 9, 120, 500, 40, 3, 8)
-	inst, err := Prepare(p, 1500, 5)
+	inst, err := Prepare(context.Background(), p, 1500, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,7 @@ func TestBABPFewerTauEvalsPerBoundCall(t *testing.T) {
 
 func TestSolversRespectBudgetAndPool(t *testing.T) {
 	p := randomProblem(t, 11, 40, 150, 6, 3, 4)
-	inst, err := Prepare(p, 500, 2)
+	inst, err := Prepare(context.Background(), p, 500, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +363,7 @@ func TestBABBeatsBaselines(t *testing.T) {
 	// could only lose to sampling noise, which a shared MRR rules out for
 	// TIM; IM uses separate samples, so allow a whisker).
 	p := randomProblem(t, 13, 60, 250, 8, 3, 5)
-	inst, err := Prepare(p, 2000, 4)
+	inst, err := Prepare(context.Background(), p, 2000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +391,7 @@ func TestSolveGreedyIsRootBound(t *testing.T) {
 	// SolveGreedy equals the first incumbent of BAB, so BAB can only
 	// improve on it.
 	p := randomProblem(t, 17, 50, 200, 8, 2, 4)
-	inst, err := Prepare(p, 1000, 6)
+	inst, err := Prepare(context.Background(), p, 1000, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +410,7 @@ func TestSolveGreedyIsRootBound(t *testing.T) {
 
 func TestSolverDeterminism(t *testing.T) {
 	p := randomProblem(t, 19, 40, 160, 6, 2, 3)
-	inst, err := Prepare(p, 800, 8)
+	inst, err := Prepare(context.Background(), p, 800, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +439,7 @@ func TestSolverDeterminism(t *testing.T) {
 
 func TestBABMaxNodesCap(t *testing.T) {
 	p := randomProblem(t, 23, 60, 250, 10, 3, 6)
-	inst, err := Prepare(p, 1000, 9)
+	inst, err := Prepare(context.Background(), p, 1000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +457,7 @@ func TestBABMaxNodesCap(t *testing.T) {
 
 func TestBABPRejectsZeroEpsilon(t *testing.T) {
 	p := paperProblem(t, 2)
-	inst, err := Prepare(p, 100, 1)
+	inst, err := Prepare(context.Background(), p, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +471,7 @@ func TestBABPRejectsZeroEpsilon(t *testing.T) {
 
 func TestBruteRefusesLargeInstances(t *testing.T) {
 	p := randomProblem(t, 29, 200, 800, 100, 4, 50)
-	inst, err := Prepare(p, 100, 1)
+	inst, err := Prepare(context.Background(), p, 100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +483,7 @@ func TestBruteRefusesLargeInstances(t *testing.T) {
 func TestUpperBoundDominatesUtilityAcrossSolvers(t *testing.T) {
 	for seed := uint64(31); seed < 36; seed++ {
 		p := randomProblem(t, seed, 30, 120, 5, 2, 3)
-		inst, err := Prepare(p, 500, seed)
+		inst, err := Prepare(context.Background(), p, 500, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,7 +506,7 @@ func TestRawGapIrrelevantAtZeroTolerance(t *testing.T) {
 	// With Tolerance = 0 the Eq. 6-scale and Eq. 1-scale termination
 	// tests coincide, so RawGap must not change the outcome.
 	p := randomProblem(t, 41, 30, 120, 5, 2, 3)
-	inst, err := Prepare(p, 400, 2)
+	inst, err := Prepare(context.Background(), p, 400, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +533,7 @@ func TestRawGapTerminatesEarlier(t *testing.T) {
 	// On the Eq. 6 scale a 25% tolerance is far looser than on the
 	// Eq. 1 scale, so the RawGap search must not expand more nodes.
 	p := randomProblem(t, 43, 60, 250, 10, 3, 6)
-	inst, err := Prepare(p, 1000, 4)
+	inst, err := Prepare(context.Background(), p, 1000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +553,7 @@ func TestRawGapTerminatesEarlier(t *testing.T) {
 
 func TestEstimateAUMonotoneInPlan(t *testing.T) {
 	p := randomProblem(t, 37, 40, 150, 8, 2, 4)
-	inst, err := Prepare(p, 800, 3)
+	inst, err := Prepare(context.Background(), p, 800, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

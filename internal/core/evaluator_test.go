@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func prepInstance(t *testing.T, seed uint64) (*Instance, *evaluator) {
 	t.Helper()
 	p := randomProblem(t, seed, 30, 120, 6, 3, 4)
-	inst, err := Prepare(p, 500, seed)
+	inst, err := Prepare(context.Background(), p, 500, seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // solversAgree asserts two instances produce bit-identical results for
 // every pooled solver and the index estimate of the winning plan.
@@ -60,7 +63,7 @@ func solversAgree(t *testing.T, label string, a, b *Instance) {
 // preparing at θ directly, and the pre-growth instance stays frozen.
 func TestInstanceExtendMatchesFreshPrepare(t *testing.T) {
 	prob := randomProblem(t, 19, 50, 300, 12, 2, 3)
-	small, err := Prepare(prob, 300, 5)
+	small, err := Prepare(context.Background(), prob, 300, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +71,14 @@ func TestInstanceExtendMatchesFreshPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	grown, err := small.ExtendTo(900)
+	grown, err := small.ExtendTo(context.Background(), 900)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if grown.Theta() != 900 {
 		t.Fatalf("grown theta %d, want 900", grown.Theta())
 	}
-	fresh, err := Prepare(prob, 900, 5)
+	fresh, err := Prepare(context.Background(), prob, 900, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestInstanceExtendMatchesFreshPrepare(t *testing.T) {
 	}
 
 	// No-op growth returns the receiver.
-	same, err := grown.ExtendTo(600)
+	same, err := grown.ExtendTo(context.Background(), 600)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +112,7 @@ func TestInstanceExtendMatchesFreshPrepare(t *testing.T) {
 // to a fresh small preparation.
 func TestInstancePrefixMatchesFreshPrepare(t *testing.T) {
 	prob := randomProblem(t, 21, 50, 300, 12, 2, 3)
-	big, err := Prepare(prob, 1200, 7)
+	big, err := Prepare(context.Background(), prob, 1200, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +123,7 @@ func TestInstancePrefixMatchesFreshPrepare(t *testing.T) {
 	if prefix.Theta() != 300 {
 		t.Fatalf("prefix theta %d, want 300", prefix.Theta())
 	}
-	fresh, err := Prepare(prob, 300, 7)
+	fresh, err := Prepare(context.Background(), prob, 300, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestInstancePrefixMatchesFreshPrepare(t *testing.T) {
 // to its unpooled counterpart.
 func TestEvaluatorPoolAcrossGrowthAndPrefix(t *testing.T) {
 	prob := randomProblem(t, 23, 40, 250, 10, 2, 3)
-	inst, err := Prepare(prob, 400, 3)
+	inst, err := Prepare(context.Background(), prob, 400, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestEvaluatorPoolAcrossGrowthAndPrefix(t *testing.T) {
 		t.Fatalf("pooled prefix solve %v != %v", gotP.Utility, wantP.Utility)
 	}
 
-	grown, err := inst.ExtendTo(1000)
+	grown, err := inst.ExtendTo(context.Background(), 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

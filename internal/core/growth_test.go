@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -38,7 +39,7 @@ func TestMultiStepGrowthMatchesFreshPrepares(t *testing.T) {
 	f := func(scheduleSeed uint64) bool {
 		r := xrand.New(scheduleSeed)
 		theta := 100 + r.Intn(100)
-		cur, err := Prepare(prob, theta, 11)
+		cur, err := Prepare(context.Background(), prob, theta, 11)
 		if err != nil {
 			t.Error(err)
 			return false
@@ -89,13 +90,13 @@ func TestMultiStepGrowthMatchesFreshPrepares(t *testing.T) {
 		ok := true
 		for step := 0; step < 4 && ok; step++ {
 			theta += 50 + r.Intn(400)
-			grown, err := cur.ExtendTo(theta)
+			grown, err := cur.ExtendTo(context.Background(), theta)
 			if err != nil {
 				t.Error(err)
 				ok = false
 				break
 			}
-			fresh, err := Prepare(prob, theta, 11)
+			fresh, err := Prepare(context.Background(), prob, theta, 11)
 			if err != nil {
 				t.Error(err)
 				ok = false
@@ -112,7 +113,7 @@ func TestMultiStepGrowthMatchesFreshPrepares(t *testing.T) {
 				ok = false
 				break
 			}
-			pFresh, err := Prepare(prob, pTheta, 11)
+			pFresh, err := Prepare(context.Background(), prob, pTheta, 11)
 			if err != nil {
 				t.Error(err)
 				ok = false
@@ -138,7 +139,7 @@ func TestMultiStepGrowthMatchesFreshPrepares(t *testing.T) {
 			return false
 		}
 		// The final lineage solves bit-identically to a fresh prepare.
-		fresh, err := Prepare(prob, theta, 11)
+		fresh, err := Prepare(context.Background(), prob, theta, 11)
 		if err != nil {
 			t.Error(err)
 			return false
@@ -170,7 +171,7 @@ func TestMultiStepGrowthMatchesFreshPrepares(t *testing.T) {
 // regrow to solve bit-identically at the source's θ again.
 func TestInstanceShrinkToMatchesFreshPrepare(t *testing.T) {
 	prob := randomProblem(t, 33, 50, 300, 12, 2, 3)
-	big, err := Prepare(prob, 1200, 5)
+	big, err := Prepare(context.Background(), prob, 1200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestInstanceShrinkToMatchesFreshPrepare(t *testing.T) {
 	if shrunk.SampleTime != 0 {
 		t.Fatalf("shrink reported sampling time %v", shrunk.SampleTime)
 	}
-	fresh, err := Prepare(prob, 300, 5)
+	fresh, err := Prepare(context.Background(), prob, 300, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestInstanceShrinkToMatchesFreshPrepare(t *testing.T) {
 	if big.Theta() != 1200 {
 		t.Fatalf("source theta drifted to %d", big.Theta())
 	}
-	regrown, err := shrunk.ExtendTo(1200)
+	regrown, err := shrunk.ExtendTo(context.Background(), 1200)
 	if err != nil {
 		t.Fatal(err)
 	}

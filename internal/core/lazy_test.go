@@ -1,6 +1,9 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 func TestLazyBoundMatchesPlainGreedy(t *testing.T) {
 	// CELF lazy evaluation must reproduce the plain greedy's selections,
@@ -8,7 +11,7 @@ func TestLazyBoundMatchesPlainGreedy(t *testing.T) {
 	// number of τ evaluations.
 	for seed := uint64(1); seed <= 6; seed++ {
 		p := randomProblem(t, seed, 50, 200, 10, 3, 5)
-		inst, err := Prepare(p, 800, seed)
+		inst, err := Prepare(context.Background(), p, 800, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +48,7 @@ func TestLazyBoundMatchesPlainGreedy(t *testing.T) {
 
 func TestLazyGreedySolver(t *testing.T) {
 	p := randomProblem(t, 7, 40, 160, 8, 2, 4)
-	inst, err := Prepare(p, 600, 3)
+	inst, err := Prepare(context.Background(), p, 600, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

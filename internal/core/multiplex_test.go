@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"oipa/internal/graph"
@@ -28,15 +29,15 @@ func TestPrepareMultiplexSingleLayerBitIdentity(t *testing.T) {
 	p := randomProblem(t, 31, 50, 220, 8, 3, 4)
 	q := muxProblem(t, p)
 	const theta, seed = 2500, 7
-	a, err := Prepare(p, theta, seed)
+	a, err := Prepare(context.Background(), p, theta, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Prepare(q, theta, seed) // dispatches to PrepareMultiplex
+	b, err := Prepare(context.Background(), q, theta, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.MuxLayouts == nil || b.Layouts != nil {
+	if len(b.Layouts) != b.L() || len(b.Layouts[0]) != q.Mux.L() {
 		t.Fatal("multiplex instance did not carry per-layer layouts")
 	}
 	if a.Theta() != b.Theta() || a.L() != b.L() {
@@ -101,11 +102,11 @@ func TestPrepareMultiplexSingleLayerBitIdentity(t *testing.T) {
 
 	// Growth and prefix derivation work identically over the multiplex
 	// instance.
-	a2, err := a.ExtendTo(4000)
+	a2, err := a.ExtendTo(context.Background(), 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := b.ExtendTo(4000)
+	b2, err := b.ExtendTo(context.Background(), 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +137,11 @@ func TestPrepareMultiplexTwoLayers(t *testing.T) {
 	q := *p
 	q.G = nil
 	q.Mux = mx
-	single, err := Prepare(p, 3000, 11)
+	single, err := Prepare(context.Background(), p, 3000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := Prepare(&q, 3000, 11)
+	multi, err := Prepare(context.Background(), &q, 3000, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestPrepareMultiplexTwoLayers(t *testing.T) {
 // piece; the chains cover the rest), so the piece tie breaks to t1.
 func TestSolveMDSPaperExample(t *testing.T) {
 	p := paperProblem(t, 5)
-	inst, err := Prepare(p, 20000, 7)
+	inst, err := Prepare(context.Background(), p, 20000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestSolveMDSPaperExample(t *testing.T) {
 // budget below the dominating-set size truncates greedily.
 func TestSolveMDSRespectsBudget(t *testing.T) {
 	p := paperProblem(t, 1)
-	inst, err := Prepare(p, 5000, 7)
+	inst, err := Prepare(context.Background(), p, 5000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

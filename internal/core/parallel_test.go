@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"testing"
@@ -17,7 +18,7 @@ func branchyInstance(t *testing.T, seed uint64, n, m, pool, l, k, theta int, ins
 	t.Helper()
 	p := randomProblem(t, seed, n, m, pool, l, k)
 	p.Model = logistic.Model{Alpha: alpha, Beta: beta}
-	inst, err := Prepare(p, theta, instSeed)
+	inst, err := Prepare(context.Background(), p, theta, instSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 )
@@ -10,7 +11,7 @@ import (
 // twice so the second pass exercises a recycled evaluator.
 func TestEvaluatorPoolMatchesUnpooled(t *testing.T) {
 	prob := randomProblem(t, 3, 40, 200, 10, 2, 3)
-	inst, err := Prepare(prob, 400, 7)
+	inst, err := Prepare(context.Background(), prob, 400, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestEvaluatorPoolMatchesUnpooled(t *testing.T) {
 // checked-out evaluators never share state.
 func TestEvaluatorPoolConcurrent(t *testing.T) {
 	prob := randomProblem(t, 5, 40, 200, 10, 2, 3)
-	inst, err := Prepare(prob, 300, 9)
+	inst, err := Prepare(context.Background(), prob, 300, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestEvaluatorPoolConcurrent(t *testing.T) {
 // WithModel derivatives (shared shape, different bound tables).
 func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 	prob := randomProblem(t, 7, 30, 150, 8, 2, 2)
-	inst, err := Prepare(prob, 200, 3)
+	inst, err := Prepare(context.Background(), prob, 200, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 	}
 	// A smaller-θ instance fits the pool's capacity (the θ-prefix serving
 	// path depends on this) and solves exactly like an unpooled run.
-	smaller, err := Prepare(prob, 150, 3)
+	smaller, err := Prepare(context.Background(), prob, 150, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 	}
 	// A larger θ exceeds the capacity until EnsureTheta raises it; a
 	// different candidate shape is rejected outright.
-	larger, err := Prepare(prob, 300, 3)
+	larger, err := Prepare(context.Background(), prob, 300, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 		t.Fatalf("pooled grown-theta solve %v != %v", gotL.Utility, wantL.Utility)
 	}
 	otherShape := randomProblem(t, 8, 30, 150, 9, 2, 2) // 9-promoter pool
-	badInst, err := Prepare(otherShape, 200, 3)
+	badInst, err := Prepare(context.Background(), otherShape, 200, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 // expanding any nodes, and its (utility, upper) pair stays valid.
 func TestStopReturnsIncumbent(t *testing.T) {
 	prob := randomProblem(t, 11, 40, 200, 10, 2, 4)
-	inst, err := Prepare(prob, 300, 5)
+	inst, err := Prepare(context.Background(), prob, 300, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

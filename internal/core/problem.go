@@ -66,6 +66,38 @@ func (p *Problem) Z() int {
 	return p.G.Z()
 }
 
+// layers returns the number of layers of the substrate: 1 for a graph.
+func (p *Problem) layers() int {
+	if p.Mux != nil {
+		return p.Mux.L()
+	}
+	return 1
+}
+
+// layer returns layer a of the substrate: its graph and its
+// local→universe and universe→local id maps (nil = the layer is numbered
+// in universe ids, as a single graph is).
+func (p *Problem) layer(a int) (g *graph.Graph, toGlobal, toLocal []int32) {
+	if p.Mux != nil {
+		return p.Mux.Layer(a), p.Mux.ToGlobal(a), p.Mux.ToLocal(a)
+	}
+	return p.G, nil, nil
+}
+
+// pieceLayouts returns the layout of a piece with topic distribution t on
+// every layer of the substrate (through the per-layer layout caches of a
+// multiplex; built afresh for a graph).
+func (p *Problem) pieceLayouts(t topic.Vector) ([]*graph.PieceLayout, error) {
+	if p.Mux != nil {
+		return p.Mux.Layouts(t)
+	}
+	lay, err := p.G.PieceLayout(t)
+	if err != nil {
+		return nil, err
+	}
+	return []*graph.PieceLayout{lay}, nil
+}
+
 // Validate checks the problem statement.
 func (p *Problem) Validate() error {
 	if (p.G == nil) == (p.Mux == nil) {
@@ -195,19 +227,16 @@ func (p Plan) Has(j int, v int32) bool {
 // including θ-prefix derivatives (Prefix), keeps reading its own frozen
 // view and stays bit-identical forever.
 type Instance struct {
-	Problem    *Problem
-	PieceProbs [][]float64
-	// Layouts[j] is piece j's probabilities materialized in traversal
-	// order (see graph.PieceLayout). Sampling consumes them at Prepare
-	// time; cascade.EstimateAdoptionLayouts reuses them for forward
-	// validation, and parameter sweeps (WithK/WithModel) share them.
-	// Multiplex instances leave Layouts nil and carry MuxLayouts
-	// instead: MuxLayouts[j][a] is piece j's layout on layer a.
-	Layouts    []*graph.PieceLayout
-	MuxLayouts [][]*graph.PieceLayout
-	MRR        *rrset.MRRCollection
-	Index      *rrset.Index
-	Bounds     *logistic.BoundTable
+	Problem *Problem
+	// Layouts[j][a] is piece j's influence graph on layer a (see
+	// graph.PieceLayout); a single-graph instance has one layer. Sampling
+	// consumes them at Prepare time, parameter sweeps (WithK/WithModel)
+	// share them, and LayerLayouts hands one layer's to the forward
+	// simulator.
+	Layouts [][]*graph.PieceLayout
+	MRR     *rrset.MRRCollection
+	Index   *rrset.Index
+	Bounds  *logistic.BoundTable
 
 	// SampleTime is how long MRR sampling took for THIS instance: the
 	// full sampling pass for a Prepare'd instance, only the growth step's
@@ -227,86 +256,55 @@ type Instance struct {
 // maxPieces bounds ℓ: per-sample coverage is tracked in a uint32 bitmask.
 const maxPieces = 32
 
-// Prepare validates the problem, materializes per-piece influence graphs,
-// draws theta multi-RR samples (in parallel, deterministically from seed),
-// and builds the pool index and bound table.
-func Prepare(p *Problem, theta int, seed uint64) (*Instance, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.Mux != nil {
-		return PrepareMultiplex(p, theta, seed)
-	}
-	l := p.Campaign.L()
-	if l > maxPieces {
-		return nil, fmt.Errorf("core: %d pieces exceed the %d-piece limit", l, maxPieces)
-	}
-	pieceProbs := make([][]float64, l)
-	layouts := make([]*graph.PieceLayout, l)
-	for j, piece := range p.Campaign.Pieces {
-		lay, err := p.G.PieceLayout(piece.Dist)
-		if err != nil {
-			return nil, err
-		}
-		layouts[j] = lay
-		// Edge-id-ordered probabilities, for callers that simulate or
-		// re-sample from the instance (Instance.PieceProbs).
-		pieceProbs[j] = p.G.PieceProbs(piece.Dist)
-	}
-	inst, err := PrepareLayouts(p, layouts, theta, seed)
-	if err != nil {
-		return nil, err
-	}
-	inst.PieceProbs = pieceProbs
-	return inst, nil
-}
-
-// PrepareLayouts prepares an instance over prebuilt per-piece layouts —
-// typically served by a graph.LayoutCache, so repeated preparations of
-// the same campaign skip the O(n + m) per-piece materialization. It is
-// the reentrant prepare path: it touches no shared mutable state
-// (layouts are immutable), so any number of PrepareLayouts calls may run
-// concurrently over one graph.
+// Prepare validates the problem, draws theta multi-RR samples (in
+// parallel, deterministically from seed) and builds the pool index and
+// bound table — over a single graph or a multiplex alike: a multiplex
+// holding one identity-mapped layer prepares an instance whose samples,
+// and therefore every solver output, are bit-identical to the instance
+// over that layer's graph (pinned by the single-layer golden test).
 //
-// layouts[j] must be piece j's layout on p.G. Instances prepared this
-// way leave PieceProbs nil (the layout carries the probabilities in
-// traversal order); code that needs edge-id-ordered probabilities should
-// use Prepare.
-func PrepareLayouts(p *Problem, layouts []*graph.PieceLayout, theta int, seed uint64) (*Instance, error) {
-	return PrepareLayoutsCtx(context.Background(), p, layouts, theta, seed)
-}
-
-// PrepareLayoutsCtx is PrepareLayouts bounded by a context: the MRR
-// sampling pass checks ctx at sample-block granularity
+// layouts are the optional prebuilt per-piece influence graphs,
+// layouts[j][a] piece j's layout on layer a — typically served by a
+// graph.LayoutCache or Multiplex.Layouts, so repeated preparations of the
+// same campaign skip the per-piece materialization; with none given they
+// are built from the campaign. Layouts are immutable and Prepare touches
+// no other shared state, so any number of calls may run concurrently
+// over one substrate.
+//
+// The sampling pass checks ctx at sample-block granularity
 // (rrset.MRRCollection.ExtendToCtx) and a cancellation surfaces as
 // ctx.Err() with no instance — a query service can abandon a
 // multi-second preparation the moment its request deadline expires
 // instead of finishing work nobody will read.
-func PrepareLayoutsCtx(ctx context.Context, p *Problem, layouts []*graph.PieceLayout, theta int, seed uint64) (*Instance, error) {
+func Prepare(ctx context.Context, p *Problem, theta int, seed uint64, layouts ...[]*graph.PieceLayout) (*Instance, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if p.Mux != nil {
-		return nil, fmt.Errorf("core: multiplex problems prepare through PrepareMultiplexLayouts")
 	}
 	l := p.Campaign.L()
 	if l > maxPieces {
 		return nil, fmt.Errorf("core: %d pieces exceed the %d-piece limit", l, maxPieces)
 	}
-	if len(layouts) != l {
-		return nil, fmt.Errorf("core: %d layouts for %d pieces", len(layouts), l)
-	}
-	for j, lay := range layouts {
-		if lay == nil || lay.Graph() != p.G {
-			return nil, fmt.Errorf("core: piece %d layout not built for the problem graph", j)
-		}
-	}
 	if theta <= 0 {
 		return nil, fmt.Errorf("core: non-positive theta %d", theta)
 	}
+	if len(layouts) == 0 {
+		layouts = make([][]*graph.PieceLayout, l)
+		for j, piece := range p.Campaign.Pieces {
+			lays, err := p.pieceLayouts(piece.Dist)
+			if err != nil {
+				return nil, err
+			}
+			layouts[j] = lays
+		}
+	} else if len(layouts) != l {
+		return nil, fmt.Errorf("core: %d layouts for %d pieces", len(layouts), l)
+	}
 	start := time.Now()
-	mrr, err := rrset.SampleMRRLayoutsCtx(ctx, p.G, layouts, theta, seed)
+	mrr, err := rrset.NewMRRCollection(p.G, p.Mux, layouts, seed)
 	if err != nil {
+		return nil, err
+	}
+	if err := mrr.ExtendToCtx(ctx, theta); err != nil {
 		return nil, err
 	}
 	sampleTime := time.Since(start)
@@ -331,93 +329,26 @@ func PrepareLayoutsCtx(ctx context.Context, p *Problem, layouts []*graph.PieceLa
 	}, nil
 }
 
-// PrepareMultiplex prepares an instance over a multiplex problem: every
-// campaign piece is materialized as one layout per layer (through the
-// multiplex's per-layer layout caches), the MRR samples are drawn with
-// the layer-generic walk, and the pool index and bound table are built
-// exactly as for a single graph. A multiplex holding one identity-mapped
-// layer prepares an instance whose samples — and therefore every solver
-// output — are bit-identical to Prepare over that layer's graph (pinned
-// by the single-layer golden test).
-func PrepareMultiplex(p *Problem, theta int, seed uint64) (*Instance, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.Mux == nil {
-		return nil, fmt.Errorf("core: PrepareMultiplex needs a multiplex problem")
-	}
-	l := p.Campaign.L()
-	if l > maxPieces {
-		return nil, fmt.Errorf("core: %d pieces exceed the %d-piece limit", l, maxPieces)
-	}
-	layouts := make([][]*graph.PieceLayout, l)
-	for j, piece := range p.Campaign.Pieces {
-		lays, err := p.Mux.Layouts(piece.Dist)
-		if err != nil {
-			return nil, err
-		}
-		layouts[j] = lays
-	}
-	return PrepareMultiplexLayouts(p, layouts, theta, seed)
-}
-
-// PrepareMultiplexLayouts prepares a multiplex instance over prebuilt
-// per-piece per-layer layouts (layouts[j][a] is piece j on layer a, as
-// built by Multiplex.Layouts). Like PrepareLayouts it is the reentrant
-// path: layouts are immutable, so concurrent preparations over one
-// multiplex are safe.
-func PrepareMultiplexLayouts(p *Problem, layouts [][]*graph.PieceLayout, theta int, seed uint64) (*Instance, error) {
-	return PrepareMultiplexLayoutsCtx(context.Background(), p, layouts, theta, seed)
-}
-
-// PrepareMultiplexLayoutsCtx is PrepareMultiplexLayouts bounded by a
-// context, with PrepareLayoutsCtx's cancellation semantics.
-func PrepareMultiplexLayoutsCtx(ctx context.Context, p *Problem, layouts [][]*graph.PieceLayout, theta int, seed uint64) (*Instance, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.Mux == nil {
-		return nil, fmt.Errorf("core: PrepareMultiplexLayouts needs a multiplex problem")
-	}
-	l := p.Campaign.L()
-	if l > maxPieces {
-		return nil, fmt.Errorf("core: %d pieces exceed the %d-piece limit", l, maxPieces)
-	}
-	if len(layouts) != l {
-		return nil, fmt.Errorf("core: %d piece layout sets for %d pieces", len(layouts), l)
-	}
-	if theta <= 0 {
-		return nil, fmt.Errorf("core: non-positive theta %d", theta)
-	}
-	start := time.Now()
-	mrr, err := rrset.SampleMRRMultiplexLayoutsCtx(ctx, p.Mux, layouts, theta, seed)
-	if err != nil {
-		return nil, err
-	}
-	sampleTime := time.Since(start)
-	start = time.Now()
-	ix, err := mrr.BuildIndex(p.Pool)
-	if err != nil {
-		return nil, err
-	}
-	indexTime := time.Since(start)
-	bounds, err := logistic.NewBoundTableMode(p.Model, l, logistic.BoundHull)
-	if err != nil {
-		return nil, err
-	}
-	return &Instance{
-		Problem:    p,
-		MuxLayouts: layouts,
-		MRR:        mrr,
-		Index:      ix,
-		Bounds:     bounds,
-		SampleTime: sampleTime,
-		IndexTime:  indexTime,
-	}, nil
+// PrepareLayouts is Prepare over a single-graph problem's prebuilt
+// per-piece layouts (layouts[j] is piece j's layout on p.G), without a
+// context.
+func PrepareLayouts(p *Problem, layouts []*graph.PieceLayout, theta int, seed uint64) (*Instance, error) {
+	return Prepare(context.Background(), p, theta, seed, rrset.OneLayer(layouts)...)
 }
 
 // L returns the number of campaign pieces.
 func (in *Instance) L() int { return in.Problem.Campaign.L() }
+
+// LayerLayouts returns every piece's layout on layer a (layer 0 of a
+// single-graph instance is the graph itself) — the shape
+// cascade.EstimateAdoptionLayouts takes.
+func (in *Instance) LayerLayouts(a int) []*graph.PieceLayout {
+	out := make([]*graph.PieceLayout, len(in.Layouts))
+	for j, lays := range in.Layouts {
+		out[j] = lays[a]
+	}
+	return out
+}
 
 // Theta returns the number of MRR samples visible to the solvers: the
 // sample count of the index's frozen view. A θ-prefix instance reports
@@ -453,23 +384,19 @@ func (in *Instance) Prefix(theta int) (*Instance, error) {
 // returned instance's SampleTime covers this step's sampling delta and
 // its IndexTime the index delta.
 //
+// Sampling checks ctx at sample-block granularity
+// (rrset.MRRCollection.ExtendToCtx) and a cancellation returns ctx.Err()
+// with no new instance. The partial growth is NOT rolled back — it is
+// consistent (every sample below the collection's new Theta() is fully
+// materialized and bit-identical to an uninterrupted growth) and simply
+// unpublished, so a later ExtendTo resumes from wherever this one
+// stopped.
+//
 // ExtendTo must not run concurrently with itself or with other mutators
 // of the same collection (the serve registry serializes growth behind a
 // per-entry lock); concurrent readers of published instances are safe.
 // theta at or below the current Theta() returns the receiver unchanged.
-func (in *Instance) ExtendTo(theta int) (*Instance, error) {
-	return in.ExtendToCtx(context.Background(), theta)
-}
-
-// ExtendToCtx is ExtendTo bounded by a context: sampling checks ctx at
-// sample-block granularity (rrset.MRRCollection.ExtendToCtx) and a
-// cancellation returns ctx.Err() with no new instance. The partial
-// growth is NOT rolled back — it is consistent (every sample below the
-// collection's new Theta() is fully materialized and bit-identical to
-// an uninterrupted growth) and simply unpublished, so a later ExtendTo
-// resumes from wherever this one stopped. The receiver and every
-// previously published view stay valid throughout.
-func (in *Instance) ExtendToCtx(ctx context.Context, theta int) (*Instance, error) {
+func (in *Instance) ExtendTo(ctx context.Context, theta int) (*Instance, error) {
 	if theta <= in.Theta() {
 		return in, nil
 	}

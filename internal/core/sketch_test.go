@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -16,7 +17,7 @@ func TestBABSketchVerifiedIncumbent(t *testing.T) {
 	// immediately certified — the zero-tolerance search expands several
 	// nodes, so interior candidates actually go through the sketch.
 	p := randomProblem(t, 23, 60, 250, 10, 3, 6)
-	inst, err := Prepare(p, 4000, 9)
+	inst, err := Prepare(context.Background(), p, 4000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestBABSketchVerifiedIncumbent(t *testing.T) {
 func TestBABSketchOptionIgnoredWithoutSketches(t *testing.T) {
 	p := randomProblem(t, 5, 50, 200, 6, 2, 3)
 	mk := func() *Instance {
-		inst, err := Prepare(p, 2000, 13)
+		inst, err := Prepare(context.Background(), p, 2000, 13)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestBABSketchOptionIgnoredWithoutSketches(t *testing.T) {
 // through the progressive bound path.
 func TestBABPSketchVerifiedIncumbent(t *testing.T) {
 	p := randomProblem(t, 23, 60, 250, 10, 3, 6)
-	inst, err := Prepare(p, 4000, 9)
+	inst, err := Prepare(context.Background(), p, 4000, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestBABPSketchVerifiedIncumbent(t *testing.T) {
 // survives the registry's decay/growth lifecycle.
 func TestInstanceLifecycleKeepsSketches(t *testing.T) {
 	p := randomProblem(t, 9, 40, 160, 5, 2, 3)
-	inst, err := Prepare(p, 2000, 19)
+	inst, err := Prepare(context.Background(), p, 2000, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestInstanceLifecycleKeepsSketches(t *testing.T) {
 	if !pre.Index.HasSketches() {
 		t.Fatal("prefix dropped sketches")
 	}
-	grown, err := pre.ExtendTo(1500)
+	grown, err := pre.ExtendTo(context.Background(), 1500)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"oipa/internal/core"
@@ -71,7 +72,7 @@ func FigureMultiplex(c Config, maxLayers int) ([]Row, error) {
 			K:        c.K,
 			Model:    c.Model(),
 		}
-		inst, err := core.Prepare(prob, c.Theta, c.Seed+3000)
+		inst, err := core.Prepare(context.Background(), prob, c.Theta, c.Seed+3000)
 		if err != nil {
 			return nil, fmt.Errorf("exp: multiplex layers=%d: %w", a, err)
 		}
@@ -158,7 +159,7 @@ func CheckMultiplex(basePath string, layerPaths []string, l, k, theta int, seed 
 		K:        k,
 		Model:    logistic.Model{Alpha: 2, Beta: 1},
 	}
-	inst, err := core.Prepare(prob, theta, seed)
+	inst, err := core.Prepare(context.Background(), prob, theta, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -143,15 +143,14 @@ func (m *Multiplex) Layouts(t topic.Vector) ([]*PieceLayout, error) {
 	return out, nil
 }
 
-// LayoutCacheStats sums the hit/miss counters across the per-layer
-// caches.
-func (m *Multiplex) LayoutCacheStats() (hits, misses int64) {
+// LayoutCacheStats sums the per-layer caches: cached layouts, their
+// resident bytes, and the hit/miss counters.
+func (m *Multiplex) LayoutCacheStats() (entries int, bytes, hits, misses int64) {
 	for _, c := range m.caches {
 		h, ms := c.Stats()
-		hits += h
-		misses += ms
+		entries, bytes, hits, misses = entries+c.Len(), bytes+c.MemUsage(), hits+h, misses+ms
 	}
-	return hits, misses
+	return
 }
 
 // Fingerprint is a 64-bit content digest of the multiplex — universe

@@ -1,6 +1,7 @@
 package hardness
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -174,7 +175,7 @@ func TestBABSolvesReductionInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := core.Prepare(red.Problem, 30000, 3)
+	inst, err := core.Prepare(context.Background(), red.Problem, 30000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

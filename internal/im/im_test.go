@@ -14,6 +14,16 @@ import (
 // starGraph builds hubs each deterministically covering a disjoint set of
 // leaves: hub h (node h) points at its `size` leaves with probability 1.
 // Optimal k-cover is the k largest hubs.
+// newCollection returns an empty collection sampling g under an explicit
+// per-edge probability vector.
+func newCollection(g *graph.Graph, probs []float64, seed uint64) (*rrset.Collection, error) {
+	lay, err := g.Layout(probs)
+	if err != nil {
+		return nil, err
+	}
+	return rrset.NewCollectionLayout(lay, seed), nil
+}
+
 func starGraph(t testing.TB, sizes []int) (*graph.Graph, []float64, []int32) {
 	t.Helper()
 	total := len(sizes)
@@ -41,7 +51,7 @@ func starGraph(t testing.TB, sizes []int) (*graph.Graph, []float64, []int32) {
 
 func TestGreedyCoverPicksLargestHubs(t *testing.T) {
 	g, probs, hubs := starGraph(t, []int{50, 30, 20, 5, 2})
-	c, err := rrset.NewCollection(g, probs, 7)
+	c, err := newCollection(g, probs, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +96,7 @@ func TestGreedyCoverMatchesBruteForceOnTinyInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 		probs := g.PieceProbs(topic.SingleTopic(0))
-		c, err := rrset.NewCollection(g, probs, seed)
+		c, err := newCollection(g, probs, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +133,7 @@ func TestGreedyCoverMatchesBruteForceOnTinyInstances(t *testing.T) {
 
 func TestGreedyCoverStopsWhenNothingLeft(t *testing.T) {
 	g, probs, hubs := starGraph(t, []int{5, 3})
-	c, _ := rrset.NewCollection(g, probs, 1)
+	c, _ := newCollection(g, probs, 1)
 	c.ExtendTo(500)
 	// Ask for more seeds than useful candidates: selection stops early.
 	res, err := GreedyCover(c.View(), hubs, 10)
@@ -137,7 +147,7 @@ func TestGreedyCoverStopsWhenNothingLeft(t *testing.T) {
 
 func TestGreedyCoverValidates(t *testing.T) {
 	g, probs, hubs := starGraph(t, []int{2})
-	c, _ := rrset.NewCollection(g, probs, 1)
+	c, _ := newCollection(g, probs, 1)
 	c.ExtendTo(10)
 	if _, err := GreedyCover(c.View(), hubs, 0); err == nil {
 		t.Fatal("zero budget accepted")
@@ -148,7 +158,7 @@ func TestGreedyCoverValidates(t *testing.T) {
 	if _, err := GreedyCover(c.View(), []int32{0, 0}, 1); err == nil {
 		t.Fatal("duplicate candidates accepted")
 	}
-	empty, _ := rrset.NewCollection(g, probs, 1)
+	empty, _ := newCollection(g, probs, 1)
 	if _, err := GreedyCover(empty.View(), hubs, 1); err == nil {
 		t.Fatal("empty collection accepted")
 	}
@@ -275,7 +285,7 @@ func TestLogChoose(t *testing.T) {
 
 func BenchmarkGreedyCover(b *testing.B) {
 	g, probs, hubs := starGraph(b, []int{100, 80, 60, 40, 20, 10, 5, 3, 2, 1})
-	c, err := rrset.NewCollection(g, probs, 1)
+	c, err := newCollection(g, probs, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -78,10 +78,11 @@ func IMM(g *graph.Graph, probs []float64, candidates []int32, k int, opts IMMOpt
 	beta := math.Sqrt((1 - 1/math.E) * (logNK + ell*logN + math.Log(2)))
 	lambdaStar := 2 * n * sq((1-1/math.E)*alpha+beta) / (opts.Epsilon * opts.Epsilon)
 
-	col, err := rrset.NewCollection(g, probs, opts.Seed)
+	lay, err := g.Layout(probs)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("im: %w", err)
 	}
+	col := rrset.NewCollectionLayout(lay, opts.Seed)
 
 	lb := 1.0
 	maxIter := int(math.Ceil(math.Log2(n))) - 1

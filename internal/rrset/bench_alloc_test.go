@@ -47,51 +47,23 @@ func BenchmarkExtendToLargeTheta_WC(b *testing.B) {
 	b.ReportMetric(heap, "live-heap-MB")
 }
 
-// BenchmarkBuildIndex_WC isolates the fused counting pass: the same
-// collection indexed through the shard-local counts kept by the
-// sampling blocks ("fused") versus through the counting-walk fallback a
-// loaded collection uses ("walk"). The fill pass is shared; the delta is
-// the eliminated O(TotalSize) counting walk.
+// BenchmarkBuildIndex_WC measures the index build (counting walk plus
+// fill pass) over a θ = 100k weighted-cascade collection.
 func BenchmarkBuildIndex_WC(b *testing.B) {
 	g, probs := wcGraph(b, 42, 20000, 400000)
-	layouts := make([]*graph.PieceLayout, len(probs))
-	for j := range probs {
-		lay, err := g.Layout(probs[j])
-		if err != nil {
-			b.Fatal(err)
-		}
-		layouts[j] = lay
+	m, err := SampleMRR(g, probs, 100_000, 7)
+	if err != nil {
+		b.Fatal(err)
 	}
-	// Sample at a pinned shard count so the fused-counting economy gate
-	// (n·workers ≤ θ) holds regardless of the host's core count.
-	var m *MRRCollection
-	atGOMAXPROCS(4, func() {
-		var err error
-		m, err = SampleMRRLayouts(g, layouts, 100_000, 7)
-		if err != nil {
-			b.Fatal(err)
-		}
-	})
-	if !m.st.counted {
-		b.Fatal("fused counts not maintained at this scale")
-	}
-	walk := *m
-	walk.st.counted = false // force the loaded-collection counting walk
 	pool := make([]int32, 2000)
 	for i := range pool {
 		pool[i] = int32(i * 10)
 	}
-	for _, bc := range []struct {
-		name string
-		m    *MRRCollection
-	}{{"fused", m}, {"walk", &walk}} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := bc.m.BuildIndex(pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := m.BuildIndex(pool); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

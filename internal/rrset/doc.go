@@ -38,6 +38,26 @@
 // layoutparity_test.go). Samplers therefore always walk the layout's own
 // arrays, never the graph's.
 //
+// # One substrate, one fork
+//
+// A collection samples over a substrate: a node universe [0, n), the
+// graph of every layer, and the per-piece layouts as [piece][layer]. One
+// graph is the one-layer case; a graph.Multiplex (layers coupled at shared
+// identities, in the sense of Kuhnle et al.) is the general one. Both
+// kinds of collection are built by one constructor each —
+// NewMRRCollection and NewCollectionLayers, taking a graph or a
+// multiplex — which validate the layouts the same way, derive sample i's
+// RNG and root from (seed, i) the same way, and store universe node ids,
+// so ExtendTo, views, the index, sketches and the estimators never know
+// which they were given. SampleMRR, SampleMRRLayouts,
+// SampleMRRMultiplexLayouts and NewCollectionLayout are thin wrappers.
+// The package asks "one graph or many layers?" in exactly one place,
+// newSubstrate, where the per-worker sampler is chosen: traverse.Walker
+// for one graph, traverse.MultiWalker otherwise. A one-identity-layer
+// multiplex samples bit-identically to its layer's graph; Walker stays as
+// the one-graph specialisation because it measures ~5 % faster there.
+// Cancellation enters through ExtendToCtx only.
+//
 // # Sharded storage
 //
 // Sampled sets live in per-worker shards, not one monolithic arena. Each
@@ -62,16 +82,6 @@
 // allocated scratch, so a single View value — like a Collection — must
 // not be used from multiple goroutines concurrently; take one view per
 // goroutine instead, which is cheap.)
-//
-// The MRR sampling blocks also fuse a counting pass into sampling: each
-// shard tracks how many of its samples' piece-j sets contain each node,
-// so BuildIndex can size its inverted lists from shard-local counts
-// instead of re-walking every set (see index.go). The count arrays cost
-// O(shards·ℓ·n) resident memory, so they are only maintained when that
-// is small next to the sample data itself (n·workers ≤ θ, decided at
-// the first sampling run); past the threshold — and for collections
-// loaded from storage — BuildIndex falls back to the counting walk,
-// which emits identical lists.
 //
 // # Artifact lifecycle: grow, shrink
 //

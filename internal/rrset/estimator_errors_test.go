@@ -20,7 +20,7 @@ func TestEstimatorErrorConvention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := newMRRCollection(g, nil, 9)
+	empty := emptyGraphMRR(g, nil, 9)
 	empty.l = 2
 	pool := []int32{0, 5, 10, 15, 20, 25}
 	ix, err := m.BuildIndex(pool)

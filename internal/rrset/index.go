@@ -62,12 +62,8 @@ type Index struct {
 // BuildIndex inverts the collection over the given promoter pool. The
 // pool must be non-empty and duplicate-free.
 //
-// The lists are sized directly from the shard-local membership counts the
-// sampling blocks maintain — for sampled collections the classic
-// counting walk over every RR set is skipped entirely, leaving one fill
-// pass (parallel over pieces). Collections loaded from storage carry no
-// counts and fall back to the counting walk; both paths emit identical
-// lists (pinned by the BuildIndex golden test).
+// Two passes over the sets: a counting walk sizes every list, then a
+// fill pass (parallel over pieces) writes them into one arena.
 func (m *MRRCollection) BuildIndex(pool []int32) (*Index, error) {
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("rrset: empty promoter pool")
@@ -89,35 +85,11 @@ func (m *MRRCollection) BuildIndex(pool []int32) (*Index, error) {
 
 	l, theta, pp := v.l, v.Theta(), len(pool)
 	counts := make([]int64, l*pp+1)
-	if m.st.counted {
-		// Fused path: Σ over shards of the per-(piece, node) counts the
-		// sampling blocks maintained, restricted to the pool. Cost is
-		// O(shards·ℓ·|pool|), independent of the total RR size. Counts
-		// are read from the live store, not the view snapshot (snapshots
-		// drop them — see store.snapshot); the view was taken in the same
-		// call, so the two agree.
-		gn := v.N()
-		for si := range m.st.shards {
-			sc := m.st.shards[si].counts
-			if sc == nil {
-				continue // shard never claimed an MRR block
-			}
-			for j := 0; j < l; j++ {
-				base := j * gn
-				row := counts[j*pp+1 : j*pp+pp+1]
-				for p, u := range ix.pool {
-					row[p] += int64(sc[base+int(u)])
-				}
-			}
-		}
-	} else {
-		// Counting walk (loaded collections): one pass over every set.
-		for i := 0; i < theta; i++ {
-			for j := 0; j < l; j++ {
-				for _, u := range v.Set(i, j) {
-					if p := ix.pos[u]; p >= 0 {
-						counts[j*pp+int(p)+1]++
-					}
+	for i := 0; i < theta; i++ {
+		for j := 0; j < l; j++ {
+			for _, u := range v.Set(i, j) {
+				if p := ix.pos[u]; p >= 0 {
+					counts[j*pp+int(p)+1]++
 				}
 			}
 		}
@@ -186,7 +158,7 @@ func (ix *Index) ExtendFrom(m *MRRCollection) (*Index, error) {
 		return nil, fmt.Errorf("rrset: cannot extend a prefix index; extend the full index it derives from")
 	}
 	v := m.View()
-	if v.sub != ix.mrr.sub || v.l != ix.mrr.l {
+	if !v.sub.same(ix.mrr.sub) || v.l != ix.mrr.l {
 		return nil, fmt.Errorf("rrset: collection does not match the indexed one")
 	}
 	oldTheta, newTheta := ix.mrr.Theta(), v.Theta()

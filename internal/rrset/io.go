@@ -47,7 +47,8 @@ var ErrGraphMismatch = errors.New("rrset: collection was sampled on a different 
 // collection is only meaningful against the exact layer set it was
 // sampled on.
 func (m *MRRCollection) Write(w io.Writer) error {
-	if m.g == nil {
+	g := m.sub.g
+	if g == nil {
 		return fmt.Errorf("rrset: multiplex collections do not serialize")
 	}
 	bw := bufio.NewWriterSize(w, 1<<20)
@@ -56,8 +57,8 @@ func (m *MRRCollection) Write(w io.Writer) error {
 	}
 	theta := m.Theta()
 	var hdr [28]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(m.g.N()))
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(m.g.M()))
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(g.N()))
+	binary.LittleEndian.PutUint64(hdr[4:12], uint64(g.M()))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(m.l))
 	binary.LittleEndian.PutUint32(hdr[16:20], uint32(theta))
 	binary.LittleEndian.PutUint64(hdr[20:28], m.seed)
@@ -104,8 +105,7 @@ func (m *MRRCollection) Write(w io.Writer) error {
 // graph shape matches the one recorded at sampling time. The sets are
 // materialized into a single shard in canonical sample-major order; the
 // loaded collection serves every query and estimator, but it carries no
-// piece layouts (and no membership counts), so it cannot be extended and
-// BuildIndex uses the counting walk instead of the fused counts.
+// piece layouts, so it cannot be extended.
 func ReadMRR(r io.Reader, g *graph.Graph) (*MRRCollection, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var got [8]byte
@@ -130,11 +130,7 @@ func ReadMRR(r io.Reader, g *graph.Graph) (*MRRCollection, error) {
 	if l == 0 || theta == 0 {
 		return nil, fmt.Errorf("rrset: corrupt header (l=%d, theta=%d)", l, theta)
 	}
-	m := &MRRCollection{
-		mrrCore: mrrCore{n: g.N(), l: int(l), sub: g, st: store{setsPerSample: int(l)}},
-		seed:    seed,
-		g:       g,
-	}
+	m := newMRRCollection(&substrate{g: g, n: g.N()}, int(l), seed)
 	m.roots = make([]int32, theta)
 	var u32 [4]byte
 	for i := range m.roots {
@@ -175,18 +171,7 @@ func ReadMRR(r io.Reader, g *graph.Graph) (*MRRCollection, error) {
 		}
 		nodes[i] = v
 	}
-	// One shard, one run: the canonical order is the worker order of a
-	// single serial worker, so the directory is a straight ramp of block
-	// offsets.
-	m.st.shards = []shard{{nodes: nodes, offsets: offsets[1:]}}
-	spb := sampleBlockSize * int(l)
-	numBlocks := (int(theta) + sampleBlockSize - 1) / sampleBlockSize
-	m.st.blocks = make([]blockLoc, numBlocks)
-	for b := range m.st.blocks {
-		m.st.blocks[b] = blockLoc{shard: 0, off: int64(b * spb)}
-	}
-	m.st.runs = []run{{firstSet: 0, blockBase: 0}}
-	m.st.numSets = int64(theta) * int64(l)
+	m.st = packedStore(shard{nodes: nodes, offsets: offsets[1:]}, int(l))
 	return m, nil
 }
 

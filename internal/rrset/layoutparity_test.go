@@ -270,13 +270,14 @@ func TestExtendToCtxBuildsOneSamplerPerWorker(t *testing.T) {
 	defer cancel()
 	for _, workers := range []int{1, 4} {
 		atGOMAXPROCS(workers, func() {
-			m := newMRRCollection(g, layouts, 11)
+			m := emptyGraphMRR(g, layouts, 11)
 			var built atomic.Int64
-			samplers := newWorkerSamplers(func() pieceSampler {
+			newPieceSampler := m.sub.newPieceSampler
+			m.sub.newPieceSampler = func() pieceSampler {
 				built.Add(1)
-				return m.newPieceSampler()
-			})
-			if err := m.extendToCtx(ctx, 100_000, samplers); err != nil {
+				return newPieceSampler()
+			}
+			if err := m.ExtendToCtx(ctx, 100_000); err != nil {
 				t.Fatal(err)
 			}
 			if m.Theta() != 100_000 {

@@ -185,8 +185,7 @@ func TestShrinkToBitIdentical(t *testing.T) {
 	if got != want {
 		t.Fatalf("shrunk scan %v != fresh scan %v", got, want)
 	}
-	// The shrunk collection indexes (counting walk: no fused counts) and
-	// regrows bit-identically.
+	// The shrunk collection indexes and regrows bit-identically.
 	pool := []int32{1, 4, 9, 16, 25}
 	six, err := shrunk.BuildIndex(pool)
 	if err != nil {
@@ -239,7 +238,7 @@ func TestShrinkReleasesMemory(t *testing.T) {
 		t.Fatalf("shrink did not reduce bytes: %d -> %d", bb, sb)
 	}
 	// The compact copy must not exceed the freshly sampled layout (it
-	// has no fused counts, one shard, exact arenas).
+	// has one shard, exact arenas).
 	if sb > fb {
 		t.Fatalf("shrunk bytes %d exceed fresh bytes %d", sb, fb)
 	}
@@ -278,7 +277,7 @@ func TestEmptyIndexEstimateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMRRCollection(g, layouts, 1)
+	m := emptyGraphMRR(g, layouts, 1)
 	ix, err := m.BuildIndex([]int32{0, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -369,49 +368,5 @@ func TestExtendFromStableUnderConcurrentReaders(t *testing.T) {
 	wg.Wait()
 	if cur.MRR().Theta() != 1600 {
 		t.Fatalf("index lineage grew to %d, want 1600", cur.MRR().Theta())
-	}
-}
-
-// TestDropSampleCounts: dropping the fused membership counts reclaims
-// exactly the bytes MemUsage attributed to them, later extends never
-// re-create them, and a post-drop BuildIndex (forced onto the
-// counting-walk path) matches the fused-count index bit for bit.
-func TestDropSampleCounts(t *testing.T) {
-	g, probs := randomTestGraph(t, 21, 40, 200)
-	m, err := SampleMRR(g, probs, 300, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := []int32{0, 4, 9, 13, 22, 31, 38}
-	fused, err := m.BuildIndex(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := m.MemUsage()
-	freed := m.DropSampleCounts()
-	if freed <= 0 {
-		t.Fatal("no fused counts were resident to drop")
-	}
-	if got := m.MemUsage(); got != before-freed {
-		t.Fatalf("MemUsage %d after dropping %d from %d", got, freed, before)
-	}
-	if m.DropSampleCounts() != 0 {
-		t.Fatal("second drop reclaimed bytes")
-	}
-	walked, err := m.BuildIndex(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexesEqual(t, "post-drop rebuild", walked, fused)
-	if err := m.ExtendTo(420); err != nil {
-		t.Fatal(err)
-	}
-	for i := range m.st.shards {
-		if m.st.shards[i].counts != nil {
-			t.Fatalf("shard %d re-created counts after drop", i)
-		}
-	}
-	if _, err := fused.ExtendFrom(m); err != nil {
-		t.Fatalf("ExtendFrom after drop: %v", err)
 	}
 }

@@ -86,12 +86,12 @@ func TestMRRViewPrefixBitIdentical(t *testing.T) {
 // TestViewPrefixCollection covers the single-piece View.Prefix.
 func TestViewPrefixCollection(t *testing.T) {
 	g, probs := randomTestGraph(t, 5, 60, 350)
-	big, err := NewCollection(g, probs[0], 9)
+	big, err := newCollectionProbs(g, probs[0], 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	big.ExtendTo(800)
-	fresh, err := NewCollection(g, probs[0], 9)
+	fresh, err := newCollectionProbs(g, probs[0], 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +289,7 @@ func TestPrefixValidation(t *testing.T) {
 // scan), never NaN.
 func TestEmptyCollectionEstimates(t *testing.T) {
 	g, probs := paperExample(t)
-	c, err := NewCollection(g, probs[0], 1)
+	c, err := newCollectionProbs(g, probs[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestEmptyCollectionEstimates(t *testing.T) {
 	if got := c.View().EstimateSpread([]int32{0}); got != 0 {
 		t.Fatalf("empty-view spread = %v, want 0", got)
 	}
-	m := newMRRCollection(g, nil, 1)
+	m := emptyGraphMRR(g, nil, 1)
 	m.l = 2
 	if got, err := m.EstimateAUScan([][]int32{{0}, {1}}, paperModel); err == nil || math.IsNaN(got) {
 		t.Fatalf("empty-collection AU scan: got (%v, %v), want an explicit error", got, err)

@@ -12,14 +12,19 @@ import (
 	"oipa/internal/xrand"
 )
 
-// sampler holds the per-goroutine reverse-BFS scratch state: the shared
-// randomized-BFS core of internal/traverse.
-type sampler struct {
-	w *traverse.Walker
+// pieceSampler abstracts "draw piece j's RR set of root" over the two
+// walkers: sampler (one graph) and muxSampler (a multiplex of layers).
+// One pieceSampler is private to one worker goroutine; samplePiece
+// appends the set's nodes (root first) to out.
+type pieceSampler interface {
+	samplePiece(root int32, j int, rng *xrand.SplitMix64, out []int32) []int32
 }
 
-func newSampler(g *graph.Graph) *sampler {
-	return &sampler{w: traverse.NewWalker(g.N())}
+// sampler is the one-graph pieceSampler: the per-goroutine reverse-BFS
+// scratch of traverse.Walker plus the substrate's layouts.
+type sampler struct {
+	w       *traverse.Walker
+	layouts [][]*graph.PieceLayout
 }
 
 // sample grows the RR set of root under the given piece layout and
@@ -34,23 +39,8 @@ func (s *sampler) sample(root int32, lay *graph.PieceLayout, rng *xrand.SplitMix
 	return append(out, order...)
 }
 
-// pieceSampler abstracts "draw piece j's RR set of root" over the two
-// sampling substrates: a single graph (mrrSampler) or a multiplex of
-// layers (muxSampler). One pieceSampler is private to one worker
-// goroutine; samplePiece appends the set's nodes (root first) to out.
-type pieceSampler interface {
-	samplePiece(root int32, j int, rng *xrand.SplitMix64, out []int32) []int32
-}
-
-// mrrSampler is the single-graph pieceSampler: the classic reverse walk
-// under the collection's per-piece layouts.
-type mrrSampler struct {
-	s       *sampler
-	layouts []*graph.PieceLayout
-}
-
-func (ms *mrrSampler) samplePiece(root int32, j int, rng *xrand.SplitMix64, out []int32) []int32 {
-	return ms.s.sample(root, ms.layouts[j], rng, out)
+func (s *sampler) samplePiece(root int32, j int, rng *xrand.SplitMix64, out []int32) []int32 {
+	return s.sample(root, s.layouts[j][0], rng, out)
 }
 
 // muxSampler is the multiplex pieceSampler: the layer-generic reverse
@@ -67,20 +57,97 @@ func (ms *muxSampler) samplePiece(root int32, j int, rng *xrand.SplitMix64, out 
 	return append(out, order...)
 }
 
-// newPieceSampler returns a fresh per-worker sampler for the
-// collection's substrate.
-func (m *MRRCollection) newPieceSampler() pieceSampler {
-	if m.mux != nil {
-		pieces := make([][]traverse.Layer, len(m.muxLayouts))
-		for j, lays := range m.muxLayouts {
-			pieces[j] = make([]traverse.Layer, len(lays))
-			for a, lay := range lays {
-				pieces[j][a] = traverse.LayerOf(lay, m.mux.ToGlobal(a), m.mux.ToLocal(a))
+// substrate is what a collection samples over, in the one shape
+// Collection and MRRCollection share: a node universe [0, n), the graph
+// of every layer, and the per-piece layouts as [piece][layer]. One graph
+// is the one-layer case — mux nil, the layer numbered in universe ids.
+// newSubstrate is the only place the package asks which of the two it
+// was given; everything else reads the fields it filled in.
+type substrate struct {
+	g      *graph.Graph     // the one graph; nil over a multiplex
+	mux    *graph.Multiplex // the layer set; nil over one graph
+	n      int
+	graphs []*graph.Graph // graphs[a] is the graph layer a's layouts are built for
+
+	// layouts[j][a] is piece j's layout on layer a. nil on a collection
+	// loaded from storage, which can be read but not extended.
+	layouts [][]*graph.PieceLayout
+
+	// newPieceSampler returns a fresh per-worker sampler.
+	newPieceSampler func() pieceSampler
+}
+
+// newSubstrate assembles and validates the substrate of g (one graph) or
+// mx (a multiplex) — exactly one is non-nil.
+func newSubstrate(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.PieceLayout) (*substrate, error) {
+	if (g == nil) == (mx == nil) {
+		return nil, fmt.Errorf("rrset: exactly one of a graph and a multiplex must be given")
+	}
+	s := &substrate{g: g, mux: mx, layouts: layouts}
+	// One graph keeps traverse.Walker rather than running as a one-layer
+	// MultiWalker, although the two are bit-identical there: on identical
+	// layouts the one-layer multiplex walk measures 1.05× the Walker's time
+	// (rrset.sample_mux1_ms ÷ rrset.sample_ms, benchmark/README.md),
+	// sampling is ~55 % of cold_prepare's CPU, and cascade and the
+	// benchmark need Walker whatever is chosen here.
+	if mx == nil {
+		s.n, s.graphs = g.N(), []*graph.Graph{g}
+		s.newPieceSampler = func() pieceSampler {
+			return &sampler{w: traverse.NewWalker(s.n), layouts: s.layouts}
+		}
+	} else {
+		s.n, s.graphs = mx.N(), make([]*graph.Graph, mx.L())
+		for a := range s.graphs {
+			s.graphs[a] = mx.Layer(a)
+		}
+		s.newPieceSampler = func() pieceSampler {
+			pieces := make([][]traverse.Layer, len(s.layouts))
+			for j, lays := range s.layouts {
+				pieces[j] = make([]traverse.Layer, len(lays))
+				for a, lay := range lays {
+					pieces[j][a] = traverse.LayerOf(lay, mx.ToGlobal(a), mx.ToLocal(a))
+				}
+			}
+			return &muxSampler{w: traverse.NewMultiWalker(s.n, mx.LayerSizes()), pieces: pieces}
+		}
+	}
+	if err := s.validate(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// validate checks the layouts against the substrate: at least one piece,
+// and for every piece one layout per layer, built for that layer's graph.
+func (s *substrate) validate() error {
+	if len(s.layouts) == 0 {
+		return fmt.Errorf("rrset: no pieces")
+	}
+	for j, lays := range s.layouts {
+		if len(lays) != len(s.graphs) {
+			return fmt.Errorf("rrset: piece %d has %d layouts for %d layers", j, len(lays), len(s.graphs))
+		}
+		for a, lay := range lays {
+			if lay == nil || lay.Graph() != s.graphs[a] {
+				return fmt.Errorf("rrset: piece %d layout not built for the graph of layer %d", j, a)
 			}
 		}
-		return &muxSampler{w: traverse.NewMultiWalker(m.n, m.mux.LayerSizes()), pieces: pieces}
 	}
-	return &mrrSampler{s: newSampler(m.g), layouts: m.layouts}
+	return nil
+}
+
+// same reports whether two substrates sample over the same graph or
+// multiplex (Index.ExtendFrom matches collections by it).
+func (s *substrate) same(o *substrate) bool { return s.g == o.g && s.mux == o.mux }
+
+// OneLayer lifts per-piece layouts over one graph into the [piece][layer]
+// shape the substrate-generic constructors take.
+func OneLayer(layouts []*graph.PieceLayout) [][]*graph.PieceLayout {
+	out := make([][]*graph.PieceLayout, len(layouts))
+	for j := range layouts {
+		out[j] = layouts[j : j+1 : j+1]
+	}
+	return out
 }
 
 // workerSamplers keeps one pieceSampler per extend worker for the length
@@ -144,8 +211,8 @@ func (c *collCore) TotalSize() int { return c.st.totalSize() }
 func (c *collCore) Shards() int { return c.st.numShards() }
 
 // MemUsage approximates the collection's resident bytes: shard arenas
-// (at capacity — append-only growth keeps its slack), fused count
-// arrays, the block/run directory, and the roots. Views report the
+// (at capacity — append-only growth keeps its slack), the block/run
+// directory, and the roots. Views report the
 // storage they snapshot. The serve-layer memory governor accounts
 // artifacts with it.
 func (c *collCore) MemUsage() int64 { return c.st.memUsage() + int64(cap(c.roots))*4 }
@@ -200,13 +267,8 @@ func (c *collCore) EstimateSpread(seeds []int32) float64 {
 // collection are not safe for concurrent use.
 type Collection struct {
 	collCore
-	layout *graph.PieceLayout
-	seed   uint64
-
-	// Multiplex substrate (single-graph collections leave both nil):
-	// one layout per layer for the one piece being sampled.
-	mux       *graph.Multiplex
-	muxLayout []*graph.PieceLayout
+	sub  *substrate // one piece: sub.layouts[0][a] is its layout on layer a
+	seed uint64
 }
 
 // View is an immutable read-side snapshot of a Collection. It exposes
@@ -221,45 +283,29 @@ type View struct {
 	collCore
 }
 
-// NewCollection returns an empty collection bound to a graph, a per-edge
-// probability vector and a base seed. The probabilities are materialized
-// into a graph.PieceLayout once, up front.
-func NewCollection(g *graph.Graph, probs []float64, seed uint64) (*Collection, error) {
-	lay, err := g.Layout(probs)
+// NewCollectionLayers returns an empty single-piece collection over g
+// (one graph; mx nil) or mx (a multiplex; g nil): lays[a] is the piece's
+// layout on layer a — the one layout for a graph, Multiplex.Layouts for a
+// multiplex. Sets hold universe node ids, so the read side (View,
+// Coverage, EstimateSpread) is the same over both; for a single
+// identity-mapped layer the sets are bit-identical to the collection over
+// that layer's graph.
+func NewCollectionLayers(g *graph.Graph, mx *graph.Multiplex, lays []*graph.PieceLayout, seed uint64) (*Collection, error) {
+	sub, err := newSubstrate(g, mx, [][]*graph.PieceLayout{lays})
 	if err != nil {
-		return nil, fmt.Errorf("rrset: %w", err)
-	}
-	return NewCollectionLayout(lay, seed), nil
-}
-
-// NewCollectionLayout returns an empty collection sampling under a
-// prebuilt piece layout; callers that already hold layouts (for example
-// for cascade cross-validation) avoid rebuilding them.
-func NewCollectionLayout(lay *graph.PieceLayout, seed uint64) *Collection {
-	return &Collection{
-		collCore: collCore{n: lay.Graph().N(), st: store{setsPerSample: 1}},
-		layout:   lay,
-		seed:     seed,
-	}
-}
-
-// NewCollectionMultiplexLayouts returns an empty single-piece collection
-// sampling over a multiplex with the layer-generic walk: lays[a] is the
-// piece's layout on layer a (as built by Multiplex.Layouts). Sets hold
-// universe node ids, so the read side (View, Coverage, EstimateSpread)
-// is identical to a single-graph collection's; for a single
-// identity-mapped layer the sets are bit-identical to
-// NewCollectionLayout over that layer's graph.
-func NewCollectionMultiplexLayouts(mx *graph.Multiplex, lays []*graph.PieceLayout, seed uint64) (*Collection, error) {
-	if err := validateMuxLayouts(mx, [][]*graph.PieceLayout{lays}); err != nil {
 		return nil, err
 	}
-	return &Collection{
-		collCore:  collCore{n: mx.N(), st: store{setsPerSample: 1}},
-		seed:      seed,
-		mux:       mx,
-		muxLayout: lays,
-	}, nil
+	return &Collection{collCore: collCore{n: sub.n, st: store{setsPerSample: 1}}, sub: sub, seed: seed}, nil
+}
+
+// NewCollectionLayout returns an empty collection sampling one graph
+// under a prebuilt piece layout.
+func NewCollectionLayout(lay *graph.PieceLayout, seed uint64) *Collection {
+	c, err := NewCollectionLayers(lay.Graph(), nil, []*graph.PieceLayout{lay}, seed)
+	if err != nil {
+		panic(err) // unreachable: a layout is built for its own graph
+	}
+	return c
 }
 
 // View returns an immutable snapshot of the collection's current sets.
@@ -298,7 +344,7 @@ func (c *Collection) ExtendTo(theta int) {
 	c.roots = append(c.roots, make([]int32, count)...)
 	n := uint64(c.n)
 	c.st.extend(count, func(int) func(i int, sh *shard) {
-		s := c.newPieceSampler()
+		s := c.sub.newPieceSampler()
 		// One generator per worker, re-seeded per sample: the sampler
 		// interface would otherwise force a heap allocation per sample.
 		rng := new(xrand.SplitMix64)
@@ -312,19 +358,6 @@ func (c *Collection) ExtendTo(theta int) {
 	})
 }
 
-// newPieceSampler returns a fresh per-worker sampler for the
-// collection's substrate (the single piece is piece 0).
-func (c *Collection) newPieceSampler() pieceSampler {
-	if c.mux != nil {
-		layers := make([]traverse.Layer, len(c.muxLayout))
-		for a, lay := range c.muxLayout {
-			layers[a] = traverse.LayerOf(lay, c.mux.ToGlobal(a), c.mux.ToLocal(a))
-		}
-		return &muxSampler{w: traverse.NewMultiWalker(c.n, c.mux.LayerSizes()), pieces: [][]traverse.Layer{layers}}
-	}
-	return &mrrSampler{s: newSampler(c.layout.Graph()), layouts: []*graph.PieceLayout{c.layout}}
-}
-
 // mrrCore is the read side shared by MRRCollection and MRRView: θ
 // multi-RR samples over ℓ pieces, sample i's piece-j set stored at
 // global set index i·ℓ+j. Estimator methods share scratch state and are
@@ -332,7 +365,7 @@ func (c *Collection) newPieceSampler() pieceSampler {
 type mrrCore struct {
 	n     int
 	l     int
-	sub   any // substrate identity (*graph.Graph or *graph.Multiplex) for ExtendFrom matching
+	sub   *substrate // what the samples were drawn over; ExtendFrom matches collections by it
 	st    store
 	roots []int32
 
@@ -362,8 +395,8 @@ func (m *mrrCore) Set(i, j int) []int32 {
 func (m *mrrCore) TotalSize() int { return m.st.totalSize() }
 
 // MemUsage approximates the collection's resident bytes: shard arenas
-// (at capacity), fused count arrays, the block/run directory, and the
-// roots. Views report the storage they snapshot.
+// (at capacity), the block/run directory, and the roots. Views report
+// the storage they snapshot.
 func (m *mrrCore) MemUsage() int64 { return m.st.memUsage() + int64(cap(m.roots))*4 }
 
 // Shards returns the number of shard arenas backing the storage.
@@ -440,25 +473,12 @@ type MRRCollection struct {
 	mrrCore
 	seed uint64
 
-	// Exactly one sampling substrate is populated. Single graph: g plus
-	// one layout per piece. Multiplex: mux plus one layout per (piece,
-	// layer). Collections loaded from storage keep g for shape checks
-	// but carry no layouts (they cannot be extended).
-	g          *graph.Graph
-	layouts    []*graph.PieceLayout
-	mux        *graph.Multiplex
-	muxLayouts [][]*graph.PieceLayout // [piece][layer]
-
 	// rootsPinned marks collections whose roots were supplied by the
 	// caller (SampleMRRWithRoots) rather than derived from (seed, i);
 	// extending one would silently mix two root distributions, so
 	// ExtendTo refuses.
 	rootsPinned bool
 }
-
-// Multiplex returns the multiplex the collection samples over, or nil
-// for single-graph collections.
-func (m *MRRCollection) Multiplex() *graph.Multiplex { return m.mux }
 
 // MRRView is an immutable read-side snapshot of an MRRCollection, with
 // the same validity guarantee as View: it stays bit-identical even while
@@ -527,14 +547,45 @@ func (v *MRRView) Prefix(theta int) (*MRRView, error) {
 	return &MRRView{mrrCore{n: v.n, l: v.l, sub: v.sub, st: v.st, roots: v.roots[:theta:theta]}}, nil
 }
 
-// newMRRCollection returns an empty collection over prebuilt layouts.
-func newMRRCollection(g *graph.Graph, layouts []*graph.PieceLayout, seed uint64) *MRRCollection {
+// newMRRCollection returns an empty l-piece collection over the substrate.
+func newMRRCollection(sub *substrate, l int, seed uint64) *MRRCollection {
 	return &MRRCollection{
-		mrrCore: mrrCore{n: g.N(), l: len(layouts), sub: g, st: store{setsPerSample: len(layouts)}},
+		mrrCore: mrrCore{n: sub.n, l: l, sub: sub, st: store{setsPerSample: l}},
 		seed:    seed,
-		g:       g,
-		layouts: layouts,
 	}
+}
+
+// NewMRRCollection returns an empty multi-RR collection over g (one
+// graph; mx nil) or mx (a multiplex; g nil), to be grown with ExtendTo or
+// ExtendToCtx: layouts[j][a] is piece j's layout on layer a — OneLayer of
+// the per-piece layouts for a graph, Multiplex.Layouts per piece for a
+// multiplex. Sample i derives its RNG and universe root from (seed, i)
+// the same way over both, and the collection stores universe node ids,
+// so every downstream consumer — Index, sketches, estimators,
+// Prefix/ExtendTo/ShrinkTo — is substrate-agnostic; for a single
+// identity-mapped layer the samples are bit-identical to the collection
+// over that layer's graph (pinned by the multiplex golden tests).
+func NewMRRCollection(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.PieceLayout, seed uint64) (*MRRCollection, error) {
+	sub, err := newSubstrate(g, mx, layouts)
+	if err != nil {
+		return nil, err
+	}
+	return newMRRCollection(sub, len(layouts), seed), nil
+}
+
+// sampleMRR is NewMRRCollection grown to theta samples.
+func sampleMRR(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.PieceLayout, theta int, seed uint64) (*MRRCollection, error) {
+	m, err := NewMRRCollection(g, mx, layouts, seed)
+	if err != nil {
+		return nil, err
+	}
+	if theta <= 0 {
+		return nil, fmt.Errorf("rrset: non-positive theta %d", theta)
+	}
+	if err := m.ExtendTo(theta); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // SampleMRR draws theta multi-RR samples. pieceProbs[j] holds the per-edge
@@ -564,84 +615,19 @@ func buildLayouts(g *graph.Graph, pieceProbs [][]float64) ([]*graph.PieceLayout,
 	return layouts, nil
 }
 
-// SampleMRRLayouts draws theta multi-RR samples from prebuilt piece
-// layouts, skipping the per-call layout construction; solvers that sample
-// repeatedly over the same campaign (progressive estimation, parameter
-// sweeps) prepare the layouts once.
+// SampleMRRLayouts draws theta multi-RR samples over one graph from
+// prebuilt piece layouts, skipping the per-call layout construction;
+// solvers that sample repeatedly over the same campaign (progressive
+// estimation, parameter sweeps) prepare the layouts once.
 func SampleMRRLayouts(g *graph.Graph, layouts []*graph.PieceLayout, theta int, seed uint64) (*MRRCollection, error) {
-	return SampleMRRLayoutsCtx(context.Background(), g, layouts, theta, seed)
-}
-
-// SampleMRRLayoutsCtx is SampleMRRLayouts bounded by a context: the
-// sampling pass checks ctx between sample blocks (ExtendToCtx) and a
-// cancellation returns ctx.Err() with no collection.
-func SampleMRRLayoutsCtx(ctx context.Context, g *graph.Graph, layouts []*graph.PieceLayout, theta int, seed uint64) (*MRRCollection, error) {
-	if err := validateLayouts(g, layouts); err != nil {
-		return nil, err
-	}
-	if theta <= 0 {
-		return nil, fmt.Errorf("rrset: non-positive theta %d", theta)
-	}
-	m := newMRRCollection(g, layouts, seed)
-	if err := m.ExtendToCtx(ctx, theta); err != nil {
-		return nil, err
-	}
-	return m, nil
+	return sampleMRR(g, nil, OneLayer(layouts), theta, seed)
 }
 
 // SampleMRRMultiplexLayouts draws theta multi-RR samples over a
-// multiplex: sample i derives its RNG and universe root from (seed, i)
-// with the exact calls the single-graph path makes, then walks every
-// piece with the layer-generic traverse.MultiWalker. layouts[j][a] is
-// piece j's layout on layer a (as built by Multiplex.Layouts). The
-// resulting collection stores universe node ids, so every downstream
-// consumer — Index, sketches, estimators, Prefix/ExtendTo/ShrinkTo — is
-// unchanged; for a single identity-mapped layer the samples are
-// bit-identical to SampleMRRLayouts over that layer's graph (pinned by
-// the multiplex golden tests).
+// multiplex; layouts[j][a] is piece j's layout on layer a (as built by
+// Multiplex.Layouts).
 func SampleMRRMultiplexLayouts(mx *graph.Multiplex, layouts [][]*graph.PieceLayout, theta int, seed uint64) (*MRRCollection, error) {
-	return SampleMRRMultiplexLayoutsCtx(context.Background(), mx, layouts, theta, seed)
-}
-
-// SampleMRRMultiplexLayoutsCtx is SampleMRRMultiplexLayouts bounded by a
-// context, with ExtendToCtx's chunked-cancellation semantics.
-func SampleMRRMultiplexLayoutsCtx(ctx context.Context, mx *graph.Multiplex, layouts [][]*graph.PieceLayout, theta int, seed uint64) (*MRRCollection, error) {
-	if err := validateMuxLayouts(mx, layouts); err != nil {
-		return nil, err
-	}
-	if theta <= 0 {
-		return nil, fmt.Errorf("rrset: non-positive theta %d", theta)
-	}
-	m := &MRRCollection{
-		mrrCore:    mrrCore{n: mx.N(), l: len(layouts), sub: mx, st: store{setsPerSample: len(layouts)}},
-		seed:       seed,
-		mux:        mx,
-		muxLayouts: layouts,
-	}
-	if err := m.ExtendToCtx(ctx, theta); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func validateMuxLayouts(mx *graph.Multiplex, layouts [][]*graph.PieceLayout) error {
-	if mx == nil {
-		return fmt.Errorf("rrset: nil multiplex")
-	}
-	if len(layouts) == 0 {
-		return fmt.Errorf("rrset: no pieces")
-	}
-	for j, lays := range layouts {
-		if len(lays) != mx.L() {
-			return fmt.Errorf("rrset: piece %d has %d layer layouts for %d layers", j, len(lays), mx.L())
-		}
-		for a, lay := range lays {
-			if lay == nil || lay.Graph() != mx.Layer(a) {
-				return fmt.Errorf("rrset: piece %d layout not built for multiplex layer %d", j, a)
-			}
-		}
-	}
-	return nil
+	return sampleMRR(nil, mx, layouts, theta, seed)
 }
 
 // SampleMRRWithRoots draws one multi-RR sample per provided root. It
@@ -660,23 +646,14 @@ func SampleMRRWithRoots(g *graph.Graph, pieceProbs [][]float64, roots []int32, s
 	if err != nil {
 		return nil, err
 	}
-	m := newMRRCollection(g, layouts, seed)
+	m, err := NewMRRCollection(g, nil, OneLayer(layouts), seed)
+	if err != nil {
+		return nil, err
+	}
 	m.rootsPinned = true
 	m.roots = append([]int32(nil), roots...)
-	m.sampleRange(0, len(roots), newWorkerSamplers(m.newPieceSampler))
+	m.sampleRange(0, len(roots), newWorkerSamplers(m.sub.newPieceSampler))
 	return m, nil
-}
-
-func validateLayouts(g *graph.Graph, layouts []*graph.PieceLayout) error {
-	if len(layouts) == 0 {
-		return fmt.Errorf("rrset: no pieces")
-	}
-	for j, lay := range layouts {
-		if lay == nil || lay.Graph() != g {
-			return fmt.Errorf("rrset: piece %d layout not built for this graph", j)
-		}
-	}
-	return nil
 }
 
 // ExtendTo grows the collection to theta multi-RR samples, in place:
@@ -710,18 +687,11 @@ const extendCtxChunk = 8192
 // never be canceled (ctx.Done() == nil) skips the chunking and samples
 // the whole delta as one run.
 func (m *MRRCollection) ExtendToCtx(ctx context.Context, theta int) error {
-	return m.extendToCtx(ctx, theta, newWorkerSamplers(m.newPieceSampler))
-}
-
-// extendToCtx is ExtendToCtx drawing its per-worker samplers from the
-// given set, which lives for this one call (a test passes a counting
-// factory to pin one construction per worker, not per chunk).
-func (m *MRRCollection) extendToCtx(ctx context.Context, theta int, samplers *workerSamplers) error {
 	start := m.Theta()
 	if theta <= start {
 		return nil
 	}
-	if m.layouts == nil && m.muxLayouts == nil {
+	if m.sub.layouts == nil {
 		return fmt.Errorf("rrset: collection loaded from storage has no piece layouts to extend with")
 	}
 	if m.rootsPinned {
@@ -733,6 +703,7 @@ func (m *MRRCollection) extendToCtx(ctx context.Context, theta int, samplers *wo
 	}
 	n := uint64(m.n)
 	var rng xrand.SplitMix64
+	samplers := newWorkerSamplers(m.sub.newPieceSampler) // one sampler per worker for the call, not per chunk
 	for start < theta {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -761,83 +732,26 @@ func (m *MRRCollection) extendToCtx(ctx context.Context, theta int, samplers *wo
 //
 // Because sample i is deterministic in (graph, layouts, seed), the
 // shrunk collection is bit-identical to one freshly sampled to theta —
-// and it keeps the seed and piece layouts, so a later ExtendTo regrows
-// the exact samples that were shed. Fused membership counts are not
-// carried over (they cover the source's full θ), so the next BuildIndex
-// over a shrunk collection takes the counting-walk path. theta must lie
-// in [1, Theta()]; passing Theta() still compacts.
+// and it keeps the seed and substrate, so a later ExtendTo regrows the
+// exact samples that were shed. theta must lie in [1, Theta()]; passing
+// Theta() still compacts.
 func (m *MRRCollection) ShrinkTo(theta int) (*MRRCollection, error) {
 	if theta <= 0 || theta > m.Theta() {
 		return nil, fmt.Errorf("rrset: shrink theta %d outside [1, %d]", theta, m.Theta())
 	}
-	return &MRRCollection{
-		mrrCore: mrrCore{
-			n:     m.n,
-			l:     m.l,
-			sub:   m.sub,
-			st:    m.st.compactPrefix(theta),
-			roots: append([]int32(nil), m.roots[:theta]...),
-		},
-		seed:        m.seed,
-		g:           m.g,
-		layouts:     m.layouts,
-		mux:         m.mux,
-		muxLayouts:  m.muxLayouts,
-		rootsPinned: m.rootsPinned,
-	}, nil
-}
-
-// DropSampleCounts releases the fused per-(piece,node) membership
-// counts and disables their maintenance for the rest of the
-// collection's life, returning the number of bytes reclaimed. The
-// counts exist solely so BuildIndex can size its inverted CSR without
-// re-walking the sets; once an entry's Index is built, ExtendFrom walks
-// only the delta samples and never consults them, so a registry that
-// keeps artifacts hot can shed the O(shards·ℓ·n) arrays. A later
-// BuildIndex over the same collection still works — it takes the
-// counting-walk path, which is golden-tested to produce an identical
-// CSR. Counts are never re-enabled after the drop: later extends would
-// miss the earlier samples, exactly the "dropped for good" rule the
-// memory budget enforces.
-func (m *MRRCollection) DropSampleCounts() int64 {
-	freed := int64(0)
-	for i := range m.st.shards {
-		freed += int64(cap(m.st.shards[i].counts)) * 4
-		m.st.shards[i].counts = nil
-	}
-	m.st.counted = false
-	return freed
+	out := newMRRCollection(m.sub, m.l, m.seed)
+	out.st = m.st.compactPrefix(theta)
+	out.roots = append([]int32(nil), m.roots[:theta]...)
+	out.rootsPinned = m.rootsPinned
+	return out, nil
 }
 
 // sampleRange samples the sets of roots [start, theta), which must
-// already be present in m.roots, optionally fusing the per-(piece,
-// node) membership counting that BuildIndex consumes into the sampling
-// blocks. Each worker samples through its slot of samplers, which the
-// caller keeps across the runs of one growth.
+// already be present in m.roots. Each worker samples through its slot of
+// samplers, which the caller keeps across the runs of one growth.
 func (m *MRRCollection) sampleRange(start, theta int, samplers *workerSamplers) {
 	n := uint64(m.n)
-	gn := m.n
 	l := m.l
-	// Fused counting costs an ℓ·n int32 array per shard, retained for
-	// the collection's lifetime; only pay that when it is small next to
-	// the sample data itself (total RR size is at least θ·ℓ entries).
-	// Past the threshold BuildIndex falls back to the counting walk —
-	// identical CSR either way (golden-tested), this only trades
-	// index-build time against resident memory. The budget is re-checked
-	// on every run: growth at higher parallelism adds shards (each with
-	// its own count array), and if that would blow the bound the counts
-	// are dropped for good — never re-enabled, since earlier samples
-	// would be missing from fresh counts.
-	withinBudget := gn*m.st.shardsAfter(theta-start) <= theta
-	if start == 0 {
-		m.st.counted = withinBudget
-	} else if m.st.counted && !withinBudget {
-		m.st.counted = false
-		for i := range m.st.shards {
-			m.st.shards[i].counts = nil
-		}
-	}
-	counted := m.st.counted
 	m.st.extend(theta-start, func(w int) func(i int, sh *shard) {
 		s := samplers.get(w)
 		// One generator per worker, re-seeded per sample: the sampler
@@ -848,18 +762,8 @@ func (m *MRRCollection) sampleRange(start, theta int, samplers *workerSamplers) 
 			// matches the root derivation exactly even when Uint64n rejects).
 			rng.Reseed(m.seed, uint64(start+i))
 			rng.Uint64n(n)
-			if counted && sh.counts == nil {
-				sh.counts = make([]int32, l*gn)
-			}
 			for j := 0; j < l; j++ {
-				setStart := len(sh.nodes)
 				sh.nodes = s.samplePiece(m.roots[start+i], j, rng, sh.nodes)
-				if counted {
-					counts := sh.counts[j*gn : (j+1)*gn]
-					for _, v := range sh.nodes[setStart:] {
-						counts[v]++
-					}
-				}
 				sh.closeSet()
 			}
 		}

@@ -38,6 +38,30 @@ func paperExample(t testing.TB) (*graph.Graph, [][]float64) {
 
 var paperModel = logistic.Model{Alpha: 3, Beta: 1}
 
+// newCollectionProbs returns an empty one-graph collection sampling under
+// an explicit per-edge probability vector.
+func newCollectionProbs(g *graph.Graph, probs []float64, seed uint64) (*Collection, error) {
+	lay, err := g.Layout(probs)
+	if err != nil {
+		return nil, err
+	}
+	return NewCollectionLayout(lay, seed), nil
+}
+
+// emptyGraphMRR returns an empty one-graph collection over per-piece
+// layouts; with none it has no pieces and cannot be extended (tests set
+// its piece count by hand).
+func emptyGraphMRR(g *graph.Graph, layouts []*graph.PieceLayout, seed uint64) *MRRCollection {
+	if layouts == nil {
+		return newMRRCollection(&substrate{g: g, n: g.N()}, 0, seed)
+	}
+	m, err := NewMRRCollection(g, nil, OneLayer(layouts), seed)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // randomTestGraph builds a random graph with fractional probabilities for
 // statistical tests.
 func randomTestGraph(t testing.TB, seed uint64, n, m int) (*graph.Graph, [][]float64) {
@@ -72,7 +96,7 @@ func randomTestGraph(t testing.TB, seed uint64, n, m int) (*graph.Graph, [][]flo
 
 func TestCollectionDeterministicSets(t *testing.T) {
 	g, probs := paperExample(t)
-	c, err := NewCollection(g, probs[0], 42)
+	c, err := newCollectionProbs(g, probs[0], 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,9 +134,9 @@ func TestCollectionDeterministicSets(t *testing.T) {
 
 func TestCollectionExtendIsIncremental(t *testing.T) {
 	g, probs := randomTestGraph(t, 5, 40, 150)
-	a, _ := NewCollection(g, probs[0], 9)
+	a, _ := newCollectionProbs(g, probs[0], 9)
 	a.ExtendTo(200)
-	b, _ := NewCollection(g, probs[0], 9)
+	b, _ := newCollectionProbs(g, probs[0], 9)
 	b.ExtendTo(50)
 	b.ExtendTo(200) // grown in two steps
 	if a.Theta() != b.Theta() {
@@ -139,10 +163,10 @@ func TestCollectionExtendIsIncremental(t *testing.T) {
 func TestCollectionParallelMatchesSerial(t *testing.T) {
 	g, probs := randomTestGraph(t, 6, 60, 240)
 	old := runtime.GOMAXPROCS(1)
-	serial, _ := NewCollection(g, probs[0], 3)
+	serial, _ := newCollectionProbs(g, probs[0], 3)
 	serial.ExtendTo(500)
 	runtime.GOMAXPROCS(old)
-	parallel, _ := NewCollection(g, probs[0], 3)
+	parallel, _ := newCollectionProbs(g, probs[0], 3)
 	parallel.ExtendTo(500)
 	if serial.TotalSize() != parallel.TotalSize() {
 		t.Fatalf("total sizes differ: %d vs %d", serial.TotalSize(), parallel.TotalSize())
@@ -167,7 +191,7 @@ func TestEstimateSpreadUnbiased(t *testing.T) {
 	// RR-based spread estimates must agree with forward Monte Carlo.
 	g, probs := randomTestGraph(t, 7, 50, 200)
 	seeds := []int32{0, 7, 23}
-	c, _ := NewCollection(g, probs[0], 11)
+	c, _ := newCollectionProbs(g, probs[0], 11)
 	c.ExtendTo(200000)
 	rrEst := c.EstimateSpread(seeds)
 	mcEst, err := cascade.EstimateSpread(g, probs[0], seeds, 200000, 13)
@@ -181,8 +205,11 @@ func TestEstimateSpreadUnbiased(t *testing.T) {
 
 func TestNewCollectionValidates(t *testing.T) {
 	g, _ := paperExample(t)
-	if _, err := NewCollection(g, make([]float64, 1), 0); err == nil {
-		t.Fatal("wrong probability length accepted")
+	if _, err := NewCollectionLayers(g, nil, []*graph.PieceLayout{nil}, 0); err == nil {
+		t.Fatal("nil layout accepted")
+	}
+	if _, err := NewCollectionLayers(nil, nil, nil, 0); err == nil {
+		t.Fatal("neither graph nor multiplex accepted")
 	}
 }
 

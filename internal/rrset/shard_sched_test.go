@@ -3,16 +3,13 @@ package rrset
 // Schedule-invariance and growth tests for the sharded path, mirroring
 // geoskip_test.go's work-stealing tests: shard count and growth schedule
 // must never leak into results, serialized bytes, or previously taken
-// views, and the fused BuildIndex counting must emit the same inverted
-// CSR as the classic sample-major walk.
+// views.
 
 import (
 	"bytes"
 	"runtime"
 	"slices"
 	"testing"
-
-	"oipa/internal/xrand"
 )
 
 // TestShardedWriteBytesScheduleInvariance serializes the same MRR
@@ -185,122 +182,6 @@ func TestPinnedRootsMRRExtendToRejected(t *testing.T) {
 	}
 	if m.Theta() != 5 {
 		t.Fatalf("failed ExtendTo changed theta to %d", m.Theta())
-	}
-}
-
-// naiveIndexCSR is the pre-fusion BuildIndex: a counting walk over every
-// set followed by a sample-major fill. The fused path must emit exactly
-// this CSR.
-func naiveIndexCSR(m *MRRCollection, pool []int32) (off []int64, samples []int32) {
-	pos := make(map[int32]int32, len(pool))
-	for p, v := range pool {
-		pos[v] = int32(p)
-	}
-	l, theta, pp := m.L(), m.Theta(), len(pool)
-	counts := make([]int64, l*pp+1)
-	for i := 0; i < theta; i++ {
-		for j := 0; j < l; j++ {
-			for _, v := range m.Set(i, j) {
-				if p, ok := pos[v]; ok {
-					counts[j*pp+int(p)+1]++
-				}
-			}
-		}
-	}
-	for i := 1; i < len(counts); i++ {
-		counts[i] += counts[i-1]
-	}
-	samples = make([]int32, counts[len(counts)-1])
-	cursor := make([]int64, l*pp)
-	for i := 0; i < theta; i++ {
-		for j := 0; j < l; j++ {
-			for _, v := range m.Set(i, j) {
-				if p, ok := pos[v]; ok {
-					slot := j*pp + int(p)
-					samples[counts[slot]+cursor[slot]] = int32(i)
-					cursor[slot]++
-				}
-			}
-		}
-	}
-	return counts, samples
-}
-
-// indexMatchesCSR reports whether ix's per-slot inverted lists spell out
-// exactly the naive CSR (off, samples).
-func indexMatchesCSR(ix *Index, off []int64, samples []int32) bool {
-	if len(ix.lists) != len(off)-1 {
-		return false
-	}
-	for slot := range ix.lists {
-		if !slices.Equal(ix.lists[slot], samples[off[slot]:off[slot+1]]) {
-			return false
-		}
-	}
-	return true
-}
-
-// TestBuildIndexGoldenFusedVsWalk pins the fused counting pass: the CSR
-// built from shard-local counts (sampled collection, several shard
-// counts) and the CSR built by the counting-walk fallback (loaded
-// collection) must both equal the naive sample-major construction.
-func TestBuildIndexGoldenFusedVsWalk(t *testing.T) {
-	g, probs := randomTestGraph(t, 35, 60, 260)
-	r := xrand.New(99)
-	pool := make([]int32, 0, 20)
-	for _, p := range r.Sample(60, 20) {
-		pool = append(pool, int32(p))
-	}
-	for _, workers := range []int{1, 4} {
-		atGOMAXPROCS(workers, func() {
-			// Grow in two runs, the second at higher parallelism: the
-			// fused counts must accumulate across runs, including on
-			// shards the second run creates (which allocate their count
-			// arrays lazily). The first run's theta keeps the counting
-			// gate (n·workers ≤ θ) enabled at every tested worker count.
-			m, err := SampleMRR(g, probs, 250, 13)
-			if err != nil {
-				t.Fatal(err)
-			}
-			atGOMAXPROCS(workers+2, func() {
-				if err := m.ExtendTo(600); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if !m.st.counted {
-				t.Fatal("sampled collection lost its fused counts")
-			}
-			if m.Shards() <= workers {
-				t.Fatalf("second run at %d workers added no shards to %d", workers+2, m.Shards())
-			}
-			wantOff, wantSamples := naiveIndexCSR(m, pool)
-			ix, err := m.BuildIndex(pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !indexMatchesCSR(ix, wantOff, wantSamples) {
-				t.Fatalf("workers=%d: fused lists differ from sample-major walk", workers)
-			}
-
-			var buf bytes.Buffer
-			if err := m.Write(&buf); err != nil {
-				t.Fatal(err)
-			}
-			back, err := ReadMRR(&buf, g)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if back.st.counted {
-				t.Fatal("loaded collection claims fused counts")
-			}
-			ix2, err := back.BuildIndex(pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !indexMatchesCSR(ix2, wantOff, wantSamples) {
-				t.Fatalf("workers=%d: counting-walk lists differ from sample-major walk", workers)
-			}
-		})
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 
 	"oipa/internal/graph"
 	"oipa/internal/logistic"
+	"oipa/internal/traverse"
 	"oipa/internal/xrand"
 )
 
@@ -32,7 +33,7 @@ func (a *refArena) set(k int) []int32 { return a.nodes[a.offsets[k]:a.offsets[k+
 
 // refSample serially reproduces Collection.ExtendTo's semantics.
 func refSample(g *graph.Graph, lay *graph.PieceLayout, theta int, seed uint64) *refArena {
-	s := newSampler(g)
+	s := &sampler{w: traverse.NewWalker(g.N())}
 	a := &refArena{offsets: []int64{0}}
 	n := uint64(g.N())
 	for i := 0; i < theta; i++ {
@@ -48,7 +49,7 @@ func refSample(g *graph.Graph, lay *graph.PieceLayout, theta int, seed uint64) *
 // refSampleMRR serially reproduces SampleMRRLayouts' semantics: set of
 // sample i, piece j lives at arena index i·ℓ+j.
 func refSampleMRR(g *graph.Graph, layouts []*graph.PieceLayout, theta int, seed uint64) *refArena {
-	s := newSampler(g)
+	s := &sampler{w: traverse.NewWalker(g.N())}
 	a := &refArena{offsets: []int64{0}}
 	n := uint64(g.N())
 	for i := 0; i < theta; i++ {

@@ -21,12 +21,6 @@ const sampleBlockSize = 64
 type shard struct {
 	nodes   []int32
 	offsets []int64 // absolute end offset in nodes of each completed set
-
-	// counts, when non-nil, holds per-(piece, node) membership counts
-	// (counts[j*n+v] = number of this shard's samples whose piece-j set
-	// contains v), maintained by the MRR sampling blocks so BuildIndex
-	// can size its inverted CSR without re-walking the sets.
-	counts []int32
 }
 
 // closeSet completes the set whose nodes were appended since the last
@@ -64,7 +58,6 @@ type store struct {
 	runs          []run
 	setsPerSample int   // sets appended per sample index (ℓ for MRR, 1 otherwise)
 	numSets       int64 // total sets stored, Σ runs' counts
-	counted       bool  // shards maintain per-(piece,node) counts
 }
 
 // extend runs a sampling pass over sample indices [0, count) as a new
@@ -90,7 +83,12 @@ func (st *store) extend(count int, worker func(w int) func(i int, sh *shard)) {
 	blockBase := int64(len(st.blocks))
 	st.blocks = append(st.blocks, make([]blockLoc, numBlocks)...)
 	st.runs = append(st.runs, run{firstSet: st.numSets, blockBase: blockBase})
-	workers := runWorkers(count)
+	// GOMAXPROCS workers, capped by the run's block count (a worker with
+	// no block to claim would idle).
+	workers := runtime.GOMAXPROCS(0)
+	if workers > numBlocks {
+		workers = numBlocks
+	}
 	for len(st.shards) < workers {
 		st.shards = append(st.shards, shard{})
 	}
@@ -121,30 +119,6 @@ func (st *store) extend(count int, worker func(w int) func(i int, sh *shard)) {
 	}
 	wg.Wait()
 	st.numSets += int64(count) * int64(st.setsPerSample)
-}
-
-// runWorkers is the worker count extend spawns for a run over count
-// samples: GOMAXPROCS capped by the run's block count (a worker with no
-// block to claim would idle).
-func runWorkers(count int) int {
-	workers := runtime.GOMAXPROCS(0)
-	if numBlocks := (count + sampleBlockSize - 1) / sampleBlockSize; workers > numBlocks {
-		workers = numBlocks
-	}
-	return workers
-}
-
-// shardsAfter returns the shard count the store will hold once extend
-// runs over count more samples: existing shards are reused, and a run
-// only adds shards up to its worker count. The fused-counting memory
-// budget is sized against this prediction, so it must stay in lockstep
-// with extend's policy — which is why both call runWorkers.
-func (st *store) shardsAfter(count int) int {
-	n := runWorkers(count)
-	if len(st.shards) > n {
-		n = len(st.shards)
-	}
-	return n
 }
 
 // set returns the s-th set in global (deterministic) order, aliasing
@@ -179,12 +153,10 @@ func (st *store) set(s int64) []int32 {
 
 // compactPrefix returns a store holding the first numSamples samples of
 // st (numSamples·setsPerSample sets, in deterministic order), re-packed
-// into a single shard with exact-fit arenas and a trivial directory: one
-// run whose blocks all point into shard 0 back-to-back. It is the
+// into a single shard with exact-fit arenas (packedStore). It is the
 // storage half of ShrinkTo — the copy owns its memory, so dropping the
 // source store actually releases the tail samples (and any slack
-// capacity the append-only shards accumulated). Fused membership counts
-// are not carried over: they cover the source's full θ, not the prefix.
+// capacity the append-only shards accumulated).
 func (st *store) compactPrefix(numSamples int) store {
 	numSets := int64(numSamples) * int64(st.setsPerSample)
 	total := int64(0)
@@ -196,29 +168,30 @@ func (st *store) compactPrefix(numSamples int) store {
 		sh.nodes = append(sh.nodes, st.set(s)...)
 		sh.closeSet()
 	}
-	spb := int64(sampleBlockSize * st.setsPerSample)
-	numBlocks := (numSets + spb - 1) / spb
-	blocks := make([]blockLoc, numBlocks)
+	return packedStore(sh, st.setsPerSample)
+}
+
+// packedStore wraps one shard that holds every set in deterministic
+// order — the worker order of a single serial worker — so the directory
+// is one run whose blocks lie back-to-back in shard 0.
+func packedStore(sh shard, setsPerSample int) store {
+	numSets := int64(len(sh.offsets))
+	spb := int64(sampleBlockSize * setsPerSample)
+	blocks := make([]blockLoc, (numSets+spb-1)/spb)
 	for b := range blocks {
 		blocks[b] = blockLoc{shard: 0, off: int64(b) * spb}
 	}
-	return store{
-		shards:        []shard{sh},
-		blocks:        blocks,
-		runs:          []run{{firstSet: 0, blockBase: 0}},
-		setsPerSample: st.setsPerSample,
-		numSets:       numSets,
-	}
+	return store{shards: []shard{sh}, blocks: blocks, runs: []run{{}}, setsPerSample: setsPerSample, numSets: numSets}
 }
 
 // memUsage returns the store's resident bytes: shard arenas (capacity,
-// not length — append-only growth retains its slack), fused count
-// arrays, and the block/run directory.
+// not length — append-only growth retains its slack) and the block/run
+// directory.
 func (st *store) memUsage() int64 {
 	b := int64(0)
 	for i := range st.shards {
 		sh := &st.shards[i]
-		b += int64(cap(sh.nodes))*4 + int64(cap(sh.offsets))*8 + int64(cap(sh.counts))*4
+		b += int64(cap(sh.nodes))*4 + int64(cap(sh.offsets))*8
 	}
 	b += int64(cap(st.blocks)) * 16 // blockLoc: int32 + int64, padded
 	b += int64(cap(st.runs)) * 16
@@ -242,18 +215,10 @@ func (st *store) numShards() int { return len(st.shards) }
 // slices, possibly reallocating their headers — cannot disturb the
 // snapshot; directory slices are capped so the snapshot never observes
 // entries appended later. Set data is never mutated in place, so the
-// snapshot's sets stay bit-identical forever. The shards' counts arrays
-// are dropped: extends increment them in place (a snapshot could go
-// stale) and no read-side consumer uses them — BuildIndex reads counts
-// from the live store — so snapshots must not keep O(shards·ℓ·n) count
-// memory reachable for their whole lifetime.
+// snapshot's sets stay bit-identical forever.
 func (st *store) snapshot() store {
 	cp := *st
 	cp.shards = append([]shard(nil), st.shards...)
-	for i := range cp.shards {
-		cp.shards[i].counts = nil
-	}
-	cp.counted = false
 	cp.blocks = st.blocks[:len(st.blocks):len(st.blocks)]
 	cp.runs = st.runs[:len(st.runs):len(st.runs)]
 	return cp

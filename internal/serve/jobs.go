@@ -28,8 +28,9 @@ type JobStatus struct {
 }
 
 // job is one queued solve. Mutable fields are guarded by the queue's
-// mutex; cancel is closed at most once (under the same mutex) and doubles
-// as the solver's Stop channel.
+// mutex. ctx is the solve's context — registry waits, growth and the
+// solver's Stop hook all hang off it — and cancel ends it: called when
+// the job is canceled, and again (a no-op then) when it retires.
 type job struct {
 	id        string
 	req       SolveRequest
@@ -41,7 +42,8 @@ type job struct {
 	finished  time.Time
 	errMsg    string
 	result    *SolveResponse
-	cancel    chan struct{}
+	ctx       context.Context
+	cancel    context.CancelFunc
 	canceled  bool
 	terminal  bool // retired into history; complete() must not run again
 }
@@ -162,6 +164,7 @@ func (q *jobQueue) complete(j *job, res *SolveResponse, err error) {
 // results stay available for the `history` most recent completions.
 func (q *jobQueue) retireLocked(j *job) {
 	j.terminal = true
+	j.cancel() // release the context of a job that ran to completion
 	q.finished = append(q.finished, j.id)
 	for q.history > 0 && len(q.finished) > q.history {
 		delete(q.jobs, q.finished[0])
@@ -180,6 +183,7 @@ func (q *jobQueue) submit(req SolveRequest, reqID string, traced bool) (string, 
 		return "", ErrClosed
 	}
 	q.nextID++
+	ctx, cancel := context.WithCancel(context.Background())
 	j := &job{
 		id:        fmt.Sprintf("job-%d", q.nextID),
 		req:       req,
@@ -187,7 +191,8 @@ func (q *jobQueue) submit(req SolveRequest, reqID string, traced bool) (string, 
 		traced:    traced,
 		state:     JobQueued,
 		submitted: time.Now(),
-		cancel:    make(chan struct{}),
+		ctx:       ctx,
+		cancel:    cancel,
 	}
 	select {
 	case q.ch <- j:
@@ -197,13 +202,14 @@ func (q *jobQueue) submit(req SolveRequest, reqID string, traced bool) (string, 
 		return j.id, nil
 	default:
 		q.mu.Unlock()
+		cancel()
 		q.m.jobsRejected.Add(1)
 		return "", ErrQueueFull
 	}
 }
 
 // cancelJob cancels a queued or running job: queued jobs are skipped by
-// their worker, running jobs see their Stop channel close and return the
+// their worker, running jobs see their context canceled and return the
 // current incumbent.
 func (q *jobQueue) cancelJob(id string) (bool, error) {
 	q.mu.Lock()
@@ -216,7 +222,7 @@ func (q *jobQueue) cancelJob(id string) (bool, error) {
 		return false, nil
 	}
 	j.canceled = true
-	close(j.cancel)
+	j.cancel()
 	if j.state == JobQueued {
 		// Terminal right here: the worker will skip it without calling
 		// complete. Running jobs retire when their runner completes.
@@ -284,7 +290,7 @@ func (q *jobQueue) drain(ctx context.Context) error {
 	for _, j := range q.jobs {
 		if !j.canceled && j.state == JobQueued {
 			j.canceled = true
-			close(j.cancel)
+			j.cancel()
 			j.state = JobCanceled
 			j.finished = time.Now()
 			q.retireLocked(j)
@@ -306,7 +312,7 @@ func (q *jobQueue) drain(ctx context.Context) error {
 	for _, j := range q.jobs {
 		if !j.canceled && j.state == JobRunning {
 			j.canceled = true
-			close(j.cancel)
+			j.cancel()
 			running++
 		}
 	}
@@ -324,7 +330,7 @@ func (q *jobQueue) close() {
 	for _, j := range q.jobs {
 		if !j.canceled && (j.state == JobQueued || j.state == JobRunning) {
 			j.canceled = true
-			close(j.cancel)
+			j.cancel()
 			if j.state == JobQueued {
 				j.state = JobCanceled
 				j.finished = time.Now()

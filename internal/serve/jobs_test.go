@@ -1,10 +1,16 @@
 package serve
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"oipa/internal/faultpoint"
 )
 
 // TestAsyncJobLifecycle submits a solve with {"async": true}, polls until
@@ -77,7 +83,7 @@ func blockQueue(t *testing.T, workers, depth int) (*jobQueue, chan struct{}) {
 		select {
 		case <-release:
 			q.complete(j, &SolveResponse{Method: "TEST"}, nil)
-		case <-j.cancel:
+		case <-j.ctx.Done():
 			q.complete(j, nil, nil)
 		}
 	}
@@ -131,7 +137,7 @@ func TestJobCancellation(t *testing.T) {
 		t.Fatalf("queued job state %q after cancel, want canceled", st.State)
 	}
 
-	// Canceling the running job closes its Stop channel; the runner
+	// Canceling the running job cancels its context; the runner
 	// returns and the job lands in canceled.
 	if ok, err := q.cancelJob(first); err != nil || !ok {
 		t.Fatalf("cancel running job: ok=%v err=%v", ok, err)
@@ -232,7 +238,7 @@ func TestQueueFullSurfacesAs503(t *testing.T) {
 	s.jobs.run = func(j *job) {
 		select {
 		case <-release:
-		case <-j.cancel:
+		case <-j.ctx.Done():
 		}
 		s.jobs.complete(j, nil, nil)
 	}
@@ -252,5 +258,102 @@ func TestQueueFullSurfacesAs503(t *testing.T) {
 	}
 	if code, raw := postJSON(t, ts, "/v1/solve", req, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("backlog overflow status %d, want 503: %s", code, raw)
+	}
+}
+
+// TestCancelRunningSolveJob cancels real solve jobs through their
+// context — the one cancellation mechanism of the serve tier. A BAB
+// solve canceled after it acquired its artifact ends canceled and keeps
+// its incumbent (the context's Done channel is the search's Stop hook);
+// a job canceled while waiting on another request's preparation leaves
+// the registry with an error that is context.Canceled.
+func TestCancelRunningSolveJob(t *testing.T) {
+	defer faultpoint.Reset()
+	s := testServer(t, nil)
+	errc := make(chan error, 1)
+	s.jobs.run = func(j *job) {
+		resp, err := s.solveCoalesced(j.ctx, j.req)
+		errc <- err
+		s.jobs.complete(j, resp, err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	submit := func(req SolveRequest) string {
+		t.Helper()
+		req.Async = true
+		var accepted struct {
+			Job string `json:"job"`
+		}
+		if code, raw := postJSON(t, ts, "/v1/solve", req, &accepted); code != http.StatusAccepted {
+			t.Fatalf("async solve status %d: %s", code, raw)
+		}
+		return accepted.Job
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// Solver side: prepare the artifact, then hold the next solve between
+	// artifact acquisition and solver dispatch, and cancel it there.
+	req := SolveRequest{Campaign: testCampaign(0, 1), Method: "bab", K: 3, Theta: 400}
+	if code, raw := postJSON(t, ts, "/v1/solve", req, nil); code != http.StatusOK {
+		t.Fatalf("warm solve status %d: %s", code, raw)
+	}
+	hits := s.Metrics().Registry.InstanceHits
+	if err := faultpoint.Arm("serve.solve.dispatch", "delay:150ms#1"); err != nil {
+		t.Fatal(err)
+	}
+	req.K = 4 // a different solve key: no coalescing with the warm solve
+	id := submit(req)
+	waitFor("the job to acquire its artifact", func() bool { return s.Metrics().Registry.InstanceHits > hits })
+	if ok, err := s.jobs.cancelJob(id); err != nil || !ok {
+		t.Fatalf("cancel running solve: ok=%v err=%v", ok, err)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("canceled solve lost its incumbent: %v", err)
+	}
+	st := waitState(t, s.jobs, id, JobCanceled)
+	if st.Result == nil || st.Result.Utility <= 0 || len(st.Result.Plan) == 0 || !st.Result.Degraded {
+		t.Fatalf("canceled job result %+v, want a degraded incumbent", st.Result)
+	}
+
+	// Registry side: a sync request owns a slow preparation; a job for the
+	// same campaign waits on it and is canceled there.
+	if err := faultpoint.Arm("registry.prepare", "delay:300ms#1"); err != nil {
+		t.Fatal(err)
+	}
+	cold := SolveRequest{Campaign: testCampaign(2), Method: "greedy", K: 2, Theta: 400}
+	owner := make(chan int, 1)
+	body, err := json.Marshal(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		resp, err := ts.Client().Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			owner <- 0
+			return
+		}
+		resp.Body.Close()
+		owner <- resp.StatusCode
+	}()
+	waitFor("the owner to start preparing", func() bool { return s.Registry().Len() == 2 })
+	cold.K = 3
+	id = submit(cold)
+	waitFor("the job to join the preparation", func() bool { return s.Metrics().Registry.SingleflightWaits == 1 })
+	if ok, err := s.jobs.cancelJob(id); err != nil || !ok {
+		t.Fatalf("cancel waiting job: ok=%v err=%v", ok, err)
+	}
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted registry wait returned %v, want context.Canceled", err)
+	}
+	waitState(t, s.jobs, id, JobCanceled)
+	if code := <-owner; code != http.StatusOK {
+		t.Fatalf("owner request status %d", code)
 	}
 }

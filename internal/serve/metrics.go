@@ -12,10 +12,10 @@ import (
 // Counters are plain atomics and histogram observations are one atomic
 // add — cheap enough for every request path to touch — and are exported
 // in one consistent snapshot via Server.Metrics (served at /metrics as
-// JSON, at /metrics?format=prometheus as text exposition, and
-// publishable through expvar). disabled (set once before serving, never
-// mutated after) turns every histogram observation into a no-op; the
-// benchmark harness uses it to measure the instrumentation's own cost.
+// JSON and at /metrics?format=prometheus as text exposition). disabled
+// (set once before serving, never mutated after) turns every histogram
+// observation into a no-op; the benchmark harness uses it to measure the
+// instrumentation's own cost.
 type metrics struct {
 	solveRequests    atomic.Int64
 	estimateRequests atomic.Int64
@@ -39,7 +39,7 @@ type metrics struct {
 	slowRequests      atomic.Int64 // requests past the slow-request log threshold
 	tracedRequests    atomic.Int64 // requests that carried a span tree (debug or sampled)
 
-	prepares           atomic.Int64 // core.PrepareLayouts invocations
+	prepares           atomic.Int64 // core.Prepare invocations
 	extends            atomic.Int64 // growth steps: delta sampling + Index.ExtendFrom
 	indexExtendNS      atomic.Int64 // cumulative ns spent in per-step index work (IndexTime)
 	shrinks            atomic.Int64 // governor θ-shrinks (Instance.ShrinkTo republishes)
@@ -50,7 +50,6 @@ type metrics struct {
 	instanceMisses     atomic.Int64
 	singleflightWaits  atomic.Int64 // requests that waited on another's Prepare
 	instanceEvictions  atomic.Int64 // LRU (capacity) + governor (bytes) evictions
-	countsDroppedBytes atomic.Int64 // fused sample-count bytes shed at artifact publish
 
 	jobsSubmitted atomic.Int64
 	jobsDone      atomic.Int64
@@ -162,7 +161,7 @@ func histStats(h *obs.Histogram) HistogramStats {
 }
 
 // MetricsSnapshot is one consistent-enough read of every service
-// counter, shaped for JSON (/metrics) and expvar publication. Each
+// counter, shaped for JSON (/metrics). Each
 // atomic is loaded exactly once, so two snapshot fields fed by the same
 // counter (Solves.Inflight and Server.Inflight.Solve) always agree
 // within a snapshot; distinct counters may still straddle in-flight
@@ -240,10 +239,6 @@ type MetricsSnapshot struct {
 		InstanceMisses     int64 `json:"instance_misses"`
 		SingleflightWaits  int64 `json:"singleflight_waits"`
 		InstanceEvictions  int64 `json:"instance_evictions"`
-		// CountsDroppedBytes accumulates the fused per-(piece,node)
-		// sample-count bytes the registry sheds when publishing artifacts
-		// — memory that never reaches the resident gauge.
-		CountsDroppedBytes int64 `json:"counts_dropped_bytes"`
 		Instances          int   `json:"instances"`
 		LayoutHits         int64 `json:"layout_hits"`
 		LayoutMisses       int64 `json:"layout_misses"`
@@ -322,7 +317,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Registry.InstanceMisses = m.instanceMisses.Load()
 	s.Registry.SingleflightWaits = m.singleflightWaits.Load()
 	s.Registry.InstanceEvictions = m.instanceEvictions.Load()
-	s.Registry.CountsDroppedBytes = m.countsDroppedBytes.Load()
 	s.Registry.Phase.Prepare = histStats(&m.phasePrepare)
 	s.Registry.Phase.Extend = histStats(&m.phaseExtend)
 	s.Registry.Phase.Index = histStats(&m.phaseIndex)

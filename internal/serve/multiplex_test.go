@@ -93,7 +93,7 @@ func TestSolveMultiplexLayers(t *testing.T) {
 		K:        4,
 		Model:    logistic.Model{Alpha: 2, Beta: 1},
 	}
-	inst, err := core.Prepare(prob, 600, 3)
+	inst, err := core.Prepare(context.Background(), prob, 600, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,10 @@ func TestMultiplexSingleGraphSharing(t *testing.T) {
 		t.Fatalf("registry entries = %d, want 1 shared", got)
 	}
 
-	// A genuinely multi-layer request keys its own entry.
+	// A genuinely multi-layer request keys its own entry — and builds its
+	// layouts in the multiplex's per-layer caches, which the layout
+	// metrics must count alongside the base graph's cache.
+	before := s.Metrics().Registry
 	solveLayers := map[string]interface{}{
 		"campaign": testCampaign(0, 1),
 		"k":        3,
@@ -210,10 +213,10 @@ func TestMultiplexSingleGraphSharing(t *testing.T) {
 		t.Fatalf("registry entries = %d, want 2 (base + layer set)", got)
 	}
 
-	// The counts-drop satellite: every published artifact shed its fused
-	// sample counts, and the metric saw the bytes.
-	if got := s.Metrics().Registry.CountsDroppedBytes; got <= 0 {
-		t.Fatalf("counts_dropped_bytes = %d, want > 0", got)
+	after := s.Metrics().Registry
+	if after.LayoutBytes <= before.LayoutBytes || after.Layouts != before.Layouts+4 || after.LayoutMisses != before.LayoutMisses+4 {
+		t.Fatalf("layout metrics after a 2-piece solve over 2 layers: layouts %d→%d, misses %d→%d, bytes %d→%d; want +4, +4, more",
+			before.Layouts, after.Layouts, before.LayoutMisses, after.LayoutMisses, before.LayoutBytes, after.LayoutBytes)
 	}
 }
 
@@ -273,10 +276,10 @@ func TestMultiplexLayerValidation(t *testing.T) {
 		t.Fatalf("layers=[0] on a single-graph server: %d %s", code, body)
 	}
 
-	// InstanceLayers rejects out-of-range sets directly too (the async
+	// Instance rejects out-of-range sets directly too (the async
 	// submission path validates before enqueueing; this pins the registry
 	// check those submissions rely on).
-	if _, _, err := single.Registry().InstanceLayers(context.Background(), testCampaign(0), 300, 1, []int{1}); err == nil {
+	if _, _, err := single.Registry().Instance(context.Background(), testCampaign(0), 300, 1, 1); err == nil {
 		t.Fatal("registry accepted a layer beyond the configuration")
 	}
 }

@@ -62,7 +62,6 @@ func (s *Server) writePrometheus(w io.Writer) error {
 	pw.Counter("oipa_registry_instance_misses_total", "Requests that triggered a preparation.", "", float64(snap.Registry.InstanceMisses))
 	pw.Counter("oipa_registry_singleflight_waits_total", "Requests that waited on another's preparation.", "", float64(snap.Registry.SingleflightWaits))
 	pw.Counter("oipa_registry_instance_evictions_total", "Entries evicted (LRU capacity + governor).", "", float64(snap.Registry.InstanceEvictions))
-	pw.Counter("oipa_registry_counts_dropped_bytes_total", "Fused sample-count bytes shed at artifact publish.", "", float64(snap.Registry.CountsDroppedBytes))
 	pw.Gauge("oipa_registry_instances", "Cached (or in-flight) artifact entries.", "", float64(snap.Registry.Instances))
 	pw.Counter("oipa_layout_cache_hits_total", "Piece-layout cache hits.", "", float64(snap.Registry.LayoutHits))
 	pw.Counter("oipa_layout_cache_misses_total", "Piece-layout cache misses.", "", float64(snap.Registry.LayoutMisses))

@@ -190,7 +190,7 @@ func newEntry(key instanceKey, lastUse int64, theta int) *entry {
 // per-piece layouts keyed by topic-vector hash (graph.LayoutCache) and
 // θ-monotone sampling entries keyed by (campaign, seed) with LRU
 // eviction. Concurrent requests for the same missing entry are
-// de-duplicated (exactly one goroutine runs core.PrepareLayouts, the
+// de-duplicated (exactly one goroutine runs core.Prepare, the
 // rest wait — observable as singleflight_waits vs prepares in the
 // metrics); requests for a θ the entry has not reached yet take the
 // entry's growth lock and grow the shared collection incrementally
@@ -224,10 +224,12 @@ type Registry struct {
 	// mx is the full configured multiplex (base graph as layer 0), nil
 	// on a single-graph server. Requests selecting a proper layer subset
 	// are served off sub-multiplexes derived from it — cached per
-	// layer-set mask in subs so each subset's layout caches and combined
-	// fingerprint are built once. layoutCap sizes the per-layer layout
-	// caches of those derived sub-multiplexes.
+	// layer-set mask in subs (which also holds mx itself, under the full
+	// mask) so each subset's layout caches and combined fingerprint are
+	// built once. layoutCap sizes the per-layer layout caches of those
+	// derived sub-multiplexes.
 	mx        *graph.Multiplex
+	numLayers int // layers requests may select: mx.L(), or 1 on a single-graph server
 	layoutCap int
 	subMu     sync.Mutex
 	subs      map[uint64]*graph.Multiplex
@@ -256,12 +258,13 @@ type Registry struct {
 }
 
 func newRegistry(g *graph.Graph, mx *graph.Multiplex, pool []int32, model logistic.Model, layoutCap, instanceCap int, memBudget int64, memEpoch int, sketchK int, m *metrics) *Registry {
-	return &Registry{
+	r := &Registry{
 		g:           g,
 		mx:          mx,
 		pool:        pool,
 		model:       model,
 		layouts:     graph.NewLayoutCache(g, layoutCap),
+		numLayers:   1,
 		layoutCap:   layoutCap,
 		capacity:    instanceCap,
 		sketchK:     sketchK,
@@ -271,6 +274,11 @@ func newRegistry(g *graph.Graph, mx *graph.Multiplex, pool []int32, model logist
 		subs:        make(map[uint64]*graph.Multiplex),
 		m:           m,
 	}
+	if mx != nil {
+		r.numLayers = mx.L()
+		r.subs[^uint64(0)>>(64-uint(mx.L()))] = mx
+	}
+	return r
 }
 
 // ResidentBytes reports the accounted bytes of every published artifact
@@ -282,9 +290,22 @@ func (r *Registry) ResidentBytes() int64 { return r.resident.Load() }
 // straight off cached layouts without preparing an instance).
 func (r *Registry) Layouts() *graph.LayoutCache { return r.layouts }
 
-// Multiplex returns the full configured multiplex, nil on a
-// single-graph server.
-func (r *Registry) Multiplex() *graph.Multiplex { return r.mx }
+// layoutStats sums every layout cache the registry prepares from: the
+// base graph's and, on a multiplex server, the per-layer caches of the
+// full multiplex and of each memoized sub-multiplex — what an operator
+// sizing -layouts has resident. A single-graph server reads exactly its
+// one cache.
+func (r *Registry) layoutStats() (entries int, bytes, hits, misses int64) {
+	entries, bytes = r.layouts.Len(), r.layouts.MemUsage()
+	hits, misses = r.layouts.Stats()
+	r.subMu.Lock()
+	defer r.subMu.Unlock()
+	for _, mx := range r.subs {
+		e, b, h, ms := mx.LayoutCacheStats()
+		entries, bytes, hits, misses = entries+e, bytes+b, hits+h, misses+ms
+	}
+	return
+}
 
 // layerMask folds a canonical (sorted, deduplicated) layer selection
 // into the entry key's layer-set hash. Empty — or just layer 0, the
@@ -295,12 +316,8 @@ func (r *Registry) Multiplex() *graph.Multiplex { return r.mx }
 func (r *Registry) layerMask(layers []int) (uint64, error) {
 	var mask uint64
 	for _, a := range layers {
-		limit := 1
-		if r.mx != nil {
-			limit = r.mx.L()
-		}
-		if a < 0 || a >= limit {
-			return 0, fmt.Errorf("serve: layer %d outside the configured layers [0, %d)", a, limit)
+		if a < 0 || a >= r.numLayers {
+			return 0, fmt.Errorf("serve: layer %d outside the configured layers [0, %d)", a, r.numLayers)
 		}
 		if a >= 64 {
 			return 0, fmt.Errorf("serve: layer %d beyond the 64-layer key limit", a)
@@ -320,9 +337,6 @@ func (r *Registry) layerMask(layers []int) (uint64, error) {
 // memoized per mask so repeated campaigns over the same layer set share
 // layouts and the combined-graph fingerprint.
 func (r *Registry) subMultiplex(mask uint64) (*graph.Multiplex, error) {
-	if full := r.mx.L(); full < 64 && mask == (uint64(1)<<uint(full))-1 {
-		return r.mx, nil
-	}
 	r.subMu.Lock()
 	defer r.subMu.Unlock()
 	if mx, ok := r.subs[mask]; ok {
@@ -346,22 +360,15 @@ func (r *Registry) subMultiplex(mask uint64) (*graph.Multiplex, error) {
 }
 
 // Instance returns an artifact serving (campaign, theta, seed) over the
-// base graph — the single-graph path. See InstanceLayers.
-func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta int, seed uint64) (*Artifact, Outcome, error) {
-	return r.InstanceLayers(ctx, campaign, theta, seed, nil)
-}
-
-// InstanceLayers returns an artifact serving (campaign, theta, seed)
-// over the selected multiplex layer set and how it was obtained: a
-// fresh preparation (miss), the current snapshot (exact hit or
-// θ-prefix), or a snapshot grown to theta. layers must be canonical —
-// sorted, deduplicated, indices valid for the configured multiplex; nil
-// (or [0] alone) is the base-graph path and keys identically to it. The
-// returned artifact is shared and immutable; callers go through its
-// evaluator and estimator pools for scratch-carrying operations, and
-// bound their reads with InstanceAt / EstimateAUPrefix at the requested
-// θ.
-func (r *Registry) InstanceLayers(ctx context.Context, campaign topic.Campaign, theta int, seed uint64, layers []int) (*Artifact, Outcome, error) {
+// selected multiplex layer set and how it was obtained: a fresh
+// preparation (miss), the current snapshot (exact hit or θ-prefix), or a
+// snapshot grown to theta. layers must be canonical — sorted,
+// deduplicated, indices valid for the configured multiplex; none (or 0
+// alone) is the base graph and keys identically to it. The returned
+// artifact is shared and immutable; callers go through its evaluator and
+// estimator pools for scratch-carrying operations, and bound their reads
+// with InstanceAt / EstimateAUPrefix at the requested θ.
+func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta int, seed uint64, layers ...int) (*Artifact, Outcome, error) {
 	if err := campaign.Validate(r.g.Z()); err != nil {
 		return nil, OutcomeMiss, fmt.Errorf("serve: campaign: %w", err)
 	}
@@ -426,7 +433,7 @@ func (r *Registry) InstanceLayers(ctx context.Context, campaign topic.Campaign, 
 			// That cancellation is the owner's, not ours: the aborted
 			// entry is already gone from the map, so retry as a fresh
 			// miss instead of surfacing someone else's ctx error.
-			return r.InstanceLayers(ctx, campaign, theta, seed, layers)
+			return r.Instance(ctx, campaign, theta, seed, layers...)
 		}
 		return nil, OutcomeHit, e.err
 	}
@@ -470,18 +477,12 @@ func (r *Registry) prepareEntry(ctx context.Context, e *entry, campaign topic.Ca
 		// error — their own contexts may be perfectly healthy.
 		return fail(errPrepareAborted, err)
 	}
-	prepCtx, sp := obs.StartSpan(ctx, "prepare")
-	prepStart := time.Now()
-	inst, err := r.prepareContained(prepCtx, campaign, mx, theta, seed)
-	sp.End()
+	art, err := r.prepareArtifact(ctx, campaign, mx, theta, seed)
 	if err != nil {
 		return fail(err, err)
 	}
-	r.m.observe(&r.m.phasePrepare, time.Since(prepStart))
-	r.m.observe(&r.m.phaseIndex, inst.IndexTime)
-	art := &Artifact{theta: theta, inst: inst, evals: core.NewEvaluatorPool(inst)}
 	e.art.Store(art)
-	r.account(e, inst.MemUsage())
+	r.account(e, art.inst.MemUsage())
 	close(e.ready)
 	return art, OutcomeMiss, nil
 }
@@ -555,7 +556,7 @@ func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, the
 			na, err = nil, panicError{val: p}
 		}
 	}()
-	inst, err := a.inst.ExtendToCtx(ctx, theta)
+	inst, err := a.inst.ExtendTo(ctx, theta)
 	if err != nil {
 		return nil, err
 	}
@@ -568,7 +569,7 @@ func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, the
 	}
 	r.m.extends.Add(1)
 	r.m.indexExtendNS.Add(inst.IndexTime.Nanoseconds())
-	// After ExtendToCtx the instance's IndexTime covers only the O(Δθ)
+	// After ExtendTo the instance's IndexTime covers only the O(Δθ)
 	// delta — exactly the index share of this growth step.
 	r.m.observe(&r.m.phaseIndex, inst.IndexTime)
 	a.evals.EnsureTheta(theta)
@@ -584,20 +585,14 @@ func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, the
 // chaos suite pins exactly this. On failure the entry stays poisoned
 // and its snapshot keeps serving.
 func (r *Registry) reprepareEntry(ctx context.Context, e *entry, campaign topic.Campaign, mx *graph.Multiplex, theta int, seed uint64) (*Artifact, Outcome, error) {
-	prepCtx, sp := obs.StartSpan(ctx, "prepare")
-	prepStart := time.Now()
-	inst, err := r.prepareContained(prepCtx, campaign, mx, theta, seed)
-	sp.End()
+	na, err := r.prepareArtifact(ctx, campaign, mx, theta, seed)
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
-	r.m.observe(&r.m.phasePrepare, time.Since(prepStart))
-	r.m.observe(&r.m.phaseIndex, inst.IndexTime)
-	na := &Artifact{theta: theta, inst: inst, evals: core.NewEvaluatorPool(inst)}
 	e.art.Store(na)
 	e.poisoned.Store(false)
 	r.m.reprepares.Add(1)
-	r.account(e, inst.MemUsage())
+	r.account(e, na.inst.MemUsage())
 	return na, OutcomeMiss, nil
 }
 
@@ -639,69 +634,48 @@ func (r *Registry) countServe(outcome Outcome) {
 	}
 }
 
-// prepareContained is prepare with panic containment and the
-// "registry.prepare" chaos hook: a panic inside the preparation is
-// recovered, counted, and returned as a panicError so the calling
-// request fails with a 500 while every waiter fails fast on the same
-// error — and the process keeps serving.
-func (r *Registry) prepareContained(ctx context.Context, campaign topic.Campaign, mx *graph.Multiplex, theta int, seed uint64) (inst *core.Instance, err error) {
+// prepareArtifact materializes a fresh artifact at theta under a
+// "prepare" span, feeding the prepare and index phase histograms. A panic
+// inside the preparation is recovered, counted, and returned as a
+// panicError so the calling request fails with a 500 while every waiter
+// fails fast on the same error — and the process keeps serving;
+// "registry.prepare" is its chaos hook.
+//
+// Base-graph layouts come through the shared layout cache (so campaigns
+// overlapping in pieces share them); a multiplex substrate brings its
+// own per-layer caches, which core.Prepare builds from. Prepare honors
+// ctx at sample-block granularity, so an expired request deadline
+// abandons the build instead of finishing work nobody will read. The
+// budget placeholder k=1 is never used directly — request handlers
+// derive WithK copies.
+func (r *Registry) prepareArtifact(ctx context.Context, campaign topic.Campaign, mx *graph.Multiplex, theta int, seed uint64) (art *Artifact, err error) {
+	ctx, sp := obs.StartSpan(ctx, "prepare")
+	defer sp.End()
 	defer func() {
 		if p := recover(); p != nil {
 			r.m.panicsTotal.Add(1)
-			inst, err = nil, panicError{val: p}
+			art, err = nil, panicError{val: p}
 		}
 	}()
+	start := time.Now()
 	if err := faultpoint.Hit("registry.prepare"); err != nil {
 		return nil, err
 	}
-	return r.prepare(ctx, campaign, mx, theta, seed)
-}
-
-// prepare materializes the artifact. On the single-graph path the
-// layouts come through the shared layout cache (so campaigns
-// overlapping in pieces share them); a multiplex substrate brings its
-// own per-layer caches. Either way the reentrant prepare honors ctx at
-// sample-block granularity, so an expired request deadline abandons the
-// build instead of finishing work nobody will read. The budget
-// placeholder k=1 is never used directly — request handlers derive
-// WithK copies.
-func (r *Registry) prepare(ctx context.Context, campaign topic.Campaign, mx *graph.Multiplex, theta int, seed uint64) (*core.Instance, error) {
-	var (
-		inst *core.Instance
-		err  error
-	)
 	r.m.prepares.Add(1)
-	if mx != nil {
-		layouts := make([][]*graph.PieceLayout, campaign.L())
+	prob := &core.Problem{Mux: mx, Campaign: campaign, Pool: r.pool, K: 1, Model: r.model}
+	var layouts [][]*graph.PieceLayout
+	if mx == nil {
+		prob.G = r.g
+		layouts = make([][]*graph.PieceLayout, campaign.L())
 		for j, piece := range campaign.Pieces {
-			if layouts[j], err = mx.Layouts(piece.Dist); err != nil {
+			lay, err := r.layouts.Get(piece.Dist)
+			if err != nil {
 				return nil, fmt.Errorf("serve: piece %d: %w", j, err)
 			}
+			layouts[j] = []*graph.PieceLayout{lay}
 		}
-		prob := &core.Problem{
-			Mux:      mx,
-			Campaign: campaign,
-			Pool:     r.pool,
-			K:        1,
-			Model:    r.model,
-		}
-		inst, err = core.PrepareMultiplexLayoutsCtx(ctx, prob, layouts, theta, seed)
-	} else {
-		layouts := make([]*graph.PieceLayout, campaign.L())
-		for j, piece := range campaign.Pieces {
-			if layouts[j], err = r.layouts.Get(piece.Dist); err != nil {
-				return nil, fmt.Errorf("serve: piece %d: %w", j, err)
-			}
-		}
-		prob := &core.Problem{
-			G:        r.g,
-			Campaign: campaign,
-			Pool:     r.pool,
-			K:        1,
-			Model:    r.model,
-		}
-		inst, err = core.PrepareLayoutsCtx(ctx, prob, layouts, theta, seed)
 	}
+	inst, err := core.Prepare(ctx, prob, theta, seed, layouts...)
 	if err != nil {
 		return nil, err
 	}
@@ -715,13 +689,9 @@ func (r *Registry) prepare(ctx context.Context, campaign topic.Campaign, mx *gra
 			return nil, fmt.Errorf("serve: attach sketches: %w", err)
 		}
 	}
-	// Registry artifacts never serialize and their index is already
-	// built, so the sampling pass's fused per-(piece,node) membership
-	// counts are dead weight from here on: growth extends the index with
-	// O(Δθ) appends that never consult them. Drop them before the caller
-	// accounts MemUsage, so the governor budgets the already-slim figure.
-	r.m.countsDroppedBytes.Add(inst.MRR.DropSampleCounts())
-	return inst, nil
+	r.m.observe(&r.m.phasePrepare, time.Since(start))
+	r.m.observe(&r.m.phaseIndex, inst.IndexTime)
+	return &Artifact{theta: theta, inst: inst, evals: core.NewEvaluatorPool(inst)}, nil
 }
 
 // maybeReclaim runs the pressure policy when the resident bytes exceed

@@ -144,7 +144,7 @@ func TestRegistryPrefixGolden(t *testing.T) {
 	if err := fresh.normalizeSolve(&req); err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.solve(context.Background(), req, nil)
+	want, err := fresh.solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestRegistryPrefixGolden(t *testing.T) {
 	if _, _, err := cached.reg.Instance(context.Background(), camp, 1200, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := cached.solve(context.Background(), req, nil)
+	got, err := cached.solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRegistryExtendGolden(t *testing.T) {
 	if err := fresh.normalizeSolve(&req); err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.solve(context.Background(), req, nil)
+	want, err := fresh.solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestRegistryExtendGolden(t *testing.T) {
 	if _, _, err := grown.reg.Instance(context.Background(), camp, 300, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := grown.solve(context.Background(), req, nil)
+	got, err := grown.solve(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,8 @@
 //	                   their incumbent)
 //	GET  /healthz      liveness + graph shape (stays 200 through a drain)
 //	GET  /readyz       readiness: 503 once draining began
-//	GET  /metrics      request/cache/job counters (also publishable via
-//	                   expvar, see Server.PublishExpvar)
+//	GET  /metrics      request/cache/job counters (JSON; Prometheus text
+//	                   with ?format=prometheus)
 //
 // # Overload safety
 //
@@ -69,7 +69,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"math"
@@ -358,22 +357,12 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap.Registry.Instances = s.reg.Len()
 	snap.Registry.ResidentBytes = s.reg.ResidentBytes()
 	snap.Registry.MemBudget = s.cfg.MemBudget
-	snap.Registry.LayoutHits, snap.Registry.LayoutMisses = s.reg.Layouts().Stats()
-	snap.Registry.Layouts = s.reg.Layouts().Len()
-	snap.Registry.LayoutBytes = s.reg.Layouts().MemUsage()
+	snap.Registry.Layouts, snap.Registry.LayoutBytes, snap.Registry.LayoutHits, snap.Registry.LayoutMisses = s.reg.layoutStats()
 	snap.Jobs.Queued = s.jobs.queued()
 	snap.Server.AdmitQueued = s.admit.queued()
 	snap.Server.Draining = s.inflight.isDraining()
 	snap.Runtime = obs.ReadRuntime()
 	return snap
-}
-
-// PublishExpvar publishes the metrics snapshot under the given expvar
-// name (conventionally "oipa-serve"), making it visible at /debug/vars
-// alongside the runtime's memstats. Call at most once per name per
-// process: expvar panics on duplicate registration.
-func (s *Server) PublishExpvar(name string) {
-	expvar.Publish(name, expvar.Func(func() interface{} { return s.Metrics() }))
 }
 
 func (s *Server) routes() {
@@ -386,7 +375,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/v1/simulate", s.instrument("simulate", s.withRecover(s.handleSimulate)))
 	s.mux.HandleFunc("/v1/jobs", s.withRecover(s.handleJobs))
 	s.mux.HandleFunc("/v1/jobs/", s.withRecover(s.handleJob))
-	s.mux.Handle("/debug/vars", expvar.Handler())
 }
 
 // reqInfo is the per-request observability state threaded through the
@@ -686,8 +674,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // multiplex.
 func (s *Server) graphInfo() map[string]int {
 	info := map[string]int{"n": s.g.N(), "m": s.g.M(), "z": s.g.Z()}
-	if mx := s.reg.Multiplex(); mx != nil {
-		info["layers"] = mx.L()
+	if s.reg.numLayers > 1 {
+		info["layers"] = s.reg.numLayers
 	}
 	return info
 }
@@ -831,7 +819,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	resp, err := s.solveCoalesced(ctx, req, ctx.Done())
+	resp, err := s.solveCoalesced(ctx, req)
 	if err != nil {
 		s.failRequest(w, err)
 		return
@@ -894,7 +882,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	s.m.inflightEstimates.Add(1)
 	defer s.m.inflightEstimates.Add(-1)
 	regCtx, regSpan := obs.StartSpan(ctx, "registry")
-	art, outcome, err := s.reg.InstanceLayers(regCtx, req.Campaign, req.Theta, req.Seed, req.Layers)
+	art, outcome, err := s.reg.Instance(regCtx, req.Campaign, req.Theta, req.Seed, req.Layers...)
 	regSpan.End()
 	if err != nil {
 		s.failRequest(w, err)
@@ -1137,10 +1125,11 @@ func (s *Server) model(alpha, beta float64) (logistic.Model, error) {
 	return m, nil
 }
 
-// solve runs one normalized solve request against the registry. stop is
-// wired into the branch-and-bound search (request cancellation / job
-// cancellation); ctx bounds the registry wait and the growth path.
-func (s *Server) solve(ctx context.Context, req SolveRequest, stop <-chan struct{}) (*SolveResponse, error) {
+// solve runs one normalized solve request against the registry. ctx
+// (request deadline / job cancellation) bounds the registry wait and the
+// growth path, and its Done channel is the branch-and-bound search's
+// Stop hook.
+func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
 	// Chaos hook: a fault before any registry work — a delay here holds
 	// the request's admission slot, which is how the chaos suite
 	// saturates the overload valve.
@@ -1148,7 +1137,7 @@ func (s *Server) solve(ctx context.Context, req SolveRequest, stop <-chan struct
 		return nil, err
 	}
 	regCtx, regSpan := obs.StartSpan(ctx, "registry")
-	art, outcome, err := s.reg.InstanceLayers(regCtx, req.Campaign, req.Theta, req.Seed, req.Layers)
+	art, outcome, err := s.reg.Instance(regCtx, req.Campaign, req.Theta, req.Seed, req.Layers...)
 	regSpan.End()
 	if err != nil {
 		return nil, err
@@ -1177,7 +1166,7 @@ func (s *Server) solve(ctx context.Context, req SolveRequest, stop <-chan struct
 		MaxNodes:       req.MaxNodes,
 		RawGap:         true,
 		FillAfterFloor: true,
-		Stop:           stop,
+		Stop:           ctx.Done(),
 		// Interior incumbent-candidate evaluations may use the sketch;
 		// the published utility is always exact (re-verified by the
 		// solver before adoption).
@@ -1317,7 +1306,7 @@ func solveKey(req *SolveRequest) string {
 // leader's outcome wholesale, including a Degraded incumbent if the
 // leader's deadline expired. TimeoutMS is part of the key, so requests
 // with different deadline budgets never share a flight.
-func (s *Server) solveCoalesced(ctx context.Context, req SolveRequest, stop <-chan struct{}) (*SolveResponse, error) {
+func (s *Server) solveCoalesced(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
 	key := solveKey(&req)
 	s.flightMu.Lock()
 	if f, ok := s.flights[key]; ok {
@@ -1350,7 +1339,7 @@ func (s *Server) solveCoalesced(ctx context.Context, req SolveRequest, stop <-ch
 		s.flightMu.Unlock()
 		close(f.done)
 	}()
-	f.resp, f.err = s.solve(ctx, req, stop)
+	f.resp, f.err = s.solve(ctx, req)
 	if f.err != nil {
 		return nil, f.err
 	}
@@ -1360,18 +1349,18 @@ func (s *Server) solveCoalesced(ctx context.Context, req SolveRequest, stop <-ch
 	return &cp, nil
 }
 
-// runJob executes one queued solve on a worker goroutine. The job's
-// cancel channel doubles as the registry-wait context and the solver's
-// Stop hook. A job whose submission was traced opens a fresh trace
-// under the SAME request id — the async solve's span tree lands in the
-// job result, keyed to the submitting request.
+// runJob executes one queued solve on a worker goroutine under the
+// job's context, which cancelJob (or a drain) cancels. A job whose
+// submission was traced opens a fresh trace under the SAME request id —
+// the async solve's span tree lands in the job result, keyed to the
+// submitting request.
 func (s *Server) runJob(j *job) {
-	ctx := context.Context(stopCtx{stop: j.cancel})
+	ctx := j.ctx
 	var tr *obs.Trace
 	if j.traced && !s.m.disabled {
 		ctx, tr = obs.NewTrace(ctx, j.reqID, "solve")
 	}
-	resp, err := s.solveCoalesced(ctx, j.req, j.cancel)
+	resp, err := s.solveCoalesced(ctx, j.req)
 	if resp != nil {
 		resp.RequestID = j.reqID
 		if tr != nil {
@@ -1382,26 +1371,6 @@ func (s *Server) runJob(j *job) {
 }
 
 // ---- plumbing ----
-
-// stopCtx adapts a stop channel into a context for registry waits.
-type stopCtx struct {
-	stop <-chan struct{}
-}
-
-func (c stopCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
-func (c stopCtx) Done() <-chan struct{}       { return c.stop }
-func (c stopCtx) Err() error {
-	if c.stop == nil {
-		return nil
-	}
-	select {
-	case <-c.stop:
-		return fmt.Errorf("serve: canceled")
-	default:
-		return nil
-	}
-}
-func (c stopCtx) Value(interface{}) interface{} { return nil }
 
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
 	if r.Method != http.MethodPost {

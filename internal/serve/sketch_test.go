@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 )
 
@@ -158,6 +159,10 @@ func TestSolveSketchUtilityExact(t *testing.T) {
 // and serving prefix requests — whose derived indexes own nothing —
 // leaves the gauge untouched (the double-count regression).
 func TestResidentBytesWithSketches(t *testing.T) {
+	// One sampling worker: with several, which shard a block lands in —
+	// and so the arenas' append slack, a few KB either way — varies run to
+	// run by more than the sketches weigh.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	prepare := func(s *Server) int64 {
 		t.Helper()
 		ts := httptest.NewServer(s.Handler())
