@@ -31,9 +31,13 @@ bench-smoke:
 	$(GO) run ./cmd/oipa-bench -out - -scale 0.3 -theta 5000
 
 # The real ruler at smoke length: benchmark/ builds oipa-serve from the
-# tree, drives 5 s of cold_prepare over loopback, and its oracle
-# recomputes sampled answers in-process through the unpruned explicit
-# layout constructor. Fails unless the run's last line reports every
-# checked answer exact and no request failed.
+# tree, drives 5 s of a workload over loopback, and its oracle recomputes
+# sampled answers in-process through the unpruned explicit layout
+# constructor. Fails unless each run's last line reports every checked
+# answer exact and no request failed. cold_prepare covers layouts,
+# sampling and the index, but its solves certify at the root;
+# warm_solve_bab (steep model, 40 expanded nodes) is the one that checks
+# a real search — bounds under partial plans — against the oracle.
 bench-harness-smoke:
 	bash benchmark/run.sh --workload cold_prepare --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'
+	bash benchmark/run.sh --workload warm_solve_bab --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'

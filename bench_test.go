@@ -231,31 +231,6 @@ func BenchmarkAblation_BoundCap(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_CELFBound compares the plain O(k·n)-scan greedy bound
-// against its CELF lazy-evaluation variant (identical results by
-// construction; see internal/core/lazy.go).
-func BenchmarkAblation_CELFBound(b *testing.B) {
-	w := getWorkload(b, gen.PresetLastfm)
-	inst, err := w.Instance.WithK(20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SolveGreedy(inst, core.BABOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("celf", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.SolveGreedy(inst, core.BABOptions{Lazy: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblation_ParallelSampling measures the deterministic parallel
 // MRR sampler against a single-threaded run.
 func BenchmarkAblation_ParallelSampling(b *testing.B) {

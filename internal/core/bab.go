@@ -25,13 +25,8 @@ type BABOptions struct {
 	// MaxNodes caps node expansions (0 = unbounded); when hit, the best
 	// plan so far is returned with the current global upper bound.
 	MaxNodes int
-	// Lazy switches the plain bound (Algorithm 2) to CELF lazy
-	// evaluation: identical selections and bounds, far fewer τ
-	// evaluations. An ablation of the paper's O(k·n)-scan cost model;
-	// ignored when Progressive is set.
-	Lazy bool
 	// FillAfterFloor completes a progressive bound's candidate plan with
-	// CELF greedy when Algorithm 3's τ-floor fired before the budget was
+	// lazy greedy when Algorithm 3's τ-floor fired before the budget was
 	// filled. Extending a plan only raises the monotone bound, so the
 	// (1−1/e−ε) guarantee is unaffected; what it buys is a full-size
 	// incumbent (the paper's reported BAB-P utilities track BAB closely,
@@ -202,16 +197,7 @@ func validateGreedy(opts BABOptions) error {
 
 func solveGreedy(inst *Instance, ev *evaluator, opts BABOptions) (*Result, error) {
 	start := time.Now()
-	ev.prepare(nil, nil)
-	var br boundResult
-	switch {
-	case opts.Progressive:
-		br = ev.computeBoundPro(inst.Problem.K, opts.Epsilon, opts.FillAfterFloor)
-	case opts.Lazy:
-		br = ev.computeBoundLazy(inst.Problem.K)
-	default:
-		br = ev.computeBound(inst.Problem.K)
-	}
+	br := ev.bound(nil, nil, inst.Problem.K, &opts)
 	plan := ev.materialize(nil, br.picks)
 	util, err := inst.Index.EstimateAUWith(plan.Seeds, inst.Problem.Model, ev.au)
 	if err != nil {
@@ -243,16 +229,8 @@ func solveBranchAndBound(inst *Instance, ev *evaluator, co evalCheckout, opts BA
 	stats := SolverStats{}
 
 	bound := func(plan *planNode, excl *exclNode) boundResult {
-		ev.prepare(plan, excl)
 		stats.BoundEvals++
-		switch {
-		case opts.Progressive:
-			return ev.computeBoundPro(k-plan.len(), opts.Epsilon, opts.FillAfterFloor)
-		case opts.Lazy:
-			return ev.computeBoundLazy(k - plan.len())
-		default:
-			return ev.computeBound(k - plan.len())
-		}
+		return ev.bound(plan, excl, k-plan.len(), &opts)
 	}
 
 	evaluateExact := func(plan *planNode, picks []candidate) (Plan, float64, error) {

@@ -286,13 +286,23 @@ func TestBABPCloseToBAB(t *testing.T) {
 
 func TestBABPFewerTauEvalsPerBoundCall(t *testing.T) {
 	// Theorem 4's point: the progressive estimator needs far fewer τ
-	// evaluations per ComputeBound invocation than the plain greedy's
-	// O(k·n). Compare the per-call averages (node counts differ between
-	// the two searches, so totals are not directly comparable).
+	// evaluations per ComputeBound invocation than the O(k·n) scan the
+	// paper costs Algorithm 2 at. Asserted on the reference routines,
+	// which evaluate what the paper's pseudocode evaluates; the production
+	// searches — lazy greedy and progressive alike, both fed by the gain
+	// frontier — must each average fewer per call than that scan as well.
 	p := randomProblem(t, 9, 120, 500, 40, 3, 8)
 	inst, err := Prepare(context.Background(), p, 1500, 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	scan, pro := newEvaluator(inst), newEvaluator(inst)
+	scan.prepare(nil, nil)
+	scan.refComputeBound(p.K)
+	pro.prepare(nil, nil)
+	pro.refComputeBoundPro(p.K, 0.5, false)
+	if pro.tauEvals >= scan.tauEvals/2 {
+		t.Fatalf("Algorithm 3 τ evals per call (%d) not well below Algorithm 2's scan (%d)", pro.tauEvals, scan.tauEvals)
 	}
 	bab, err := SolveBAB(inst, DefaultBABOptions())
 	if err != nil {
@@ -302,12 +312,12 @@ func TestBABPFewerTauEvalsPerBoundCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perCall := func(r *Result) float64 {
-		return float64(r.Stats.TauEvals) / float64(r.Stats.BoundEvals)
-	}
-	if perCall(babp) >= perCall(bab)/2 {
-		t.Fatalf("BAB-P τ evals per call (%.0f) not well below BAB (%.0f)",
-			perCall(babp), perCall(bab))
+	for _, r := range []*Result{bab, babp} {
+		perCall := float64(r.Stats.TauEvals) / float64(r.Stats.BoundEvals)
+		t.Logf("%s: %.0f τ evals per call; reference scan %d, reference progressive %d", r.Method, perCall, scan.tauEvals, pro.tauEvals)
+		if perCall >= float64(scan.tauEvals)/2 {
+			t.Fatalf("%s τ evals per call (%.0f) not well below the scan's (%d)", r.Method, perCall, scan.tauEvals)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"oipa/internal/rrset"
 )
@@ -40,14 +40,28 @@ type evaluator struct {
 	value [][]float64
 	marg  [][]float64
 
-	// Candidate state for the current evaluation.
+	// Candidate state for the current evaluation: a stamp equal to epoch
+	// means taken by / excluded from / affected by the prepared plan.
 	takenEpoch []uint32
 	exclEpoch  []uint32
+	affEpoch   []uint32
 	epoch      uint32
 
-	// Scratch for the progressive estimator.
-	gains []float64
-	order []candidate
+	// The gain frontier. Under the empty plan candidate c's gain is
+	// gainOf's running sum after deg[c] additions of marg[0][0], which is
+	// cum[deg[c]]; baseOrder lists the candidates with a positive
+	// empty-plan gain by (gain desc, candidate asc). Both are computed
+	// once per solve by bind. A partial plan changes the gain of exactly
+	// the candidates whose inverted list meets a sample the plan touched:
+	// prepare recomputes those into aff (the eligible ones with a positive
+	// gain) and stamps them in affEpoch; every other candidate's gain is
+	// still its empty-plan gain, bit for bit. The bound routines read
+	// initial gains from these two sources only.
+	deg       []int32
+	cum       []float64
+	bucket    []int32 // counting-sort scratch for baseOrder
+	baseOrder []candidate
+	aff       []gainEntry
 
 	// Scratch for incumbent utility estimates (Index.EstimateAUWith):
 	// created on first bind, reused across every evaluation so the
@@ -86,9 +100,10 @@ func allocEvaluator(l, pp, theta int) *evaluator {
 		au:         rrset.NewAUScratch(theta),
 		takenEpoch: make([]uint32, l*pp),
 		exclEpoch:  make([]uint32, l*pp),
+		affEpoch:   make([]uint32, l*pp),
 		epoch:      1,
-		gains:      make([]float64, l*pp),
-		order:      make([]candidate, 0, l*pp),
+		deg:        make([]int32, l*pp),
+		baseOrder:  make([]candidate, 0, l*pp),
 	}
 	ev.value = make([][]float64, l+1)
 	ev.marg = make([][]float64, l+1)
@@ -103,7 +118,8 @@ func allocEvaluator(l, pp, theta int) *evaluator {
 // instance's tangent bound tables (which differ across WithModel /
 // WithBoundMode derivatives), adopts the instance's sample count (a
 // θ-prefix instance binds with its prefix θ; the arrays are sized to
-// capTheta >= θ) and zeroes the per-solve counters. The per-sample
+// capTheta >= θ), zeroes the per-solve counters and computes the
+// empty-plan half of the gain frontier, O(candidates). The per-sample
 // scratch is assumed clean (fresh allocation or released via
 // resetScratch).
 func (ev *evaluator) bind(inst *Instance) {
@@ -118,7 +134,56 @@ func (ev *evaluator) bind(inst *Instance) {
 			}
 		}
 	}
+	ev.bindBase()
 }
+
+// bindBase computes every candidate's empty-plan gain and their order.
+// With no sample covered gainOf adds marg[0][0] once per list entry, so
+// the gain depends on the list length alone: cum[d] repeats that exact
+// sequence of additions. For marg[0][0] > 0 cum is strictly increasing
+// (one addend is far above half an ulp of a sum of at most θ < 2³¹ of
+// them), so (gain desc, candidate asc) is (degree desc, candidate asc),
+// which a stable counting sort over degrees produces without comparing.
+func (ev *evaluator) bindBase() {
+	ix := ev.inst.Index
+	maxDeg := 0
+	for c := range ev.deg {
+		d := ix.Degree(c/ev.pp, int32(c%ev.pp))
+		ev.deg[c] = int32(d)
+		maxDeg = max(maxDeg, d)
+	}
+	ev.cum = slices.Grow(ev.cum[:0], maxDeg+1)[:maxDeg+1]
+	m00 := ev.marg[0][0]
+	ev.cum[0] = 0
+	for d := 1; d <= maxDeg; d++ {
+		ev.cum[d] = ev.cum[d-1] + m00
+	}
+	ev.baseOrder = ev.baseOrder[:0]
+	if m00 <= 0 {
+		return // no candidate has a positive gain
+	}
+	ev.bucket = slices.Grow(ev.bucket[:0], maxDeg+1)[:maxDeg+1]
+	start := ev.bucket // start[d]: count of degree d, then its first slot
+	clear(start)
+	for _, d := range ev.deg {
+		start[d]++
+	}
+	n := int32(0)
+	for d := maxDeg; d >= 1; d-- {
+		start[d], n = n, n+start[d]
+	}
+	ev.baseOrder = ev.baseOrder[:n]
+	for c, d := range ev.deg {
+		if d > 0 {
+			ev.baseOrder[start[d]] = candidate(c)
+			start[d]++
+		}
+	}
+}
+
+// baseGain is c's gain under the empty plan — and under any plan that
+// does not affect c.
+func (ev *evaluator) baseGain(c candidate) float64 { return ev.cum[ev.deg[c]] }
 
 // resetScratch clears the dirty per-sample state and drops the instance
 // reference, leaving the evaluator ready for a future bind. Cost is
@@ -145,7 +210,13 @@ func (ev *evaluator) candOf(j int, poolPos int32) candidate {
 // prepare resets the evaluator and loads a partial plan (as a chain of
 // included candidates) and an exclusion chain. It refines the tangent
 // anchors: refs[i] becomes the piece count the partial plan guarantees at
-// sample i (the paper's Fig. 2 refinement), and tauSum is re-based.
+// sample i (the paper's Fig. 2 refinement), and tauSum is re-based. Then
+// it brings the gain frontier up to the plan: the candidates whose gain
+// the plan changed are found through the touched samples' RR sets and
+// re-evaluated — exactly, because re-anchoring refs can raise a marginal
+// above marg[0][0] under a steep model, so the empty-plan gain is not
+// even an upper bound for them. Cost is proportional to the touched
+// samples and the affected candidates, not to the candidate count.
 func (ev *evaluator) prepare(plan *planNode, excl *exclNode) {
 	for _, i := range ev.dirty {
 		ev.masks[i] = 0
@@ -155,10 +226,11 @@ func (ev *evaluator) prepare(plan *planNode, excl *exclNode) {
 	ev.dirty = ev.dirty[:0]
 	ev.epoch++
 	if ev.epoch == 0 {
-		for i := range ev.takenEpoch {
-			ev.takenEpoch[i] = 0
-			ev.exclEpoch[i] = 0
-		}
+		// uint32 wrap (a pooled evaluator lives as long as the server):
+		// stale stamps from 2³² prepares ago must not read as current.
+		clear(ev.takenEpoch)
+		clear(ev.exclEpoch)
+		clear(ev.affEpoch)
 		ev.epoch = 1
 	}
 
@@ -176,6 +248,31 @@ func (ev *evaluator) prepare(plan *planNode, excl *exclNode) {
 		c := ev.cnts[i]
 		ev.refs[i] = c
 		ev.tauSum += ev.value[c][c] - base0
+	}
+
+	ev.aff = ev.aff[:0]
+	ix := ev.inst.Index
+	mrr := ix.MRR()
+	for _, i := range ev.dirty {
+		for j := 0; j < ev.l; j++ {
+			for _, v := range mrr.Set(int(i), j) {
+				p, ok := ix.PoolPos(v)
+				if !ok {
+					continue
+				}
+				c := ev.candOf(j, p)
+				if ev.affEpoch[c] == ev.epoch {
+					continue
+				}
+				ev.affEpoch[c] = ev.epoch
+				if !ev.eligible(c) {
+					continue
+				}
+				if g := ev.gainOf(c); g > 0 {
+					ev.aff = append(ev.aff, gainEntry{gain: g, cand: c})
+				}
+			}
+		}
 	}
 }
 
@@ -235,96 +332,52 @@ func (ev *evaluator) scale(x float64) float64 {
 	return x * float64(ev.inst.Index.MRR().N()) / float64(ev.theta)
 }
 
-// computeBound is Algorithm 2: plain greedy maximization of the
-// submodular tangent bound. Each iteration scans every eligible
-// candidate's marginal gain (the O(k·n) τ evaluations the progressive
-// method avoids) and takes the best; ties break toward the smaller
-// candidate id for determinism.
-func (ev *evaluator) computeBound(budget int) boundResult {
-	res := boundResult{branch: -1}
-	for len(res.picks) < budget {
-		best := candidate(-1)
-		bestGain := 0.0
-		for c := candidate(0); int(c) < ev.numCands; c++ {
-			if !ev.eligible(c) {
-				continue
-			}
-			if g := ev.gainOf(c); g > bestGain {
-				best, bestGain = c, g
-			}
-		}
-		if best < 0 {
-			break // no candidate improves the bound
-		}
-		ev.takenEpoch[best] = ev.epoch
-		ev.coverSamples(best)
-		res.picks = append(res.picks, best)
+// bound is ComputeBound at a search node: it prepares the evaluator at
+// the node's partial plan and exclusions and runs the estimator the
+// options select — Algorithm 3 when Progressive, Algorithm 2 otherwise —
+// with `budget` slots left to fill.
+func (ev *evaluator) bound(plan *planNode, excl *exclNode, budget int, opts *BABOptions) boundResult {
+	ev.prepare(plan, excl)
+	if opts.Progressive {
+		return ev.computeBoundPro(budget, opts.Epsilon, opts.FillAfterFloor)
 	}
-	if len(res.picks) > 0 {
-		res.branch = res.picks[0]
-	}
-	res.tau = ev.scale(ev.tauSum)
-	return res
+	return ev.computeBound(budget)
 }
 
 // computeBoundPro is Algorithm 3: progressive upper-bound estimation.
-// Candidates are sorted once by their individual gain δ_∅; a threshold h
-// sweeps down by factors of (1+ε), admitting any candidate whose current
-// marginal gain reaches it, with two early exits — the sorted-prefix break
-// (δ_∅(v) < h implies δ_S̄(v) < h by submodularity) and the τ-floor of
-// Algorithm 3 line 14, which may return fewer than `budget` picks.
+// Candidates are visited in the order of their initial gain δ_∅ under the
+// prepared plan; a threshold h sweeps down by factors of (1+ε), admitting
+// any candidate whose current marginal gain reaches it, with two early
+// exits — the sorted-prefix break (δ_∅(v) < h implies δ_S̄(v) < h by
+// submodularity) and the τ-floor of Algorithm 3 line 14, which may return
+// fewer than `budget` picks. The order is never materialized: it is the
+// two-pointer merge of the sorted affected entries and baseOrder.
 //
-// With fill set, a floor exit with d < budget picks is followed by a CELF
-// completion of the remaining slots: extending a plan only raises the
-// monotone τ, so the (1−1/e−ε) bound of Theorem 3 is untouched, while the
-// returned *candidate plan* — the search's lower-bound source — reaches
-// full size instead of plateauing. (Theorem 4's τ-evaluation bound is
-// what the completion spends; see BABOptions.FillAfterFloor.)
+// With fill set, a floor exit with d < budget picks is followed by a lazy
+// greedy completion of the remaining slots: extending a plan only raises
+// the monotone τ, so the (1−1/e−ε) bound of Theorem 3 is untouched, while
+// the returned *candidate plan* — the search's lower-bound source —
+// reaches full size instead of plateauing. (Theorem 4's τ-evaluation
+// bound is what the completion spends; see BABOptions.FillAfterFloor.)
 func (ev *evaluator) computeBoundPro(budget int, eps float64, fill bool) boundResult {
 	res := boundResult{branch: -1}
-	// Individual gains δ_∅ under the refined anchors.
-	ev.order = ev.order[:0]
-	maxinf := 0.0
-	for c := candidate(0); int(c) < ev.numCands; c++ {
-		if !ev.eligible(c) {
-			continue
-		}
-		g := ev.gainOf(c)
-		ev.gains[c] = g
-		if g <= 0 {
-			continue
-		}
-		ev.order = append(ev.order, c)
-		if g > maxinf {
-			maxinf = g
-		}
+	slices.SortFunc(ev.aff, cmpGain)
+	first, ok := ev.mergeNext(&mergeCursor{})
+	if !ok {
+		return ev.finish(res) // no candidate improves the bound
 	}
-	if maxinf == 0 {
-		res.tau = ev.scale(ev.tauSum)
-		return res
-	}
-	sort.Slice(ev.order, func(a, b int) bool {
-		ca, cb := ev.order[a], ev.order[b]
-		if ev.gains[ca] != ev.gains[cb] {
-			return ev.gains[ca] > ev.gains[cb]
-		}
-		return ca < cb
-	})
 
 	const floorFactor = (1 / math.E) / (1 - 1/math.E)
-	h := maxinf
+	h := first.gain
 	for len(res.picks) < budget {
-		for _, c := range ev.order {
-			if ev.gains[c] < h {
+		var mc mergeCursor
+		for {
+			e, ok := ev.mergeNext(&mc)
+			if !ok || e.gain < h {
 				break // sorted prefix exhausted: δ_∅ < h ⇒ δ_S̄ < h
 			}
-			if !ev.eligible(c) {
-				continue
-			}
-			if g := ev.gainOf(c); g >= h {
-				ev.takenEpoch[c] = ev.epoch
-				ev.coverSamples(c)
-				res.picks = append(res.picks, c)
+			if g := ev.gainOf(e.cand); g >= h {
+				ev.take(e.cand, &res)
 				if len(res.picks) == budget {
 					break
 				}
@@ -338,10 +391,55 @@ func (ev *evaluator) computeBoundPro(budget int, eps float64, fill bool) boundRe
 			break // Algorithm 3 line 14: remaining candidates cannot matter
 		}
 	}
-	if fill && len(res.picks) < budget {
-		done := ev.computeBoundLazy(budget - len(res.picks))
-		res.picks = append(res.picks, done.picks...)
+	if fill {
+		// The initial gains are upper bounds by now (submodularity), and
+		// sorted entries already form a heap.
+		ev.lazyGreedy(budget, false, &res)
 	}
+	return ev.finish(res)
+}
+
+// mergeCursor is a position in the merge of aff (sorted) and baseOrder.
+type mergeCursor struct{ a, b int }
+
+// mergeNext returns the next eligible candidate in (initial gain desc,
+// candidate asc) order, with that gain, and advances the cursor past it.
+func (ev *evaluator) mergeNext(mc *mergeCursor) (gainEntry, bool) {
+	for mc.a < len(ev.aff) && !ev.eligible(ev.aff[mc.a].cand) {
+		mc.a++
+	}
+	b, ok := ev.nextBase(&mc.b)
+	if mc.a < len(ev.aff) && !(ok && b.before(ev.aff[mc.a].gain, ev.aff[mc.a].cand)) {
+		mc.a++
+		return ev.aff[mc.a-1], true
+	}
+	if ok {
+		mc.b++
+	}
+	return b, ok
+}
+
+// nextBase advances *pos to the next baseOrder candidate that is eligible
+// and whose gain the prepared plan left alone, and returns it without
+// stepping past it.
+func (ev *evaluator) nextBase(pos *int) (gainEntry, bool) {
+	for ; *pos < len(ev.baseOrder); *pos++ {
+		if c := ev.baseOrder[*pos]; ev.affEpoch[c] != ev.epoch && ev.eligible(c) {
+			return gainEntry{gain: ev.baseGain(c), cand: c}, true
+		}
+	}
+	return gainEntry{}, false
+}
+
+// take adds candidate c to the plan under evaluation as the next pick.
+func (ev *evaluator) take(c candidate, res *boundResult) {
+	ev.takenEpoch[c] = ev.epoch
+	ev.coverSamples(c)
+	res.picks = append(res.picks, c)
+}
+
+// finish fills in the branch variable and the bound value.
+func (ev *evaluator) finish(res boundResult) boundResult {
 	if len(res.picks) > 0 {
 		res.branch = res.picks[0]
 	}

@@ -1,88 +1,138 @@
 package core
 
-import "container/heap"
+import "cmp"
 
-// computeBoundLazy is ComputeBound (Algorithm 2) with CELF lazy
-// evaluation (Leskovec et al., KDD 2007): since the tangent bound is
-// submodular, a candidate's marginal gain can only shrink as the greedy
-// plan grows, so a stale cached gain is an upper bound. Instead of
-// rescanning every candidate per iteration, candidates sit in a max-heap
-// keyed by cached gain; the top is recomputed and either re-inserted (if
-// it fell) or selected (if it is still the maximum). Selection order — and
-// therefore the bound value — is identical to the plain greedy, with ties
-// broken toward smaller candidate ids; only the τ-evaluation count
-// changes. Exposed through BABOptions.Lazy as an ablation of the paper's
-// "scan all promoters" cost model.
-func (ev *evaluator) computeBoundLazy(budget int) boundResult {
+// computeBound is Algorithm 2: greedy maximization of the submodular
+// tangent bound — each pick is the eligible candidate with the largest
+// marginal gain, ties broken toward the smaller candidate id, until the
+// budget is filled or no candidate improves the bound.
+func (ev *evaluator) computeBound(budget int) boundResult {
 	res := boundResult{branch: -1}
-	h := lazyHeap{}
-	for c := candidate(0); int(c) < ev.numCands; c++ {
-		if !ev.eligible(c) {
+	heapify(ev.aff)
+	ev.lazyGreedy(budget, true, &res)
+	return ev.finish(res)
+}
+
+// lazyGreedy extends res.picks to budget picks by lazy evaluation (CELF,
+// Leskovec et al., KDD 2007): the bound is submodular, so a candidate's
+// gain only shrinks as the plan grows and a cached gain is an upper
+// bound. Instead of rescanning every candidate per pick — the O(k·n) τ
+// evaluations of the paper's cost model — the best cached gain is
+// recomputed and either re-queued (it fell) or selected (still the
+// maximum, so nothing can beat it). The pick sequence is the full scan's.
+//
+// Cached gains come from the gain frontier, never from a scan: ev.aff,
+// which must already be a heap, and a cursor into baseOrder, whose
+// candidates join the heap only when their turn comes. With exact set the
+// initial gains are the current ones and the first pick costs no
+// evaluation; otherwise (the fill after a progressive pass) they are
+// upper bounds and every candidate is re-evaluated before selection.
+func (ev *evaluator) lazyGreedy(budget int, exact bool, res *boundResult) {
+	// An entry is current when its round is this pick's round; initial
+	// gains carry round 0.
+	round := int32(0)
+	if !exact {
+		round = 1
+	}
+	pos := 0
+	for len(res.picks) < budget {
+		for len(ev.aff) > 0 && !ev.eligible(ev.aff[0].cand) {
+			ev.aff = heapPop(ev.aff)
+		}
+		b, ok := ev.nextBase(&pos)
+		if ok && (len(ev.aff) == 0 || b.before(ev.aff[0].gain, ev.aff[0].cand)) {
+			pos++
+			if round == 0 {
+				ev.take(b.cand, res)
+				round++
+			} else if g := ev.gainOf(b.cand); g > 0 {
+				ev.aff = heapPush(ev.aff, gainEntry{gain: g, cand: b.cand, round: round})
+			}
 			continue
 		}
-		if g := ev.gainOf(c); g > 0 {
-			h = append(h, lazyEntry{gain: g, cand: c, iter: 0})
+		if len(ev.aff) == 0 {
+			return // no candidate improves the bound
+		}
+		top := &ev.aff[0]
+		if top.round == round {
+			c := top.cand
+			ev.aff = heapPop(ev.aff)
+			ev.take(c, res)
+			round++
+		} else if g := ev.gainOf(top.cand); g > 0 {
+			top.gain, top.round = g, round
+			siftDown(ev.aff, 0)
+		} else {
+			ev.aff = heapPop(ev.aff)
 		}
 	}
-	heap.Init(&h)
-	iter := int32(0)
-	for len(res.picks) < budget && h.Len() > 0 {
-		iter++
-		for h.Len() > 0 {
-			top := h[0]
-			if !ev.eligible(top.cand) {
-				heap.Pop(&h)
-				continue
-			}
-			if top.iter == iter {
-				// Fresh maximum: select it. Every other cached gain is an
-				// upper bound on its true gain, so nothing can beat this.
-				heap.Pop(&h)
-				ev.takenEpoch[top.cand] = ev.epoch
-				ev.coverSamples(top.cand)
-				res.picks = append(res.picks, top.cand)
-				break
-			}
-			// Stale: recompute and reposition.
-			g := ev.gainOf(top.cand)
-			if g <= 0 {
-				heap.Pop(&h)
-				continue
-			}
-			h[0] = lazyEntry{gain: g, cand: top.cand, iter: iter}
-			heap.Fix(&h, 0)
+}
+
+// gainEntry is a candidate with a cached gain and the greedy round the
+// gain was computed in.
+type gainEntry struct {
+	gain  float64
+	cand  candidate
+	round int32
+}
+
+// before reports whether e precedes (gain, cand) in the order every bound
+// routine selects by: gain descending, then candidate ascending.
+func (e gainEntry) before(gain float64, cand candidate) bool {
+	return e.gain > gain || (e.gain == gain && e.cand < cand)
+}
+
+// cmpGain is the same order as a slices.SortFunc comparison.
+func cmpGain(a, b gainEntry) int {
+	if c := cmp.Compare(b.gain, a.gain); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.cand, b.cand)
+}
+
+// A typed binary max-heap over []gainEntry ordered by before (what
+// container/heap would box per Push and Pop).
+
+func heapify(h []gainEntry) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+}
+
+func siftDown(h []gainEntry, i int) {
+	for {
+		kid := 2*i + 1
+		if kid >= len(h) {
+			return
 		}
+		if r := kid + 1; r < len(h) && h[r].before(h[kid].gain, h[kid].cand) {
+			kid = r
+		}
+		if !h[kid].before(h[i].gain, h[i].cand) {
+			return
+		}
+		h[i], h[kid] = h[kid], h[i]
+		i = kid
 	}
-	if len(res.picks) > 0 {
-		res.branch = res.picks[0]
-	}
-	res.tau = ev.scale(ev.tauSum)
-	return res
 }
 
-// lazyEntry is a CELF heap entry: a candidate with its cached gain and
-// the greedy iteration the gain was computed in.
-type lazyEntry struct {
-	gain float64
-	cand candidate
-	iter int32
-}
-
-type lazyHeap []lazyEntry
-
-func (h lazyHeap) Len() int { return len(h) }
-func (h lazyHeap) Less(i, j int) bool {
-	if h[i].gain != h[j].gain {
-		return h[i].gain > h[j].gain
+func heapPush(h []gainEntry, e gainEntry) []gainEntry {
+	h = append(h, e)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(h[parent].gain, h[parent].cand) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
-	return h[i].cand < h[j].cand
+	return h
 }
-func (h lazyHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *lazyHeap) Push(x interface{}) { *h = append(*h, x.(lazyEntry)) }
-func (h *lazyHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+
+func heapPop(h []gainEntry) []gainEntry {
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	siftDown(h, 0)
+	return h
 }

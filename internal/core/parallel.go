@@ -235,16 +235,8 @@ func (ps *parSearch) exec(n *parNode, ev *evaluator, sks *rrset.SketchScratch, s
 	for ci := range chains {
 		ch := &n.res.children[ci]
 		ch.plan, ch.excl = chains[ci].plan, chains[ci].excl
-		ev.prepare(ch.plan, ch.excl)
 		st.boundEvals++
-		switch {
-		case ps.opts.Progressive:
-			ch.br = ev.computeBoundPro(ps.k-ch.plan.len(), ps.opts.Epsilon, ps.opts.FillAfterFloor)
-		case ps.opts.Lazy:
-			ch.br = ev.computeBoundLazy(ps.k - ch.plan.len())
-		default:
-			ch.br = ev.computeBound(ps.k - ch.plan.len())
-		}
+		ch.br = ev.bound(ch.plan, ch.excl, ps.k-ch.plan.len(), &ps.opts)
 		ch.cand = ev.materialize(ch.plan, ch.br.picks)
 		if ps.useSketch {
 			st.sketchEvals++
@@ -317,17 +309,8 @@ func solveBranchAndBoundParallel(inst *Instance, ev *evaluator, co evalCheckout,
 
 	// Root bound and initial incumbent: computed up front (and exactly),
 	// identically to the sequential path, before any worker starts.
-	ev.prepare(nil, nil)
 	coord.boundEvals++
-	var rootBR boundResult
-	switch {
-	case opts.Progressive:
-		rootBR = ev.computeBoundPro(k, opts.Epsilon, opts.FillAfterFloor)
-	case opts.Lazy:
-		rootBR = ev.computeBoundLazy(k)
-	default:
-		rootBR = ev.computeBound(k)
-	}
+	rootBR := ev.bound(nil, nil, k, &opts)
 	bestPlan := ev.materialize(nil, rootBR.picks)
 	bestUtil, err := inst.Index.EstimateAUWith(bestPlan.Seeds, inst.Problem.Model, ev.au)
 	if err != nil {

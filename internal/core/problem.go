@@ -22,6 +22,20 @@
 //   - SolveGreedy: the one-shot greedy on the tangent bound (the root
 //     bound computation of BAB, useful as a fast heuristic/ablation);
 //   - SolveBrute: exact enumeration for verification on tiny instances.
+//
+// Every bound computation goes through one evaluator (evaluator.go) and
+// one of two routines: computeBound, Algorithm 2 as a lazy greedy
+// (lazy.go), and computeBoundPro, Algorithm 3, whose optional completion
+// is that same lazy greedy. Both take their initial gains from the
+// evaluator's gain frontier — empty-plan gains and their order once per
+// solve (bind), plus an exact re-evaluation of only the candidates a
+// node's partial plan touched (prepare) — so a bound's cost follows the
+// plan's footprint in the samples, not the candidate count. The routines
+// that evaluate what the paper's pseudocode evaluates (a full scan per
+// pick; a sort of all candidates per call) are the reference
+// implementations in reference_test.go; picks, τ and branch variable are
+// compared against them with ==. SolverStats.TauEvals counts evaluations
+// actually performed.
 package core
 
 import (
@@ -543,7 +557,7 @@ func (in *Instance) EstimateAU(plan Plan) (float64, error) {
 type SolverStats struct {
 	Nodes          int   // branch-and-bound nodes expanded
 	BoundEvals     int   // ComputeBound / ComputeBoundPro invocations
-	TauEvals       int64 // candidate marginal-gain (τ) evaluations
+	TauEvals       int64 // candidate marginal-gain (τ) evaluations actually performed
 	SketchEvals    int64 // incumbent-candidate evaluations served by the sketch
 	ReVerifyEvals  int64 // sketch incumbents re-verified with the exact scan before adoption
 	Workers        int   // search workers used (0 or 1 = sequential path)

@@ -316,12 +316,14 @@ func (ix *Index) Degree(j int, p int32) int {
 
 // AUScratch is reusable per-caller scratch for EstimateAUWith: two
 // θ-sized arrays plus the touched-sample list that lets them be cleaned
-// in time proportional to the evaluation rather than θ. One scratch
-// serves many sequential estimates; it is not safe for concurrent use.
+// in time proportional to the evaluation rather than θ, and the call's
+// adoption-by-piece-count table. One scratch serves many sequential
+// estimates; it is not safe for concurrent use.
 type AUScratch struct {
 	counts    []uint8
 	pieceSeen []int32
 	touched   []int32
+	adoptAt   []float64
 }
 
 // NewAUScratch returns scratch sized for theta samples. Scratch may be
@@ -364,10 +366,11 @@ func (ix *Index) EstimateAUWith(plan [][]int32, model logistic.Model, s *AUScrat
 	if len(s.counts) < m.Theta() {
 		return 0, fmt.Errorf("rrset: scratch sized for %d samples, index has %d", len(s.counts), m.Theta())
 	}
-	adoptAt := make([]float64, m.l+1)
+	adoptAt := append(s.adoptAt[:0], 0)
 	for c := 1; c <= m.l; c++ {
-		adoptAt[c] = model.Adoption(c)
+		adoptAt = append(adoptAt, model.Adoption(c))
 	}
+	s.adoptAt = adoptAt
 	// counts[i] tracks per-sample piece coverage; the piece guard lives
 	// in pieceSeen (sample -> last piece marked, +1) to avoid double
 	// counting a piece covered by two of its seeds. Every pieceSeen
