@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race short vet bench bench-smoke bench-harness-smoke
+.PHONY: build test race short vet bench bench-smoke bench-harness-smoke bench-pairs
 
 build:
 	$(GO) build ./...
@@ -41,3 +41,10 @@ bench-smoke:
 bench-harness-smoke:
 	bash benchmark/run.sh --workload cold_prepare --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'
 	bash benchmark/run.sh --workload warm_solve_bab --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'
+
+# Alternating parent/change pairs of one workload (one 20 s run per seed
+# per side), printed as BENCH.md rows and a q1 / median / q3 table:
+#   make bench-pairs PARENT=<rev> WORKLOAD=warm_solve_bab SEEDS="1 2 3 4"
+RUN_SECONDS ?= 20
+bench-pairs:
+	bash scripts/bench-pairs.sh "$(PARENT)" "$(WORKLOAD)" "$(SEEDS)" $(RUN_SECONDS)

@@ -96,12 +96,14 @@ func DefaultBABPOptions() BABOptions {
 	}
 }
 
-// babNode is a heap entry: a partial plan, its exclusion chain, the upper
-// bound of its subtree, and the branching candidate chosen by the bound
-// computation (-1 when the subtree cannot be extended).
+// babNode is a heap entry: a partial plan, its exclusion chain, its gain
+// frontier, the upper bound of its subtree, and the branching candidate
+// chosen by the bound computation (-1 when the subtree cannot be
+// extended).
 type babNode struct {
 	plan   *planNode
 	excl   *exclNode
+	front  *level
 	upper  float64
 	branch candidate
 	seq    int // FIFO tie-break for determinism
@@ -198,19 +200,14 @@ func validateGreedy(opts BABOptions) error {
 func solveGreedy(inst *Instance, ev *evaluator, opts BABOptions) (*Result, error) {
 	start := time.Now()
 	br := ev.bound(nil, nil, inst.Problem.K, &opts)
-	plan := ev.materialize(nil, br.picks)
-	util, err := inst.Index.EstimateAUWith(plan.Seeds, inst.Problem.Model, ev.au)
-	if err != nil {
-		return nil, err
-	}
 	name := "GREEDY"
 	if opts.Progressive {
 		name = "GREEDY-P"
 	}
 	return &Result{
 		Method:  name,
-		Plan:    plan,
-		Utility: util,
+		Plan:    ev.materialize(nil, br.picks),
+		Utility: ev.utility(),
 		Upper:   br.tau,
 		Elapsed: time.Since(start),
 		Stats:   SolverStats{BoundEvals: 1, TauEvals: ev.tauEvals},
@@ -228,48 +225,50 @@ func solveBranchAndBound(inst *Instance, ev *evaluator, co evalCheckout, opts BA
 	k := inst.Problem.K
 	stats := SolverStats{}
 
-	bound := func(plan *planNode, excl *exclNode) boundResult {
-		stats.BoundEvals++
-		return ev.bound(plan, excl, k-plan.len(), &opts)
-	}
-
-	evaluateExact := func(plan *planNode, picks []candidate) (Plan, float64, error) {
-		p := ev.materialize(plan, picks)
-		util, err := inst.Index.EstimateAUWith(p.Seeds, inst.Problem.Model, ev.au)
-		return p, util, err
-	}
-	// Interior candidate evaluations may go through the sketch; the exact
-	// scan stays the golden reference for the root, for incumbent
-	// re-verification, and for the published Utility.
-	useSketch := opts.Sketch && inst.Index.HasSketches()
-	evaluate := evaluateExact
-	if useSketch {
-		sks := rrset.NewSketchScratch()
-		evaluate = func(plan *planNode, picks []candidate) (Plan, float64, error) {
-			p := ev.materialize(plan, picks)
-			stats.SketchEvals++
-			util, err := inst.Index.EstimateAUSketchWith(p.Seeds, inst.Problem.Model, sks)
-			return p, util, err
-		}
-	}
-
-	// Root bound: the greedy candidate plan is the initial incumbent,
-	// always evaluated exactly so bestUtil starts on the exact scale.
-	rootBR := bound(nil, nil)
-	bestPlan, bestUtil, err := evaluateExact(nil, rootBR.picks)
-	if err != nil {
-		return nil, err
-	}
+	// Root bound: the greedy candidate plan is the initial incumbent. Its
+	// utility, like every candidate's, is read off the coverage its bound
+	// just built.
+	stats.BoundEvals++
+	rootBR := ev.bound(nil, nil, k, &opts)
+	bestPlan, bestUtil := ev.materialize(nil, rootBR.picks), ev.utility()
 	globalUpper := rootBR.tau
 
-	h := &babHeap{}
-	heap.Init(h)
-	seq := 0
-	push := func(plan *planNode, excl *exclNode, upper float64, branch candidate) {
-		seq++
-		heap.Push(h, &babNode{plan: plan, excl: excl, upper: upper, branch: branch, seq: seq})
+	// Interior candidate evaluations may go through the sketch; the exact
+	// utility stays the reference for the root, for incumbent
+	// re-verification, and for the published Utility.
+	var sks *rrset.SketchScratch
+	if opts.Sketch && inst.Index.HasSketches() {
+		sks = rrset.NewSketchScratch()
 	}
-	push(nil, nil, rootBR.tau, rootBR.branch)
+	evaluate := func(plan *planNode, picks []candidate) (float64, error) {
+		if sks == nil {
+			return ev.utility(), nil
+		}
+		stats.SketchEvals++
+		util, err := inst.Index.EstimateAUSketchWith(ev.materialize(plan, picks).Seeds, inst.Problem.Model, sks)
+		if err != nil || util <= bestUtil {
+			return util, err
+		}
+		// Sketch numbers steer the search but never become the
+		// incumbent: re-verify exactly, so the caller adopts only if the
+		// exact value still beats the (exact) incumbent. prune() therefore
+		// always compares bounds against an exact lower bound, keeping the
+		// certificate sound regardless of sketch error.
+		stats.ReVerifyEvals++
+		return ev.utility(), nil
+	}
+
+	// Nodes, their chains and the heap come from the evaluator: a warm
+	// search allocates almost nothing per node.
+	h := &ev.heap
+	seq := 0
+	push := func(plan *planNode, excl *exclNode, front *level, upper float64, branch candidate) {
+		seq++
+		n := ev.babNodes.new()
+		*n = babNode{plan: plan, excl: excl, front: front, upper: upper, branch: branch, seq: seq}
+		heap.Push(h, n)
+	}
+	push(nil, nil, nil, rootBR.tau, rootBR.branch)
 
 	// gapBase shifts both sides of the termination test onto the raw
 	// Eq. (6) scale when RawGap is set (see the option's comment).
@@ -311,42 +310,30 @@ func solveBranchAndBound(inst *Instance, ev *evaluator, co evalCheckout, opts BA
 		stats.Nodes++
 
 		// Branch on the candidate the bound computation picked first:
-		// include it in the plan, or exclude it from the subtree.
-		children := []struct {
-			plan *planNode
-			excl *exclNode
+		// include it in the plan, or exclude it from the subtree. Each
+		// child's frontier is derived from the node's.
+		children := [2]struct {
+			plan    *planNode
+			excl    *exclNode
+			include bool
 		}{
-			{node.plan.with(node.branch), node.excl},
-			{node.plan, node.excl.with(node.branch)},
+			{ev.include(node.plan, node.branch), node.excl, true},
+			{node.plan, ev.exclude(node.excl, node.branch), false},
 		}
 		for _, ch := range children {
-			br := bound(ch.plan, ch.excl)
-			candPlan, candUtil, err := evaluate(ch.plan, br.picks)
+			stats.BoundEvals++
+			front := ev.prepareNode(ch.plan, ch.excl, node.front, ch.include)
+			br := ev.estimate(k-ch.plan.len(), &opts)
+			candUtil, err := evaluate(ch.plan, br.picks)
 			if err != nil {
 				return nil, err
 			}
 			if candUtil > bestUtil {
-				if useSketch {
-					// Sketch numbers steer the search but never become the
-					// incumbent: re-verify with the exact scan and adopt
-					// only if the exact value still beats the (exact)
-					// incumbent. prune() therefore always compares bounds
-					// against an exact lower bound, keeping the certificate
-					// sound regardless of sketch error.
-					stats.ReVerifyEvals++
-					exactUtil, err := inst.Index.EstimateAUWith(candPlan.Seeds, inst.Problem.Model, ev.au)
-					if err != nil {
-						return nil, err
-					}
-					candUtil = exactUtil
-				}
-				if candUtil > bestUtil {
-					bestUtil = candUtil
-					bestPlan = candPlan
-				}
+				bestUtil = candUtil
+				bestPlan = ev.materialize(ch.plan, br.picks)
 			}
 			if !prune(br.tau) {
-				push(ch.plan, ch.excl, br.tau, br.branch)
+				push(ch.plan, ch.excl, front, br.tau, br.branch)
 			}
 		}
 	}

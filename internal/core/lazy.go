@@ -7,8 +7,7 @@ import "cmp"
 // marginal gain, ties broken toward the smaller candidate id, until the
 // budget is filled or no candidate improves the bound.
 func (ev *evaluator) computeBound(budget int) boundResult {
-	res := boundResult{branch: -1}
-	heapify(ev.aff)
+	res := ev.newResult()
 	ev.lazyGreedy(budget, true, &res)
 	return ev.finish(res)
 }
@@ -19,14 +18,19 @@ func (ev *evaluator) computeBound(budget int) boundResult {
 // bound. Instead of rescanning every candidate per pick — the O(k·n) τ
 // evaluations of the paper's cost model — the best cached gain is
 // recomputed and either re-queued (it fell) or selected (still the
-// maximum, so nothing can beat it). The pick sequence is the full scan's.
+// maximum, so nothing can beat it). The pick sequence is the full scan's
+// as long as the bound's marginals do not rise with the count in floating
+// point; under α 6, β 2 the hull's marginal at count 2 is one ulp above
+// the one at count 1, and on tiny sample sets near-ties can then come out
+// in another order (see TestFrontierMatchesReferenceBounds).
 //
 // Cached gains come from the gain frontier, never from a scan: ev.aff,
-// which must already be a heap, and a cursor into baseOrder, whose
-// candidates join the heap only when their turn comes. With exact set the
-// initial gains are the current ones and the first pick costs no
-// evaluation; otherwise (the fill after a progressive pass) they are
-// upper bounds and every candidate is re-evaluated before selection.
+// which prepare leaves sorted (a sorted slice is already a heap), and a
+// cursor into baseOrder, whose candidates join the heap only when their
+// turn comes. With exact set the initial gains are the current ones and
+// the first pick costs no evaluation; otherwise (the fill after a
+// progressive pass) they are upper bounds and every candidate is
+// re-evaluated before selection.
 func (ev *evaluator) lazyGreedy(budget int, exact bool, res *boundResult) {
 	// An entry is current when its round is this pick's round; initial
 	// gains carry round 0.
@@ -92,12 +96,6 @@ func cmpGain(a, b gainEntry) int {
 
 // A typed binary max-heap over []gainEntry ordered by before (what
 // container/heap would box per Push and Pop).
-
-func heapify(h []gainEntry) {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-}
 
 func siftDown(h []gainEntry, i int) {
 	for {

@@ -52,12 +52,9 @@ type childExpansion struct {
 	cand Plan    // materialized candidate plan (chain + greedy picks)
 	util float64 // evaluate() value: sketch estimate when enabled, exact otherwise
 	err  error   // evaluation error; the commit loop surfaces it in child order
-	// exact carries a speculative exact re-verification of a sketch
-	// candidate that looked like an incumbent when the worker ran. Valid
-	// only when exactOK; the commit loop recomputes the (deterministic)
-	// scan itself when it needs a verification the worker skipped.
-	exact   float64
-	exactOK bool
+	// exact is the candidate's exact utility, read off the bound's
+	// coverage; the commit loop re-verifies a sketch incumbent with it.
+	exact float64
 }
 
 // expandResult is what exec publishes through parNode.done.
@@ -231,35 +228,21 @@ func (ps *parSearch) exec(n *parNode, ev *evaluator, sks *rrset.SketchScratch, s
 		{n.plan.with(n.branch), n.excl},
 		{n.plan, n.excl.with(n.branch)},
 	}
-	model := ps.inst.Problem.Model
 	for ci := range chains {
 		ch := &n.res.children[ci]
 		ch.plan, ch.excl = chains[ci].plan, chains[ci].excl
 		st.boundEvals++
 		ch.br = ev.bound(ch.plan, ch.excl, ps.k-ch.plan.len(), &ps.opts)
 		ch.cand = ev.materialize(ch.plan, ch.br.picks)
+		ch.br.picks = nil // the evaluator's buffer; the next bound reuses it
+		ch.exact = ev.utility()
+		ch.util = ch.exact
 		if ps.useSketch {
 			st.sketchEvals++
-			ch.util, ch.err = ps.inst.Index.EstimateAUSketchWith(ch.cand.Seeds, model, sks)
+			ch.util, ch.err = ps.inst.Index.EstimateAUSketchWith(ch.cand.Seeds, ps.inst.Problem.Model, sks)
 			if ch.err != nil {
 				return
 			}
-			if ch.util > ps.pubBest.Load() {
-				// Likely incumbent: run the exact re-verification scan
-				// speculatively so the commit loop usually finds it done.
-				// Errors here are dropped, not surfaced — the commit loop
-				// re-runs the same deterministic scan if it still wants it.
-				st.reVerifyEvals++
-				if exact, err := ps.inst.Index.EstimateAUWith(ch.cand.Seeds, model, ev.au); err == nil {
-					ch.exact, ch.exactOK = exact, true
-				}
-			}
-		} else {
-			ch.util, ch.err = ps.inst.Index.EstimateAUWith(ch.cand.Seeds, model, ev.au)
-			if ch.err != nil {
-				return
-			}
-			ch.exact, ch.exactOK = ch.util, true
 		}
 	}
 }
@@ -311,11 +294,7 @@ func solveBranchAndBoundParallel(inst *Instance, ev *evaluator, co evalCheckout,
 	// identically to the sequential path, before any worker starts.
 	coord.boundEvals++
 	rootBR := ev.bound(nil, nil, k, &opts)
-	bestPlan := ev.materialize(nil, rootBR.picks)
-	bestUtil, err := inst.Index.EstimateAUWith(bestPlan.Seeds, inst.Problem.Model, ev.au)
-	if err != nil {
-		return nil, err
-	}
+	bestPlan, bestUtil := ev.materialize(nil, rootBR.picks), ev.utility()
 	globalUpper := rootBR.tau
 
 	gapBase := 0.0
@@ -438,19 +417,9 @@ func solveBranchAndBoundParallel(inst *Instance, ev *evaluator, co evalCheckout,
 			if candUtil > bestUtil {
 				if useSketch {
 					// Same contract as the sequential loop: sketch numbers
-					// steer, exact numbers decide. Use the worker's
-					// speculative exact scan when it ran; recompute the
-					// (deterministic) scan otherwise.
-					if ch.exactOK {
-						candUtil = ch.exact
-					} else {
-						coord.reVerifyEvals++
-						exactUtil, err := inst.Index.EstimateAUWith(ch.cand.Seeds, inst.Problem.Model, ev.au)
-						if err != nil {
-							return nil, err
-						}
-						candUtil = exactUtil
-					}
+					// steer, exact numbers decide.
+					coord.reVerifyEvals++
+					candUtil = ch.exact
 				}
 				if candUtil > bestUtil {
 					bestUtil = candUtil
@@ -480,7 +449,6 @@ func solveBranchAndBoundParallel(inst *Instance, ev *evaluator, co evalCheckout,
 		stats.BoundEvals += st.boundEvals
 		stats.TauEvals += st.tauEvals
 		stats.SketchEvals += st.sketchEvals
-		stats.ReVerifyEvals += st.reVerifyEvals
 		stats.Steals += st.steals
 		stats.SpecExpansions += st.execs
 		execs += st.execs

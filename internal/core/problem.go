@@ -28,14 +28,24 @@
 // (lazy.go), and computeBoundPro, Algorithm 3, whose optional completion
 // is that same lazy greedy. Both take their initial gains from the
 // evaluator's gain frontier — empty-plan gains and their order once per
-// solve (bind), plus an exact re-evaluation of only the candidates a
-// node's partial plan touched (prepare) — so a bound's cost follows the
-// plan's footprint in the samples, not the candidate count. The routines
-// that evaluate what the paper's pseudocode evaluates (a full scan per
-// pick; a sort of all candidates per call) are the reference
-// implementations in reference_test.go; picks, τ and branch variable are
-// compared against them with ==. SolverStats.TauEvals counts evaluations
-// actually performed.
+// solve (bind), plus the exact gains of only the candidates a node's
+// partial plan touched — so a bound's cost follows the plan's footprint
+// in the samples, not the candidate count. A search node carries those
+// gains as a chain of levels, and a child's bound starts from its
+// parent's: an exclude child shares the parent's chain, and an include
+// child adds one level holding just the candidates the included
+// candidate's samples reach (named by the index's sample → candidate
+// transpose), re-evaluated and sorted; prepareNode merges the chain,
+// sorting nothing else. The incumbent's utility is read off the
+// coverage the bound has just built (evaluator.utility), the float64
+// Index.EstimateAUWith would return. Nodes, chains, levels, the heap and
+// the picks live in the evaluator, so a warm pooled search allocates
+// little beyond its result. The routines that evaluate what the paper's
+// pseudocode evaluates (a full scan per pick; a sort of all candidates
+// per call) and a search that prepares every bound from scratch are the
+// reference implementations in reference_test.go; picks, τ, branch
+// variables and whole results are compared against them with ==.
+// SolverStats.TauEvals counts evaluations actually performed.
 package core
 
 import (

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"math"
@@ -121,6 +122,65 @@ func (ev *evaluator) refComputeBoundPro(budget int, eps float64, fill bool) boun
 	return res
 }
 
+// refSolve is Algorithm 1 as the sequential search ran before search
+// nodes carried their frontiers: every bound prepared from scratch, every
+// candidate plan materialized and estimated with Index.EstimateAUWith,
+// chains and heap nodes allocated per node. (No sketch, no Stop, one
+// worker.) Its Result is the sequential search's, TauEvals aside.
+func refSolve(inst *Instance, opts BABOptions) *Result {
+	ev, au := newEvaluator(inst), inst.Index.NewAUScratch()
+	k := inst.Problem.K
+	var stats SolverStats
+	evaluate := func(plan *planNode, picks []candidate) (Plan, float64) {
+		p := ev.materialize(plan, picks)
+		util, err := inst.Index.EstimateAUWith(p.Seeds, inst.Problem.Model, au)
+		if err != nil {
+			panic(err)
+		}
+		return p, util
+	}
+	stats.BoundEvals++
+	root := ev.bound(nil, nil, k, &opts)
+	bestPlan, bestUtil := evaluate(nil, root.picks)
+	globalUpper := root.tau
+	h := &babHeap{&babNode{upper: root.tau, branch: root.branch}}
+	seq := 0
+	gapBase := 0.0
+	if opts.RawGap {
+		gapBase = float64(inst.Index.MRR().N()) * logistic.Sigmoid(-inst.Problem.Model.Alpha)
+	}
+	prune := func(upper float64) bool { return upper+gapBase <= (bestUtil+gapBase)*(1+opts.Tolerance) }
+	for h.Len() > 0 {
+		node := heap.Pop(h).(*babNode)
+		if globalUpper = node.upper; prune(node.upper) {
+			break
+		}
+		if node.branch < 0 || node.plan.len() >= k {
+			continue
+		}
+		if opts.MaxNodes > 0 && stats.Nodes >= opts.MaxNodes {
+			break
+		}
+		stats.Nodes++
+		for _, ch := range []babNode{{plan: node.plan.with(node.branch), excl: node.excl}, {plan: node.plan, excl: node.excl.with(node.branch)}} {
+			stats.BoundEvals++
+			br := ev.bound(ch.plan, ch.excl, k-ch.plan.len(), &opts)
+			if p, util := evaluate(ch.plan, br.picks); util > bestUtil {
+				bestPlan, bestUtil = p, util
+			}
+			if !prune(br.tau) {
+				seq++
+				heap.Push(h, &babNode{plan: ch.plan, excl: ch.excl, upper: br.tau, branch: br.branch, seq: seq})
+			}
+		}
+	}
+	if h.Len() == 0 {
+		globalUpper = bestUtil * (1 + opts.Tolerance)
+	}
+	stats.TauEvals = ev.tauEvals
+	return &Result{Plan: bestPlan, Utility: bestUtil, Upper: globalUpper, Stats: stats}
+}
+
 // boundRoutine pairs a production bound routine with its reference.
 type boundRoutine struct {
 	name      string
@@ -178,13 +238,47 @@ func frontierVariants(t *testing.T, p *Problem, theta int, seed uint64) map[stri
 	}
 }
 
-// TestFrontierMatchesReferenceBounds drives the gain frontier against
-// both reference routines along random branch-and-bound paths: at every
-// node — a partial plan and an exclusion chain grown by random include /
-// exclude decisions on the branch variable or on a random candidate —
-// each production routine must return the reference's pick sequence, τ
-// and branch variable exactly. One production evaluator serves a whole
-// instance, so stamps and scratch are reused the way a search reuses them.
+// requireFrontier checks what a prepared frontier promises, against a
+// gainOf scan of every candidate: each eligible candidate it does not
+// hold has its empty-plan gain, bit for bit, and aff holds exactly the
+// eligible ones it does hold with a positive gain, at their exact gains,
+// in (gain desc, candidate asc) order.
+func requireFrontier(t *testing.T, label string, ev *evaluator) {
+	t.Helper()
+	var want []gainEntry
+	for c := candidate(0); int(c) < ev.numCands; c++ {
+		if !ev.eligible(c) {
+			continue
+		}
+		switch g := ev.gainOf(c); {
+		case ev.affEpoch[c] != ev.epoch && g != ev.baseGain(c):
+			t.Fatalf("%s: candidate %d outside the frontier has gain %v, empty-plan gain %v", label, c, g, ev.baseGain(c))
+		case ev.affEpoch[c] == ev.epoch && g > 0:
+			want = append(want, gainEntry{gain: g, cand: c})
+		}
+	}
+	slices.SortFunc(want, cmpGain)
+	if !slices.Equal(ev.aff, want) {
+		t.Fatalf("%s: frontier %v, want %v", label, ev.aff, want)
+	}
+}
+
+// TestFrontierMatchesReferenceBounds drives the gain frontier along random
+// branch-and-bound paths: at every node — a partial plan and an exclusion
+// chain grown by random include / exclude decisions on the branch
+// variable or on a random candidate — the frontier prepared from scratch
+// and the one chained down the path, the way the search derives a child's
+// from its parent's, must both keep requireFrontier's promise and load
+// the same entries, and every production routine must return the same
+// pick sequence, τ and branch variable from either. At θ 900 those must
+// also be the reference routines'. At θ 60, where plans cover whole lists
+// and gains fall to 0, the steep model's hull marginals rise by one ulp
+// from count 1 to 2 (marg[0][1] < marg[0][2]), which breaks the lazy
+// greedy's premise that cached gains are upper bounds: there it may pick
+// near-tied candidates in a different order than the full scan, so the
+// reference is compared under the flat model only. One evaluator of each
+// kind serves a whole instance, so stamps, levels and scratch are reused
+// the way a search reuses them.
 func TestFrontierMatchesReferenceBounds(t *testing.T) {
 	models := []logistic.Model{{Alpha: 2, Beta: 1}, {Alpha: 6, Beta: 2}}
 	seeds := []uint64{1, 2, 3}
@@ -193,46 +287,56 @@ func TestFrontierMatchesReferenceBounds(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		p := randomProblem(t, 40+seed, 60, 260, 12, 3, 6)
-		for name, base := range frontierVariants(t, p, 900, seed) {
-			for _, model := range models {
-				inst, err := base.WithModel(model)
-				if err != nil {
-					t.Fatal(err)
-				}
-				prod, ref := newEvaluator(inst), newEvaluator(inst)
-				r := xrand.New(seed*977 + uint64(model.Alpha))
-				for path := 0; path < 6; path++ {
-					var plan *planNode
-					var excl *exclNode
-					for depth := 0; depth < 2*inst.Problem.K; depth++ {
-						budget := inst.Problem.K - plan.len()
-						branch := candidate(-1)
-						for _, rt := range boundRoutines {
+		for _, theta := range []int{900, 60} {
+			for name, base := range frontierVariants(t, p, theta, seed) {
+				for _, model := range models {
+					inst, err := base.WithModel(model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					withRef := theta == 900 || model.Alpha == 2
+					prod, chained, ref := newEvaluator(inst), newEvaluator(inst), newEvaluator(inst)
+					r := xrand.New(seed*977 + uint64(model.Alpha))
+					for path := 0; path < 6; path++ {
+						var plan *planNode
+						var excl *exclNode
+						var front *level
+						for depth := 0; depth < 2*inst.Problem.K; depth++ {
+							budget := inst.Problem.K - plan.len()
+							branch := candidate(-1)
+							for _, rt := range boundRoutines {
+								label := fmt.Sprintf("seed %d θ %d %s α=%v path %d depth %d %s", seed, theta, name, model.Alpha, path, depth, rt.name)
+								prod.prepare(plan, excl)
+								requireFrontier(t, label, prod)
+								chained.prepareNode(plan, excl, front, false)
+								requireFrontier(t, label+" chained", chained)
+								got := rt.prod(prod, budget)
+								requireSameBound(t, label+" chained", got, rt.prod(chained, budget))
+								if withRef {
+									ref.prepare(plan, excl)
+									requireSameBound(t, label, rt.ref(ref, budget), got)
+								}
+								branch = got.branch
+							}
+							if budget == 0 {
+								break
+							}
+							// Branch like the search does, or — one time in
+							// three — on a candidate no bound suggested.
+							c := branch
+							if c < 0 || r.Intn(3) == 0 {
+								c = candidate(r.Intn(prod.numCands))
+							}
 							prod.prepare(plan, excl)
-							got := rt.prod(prod, budget)
-							ref.prepare(plan, excl)
-							want := rt.ref(ref, budget)
-							label := fmt.Sprintf("seed %d %s α=%v path %d depth %d %s", seed, name, model.Alpha, path, depth, rt.name)
-							requireSameBound(t, label, want, got)
-							branch = want.branch
-						}
-						if budget == 0 {
-							break
-						}
-						// Branch like the search does, or — one time in
-						// three — on a candidate no bound suggested.
-						c := branch
-						if c < 0 || r.Intn(3) == 0 {
-							c = candidate(r.Intn(prod.numCands))
-						}
-						prod.prepare(plan, excl)
-						if !prod.eligible(c) {
-							continue
-						}
-						if r.Intn(2) == 0 {
-							plan = plan.with(c)
-						} else {
-							excl = excl.with(c)
+							if !prod.eligible(c) {
+								continue
+							}
+							if r.Intn(2) == 0 {
+								plan = plan.with(c)
+								front = chained.prepareNode(plan, excl, front, true)
+							} else {
+								excl = excl.with(c)
+							}
 						}
 					}
 				}
@@ -241,45 +345,50 @@ func TestFrontierMatchesReferenceBounds(t *testing.T) {
 	}
 }
 
-// TestEpochWrap runs an evaluator's stamp epoch across the uint32 wrap: a
+// TestEpochWrap runs evaluators' stamp epochs across the uint32 wrap: a
 // pooled evaluator lives as long as the server, and a stamp left from
-// 2³² prepares ago must not read as taken, excluded or affected.
+// 2³² prepares ago must not read as taken, excluded, affected or reached.
+// Every prepare of the wrapping evaluators — from scratch, chained, and
+// the chained include that builds a level — wraps, and each must match an
+// evaluator that never wraps.
 func TestEpochWrap(t *testing.T) {
 	inst := branchyInstance(t, 23, 60, 260, 12, 3, 6, 900, 4, 6, 2)
-	old, fresh := newEvaluator(inst), newEvaluator(inst)
-	old.epoch = math.MaxUint32 - 2
+	old, oldChained, fresh := newEvaluator(inst), newEvaluator(inst), newEvaluator(inst)
+	// wrapNext makes ev's next prepare wrap to epoch 1 while every
+	// candidate carries stamp 1 from the evaluator's first prepare; any of
+	// the four stamps left in place hides every candidate from it.
+	wrapNext := func(ev *evaluator) {
+		ev.epoch = math.MaxUint32
+		for c := range ev.takenEpoch {
+			ev.takenEpoch[c], ev.exclEpoch[c], ev.affEpoch[c], ev.reachEpoch[c] = 1, 1, 1, 1
+		}
+	}
 	var plan *planNode
 	var excl *exclNode
-	wrapped := false
+	var front *level
 	for round := 0; round < 8; round++ {
 		for _, rt := range boundRoutines {
-			if old.epoch == math.MaxUint32 {
-				// The next prepare wraps to epoch 1. Every candidate
-				// carries a stamp from the evaluator's first prepare,
-				// 2³² prepares ago; any of the three left in place
-				// hides every candidate from this bound.
-				for c := range old.takenEpoch {
-					old.takenEpoch[c], old.exclEpoch[c], old.affEpoch[c] = 1, 1, 1
-				}
-				wrapped = true
-			}
-			old.prepare(plan, excl)
-			got := rt.prod(old, inst.Problem.K-plan.len())
+			label := fmt.Sprintf("round %d %s", round, rt.name)
+			budget := inst.Problem.K - plan.len()
 			fresh.prepare(plan, excl)
-			want := rt.prod(fresh, inst.Problem.K-plan.len())
-			requireSameBound(t, fmt.Sprintf("round %d %s", round, rt.name), want, got)
+			want := rt.prod(fresh, budget)
+			wrapNext(old)
+			old.prepare(plan, excl)
+			requireSameBound(t, label, want, rt.prod(old, budget))
+			wrapNext(oldChained)
+			oldChained.prepareNode(plan, excl, front, false)
+			requireSameBound(t, label+" chained", want, rt.prod(oldChained, budget))
 			switch {
 			case want.branch < 0 || plan.len() == inst.Problem.K-1:
-				plan, excl = nil, nil
+				plan, excl, front = nil, nil, nil
 			case round%2 == 0:
 				plan = plan.with(want.branch)
+				wrapNext(oldChained)
+				front = oldChained.prepareNode(plan, excl, front, true)
 			default:
 				excl = excl.with(want.branch)
 			}
 		}
-	}
-	if !wrapped {
-		t.Fatal("the epoch never wrapped")
 	}
 }
 

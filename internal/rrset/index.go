@@ -2,9 +2,10 @@ package rrset
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"oipa/internal/logistic"
 )
@@ -57,6 +58,83 @@ type Index struct {
 	// AttachSketches; see sketch.go.
 	salt uint64
 	sk   *sketchSet
+
+	// tr is the lineage's transpose, shared with Prefix derivatives and
+	// built on first use.
+	tr *Transpose
+}
+
+// Transpose is the transpose of one index's inverted lists: for every
+// sample, the slots whose list holds it. Most samples' RR sets hold no
+// pool member, so only the others are stored: has marks them, rank[w]
+// counts them in the words before w, and off / slots are a CSR over them
+// in sample order. It is built once, by the first Transpose call of any
+// index sharing it.
+type Transpose struct {
+	once  sync.Once
+	lists [][]int32 // the owner's lists, every entry below theta; dropped once built
+	theta int
+	has   []uint64
+	rank  []int32
+	off   []int64
+	slots []int32
+	bytes atomic.Int64 // set when built, for MemUsage
+}
+
+// Slots returns the slots j·PoolSize()+p, ascending, whose list holds
+// sample i (aliases shared storage; do not modify).
+func (t *Transpose) Slots(i int32) []int32 {
+	if t.has[i>>6]&(1<<(i&63)) == 0 {
+		return nil
+	}
+	r := t.rankOf(i)
+	return t.slots[t.off[r]:t.off[r+1]]
+}
+
+// rankOf is the number of stored samples below sample i.
+func (t *Transpose) rankOf(i int32) int32 {
+	w := i >> 6
+	return t.rank[w] + int32(bits.OnesCount64(t.has[w]&(1<<(i&63)-1)))
+}
+
+// build is a counting sort of the list entries by sample. Slots are
+// visited in ascending order, so each sample's slots come out ascending.
+func (t *Transpose) build() {
+	t.has = make([]uint64, (t.theta+63)/64)
+	for _, list := range t.lists {
+		for _, i := range list {
+			t.has[i>>6] |= 1 << (i & 63)
+		}
+	}
+	t.rank = make([]int32, len(t.has))
+	n := int32(0)
+	for w, word := range t.has {
+		t.rank[w] = n
+		n += int32(bits.OnesCount64(word))
+	}
+	t.off = make([]int64, n+1)
+	for _, list := range t.lists {
+		for _, i := range list {
+			t.off[t.rankOf(i)+1]++
+		}
+	}
+	for r := 1; r < len(t.off); r++ {
+		t.off[r] += t.off[r-1]
+	}
+	// off[r] serves as the r-th stored sample's fill cursor, which leaves
+	// it at the next one's start; shifting by one restores the offsets.
+	t.slots = make([]int32, t.off[n])
+	for slot, list := range t.lists {
+		for _, i := range list {
+			r := t.rankOf(i)
+			t.slots[t.off[r]] = int32(slot)
+			t.off[r]++
+		}
+	}
+	copy(t.off[1:], t.off[:n])
+	t.off[0] = 0
+	t.lists = nil
+	t.bytes.Store(int64(len(t.has))*8 + int64(len(t.rank))*4 + int64(len(t.off))*8 + int64(len(t.slots))*4)
 }
 
 // BuildIndex inverts the collection over the given promoter pool. The
@@ -131,6 +209,7 @@ func (m *MRRCollection) BuildIndex(pool []int32) (*Index, error) {
 	for slot := range ix.lists {
 		ix.lists[slot] = arena[off[slot]:off[slot+1]:off[slot+1]]
 	}
+	ix.tr = &Transpose{lists: ix.lists, theta: theta}
 	return ix, nil
 }
 
@@ -214,7 +293,8 @@ func (ix *Index) ExtendFrom(m *MRRCollection) (*Index, error) {
 		}(j)
 	}
 	wg.Wait()
-	return &Index{mrr: v, pool: ix.pool, pos: ix.pos, lists: lists, limit: int32(newTheta), salt: ix.salt, sk: sk2}, nil
+	return &Index{mrr: v, pool: ix.pool, pos: ix.pos, lists: lists, limit: int32(newTheta), salt: ix.salt, sk: sk2,
+		tr: &Transpose{lists: lists, theta: newTheta}}, nil
 }
 
 // MRR returns the immutable sample view the index was built over (for a
@@ -248,22 +328,37 @@ func (ix *Index) Prefix(theta int) (*Index, error) {
 		// ids below θ is exactly "every prefix sample hashing below tau",
 		// so EstimateAUSketch just skips ids beyond the limit.
 		sk: ix.sk,
+		tr: ix.tr,
 	}, nil
+}
+
+// Transpose returns the transpose of the inverted lists: per sample, the
+// (piece, promoter) slots its RR sets reach, found without walking the
+// sets or translating node ids. It is built on the first call, once per
+// index lineage: a Prefix derivative shares its parent's (it reads only
+// samples below its θ, and whether a list holds such a sample does not
+// depend on where the list is cut), while ExtendFrom starts a fresh one.
+// Safe for concurrent use.
+func (ix *Index) Transpose() *Transpose {
+	t := ix.tr
+	t.once.Do(t.build)
+	return t
 }
 
 // MemUsage approximates the index's resident bytes: the inverted lists
 // (capacity, not length), the pool translation arrays, the list headers,
-// and any attached sketches. It is the serve-layer memory governor's
-// accounting unit. The figure is a lower bound after growth — slots that
-// outgrew the original build arena leave holes in it that are still
-// reachable — and exact for freshly built (or shrink-rematerialized)
-// indexes, whose slots are carved tight.
+// any attached sketches, and the transpose once Transpose has built it.
+// It is the serve-layer memory governor's accounting unit. The figure is
+// a lower bound after growth — slots that outgrew the original build
+// arena leave holes in it that are still reachable — and exact for
+// freshly built (or shrink-rematerialized) indexes, whose slots are
+// carved tight.
 //
-// A Prefix derivative owns nothing: lists, pool arrays, and sketches all
-// alias its parent's storage. It reports 0 so an artifact lineage holding
-// both the full index and a served prefix is not double-counted in the
-// registry's resident gauge (which used to inflate resident_bytes and
-// trigger spurious governor shrinks).
+// A Prefix derivative owns nothing: lists, pool arrays, sketches and the
+// transpose all alias its parent's storage. It reports 0 so an artifact
+// lineage holding both the full index and a served prefix is not
+// double-counted in the registry's resident gauge (which used to inflate
+// resident_bytes and trigger spurious governor shrinks).
 func (ix *Index) MemUsage() int64 {
 	if ix.shared {
 		return 0
@@ -276,7 +371,7 @@ func (ix *Index) MemUsage() int64 {
 	if ix.sk != nil {
 		b += ix.sk.memUsage()
 	}
-	return b
+	return b + ix.tr.bytes.Load()
 }
 
 // Pool returns the promoter pool (do not modify).
@@ -315,23 +410,24 @@ func (ix *Index) Degree(j int, p int32) int {
 }
 
 // AUScratch is reusable per-caller scratch for EstimateAUWith: two
-// θ-sized arrays plus the touched-sample list that lets them be cleaned
-// in time proportional to the evaluation rather than θ, and the call's
+// θ-sized arrays, a θ-bit bitmap of the samples they hold state for —
+// walked in ascending order to sum and to clean up, over the word range
+// the evaluation touched rather than θ — and the call's
 // adoption-by-piece-count table. One scratch serves many sequential
 // estimates; it is not safe for concurrent use.
 type AUScratch struct {
 	counts    []uint8
 	pieceSeen []int32
-	touched   []int32
+	touched   []uint64 // bit i: counts[i] > 0
 	adoptAt   []float64
 }
 
 // NewAUScratch returns scratch sized for theta samples. Scratch may be
 // used with any index whose sample count is at most theta — a θ-prefix
 // index, or the index it was sized for — so callers serving mixed
-// prefix sizes (evaluator pools) allocate once at the largest θ.
+// prefix sizes allocate once at the largest θ.
 func NewAUScratch(theta int) *AUScratch {
-	return &AUScratch{counts: make([]uint8, theta), pieceSeen: make([]int32, theta)}
+	return &AUScratch{counts: make([]uint8, theta), pieceSeen: make([]int32, theta), touched: make([]uint64, (theta+63)/64)}
 }
 
 // NewAUScratch returns scratch sized for this index's sample count.
@@ -374,19 +470,17 @@ func (ix *Index) EstimateAUWith(plan [][]int32, model logistic.Model, s *AUScrat
 	// counts[i] tracks per-sample piece coverage; the piece guard lives
 	// in pieceSeen (sample -> last piece marked, +1) to avoid double
 	// counting a piece covered by two of its seeds. Every pieceSeen
-	// write is paired with a counts increment, so the touched list —
-	// samples whose counts went 0→1 — covers every dirtied entry.
-	counts, pieceSeen := s.counts, s.pieceSeen
-	s.touched = s.touched[:0]
+	// write is paired with a counts increment, so the touched bits —
+	// samples whose counts went 0→1 — cover every dirtied entry; lo and
+	// hi bound the words holding them.
+	counts, pieceSeen, touched := s.counts, s.pieceSeen, s.touched
+	lo, hi := len(touched), -1
 	for j, seeds := range plan {
 		for _, v := range seeds {
 			p, ok := ix.PoolPos(v)
 			if !ok {
 				// Clean up the partial walk before failing.
-				for _, i := range s.touched {
-					counts[i] = 0
-					pieceSeen[i] = 0
-				}
+				s.clean(lo, hi)
 				return 0, fmt.Errorf("rrset: seed %d not in promoter pool", v)
 			}
 			for _, i := range ix.Samples(j, p) {
@@ -395,7 +489,9 @@ func (ix *Index) EstimateAUWith(plan [][]int32, model logistic.Model, s *AUScrat
 				}
 				pieceSeen[i] = int32(j) + 1
 				if counts[i] == 0 {
-					s.touched = append(s.touched, i)
+					w := int(i >> 6)
+					touched[w] |= 1 << (i & 63)
+					lo, hi = min(lo, w), max(hi, w)
 				}
 				counts[i]++
 			}
@@ -408,14 +504,24 @@ func (ix *Index) EstimateAUWith(plan [][]int32, model logistic.Model, s *AUScrat
 	// summing final per-sample adoptions in sample order makes the two
 	// paths bit-identical by construction (untouched samples contribute
 	// an exact 0 to the scan's total, so skipping them changes nothing).
-	slices.Sort(s.touched)
 	total := 0.0
-	for _, i := range s.touched {
-		total += adoptAt[counts[i]]
+	for w := lo; w <= hi; w++ {
+		for word := touched[w]; word != 0; word &= word - 1 {
+			total += adoptAt[counts[w<<6|bits.TrailingZeros64(word)]]
+		}
 	}
-	for _, i := range s.touched {
-		counts[i] = 0
-		pieceSeen[i] = 0
-	}
+	s.clean(lo, hi)
 	return float64(m.n) * total / float64(m.Theta()), nil
+}
+
+// clean clears the state of the touched samples in words [lo, hi].
+func (s *AUScratch) clean(lo, hi int) {
+	for w := lo; w <= hi; w++ {
+		for word := s.touched[w]; word != 0; word &= word - 1 {
+			i := w<<6 | bits.TrailingZeros64(word)
+			s.counts[i] = 0
+			s.pieceSeen[i] = 0
+		}
+		s.touched[w] = 0
+	}
 }

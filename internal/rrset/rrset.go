@@ -434,6 +434,13 @@ func (m *mrrCore) estimateAUScanBounded(marks []*bitset.Stamp, plan [][]int32, m
 	if err := model.Validate(); err != nil {
 		return 0, err
 	}
+	// adoptAt[c] is Adoption(c): one table per call instead of a math.Exp
+	// per sample (held on the stack for any ℓ the solvers accept).
+	var buf [33]float64
+	adoptAt := buf[:0]
+	for c := 0; c <= m.l; c++ {
+		adoptAt = append(adoptAt, model.Adoption(c))
+	}
 	// active[j]: piece j has at least one in-graph seed marked.
 	active := make([]bool, m.l)
 	for j, seeds := range plan {
@@ -461,7 +468,7 @@ func (m *mrrCore) estimateAUScanBounded(marks []*bitset.Stamp, plan [][]int32, m
 				}
 			}
 		}
-		total += model.Adoption(count)
+		total += adoptAt[count]
 	}
 	return float64(m.n) * total / float64(theta), nil
 }
