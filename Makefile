@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race short vet bench bench-smoke bench-harness-smoke bench-pairs
+.PHONY: build test race short vet bench-harness-smoke bench-pairs
 
 build:
 	$(GO) build ./...
@@ -19,18 +19,7 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Machine-readable serving-path benchmarks: regenerates BENCH_serve.json
-# at the repo root (tracked — each PR commits its trajectory point; see
-# cmd/oipa-bench and BENCH.md).
-bench:
-	$(GO) run ./cmd/oipa-bench -out BENCH_serve.json
-
-# Fast variant for CI: small dataset, small theta, report to stdout so
-# the tracked trajectory file is not clobbered with smoke-scale numbers.
-bench-smoke:
-	$(GO) run ./cmd/oipa-bench -out - -scale 0.3 -theta 5000
-
-# The real ruler at smoke length: benchmark/ builds oipa-serve from the
+# The benchmark at smoke length: benchmark/ builds oipa-serve from the
 # tree, drives 5 s of a workload over loopback, and its oracle recomputes
 # sampled answers in-process through the unpruned explicit layout
 # constructor. Fails unless each run's last line reports every checked

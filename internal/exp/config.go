@@ -130,17 +130,6 @@ type Workload struct {
 // single-topic pieces, §VI-A), selects the promoter pool and prepares the
 // MRR instance.
 func BuildWorkload(c Config) (*Workload, error) {
-	return buildWorkload(c, nil)
-}
-
-// BuildWorkloadWithCampaign is BuildWorkload with an explicit campaign —
-// used by sweeps that need *nested* campaigns (Figure 5 evaluates the
-// prefixes of one fixed piece list so utility is comparable across ℓ).
-func BuildWorkloadWithCampaign(c Config, campaign topic.Campaign) (*Workload, error) {
-	return buildWorkload(c, &campaign)
-}
-
-func buildWorkload(c Config, explicit *topic.Campaign) (*Workload, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -149,16 +138,7 @@ func buildWorkload(c Config, explicit *topic.Campaign) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	var campaign topic.Campaign
-	if explicit != nil {
-		campaign = *explicit
-		if campaign.L() != c.L {
-			return nil, fmt.Errorf("exp: campaign has %d pieces, config says %d", campaign.L(), c.L)
-		}
-	} else {
-		rng := xrand.New(c.Seed + 1000)
-		campaign = topic.UniformCampaign(string(c.Preset), c.L, d.Z(), rng)
-	}
+	campaign := topic.UniformCampaign(string(c.Preset), c.L, d.Z(), xrand.New(c.Seed+1000))
 	pool, err := gen.PromoterPool(d.G, c.PoolFraction, c.Seed+2000)
 	if err != nil {
 		return nil, err

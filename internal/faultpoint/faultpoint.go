@@ -119,16 +119,6 @@ func Arm(name, spec string) error {
 	return nil
 }
 
-// Disarm removes the named point; a no-op when it is not armed.
-func Disarm(name string) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, ok := points[name]; ok {
-		delete(points, name)
-		armed.Add(-1)
-	}
-}
-
 // Reset disarms every point. Tests that arm points must defer it.
 func Reset() {
 	mu.Lock()

@@ -30,7 +30,7 @@ func TestErrorMode(t *testing.T) {
 			t.Fatalf("hit %d: %v", i, err)
 		}
 	}
-	Disarm("p")
+	Reset()
 	if err := Hit("p"); err != nil {
 		t.Fatalf("disarmed hit returned %v", err)
 	}

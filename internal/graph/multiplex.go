@@ -37,7 +37,6 @@ type Multiplex struct {
 	// absent); nil when layer a is identity-mapped.
 	toLocal [][]int32
 	caches  []*LayoutCache
-	fp      uint64
 }
 
 // NewMultiplex builds a multiplex over a universe of n nodes (n <= 0
@@ -96,7 +95,6 @@ func NewMultiplex(n int, layers []MultiplexLayer, layoutCapacity int) (*Multiple
 		}
 		m.caches[a] = NewLayoutCache(l.G, layoutCapacity)
 	}
-	m.fp = m.fingerprint()
 	return m, nil
 }
 
@@ -151,43 +149,6 @@ func (m *Multiplex) LayoutCacheStats() (entries int, bytes, hits, misses int64) 
 		entries, bytes, hits, misses = entries+c.Len(), bytes+c.MemUsage(), hits+h, misses+ms
 	}
 	return
-}
-
-// Fingerprint is a 64-bit content digest of the multiplex — universe
-// size, topic space, and every layer's edge structure, probabilities and
-// identity mapping. Two multiplexes built from equal inputs fingerprint
-// identically, so services can key prepared artifacts by it.
-func (m *Multiplex) Fingerprint() uint64 { return m.fp }
-
-func (m *Multiplex) fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(x uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (x >> s) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(m.n))
-	mix(uint64(m.z))
-	mix(uint64(len(m.layers)))
-	for _, l := range m.layers {
-		g := l.G
-		mix(uint64(g.N()))
-		mix(uint64(g.M()))
-		for eid := int32(0); int(eid) < g.M(); eid++ {
-			u, v := g.EdgeEndpoints(eid)
-			mix(uint64(uint32(u))<<32 | uint64(uint32(v)))
-			mix(g.EdgeProb(eid).Hash())
-		}
-		for _, u := range l.ToGlobal {
-			mix(uint64(uint32(u)))
-		}
-	}
-	return h
 }
 
 // CombinedGraph materializes the gateway-node reduction of the

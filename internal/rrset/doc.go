@@ -103,7 +103,7 @@
 //
 // Sampling is parallel and deterministic: sample i derives its RNG stream
 // from (seed, i), so any worker schedule — and any shard count — produces
-// bit-identical sets, estimates and serialized bytes. Workers claim
+// bit-identical sets and estimates. Workers claim
 // fixed-size blocks of sample indices from an atomic counter (work
 // stealing), so skewed RR-set sizes cannot strand the tail of the
 // workload behind one straggler; only the physical placement of a set

@@ -20,8 +20,11 @@ func TestEstimatorErrorConvention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty := emptyGraphMRR(g, nil, 9)
-	empty.l = 2
+	layouts, err := buildLayouts(g, probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := emptyGraphMRR(g, layouts, 9)
 	pool := []int32{0, 5, 10, 15, 20, 25}
 	ix, err := m.BuildIndex(pool)
 	if err != nil {

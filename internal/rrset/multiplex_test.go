@@ -189,10 +189,4 @@ func TestMultiplexSamplesMatchCombinedReduction(t *testing.T) {
 			t.Fatalf("index AU %v, scan AU %v", got, want)
 		}
 	}
-
-	// Serialization is single-graph-only; the multiplex path must refuse
-	// rather than write a file that cannot round-trip its substrate.
-	if err := m.Save(t.TempDir() + "/mux.mrr"); err == nil {
-		t.Fatal("multiplex collection serialized")
-	}
 }

@@ -299,8 +299,11 @@ func TestEmptyCollectionEstimates(t *testing.T) {
 	if got := c.View().EstimateSpread([]int32{0}); got != 0 {
 		t.Fatalf("empty-view spread = %v, want 0", got)
 	}
-	m := emptyGraphMRR(g, nil, 1)
-	m.l = 2
+	layouts, err := buildLayouts(g, probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := emptyGraphMRR(g, layouts, 1)
 	if got, err := m.EstimateAUScan([][]int32{{0}, {1}}, paperModel); err == nil || math.IsNaN(got) {
 		t.Fatalf("empty-collection AU scan: got (%v, %v), want an explicit error", got, err)
 	}

@@ -69,9 +69,7 @@ type substrate struct {
 	n      int
 	graphs []*graph.Graph // graphs[a] is the graph layer a's layouts are built for
 
-	// layouts[j][a] is piece j's layout on layer a. nil on a collection
-	// loaded from storage, which can be read but not extended.
-	layouts [][]*graph.PieceLayout
+	layouts [][]*graph.PieceLayout // layouts[j][a] is piece j's layout on layer a
 
 	// newPieceSampler returns a fresh per-worker sampler.
 	newPieceSampler func() pieceSampler
@@ -668,11 +666,10 @@ func SampleMRRWithRoots(g *graph.Graph, pieceProbs [][]float64, roots []int32, s
 // new sets append into the existing shards, so set contents are
 // independent of how growth was scheduled. Calling ExtendTo with
 // theta ≤ Theta() is a no-op: a collection never shrinks, and the
-// existing samples are untouched. Two kinds of collection refuse to
-// grow (error on any theta > Theta()): collections loaded from storage,
-// which carry no piece layouts to sample with, and collections built by
-// SampleMRRWithRoots, whose caller-pinned roots would otherwise be
-// silently mixed with (seed, i)-derived ones.
+// existing samples are untouched. Collections built by
+// SampleMRRWithRoots refuse to grow (error on any theta > Theta()):
+// their caller-pinned roots would otherwise be silently mixed with
+// (seed, i)-derived ones.
 func (m *MRRCollection) ExtendTo(theta int) error {
 	return m.ExtendToCtx(context.Background(), theta)
 }
@@ -697,9 +694,6 @@ func (m *MRRCollection) ExtendToCtx(ctx context.Context, theta int) error {
 	start := m.Theta()
 	if theta <= start {
 		return nil
-	}
-	if m.sub.layouts == nil {
-		return fmt.Errorf("rrset: collection loaded from storage has no piece layouts to extend with")
 	}
 	if m.rootsPinned {
 		return fmt.Errorf("rrset: collection has caller-pinned roots; extending would mix root distributions")

@@ -49,12 +49,8 @@ func newCollectionProbs(g *graph.Graph, probs []float64, seed uint64) (*Collecti
 }
 
 // emptyGraphMRR returns an empty one-graph collection over per-piece
-// layouts; with none it has no pieces and cannot be extended (tests set
-// its piece count by hand).
+// layouts.
 func emptyGraphMRR(g *graph.Graph, layouts []*graph.PieceLayout, seed uint64) *MRRCollection {
-	if layouts == nil {
-		return newMRRCollection(&substrate{g: g, n: g.N()}, 0, seed)
-	}
 	m, err := NewMRRCollection(g, nil, OneLayer(layouts), seed)
 	if err != nil {
 		panic(err)

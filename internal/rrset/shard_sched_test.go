@@ -2,43 +2,46 @@ package rrset
 
 // Schedule-invariance and growth tests for the sharded path, mirroring
 // geoskip_test.go's work-stealing tests: shard count and growth schedule
-// must never leak into results, serialized bytes, or previously taken
-// views.
+// must never leak into results or previously taken views.
 
 import (
-	"bytes"
 	"runtime"
 	"slices"
 	"testing"
 )
 
-// TestShardedWriteBytesScheduleInvariance serializes the same MRR
-// sampling at several shard counts (including ones that do not divide
-// the block count) and requires byte-identical output: the canonical
-// sample-major serialization must erase the physical shard layout.
-func TestShardedWriteBytesScheduleInvariance(t *testing.T) {
+// TestShardedSetsScheduleInvariance samples the same MRR collection at
+// several shard counts (including ones that do not divide the block
+// count) and requires identical roots and sets in read-side order: the
+// block directory must erase the physical shard layout.
+func TestShardedSetsScheduleInvariance(t *testing.T) {
 	g, probs := wcGraph(t, 29, 400, 4800)
 	const theta = 450 // 7 full blocks of 64 plus a 2-sample tail
-	serialize := func(workers int) []byte {
-		var buf bytes.Buffer
+	sample := func(workers int) *MRRCollection {
+		var m *MRRCollection
 		atGOMAXPROCS(workers, func() {
-			m, err := SampleMRR(g, probs, theta, 41)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if workers > 1 && m.Shards() < 2 {
-				t.Fatalf("workers=%d produced %d shards", workers, m.Shards())
-			}
-			if err := m.Write(&buf); err != nil {
+			var err error
+			if m, err = SampleMRR(g, probs, theta, 41); err != nil {
 				t.Fatal(err)
 			}
 		})
-		return buf.Bytes()
+		if workers > 1 && m.Shards() < 2 {
+			t.Fatalf("workers=%d produced %d shards", workers, m.Shards())
+		}
+		return m
 	}
-	ref := serialize(1)
+	ref := sample(1)
 	for _, workers := range []int{2, 3, 5, runtime.NumCPU()} {
-		if got := serialize(workers); !bytes.Equal(got, ref) {
-			t.Fatalf("workers=%d: serialized bytes differ from serial run", workers)
+		m := sample(workers)
+		for i := 0; i < theta; i++ {
+			if m.Root(i) != ref.Root(i) {
+				t.Fatalf("workers=%d: root %d differs from serial run", workers, i)
+			}
+			for j := 0; j < m.L(); j++ {
+				if !slices.Equal(m.Set(i, j), ref.Set(i, j)) {
+					t.Fatalf("workers=%d: set (%d, %d) differs from serial run", workers, i, j)
+				}
+			}
 		}
 	}
 }
@@ -134,34 +137,6 @@ func TestExtendToSmallerThetaNoOp(t *testing.T) {
 		if m.Theta() != 90 || m.TotalSize() != size {
 			t.Fatalf("MRR ExtendTo(%d) changed the collection", smaller)
 		}
-	}
-}
-
-// TestLoadedMRRExtendToRejected: collections loaded from storage carry
-// no piece layouts; growing them must fail loudly, while no-op calls
-// stay no-ops.
-func TestLoadedMRRExtendToRejected(t *testing.T) {
-	g, probs := randomTestGraph(t, 34, 30, 120)
-	m, err := SampleMRR(g, probs, 50, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := m.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadMRR(&buf, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := back.ExtendTo(40); err != nil {
-		t.Fatalf("no-op ExtendTo on loaded collection errored: %v", err)
-	}
-	if err := back.ExtendTo(60); err == nil {
-		t.Fatal("growing a loaded collection silently succeeded")
-	}
-	if back.Theta() != 50 {
-		t.Fatalf("failed ExtendTo changed theta to %d", back.Theta())
 	}
 }
 

@@ -405,15 +405,19 @@ func TestSketchConcurrentReadDuringGrowth(t *testing.T) {
 	checkSketchInvariant(t, cur)
 }
 
-// TestSketchSurvivesSerialization pins the documented re-attach path:
-// sketches are NOT serialized by the MRR format, so a loaded collection
-// recovers them by rebuilding the index and calling AttachSketches —
-// which must reproduce the fresh-built sketches bit for bit, because the
-// sketch is deterministic in (salt = seed ^ tweak, θ, inverted lists)
-// and all three survive the round trip.
-func TestSketchSurvivesSerialization(t *testing.T) {
+// TestSketchSurvivesRebuild pins the re-attach path: sketches are not
+// part of a collection, so an artifact rebuilt from the same (graph,
+// layouts, seed) — here on a different worker schedule — recovers them
+// by indexing and calling AttachSketches, which must reproduce the first
+// build's sketches bit for bit: the sketch is deterministic in
+// (salt = seed ^ tweak, θ, inverted lists) and a rebuild repeats all three.
+func TestSketchSurvivesRebuild(t *testing.T) {
 	g, probs := randomTestGraph(t, 11, 400, 4000)
-	m, err := SampleMRR(g, probs, 3000, 7)
+	layouts, err := buildLayouts(g, probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := SampleMRRLayouts(g, layouts, 3000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,15 +433,13 @@ func TestSketchSurvivesSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := t.TempDir() + "/roundtrip.mrr"
-	if err := m.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadMRR(path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lix, err := loaded.BuildIndex(pool)
+	var rebuilt *MRRCollection
+	atGOMAXPROCS(1, func() {
+		if rebuilt, err = SampleMRRLayouts(g, layouts, 3000, 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	lix, err := rebuilt.BuildIndex(pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +450,7 @@ func TestSketchSurvivesSerialization(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	indexesEqual(t, "loaded index", lix, fresh)
+	indexesEqual(t, "rebuilt index", lix, fresh)
 	a, b := fresh.sk, lix.sk
 	if a.salt != b.salt || a.k != b.k {
 		t.Fatalf("sketch params differ: salt %x/%x k %d/%d", a.salt, b.salt, a.k, b.k)
@@ -462,7 +464,7 @@ func TestSketchSurvivesSerialization(t *testing.T) {
 		}
 		for x := range a.ids[slot] {
 			if a.ids[slot][x] != b.ids[slot][x] || a.hs[slot][x] != b.hs[slot][x] {
-				t.Fatalf("slot %d entry %d differs after round trip", slot, x)
+				t.Fatalf("slot %d entry %d differs after rebuild", slot, x)
 			}
 		}
 	}
@@ -477,7 +479,7 @@ func TestSketchSurvivesSerialization(t *testing.T) {
 			t.Fatal(err)
 		}
 		if x != y {
-			t.Fatalf("sketch estimates diverge after round trip: %v vs %v", x, y)
+			t.Fatalf("sketch estimates diverge after rebuild: %v vs %v", x, y)
 		}
 	}
 }

@@ -153,10 +153,12 @@ func (st *store) set(s int64) []int32 {
 
 // compactPrefix returns a store holding the first numSamples samples of
 // st (numSamples·setsPerSample sets, in deterministic order), re-packed
-// into a single shard with exact-fit arenas (packedStore). It is the
-// storage half of ShrinkTo — the copy owns its memory, so dropping the
-// source store actually releases the tail samples (and any slack
-// capacity the append-only shards accumulated).
+// into a single shard with exact-fit arenas. It is the storage half of
+// ShrinkTo — the copy owns its memory, so dropping the source store
+// actually releases the tail samples (and any slack capacity the
+// append-only shards accumulated). The shard holds every set in the
+// order of a single serial worker, so the directory is one run whose
+// blocks lie back-to-back in shard 0.
 func (st *store) compactPrefix(numSamples int) store {
 	numSets := int64(numSamples) * int64(st.setsPerSample)
 	total := int64(0)
@@ -168,20 +170,12 @@ func (st *store) compactPrefix(numSamples int) store {
 		sh.nodes = append(sh.nodes, st.set(s)...)
 		sh.closeSet()
 	}
-	return packedStore(sh, st.setsPerSample)
-}
-
-// packedStore wraps one shard that holds every set in deterministic
-// order — the worker order of a single serial worker — so the directory
-// is one run whose blocks lie back-to-back in shard 0.
-func packedStore(sh shard, setsPerSample int) store {
-	numSets := int64(len(sh.offsets))
-	spb := int64(sampleBlockSize * setsPerSample)
+	spb := int64(sampleBlockSize * st.setsPerSample)
 	blocks := make([]blockLoc, (numSets+spb-1)/spb)
 	for b := range blocks {
 		blocks[b] = blockLoc{shard: 0, off: int64(b) * spb}
 	}
-	return store{shards: []shard{sh}, blocks: blocks, runs: []run{{}}, setsPerSample: setsPerSample, numSets: numSets}
+	return store{shards: []shard{sh}, blocks: blocks, runs: []run{{}}, setsPerSample: st.setsPerSample, numSets: numSets}
 }
 
 // memUsage returns the store's resident bytes: shard arenas (capacity,

@@ -102,7 +102,8 @@ func declaredNames(t *testing.T) map[string]bool {
 
 // TestExportedSurface pins the constructor surface: one substrate-generic
 // constructor per collection kind plus thin wrappers, no *Ctx twins, no
-// fused-count API.
+// fused-count API, and no file format (every substrate comes from
+// newSubstrate).
 func TestExportedSurface(t *testing.T) {
 	want := map[string]bool{"NewCollectionLayers": true, "NewCollectionLayout": true, "NewMRRCollection": true,
 		"SampleMRR": true, "SampleMRRLayouts": true, "SampleMRRMultiplexLayouts": true, "SampleMRRWithRoots": true}
@@ -121,7 +122,8 @@ func TestExportedSurface(t *testing.T) {
 			t.Errorf("constructor %s is gone", name)
 		}
 	}
-	for _, gone := range []string{"DropSampleCounts", "counted", "shardsAfter"} {
+	for _, gone := range []string{"DropSampleCounts", "counted", "shardsAfter",
+		"Write", "Save", "ReadMRR", "LoadMRR", "packedStore"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}

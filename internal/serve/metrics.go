@@ -12,10 +12,7 @@ import (
 // Counters are plain atomics and histogram observations are one atomic
 // add — cheap enough for every request path to touch — and are exported
 // in one consistent snapshot via Server.Metrics (served at /metrics as
-// JSON and at /metrics?format=prometheus as text exposition). disabled
-// (set once before serving, never mutated after) turns every histogram
-// observation into a no-op; the benchmark harness uses it to measure the
-// instrumentation's own cost.
+// JSON and at /metrics?format=prometheus as text exposition).
 type metrics struct {
 	solveRequests    atomic.Int64
 	estimateRequests atomic.Int64
@@ -82,16 +79,6 @@ type metrics struct {
 	phaseExtend  obs.Histogram // growth step (delta sampling + index delta)
 	phaseIndex   obs.Histogram // index work alone (build on prepare, delta on extend)
 	phaseShrink  obs.Histogram // governor re-materializations
-
-	disabled bool // skip histogram observes (benchmark overhead mode)
-}
-
-// observe records one duration unless observability is disabled.
-func (m *metrics) observe(h *obs.Histogram, d time.Duration) {
-	if m.disabled {
-		return
-	}
-	h.Observe(d)
 }
 
 // latency returns the request-latency histogram for an endpoint class

@@ -388,28 +388,3 @@ func TestSlowRequestLog(t *testing.T) {
 		t.Fatalf("slow log record: %+v", rec)
 	}
 }
-
-// DisableObs: requests still work and counters still count, but
-// histograms stay empty and ?debug=trace returns no tree.
-func TestDisableObs(t *testing.T) {
-	s := testServer(t, func(c *Config) { c.DisableObs = true })
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var resp SolveResponse
-	if code, raw := postJSON(t, ts, "/v1/solve?debug=trace", SolveRequest{
-		Campaign: testCampaign(0), K: 2, Theta: 200,
-	}, &resp); code != http.StatusOK {
-		t.Fatalf("solve status %d: %s", code, raw)
-	}
-	if resp.Trace != nil {
-		t.Fatal("DisableObs server returned a trace")
-	}
-	snap := s.Metrics()
-	if snap.Latency.Solve.Count != 0 {
-		t.Fatalf("DisableObs solve latency count = %d, want 0", snap.Latency.Solve.Count)
-	}
-	if snap.Requests.Solve != 1 || snap.Solves.Total != 1 {
-		t.Fatalf("plain counters stopped: %+v", snap.Requests)
-	}
-}

@@ -225,9 +225,8 @@ type Registry struct {
 	// on a single-graph server. Requests selecting a proper layer subset
 	// are served off sub-multiplexes derived from it — cached per
 	// layer-set mask in subs (which also holds mx itself, under the full
-	// mask) so each subset's layout caches and combined fingerprint are
-	// built once. layoutCap sizes the per-layer layout caches of those
-	// derived sub-multiplexes.
+	// mask) so each subset's layout caches are built once. layoutCap
+	// sizes the per-layer layout caches of those derived sub-multiplexes.
 	mx        *graph.Multiplex
 	numLayers int // layers requests may select: mx.L(), or 1 on a single-graph server
 	layoutCap int
@@ -335,7 +334,7 @@ func (r *Registry) layerMask(layers []int) (uint64, error) {
 // derived multiplex over the selected layers — same universe, same
 // per-layer graphs and identity mappings, its own layout caches —
 // memoized per mask so repeated campaigns over the same layer set share
-// layouts and the combined-graph fingerprint.
+// layouts.
 func (r *Registry) subMultiplex(mask uint64) (*graph.Multiplex, error) {
 	r.subMu.Lock()
 	defer r.subMu.Unlock()
@@ -526,7 +525,7 @@ func (r *Registry) serveEntry(ctx context.Context, e *entry, campaign topic.Camp
 	na, err := r.growContained(growCtx, e, a, theta)
 	sp.End()
 	if err == nil {
-		r.m.observe(&r.m.phaseExtend, time.Since(growStart))
+		r.m.phaseExtend.Observe(time.Since(growStart))
 	}
 	if err != nil {
 		// The old snapshot is untouched and stays published; a later
@@ -571,7 +570,7 @@ func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, the
 	r.m.indexExtendNS.Add(inst.IndexTime.Nanoseconds())
 	// After ExtendTo the instance's IndexTime covers only the O(Δθ)
 	// delta — exactly the index share of this growth step.
-	r.m.observe(&r.m.phaseIndex, inst.IndexTime)
+	r.m.phaseIndex.Observe(inst.IndexTime)
 	a.evals.EnsureTheta(theta)
 	return &Artifact{theta: theta, inst: inst, evals: a.evals}, nil
 }
@@ -689,8 +688,8 @@ func (r *Registry) prepareArtifact(ctx context.Context, campaign topic.Campaign,
 			return nil, fmt.Errorf("serve: attach sketches: %w", err)
 		}
 	}
-	r.m.observe(&r.m.phasePrepare, time.Since(start))
-	r.m.observe(&r.m.phaseIndex, inst.IndexTime)
+	r.m.phasePrepare.Observe(time.Since(start))
+	r.m.phaseIndex.Observe(inst.IndexTime)
 	return &Artifact{theta: theta, inst: inst, evals: core.NewEvaluatorPool(inst)}, nil
 }
 
@@ -910,7 +909,7 @@ func (r *Registry) shrinkEntry(e *entry, target int) {
 	if err != nil {
 		return
 	}
-	r.m.observe(&r.m.phaseShrink, time.Since(shrinkStart))
+	r.m.phaseShrink.Observe(time.Since(shrinkStart))
 	// A fresh evaluator pool sized at the shrunk θ: the old pool's
 	// θ-sized scratch arrays would otherwise keep (a multiple of) the
 	// shed bytes alive.

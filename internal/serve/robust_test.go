@@ -85,6 +85,101 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	}
 }
 
+// A burst of identical solves far past admission capacity, each admitted
+// solve held past its own deadline, gets exactly three answers: the one
+// solve that runs degrades to its incumbent (200, degraded); the admitted
+// requests coalesced onto it outlive their deadline waiting (503); the
+// rest overflow the queue or expire in it (429). Every shed carries
+// Retry-After, and /metrics counts exactly what the clients saw.
+func TestSaturationBurstAccounting(t *testing.T) {
+	defer faultpoint.Reset()
+	const solveSlots, requests, timeoutMS = 2, 12, 100
+	s := testServer(t, func(c *Config) {
+		c.AdmitCapacity = solveSlots * weightSolve
+		c.AdmitQueue = solveSlots
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req := SolveRequest{Campaign: testCampaign(0, 1), Method: "babp", K: 3, Theta: 400, TimeoutMS: timeoutMS}
+	if code, body := postJSON(t, ts, "/v1/solve", req, nil); code != 200 {
+		t.Fatalf("warm solve: status %d: %s", code, body)
+	}
+	before := s.Metrics().Server
+	// The hold sits between artifact acquisition and dispatch, well past
+	// the deadline, so no request can outlive the solve it coalesced onto.
+	if err := faultpoint.Arm("serve.solve.dispatch", "delay:400ms"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		status int
+		retry  string
+		resp   SolveResponse
+		err    error
+	}
+	outcomes := make([]outcome, requests)
+	var wg sync.WaitGroup
+	for i := range outcomes {
+		wg.Add(1)
+		go func(o *outcome) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(data))
+			if err != nil {
+				o.err = err
+				return
+			}
+			defer resp.Body.Close()
+			o.status, o.retry = resp.StatusCode, resp.Header.Get("Retry-After")
+			if resp.StatusCode == 200 {
+				o.err = json.NewDecoder(resp.Body).Decode(&o.resp)
+			}
+		}(&outcomes[i])
+	}
+	wg.Wait()
+
+	counts := map[int]int{}
+	degraded := 0
+	for i, o := range outcomes {
+		switch {
+		case o.err != nil:
+			t.Fatalf("request %d: %v", i, o.err)
+		case o.status == 200:
+			if !o.resp.Degraded || len(o.resp.Plan) == 0 {
+				t.Errorf("request %d: 200 with degraded=%v and %d-piece plan, want a degraded incumbent", i, o.resp.Degraded, len(o.resp.Plan))
+			}
+			if !o.resp.Coalesced { // a coalesced copy is a response, not a solve
+				degraded++
+			}
+		case o.status == 429 || o.status == 503:
+			if o.retry == "" {
+				t.Errorf("request %d: %d without Retry-After", i, o.status)
+			}
+		default:
+			t.Errorf("request %d: status %d, want 200, 429 or 503", i, o.status)
+		}
+		counts[o.status]++
+	}
+	for _, status := range []int{200, 429, 503} {
+		if counts[status] == 0 {
+			t.Errorf("no %d in the burst (outcomes %v)", status, counts)
+		}
+	}
+	after := s.Metrics().Server
+	if shed := int64(counts[429] + counts[503]); after.ShedTotal-before.ShedTotal != shed {
+		t.Errorf("shed_total grew by %d, clients saw %d sheds", after.ShedTotal-before.ShedTotal, shed)
+	}
+	if after.DegradedSolves-before.DegradedSolves != int64(degraded) {
+		t.Errorf("degraded_solves grew by %d, clients saw %d degraded solves", after.DegradedSolves-before.DegradedSolves, degraded)
+	}
+	if after.PanicsTotal != 0 {
+		t.Errorf("panics_total = %d", after.PanicsTotal)
+	}
+}
+
 // A solve whose deadline expires mid-request degrades gracefully: 200
 // with degraded=true and a valid incumbent, not a 500 or an empty plan.
 func TestDeadlineDegradesSolve(t *testing.T) {

@@ -189,10 +189,6 @@ type Config struct {
 	// ?debug=trace additionally returns the tree inline in the response.
 	// 0 disables sampling.
 	TraceSample float64
-	// DisableObs turns off histogram observations and trace sampling
-	// (plain counters still run). The benchmark harness uses it to
-	// measure the instrumentation's own overhead.
-	DisableObs bool
 }
 
 func (c *Config) fillDefaults() {
@@ -287,8 +283,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.TraceSample < 0 || cfg.TraceSample > 1 {
 		return nil, fmt.Errorf("serve: trace sample rate %v outside [0,1]", cfg.TraceSample)
 	}
-	s.m.disabled = cfg.DisableObs
-	if cfg.TraceSample > 0 && !cfg.DisableObs {
+	if cfg.TraceSample > 0 {
 		s.traceEvery = int64(math.Round(1 / cfg.TraceSample))
 		if s.traceEvery < 1 {
 			s.traceEvery = 1
@@ -427,12 +422,10 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 		start := time.Now()
 		ri := &reqInfo{id: obs.NewRequestID(), endpoint: endpoint}
 		ctx := r.Context()
-		if !s.m.disabled {
-			ri.debug = r.URL.Query().Get("debug") == "trace"
-			if ri.debug || (s.traceEvery > 0 && s.traceSeq.Add(1)%s.traceEvery == 0) {
-				ctx, ri.trace = obs.NewTrace(ctx, ri.id, endpoint)
-				s.m.tracedRequests.Add(1)
-			}
+		ri.debug = r.URL.Query().Get("debug") == "trace"
+		if ri.debug || (s.traceEvery > 0 && s.traceSeq.Add(1)%s.traceEvery == 0) {
+			ctx, ri.trace = obs.NewTrace(ctx, ri.id, endpoint)
+			s.m.tracedRequests.Add(1)
 		}
 		ctx = context.WithValue(ctx, reqInfoKey{}, ri)
 		sw := &statusWriter{ResponseWriter: w}
@@ -440,7 +433,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 
 		dur := time.Since(start)
 		if hg := s.m.latency(endpoint); hg != nil {
-			s.m.observe(hg, dur)
+			hg.Observe(dur)
 		}
 		slow := s.cfg.SlowRequest > 0 && dur >= s.cfg.SlowRequest
 		if slow {
@@ -732,7 +725,7 @@ func (s *Server) acquireSlot(ctx context.Context, weight int64) (func(), error) 
 	_, sp := obs.StartSpan(ctx, "admit")
 	waitStart := time.Now()
 	err := s.admit.acquire(ctx, weight)
-	s.m.observe(&s.m.latAdmit, time.Since(waitStart))
+	s.m.latAdmit.Observe(time.Since(waitStart))
 	sp.End()
 	if err != nil {
 		s.inflight.leave()
@@ -1357,7 +1350,7 @@ func (s *Server) solveCoalesced(ctx context.Context, req SolveRequest) (*SolveRe
 func (s *Server) runJob(j *job) {
 	ctx := j.ctx
 	var tr *obs.Trace
-	if j.traced && !s.m.disabled {
+	if j.traced {
 		ctx, tr = obs.NewTrace(ctx, j.reqID, "solve")
 	}
 	resp, err := s.solveCoalesced(ctx, j.req)

@@ -42,13 +42,15 @@ func declaredNames(t *testing.T) map[string]bool {
 }
 
 // TestExportedSurface pins one registry lookup, context-only
-// cancellation, and the two metric expositions that have readers.
+// cancellation, the two metric expositions that have readers, and
+// instrumentation that is always on.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	if !names["Instance"] {
 		t.Error("Registry.Instance is gone")
 	}
-	for _, gone := range []string{"InstanceLayers", "stopCtx", "PublishExpvar", "CountsDroppedBytes"} {
+	for _, gone := range []string{"InstanceLayers", "stopCtx", "PublishExpvar", "CountsDroppedBytes",
+		"DisableObs", "disabled"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}

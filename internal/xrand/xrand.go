@@ -149,14 +149,6 @@ func (r *SplitMix64) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomizes the order of n elements by repeatedly calling swap.
-func (r *SplitMix64) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Sample returns k distinct values drawn uniformly from [0, n) without
 // replacement. It uses Floyd's algorithm, O(k) expected time and memory,
 // so it stays cheap even when n is in the millions. Results are returned
