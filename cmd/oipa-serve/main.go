@@ -48,12 +48,11 @@ func main() {
 		maxTheta  = flag.Int("maxtheta", 2_000_000, "reject requests above this many samples")
 		layouts   = flag.Int("layouts", 128, "piece-layout cache capacity, in layouts: each holds 12 bytes per edge the piece can cross plus 32 per node, and 8 per graph edge plus 24 per node more once /v1/simulate has used it (layout_bytes at /metrics is the total)")
 		instances = flag.Int("instances", 8, "prepared-instance cache capacity")
-		sketchK   = flag.Int("sketch-k", 0, "bottom-k coverage sketch size attached to prepared indexes (0 = disabled): estimates and interior solve evaluations at theta >= 8k are served from the sketch in O(k) per seed, with exact-scan fallback and exact re-verification of published utilities")
+		sketchK   = flag.Int("sketch-k", 0, "bottom-k coverage sketch size attached to prepared indexes, estimates only (0 = disabled): /v1/estimate requests at theta >= 8k are served from the sketch in O(k) per seed, with exact-scan fallback; solves always search exactly")
 		memBudget = flag.Int64("mem-budget", 0, "soft resident-bytes budget for prepared artifacts (0 = ungoverned): over budget, cold grown entries are theta-shrunk to their recently requested theta, then fully cold entries are LRU-evicted")
 		memEpoch  = flag.Int("mem-epoch", 64, "memory-governor recency window, in registry requests")
 		memTick   = flag.Duration("mem-tick", 30*time.Second, "background memory-governor tick interval (negative = request-driven reclaim only)")
 		workers   = flag.Int("workers", 0, "async solve workers (0 = GOMAXPROCS)")
-		solveWrk  = flag.Int("solve-workers", 1, "default intra-solve search workers for bab/babp (results are bit-identical at any count; requests may override with solve_workers, capped by the admission weight)")
 		queue     = flag.Int("queue", 64, "async job backlog bound")
 		reqTmo    = flag.Duration("request-timeout", 30*time.Second, "server-side deadline per synchronous request; client timeout_ms is capped by it")
 		admitCap  = flag.Int("admit-capacity", 0, "admission semaphore capacity in weight units (solve/simulate=2, estimate=1; 0 = 2x GOMAXPROCS)")
@@ -126,7 +125,6 @@ func main() {
 		MemEpoch:         *memEpoch,
 		MemTick:          *memTick,
 		Workers:          *workers,
-		SolveWorkers:     *solveWrk,
 		QueueDepth:       *queue,
 		RequestTimeout:   *reqTmo,
 		AdmitCapacity:    *admitCap,

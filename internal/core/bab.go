@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"oipa/internal/logistic"
-	"oipa/internal/rrset"
 )
 
 // BABOptions tunes the branch-and-bound framework (Algorithm 1).
@@ -42,34 +41,10 @@ type BABOptions struct {
 	// first. This is the reentrant cancellation hook the query service
 	// wires to HTTP request contexts and job cancellation.
 	Stop <-chan struct{}
-	// Sketch routes interior incumbent-candidate evaluations through the
-	// index's bottom-k sketch estimator (Index.EstimateAUSketchWith) when
-	// sketches are attached: O(k·|plan|) per evaluation instead of a θ-
-	// proportional exact scan. The search stays sound — and the returned
-	// Utility stays exact — because sketch numbers never leak into the
-	// published result: a sketch-estimated candidate that beats the
-	// incumbent is re-verified with the exact scan and adopted only if
-	// the exact value still wins, and prune() compares bounds against
-	// that exact incumbent. The root candidate is always evaluated
-	// exactly. Ignored when the index has no sketches attached.
-	Sketch bool
-	// Workers sets the number of search workers for branch-and-bound.
-	// 1 (or 0) keeps today's sequential loop. Above 1, node expansions —
-	// the bound computations and candidate evaluations that dominate the
-	// search — are precomputed speculatively by Workers−1 extra workers,
-	// each with its own evaluator, while a commit loop replays the exact
-	// sequential expansion order. Results are therefore bit-identical to
-	// Workers=1 for every worker count, at any Tolerance: the same plan,
-	// utility, upper bound, and U <= L·(1+Tolerance) certificate.
-	// Pruning races the latest exact incumbent (published atomically,
-	// only after exact re-verification), so speculation work is sound;
-	// its only cost is wasted expansions, reported in SolverStats.
+	// Workers is ignored: the search is sequential. The field remains only
+	// because the benchmark harness (benchmark/layers.go) still sets it;
+	// it goes together with the harness rows that time it.
 	Workers int
-	// TraceWorker, when non-nil, is invoked once per extra search worker
-	// (ids 1..Workers−1) as the worker starts; the returned func is
-	// called when the worker exits. The serve tier uses it to attach
-	// per-worker child spans to the solve.parallel trace span.
-	TraceWorker func(worker int) func()
 	// RawGap measures the termination gap on the raw Eq. (6) scale, in
 	// which every user — covered or not — contributes at least
 	// Sigmoid(−α). The paper's L and U both carry that additive
@@ -129,31 +104,19 @@ func (h *babHeap) Pop() interface{} {
 	return item
 }
 
-// evalCheckout checks out one additional evaluator for a parallel search
-// worker. The returned release func must be called when the worker is
-// done with it. Pooled solves hand the pool's acquire/release pair here
-// (the EvaluatorPool multi-checkout path); unpooled solves allocate.
-type evalCheckout func() (*evaluator, func(), error)
-
-func directCheckout(inst *Instance) evalCheckout {
-	return func() (*evaluator, func(), error) {
-		return newEvaluator(inst), func() {}, nil
-	}
-}
-
 // SolveBAB runs the plain branch-and-bound framework: Algorithm 1 with
 // Algorithm 2 as the bound estimator. It returns a plan whose
 // MRR-estimated utility is within (1−1/e)/(1+Tolerance) of the
 // MRR-estimated optimum (Theorem 2).
 func SolveBAB(inst *Instance, opts BABOptions) (*Result, error) {
-	return solveBABWith(inst, newEvaluator(inst), directCheckout(inst), opts)
+	return solveBABWith(inst, newEvaluator(inst), opts)
 }
 
 // solveBABWith applies the BAB entry-point normalization once for both
 // the plain and the pooled path.
-func solveBABWith(inst *Instance, ev *evaluator, co evalCheckout, opts BABOptions) (*Result, error) {
+func solveBABWith(inst *Instance, ev *evaluator, opts BABOptions) (*Result, error) {
 	opts.Progressive = false
-	return solveBranchAndBound(inst, ev, co, opts, "BAB")
+	return solveBranchAndBound(inst, ev, opts, "BAB")
 }
 
 // SolveBABP runs branch-and-bound with the progressive upper-bound
@@ -163,7 +126,7 @@ func SolveBABP(inst *Instance, opts BABOptions) (*Result, error) {
 	if err := validateBABP(opts); err != nil {
 		return nil, err
 	}
-	return solveBABPWith(inst, newEvaluator(inst), directCheckout(inst), opts)
+	return solveBABPWith(inst, newEvaluator(inst), opts)
 }
 
 func validateBABP(opts BABOptions) error {
@@ -173,9 +136,9 @@ func validateBABP(opts BABOptions) error {
 	return nil
 }
 
-func solveBABPWith(inst *Instance, ev *evaluator, co evalCheckout, opts BABOptions) (*Result, error) {
+func solveBABPWith(inst *Instance, ev *evaluator, opts BABOptions) (*Result, error) {
 	opts.Progressive = true
-	return solveBranchAndBound(inst, ev, co, opts, "BAB-P")
+	return solveBranchAndBound(inst, ev, opts, "BAB-P")
 }
 
 // SolveGreedy runs a single bound computation from the empty plan and
@@ -214,12 +177,9 @@ func solveGreedy(inst *Instance, ev *evaluator, opts BABOptions) (*Result, error
 	}, nil
 }
 
-func solveBranchAndBound(inst *Instance, ev *evaluator, co evalCheckout, opts BABOptions, name string) (*Result, error) {
+func solveBranchAndBound(inst *Instance, ev *evaluator, opts BABOptions, name string) (*Result, error) {
 	if opts.Tolerance < 0 {
 		return nil, fmt.Errorf("core: negative tolerance %v", opts.Tolerance)
-	}
-	if opts.Workers > 1 {
-		return solveBranchAndBoundParallel(inst, ev, co, opts, name)
 	}
 	start := time.Now()
 	k := inst.Problem.K
@@ -231,32 +191,13 @@ func solveBranchAndBound(inst *Instance, ev *evaluator, co evalCheckout, opts BA
 	stats.BoundEvals++
 	rootBR := ev.bound(nil, nil, k, &opts)
 	bestPlan, bestUtil := ev.materialize(nil, rootBR.picks), ev.utility()
-	globalUpper := rootBR.tau
 
-	// Interior candidate evaluations may go through the sketch; the exact
-	// utility stays the reference for the root, for incumbent
-	// re-verification, and for the published Utility.
-	var sks *rrset.SketchScratch
-	if opts.Sketch && inst.Index.HasSketches() {
-		sks = rrset.NewSketchScratch()
-	}
-	evaluate := func(plan *planNode, picks []candidate) (float64, error) {
-		if sks == nil {
-			return ev.utility(), nil
-		}
-		stats.SketchEvals++
-		util, err := inst.Index.EstimateAUSketchWith(ev.materialize(plan, picks).Seeds, inst.Problem.Model, sks)
-		if err != nil || util <= bestUtil {
-			return util, err
-		}
-		// Sketch numbers steer the search but never become the
-		// incumbent: re-verify exactly, so the caller adopts only if the
-		// exact value still beats the (exact) incumbent. prune() therefore
-		// always compares bounds against an exact lower bound, keeping the
-		// certificate sound regardless of sketch error.
-		stats.ReVerifyEvals++
-		return ev.utility(), nil
-	}
+	// setAside is the largest bound of any subtree the search left
+	// unexpanded: pruned children, nodes that cannot be extended, and
+	// whatever is still open when the loop ends. Those subtrees hold every
+	// plan the search did not score, so Upper is max(bestUtil, setAside)
+	// on every exit path.
+	setAside := 0.0
 
 	// Nodes, their chains and the heap come from the evaluator: a warm
 	// search allocates almost nothing per node.
@@ -280,32 +221,27 @@ func solveBranchAndBound(inst *Instance, ev *evaluator, co evalCheckout, opts BA
 		return upper+gapBase <= (bestUtil+gapBase)*(1+opts.Tolerance)
 	}
 
-	stopped := false
-	for h.Len() > 0 && !stopped {
+search:
+	for h.Len() > 0 {
 		if opts.Stop != nil {
 			select {
 			case <-opts.Stop:
-				// Canceled: return the incumbent with the residual global
-				// upper bound — still a valid (utility, upper) pair, since
-				// bounds only shrink as the search proceeds.
-				stopped = true
-				continue
+				// Canceled: return the incumbent with the bound over what
+				// is still open.
+				break search
 			default:
 			}
 		}
 		node := heap.Pop(h).(*babNode)
-		// The heap is ordered by upper bound, so the popped entry carries
-		// the global upper bound over all unexplored subtrees.
-		globalUpper = node.upper
-		if prune(node.upper) {
-			globalUpper = node.upper
-			break // L >= U(1+tol): the incumbent is certified
+		if prune(node.upper) || (opts.MaxNodes > 0 && stats.Nodes >= opts.MaxNodes) {
+			// Certified (L >= U(1+tol), and the heap holds nothing
+			// higher) or out of budget: the popped node stays open.
+			setAside = max(setAside, node.upper)
+			break
 		}
 		if node.branch < 0 || node.plan.len() >= k {
+			setAside = max(setAside, node.upper)
 			continue // subtree cannot be extended further
-		}
-		if opts.MaxNodes > 0 && stats.Nodes >= opts.MaxNodes {
-			break
 		}
 		stats.Nodes++
 
@@ -324,24 +260,19 @@ func solveBranchAndBound(inst *Instance, ev *evaluator, co evalCheckout, opts BA
 			stats.BoundEvals++
 			front := ev.prepareNode(ch.plan, ch.excl, node.front, ch.include)
 			br := ev.estimate(k-ch.plan.len(), &opts)
-			candUtil, err := evaluate(ch.plan, br.picks)
-			if err != nil {
-				return nil, err
-			}
-			if candUtil > bestUtil {
-				bestUtil = candUtil
+			if util := ev.utility(); util > bestUtil {
+				bestUtil = util
 				bestPlan = ev.materialize(ch.plan, br.picks)
 			}
-			if !prune(br.tau) {
+			if prune(br.tau) {
+				setAside = max(setAside, br.tau)
+			} else {
 				push(ch.plan, ch.excl, front, br.tau, br.branch)
 			}
 		}
 	}
-	if h.Len() == 0 && !stopped {
-		// Search space exhausted: every subtree was expanded or pruned
-		// against an incumbent no better than the final one, so the
-		// residual upper bound is at most bestUtil·(1+tol).
-		globalUpper = bestUtil * (1 + opts.Tolerance)
+	if h.Len() > 0 {
+		setAside = max(setAside, (*h)[0].upper) // the heap's top is its largest bound
 	}
 
 	ev.prepare(nil, nil) // release dirty state (keeps the evaluator reusable)
@@ -350,7 +281,7 @@ func solveBranchAndBound(inst *Instance, ev *evaluator, co evalCheckout, opts BA
 		Method:  name,
 		Plan:    bestPlan,
 		Utility: bestUtil,
-		Upper:   globalUpper,
+		Upper:   max(bestUtil, setAside),
 		Elapsed: time.Since(start),
 		Stats:   stats,
 	}, nil

@@ -84,6 +84,21 @@ func randomProblem(t testing.TB, seed uint64, n, m, poolSize, l, k int) *Problem
 	}
 }
 
+// branchyInstance prepares a random instance under a steep logistic model
+// (the default α=2 tangent bound is tight enough to certify most random
+// instances at the root — useless for exercising the search). The steeper
+// sigmoid opens a real bound gap, so Tolerance=0 expands a proper tree.
+func branchyInstance(t *testing.T, seed uint64, n, m, pool, l, k, theta int, instSeed uint64, alpha, beta float64) *Instance {
+	t.Helper()
+	p := randomProblem(t, seed, n, m, pool, l, k)
+	p.Model = logistic.Model{Alpha: alpha, Beta: beta}
+	inst, err := Prepare(context.Background(), p, theta, instSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
 func TestProblemValidate(t *testing.T) {
 	good := paperProblem(t, 2)
 	if err := good.Validate(); err != nil {

@@ -244,8 +244,8 @@ func (ev *evaluator) poolPosOf(c candidate) int { return int(c) % ev.pp }
 // marg[0][0] under a steep model, so the empty-plan gain is not even an
 // upper bound for them. Cost is proportional to the touched samples and
 // the affected candidates, not to the candidate count. The search's root
-// and the parallel search prepare this way; the sequential search
-// derives a child's frontier from its parent's (prepareNode).
+// prepares this way; every other node derives its frontier from its
+// parent's (prepareNode).
 func (ev *evaluator) prepare(plan *planNode, excl *exclNode) {
 	ev.load(plan, excl)
 	start := len(ev.arena)
@@ -616,16 +616,12 @@ func (ev *evaluator) materialize(plan *planNode, picks []candidate) Plan {
 // planNode / exclNode are persistent chains recording the include /
 // exclude decisions along a branch-and-bound path; children share their
 // parents' structure, so memory stays proportional to the number of
-// expanded nodes. The sequential search draws them from the evaluator
-// (include, exclude); with allocates.
+// expanded nodes. The search draws them from the evaluator (include,
+// exclude).
 type planNode struct {
 	parent *planNode
 	cand   candidate
 	size   int
-}
-
-func (n *planNode) with(c candidate) *planNode {
-	return &planNode{parent: n, cand: c, size: n.len() + 1}
 }
 
 func (n *planNode) len() int {
@@ -640,18 +636,14 @@ type exclNode struct {
 	cand   candidate
 }
 
-func (n *exclNode) with(c candidate) *exclNode {
-	return &exclNode{parent: n, cand: c}
-}
-
-// include is plan.with(c) on the evaluator's storage.
+// include extends plan by c on the evaluator's storage.
 func (ev *evaluator) include(plan *planNode, c candidate) *planNode {
 	n := ev.planNodes.new()
 	*n = planNode{parent: plan, cand: c, size: plan.len() + 1}
 	return n
 }
 
-// exclude is excl.with(c) on the evaluator's storage.
+// exclude extends excl by c on the evaluator's storage.
 func (ev *evaluator) exclude(excl *exclNode, c candidate) *exclNode {
 	n := ev.exclNodes.new()
 	*n = exclNode{parent: excl, cand: c}

@@ -57,7 +57,7 @@ func TestSearchMatchesFromScratchSearch(t *testing.T) {
 							t.Fatal(err)
 						}
 						opts.Progressive = s.name == "babp" || s.name == "pooled babp"
-						want := refSolve(inst, opts)
+						want, _ := refSolve(inst, opts)
 						if want.Stats.Nodes > 0 {
 							searched++
 						}

@@ -78,20 +78,6 @@ func (p *EvaluatorPool) release(ev *evaluator) {
 	p.pool.Put(ev)
 }
 
-// checkout is the multi-checkout path for parallel solves: each search
-// worker checks out its own pooled evaluator for the duration of the
-// search, so a Workers=N solve holds N evaluators at once, all recycled
-// on release like any single-solve checkout.
-func (p *EvaluatorPool) checkout(inst *Instance) evalCheckout {
-	return func() (*evaluator, func(), error) {
-		ev, err := p.acquire(inst)
-		if err != nil {
-			return nil, nil, err
-		}
-		return ev, func() { p.release(ev) }, nil
-	}
-}
-
 // SolveBAB is SolveBAB with pooled scratch.
 func (p *EvaluatorPool) SolveBAB(inst *Instance, opts BABOptions) (*Result, error) {
 	ev, err := p.acquire(inst)
@@ -99,7 +85,7 @@ func (p *EvaluatorPool) SolveBAB(inst *Instance, opts BABOptions) (*Result, erro
 		return nil, err
 	}
 	defer p.release(ev)
-	return solveBABWith(inst, ev, p.checkout(inst), opts)
+	return solveBABWith(inst, ev, opts)
 }
 
 // SolveBABP is SolveBABP with pooled scratch.
@@ -112,7 +98,7 @@ func (p *EvaluatorPool) SolveBABP(inst *Instance, opts BABOptions) (*Result, err
 		return nil, err
 	}
 	defer p.release(ev)
-	return solveBABPWith(inst, ev, p.checkout(inst), opts)
+	return solveBABPWith(inst, ev, opts)
 }
 
 // SolveGreedy is SolveGreedy with pooled scratch.

@@ -565,15 +565,14 @@ func (in *Instance) EstimateAU(plan Plan) (float64, error) {
 // response, so keep every field cheap to maintain (plain increments on
 // the search path).
 type SolverStats struct {
-	Nodes          int   // branch-and-bound nodes expanded
-	BoundEvals     int   // ComputeBound / ComputeBoundPro invocations
-	TauEvals       int64 // candidate marginal-gain (τ) evaluations actually performed
-	SketchEvals    int64 // incumbent-candidate evaluations served by the sketch
-	ReVerifyEvals  int64 // sketch incumbents re-verified with the exact scan before adoption
-	Workers        int   // search workers used (0 or 1 = sequential path)
-	Steals         int64 // speculative expansions a worker took from another worker's frontier shard
-	SpecExpansions int64 // node expansions executed speculatively by the extra workers
-	SpecWasted     int64 // speculative expansions the commit loop pruned before consuming
+	Nodes      int   // branch-and-bound nodes expanded
+	BoundEvals int   // ComputeBound / ComputeBoundPro invocations
+	TauEvals   int64 // candidate marginal-gain (τ) evaluations actually performed
+	// SpecExpansions and SpecWasted are always zero: the search is
+	// sequential. The benchmark harness still reads them, so they stay
+	// until it stops.
+	SpecExpansions int64 `json:"-"`
+	SpecWasted     int64 `json:"-"`
 }
 
 // Result is a solver outcome.
@@ -581,7 +580,11 @@ type Result struct {
 	Method  string
 	Plan    Plan
 	Utility float64 // MRR-estimated adoption utility of Plan
-	Upper   float64 // certified upper bound (BAB solvers; 0 otherwise)
+	// Upper is, for the branch-and-bound solvers, the larger of Utility
+	// and the largest bound of any subtree the search left unexpanded
+	// (pruned, unextendable, or still open when it stopped); greedy
+	// reports its root bound, the baselines 0.
+	Upper   float64
 	Elapsed time.Duration
 	Stats   SolverStats
 }

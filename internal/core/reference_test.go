@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -122,12 +123,25 @@ func (ev *evaluator) refComputeBoundPro(budget int, eps float64, fill bool) boun
 	return res
 }
 
+// planNode.with and exclNode.with extend a chain by a freshly allocated
+// node; the reference search and the frontier tests build paths this way.
+func (n *planNode) with(c candidate) *planNode {
+	return &planNode{parent: n, cand: c, size: n.len() + 1}
+}
+
+func (n *exclNode) with(c candidate) *exclNode {
+	return &exclNode{parent: n, cand: c}
+}
+
 // refSolve is Algorithm 1 as the sequential search ran before search
 // nodes carried their frontiers: every bound prepared from scratch, every
 // candidate plan materialized and estimated with Index.EstimateAUWith,
-// chains and heap nodes allocated per node. (No sketch, no Stop, one
-// worker.) Its Result is the sequential search's, TauEvals aside.
-func refSolve(inst *Instance, opts BABOptions) *Result {
+// chains and heap nodes allocated per node. Its Result is the search's,
+// TauEvals aside. It also returns the bound of every subtree it left
+// unexpanded — pruned children, unextendable nodes, and what was still
+// open when the loop ended — and Upper is the largest of those and the
+// incumbent's utility.
+func refSolve(inst *Instance, opts BABOptions) (*Result, []float64) {
 	ev, au := newEvaluator(inst), inst.Index.NewAUScratch()
 	k := inst.Problem.K
 	var stats SolverStats
@@ -142,7 +156,6 @@ func refSolve(inst *Instance, opts BABOptions) *Result {
 	stats.BoundEvals++
 	root := ev.bound(nil, nil, k, &opts)
 	bestPlan, bestUtil := evaluate(nil, root.picks)
-	globalUpper := root.tau
 	h := &babHeap{&babNode{upper: root.tau, branch: root.branch}}
 	seq := 0
 	gapBase := 0.0
@@ -150,15 +163,25 @@ func refSolve(inst *Instance, opts BABOptions) *Result {
 		gapBase = float64(inst.Index.MRR().N()) * logistic.Sigmoid(-inst.Problem.Model.Alpha)
 	}
 	prune := func(upper float64) bool { return upper+gapBase <= (bestUtil+gapBase)*(1+opts.Tolerance) }
+	var setAside []float64
+search:
 	for h.Len() > 0 {
+		select {
+		case <-opts.Stop:
+			break search
+		default:
+		}
 		node := heap.Pop(h).(*babNode)
-		if globalUpper = node.upper; prune(node.upper) {
+		if prune(node.upper) {
+			setAside = append(setAside, node.upper)
 			break
 		}
 		if node.branch < 0 || node.plan.len() >= k {
+			setAside = append(setAside, node.upper)
 			continue
 		}
 		if opts.MaxNodes > 0 && stats.Nodes >= opts.MaxNodes {
+			setAside = append(setAside, node.upper)
 			break
 		}
 		stats.Nodes++
@@ -168,17 +191,106 @@ func refSolve(inst *Instance, opts BABOptions) *Result {
 			if p, util := evaluate(ch.plan, br.picks); util > bestUtil {
 				bestPlan, bestUtil = p, util
 			}
-			if !prune(br.tau) {
+			if prune(br.tau) {
+				setAside = append(setAside, br.tau)
+			} else {
 				seq++
 				heap.Push(h, &babNode{plan: ch.plan, excl: ch.excl, upper: br.tau, branch: br.branch, seq: seq})
 			}
 		}
 	}
-	if h.Len() == 0 {
-		globalUpper = bestUtil * (1 + opts.Tolerance)
+	for _, n := range *h {
+		setAside = append(setAside, n.upper)
+	}
+	upper := bestUtil
+	for _, tau := range setAside {
+		upper = max(upper, tau)
 	}
 	stats.TauEvals = ev.tauEvals
-	return &Result{Plan: bestPlan, Utility: bestUtil, Upper: globalUpper, Stats: stats}
+	return &Result{Plan: bestPlan, Utility: bestUtil, Upper: upper, Stats: stats}, setAside
+}
+
+// TestUpperCoversEverySetAsideSubtree checks the published upper bound
+// against refSolve's record of every subtree the search left unexpanded,
+// on instances small enough for SolveBrute, across models, tolerances and
+// the ways a search ends: certified or exhausted (BAB, BAB-P), at a node
+// cap, or stopped. Upper must reach each of those bounds and the
+// utility; the utility must not exceed OPT; and since a node's greedy
+// bound is at least (1−1/e) — progressive: (1−1/e−ε) — of the best plan
+// in its subtree, Upper must reach that share of OPT.
+func TestUpperCoversEverySetAsideSubtree(t *testing.T) {
+	stop := make(chan struct{})
+	close(stop)
+	variants := []struct {
+		name     string
+		babp     bool
+		maxNodes int
+		stop     <-chan struct{}
+	}{
+		{"bab", false, 0, nil}, {"babp", true, 0, nil},
+		{"bab capped", false, 2, nil}, {"babp capped", true, 2, nil},
+		{"bab stopped", false, 0, stop}, {"babp stopped", true, 0, stop},
+	}
+	models := []logistic.Model{{Alpha: 2, Beta: 1}, {Alpha: 3, Beta: 1}, {Alpha: 6, Beta: 2}}
+	above := 0 // set-aside bounds above Utility·(1+tol)
+	for seed := uint64(1); seed <= 8; seed++ {
+		base, err := Prepare(context.Background(), randomProblem(t, seed, 25, 80, 5, 2, 3), 400, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, model := range models {
+			inst, err := base.WithModel(model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt, err := SolveBrute(inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tol := range []float64{0, 0.01, 0.05} {
+				for _, v := range variants {
+					opts, solve, ratio := DefaultBABOptions(), SolveBAB, 1-1/math.E
+					if v.babp {
+						opts, solve = DefaultBABPOptions(), SolveBABP
+						ratio -= opts.Epsilon
+					}
+					opts.Tolerance, opts.MaxNodes, opts.Stop = tol, v.maxNodes, v.stop
+					label := fmt.Sprintf("seed %d α=%v tol=%v %s", seed, model.Alpha, tol, v.name)
+					got, err := solve(inst, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Progressive = v.babp
+					want, setAside := refSolve(inst, opts)
+					for _, tau := range setAside {
+						if got.Upper < tau {
+							t.Fatalf("%s: upper %v below a set-aside subtree's bound %v (utility %v)", label, got.Upper, tau, got.Utility)
+						}
+						if tau > got.Utility*(1+tol) {
+							above++
+						}
+					}
+					if got.Upper < got.Utility {
+						t.Fatalf("%s: upper %v below utility %v", label, got.Upper, got.Utility)
+					}
+					if got.Utility > opt.Utility+1e-9 {
+						t.Fatalf("%s: utility %v above OPT %v", label, got.Utility, opt.Utility)
+					}
+					if got.Upper < ratio*opt.Utility-1e-9 {
+						t.Fatalf("%s: upper %v below %.3f·OPT (OPT %v)", label, got.Upper, ratio, opt.Utility)
+					}
+					if got.Utility != want.Utility || got.Upper != want.Upper || got.Stats.Nodes != want.Stats.Nodes || !reflect.DeepEqual(got.Plan, want.Plan) {
+						t.Fatalf("%s: (utility, upper, nodes) (%v, %v, %d), reference (%v, %v, %d)",
+							label, got.Utility, got.Upper, got.Stats.Nodes, want.Utility, want.Upper, want.Stats.Nodes)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d set-aside bounds above utility·(1+tol)", above)
+	if above == 0 {
+		t.Fatal("no set-aside bound exceeded utility·(1+tol): the instances do not exercise the bound")
+	}
 }
 
 // boundRoutine pairs a production bound routine with its reference.

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -43,7 +44,8 @@ func declaredNames(t *testing.T) map[string]bool {
 
 // TestExportedSurface pins one way to prepare: Prepare and its
 // single-graph layouts wrapper are the only Prepare* functions, and an
-// Instance carries one layouts field and no probability vectors.
+// Instance carries one layouts field and no probability vectors. It also
+// pins one search: no parallel search and no sketch-steered evaluation.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	for name := range names {
@@ -56,9 +58,42 @@ func TestExportedSurface(t *testing.T) {
 			t.Errorf("%s is gone", want)
 		}
 	}
-	for _, gone := range []string{"MuxLayouts", "PieceProbs", "ExtendToCtx"} {
+	for _, gone := range []string{"MuxLayouts", "PieceProbs", "ExtendToCtx",
+		"solveBranchAndBoundParallel", "evalCheckout", "directCheckout",
+		"Sketch", "TraceWorker", "SketchEvals", "ReVerifyEvals", "Steals"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
+		}
+	}
+}
+
+// TestWorkersIsInert pins that BABOptions.Workers, kept only because the
+// benchmark harness still sets it, changes nothing: the search with four
+// workers returns the sequential Result, SpecExpansions and SpecWasted
+// zero.
+func TestWorkersIsInert(t *testing.T) {
+	inst := branchyInstance(t, 19, 40, 160, 6, 2, 3, 800, 8, 6, 2)
+	for _, solve := range []func(*Instance, BABOptions) (*Result, error){SolveBAB, SolveBABP} {
+		opts := DefaultBABPOptions()
+		opts.Tolerance = 0
+		want, err := solve(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Stats.Nodes == 0 {
+			t.Fatal("the search certified at the root")
+		}
+		opts.Workers = 4
+		got, err := solve(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.Elapsed, want.Elapsed = 0, 0
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s with 4 workers:\n got %+v\nwant %+v", want.Method, got, want)
+		}
+		if got.Stats.SpecExpansions != 0 || got.Stats.SpecWasted != 0 {
+			t.Fatalf("%s: speculation stats %+v", got.Method, got.Stats)
 		}
 	}
 }

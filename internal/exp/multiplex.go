@@ -116,7 +116,7 @@ type MultiplexCheck struct {
 // the multiplex instance exactly as a default-flag oipa-serve would for a
 // solve with "layers" selecting every layer (pool fraction 0.10 at pool
 // seed 2, beta/alpha 0.5, an l-piece single-topic campaign on topics
-// 0..l-1), runs the server's non-sketch "bab" configuration, and replays
+// 0..l-1), runs the server's "bab" configuration, and replays
 // every sample against the combined-graph reduction. The returned bundle
 // is what `oipa-exp -exp multiplex-check` prints as JSON for the CI jq
 // comparison against the live /v1/solve response.
@@ -163,10 +163,10 @@ func CheckMultiplex(basePath string, layerPaths []string, l, k, theta int, seed 
 	if err != nil {
 		return nil, err
 	}
-	// The serve tier's "bab" method with sketches disabled: exact-gap
-	// branch and bound, uncapped, FillAfterFloor on. Bit-for-bit the
-	// solve a non-sketch server runs, so float64 equality holds between
-	// this utility/plan and the /v1/solve response.
+	// The serve tier's "bab" method: exact-gap branch and bound,
+	// uncapped, FillAfterFloor on. Bit-for-bit the solve the server runs,
+	// so float64 equality holds between this utility/plan and the
+	// /v1/solve response.
 	res, err := core.SolveBAB(inst, core.BABOptions{
 		Epsilon:        0.5,
 		Tolerance:      0.01,

@@ -279,8 +279,7 @@ func (ix *Index) EstimateAUSketch(plan [][]int32, model logistic.Model) (float64
 }
 
 // EstimateAUSketchWith is EstimateAUSketch over caller-supplied scratch,
-// for hot paths (branch-and-bound interior nodes, the serve estimate
-// endpoint) that estimate repeatedly without per-call allocations.
+// for callers that estimate repeatedly without per-call allocations.
 func (ix *Index) EstimateAUSketchWith(plan [][]int32, model logistic.Model, s *SketchScratch) (float64, error) {
 	sk := ix.sk
 	if sk == nil {

@@ -23,7 +23,6 @@ type metrics struct {
 	inflightSolves  atomic.Int64 // gauge: solves currently executing
 	solvesTotal     atomic.Int64
 	solveErrors     atomic.Int64
-	parallelSolves  atomic.Int64 // solves dispatched with Workers > 1
 	coalescedSolves atomic.Int64 // requests served from another identical in-flight solve
 
 	inflightEstimates atomic.Int64 // gauge: estimate scans currently executing
@@ -60,10 +59,6 @@ type metrics struct {
 	solverNodes      atomic.Int64
 	solverBoundEvals atomic.Int64
 	solverTauEvals   atomic.Int64
-	solverSketchEv   atomic.Int64
-	solverReVerify   atomic.Int64
-	solverSteals     atomic.Int64 // parallel-search expansions stolen across worker shards
-	solverSpecWasted atomic.Int64 // speculative expansions pruned before the commit loop used them
 
 	// Latency histograms (lock-free, log-bucketed; see internal/obs):
 	// request latency per endpoint class, admission-queue wait, and the
@@ -100,10 +95,6 @@ func (m *metrics) addSolverStats(st core.SolverStats) {
 	m.solverNodes.Add(int64(st.Nodes))
 	m.solverBoundEvals.Add(int64(st.BoundEvals))
 	m.solverTauEvals.Add(st.TauEvals)
-	m.solverSketchEv.Add(st.SketchEvals)
-	m.solverReVerify.Add(st.ReVerifyEvals)
-	m.solverSteals.Add(st.Steals)
-	m.solverSpecWasted.Add(st.SpecWasted)
 }
 
 // HistogramStats is the JSON form of one latency histogram: count,
@@ -165,10 +156,8 @@ type MetricsSnapshot struct {
 		Inflight int64 `json:"inflight"`
 		Total    int64 `json:"total"`
 		Errors   int64 `json:"errors"`
-		// Parallel counts solves dispatched with solve_workers > 1;
 		// Coalesced counts requests that rode an identical in-flight
 		// solve instead of searching themselves.
-		Parallel  int64 `json:"parallel_solves"`
 		Coalesced int64 `json:"coalesced_solves"`
 	} `json:"solves"`
 	// Server is the robustness block: overload shedding, deadline
@@ -204,13 +193,9 @@ type MetricsSnapshot struct {
 	} `json:"latency"`
 	// Solver aggregates core.SolverStats over every completed solve.
 	Solver struct {
-		Nodes         int64 `json:"nodes"`
-		BoundEvals    int64 `json:"bound_evals"`
-		TauEvals      int64 `json:"tau_evals"`
-		SketchEvals   int64 `json:"sketch_evals"`
-		ReVerifyEvals int64 `json:"reverify_evals"`
-		Steals        int64 `json:"steals"`
-		SpecWasted    int64 `json:"spec_wasted"`
+		Nodes      int64 `json:"nodes"`
+		BoundEvals int64 `json:"bound_evals"`
+		TauEvals   int64 `json:"tau_evals"`
 	} `json:"solver"`
 	Registry struct {
 		Prepares           int64 `json:"prepares"`
@@ -270,7 +255,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Solves.Inflight = inflightSolves
 	s.Solves.Total = m.solvesTotal.Load()
 	s.Solves.Errors = m.solveErrors.Load()
-	s.Solves.Parallel = m.parallelSolves.Load()
 	s.Solves.Coalesced = m.coalescedSolves.Load()
 	s.Server.ShedTotal = m.shedTotal.Load()
 	s.Server.PanicsTotal = m.panicsTotal.Load()
@@ -289,10 +273,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Solver.Nodes = m.solverNodes.Load()
 	s.Solver.BoundEvals = m.solverBoundEvals.Load()
 	s.Solver.TauEvals = m.solverTauEvals.Load()
-	s.Solver.SketchEvals = m.solverSketchEv.Load()
-	s.Solver.ReVerifyEvals = m.solverReVerify.Load()
-	s.Solver.Steals = m.solverSteals.Load()
-	s.Solver.SpecWasted = m.solverSpecWasted.Load()
 	s.Registry.Prepares = m.prepares.Load()
 	s.Registry.Extends = m.extends.Load()
 	s.Registry.IndexExtendNS = m.indexExtendNS.Load()

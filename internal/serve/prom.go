@@ -25,7 +25,6 @@ func (s *Server) writePrometheus(w io.Writer) error {
 
 	pw.Counter("oipa_solves_total", "Solver executions (sync and async).", "", float64(snap.Solves.Total))
 	pw.Counter("oipa_solve_errors_total", "Solver executions that failed.", "", float64(snap.Solves.Errors))
-	pw.Counter("oipa_parallel_solves_total", "Solves dispatched with solve_workers > 1.", "", float64(snap.Solves.Parallel))
 	pw.Counter("oipa_coalesced_solves_total", "Requests served from an identical in-flight solve.", "", float64(snap.Solves.Coalesced))
 	pw.Gauge("oipa_inflight_requests", "Admitted requests currently executing, by endpoint class.", `endpoint="solve"`, float64(snap.Server.Inflight.Solve))
 	pw.Gauge("oipa_inflight_requests", "", `endpoint="estimate"`, float64(snap.Server.Inflight.Estimate))
@@ -44,10 +43,6 @@ func (s *Server) writePrometheus(w io.Writer) error {
 	pw.Counter("oipa_solver_nodes_total", "Branch-and-bound nodes expanded.", "", float64(snap.Solver.Nodes))
 	pw.Counter("oipa_solver_bound_evals_total", "Bound computations.", "", float64(snap.Solver.BoundEvals))
 	pw.Counter("oipa_solver_tau_evals_total", "Candidate marginal-gain evaluations.", "", float64(snap.Solver.TauEvals))
-	pw.Counter("oipa_solver_sketch_evals_total", "Interior evaluations served by the sketch.", "", float64(snap.Solver.SketchEvals))
-	pw.Counter("oipa_solver_reverify_evals_total", "Sketch incumbents re-verified exactly before adoption.", "", float64(snap.Solver.ReVerifyEvals))
-	pw.Counter("oipa_solve_steals_total", "Parallel-search expansions stolen across worker shards.", "", float64(snap.Solver.Steals))
-	pw.Counter("oipa_solve_spec_wasted_total", "Speculative expansions pruned before the commit loop used them.", "", float64(snap.Solver.SpecWasted))
 
 	pw.Counter("oipa_registry_prepares_total", "Full artifact preparations.", "", float64(snap.Registry.Prepares))
 	pw.Counter("oipa_registry_extends_total", "Incremental growth steps.", "", float64(snap.Registry.Extends))

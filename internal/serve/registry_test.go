@@ -2,6 +2,9 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -478,5 +481,62 @@ func TestRegistryConcurrentMixedTheta(t *testing.T) {
 	}
 	if a := s.reg.Len(); a != 1 {
 		t.Fatalf("registry holds %d entries, want 1", a)
+	}
+}
+
+// TestParallelSolveRegistryChurn is the lifecycle stress: concurrent
+// solves hammer a single campaign while varying theta forces ExtendTo
+// growth steps, a one-byte memory budget keeps the governor shrinking the
+// same entry, and SketchK re-attaches sketches on every republish. Run
+// under -race this pins that solves only ever read published immutable
+// snapshots; the final solve must equal a fresh server's.
+func TestParallelSolveRegistryChurn(t *testing.T) {
+	churn := func(c *Config) {
+		c.AdmitCapacity = 32
+		c.SketchK = 32
+		c.MemBudget = 1 // everything is over budget: shrink after every release
+		c.MemEpoch = 2
+	}
+	s := testServer(t, churn)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	thetas := []int{300, 700, 450, 900}
+	const goroutines, iters = 4, 5
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				req := steepSolve()
+				req.Theta = thetas[(g+i)%len(thetas)]
+				if code, raw := postJSON(t, ts, "/v1/solve", req, nil); code != http.StatusOK {
+					t.Errorf("goroutine %d iter %d: status %d: %s", g, i, code, raw)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+	if snap := s.Metrics(); snap.Registry.Shrinks == 0 && snap.Registry.Extends == 0 {
+		t.Fatalf("churn produced no artifact transitions: %+v", snap.Registry)
+	}
+
+	fresh := httptest.NewServer(testServer(t, churn).Handler())
+	defer fresh.Close()
+	var got, want SolveResponse
+	if code, raw := postJSON(t, ts, "/v1/solve", steepSolve(), &got); code != http.StatusOK {
+		t.Fatalf("post-churn solve status %d: %s", code, raw)
+	}
+	if code, raw := postJSON(t, fresh, "/v1/solve", steepSolve(), &want); code != http.StatusOK {
+		t.Fatalf("fresh solve status %d: %s", code, raw)
+	}
+	if got.Utility != want.Utility || got.Upper != want.Upper || fmt.Sprint(got.Plan) != fmt.Sprint(want.Plan) {
+		t.Fatalf("post-churn solve (%v, %v, %v) != fresh server's (%v, %v, %v)",
+			got.Utility, got.Upper, got.Plan, want.Utility, want.Upper, want.Plan)
 	}
 }

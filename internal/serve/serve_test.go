@@ -8,9 +8,11 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
+	"oipa/internal/faultpoint"
 	"oipa/internal/graph"
 	"oipa/internal/logistic"
 	"oipa/internal/topic"
@@ -209,6 +211,13 @@ func TestSolveValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
+	// The search is sequential: a body still asking for search workers is
+	// refused, and the error names the field.
+	workers := json.RawMessage(`{"campaign": {"name": "t", "pieces": [{"name": "a", "topics": {"0": 1}}]},
+		"method": "bab", "k": 2, "solve_workers": 2}`)
+	if code, raw := postJSON(t, ts, "/v1/solve", workers, nil); code != http.StatusBadRequest || !strings.Contains(raw, "solve_workers") {
+		t.Errorf("solve_workers: status %d (%s), want 400 naming the field", code, raw)
+	}
 	resp, err := ts.Client().Get(ts.URL + "/v1/solve")
 	if err != nil {
 		t.Fatal(err)
@@ -366,6 +375,99 @@ func TestConcurrentSolveSingleflight(t *testing.T) {
 	}
 	if snap.Registry.InstanceMisses != 1 {
 		t.Fatalf("instance misses = %d, want 1", snap.Registry.InstanceMisses)
+	}
+}
+
+// steepSolve builds a solve request under a steep adoption model
+// (alpha=6, beta=2): the server's default alpha=2 bound is tight enough
+// to certify the test graph at the root, and a search that never expands
+// a node exercises little of the solver.
+func steepSolve() SolveRequest {
+	return SolveRequest{
+		Campaign: testCampaign(1, 2),
+		Method:   "bab",
+		K:        3,
+		Theta:    600,
+		Alpha:    6,
+		Beta:     2,
+	}
+}
+
+// TestSolveCoalescing holds a leader in flight with a delay faultpoint
+// and fires identical requests at it: every follower must ride the
+// leader's solve (coalesced_solves moves, the Coalesced flag is set, the
+// payload matches) and exactly one solver execution happens.
+func TestSolveCoalescing(t *testing.T) {
+	defer faultpoint.Reset()
+	s := testServer(t, func(c *Config) { c.AdmitCapacity = 32 })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// The faultpoint fires inside Server.solve, after the leader has
+	// registered its flight — every request admitted during the sleep
+	// finds the flight and waits on it instead of solving.
+	if err := faultpoint.Arm("serve.solve.pre", "delay:400ms"); err != nil {
+		t.Fatal(err)
+	}
+	const concurrent = 6
+	var (
+		wg      sync.WaitGroup
+		start   = make(chan struct{})
+		results [concurrent]SolveResponse
+		codes   [concurrent]int
+	)
+	for i := 0; i < concurrent; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			codes[i], _ = postJSON(t, ts, "/v1/solve", steepSolve(), &results[i])
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	faultpoint.Reset()
+
+	followers := 0
+	for i := range results {
+		if codes[i] != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, codes[i])
+		}
+		if results[i].Utility != results[0].Utility {
+			t.Fatalf("request %d: utility %v != %v", i, results[i].Utility, results[0].Utility)
+		}
+		if results[i].Coalesced {
+			followers++
+		}
+	}
+	snap := s.Metrics()
+	if snap.Solves.Coalesced == 0 {
+		t.Fatal("no request coalesced onto the in-flight solve")
+	}
+	if int64(followers) != snap.Solves.Coalesced {
+		t.Fatalf("%d responses flagged coalesced, metric says %d", followers, snap.Solves.Coalesced)
+	}
+	if got := snap.Solves.Total + snap.Solves.Coalesced; got != concurrent {
+		t.Fatalf("solves (%d) + coalesced (%d) = %d, want %d",
+			snap.Solves.Total, snap.Solves.Coalesced, got, concurrent)
+	}
+
+	// Distinct solve parameters must NOT coalesce: the key covers the
+	// full normalized request, so a different node cap is a different
+	// flight even against the same artifact. This cap does not bind, so
+	// the answer is the same.
+	before := s.Metrics().Solves.Coalesced
+	capped := steepSolve()
+	capped.MaxNodes = 10_000
+	var other SolveResponse
+	if code, raw := postJSON(t, ts, "/v1/solve", capped, &other); code != http.StatusOK {
+		t.Fatalf("capped solve status %d: %s", code, raw)
+	}
+	if other.Coalesced || s.Metrics().Solves.Coalesced != before {
+		t.Fatal("solve with a different max_nodes coalesced onto a stale flight")
+	}
+	if other.Stats.Nodes == 0 || other.Utility != results[0].Utility {
+		t.Fatalf("capped solve: %d nodes, utility %v (uncapped %v)", other.Stats.Nodes, other.Utility, results[0].Utility)
 	}
 }
 

@@ -123,11 +123,9 @@ type Config struct {
 	// O(k·|plan|) — independent of θ — with relative error concentrating
 	// like 1/√k; everything else falls back to the exact scan, which
 	// remains the golden reference (sketch_estimates / sketch_fallbacks
-	// count the split, estimate_mode labels each response). Solves at
-	// eligible θ route interior branch-and-bound candidate evaluations
-	// through the sketch too; their published utilities are always
-	// re-verified exactly (core.BABOptions.Sketch). Sketch bytes are
-	// accounted in resident_bytes. 0 disables sketches entirely.
+	// count the split, estimate_mode labels each response). Estimates
+	// only: solves always search exactly. Sketch bytes are accounted in
+	// resident_bytes. 0 disables sketches entirely.
 	SketchK int
 
 	// MemBudget is the soft resident-bytes target for prepared artifacts
@@ -165,14 +163,6 @@ type Config struct {
 	// negative means no queue): requests beyond it — or whose deadline
 	// expires while queued — are shed with 429 + Retry-After.
 	AdmitQueue int
-
-	// SolveWorkers is the default intra-solve search parallelism for
-	// bab/babp requests that do not set solve_workers themselves
-	// (default 1: the sequential search). Parallel solves return
-	// bit-identical results to sequential ones; the effective count is
-	// capped at AdmitCapacity divided by the solve admission weight, and
-	// a wide solve admits as a proportionally heavier request.
-	SolveWorkers int
 
 	// Logger receives one structured record per instrumented request:
 	// request id, endpoint, campaign, θ, method, status, duration — and
@@ -236,9 +226,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.AdmitQueue < 0 {
 		c.AdmitQueue = 0
-	}
-	if c.SolveWorkers <= 0 {
-		c.SolveWorkers = 1
 	}
 }
 
@@ -518,16 +505,9 @@ type SolveRequest struct {
 	Epsilon   float64 `json:"epsilon"`   // BAB-P decay (default 0.5)
 	Tolerance float64 `json:"tolerance"` // termination gap (default 0.01)
 	MaxNodes  int     `json:"max_nodes"` // 0 = unbounded
-	// SolveWorkers sets intra-solve search parallelism for bab and babp
-	// (0 = the server's default). The result is bit-identical to a
-	// sequential solve at any worker count; what changes is wall-clock
-	// and admission weight (a wide solve admits as a heavier request).
-	// Counts beyond the admission cap are clamped, and methods without a
-	// search loop (greedy, im, tim) always run sequentially.
-	SolveWorkers int     `json:"solve_workers"`
-	Alpha        float64 `json:"alpha"` // adoption model override (0 = server default)
-	Beta         float64 `json:"beta"`
-	Async        bool    `json:"async"` // enqueue instead of solving inline
+	Alpha     float64 `json:"alpha"`     // adoption model override (0 = server default)
+	Beta      float64 `json:"beta"`
+	Async     bool    `json:"async"` // enqueue instead of solving inline
 	// TimeoutMS is the client's execution deadline in milliseconds,
 	// capped by the server's RequestTimeout (which also applies when the
 	// field is omitted). An expiring solve returns its incumbent marked
@@ -571,20 +551,10 @@ type SolveResponse struct {
 	// fully evaluated) and Upper a true residual bound — the answer is
 	// coarser, not wrong.
 	Degraded bool `json:"degraded,omitempty"`
-	// SolveWorkers echoes the effective search worker count the solve
-	// ran with, after defaulting and the admission-capacity clamp.
-	SolveWorkers int `json:"solve_workers,omitempty"`
 	// Coalesced: this response was served from an identical in-flight
 	// solve (same campaign, seed, layers, θ, method, and options) rather
 	// than a search of its own.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// EstimateMode reports how interior branch-and-bound candidate
-	// evaluations ran: "sketch" when the bottom-k sketch steered the
-	// search (Stats.SketchEvals counts them; the published Utility is
-	// still exact — sketch incumbents are re-verified with the exact scan
-	// before adoption), "exact" otherwise. Empty for methods without
-	// interior evaluations (im, tim).
-	EstimateMode string `json:"estimate_mode,omitempty"`
 	// RequestID is the server-assigned id of the request that produced
 	// this response (for async solves: of the submission). It keys the
 	// structured request log and any sampled trace.
@@ -742,16 +712,6 @@ func (s *Server) acquireSlot(ctx context.Context, weight int64) (func(), error) 
 	}, nil
 }
 
-// solveWeight is a solve's admission weight scaled by its worker
-// fan-out, so a Workers=N solve occupies N sequential solves' worth of
-// the semaphore while it runs.
-func solveWeight(workers int) int64 {
-	if workers < 1 {
-		workers = 1
-	}
-	return weightSolve * int64(workers)
-}
-
 // failRequest maps a heavy-path failure onto the transport: shed work →
 // 429 + Retry-After (nothing ran; an immediate retry elsewhere is
 // safe), a deadline that expired mid-work → 503 + Retry-After (both
@@ -806,7 +766,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.deadline(r, req.TimeoutMS)
 	defer cancel()
-	release, err := s.acquireSlot(ctx, solveWeight(req.SolveWorkers))
+	release, err := s.acquireSlot(ctx, weightSolve)
 	if err != nil {
 		s.failRequest(w, err)
 		return
@@ -1050,28 +1010,6 @@ func (s *Server) normalizeSolve(req *SolveRequest) error {
 	if req.Tolerance == 0 {
 		req.Tolerance = 0.01
 	}
-	if req.SolveWorkers < 0 {
-		return fmt.Errorf("serve: negative solve_workers %d", req.SolveWorkers)
-	}
-	if req.SolveWorkers == 0 {
-		req.SolveWorkers = s.cfg.SolveWorkers
-	}
-	switch req.Method {
-	case "bab", "babp":
-		// Cap the fan-out at what the admission semaphore can express:
-		// the request admits at weight solveWeight(workers), and a
-		// request heavier than the whole semaphore could never run.
-		if maxW := s.cfg.AdmitCapacity / weightSolve; req.SolveWorkers > maxW {
-			if maxW < 1 {
-				maxW = 1
-			}
-			req.SolveWorkers = maxW
-		}
-	default:
-		// Greedy is a single bound computation and im/tim have no
-		// branch-and-bound loop: nothing to parallelize.
-		req.SolveWorkers = 1
-	}
 	req.Layers = canonLayers(req.Layers)
 	// Validate the layer set now — async submissions should be refused at
 	// the door, not fail later on a worker.
@@ -1160,10 +1098,6 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 		RawGap:         true,
 		FillAfterFloor: true,
 		Stop:           ctx.Done(),
-		// Interior incumbent-candidate evaluations may use the sketch;
-		// the published utility is always exact (re-verified by the
-		// solver before adoption).
-		Sketch: s.sketchEligible(req.Theta),
 	}
 
 	// Chaos hook: a fault between artifact acquisition and the solver
@@ -1175,23 +1109,7 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 	s.m.inflightSolves.Add(1)
 	defer s.m.inflightSolves.Add(-1)
 	s.m.solvesTotal.Add(1)
-	solveCtx := ctx
-	if req.SolveWorkers > 1 {
-		// solve.parallel brackets the parallel dispatch; every extra
-		// search worker hangs its own child span under it (obs traces
-		// are concurrency-safe), so a traced wide solve shows the
-		// fan-out next to the method span.
-		var psp *obs.Span
-		solveCtx, psp = obs.StartSpan(ctx, "solve.parallel")
-		defer psp.End()
-		opts.Workers = req.SolveWorkers
-		opts.TraceWorker = func(worker int) func() {
-			_, sp := obs.StartSpan(solveCtx, fmt.Sprintf("worker.%d", worker))
-			return sp.End
-		}
-		s.m.parallelSolves.Add(1)
-	}
-	_, solveSpan := obs.StartSpan(solveCtx, "solve."+req.Method)
+	_, solveSpan := obs.StartSpan(ctx, "solve."+req.Method)
 	var res *core.Result
 	switch req.Method {
 	case "bab":
@@ -1229,14 +1147,6 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 	for j, p := range req.Campaign.Pieces {
 		pieces[j] = p.Name
 	}
-	estMode := ""
-	switch req.Method {
-	case "bab", "babp", "greedy":
-		estMode = "exact"
-		if res.Stats.SketchEvals > 0 {
-			estMode = "sketch"
-		}
-	}
 	sampleMS, indexMS := 0.0, 0.0
 	if !outcome.CacheHit() {
 		// Miss: the full preparation; extend: only the growth step's
@@ -1262,8 +1172,6 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 		Extended:      outcome == OutcomeExtend,
 		PreparedTheta: art.Theta(),
 		Degraded:      degraded,
-		EstimateMode:  estMode,
-		SolveWorkers:  req.SolveWorkers,
 	}, nil
 }
 
@@ -1280,11 +1188,11 @@ type solveFlight struct {
 // spelling differences (defaulted fields, layer order) key identically.
 func solveKey(req *SolveRequest) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|k=%d|th=%d|sd=%d|eps=%016x|tol=%016x|mn=%d|a=%016x|b=%016x|w=%d|to=%d|L=%v|",
+	fmt.Fprintf(&sb, "%s|k=%d|th=%d|sd=%d|eps=%016x|tol=%016x|mn=%d|a=%016x|b=%016x|to=%d|L=%v|",
 		req.Method, req.K, req.Theta, req.Seed,
 		math.Float64bits(req.Epsilon), math.Float64bits(req.Tolerance),
 		req.MaxNodes, math.Float64bits(req.Alpha), math.Float64bits(req.Beta),
-		req.SolveWorkers, req.TimeoutMS, req.Layers)
+		req.TimeoutMS, req.Layers)
 	sb.WriteString(campaignKey(req.Campaign))
 	return sb.String()
 }

@@ -117,42 +117,6 @@ func TestEstimateSketchDisabled(t *testing.T) {
 	}
 }
 
-// TestSolveSketchUtilityExact pins that a sketch-enabled solve publishes
-// the same (exact) utility as a sketchless server for the same request —
-// sketch estimates steer the search but never become the answer — and
-// labels the response with its estimate mode.
-func TestSolveSketchUtilityExact(t *testing.T) {
-	req := SolveRequest{
-		Campaign: testCampaign(0, 1), Method: "bab", K: 2, Theta: 2000, Seed: 3,
-	}
-	var plain SolveResponse
-	s1 := testServer(t, nil)
-	ts1 := httptest.NewServer(s1.Handler())
-	defer ts1.Close()
-	if code, body := postJSON(t, ts1, "/v1/solve", req, &plain); code != 200 {
-		t.Fatalf("plain solve: %d %s", code, body)
-	}
-	if plain.EstimateMode != "exact" {
-		t.Fatalf("plain solve estimate_mode = %q, want exact", plain.EstimateMode)
-	}
-
-	var sk SolveResponse
-	s2 := testServer(t, func(c *Config) { c.SketchK = 32 })
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	if code, body := postJSON(t, ts2, "/v1/solve", req, &sk); code != 200 {
-		t.Fatalf("sketch solve: %d %s", code, body)
-	}
-	if sk.EstimateMode != "exact" && sk.EstimateMode != "sketch" {
-		t.Fatalf("sketch solve estimate_mode = %q", sk.EstimateMode)
-	}
-	// Published utilities are exact on both servers; with the same
-	// deterministic samples they must agree to fp noise.
-	if math.Abs(sk.Utility-plain.Utility) > 1e-9*math.Max(1, plain.Utility) {
-		t.Fatalf("sketch-enabled solve utility %v != plain %v", sk.Utility, plain.Utility)
-	}
-}
-
 // TestResidentBytesWithSketches pins the resident-gauge accounting
 // around sketches and θ-prefixes: sketch bytes are accounted (a sketched
 // artifact is strictly bigger than the same artifact without sketches),

@@ -42,15 +42,16 @@ func declaredNames(t *testing.T) map[string]bool {
 }
 
 // TestExportedSurface pins one registry lookup, context-only
-// cancellation, the two metric expositions that have readers, and
-// instrumentation that is always on.
+// cancellation, the two metric expositions that have readers,
+// instrumentation that is always on, and one sequential search per solve.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	if !names["Instance"] {
 		t.Error("Registry.Instance is gone")
 	}
 	for _, gone := range []string{"InstanceLayers", "stopCtx", "PublishExpvar", "CountsDroppedBytes",
-		"DisableObs", "disabled"} {
+		"DisableObs", "disabled",
+		"SolveWorkers", "solveWeight", "parallelSolves", "SketchEvals", "ReVerifyEvals", "Steals", "SpecWasted"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}
