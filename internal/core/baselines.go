@@ -5,21 +5,23 @@ import (
 	"time"
 
 	"oipa/internal/bitset"
-	"oipa/internal/im"
+	"oipa/internal/graph"
 	"oipa/internal/rrset"
 	"oipa/internal/topic"
 )
 
-// SolveIM is the paper's IM baseline (§VI-A): run a state-of-the-art IM
-// seed selection on the *topic-agnostic* graph under the IC model to get
-// one seed set S of size k, then assign S to whichever single viral piece
-// yields the largest adoption utility. It ignores both the topic
-// heterogeneity of pieces and the multifaceted adoption model, which is
-// exactly why the paper expects it to lose.
+// SolveIM is the paper's IM baseline (§VI-A): pick one seed set S of size
+// k on the *topic-agnostic* graph under the IC model, then assign S to
+// whichever single viral piece yields the largest adoption utility. It
+// ignores both the topic heterogeneity of pieces and the multifaceted
+// adoption model, which is exactly why the paper expects it to lose.
 //
 // The topic-agnostic influence graph uses the uniform topic mixture
 // t_unif = (1/|Z|, .., 1/|Z|), i.e. edge probability mean_z p(e|z) — the
-// expected probability for a message with no topic information.
+// expected probability for a message with no topic information. S is
+// greedy maximum coverage (greedyCover) over θ RR sets of that graph —
+// a one-piece MRR collection grown to the instance's θ, the same θ every
+// method gets — rather than IMM's adaptively sized sample.
 func SolveIM(inst *Instance, seed uint64) (*Result, error) {
 	start := time.Now()
 	uniform := make([]float64, inst.Problem.Z())
@@ -33,16 +35,22 @@ func SolveIM(inst *Instance, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	col, err := rrset.NewCollectionLayers(p.G, p.Mux, lays, seed)
+	col, err := rrset.NewMRRCollection(p.G, p.Mux, [][]*graph.PieceLayout{lays}, seed)
 	if err != nil {
 		return nil, err
 	}
-	col.ExtendTo(inst.Theta())
-	cover, err := im.GreedyCover(col.View(), inst.Problem.Pool, inst.Problem.K)
+	if err := col.ExtendTo(inst.Theta()); err != nil {
+		return nil, err
+	}
+	ix, err := col.BuildIndex(p.Pool)
 	if err != nil {
 		return nil, err
 	}
-	plan, util, err := bestSinglePiecePlan(inst, cover.Seeds)
+	seeds, err := greedyCover(ix, 0, p.K)
+	if err != nil {
+		return nil, err
+	}
+	plan, util, err := bestSinglePiecePlan(inst, seeds)
 	if err != nil {
 		return nil, err
 	}
@@ -55,7 +63,7 @@ func SolveIM(inst *Instance, seed uint64) (*Result, error) {
 }
 
 // SolveTIM is the paper's TIM baseline (§VI-A): for every piece t_j, run
-// the IM seed selection on the piece's own influence graph G_{t_j} to get
+// SolveIM's greedy cover on the piece's own influence graph G_{t_j} to get
 // a k-seed set S_j, then keep the single (piece, seed set) pair with the
 // largest adoption utility. Topic-aware but still single-piece: users who
 // receive only one piece adopt with low probability, which is the paper's
@@ -69,7 +77,7 @@ func SolveTIM(inst *Instance) (*Result, error) {
 	best := Plan{}
 	bestUtil := -1.0
 	for j := 0; j < l; j++ {
-		seeds, err := greedyCoverPiece(inst, j, inst.Problem.K)
+		seeds, err := greedyCover(inst.Index, j, inst.Problem.K)
 		if err != nil {
 			return nil, err
 		}
@@ -211,20 +219,23 @@ func bestSinglePiecePlan(inst *Instance, seeds []int32) (Plan, float64, error) {
 	return best, bestUtil, nil
 }
 
-// greedyCoverPiece runs greedy maximum coverage for one piece over the
-// instance's pool, using the MRR index's inverted lists directly.
-func greedyCoverPiece(inst *Instance, j, k int) ([]int32, error) {
+// greedyCover is the greedy maximum coverage both IM baselines run:
+// up to k pool members, each the one whose piece-j inverted list holds
+// the most samples not yet covered, ties broken toward the earlier pool
+// position. Gains are maintained decrementally, so the cost is
+// O(total RR size + k·|pool|), and the selection is a (1−1/e)
+// approximation of the best k-cover. It stops early once no pool member
+// covers anything new.
+func greedyCover(ix *rrset.Index, j, k int) ([]int32, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("core: non-positive budget %d", k)
 	}
-	ix := inst.Index
 	pp := ix.PoolSize()
-	theta := inst.Theta()
 	deg := make([]int64, pp)
 	for p := 0; p < pp; p++ {
 		deg[p] = int64(ix.Degree(j, int32(p)))
 	}
-	covered := make([]bool, theta)
+	covered := make([]bool, ix.MRR().Theta())
 	taken := make([]bool, pp)
 	var seeds []int32
 	// Decremental greedy needs the reverse direction (sample -> pool

@@ -18,7 +18,9 @@
 //     estimation (Algorithm 3), a (1−1/e−ε) approximation (Theorem 3)
 //     with far fewer bound evaluations (Theorem 4);
 //   - SolveIM / SolveTIM: the paper's two baselines adapted from
-//     state-of-the-art IM (§VI-A);
+//     state-of-the-art IM (§VI-A), both greedy maximum coverage on θ RR
+//     sets — of the uniform topic mixture for IM, of each piece for TIM
+//     — at the same θ every method gets, not IMM's adaptive θ;
 //   - SolveGreedy: the one-shot greedy on the tangent bound (the root
 //     bound computation of BAB, useful as a fast heuristic/ablation);
 //   - SolveBrute: exact enumeration for verification on tiny instances.

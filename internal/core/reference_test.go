@@ -10,7 +10,10 @@ import (
 	"sort"
 	"testing"
 
+	"oipa/internal/graph"
 	"oipa/internal/logistic"
+	"oipa/internal/rrset"
+	"oipa/internal/topic"
 	"oipa/internal/xrand"
 )
 
@@ -587,5 +590,133 @@ func TestBoundWorkFollowsTheAffectedSet(t *testing.T) {
 		if limit := int64(res.Stats.BoundEvals) * int64(ev.numCands) / 4; res.Stats.TauEvals >= limit {
 			t.Fatalf("%s: %d τ evals, want fewer than BoundEvals × numCands / 4 = %d", res.Method, res.Stats.TauEvals, limit)
 		}
+	}
+}
+
+// refGreedyCover is greedy maximum coverage as the textbook states it,
+// over the raw sets of piece j: each round recounts, for every pool
+// member not yet taken, the uncovered samples whose set holds it, and
+// takes the first (in pool order) with the strictly largest count,
+// stopping when none covers anything new. It shares no code with the
+// Index greedyCover walks.
+func refGreedyCover(v *rrset.MRRView, j int, pool []int32, k int) []int32 {
+	covered := make([]bool, v.Theta())
+	taken := make([]bool, len(pool))
+	holds := func(i int, u int32) bool { return slices.Contains(v.Set(i, j), u) }
+	var seeds []int32
+	for len(seeds) < k {
+		best, bestCount := -1, 0
+		for p, u := range pool {
+			if taken[p] {
+				continue
+			}
+			count := 0
+			for i := range covered {
+				if !covered[i] && holds(i, u) {
+					count++
+				}
+			}
+			if count > bestCount {
+				best, bestCount = p, count
+			}
+		}
+		if best < 0 {
+			break
+		}
+		taken[best] = true
+		seeds = append(seeds, pool[best])
+		for i := range covered {
+			if holds(i, pool[best]) {
+				covered[i] = true
+			}
+		}
+	}
+	return seeds
+}
+
+// twoLayerMuxProblem puts p's graph on layer 0 of a multiplex and a
+// second random graph over a random subset of the universe on layer 1,
+// numbered through a non-identity ToGlobal map.
+func twoLayerMuxProblem(t *testing.T, p *Problem, seed uint64) *Problem {
+	t.Helper()
+	n := p.G.N()
+	extra := randomProblem(t, seed+1000, n*2/3, 3*n, 1, 1, 1).G
+	toGlobal := make([]int32, extra.N())
+	for i, u := range xrand.New(seed).Sample(n, extra.N()) {
+		toGlobal[i] = int32(u)
+	}
+	mx, err := graph.NewMultiplex(n, []graph.MultiplexLayer{{G: p.G}, {G: extra, ToGlobal: toGlobal}}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := *p
+	q.G, q.Mux = nil, mx
+	return &q
+}
+
+// TestIMMatchesReferenceCover checks SolveIM against refGreedyCover on a
+// freshly sampled one-piece collection of the uniform topic mixture, over
+// a graph, a one-layer multiplex and a two-layer non-identity multiplex
+// at several θ and seeds: the seeds SolveIM assigns must be the
+// reference's, in order, on the piece whose estimate is largest (the
+// first on ties), and its utility that estimate, bit for bit.
+func TestIMMatchesReferenceCover(t *testing.T) {
+	picked := 0
+	for seed := uint64(1); seed <= 4; seed++ {
+		base := randomProblem(t, 60+seed, 60, 260, 14, 3, 4)
+		for name, p := range map[string]*Problem{
+			"graph": base, "mux1": muxProblem(t, base), "mux2": twoLayerMuxProblem(t, base, seed),
+		} {
+			for _, theta := range []int{50, 700, 3000} {
+				label := fmt.Sprintf("seed %d %s θ %d", seed, name, theta)
+				inst, err := Prepare(context.Background(), p, theta, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				imSeed := 17 * seed
+				got, err := SolveIM(inst, imSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				uniform := make([]float64, p.Z())
+				for z := range uniform {
+					uniform[z] = 1 / float64(len(uniform))
+				}
+				lays, err := p.pieceLayouts(topic.FromDense(uniform))
+				if err != nil {
+					t.Fatal(err)
+				}
+				col, err := rrset.NewMRRCollection(p.G, p.Mux, [][]*graph.PieceLayout{lays}, imSeed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := col.ExtendTo(theta); err != nil {
+					t.Fatal(err)
+				}
+				seeds := refGreedyCover(col.View(), 0, p.Pool, p.K)
+				want, wantUtil := NewPlan(inst.L()), 0.0
+				if len(seeds) > 0 {
+					wantUtil = -1
+					for j := 0; j < inst.L(); j++ {
+						plan := NewPlan(inst.L())
+						plan.Seeds[j] = seeds
+						util, err := inst.EstimateAU(plan)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if util > wantUtil {
+							want, wantUtil = plan, util
+						}
+					}
+				}
+				if !reflect.DeepEqual(got.Plan, want) || got.Utility != wantUtil {
+					t.Fatalf("%s: SolveIM plan %v utility %v, reference %v utility %v", label, got.Plan.Seeds, got.Utility, want.Seeds, wantUtil)
+				}
+				picked += len(seeds)
+			}
+		}
+	}
+	if picked == 0 {
+		t.Fatal("no instance picked a seed: the grid does not exercise the greedy")
 	}
 }

@@ -20,7 +20,7 @@ func benchHeapMB() float64 {
 }
 
 // BenchmarkExtendToLargeTheta_WC is the acceptance workload for the
-// sharded-store change: grow a single-piece collection to θ = 10^6 on
+// sharded-store change: grow a one-piece collection to θ = 10^6 on
 // the WC benchmark graph. -benchmem's B/op counts every byte the build
 // allocates — the post-sampling stitch copy of the pre-shard engine
 // shows up there as an extra O(TotalSize) arena — and the heap-MB
@@ -35,8 +35,8 @@ func BenchmarkExtendToLargeTheta_WC(b *testing.B) {
 	b.ResetTimer()
 	var heap float64
 	for i := 0; i < b.N; i++ {
-		c := NewCollectionLayout(lay, uint64(i))
-		c.ExtendTo(1_000_000)
+		c := newCollection1(lay, uint64(i))
+		extend(b, c, 1_000_000)
 		b.StopTimer() // keep the heap probe's forced GC out of ns/op
 		heap = benchHeapMB()
 		b.StartTimer()

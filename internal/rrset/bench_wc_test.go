@@ -67,7 +67,7 @@ func BenchmarkSampleMRR_WC(b *testing.B) {
 	}
 }
 
-// BenchmarkExtendTo_WC measures single-piece RR collection growth on the
+// BenchmarkExtendTo_WC measures one-piece RR collection growth on the
 // same WC graph, layout prebuilt.
 func BenchmarkExtendTo_WC(b *testing.B) {
 	g, probs := wcGraph(b, 42, 20000, 400000)
@@ -77,8 +77,7 @@ func BenchmarkExtendTo_WC(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := NewCollectionLayout(lay, uint64(i))
-		c.ExtendTo(40000)
+		extend(b, newCollection1(lay, uint64(i)), 40000)
 	}
 }
 
@@ -100,8 +99,7 @@ func BenchmarkSampler_GeoSkipVsFlip(b *testing.B) {
 	}{{"geoskip", lay}, {"flip", flip}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				c := NewCollectionLayout(bc.lay, uint64(i))
-				c.ExtendTo(40000)
+				extend(b, newCollection1(bc.lay, uint64(i)), 40000)
 			}
 		})
 	}

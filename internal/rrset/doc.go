@@ -29,8 +29,8 @@
 // Multiplex.Layouts, core.Prepare) is pruned: edges with p(t, e) = 0 are
 // not in G_j and are not stored, which on sparse topic data is most of
 // every in-range the walk would otherwise scan. A layout built from an
-// explicit probability vector (Graph.Layout — SampleMRR, the baselines'
-// collections, tests and the benchmark harness) keeps every edge and
+// explicit probability vector (Graph.Layout — SampleMRR, tests and the
+// benchmark harness) keeps every edge and
 // stays aligned with Graph.InCSR positions. Both sample the same sets:
 // per-node dispatch metadata is computed over the full in-range either
 // way, and a zero-probability edge never draws a random number, so sample
@@ -43,14 +43,15 @@
 // A collection samples over a substrate: a node universe [0, n), the
 // graph of every layer, and the per-piece layouts as [piece][layer]. One
 // graph is the one-layer case; a graph.Multiplex (layers coupled at shared
-// identities, in the sense of Kuhnle et al.) is the general one. Both
-// kinds of collection are built by one constructor each —
-// NewMRRCollection and NewCollectionLayers, taking a graph or a
-// multiplex — which validate the layouts the same way, derive sample i's
-// RNG and root from (seed, i) the same way, and store universe node ids,
-// so ExtendTo, views, the index, sketches and the estimators never know
-// which they were given. SampleMRR, SampleMRRLayouts,
-// SampleMRRMultiplexLayouts and NewCollectionLayout are thin wrappers.
+// identities, in the sense of Kuhnle et al.) is the general one. There is
+// one collection type, MRRCollection, and one constructor,
+// NewMRRCollection, taking a graph or a multiplex: it validates the
+// layouts, derives sample i's RNG and root from (seed, i) the same way
+// over both, and stores universe node ids, so ExtendTo, views, the index,
+// sketches and the estimators never know which it was given. A plain RR
+// collection — what the IM baselines cover — is the one-piece (ℓ = 1)
+// case. SampleMRR, SampleMRRLayouts and SampleMRRMultiplexLayouts are
+// thin wrappers.
 // The package asks "one graph or many layers?" in exactly one place,
 // newSubstrate, where the per-worker sampler is chosen: traverse.Walker
 // for one graph, traverse.MultiWalker otherwise. A one-identity-layer
@@ -71,17 +72,16 @@
 // what lets collections reach production theta (10^7+) without paying a
 // second arena of peak memory.
 //
-// Reads go through the directory: Set(i) finds the sampling run by
+// Reads go through the directory: Set(i, j) finds the sampling run by
 // binary search (one run per ExtendTo call), the block by one division,
-// and the set bounds by two offset loads. Collection.View and
-// MRRCollection.View snapshot the directory and shard headers into an
-// immutable read-side View/MRRView exposing the same Set/Root/Theta/
-// Coverage/EstimateSpread/EstimateAUScan API; because shard arenas are
-// append-only, a view stays valid and bit-identical even while the
-// parent collection keeps growing. (Estimator methods carry lazily
-// allocated scratch, so a single View value — like a Collection — must
-// not be used from multiple goroutines concurrently; take one view per
-// goroutine instead, which is cheap.)
+// and the set bounds by two offset loads. MRRCollection.View snapshots
+// the directory and shard headers into an immutable read-side MRRView
+// exposing the same Set/Root/Theta/EstimateAUScan API; because shard
+// arenas are append-only, a view stays valid and bit-identical even while
+// the parent collection keeps growing. (EstimateAUScan carries lazily
+// allocated scratch, so a single MRRView value — like an MRRCollection —
+// must not be used from multiple goroutines concurrently; take one view
+// per goroutine, or one AUEstimator per goroutine over a shared view.)
 //
 // # Artifact lifecycle: grow, shrink
 //

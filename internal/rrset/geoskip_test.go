@@ -38,10 +38,10 @@ func TestGeoSkipMatchesFlipSpread(t *testing.T) {
 		t.Fatal(err)
 	}
 	const theta = 40000
-	geo := NewCollectionLayout(lay, 5)
-	geo.ExtendTo(theta)
-	flip := NewCollectionLayout(flipLayout(lay), 5)
-	flip.ExtendTo(theta)
+	geo := newCollection1(lay, 5)
+	extend(t, geo, theta)
+	flip := newCollection1(flipLayout(lay), 5)
+	extend(t, flip, theta)
 
 	// Mean RR-set size is a tight functional of the sampling distribution.
 	geoSize := float64(geo.TotalSize()) / theta
@@ -51,8 +51,8 @@ func TestGeoSkipMatchesFlipSpread(t *testing.T) {
 	}
 
 	for _, seeds := range [][]int32{{0}, {1, 2, 3}, {10, 100, 1000, 2000, 2999}} {
-		ge := geo.EstimateSpread(seeds)
-		fe := flip.EstimateSpread(seeds)
+		ge := spread(geo, seeds)
+		fe := spread(flip, seeds)
 		// Spreads are Monte-Carlo estimates from independent streams;
 		// compare with a tolerance scaled to the estimate.
 		tol := 0.08*fe + 0.5
@@ -113,11 +113,11 @@ func TestWorkStealingScheduleInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	const theta = 1000 // 15 full blocks of 64 plus a 40-sample tail
-	sample := func(workers int) *Collection {
+	sample := func(workers int) *MRRCollection {
 		old := runtime.GOMAXPROCS(workers)
 		defer runtime.GOMAXPROCS(old)
-		c := NewCollectionLayout(lay, 23)
-		c.ExtendTo(theta)
+		c := newCollection1(lay, 23)
+		extend(t, c, theta)
 		return c
 	}
 	ref := sample(1)
@@ -130,7 +130,7 @@ func TestWorkStealingScheduleInvariance(t *testing.T) {
 			if got.Root(i) != ref.Root(i) {
 				t.Fatalf("workers=%d: root %d differs", workers, i)
 			}
-			a, b := got.Set(i), ref.Set(i)
+			a, b := got.Set(i, 0), ref.Set(i, 0)
 			if len(a) != len(b) {
 				t.Fatalf("workers=%d: set %d sizes differ", workers, i)
 			}

@@ -154,13 +154,13 @@ func TestPrunedLayoutsSampleIdenticallyToExplicitLayouts(t *testing.T) {
 			}
 			checkDerivedParity(t, a, c, "extended")
 
-			// The single-piece Collection walks the same way.
-			ca, cc := NewCollectionLayout(explicit[0], seed), NewCollectionLayout(cached[0], seed)
-			ca.ExtendTo(theta)
-			cc.ExtendTo(theta)
+			// A one-piece collection walks the same way.
+			ca, cc := newCollection1(explicit[0], seed), newCollection1(cached[0], seed)
+			extend(t, ca, theta)
+			extend(t, cc, theta)
 			for i := 0; i < theta; i++ {
-				if ca.Root(i) != cc.Root(i) || !slices.Equal(ca.Set(i), cc.Set(i)) {
-					t.Fatalf("single-piece set %d: explicit root %d %v, cached root %d %v", i, ca.Root(i), ca.Set(i), cc.Root(i), cc.Set(i))
+				if ca.Root(i) != cc.Root(i) || !slices.Equal(ca.Set(i, 0), cc.Set(i, 0)) {
+					t.Fatalf("single-piece set %d: explicit root %d %v, cached root %d %v", i, ca.Root(i), ca.Set(i, 0), cc.Root(i), cc.Set(i, 0))
 				}
 			}
 		})
@@ -240,8 +240,7 @@ func TestSamplingAllocatesPerWorkerNotPerSample(t *testing.T) {
 			return err
 		}},
 		{"single piece", func() error {
-			NewCollectionLayout(layouts[0], 7).ExtendTo(theta)
-			return nil
+			return newCollection1(layouts[0], 7).ExtendTo(theta)
 		}},
 	} {
 		var err error

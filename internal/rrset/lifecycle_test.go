@@ -286,12 +286,20 @@ func TestEmptyIndexEstimateErrors(t *testing.T) {
 	if err == nil || math.IsNaN(got) {
 		t.Fatalf("empty-index estimate: got (%v, %v), want an explicit error", got, err)
 	}
-	// Coverage and spread over an empty collection stay finite.
-	c := NewCollectionLayout(layouts[0], 1)
-	if got := c.Coverage([]int32{0}); got != 0 {
+	// The same holds for a one-piece collection's index, and coverage and
+	// spread over it stay finite.
+	c := newCollection1(layouts[0], 1)
+	ix1, err := c.BuildIndex([]int32{0, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ix1.EstimateAU([][]int32{{0}}, paperModel); err == nil || math.IsNaN(got) {
+		t.Fatalf("empty one-piece index estimate: got (%v, %v), want an explicit error", got, err)
+	}
+	if got := coverage(c, []int32{0}); got != 0 {
 		t.Fatalf("empty-collection coverage %d", got)
 	}
-	if got := c.EstimateSpread([]int32{0}); got != 0 || math.IsNaN(got) {
+	if got := spread(c, []int32{0}); got != 0 || math.IsNaN(got) {
 		t.Fatalf("empty-collection spread %v", got)
 	}
 }

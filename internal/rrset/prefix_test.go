@@ -83,28 +83,30 @@ func TestMRRViewPrefixBitIdentical(t *testing.T) {
 	}
 }
 
-// TestViewPrefixCollection covers the single-piece View.Prefix.
+// TestViewPrefixCollection covers MRRView.Prefix on a one-piece
+// collection: a prefix view's spread and coverage are a fresh θ-sized
+// collection's.
 func TestViewPrefixCollection(t *testing.T) {
 	g, probs := randomTestGraph(t, 5, 60, 350)
 	big, err := newCollectionProbs(g, probs[0], 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	big.ExtendTo(800)
+	extend(t, big, 800)
 	fresh, err := newCollectionProbs(g, probs[0], 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh.ExtendTo(200)
+	extend(t, fresh, 200)
 	pv, err := big.View().Prefix(200)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seeds := []int32{2, 7, 31}
-	if got, want := pv.EstimateSpread(seeds), fresh.EstimateSpread(seeds); got != want {
+	if got, want := spread(pv, seeds), spread(fresh, seeds); got != want {
 		t.Fatalf("prefix spread %v != fresh spread %v", got, want)
 	}
-	if got, want := pv.Coverage(seeds), fresh.Coverage(seeds); got != want {
+	if got, want := coverage(pv, seeds), coverage(fresh, seeds); got != want {
 		t.Fatalf("prefix coverage %d != fresh coverage %d", got, want)
 	}
 }
@@ -286,18 +288,21 @@ func TestPrefixValidation(t *testing.T) {
 
 // TestEmptyCollectionEstimates is the NaN regression test: estimates
 // over an empty collection report 0 (spread) or an explicit error (AU
-// scan), never NaN.
+// scan), never NaN — one-piece and multi-piece alike.
 func TestEmptyCollectionEstimates(t *testing.T) {
 	g, probs := paperExample(t)
 	c, err := newCollectionProbs(g, probs[0], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.EstimateSpread([]int32{0}); got != 0 || math.IsNaN(got) {
+	if got := spread(c, []int32{0}); got != 0 || math.IsNaN(got) {
 		t.Fatalf("empty-collection spread = %v, want 0", got)
 	}
-	if got := c.View().EstimateSpread([]int32{0}); got != 0 {
+	if got := spread(c.View(), []int32{0}); got != 0 {
 		t.Fatalf("empty-view spread = %v, want 0", got)
+	}
+	if got, err := c.EstimateAUScan([][]int32{{0}}, paperModel); err == nil || math.IsNaN(got) {
+		t.Fatalf("empty one-piece AU scan: got (%v, %v), want an explicit error", got, err)
 	}
 	layouts, err := buildLayouts(g, probs)
 	if err != nil {

@@ -57,10 +57,11 @@ func (ms *muxSampler) samplePiece(root int32, j int, rng *xrand.SplitMix64, out 
 	return append(out, order...)
 }
 
-// substrate is what a collection samples over, in the one shape
-// Collection and MRRCollection share: a node universe [0, n), the graph
-// of every layer, and the per-piece layouts as [piece][layer]. One graph
-// is the one-layer case — mux nil, the layer numbered in universe ids.
+// substrate is what an MRRCollection samples over: a node universe
+// [0, n), the graph of every layer, and the per-piece layouts as
+// [piece][layer]. One graph is the one-layer case — mux nil, the layer
+// numbered in universe ids; one piece (ℓ = 1) is the plain RR collection
+// the IM baselines cover.
 // newSubstrate is the only place the package asks which of the two it
 // was given; everything else reads the fields it filled in.
 type substrate struct {
@@ -174,186 +175,6 @@ func (ws *workerSamplers) get(w int) pieceSampler {
 		ws.slots[w] = ws.newSampler()
 	}
 	return ws.slots[w]
-}
-
-// collCore is the read side shared by Collection and View: the sharded
-// store, the per-sample roots, and the estimator scratch. The substrate
-// is reduced to its node-universe size n — the only graph property the
-// read side needs — so single-graph and multiplex collections share one
-// read path. Methods are not safe for concurrent use (they share
-// scratch state).
-type collCore struct {
-	n     int
-	st    store
-	roots []int32
-
-	seedMark *bitset.Stamp // Coverage scratch, lazily allocated
-}
-
-// Theta returns the number of sampled RR sets.
-func (c *collCore) Theta() int { return len(c.roots) }
-
-// N returns the node-universe size the collection samples over.
-func (c *collCore) N() int { return c.n }
-
-// Set returns the i-th RR set (aliases internal storage).
-func (c *collCore) Set(i int) []int32 { return c.st.set(int64(i)) }
-
-// Root returns the root of the i-th RR set.
-func (c *collCore) Root(i int) int32 { return c.roots[i] }
-
-// TotalSize returns the summed cardinality of all RR sets.
-func (c *collCore) TotalSize() int { return c.st.totalSize() }
-
-// Shards returns the number of shard arenas backing the storage.
-func (c *collCore) Shards() int { return c.st.numShards() }
-
-// MemUsage approximates the collection's resident bytes: shard arenas
-// (at capacity — append-only growth keeps its slack), the block/run
-// directory, and the roots. Views report the
-// storage they snapshot. The serve-layer memory governor accounts
-// artifacts with it.
-func (c *collCore) MemUsage() int64 { return c.st.memUsage() + int64(cap(c.roots))*4 }
-
-// Coverage returns the number of RR sets intersected by seeds (linear
-// scan; the IM baselines use incremental coverage instead). Seed ids
-// outside the graph never match. An empty collection has coverage 0 —
-// the empty-θ guard lives in EstimateSpread, which would otherwise
-// divide by θ.
-func (c *collCore) Coverage(seeds []int32) int {
-	if c.seedMark == nil {
-		c.seedMark = bitset.NewStamp(c.n)
-	}
-	c.seedMark.Reset()
-	marked := false
-	for _, v := range seeds {
-		if v >= 0 && int(v) < c.n {
-			c.seedMark.Mark(int(v))
-			marked = true
-		}
-	}
-	if !marked {
-		return 0
-	}
-	covered := 0
-	for i := 0; i < c.Theta(); i++ {
-		for _, v := range c.Set(i) {
-			if c.seedMark.Marked(int(v)) {
-				covered++
-				break
-			}
-		}
-	}
-	return covered
-}
-
-// EstimateSpread estimates σ_im(seeds) = n · coverage / θ. An empty
-// collection estimates 0, never NaN — the same empty-θ guard
-// EstimateAUScan applies (which errors instead: a spread of zero sets is
-// meaningfully zero, while an adoption-utility sample mean over zero
-// samples does not exist).
-func (c *collCore) EstimateSpread(seeds []int32) float64 {
-	if c.Theta() == 0 {
-		return 0
-	}
-	return float64(c.n) * float64(c.Coverage(seeds)) / float64(c.Theta())
-}
-
-// Collection is a growable set of single-piece RR sets with sharded
-// flattened storage (see the package comment). It serves the IM
-// baselines; OIPA uses MRRCollection. Methods that grow or query the
-// collection are not safe for concurrent use.
-type Collection struct {
-	collCore
-	sub  *substrate // one piece: sub.layouts[0][a] is its layout on layer a
-	seed uint64
-}
-
-// View is an immutable read-side snapshot of a Collection. It exposes
-// the collection's query API (Set, Root, Theta, Coverage,
-// EstimateSpread, ...) over the sets present at snapshot time, and it
-// stays valid — bit-identical — even while the parent collection keeps
-// growing, because shard arenas are append-only. Taking a view copies
-// only slice headers, never set data. Like the collection itself, one
-// View value is not safe for concurrent use (estimators share scratch);
-// take one view per goroutine instead.
-type View struct {
-	collCore
-}
-
-// NewCollectionLayers returns an empty single-piece collection over g
-// (one graph; mx nil) or mx (a multiplex; g nil): lays[a] is the piece's
-// layout on layer a — the one layout for a graph, Multiplex.Layouts for a
-// multiplex. Sets hold universe node ids, so the read side (View,
-// Coverage, EstimateSpread) is the same over both; for a single
-// identity-mapped layer the sets are bit-identical to the collection over
-// that layer's graph.
-func NewCollectionLayers(g *graph.Graph, mx *graph.Multiplex, lays []*graph.PieceLayout, seed uint64) (*Collection, error) {
-	sub, err := newSubstrate(g, mx, [][]*graph.PieceLayout{lays})
-	if err != nil {
-		return nil, err
-	}
-	return &Collection{collCore: collCore{n: sub.n, st: store{setsPerSample: 1}}, sub: sub, seed: seed}, nil
-}
-
-// NewCollectionLayout returns an empty collection sampling one graph
-// under a prebuilt piece layout.
-func NewCollectionLayout(lay *graph.PieceLayout, seed uint64) *Collection {
-	c, err := NewCollectionLayers(lay.Graph(), nil, []*graph.PieceLayout{lay}, seed)
-	if err != nil {
-		panic(err) // unreachable: a layout is built for its own graph
-	}
-	return c
-}
-
-// View returns an immutable snapshot of the collection's current sets.
-func (c *Collection) View() *View {
-	return &View{collCore{n: c.n, st: c.st.snapshot(), roots: c.roots[:len(c.roots):len(c.roots)]}}
-}
-
-// Prefix returns a view over the first theta sets of v. Because set i is
-// deterministic in (graph, probs, seed) — independent of how or when the
-// collection grew — a θ-prefix view is bit-identical to the view of a
-// collection freshly sampled to θ with the same seed. theta must lie in
-// [1, v.Theta()]; passing v.Theta() returns v itself.
-func (v *View) Prefix(theta int) (*View, error) {
-	if theta <= 0 || theta > v.Theta() {
-		return nil, fmt.Errorf("rrset: prefix theta %d outside [1, %d]", theta, v.Theta())
-	}
-	if theta == v.Theta() {
-		return v, nil
-	}
-	return &View{collCore{n: v.n, st: v.st, roots: v.roots[:theta:theta]}}, nil
-}
-
-// ExtendTo grows the collection to theta RR sets, in place: samples are
-// generated in parallel (work-stealing blocks appending into per-worker
-// shards) but indexed deterministically — set i is always the same for a
-// given (graph, probs, seed), regardless of when, where, or at what
-// shard count it was generated. Calling ExtendTo with theta ≤ Theta()
-// is a no-op: a collection never shrinks, and the existing sets are
-// untouched.
-func (c *Collection) ExtendTo(theta int) {
-	start := c.Theta()
-	if theta <= start {
-		return
-	}
-	count := theta - start
-	c.roots = append(c.roots, make([]int32, count)...)
-	n := uint64(c.n)
-	c.st.extend(count, func(int) func(i int, sh *shard) {
-		s := c.sub.newPieceSampler()
-		// One generator per worker, re-seeded per sample: the sampler
-		// interface would otherwise force a heap allocation per sample.
-		rng := new(xrand.SplitMix64)
-		return func(i int, sh *shard) {
-			rng.Reseed(c.seed, uint64(start+i))
-			root := int32(rng.Uint64n(n))
-			c.roots[start+i] = root
-			sh.nodes = s.samplePiece(root, 0, rng, sh.nodes)
-			sh.closeSet()
-		}
-	})
 }
 
 // mrrCore is the read side shared by MRRCollection and MRRView: θ
@@ -472,8 +293,9 @@ func (m *mrrCore) estimateAUScanBounded(marks []*bitset.Stamp, plan [][]int32, m
 }
 
 // MRRCollection holds θ multi-RR samples over ℓ pieces in sharded
-// flattened storage (see the package comment). Estimator methods share
-// scratch state and are not safe for concurrent use.
+// flattened storage (see the package comment); with ℓ = 1 it is a plain
+// RR collection. Estimator methods share scratch state and are not safe
+// for concurrent use.
 type MRRCollection struct {
 	mrrCore
 	seed uint64
@@ -485,9 +307,10 @@ type MRRCollection struct {
 	rootsPinned bool
 }
 
-// MRRView is an immutable read-side snapshot of an MRRCollection, with
-// the same validity guarantee as View: it stays bit-identical even while
-// the parent collection keeps growing. One MRRView value is not safe for
+// MRRView is an immutable read-side snapshot of an MRRCollection: it
+// stays bit-identical even while the parent collection keeps growing,
+// because shard arenas are append-only, and taking one copies only slice
+// headers, never set data. One MRRView value is not safe for
 // concurrent use (estimators share scratch); take one view per
 // goroutine, or share a single view across goroutines through
 // per-goroutine AUEstimators (NewEstimator).
@@ -595,7 +418,7 @@ func sampleMRR(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.PieceLayo
 
 // SampleMRR draws theta multi-RR samples. pieceProbs[j] holds the per-edge
 // probabilities of piece j (from graph.PieceProbs). Parallel and
-// deterministic in the same sense as Collection.ExtendTo.
+// deterministic in the same sense as MRRCollection.ExtendTo.
 func SampleMRR(g *graph.Graph, pieceProbs [][]float64, theta int, seed uint64) (*MRRCollection, error) {
 	layouts, err := buildLayouts(g, pieceProbs)
 	if err != nil {

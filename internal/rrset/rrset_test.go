@@ -38,14 +38,64 @@ func paperExample(t testing.TB) (*graph.Graph, [][]float64) {
 
 var paperModel = logistic.Model{Alpha: 3, Beta: 1}
 
-// newCollectionProbs returns an empty one-graph collection sampling under
-// an explicit per-edge probability vector.
-func newCollectionProbs(g *graph.Graph, probs []float64, seed uint64) (*Collection, error) {
+// newCollectionProbs returns an empty one-piece (ℓ = 1) collection
+// sampling g under an explicit per-edge probability vector.
+func newCollectionProbs(g *graph.Graph, probs []float64, seed uint64) (*MRRCollection, error) {
 	lay, err := g.Layout(probs)
 	if err != nil {
 		return nil, err
 	}
-	return NewCollectionLayout(lay, seed), nil
+	return newCollection1(lay, seed), nil
+}
+
+// newCollection1 returns an empty one-piece collection over one layout.
+func newCollection1(lay *graph.PieceLayout, seed uint64) *MRRCollection {
+	return emptyGraphMRR(lay.Graph(), []*graph.PieceLayout{lay}, seed)
+}
+
+// extend grows c to theta samples, failing the test on error.
+func extend(tb testing.TB, c *MRRCollection, theta int) {
+	tb.Helper()
+	if err := c.ExtendTo(theta); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// setReader is the read side MRRCollection and MRRView share.
+type setReader interface {
+	N() int
+	Theta() int
+	Set(i, j int) []int32
+}
+
+// coverage counts the samples whose piece-0 RR set holds any of seeds,
+// by a linear scan; ids outside the graph never match.
+func coverage(c setReader, seeds []int32) int {
+	mark := make([]bool, c.N())
+	for _, v := range seeds {
+		if v >= 0 && int(v) < c.N() {
+			mark[v] = true
+		}
+	}
+	covered := 0
+	for i := 0; i < c.Theta(); i++ {
+		for _, v := range c.Set(i, 0) {
+			if mark[v] {
+				covered++
+				break
+			}
+		}
+	}
+	return covered
+}
+
+// spread estimates σ_im(seeds) = n · coverage / θ from the piece-0 sets:
+// 0 over an empty collection, never NaN.
+func spread(c setReader, seeds []int32) float64 {
+	if c.Theta() == 0 {
+		return 0
+	}
+	return float64(c.N()) * float64(coverage(c, seeds)) / float64(c.Theta())
 }
 
 // emptyGraphMRR returns an empty one-graph collection over per-piece
@@ -96,7 +146,7 @@ func TestCollectionDeterministicSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ExtendTo(50)
+	extend(t, c, 50)
 	if c.Theta() != 50 {
 		t.Fatalf("Theta = %d", c.Theta())
 	}
@@ -111,7 +161,7 @@ func TestCollectionDeterministicSets(t *testing.T) {
 	}
 	for i := 0; i < c.Theta(); i++ {
 		root := c.Root(i)
-		set := c.Set(i)
+		set := c.Set(i, 0)
 		exp := want[root]
 		if len(set) != len(exp) {
 			t.Fatalf("set %d (root %d) = %v, want %v", i, root, set, exp)
@@ -131,15 +181,15 @@ func TestCollectionDeterministicSets(t *testing.T) {
 func TestCollectionExtendIsIncremental(t *testing.T) {
 	g, probs := randomTestGraph(t, 5, 40, 150)
 	a, _ := newCollectionProbs(g, probs[0], 9)
-	a.ExtendTo(200)
+	extend(t, a, 200)
 	b, _ := newCollectionProbs(g, probs[0], 9)
-	b.ExtendTo(50)
-	b.ExtendTo(200) // grown in two steps
+	extend(t, b, 50)
+	extend(t, b, 200) // grown in two steps
 	if a.Theta() != b.Theta() {
 		t.Fatal("theta mismatch")
 	}
 	for i := 0; i < a.Theta(); i++ {
-		sa, sb := a.Set(i), b.Set(i)
+		sa, sb := a.Set(i, 0), b.Set(i, 0)
 		if len(sa) != len(sb) {
 			t.Fatalf("set %d sizes differ: %d vs %d", i, len(sa), len(sb))
 		}
@@ -150,7 +200,7 @@ func TestCollectionExtendIsIncremental(t *testing.T) {
 		}
 	}
 	// ExtendTo with smaller theta is a no-op.
-	b.ExtendTo(10)
+	extend(t, b, 10)
 	if b.Theta() != 200 {
 		t.Fatal("shrinking ExtendTo changed the collection")
 	}
@@ -160,15 +210,15 @@ func TestCollectionParallelMatchesSerial(t *testing.T) {
 	g, probs := randomTestGraph(t, 6, 60, 240)
 	old := runtime.GOMAXPROCS(1)
 	serial, _ := newCollectionProbs(g, probs[0], 3)
-	serial.ExtendTo(500)
+	extend(t, serial, 500)
 	runtime.GOMAXPROCS(old)
 	parallel, _ := newCollectionProbs(g, probs[0], 3)
-	parallel.ExtendTo(500)
+	extend(t, parallel, 500)
 	if serial.TotalSize() != parallel.TotalSize() {
 		t.Fatalf("total sizes differ: %d vs %d", serial.TotalSize(), parallel.TotalSize())
 	}
 	for i := 0; i < 500; i++ {
-		sa, sb := serial.Set(i), parallel.Set(i)
+		sa, sb := serial.Set(i, 0), parallel.Set(i, 0)
 		if len(sa) != len(sb) {
 			t.Fatalf("set %d sizes differ", i)
 		}
@@ -188,8 +238,8 @@ func TestEstimateSpreadUnbiased(t *testing.T) {
 	g, probs := randomTestGraph(t, 7, 50, 200)
 	seeds := []int32{0, 7, 23}
 	c, _ := newCollectionProbs(g, probs[0], 11)
-	c.ExtendTo(200000)
-	rrEst := c.EstimateSpread(seeds)
+	extend(t, c, 200000)
+	rrEst := spread(c, seeds)
 	mcEst, err := cascade.EstimateSpread(g, probs[0], seeds, 200000, 13)
 	if err != nil {
 		t.Fatal(err)
@@ -201,10 +251,10 @@ func TestEstimateSpreadUnbiased(t *testing.T) {
 
 func TestNewCollectionValidates(t *testing.T) {
 	g, _ := paperExample(t)
-	if _, err := NewCollectionLayers(g, nil, []*graph.PieceLayout{nil}, 0); err == nil {
+	if _, err := NewMRRCollection(g, nil, [][]*graph.PieceLayout{{nil}}, 0); err == nil {
 		t.Fatal("nil layout accepted")
 	}
-	if _, err := NewCollectionLayers(nil, nil, nil, 0); err == nil {
+	if _, err := NewMRRCollection(nil, nil, [][]*graph.PieceLayout{{nil}}, 0); err == nil {
 		t.Fatal("neither graph nor multiplex accepted")
 	}
 }

@@ -58,25 +58,25 @@ func TestShardedExtendToMonotonic(t *testing.T) {
 		t.Fatal(err)
 	}
 	const theta = 1000
-	oneShot := NewCollectionLayout(lay, 77)
-	oneShot.ExtendTo(theta)
+	oneShot := newCollection1(lay, 77)
+	extend(t, oneShot, theta)
 
-	grown := NewCollectionLayout(lay, 77)
+	grown := newCollection1(lay, 77)
 	steps := []struct{ theta, workers int }{
 		{1, 1}, {37, 2}, {100, 3}, {421, 1}, {1000, 5},
 	}
 	type snap struct {
-		view  *View
+		view  *MRRView
 		theta int
 		sets  [][]int32 // deep copies at snapshot time
 	}
 	var snaps []snap
 	for _, st := range steps {
-		atGOMAXPROCS(st.workers, func() { grown.ExtendTo(st.theta) })
+		atGOMAXPROCS(st.workers, func() { extend(t, grown, st.theta) })
 		v := grown.View()
 		s := snap{view: v, theta: st.theta}
 		for i := 0; i < st.theta; i++ {
-			s.sets = append(s.sets, append([]int32(nil), v.Set(i)...))
+			s.sets = append(s.sets, append([]int32(nil), v.Set(i, 0)...))
 		}
 		snaps = append(snaps, s)
 	}
@@ -85,7 +85,7 @@ func TestShardedExtendToMonotonic(t *testing.T) {
 			grown.Theta(), grown.TotalSize(), theta, oneShot.TotalSize())
 	}
 	for i := 0; i < theta; i++ {
-		if grown.Root(i) != oneShot.Root(i) || !slices.Equal(grown.Set(i), oneShot.Set(i)) {
+		if grown.Root(i) != oneShot.Root(i) || !slices.Equal(grown.Set(i, 0), oneShot.Set(i, 0)) {
 			t.Fatalf("set %d differs between stepped and one-shot growth", i)
 		}
 	}
@@ -94,7 +94,7 @@ func TestShardedExtendToMonotonic(t *testing.T) {
 			t.Fatalf("snapshot %d: theta drifted from %d to %d", si, s.theta, s.view.Theta())
 		}
 		for i := 0; i < s.theta; i++ {
-			if !slices.Equal(s.view.Set(i), s.sets[i]) {
+			if !slices.Equal(s.view.Set(i, 0), s.sets[i]) {
 				t.Fatalf("snapshot %d: set %d changed after later growth", si, i)
 			}
 		}
@@ -110,17 +110,19 @@ func TestExtendToSmallerThetaNoOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollectionLayout(lay, 3)
-	c.ExtendTo(120)
+	c := newCollection1(lay, 3)
+	extend(t, c, 120)
 	before := c.View()
 	for _, smaller := range []int{119, 120, 64, 1, 0, -5} {
-		c.ExtendTo(smaller)
+		if err := c.ExtendTo(smaller); err != nil {
+			t.Fatalf("ExtendTo(%d) errored: %v", smaller, err)
+		}
 		if c.Theta() != 120 {
 			t.Fatalf("ExtendTo(%d) changed theta to %d", smaller, c.Theta())
 		}
 	}
 	for i := 0; i < 120; i++ {
-		if !slices.Equal(c.Set(i), before.Set(i)) {
+		if !slices.Equal(c.Set(i, 0), before.Set(i, 0)) {
 			t.Fatalf("ExtendTo no-op changed set %d", i)
 		}
 	}

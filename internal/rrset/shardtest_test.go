@@ -3,10 +3,11 @@ package rrset
 // The shardtest conformance suite pins the sharded store to a naive
 // single-arena reference implementation: the same per-sample (seed, i)
 // RNG derivation run by one serial loop into one offsets/nodes arena,
-// with map-based estimators. Every public Collection/MRRCollection
+// with map-based estimators. Every public MRRCollection/MRRView read
 // method must agree bit-for-bit (sets, coverage counts, float estimates
 // accumulated in the same order) at 1, 4 and NumCPU shards — the
-// determinism contract the package documents.
+// determinism contract the package documents — for one-piece and
+// multi-piece collections alike.
 
 import (
 	"math/rand"
@@ -31,23 +32,8 @@ type refArena struct {
 
 func (a *refArena) set(k int) []int32 { return a.nodes[a.offsets[k]:a.offsets[k+1]] }
 
-// refSample serially reproduces Collection.ExtendTo's semantics.
-func refSample(g *graph.Graph, lay *graph.PieceLayout, theta int, seed uint64) *refArena {
-	s := &sampler{w: traverse.NewWalker(g.N())}
-	a := &refArena{offsets: []int64{0}}
-	n := uint64(g.N())
-	for i := 0; i < theta; i++ {
-		rng := xrand.Derive(seed, uint64(i))
-		root := int32(rng.Uint64n(n))
-		a.roots = append(a.roots, root)
-		a.nodes = s.sample(root, lay, rng, a.nodes)
-		a.offsets = append(a.offsets, int64(len(a.nodes)))
-	}
-	return a
-}
-
 // refSampleMRR serially reproduces SampleMRRLayouts' semantics: set of
-// sample i, piece j lives at arena index i·ℓ+j.
+// sample i, piece j lives at arena index i·ℓ+j (i itself when ℓ = 1).
 func refSampleMRR(g *graph.Graph, layouts []*graph.PieceLayout, theta int, seed uint64) *refArena {
 	s := &sampler{w: traverse.NewWalker(g.N())}
 	a := &refArena{offsets: []int64{0}}
@@ -137,10 +123,10 @@ func quickCfg(maxCount int) *quick.Config {
 	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(42))}
 }
 
-// TestShardConformanceCollection checks every public Collection method
-// against the reference on randomized graphs: same seeds ⇒ identical
-// roots, sets, sizes, coverage counts and spread estimates at every
-// shard count.
+// TestShardConformanceCollection checks a one-piece collection and its
+// view against the reference on randomized graphs: same seeds ⇒
+// identical roots, sets, sizes, coverage counts and spread estimates at
+// every shard count.
 func TestShardConformanceCollection(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
@@ -152,7 +138,7 @@ func TestShardConformanceCollection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := refSample(g, lay, theta, seed^0x9e37)
+		ref := refSampleMRR(g, []*graph.PieceLayout{lay}, theta, seed^0x9e37)
 		seedSets := [][]int32{
 			{},
 			{int32(r.Intn(n))},
@@ -162,8 +148,8 @@ func TestShardConformanceCollection(t *testing.T) {
 		for _, sc := range shardCounts() {
 			ok := true
 			atGOMAXPROCS(sc, func() {
-				c := NewCollectionLayout(lay, seed^0x9e37)
-				c.ExtendTo(theta)
+				c := newCollection1(lay, seed^0x9e37)
+				extend(t, c, theta)
 				v := c.View()
 				if c.Theta() != theta || v.Theta() != theta ||
 					c.TotalSize() != len(ref.nodes) || v.TotalSize() != len(ref.nodes) {
@@ -173,7 +159,7 @@ func TestShardConformanceCollection(t *testing.T) {
 				}
 				for i := 0; i < theta; i++ {
 					if c.Root(i) != ref.roots[i] ||
-						!slices.Equal(c.Set(i), ref.set(i)) || !slices.Equal(v.Set(i), ref.set(i)) {
+						!slices.Equal(c.Set(i, 0), ref.set(i)) || !slices.Equal(v.Set(i, 0), ref.set(i)) {
 						t.Logf("shards=%d: set %d mismatch", sc, i)
 						ok = false
 						return
@@ -181,13 +167,13 @@ func TestShardConformanceCollection(t *testing.T) {
 				}
 				for _, seeds := range seedSets {
 					want := refCoverage(ref, theta, seeds, n)
-					if c.Coverage(seeds) != want || v.Coverage(seeds) != want {
+					if coverage(c, seeds) != want || coverage(v, seeds) != want {
 						t.Logf("shards=%d: coverage of %v mismatch", sc, seeds)
 						ok = false
 						return
 					}
 					wantSpread := float64(n) * float64(want) / float64(theta)
-					if c.EstimateSpread(seeds) != wantSpread || v.EstimateSpread(seeds) != wantSpread {
+					if spread(c, seeds) != wantSpread || spread(v, seeds) != wantSpread {
 						t.Logf("shards=%d: spread of %v mismatch", sc, seeds)
 						ok = false
 						return

@@ -123,8 +123,8 @@ func (st *store) extend(count int, worker func(w int) func(i int, sh *shard)) {
 
 // set returns the s-th set in global (deterministic) order, aliasing
 // shard storage. The run is found by binary search (collections built in
-// one pass have a single run; IMM-style geometric growth stays under a
-// few dozen), the block by one division, and the set bounds by two loads
+// one pass have a single run; each growth step or ExtendToCtx chunk adds
+// one), the block by one division, and the set bounds by two loads
 // from the shard's offsets — blocks claimed by one worker are laid
 // back-to-back in its shard, so offsets[o-1] is the set's start even
 // across block boundaries.

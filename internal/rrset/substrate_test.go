@@ -69,7 +69,8 @@ func TestSubstrateValidate(t *testing.T) {
 }
 
 // declaredNames parses the package's non-test files and returns the name
-// of every function, method, type and struct field they declare.
+// of every function, method, type and struct field they declare; a type
+// is also recorded as "type Name", to tell it from a method of that name.
 func declaredNames(t *testing.T) map[string]bool {
 	t.Helper()
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
@@ -88,6 +89,7 @@ func declaredNames(t *testing.T) map[string]bool {
 					return false
 				case *ast.TypeSpec:
 					names[d.Name.Name] = true
+					names["type "+d.Name.Name] = true
 				case *ast.Field:
 					for _, id := range d.Names {
 						names[id.Name] = true
@@ -100,12 +102,12 @@ func declaredNames(t *testing.T) map[string]bool {
 	return names
 }
 
-// TestExportedSurface pins the constructor surface: one substrate-generic
-// constructor per collection kind plus thin wrappers, no *Ctx twins, no
-// fused-count API, and no file format (every substrate comes from
-// newSubstrate).
+// TestExportedSurface pins the constructor surface: one collection type
+// with one substrate-generic constructor plus thin wrappers, no *Ctx
+// twins, no fused-count API, and no file format (every substrate comes
+// from newSubstrate).
 func TestExportedSurface(t *testing.T) {
-	want := map[string]bool{"NewCollectionLayers": true, "NewCollectionLayout": true, "NewMRRCollection": true,
+	want := map[string]bool{"NewMRRCollection": true,
 		"SampleMRR": true, "SampleMRRLayouts": true, "SampleMRRMultiplexLayouts": true, "SampleMRRWithRoots": true}
 	names := declaredNames(t)
 	for name := range names {
@@ -123,7 +125,8 @@ func TestExportedSurface(t *testing.T) {
 		}
 	}
 	for _, gone := range []string{"DropSampleCounts", "counted", "shardsAfter",
-		"Write", "Save", "ReadMRR", "LoadMRR", "packedStore"} {
+		"Write", "Save", "ReadMRR", "LoadMRR", "packedStore",
+		"type Collection", "type View", "Coverage", "EstimateSpread"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}

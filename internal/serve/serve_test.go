@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -91,7 +90,20 @@ func postJSON(t testing.TB, ts *httptest.Server, path string, body interface{}, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(data))
+	code, raw := postBody(t, ts, path, string(data))
+	if out != nil && code < 300 {
+		if err := json.Unmarshal([]byte(raw), out); err != nil {
+			t.Fatalf("decoding %s response %q: %v", path, raw, err)
+		}
+	}
+	return code, raw
+}
+
+// postBody posts body byte for byte, for bodies json.Marshal cannot
+// produce.
+func postBody(t testing.TB, ts *httptest.Server, path, body string) (int, string) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +111,6 @@ func postJSON(t testing.TB, ts *httptest.Server, path string, body interface{}, 
 	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if out != nil && resp.StatusCode < 300 {
-		if err := json.Unmarshal(raw, out); err != nil {
-			t.Fatalf("decoding %s response %q: %v", path, raw, err)
-		}
 	}
 	return resp.StatusCode, string(raw)
 }
@@ -217,6 +224,24 @@ func TestSolveValidation(t *testing.T) {
 		"method": "bab", "k": 2, "solve_workers": 2}`)
 	if code, raw := postJSON(t, ts, "/v1/solve", workers, nil); code != http.StatusBadRequest || !strings.Contains(raw, "solve_workers") {
 		t.Errorf("solve_workers: status %d (%s), want 400 naming the field", code, raw)
+	}
+	// A body is one JSON value: a second value or garbage after it is
+	// refused, whitespace is not.
+	solve := `{"campaign": {"name": "t", "pieces": [{"name": "a", "topics": {"0": 1}}]}, "method": "greedy", "k": 2}`
+	estimate := `{"campaign": {"name": "t", "pieces": [{"name": "a", "topics": {"0": 1}}]}, "plan": [[]]}`
+	for _, tc := range []struct{ name, path, body string }{
+		{"second value", "/v1/solve", solve + ` {"k": 99, "method": "annealing"}`},
+		{"garbage", "/v1/solve", solve + ` garbage`},
+		{"estimate second value", "/v1/estimate", estimate + `{}`},
+	} {
+		if code, raw := postBody(t, ts, tc.path, tc.body); code != http.StatusBadRequest || !strings.Contains(raw, "trailing data") {
+			t.Errorf("%s: status %d (%s), want 400 naming trailing data", tc.name, code, raw)
+		}
+	}
+	for _, tc := range []struct{ path, body string }{{"/v1/solve", solve + " \n\t\n"}, {"/v1/estimate", estimate + "\n"}} {
+		if code, raw := postBody(t, ts, tc.path, tc.body); code != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d (%s), want 200", tc.path, code, raw)
+		}
 	}
 	resp, err := ts.Client().Get(ts.URL + "/v1/solve")
 	if err != nil {

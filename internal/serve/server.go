@@ -70,6 +70,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -1282,6 +1283,11 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v interface{})
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		s.error(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
+		return false
+	}
+	// A body is one JSON value: only whitespace may follow it.
+	if _, err := dec.Token(); err != io.EOF {
+		s.error(w, http.StatusBadRequest, errors.New("serve: bad request body: trailing data after the JSON value"))
 		return false
 	}
 	return true
