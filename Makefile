@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race short vet bench-harness-smoke bench-pairs
+.PHONY: build test race short vet fuzz-smoke bench-harness-smoke bench-pairs
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,11 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Ten seconds of native fuzzing over campaign JSON, the request bytes
+# every solve and estimate decodes (go test alone runs the seed corpus).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzCampaignJSON -fuzztime 10s ./internal/topic
+
 # The benchmark at smoke length: benchmark/ builds oipa-serve from the
 # tree, drives 5 s of a workload over loopback, and its oracle recomputes
 # sampled answers in-process through the unpruned explicit layout
@@ -26,10 +31,13 @@ vet:
 # answer exact and no request failed. cold_prepare covers layouts,
 # sampling and the index, but its solves certify at the root;
 # warm_solve_bab (steep model, 40 expanded nodes) is the one that checks
-# a real search — bounds under partial plans — against the oracle.
+# a real search — bounds under partial plans — against the oracle;
+# warm_query_mix is the one whose oracle compares served estimates, which
+# the server reads off the inverted index, with the θ-scan.
 bench-harness-smoke:
 	bash benchmark/run.sh --workload cold_prepare --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'
 	bash benchmark/run.sh --workload warm_solve_bab --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'
+	bash benchmark/run.sh --workload warm_query_mix --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'
 
 # Alternating parent/change pairs of one workload (one 20 s run per seed
 # per side), printed as BENCH.md rows and a q1 / median / q3 table:

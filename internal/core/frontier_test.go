@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"oipa/internal/logistic"
+	"oipa/internal/rrset"
 	"oipa/internal/xrand"
 )
 
@@ -93,7 +94,7 @@ func TestUtilityMatchesEstimators(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ev, au, scan := newEvaluator(inst), inst.Index.NewAUScratch(), inst.Index.MRR().NewEstimator()
+				ev, au, scan := newEvaluator(inst), new(rrset.AUScratch), inst.Index.MRR().NewEstimator()
 				r := xrand.New(seed*31 + uint64(model.Alpha))
 				for trial := 0; trial < 40; trial++ {
 					plan := NewPlan(inst.L())

@@ -145,7 +145,7 @@ func (n *exclNode) with(c candidate) *exclNode {
 // open when the loop ended — and Upper is the largest of those and the
 // incumbent's utility.
 func refSolve(inst *Instance, opts BABOptions) (*Result, []float64) {
-	ev, au := newEvaluator(inst), inst.Index.NewAUScratch()
+	ev, au := newEvaluator(inst), new(rrset.AUScratch)
 	k := inst.Problem.K
 	var stats SolverStats
 	evaluate := func(plan *planNode, picks []candidate) (Plan, float64) {

@@ -50,23 +50,23 @@ type Graph struct {
 	inFrom []int32
 	inEdge []int32
 
-	// probs[eid] is the topic-wise influence vector of edge eid.
-	probs []topic.Vector
-
-	// The same vectors flattened in reverse-CSR position order, for the
-	// one streaming pass that builds a piece layout: the in-edge at
-	// position pos carries topics topicIdx[topicOff[pos]:topicOff[pos+1]]
-	// (ascending) with values topicVal[...].
+	// The topic-wise influence vectors, flattened in reverse-CSR position
+	// order for the one streaming pass that builds a piece layout: the
+	// in-edge at position pos carries topics
+	// topicIdx[topicOff[pos]:topicOff[pos+1]] (ascending) with values
+	// topicVal[...]. edgePos[eid] is edge eid's position, so EdgeProb
+	// reads the same arrays.
 	topicOff []int64
 	topicIdx []int32
 	topicVal []float64
+	edgePos  []int32
 }
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return int(g.n) }
 
 // M returns the number of edges.
-func (g *Graph) M() int { return len(g.probs) }
+func (g *Graph) M() int { return len(g.outTo) }
 
 // Z returns the size of the topic space.
 func (g *Graph) Z() int { return int(g.z) }
@@ -98,17 +98,25 @@ func (g *Graph) InNeighbors(v int32) (from []int32, edges []int32) {
 }
 
 // EdgeProb returns the topic-wise influence vector of edge eid. The
-// returned vector aliases internal storage.
-func (g *Graph) EdgeProb(eid int32) topic.Vector { return g.probs[eid] }
+// returned vector aliases internal storage and must not be modified.
+func (g *Graph) EdgeProb(eid int32) topic.Vector { return g.vectorAt(g.edgePos[eid]) }
+
+// vectorAt is EdgeProb of the in-edge at reverse-CSR position pos. Loops
+// over every edge walk positions in order: the flat arrays are laid out
+// that way, and going through edgePos would read them at random.
+func (g *Graph) vectorAt(pos int32) topic.Vector {
+	lo, hi := g.topicOff[pos], g.topicOff[pos+1]
+	return topic.Vector{Idx: g.topicIdx[lo:hi:hi], Val: g.topicVal[lo:hi:hi]}
+}
 
 // PieceProbs computes, for every edge, the activation probability of a
 // viral piece with topic distribution t: p(t, e) = t · p(e), clamped into
 // [0, 1]. This materializes the per-piece homogeneous influence graph the
 // paper constructs for each t_j (§V-A) and is computed once per piece.
 func (g *Graph) PieceProbs(t topic.Vector) []float64 {
-	out := make([]float64, len(g.probs))
-	for eid, p := range g.probs {
-		out[eid] = clamp01(t.Dot(p))
+	out := make([]float64, g.M())
+	for pos, eid := range g.inEdge {
+		out[eid] = clamp01(t.Dot(g.vectorAt(int32(pos))))
 	}
 	return out
 }
@@ -125,14 +133,10 @@ func (g *Graph) AvgDegree() float64 {
 // edge; the paper reports 1.5 for the tweet dataset and uses it to explain
 // why single-piece baselines collapse there.
 func (g *Graph) AvgTopicNNZ() float64 {
-	if len(g.probs) == 0 {
+	if g.M() == 0 {
 		return 0
 	}
-	total := 0
-	for _, p := range g.probs {
-		total += p.NNZ()
-	}
-	return float64(total) / float64(len(g.probs))
+	return float64(len(g.topicIdx)) / float64(g.M())
 }
 
 // OutDegrees returns the out-degree sequence as float64s (for the stats
@@ -148,7 +152,8 @@ func (g *Graph) OutDegrees() []float64 {
 // Validate re-checks structural invariants; primarily used after
 // deserialization.
 func (g *Graph) Validate() error {
-	if int64(len(g.outTo)) != int64(len(g.probs)) || int64(len(g.inFrom)) != int64(len(g.probs)) {
+	m := g.M()
+	if len(g.inFrom) != m || len(g.edgePos) != m || len(g.topicOff) != m+1 {
 		return errors.New("graph: CSR arrays disagree with edge count")
 	}
 	if len(g.outOff) != int(g.n)+1 || len(g.inOff) != int(g.n)+1 {
@@ -169,7 +174,8 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("graph: in-edge %d sources invalid node %d", i, v)
 		}
 	}
-	for eid, p := range g.probs {
+	for pos, eid := range g.inEdge {
+		p := g.vectorAt(int32(pos))
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("graph: edge %d probability vector: %w", eid, err)
 		}
@@ -258,7 +264,7 @@ func (b *Builder) Build() (*Graph, error) {
 		inOff:   make([]int64, b.n+1),
 		inFrom:  make([]int32, m),
 		inEdge:  make([]int32, m),
-		probs:   make([]topic.Vector, m),
+		edgePos: make([]int32, m),
 	}
 
 	// Forward CSR directly from the sorted order.
@@ -270,9 +276,6 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	for u := 0; u < b.n; u++ {
 		g.outOff[u+1] += g.outOff[u]
-	}
-	for eid, idx := range order {
-		g.probs[eid] = b.probs[idx]
 	}
 	cursor := make([]int64, b.n)
 	for eid, idx := range order {
@@ -301,16 +304,17 @@ func (b *Builder) Build() (*Graph, error) {
 		g.inEdge[pos] = int32(eid)
 	}
 
-	// Flatten the topic vectors in reverse-CSR position order.
+	// Flatten the builder's topic vectors in reverse-CSR position order.
 	entries := 0
-	for _, p := range g.probs {
+	for _, p := range b.probs {
 		entries += p.NNZ()
 	}
 	g.topicOff = make([]int64, m+1)
 	g.topicIdx = make([]int32, 0, entries)
 	g.topicVal = make([]float64, 0, entries)
 	for pos, eid := range g.inEdge {
-		p := g.probs[eid]
+		g.edgePos[eid] = int32(pos)
+		p := b.probs[order[eid]]
 		g.topicIdx = append(g.topicIdx, p.Idx...)
 		g.topicVal = append(g.topicVal, p.Val...)
 		g.topicOff[pos+1] = int64(len(g.topicIdx))

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -219,6 +220,82 @@ func TestEdgeEndpoints(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEdgeProbMatchesBuilderVectors pins the one copy of the edge topic
+// vectors the graph keeps (flat, in reverse-CSR order): on random
+// builders — edges added in random order, some with empty vectors —
+// EdgeProb of each edge is the vector AddEdge was given for its (u, v),
+// PieceProbs is a dot product with those vectors bit for bit, and
+// Write → Read → Write is a byte-level fixed point.
+func TestEdgeProbMatchesBuilderVectors(t *testing.T) {
+	f := func(seed uint64) bool {
+		const n, m, z = 30, 150, 6
+		r := xrand.New(seed)
+		b := NewBuilder(n, z)
+		given := map[[2]int32]topic.Vector{}
+		for b.M() < m {
+			u, v := int32(r.Intn(n)), int32(r.Intn(n))
+			if _, dup := given[[2]int32{u, v}]; dup {
+				continue
+			}
+			dense := make([]float64, z)
+			for k := r.Intn(4); k > 0; k-- {
+				dense[r.Intn(z)] = r.Float64()
+			}
+			p := topic.FromDense(dense)
+			given[[2]int32{u, v}] = p
+			if err := b.AddEdge(u, v, p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		pieces := []topic.Vector{topic.SingleTopic(2), topic.FromDense([]float64{0.1, 0, 0.3, 0.2, 0, 0.4}), {}}
+		probs := make([][]float64, len(pieces))
+		for i, piece := range pieces {
+			probs[i] = g.PieceProbs(piece)
+		}
+		nnz := 0
+		for eid := int32(0); int(eid) < g.M(); eid++ {
+			u, v := g.EdgeEndpoints(eid)
+			want, got := given[[2]int32{u, v}], g.EdgeProb(eid)
+			if !got.Equal(want) {
+				t.Logf("seed %d edge %d (%d,%d): EdgeProb %+v, AddEdge gave %+v", seed, eid, u, v, got, want)
+				return false
+			}
+			nnz += want.NNZ()
+			for i, piece := range pieces {
+				if pp := probs[i][eid]; math.Float64bits(pp) != math.Float64bits(clamp01(piece.Dot(want))) {
+					t.Logf("seed %d edge %d: PieceProbs %v, dot %v", seed, eid, pp, piece.Dot(want))
+					return false
+				}
+			}
+		}
+		if g.AvgTopicNNZ() != float64(nnz)/float64(m) {
+			return false
+		}
+		var w1, w2 bytes.Buffer
+		if err := g.Write(&w1); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := Read(bytes.NewReader(w1.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g2.Write(&w2); err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Equal(w1.Bytes(), w2.Bytes())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

@@ -51,7 +51,7 @@ func (g *Graph) Write(w io.Writer) error {
 	for u := int32(0); u < g.n; u++ {
 		tos, eids := g.OutNeighbors(u)
 		for i, v := range tos {
-			p := g.probs[eids[i]]
+			p := g.EdgeProb(eids[i])
 			binary.LittleEndian.PutUint32(scratch[0:4], uint32(u))
 			binary.LittleEndian.PutUint32(scratch[4:8], uint32(v))
 			binary.LittleEndian.PutUint16(scratch[8:10], uint16(p.NNZ()))

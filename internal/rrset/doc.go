@@ -83,6 +83,20 @@
 // must not be used from multiple goroutines concurrently; take one view
 // per goroutine, or one AUEstimator per goroutine over a shared view.)
 //
+// # Two exact estimators, one float64
+//
+// σ̂(S̄) (Eq. 6) has two exact implementations. The θ-scan
+// (EstimateAUScan, AUEstimator) scores every RR set, O(total RR size),
+// and accepts any node id as a seed. Index.EstimateAUWith reads only
+// the inverted lists of the plan's seeds, which must be pool members,
+// and touches only the samples they reach. Both add the per-sample
+// adoptions in ascending sample order (an uncovered sample adds an exact
+// 0 to the scan), so on every plan both accept they return the same
+// float64 (estimate_order_test.go). The serve tier answers /v1/estimate
+// through the index, falls back to the scan for plans the index refuses,
+// and keeps the scan as the benchmark oracle; the bottom-k sketches
+// (sketch.go) are an approximate estimator in front of both.
+//
 // # Artifact lifecycle: grow, shrink
 //
 // Collections and their indexes grow incrementally and shed memory

@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -74,9 +75,23 @@ func TestEstimatorErrorConvention(t *testing.T) {
 		{"index/plan-length", func() (float64, error) { return ix.EstimateAU(okPlan[:1], paperModel) }, true},
 		{"index/seed-outside-pool", func() (float64, error) { return ix.EstimateAU([][]int32{{1}, {10}}, paperModel) }, true},
 		{"index/bad-model", func() (float64, error) { return ix.EstimateAU(okPlan, badModel) }, true},
+		// Scratch smaller than the index grows in place, to the same bits.
 		{"index/short-scratch", func() (float64, error) {
-			return ix.EstimateAUWith(okPlan, paperModel, NewAUScratch(10))
-		}, true},
+			want, err := ix.EstimateAU(okPlan, paperModel)
+			if err != nil {
+				return 0, err
+			}
+			short := &AUScratch{counts: make([]uint8, 10), pieceSeen: make([]int32, 10), touched: make([]uint64, 1)}
+			for _, s := range []*AUScratch{short, {}} {
+				for round := 0; round < 2; round++ {
+					got, err := ix.EstimateAUWith(okPlan, paperModel, s)
+					if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+						return 0, fmt.Errorf("grown scratch, round %d: %v, %v; sized scratch %v", round, got, err, want)
+					}
+				}
+			}
+			return want, nil
+		}, false},
 
 		{"sketch/ok", func() (float64, error) { return six.EstimateAUSketch(okPlan, paperModel) }, false},
 		{"sketch/none-attached", func() (float64, error) { return ix.EstimateAUSketch(okPlan, paperModel) }, true},

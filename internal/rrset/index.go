@@ -413,8 +413,10 @@ func (ix *Index) Degree(j int, p int32) int {
 // θ-sized arrays, a θ-bit bitmap of the samples they hold state for —
 // walked in ascending order to sum and to clean up, over the word range
 // the evaluation touched rather than θ — and the call's
-// adoption-by-piece-count table. One scratch serves many sequential
-// estimates; it is not safe for concurrent use.
+// adoption-by-piece-count table. The zero value is ready to use:
+// EstimateAUWith grows the arrays to the largest θ it meets, so one
+// scratch serves many sequential estimates over any indexes. It is not
+// safe for concurrent use.
 type AUScratch struct {
 	counts    []uint8
 	pieceSeen []int32
@@ -422,32 +424,22 @@ type AUScratch struct {
 	adoptAt   []float64
 }
 
-// NewAUScratch returns scratch sized for theta samples. Scratch may be
-// used with any index whose sample count is at most theta — a θ-prefix
-// index, or the index it was sized for — so callers serving mixed
-// prefix sizes allocate once at the largest θ.
-func NewAUScratch(theta int) *AUScratch {
-	return &AUScratch{counts: make([]uint8, theta), pieceSeen: make([]int32, theta), touched: make([]uint64, (theta+63)/64)}
-}
-
-// NewAUScratch returns scratch sized for this index's sample count.
-func (ix *Index) NewAUScratch() *AUScratch {
-	return NewAUScratch(ix.mrr.Theta())
-}
-
 // EstimateAU estimates σ(S̄) through the index: every seed must be a pool
 // member. Cost is proportional to the seeds' total inverted-list length
 // rather than the full collection size.
 func (ix *Index) EstimateAU(plan [][]int32, model logistic.Model) (float64, error) {
-	return ix.EstimateAUWith(plan, model, ix.NewAUScratch())
+	return ix.EstimateAUWith(plan, model, new(AUScratch))
 }
 
 // EstimateAUWith is EstimateAU over caller-supplied scratch, for hot
-// paths that estimate repeatedly (the branch-and-bound incumbent check
-// runs twice per expanded node): no per-call θ-sized allocations, and
-// the scratch is returned clean for the next call. Estimating over an
-// index of an empty collection is an error (there is no sample mean to
-// report), never NaN — the same guard EstimateAUScan applies.
+// paths that estimate repeatedly (the serve tier's /v1/estimate): no
+// per-call θ-sized allocation once the scratch has grown to the largest
+// θ it meets, and the scratch is returned clean for the next call. The
+// result is the θ-scan's float64 bit for bit (EstimateAUScan, or
+// AUEstimator.EstimateAUPrefix at this index's θ) on every plan whose
+// seeds are all pool members. Estimating over an index of an empty
+// collection is an error (there is no sample mean to report), never NaN
+// — the same guard EstimateAUScan applies.
 func (ix *Index) EstimateAUWith(plan [][]int32, model logistic.Model, s *AUScratch) (float64, error) {
 	m := ix.mrr
 	if m.Theta() == 0 {
@@ -459,8 +451,9 @@ func (ix *Index) EstimateAUWith(plan [][]int32, model logistic.Model, s *AUScrat
 	if err := model.Validate(); err != nil {
 		return 0, err
 	}
-	if len(s.counts) < m.Theta() {
-		return 0, fmt.Errorf("rrset: scratch sized for %d samples, index has %d", len(s.counts), m.Theta())
+	if theta := m.Theta(); len(s.counts) < theta {
+		// Fresh arrays are zero, which is the clean state: nothing to copy.
+		s.counts, s.pieceSeen, s.touched = make([]uint8, theta), make([]int32, theta), make([]uint64, (theta+63)/64)
 	}
 	adoptAt := append(s.adoptAt[:0], 0)
 	for c := 1; c <= m.l; c++ {

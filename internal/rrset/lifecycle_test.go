@@ -340,8 +340,7 @@ func TestExtendFromStableUnderConcurrentReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sf := ix.NewAUScratch()
-			sp := ix.NewAUScratch()
+			sf, sp := new(AUScratch), new(AUScratch)
 			for {
 				select {
 				case <-stop:

@@ -161,9 +161,13 @@ func TestIndexPrefixMatchesFreshIndex(t *testing.T) {
 	if got != want {
 		t.Fatalf("prefix index estimate %v != fresh index estimate %v", got, want)
 	}
-	// Oversized scratch (the evaluator-pool regime after a growth step)
-	// yields the same bits.
-	gotBig, err := pix.EstimateAUWith(plan, paperModel, bigIx.NewAUScratch())
+	// Oversized scratch (grown on the full index, as a pooled scratch is
+	// after a larger θ) yields the same bits.
+	wide := new(AUScratch)
+	if _, err := bigIx.EstimateAUWith(plan, paperModel, wide); err != nil {
+		t.Fatal(err)
+	}
+	gotBig, err := pix.EstimateAUWith(plan, paperModel, wide)
 	if err != nil {
 		t.Fatal(err)
 	}

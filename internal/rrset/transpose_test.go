@@ -120,7 +120,7 @@ func TestEstimateScratchCleanAfterError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := ix.NewAUScratch()
+	s := new(AUScratch)
 	if _, err := ix.EstimateAUWith([][]int32{{0, 5, 10}, {15, 1}}, paperModel, s); err == nil {
 		t.Fatal("seed 1 is outside the pool")
 	}

@@ -238,6 +238,25 @@ func TestSolveValidation(t *testing.T) {
 			t.Errorf("%s: status %d (%s), want 400 naming trailing data", tc.name, code, raw)
 		}
 	}
+	// Campaign JSON is decoded strictly: unknown fields at any level, a
+	// non-canonical topic key, one topic spelled twice, and a topic index
+	// outside the graph's topic space (which once sized a dense array).
+	for _, camp := range []string{
+		`{"pieces":[{"name":"p","topics":{"1":1},"typo":5}],"bogus":1}`,
+		`{"pieces":[{"name":"p","topics":{"3abc":1}}]}`,
+		`{"pieces":[{"name":"p","topics":{"+3":1}}]}`,
+		`{"pieces":[{"name":"p","topics":{"03":1}}]}`,
+		`{"pieces":[{"name":"p","topics":{" 3":1}}]}`,
+		`{"pieces":[{"name":"p","topics":{"3": 0.25, "03": 0.75, "1": 1}}]}`,
+		`{"pieces":[{"name":"p","topics":{"20000000": 1}}]}`,
+		`{"pieces":[{"name":"p","topics":{"2000000000": 1}}]}`,
+	} {
+		for path, rest := range map[string]string{"/v1/solve": `"method": "greedy", "k": 2`, "/v1/estimate": `"plan": [[]]`} {
+			if code, raw := postBody(t, ts, path, `{"campaign": `+camp+`, `+rest+`}`); code != http.StatusBadRequest {
+				t.Errorf("%s with campaign %s: status %d (%s), want 400", path, camp, code, raw)
+			}
+		}
+	}
 	for _, tc := range []struct{ path, body string }{{"/v1/solve", solve + " \n\t\n"}, {"/v1/estimate", estimate + "\n"}} {
 		if code, raw := postBody(t, ts, tc.path, tc.body); code != http.StatusOK {
 			t.Errorf("%s with trailing whitespace: status %d (%s), want 200", tc.path, code, raw)

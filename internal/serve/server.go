@@ -26,9 +26,10 @@
 //     their largest recently requested θ (core.Instance.ShrinkTo — an
 //     owned compact copy, so the shed samples are actually released),
 //     then LRU-evicts entries that have gone entirely cold;
-//   - per-entry core.EvaluatorPools and rrset.AUEstimator pools so
-//     concurrent requests reuse solver scratch without data races — the
-//     MRR views, indexes and layouts they read are immutable and shared.
+//   - per-entry core.EvaluatorPools and rrset.AUEstimator pools, and one
+//     server-wide pool of index-estimate scratch, so concurrent requests
+//     reuse solver scratch without data races — the MRR views, indexes
+//     and layouts they read are immutable and shared.
 //
 // Endpoints (JSON over HTTP):
 //
@@ -87,6 +88,7 @@ import (
 	"oipa/internal/graph"
 	"oipa/internal/logistic"
 	"oipa/internal/obs"
+	"oipa/internal/rrset"
 	"oipa/internal/topic"
 )
 
@@ -122,7 +124,7 @@ type Config struct {
 	// at θ ≥ 8·k whose plan fits the index (one seed set per campaign
 	// piece, every seed in the pool) are then answered from the sketch in
 	// O(k·|plan|) — independent of θ — with relative error concentrating
-	// like 1/√k; everything else falls back to the exact scan, which
+	// like 1/√k; everything else falls back to the exact estimate, which
 	// remains the golden reference (sketch_estimates / sketch_fallbacks
 	// count the split, estimate_mode labels each response). Estimates
 	// only: solves always search exactly. Sketch bytes are accounted in
@@ -247,6 +249,12 @@ type Server struct {
 	flightMu sync.Mutex              // guards flights
 	flights  map[string]*solveFlight // identical in-flight solves, keyed by solveKey
 
+	// auScratch pools the exact estimate's *rrset.AUScratch across every
+	// artifact and θ: EstimateAUWith grows a scratch that is too small, so
+	// one pool holds about one θ_max-sized scratch per concurrent
+	// estimate, where a pool per artifact would hold one per artifact.
+	auScratch sync.Pool
+
 	logger     *slog.Logger
 	traceEvery int64        // trace every Nth request (0 = sampling off)
 	traceSeq   atomic.Int64 // request counter driving the sampler
@@ -265,6 +273,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: default model: %w", err)
 	}
 	s := &Server{cfg: cfg, g: cfg.Graph, logger: cfg.Logger}
+	s.auScratch.New = func() any { return new(rrset.AUScratch) }
 	if cfg.SketchK < 0 {
 		return nil, fmt.Errorf("serve: negative sketch k %d", cfg.SketchK)
 	}
@@ -589,9 +598,10 @@ type EstimateResponse struct {
 	Layers []int `json:"layers,omitempty"`
 	// EstimateMode is "sketch" when the utility came from the bottom-k
 	// sketch estimator (Config.SketchK set, θ at or above the gate, plan
-	// inside the pool) and "exact" when it came from the exact MRR scan —
-	// including sketch-eligible requests that fell back (the exact scan
-	// accepts any graph node as a seed; the sketch only pool members).
+	// inside the pool) and "exact" when it came from the exact estimate —
+	// including sketch-eligible requests that fell back (the exact
+	// estimate accepts any graph node as a seed; the sketch only pool
+	// members).
 	EstimateMode  string `json:"estimate_mode"`
 	CacheHit      bool   `json:"cache_hit"`
 	PrefixHit     bool   `json:"prefix_hit,omitempty"`
@@ -844,7 +854,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Sketch fast path: O(k·|plan|) independent of θ. Any sketch error —
 	// seeds outside the pool, a plan shape the index refuses — falls
-	// back to the exact scan, which accepts strictly more inputs; the
+	// back to the exact estimate, which accepts strictly more inputs; the
 	// response always says which estimator answered.
 	util, mode := 0.0, "exact"
 	served := false
@@ -864,9 +874,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	if !served {
 		_, sp := obs.StartSpan(ctx, "estimate.exact")
-		est := art.estimator()
-		util, err = est.EstimateAUPrefix(req.Plan, model, req.Theta)
-		art.putEstimator(est)
+		util, err = s.estimateExact(art, req.Plan, model, req.Theta)
 		sp.End()
 		if err != nil {
 			s.error(w, http.StatusBadRequest, err)
@@ -892,8 +900,30 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// estimateExact is the exact estimate σ̂(plan) over the artifact's first
+// theta samples. A plan whose seeds are all pool members is answered
+// through the inverted index, at a cost proportional to the seeds'
+// sample lists rather than θ; the index sums per-sample adoptions in the
+// scan's sample order, so the float64 is the scan's bit for bit. Any
+// plan the index refuses — a seed outside the pool or the graph, a
+// wrong piece count — goes to the θ-scan, which scores any seed, counts
+// ids outside the graph as covering nothing, and owns the error text.
+func (s *Server) estimateExact(art *Artifact, plan [][]int32, model logistic.Model, theta int) (float64, error) {
+	if inst, err := art.InstanceAt(theta); err == nil {
+		sc := s.auScratch.Get().(*rrset.AUScratch)
+		util, err := inst.Index.EstimateAUWith(plan, model, sc)
+		s.auScratch.Put(sc)
+		if err == nil {
+			return util, nil
+		}
+	}
+	est := art.estimator()
+	defer art.putEstimator(est)
+	return est.EstimateAUPrefix(plan, model, theta)
+}
+
 // sketchEligible gates the sketch estimator by θ: below 8·k the exact
-// scan is already cheap and the sketch's thresholded slots are barely
+// estimate is already cheap and the sketch's thresholded slots are barely
 // populated, so small-θ requests stay on the golden exact path.
 func (s *Server) sketchEligible(theta int) bool {
 	return s.cfg.SketchK > 0 && theta >= 8*s.cfg.SketchK
@@ -1301,7 +1331,5 @@ func (s *Server) error(w http.ResponseWriter, code int, err error) {
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
