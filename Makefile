@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race short vet fuzz-smoke bench-harness-smoke bench-pairs
+.PHONY: build test race race-short short vet fmt lines ci fuzz-smoke bench-harness-smoke bench-pairs
 
 build:
 	$(GO) build ./...
@@ -18,6 +18,23 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when gofmt would rewrite a tracked Go file.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); if [ -n "$$out" ]; then echo "gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
+
+# The race detector over the packages that run concurrent solves, in
+# short mode.
+race-short:
+	$(GO) test -race -short ./internal/core ./internal/logistic ./internal/serve
+
+# Non-test Go lines outside benchmark/ (ROADMAP aim 2: the count goes
+# down). The CI job summary prints this target's output.
+lines:
+	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
+
+# The checks that need no network and no second machine, in CI order.
+ci: build vet fmt test race-short fuzz-smoke
 
 # Ten seconds of native fuzzing over campaign JSON, the request bytes
 # every solve and estimate decodes (go test alone runs the seed corpus).

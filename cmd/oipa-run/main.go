@@ -82,14 +82,17 @@ func main() {
 	fmt.Printf("sampled %d MRR sets in %s (total size %d, %d shard arenas)\n",
 		inst.MRR.Theta(), inst.SampleTime.Round(1e6), inst.MRR.TotalSize(), inst.MRR.Shards())
 
+	// The search oipa-serve and oipa-exp run, with -eps and -tol applied.
+	opts := core.DefaultBABOptions()
+	opts.Epsilon, opts.Tolerance = *eps, *tol
 	var res *core.Result
 	switch strings.ToLower(*method) {
 	case "bab":
-		res, err = core.SolveBAB(inst, core.BABOptions{Tolerance: *tol})
+		res, err = core.SolveBAB(inst, opts)
 	case "babp":
-		res, err = core.SolveBABP(inst, core.BABOptions{Progressive: true, Epsilon: *eps, Tolerance: *tol})
+		res, err = core.SolveBABP(inst, opts)
 	case "greedy":
-		res, err = core.SolveGreedy(inst, core.BABOptions{})
+		res, err = core.SolveGreedy(inst, opts)
 	case "im":
 		res, err = core.SolveIM(inst, *seed+3)
 	case "tim":

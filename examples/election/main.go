@@ -75,7 +75,7 @@ func main() {
 		{"IM (topic-agnostic, single message)", func() (*core.Result, error) { return core.SolveIM(inst, 17) }},
 		{"TIM (best single issue)", func() (*core.Result, error) { return core.SolveTIM(inst) }},
 		{"OIPA BAB-P (joint assignment)", func() (*core.Result, error) {
-			return core.SolveBABP(inst, core.DefaultBABPOptions())
+			return core.SolveBABP(inst, core.DefaultBABOptions())
 		}},
 	}
 	// An immutable read-side snapshot of the MRR samples: the full-scan

@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.SolveBABP(inst, core.DefaultBABPOptions())
+	res, err := core.SolveBABP(inst, core.DefaultBABOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,7 +55,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		oipa, err := core.SolveBABP(inst, core.DefaultBABPOptions())
+		oipa, err := core.SolveBABP(inst, core.DefaultBABOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,30 +9,31 @@ import (
 )
 
 // BABOptions tunes the branch-and-bound framework (Algorithm 1).
+//
+// The search has one configuration beyond these fields. Its bound is the
+// concave hull of Eq. (1) (see package logistic). Its termination gap is
+// measured on the raw Eq. (6) scale. In that scale every user, covered or
+// not, contributes at least Sigmoid(−α). The paper's L and U both carry
+// that additive n·Sigmoid(−α) mass, so its "1% error ratio" is a gap on
+// this inflated scale. Replicating it keeps the search from enumerating
+// the long tail of near-ties that a strict Eq. (1)-scale gap would force.
+// The certificate weakens by an additive Tolerance·n·Sigmoid(−α), and
+// Tolerance = 0 is unaffected: the scales coincide when the gap must
+// vanish. BAB-P completes each bound's candidate plan with lazy greedy
+// when Algorithm 3's τ-floor fires before the budget is filled (see
+// computeBoundPro).
 type BABOptions struct {
-	// Progressive selects the upper-bound estimator: Algorithm 2 (plain
-	// greedy, false) or Algorithm 3 (progressive threshold, true).
-	Progressive bool
-	// Epsilon is the progressive threshold decay factor (only used when
-	// Progressive is set); larger values trade solution quality for
-	// speed per Theorem 3. The paper sweeps 0.1–0.9 and settles on 0.5.
+	// Epsilon is BAB-P's progressive threshold decay factor; the other
+	// solvers ignore it. Larger values trade solution quality for speed per
+	// Theorem 3. The paper sweeps 0.1–0.9 and settles on 0.5.
 	Epsilon float64
 	// Tolerance is the relative gap at which the search stops: the search
-	// ends when U <= L·(1+Tolerance). The paper's experiments use 1%.
-	// Zero demands the full (1−1/e) certificate.
+	// ends when U <= L·(1+Tolerance) on the raw scale. The paper's
+	// experiments use 1%. Zero demands the full (1−1/e) certificate.
 	Tolerance float64
 	// MaxNodes caps node expansions (0 = unbounded); when hit, the best
 	// plan so far is returned with the current global upper bound.
 	MaxNodes int
-	// FillAfterFloor completes a progressive bound's candidate plan with
-	// lazy greedy when Algorithm 3's τ-floor fired before the budget was
-	// filled. Extending a plan only raises the monotone bound, so the
-	// (1−1/e−ε) guarantee is unaffected; what it buys is a full-size
-	// incumbent (the paper's reported BAB-P utilities track BAB closely,
-	// which a d<k candidate plan cannot do), at the price of Theorem 4's
-	// τ-evaluation bound. Enabled by DefaultBABPOptions; zero value is
-	// the paper-literal Algorithm 3.
-	FillAfterFloor bool
 	// Stop, when non-nil, asks the search to return early: as soon as the
 	// channel is closed (or receives), the best incumbent found so far is
 	// returned together with the residual global upper bound, exactly as
@@ -41,34 +42,35 @@ type BABOptions struct {
 	// first. This is the reentrant cancellation hook the query service
 	// wires to HTTP request contexts and job cancellation.
 	Stop <-chan struct{}
-	// Workers is ignored: the search is sequential. The field remains only
-	// because the benchmark harness (benchmark/layers.go) still sets it;
-	// it goes together with the harness rows that time it.
-	Workers int
-	// RawGap measures the termination gap on the raw Eq. (6) scale, in
-	// which every user — covered or not — contributes at least
-	// Sigmoid(−α). The paper's L and U both carry that additive
-	// n·Sigmoid(−α) mass, so its "1% error ratio" is a gap on this
-	// inflated scale; replicating it keeps the search from enumerating
-	// the long tail of near-ties that a strict Eq. (1)-scale gap would
-	// force. With RawGap the certificate weakens by an additive
-	// Tolerance·n·Sigmoid(−α); Tolerance = 0 is unaffected (the scales
-	// coincide when the gap must vanish). Default options enable it.
-	RawGap bool
+
+	// Workers, RawGap and FillAfterFloor are ignored. The search is
+	// sequential, its gap is always raw and BAB-P always fills. They remain
+	// only because the benchmark harness (benchmark/) still sets them, and
+	// go when it stops.
+	Workers        int
+	RawGap         bool
+	FillAfterFloor bool
 }
 
-// DefaultBABOptions mirrors the paper's experimental configuration for
-// the plain branch-and-bound (1% termination gap on the Eq. 6 scale).
+// DefaultBABOptions mirrors the paper's experimental configuration: a 1%
+// termination gap and, for BAB-P, ε = 0.5.
 func DefaultBABOptions() BABOptions {
-	return BABOptions{Tolerance: 0.01, RawGap: true}
+	return BABOptions{Epsilon: 0.5, Tolerance: 0.01}
 }
 
-// DefaultBABPOptions mirrors the paper's BAB-P configuration (ε = 0.5).
-func DefaultBABPOptions() BABOptions {
-	return BABOptions{
-		Progressive: true, Epsilon: 0.5, Tolerance: 0.01,
-		RawGap: true, FillAfterFloor: true,
+// Validate reports options no solver accepts: a negative tolerance or
+// node cap, and — when progressive, as for BAB-P — an epsilon that is not
+// positive.
+func (o BABOptions) Validate(progressive bool) error {
+	switch {
+	case !(o.Tolerance >= 0):
+		return fmt.Errorf("core: tolerance must be non-negative, got %v", o.Tolerance)
+	case o.MaxNodes < 0:
+		return fmt.Errorf("core: max nodes must be non-negative, got %d", o.MaxNodes)
+	case progressive && !(o.Epsilon > 0):
+		return fmt.Errorf("core: BAB-P requires a positive epsilon, got %v", o.Epsilon)
 	}
+	return nil
 }
 
 // babNode is a heap entry: a partial plan, its exclusion chain, its gain
@@ -109,78 +111,77 @@ func (h *babHeap) Pop() interface{} {
 // MRR-estimated utility is within (1−1/e)/(1+Tolerance) of the
 // MRR-estimated optimum (Theorem 2).
 func SolveBAB(inst *Instance, opts BABOptions) (*Result, error) {
-	return solveBABWith(inst, newEvaluator(inst), opts)
-}
-
-// solveBABWith applies the BAB entry-point normalization once for both
-// the plain and the pooled path.
-func solveBABWith(inst *Instance, ev *evaluator, opts BABOptions) (*Result, error) {
-	opts.Progressive = false
-	return solveBranchAndBound(inst, ev, opts, "BAB")
+	return solve(inst, nil, opts, solveBAB)
 }
 
 // SolveBABP runs branch-and-bound with the progressive upper-bound
 // estimator (Algorithm 3), achieving (1−1/e−ε)/(1+Tolerance) with far
 // fewer τ evaluations (Theorems 3 and 4).
 func SolveBABP(inst *Instance, opts BABOptions) (*Result, error) {
-	if err := validateBABP(opts); err != nil {
-		return nil, err
-	}
-	return solveBABPWith(inst, newEvaluator(inst), opts)
-}
-
-func validateBABP(opts BABOptions) error {
-	if opts.Epsilon <= 0 {
-		return fmt.Errorf("core: BAB-P requires a positive epsilon, got %v", opts.Epsilon)
-	}
-	return nil
-}
-
-func solveBABPWith(inst *Instance, ev *evaluator, opts BABOptions) (*Result, error) {
-	opts.Progressive = true
-	return solveBranchAndBound(inst, ev, opts, "BAB-P")
+	return solve(inst, nil, opts, solveBABP)
 }
 
 // SolveGreedy runs a single bound computation from the empty plan and
 // returns its candidate solution — the root lower bound of BAB. It has no
 // approximation guarantee for OIPA (the objective is not submodular) but
 // is a strong, cheap heuristic and the natural ablation for how much the
-// search itself adds.
+// search itself adds. It reads no option, but refuses the options the
+// searches refuse.
 func SolveGreedy(inst *Instance, opts BABOptions) (*Result, error) {
-	if err := validateGreedy(opts); err != nil {
+	return solve(inst, nil, opts, solveGreedy)
+}
+
+// solver names what a solve runs on its evaluator.
+type solver int
+
+const (
+	solveGreedy solver = iota // one Algorithm 2 bound from the empty plan
+	solveBAB                  // Algorithm 1 over Algorithm 2
+	solveBABP                 // Algorithm 1 over Algorithm 3
+)
+
+// solve validates opts and runs s on an evaluator from pool, or on a fresh
+// one when pool is nil.
+func solve(inst *Instance, pool *EvaluatorPool, opts BABOptions, s solver) (*Result, error) {
+	if err := opts.Validate(s == solveBABP); err != nil {
 		return nil, err
 	}
-	return solveGreedy(inst, newEvaluator(inst), opts)
-}
-
-func validateGreedy(opts BABOptions) error {
-	if opts.Progressive && opts.Epsilon <= 0 {
-		return fmt.Errorf("core: progressive greedy requires a positive epsilon")
+	var ev *evaluator
+	if pool == nil {
+		ev = newEvaluator(inst)
+	} else {
+		var err error
+		if ev, err = pool.acquire(inst); err != nil {
+			return nil, err
+		}
+		defer pool.release(ev)
 	}
-	return nil
+	switch s {
+	case solveGreedy:
+		return greedy(inst, ev), nil
+	case solveBAB:
+		return branchAndBound(inst, ev, opts, 0, "BAB"), nil
+	default:
+		return branchAndBound(inst, ev, opts, opts.Epsilon, "BAB-P"), nil
+	}
 }
 
-func solveGreedy(inst *Instance, ev *evaluator, opts BABOptions) (*Result, error) {
+func greedy(inst *Instance, ev *evaluator) *Result {
 	start := time.Now()
-	br := ev.bound(nil, nil, inst.Problem.K, &opts)
-	name := "GREEDY"
-	if opts.Progressive {
-		name = "GREEDY-P"
-	}
+	br := ev.bound(nil, nil, inst.Problem.K, 0)
 	return &Result{
-		Method:  name,
+		Method:  "GREEDY",
 		Plan:    ev.materialize(nil, br.picks),
 		Utility: ev.utility(),
 		Upper:   br.tau,
 		Elapsed: time.Since(start),
 		Stats:   SolverStats{BoundEvals: 1, TauEvals: ev.tauEvals},
-	}, nil
+	}
 }
 
-func solveBranchAndBound(inst *Instance, ev *evaluator, opts BABOptions, name string) (*Result, error) {
-	if opts.Tolerance < 0 {
-		return nil, fmt.Errorf("core: negative tolerance %v", opts.Tolerance)
-	}
+// branchAndBound is Algorithm 1. Its bounds are Algorithm 3's with decay
+// eps when eps > 0, Algorithm 2's when eps is 0.
+func branchAndBound(inst *Instance, ev *evaluator, opts BABOptions, eps float64, name string) *Result {
 	start := time.Now()
 	k := inst.Problem.K
 	stats := SolverStats{}
@@ -189,7 +190,7 @@ func solveBranchAndBound(inst *Instance, ev *evaluator, opts BABOptions, name st
 	// utility, like every candidate's, is read off the coverage its bound
 	// just built.
 	stats.BoundEvals++
-	rootBR := ev.bound(nil, nil, k, &opts)
+	rootBR := ev.bound(nil, nil, k, eps)
 	bestPlan, bestUtil := ev.materialize(nil, rootBR.picks), ev.utility()
 
 	// setAside is the largest bound of any subtree the search left
@@ -212,11 +213,8 @@ func solveBranchAndBound(inst *Instance, ev *evaluator, opts BABOptions, name st
 	push(nil, nil, nil, rootBR.tau, rootBR.branch)
 
 	// gapBase shifts both sides of the termination test onto the raw
-	// Eq. (6) scale when RawGap is set (see the option's comment).
-	gapBase := 0.0
-	if opts.RawGap {
-		gapBase = float64(inst.Index.MRR().N()) * logistic.Sigmoid(-inst.Problem.Model.Alpha)
-	}
+	// Eq. (6) scale (see BABOptions).
+	gapBase := float64(inst.Index.MRR().N()) * logistic.Sigmoid(-inst.Problem.Model.Alpha)
 	prune := func(upper float64) bool {
 		return upper+gapBase <= (bestUtil+gapBase)*(1+opts.Tolerance)
 	}
@@ -259,7 +257,7 @@ search:
 		for _, ch := range children {
 			stats.BoundEvals++
 			front := ev.prepareNode(ch.plan, ch.excl, node.front, ch.include)
-			br := ev.estimate(k-ch.plan.len(), &opts)
+			br := ev.estimate(k-ch.plan.len(), eps)
 			if util := ev.utility(); util > bestUtil {
 				bestUtil = util
 				bestPlan = ev.materialize(ch.plan, br.picks)
@@ -284,5 +282,5 @@ search:
 		Upper:   max(bestUtil, setAside),
 		Elapsed: time.Since(start),
 		Stats:   stats,
-	}, nil
+	}
 }

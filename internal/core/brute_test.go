@@ -1,25 +1,18 @@
 package core
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
-// SolveBrute finds the exact optimum of the MRR-estimated adoption
+// solveBrute finds the exact optimum of the MRR-estimated adoption
 // utility by enumerating every assignment plan with |S̄| ≤ k over the
 // candidate space (pool × pieces). Cost is C(ℓ·|pool|, k) utility
-// evaluations — strictly a verification tool for tiny instances; it
-// refuses to run when the enumeration would exceed maxBrutePlans.
-func SolveBrute(inst *Instance) (*Result, error) {
+// evaluations, so it is an oracle for tiny instances only; it refuses to
+// run when the enumeration would exceed maxBrutePlans.
+func solveBrute(inst *Instance) (*Result, error) {
 	const maxBrutePlans = 5_000_000
-	start := time.Now()
 	l := inst.L()
 	pp := inst.Index.PoolSize()
 	numCands := l * pp
-	k := inst.Problem.K
-	if k > numCands {
-		k = numCands
-	}
+	k := min(inst.Problem.K, numCands)
 	if c := choose(numCands, k); c < 0 || c > maxBrutePlans {
 		return nil, fmt.Errorf("core: brute force would enumerate too many plans (C(%d,%d))", numCands, k)
 	}
@@ -33,8 +26,8 @@ func SolveBrute(inst *Instance) (*Result, error) {
 	var rec func(start int) error
 	rec = func(s int) error {
 		// Monotonicity makes only full-size plans candidates for the
-		// optimum, but evaluating every prefix is wasteful; evaluate when
-		// the plan is full or the candidate space is exhausted.
+		// optimum; evaluate when the plan is full or the candidate space
+		// is exhausted.
 		if len(chosen) == k || s == numCands {
 			for j := range plan.Seeds {
 				plan.Seeds[j] = plan.Seeds[j][:0]
@@ -49,7 +42,9 @@ func SolveBrute(inst *Instance) (*Result, error) {
 			}
 			if util > bestUtil {
 				bestUtil = util
-				bestPlan = plan.Clone()
+				for j, seeds := range plan.Seeds {
+					bestPlan.Seeds[j] = append([]int32(nil), seeds...)
+				}
 			}
 			return nil
 		}
@@ -59,20 +54,13 @@ func SolveBrute(inst *Instance) (*Result, error) {
 				return err
 			}
 			chosen = chosen[:len(chosen)-1]
-			// Also explore not filling the remaining slots only at the
-			// tail; handled by the s == numCands base case.
 		}
 		return nil
 	}
 	if err := rec(0); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Method:  "BRUTE",
-		Plan:    bestPlan,
-		Utility: bestUtil,
-		Elapsed: time.Since(start),
-	}, nil
+	return &Result{Method: "BRUTE", Plan: bestPlan, Utility: bestUtil}, nil
 }
 
 // choose returns C(n, k), or -1 on overflow.

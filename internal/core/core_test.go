@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"oipa/internal/graph"
@@ -85,7 +86,7 @@ func randomProblem(t testing.TB, seed uint64, n, m, poolSize, l, k int) *Problem
 }
 
 // branchyInstance prepares a random instance under a steep logistic model
-// (the default α=2 tangent bound is tight enough to certify most random
+// (the default α=2 hull bound is tight enough to certify most random
 // instances at the root — useless for exercising the search). The steeper
 // sigmoid opens a real bound gap, so Tolerance=0 expands a proper tree.
 func branchyInstance(t *testing.T, seed uint64, n, m, pool, l, k, theta int, instSeed uint64, alpha, beta float64) *Instance {
@@ -146,26 +147,6 @@ func TestPlanOperations(t *testing.T) {
 	if p.Size() != 3 {
 		t.Fatalf("Size = %d", p.Size())
 	}
-	q := NewPlan(2)
-	q.Seeds[0] = []int32{2}
-	if !p.Contains(q) {
-		t.Fatal("Contains false negative")
-	}
-	if q.Contains(p) {
-		t.Fatal("Contains false positive")
-	}
-	u := p.Union(q)
-	if u.Size() != 3 {
-		t.Fatalf("Union size %d, want 3 (dedup)", u.Size())
-	}
-	c := p.Clone()
-	c.Seeds[0][0] = 99
-	if p.Seeds[0][0] == 99 {
-		t.Fatal("Clone shares storage")
-	}
-	if !p.Has(0, 2) || p.Has(1, 2) {
-		t.Fatal("Has wrong")
-	}
 }
 
 func TestPrepareValidates(t *testing.T) {
@@ -204,7 +185,7 @@ func TestBABSolvesPaperExample(t *testing.T) {
 	if res.Plan.Size() != 2 {
 		t.Fatalf("plan size %d, want 2", res.Plan.Size())
 	}
-	if !res.Plan.Has(0, 0) || !res.Plan.Has(1, 4) {
+	if !slices.Contains(res.Plan.Seeds[0], 0) || !slices.Contains(res.Plan.Seeds[1], 4) {
 		t.Fatalf("plan %v, want t1->{a}, t2->{e}", res.Plan.Seeds)
 	}
 	if math.Abs(res.Utility-1.045) > 0.05 {
@@ -221,11 +202,11 @@ func TestBABPSolvesPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveBABP(inst, BABOptions{Progressive: true, Epsilon: 0.5, Tolerance: 0})
+	res, err := SolveBABP(inst, BABOptions{Epsilon: 0.5, Tolerance: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Plan.Has(0, 0) || !res.Plan.Has(1, 4) {
+	if !slices.Contains(res.Plan.Seeds[0], 0) || !slices.Contains(res.Plan.Seeds[1], 4) {
 		t.Fatalf("plan %v, want t1->{a}, t2->{e}", res.Plan.Seeds)
 	}
 }
@@ -239,7 +220,7 @@ func TestBABMatchesBruteForceOnRandomInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		brute, err := SolveBrute(inst)
+		brute, err := solveBrute(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,11 +246,11 @@ func TestBABPApproximationGuarantee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		brute, err := SolveBrute(inst)
+		brute, err := solveBrute(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		babp, err := SolveBABP(inst, BABOptions{Progressive: true, Epsilon: eps, Tolerance: 0})
+		babp, err := SolveBABP(inst, BABOptions{Epsilon: eps, Tolerance: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,7 +271,7 @@ func TestBABPCloseToBAB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	babp, err := SolveBABP(inst, DefaultBABPOptions())
+	babp, err := SolveBABP(inst, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +304,7 @@ func TestBABPFewerTauEvalsPerBoundCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	babp, err := SolveBABP(inst, DefaultBABPOptions())
+	babp, err := SolveBABP(inst, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +329,7 @@ func TestSolversRespectBudgetAndPool(t *testing.T) {
 	}
 	solvers := []func() (*Result, error){
 		func() (*Result, error) { return SolveBAB(inst, DefaultBABOptions()) },
-		func() (*Result, error) { return SolveBABP(inst, DefaultBABPOptions()) },
+		func() (*Result, error) { return SolveBABP(inst, DefaultBABOptions()) },
 		func() (*Result, error) { return SolveGreedy(inst, BABOptions{}) },
 		func() (*Result, error) { return SolveIM(inst, 1) },
 		func() (*Result, error) { return SolveTIM(inst) },
@@ -439,11 +420,11 @@ func TestSolverDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := SolveBABP(inst, DefaultBABPOptions())
+	a, err := SolveBABP(inst, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveBABP(inst, DefaultBABPOptions())
+	b, err := SolveBABP(inst, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +467,7 @@ func TestBABPRejectsZeroEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveBABP(inst, BABOptions{Progressive: true}); err == nil {
+	if _, err := SolveBABP(inst, BABOptions{}); err == nil {
 		t.Fatal("zero epsilon accepted")
 	}
 	if _, err := SolveBAB(inst, BABOptions{Tolerance: -1}); err == nil {
@@ -500,7 +481,7 @@ func TestBruteRefusesLargeInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveBrute(inst); err == nil {
+	if _, err := solveBrute(inst); err == nil {
 		t.Fatal("oversized brute force accepted")
 	}
 }
@@ -514,7 +495,7 @@ func TestUpperBoundDominatesUtilityAcrossSolvers(t *testing.T) {
 		}
 		for _, mk := range []func() (*Result, error){
 			func() (*Result, error) { return SolveBAB(inst, DefaultBABOptions()) },
-			func() (*Result, error) { return SolveBABP(inst, DefaultBABPOptions()) },
+			func() (*Result, error) { return SolveBABP(inst, DefaultBABOptions()) },
 		} {
 			res, err := mk()
 			if err != nil {
@@ -529,49 +510,46 @@ func TestUpperBoundDominatesUtilityAcrossSolvers(t *testing.T) {
 
 func TestRawGapIrrelevantAtZeroTolerance(t *testing.T) {
 	// With Tolerance = 0 the Eq. 6-scale and Eq. 1-scale termination
-	// tests coincide, so RawGap must not change the outcome.
+	// tests coincide, so the production search (raw gap) must reach the
+	// strict-gap reference search's utility.
 	p := randomProblem(t, 41, 30, 120, 5, 2, 3)
 	inst, err := Prepare(context.Background(), p, 400, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := SolveBAB(inst, BABOptions{Tolerance: 0})
+	raw, err := SolveBAB(inst, BABOptions{Tolerance: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := SolveBAB(inst, BABOptions{Tolerance: 0, RawGap: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain, _ := refSolve(inst, refOptions{strictGap: true})
 	if plain.Utility != raw.Utility {
-		t.Fatalf("RawGap changed the zero-tolerance result: %v vs %v", plain.Utility, raw.Utility)
+		t.Fatalf("the raw gap changed the zero-tolerance result: %v vs %v", plain.Utility, raw.Utility)
 	}
 	// Node counts may differ by floating-point tie behavior (the shifted
 	// comparison rounds differently on exact ties), but not materially.
 	if diff := plain.Stats.Nodes - raw.Stats.Nodes; diff < -2 || diff > 2 {
-		t.Fatalf("RawGap changed the zero-tolerance search materially: %d vs %d nodes",
+		t.Fatalf("the raw gap changed the zero-tolerance search materially: %d vs %d nodes",
 			plain.Stats.Nodes, raw.Stats.Nodes)
 	}
 }
 
 func TestRawGapTerminatesEarlier(t *testing.T) {
 	// On the Eq. 6 scale a 25% tolerance is far looser than on the
-	// Eq. 1 scale, so the RawGap search must not expand more nodes.
+	// Eq. 1 scale, so the production search (raw gap) must not expand
+	// more nodes than the strict-gap reference search.
 	p := randomProblem(t, 43, 60, 250, 10, 3, 6)
 	inst, err := Prepare(context.Background(), p, 1000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := SolveBAB(inst, BABOptions{Tolerance: 0.25, MaxNodes: 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loose, err := SolveBAB(inst, BABOptions{Tolerance: 0.25, RawGap: true, MaxNodes: 500})
+	opts := BABOptions{Tolerance: 0.25, MaxNodes: 500}
+	strict, _ := refSolve(inst, refOptions{BABOptions: opts, strictGap: true})
+	loose, err := SolveBAB(inst, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loose.Stats.Nodes > strict.Stats.Nodes {
-		t.Fatalf("RawGap expanded more nodes (%d) than the strict gap (%d)",
+		t.Fatalf("the raw gap expanded more nodes (%d) than the strict gap (%d)",
 			loose.Stats.Nodes, strict.Stats.Nodes)
 	}
 }
@@ -584,7 +562,8 @@ func TestEstimateAUMonotoneInPlan(t *testing.T) {
 	}
 	small := NewPlan(2)
 	small.Seeds[0] = []int32{p.Pool[0]}
-	large := small.Clone()
+	large := NewPlan(2)
+	large.Seeds[0] = small.Seeds[0]
 	large.Seeds[1] = []int32{p.Pool[1], p.Pool[2]}
 	us, err := inst.EstimateAU(small)
 	if err != nil {

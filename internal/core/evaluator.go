@@ -28,7 +28,7 @@ type evaluator struct {
 	// Per-sample coverage state for the plan under evaluation:
 	// masks[i] has bit j set when piece j of sample i is covered,
 	// cnts[i] = popcount(masks[i]), refs[i] = count covered by the
-	// *partial* plan only (the tangent refinement level of Fig. 2).
+	// *partial* plan only (the bound's refinement anchor, Fig. 2).
 	// dirty lists the samples with non-zero state, for O(touched) reset,
 	// and covered holds the same samples as a θ-bit bitmap, for an
 	// ascending walk.
@@ -38,7 +38,7 @@ type evaluator struct {
 	dirty   []int32
 	covered []uint64
 
-	// Tangent bound tables flattened from logistic.BoundTable:
+	// Hull bound tables flattened from logistic.BoundTable:
 	// value[cA][c] and marg[cA][c] for 0 <= cA <= c <= l.
 	value [][]float64
 	marg  [][]float64
@@ -103,9 +103,9 @@ func newEvaluator(inst *Instance) *evaluator {
 // shape, without binding to a particular instance: the per-sample state
 // depends only on theta and the candidate state only on l·pp, so one
 // allocation serves every instance whose sample count is at most theta
-// and whose candidate shape matches (an instance, its WithK/WithModel/
-// WithBoundMode derivatives, and any θ-prefix of those). EvaluatorPool
-// recycles these allocations across concurrent solves.
+// and whose candidate shape matches (an instance, its WithK/WithModel
+// derivatives, and any θ-prefix of those). EvaluatorPool recycles these
+// allocations across concurrent solves.
 func allocEvaluator(l, pp, theta int) *evaluator {
 	ev := &evaluator{
 		l:          l,
@@ -135,12 +135,12 @@ func allocEvaluator(l, pp, theta int) *evaluator {
 }
 
 // bind points the evaluator at an instance of its shape: it loads the
-// instance's tangent bound tables and adoption curve (which differ across
-// WithModel / WithBoundMode derivatives), adopts the instance's sample
-// count (a θ-prefix instance binds with its prefix θ; the arrays are
-// sized to capTheta >= θ), zeroes the per-solve counters, recycles the
-// previous solve's levels, chains and heap, and computes the empty-plan
-// half of the gain frontier, O(candidates). The per-sample scratch is
+// instance's bound tables and adoption curve (which differ across WithModel
+// derivatives), adopts the instance's sample count (a θ-prefix instance
+// binds with its prefix θ; the arrays are sized to capTheta >= θ),
+// zeroes the per-solve counters, recycles the previous solve's levels,
+// chains and heap, and computes the empty-plan half of the gain frontier,
+// O(candidates). The per-sample scratch is
 // assumed clean (fresh allocation or released via resetScratch).
 func (ev *evaluator) bind(inst *Instance) {
 	ev.inst = inst
@@ -275,7 +275,7 @@ func (ev *evaluator) prepareNode(plan *planNode, excl *exclNode, front *level, i
 }
 
 // load resets the evaluator and loads a partial plan and an exclusion
-// chain. It refines the tangent anchors: refs[i] becomes the piece count
+// chain. It refines the bound's anchors: refs[i] becomes the piece count
 // the partial plan guarantees at sample i (the paper's Fig. 2
 // refinement), and tauSum is re-based.
 func (ev *evaluator) load(plan *planNode, excl *exclNode) {
@@ -298,7 +298,7 @@ func (ev *evaluator) load(plan *planNode, excl *exclNode) {
 	for n := excl; n != nil; n = n.parent {
 		ev.exclEpoch[n.cand] = ev.epoch
 	}
-	// Re-base the tangent anchors at the partial plan's coverage.
+	// Re-base the bound's anchors at the partial plan's coverage.
 	base0 := ev.value[0][0]
 	ev.tauSum = float64(ev.theta) * base0
 	for _, i := range ev.dirty {
@@ -472,17 +472,17 @@ func (ev *evaluator) scale(x float64) float64 {
 }
 
 // bound is ComputeBound at a search node prepared from scratch.
-func (ev *evaluator) bound(plan *planNode, excl *exclNode, budget int, opts *BABOptions) boundResult {
+func (ev *evaluator) bound(plan *planNode, excl *exclNode, budget int, eps float64) boundResult {
 	ev.prepare(plan, excl)
-	return ev.estimate(budget, opts)
+	return ev.estimate(budget, eps)
 }
 
-// estimate runs the estimator the options select on the prepared node —
-// Algorithm 3 when Progressive, Algorithm 2 otherwise — with `budget`
-// slots left to fill.
-func (ev *evaluator) estimate(budget int, opts *BABOptions) boundResult {
-	if opts.Progressive {
-		return ev.computeBoundPro(budget, opts.Epsilon, opts.FillAfterFloor)
+// estimate runs a bound on the prepared node with `budget` slots left to
+// fill: Algorithm 3 with threshold decay eps when eps > 0, Algorithm 2
+// when eps is 0.
+func (ev *evaluator) estimate(budget int, eps float64) boundResult {
+	if eps > 0 {
+		return ev.computeBoundPro(budget, eps)
 	}
 	return ev.computeBound(budget)
 }
@@ -496,13 +496,15 @@ func (ev *evaluator) estimate(budget int, opts *BABOptions) boundResult {
 // fewer than `budget` picks. The order is never materialized: it is the
 // two-pointer merge of the sorted affected entries and baseOrder.
 //
-// With fill set, a floor exit with d < budget picks is followed by a lazy
-// greedy completion of the remaining slots: extending a plan only raises
-// the monotone τ, so the (1−1/e−ε) bound of Theorem 3 is untouched, while
-// the returned *candidate plan* — the search's lower-bound source —
-// reaches full size instead of plateauing. (Theorem 4's τ-evaluation
-// bound is what the completion spends; see BABOptions.FillAfterFloor.)
-func (ev *evaluator) computeBoundPro(budget int, eps float64, fill bool) boundResult {
+// A floor exit with d < budget picks is followed by a lazy greedy
+// completion of the remaining slots, which the paper's Algorithm 3 does
+// not have: extending a plan only raises the monotone τ, so the
+// (1−1/e−ε) bound of Theorem 3 is untouched, while the returned
+// *candidate plan* — the search's lower-bound source — reaches full size
+// instead of plateauing (the paper's reported BAB-P utilities track BAB
+// closely, which a d < k candidate plan cannot do). Theorem 4's
+// τ-evaluation bound is what the completion spends.
+func (ev *evaluator) computeBoundPro(budget int, eps float64) boundResult {
 	res := ev.newResult()
 	first, ok := ev.mergeNext(&mergeCursor{})
 	if !ok {
@@ -533,11 +535,9 @@ func (ev *evaluator) computeBoundPro(budget int, eps float64, fill bool) boundRe
 			break // Algorithm 3 line 14: remaining candidates cannot matter
 		}
 	}
-	if fill {
-		// The initial gains are upper bounds by now (submodularity), and
-		// sorted entries already form a heap.
-		ev.lazyGreedy(budget, false, &res)
-	}
+	// The initial gains are upper bounds by now (submodularity), and
+	// sorted entries already form a heap.
+	ev.lazyGreedy(budget, false, &res)
 	return ev.finish(res)
 }
 

@@ -153,17 +153,17 @@ func TestComputeBoundRespectsBudget(t *testing.T) {
 }
 
 func TestComputeBoundProSubsetOfBudget(t *testing.T) {
-	// Without fill, the progressive bound may stop below budget (floor),
-	// but never above; with fill it reaches the budget when candidates
-	// remain.
+	// The paper's Algorithm 3 (the reference, without the fill) may stop
+	// below budget (floor), but never above; the production bound, with
+	// the fill, reaches the budget when candidates remain.
 	_, ev := prepInstance(t, 8)
 	ev.prepare(nil, nil)
-	noFill := ev.computeBoundPro(6, 0.5, false)
+	noFill := ev.refComputeBoundPro(6, 0.5, false)
 	if len(noFill.picks) > 6 {
 		t.Fatalf("progressive picked %d with budget 6", len(noFill.picks))
 	}
 	ev.prepare(nil, nil)
-	fill := ev.computeBoundPro(6, 0.5, true)
+	fill := ev.computeBoundPro(6, 0.5)
 	if len(fill.picks) < len(noFill.picks) {
 		t.Fatalf("fill returned fewer picks (%d) than no-fill (%d)", len(fill.picks), len(noFill.picks))
 	}

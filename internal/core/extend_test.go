@@ -9,11 +9,11 @@ import (
 // every pooled solver and the index estimate of the winning plan.
 func solversAgree(t *testing.T, label string, a, b *Instance) {
 	t.Helper()
-	ra, err := SolveBABP(a, DefaultBABPOptions())
+	ra, err := SolveBABP(a, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := SolveBABP(b, DefaultBABPOptions())
+	rb, err := SolveBABP(b, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestInstanceExtendMatchesFreshPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallBefore, err := SolveBABP(small, DefaultBABPOptions())
+	smallBefore, err := SolveBABP(small, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestInstanceExtendMatchesFreshPrepare(t *testing.T) {
 	if small.Theta() != 300 {
 		t.Fatalf("pre-growth instance theta drifted to %d", small.Theta())
 	}
-	smallAfter, err := SolveBABP(small, DefaultBABPOptions())
+	smallAfter, err := SolveBABP(small, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,11 +152,11 @@ func TestEvaluatorPoolAcrossGrowthAndPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantP, err := SolveBABP(prefix, DefaultBABPOptions())
+	wantP, err := SolveBABP(prefix, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotP, err := pool.SolveBABP(prefix, DefaultBABPOptions())
+	gotP, err := pool.SolveBABP(prefix, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +175,13 @@ func TestEvaluatorPoolAcrossGrowthAndPrefix(t *testing.T) {
 	if !pool.Compatible(grown) {
 		t.Fatal("pool incompatible with grown instance after EnsureTheta")
 	}
-	wantG, err := SolveBABP(grown, DefaultBABPOptions())
+	wantG, err := SolveBABP(grown, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Two rounds so the second checkout recycles a grown evaluator.
 	for round := 0; round < 2; round++ {
-		gotG, err := pool.SolveBABP(grown, DefaultBABPOptions())
+		gotG, err := pool.SolveBABP(grown, DefaultBABOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestEvaluatorPoolAcrossGrowthAndPrefix(t *testing.T) {
 		}
 	}
 	// Small instances still solve through the same (grown) pool.
-	gotS, err := pool.SolveBABP(prefix, DefaultBABPOptions())
+	gotS, err := pool.SolveBABP(prefix, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

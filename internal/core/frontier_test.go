@@ -48,17 +48,13 @@ func TestSearchMatchesFromScratchSearch(t *testing.T) {
 							continue // exhaustive only where the tree is small
 						}
 						opts := DefaultBABOptions()
-						if s.name == "babp" || s.name == "pooled babp" {
-							opts = DefaultBABPOptions()
-						}
 						opts.Tolerance, opts.MaxNodes = o.Tolerance, o.MaxNodes
 						label := fmt.Sprintf("seed %d %s α=%v %s tol=%v max=%d", seed, name, model.Alpha, s.name, o.Tolerance, o.MaxNodes)
 						got, err := s.solve(inst, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						opts.Progressive = s.name == "babp" || s.name == "pooled babp"
-						want, _ := refSolve(inst, opts)
+						want, _ := refSolve(inst, refOptions{BABOptions: opts, progressive: s.name == "babp" || s.name == "pooled babp"})
 						if want.Stats.Nodes > 0 {
 							searched++
 						}

@@ -3,7 +3,7 @@ package core
 import "cmp"
 
 // computeBound is Algorithm 2: greedy maximization of the submodular
-// tangent bound — each pick is the eligible candidate with the largest
+// hull bound — each pick is the eligible candidate with the largest
 // marginal gain, ties broken toward the smaller candidate id, until the
 // budget is filled or no candidate improves the bound.
 func (ev *evaluator) computeBound(budget int) boundResult {

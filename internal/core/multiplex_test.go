@@ -67,7 +67,7 @@ func TestPrepareMultiplexSingleLayerBitIdentity(t *testing.T) {
 	solvers := []solver{
 		{"BAB", func(in *Instance) (*Result, error) { return SolveBAB(in, BABOptions{Tolerance: 0.01}) }},
 		{"BABP", func(in *Instance) (*Result, error) {
-			return SolveBABP(in, BABOptions{Progressive: true, Epsilon: 0.5, Tolerance: 0.01})
+			return SolveBABP(in, BABOptions{Epsilon: 0.5, Tolerance: 0.01})
 		}},
 		{"TIM", SolveTIM},
 		{"IM", func(in *Instance) (*Result, error) { return SolveIM(in, 99) }},

@@ -16,8 +16,8 @@ import (
 //
 // A pool is shaped by (ℓ, |pool|) at construction and carries a sample
 // capacity that only grows: it serves the instance it was built for, any
-// WithK / WithModel / WithBoundMode derivative (same shape; bind reloads
-// the bound tables per solve), any θ-prefix of those, and — after
+// WithK / WithModel derivative (same shape; bind reloads the bound
+// tables per solve), any θ-prefix of those, and — after
 // EnsureTheta — instances grown by ExtendTo. Solving an instance of a
 // different (ℓ, |pool|) shape, or one with more samples than the
 // capacity, is an error.
@@ -80,36 +80,15 @@ func (p *EvaluatorPool) release(ev *evaluator) {
 
 // SolveBAB is SolveBAB with pooled scratch.
 func (p *EvaluatorPool) SolveBAB(inst *Instance, opts BABOptions) (*Result, error) {
-	ev, err := p.acquire(inst)
-	if err != nil {
-		return nil, err
-	}
-	defer p.release(ev)
-	return solveBABWith(inst, ev, opts)
+	return solve(inst, p, opts, solveBAB)
 }
 
 // SolveBABP is SolveBABP with pooled scratch.
 func (p *EvaluatorPool) SolveBABP(inst *Instance, opts BABOptions) (*Result, error) {
-	if err := validateBABP(opts); err != nil {
-		return nil, err
-	}
-	ev, err := p.acquire(inst)
-	if err != nil {
-		return nil, err
-	}
-	defer p.release(ev)
-	return solveBABPWith(inst, ev, opts)
+	return solve(inst, p, opts, solveBABP)
 }
 
 // SolveGreedy is SolveGreedy with pooled scratch.
 func (p *EvaluatorPool) SolveGreedy(inst *Instance, opts BABOptions) (*Result, error) {
-	if err := validateGreedy(opts); err != nil {
-		return nil, err
-	}
-	ev, err := p.acquire(inst)
-	if err != nil {
-		return nil, err
-	}
-	defer p.release(ev)
-	return solveGreedy(inst, ev, opts)
+	return solve(inst, p, opts, solveGreedy)
 }

@@ -16,12 +16,12 @@ func TestEvaluatorPoolMatchesUnpooled(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := NewEvaluatorPool(inst)
-	want, err := SolveBABP(inst, DefaultBABPOptions())
+	want, err := SolveBABP(inst, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		got, err := pool.SolveBABP(inst, DefaultBABPOptions())
+		got, err := pool.SolveBABP(inst, DefaultBABOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestEvaluatorPoolConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := NewEvaluatorPool(inst)
-	want, err := SolveBABP(inst, DefaultBABPOptions())
+	want, err := SolveBABP(inst, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestEvaluatorPoolConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := pool.SolveBABP(inst, DefaultBABPOptions())
+			got, err := pool.SolveBABP(inst, DefaultBABOptions())
 			if err != nil {
 				errs <- err
 				return
@@ -109,11 +109,11 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := SolveBABP(k4, DefaultBABPOptions())
+	want, err := SolveBABP(k4, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := pool.SolveBABP(k4, DefaultBABPOptions())
+	got, err := pool.SolveBABP(k4, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,11 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantM, err := SolveBABP(remodeled, DefaultBABPOptions())
+	wantM, err := SolveBABP(remodeled, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotM, err := pool.SolveBABP(remodeled, DefaultBABPOptions())
+	gotM, err := pool.SolveBABP(remodeled, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantS, err := SolveBABP(smaller, DefaultBABPOptions())
+	wantS, err := SolveBABP(smaller, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotS, err := pool.SolveBABP(smaller, DefaultBABPOptions())
+	gotS, err := pool.SolveBABP(smaller, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,15 +160,15 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.SolveBABP(larger, DefaultBABPOptions()); err == nil {
+	if _, err := pool.SolveBABP(larger, DefaultBABOptions()); err == nil {
 		t.Fatal("pool accepted an instance above its theta capacity")
 	}
 	pool.EnsureTheta(300)
-	wantL, err := SolveBABP(larger, DefaultBABPOptions())
+	wantL, err := SolveBABP(larger, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotL, err := pool.SolveBABP(larger, DefaultBABPOptions())
+	gotL, err := pool.SolveBABP(larger, DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.SolveBABP(badInst, DefaultBABPOptions()); err == nil {
+	if _, err := pool.SolveBABP(badInst, DefaultBABOptions()); err == nil {
 		t.Fatal("pool accepted an instance with a different pool size")
 	}
 }

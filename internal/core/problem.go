@@ -12,8 +12,9 @@
 // The package provides:
 //
 //   - SolveBAB: the branch-and-bound framework (Algorithm 1) with the
-//     greedy tangent-line upper bound (Algorithm 2), a (1−1/e)
-//     approximation of the MRR-estimated optimum (Theorem 2);
+//     greedy upper bound (Algorithm 2) over the concave hull of Eq. (1)
+//     (package logistic), a (1−1/e) approximation of the MRR-estimated
+//     optimum (Theorem 2);
 //   - SolveBABP: the same framework with progressive upper-bound
 //     estimation (Algorithm 3), a (1−1/e−ε) approximation (Theorem 3)
 //     with far fewer bound evaluations (Theorem 4);
@@ -21,14 +22,18 @@
 //     state-of-the-art IM (§VI-A), both greedy maximum coverage on θ RR
 //     sets — of the uniform topic mixture for IM, of each piece for TIM
 //     — at the same θ every method gets, not IMM's adaptive θ;
-//   - SolveGreedy: the one-shot greedy on the tangent bound (the root
-//     bound computation of BAB, useful as a fast heuristic/ablation);
-//   - SolveBrute: exact enumeration for verification on tiny instances.
+//   - SolveGreedy: the one-shot greedy on the hull bound (the root
+//     bound computation of BAB, useful as a fast heuristic/ablation).
+//
+// Every solver runs one configuration: the hull bound, the termination
+// gap on the raw Eq. (6) scale, and BAB-P's bounds completed by lazy
+// greedy (see BABOptions). Exact enumeration for tiny instances
+// (solveBrute) is a test oracle in brute_test.go.
 //
 // Every bound computation goes through one evaluator (evaluator.go) and
 // one of two routines: computeBound, Algorithm 2 as a lazy greedy
-// (lazy.go), and computeBoundPro, Algorithm 3, whose optional completion
-// is that same lazy greedy. Both take their initial gains from the
+// (lazy.go), and computeBoundPro, Algorithm 3, whose completion is that
+// same lazy greedy. Both take their initial gains from the
 // evaluator's gain frontier — empty-plan gains and their order once per
 // solve (bind), plus the exact gains of only the candidates a node's
 // partial plan touched — so a bound's cost follows the plan's footprint
@@ -174,76 +179,8 @@ func (p Plan) Size() int {
 	return total
 }
 
-// Clone returns a deep copy.
-func (p Plan) Clone() Plan {
-	out := Plan{Seeds: make([][]int32, len(p.Seeds))}
-	for j, s := range p.Seeds {
-		out.Seeds[j] = append([]int32(nil), s...)
-	}
-	return out
-}
-
-// Contains reports whether q ⊆ p in the sense of Definition 2
-// (piece-wise seed-set containment).
-func (p Plan) Contains(q Plan) bool {
-	if len(p.Seeds) != len(q.Seeds) {
-		return false
-	}
-	for j := range q.Seeds {
-		have := make(map[int32]bool, len(p.Seeds[j]))
-		for _, v := range p.Seeds[j] {
-			have[v] = true
-		}
-		for _, v := range q.Seeds[j] {
-			if !have[v] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Union returns the piece-wise union p ∪ q (Definition 3).
-func (p Plan) Union(q Plan) Plan {
-	l := len(p.Seeds)
-	if len(q.Seeds) > l {
-		l = len(q.Seeds)
-	}
-	out := NewPlan(l)
-	for j := 0; j < l; j++ {
-		seen := map[int32]bool{}
-		if j < len(p.Seeds) {
-			for _, v := range p.Seeds[j] {
-				if !seen[v] {
-					seen[v] = true
-					out.Seeds[j] = append(out.Seeds[j], v)
-				}
-			}
-		}
-		if j < len(q.Seeds) {
-			for _, v := range q.Seeds[j] {
-				if !seen[v] {
-					seen[v] = true
-					out.Seeds[j] = append(out.Seeds[j], v)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// Has reports whether promoter v is assigned to piece j.
-func (p Plan) Has(j int, v int32) bool {
-	for _, u := range p.Seeds[j] {
-		if u == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Instance is a prepared OIPA instance: the problem plus the MRR samples,
-// the promoter-pool inverted index, and the tangent bound table that the
+// the promoter-pool inverted index, and the hull bound table that the
 // solvers share. Prepare once, solve many times.
 //
 // Solvers never read MRR directly: they go through Index, whose MRR()
@@ -340,7 +277,7 @@ func Prepare(ctx context.Context, p *Problem, theta int, seed uint64, layouts ..
 		return nil, err
 	}
 	indexTime := time.Since(start)
-	bounds, err := logistic.NewBoundTableMode(p.Model, l, logistic.BoundHull)
+	bounds, err := logistic.NewBoundTable(p.Model, l)
 	if err != nil {
 		return nil, err
 	}
@@ -529,10 +466,10 @@ func (in *Instance) WithK(k int) (*Instance, error) {
 }
 
 // WithModel returns a shallow copy with a different logistic model: the
-// bound table is rebuilt (same mode) while the samples and index — which
-// do not depend on α, β — are shared. Used by the β/α sweep (Fig. 6).
+// bound table is rebuilt while the samples and index — which do not
+// depend on α, β — are shared. Used by the β/α sweep (Fig. 6).
 func (in *Instance) WithModel(m logistic.Model) (*Instance, error) {
-	bounds, err := logistic.NewBoundTableMode(m, in.L(), in.Bounds.Mode)
+	bounds, err := logistic.NewBoundTable(m, in.L())
 	if err != nil {
 		return nil, err
 	}
@@ -540,18 +477,6 @@ func (in *Instance) WithModel(m logistic.Model) (*Instance, error) {
 	p.Model = m
 	out := *in
 	out.Problem = &p
-	out.Bounds = bounds
-	return &out, nil
-}
-
-// WithBoundMode returns a shallow copy using a different upper-bound
-// construction (the hull-vs-tangent ablation).
-func (in *Instance) WithBoundMode(mode logistic.BoundMode) (*Instance, error) {
-	bounds, err := logistic.NewBoundTableMode(in.Problem.Model, in.L(), mode)
-	if err != nil {
-		return nil, err
-	}
-	out := *in
 	out.Bounds = bounds
 	return &out, nil
 }

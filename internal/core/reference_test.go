@@ -136,15 +136,23 @@ func (n *exclNode) with(c candidate) *exclNode {
 	return &exclNode{parent: n, cand: c}
 }
 
+// refOptions are the reference search's options: the production ones
+// plus the two choices the production search fixes.
+type refOptions struct {
+	BABOptions
+	progressive bool // Algorithm 3 bounds (with the fill) instead of Algorithm 2
+	strictGap   bool // test the gap on Eq. (1)'s scale, not the raw Eq. (6) one
+}
+
 // refSolve is Algorithm 1 as the sequential search ran before search
 // nodes carried their frontiers: every bound prepared from scratch, every
 // candidate plan materialized and estimated with Index.EstimateAUWith,
 // chains and heap nodes allocated per node. Its Result is the search's,
-// TauEvals aside. It also returns the bound of every subtree it left
-// unexpanded — pruned children, unextendable nodes, and what was still
-// open when the loop ended — and Upper is the largest of those and the
-// incumbent's utility.
-func refSolve(inst *Instance, opts BABOptions) (*Result, []float64) {
+// TauEvals aside, unless strictGap is set. It also returns the bound of
+// every subtree it left unexpanded — pruned children, unextendable nodes,
+// and what was still open when the loop ended — and Upper is the largest
+// of those and the incumbent's utility.
+func refSolve(inst *Instance, opts refOptions) (*Result, []float64) {
 	ev, au := newEvaluator(inst), new(rrset.AUScratch)
 	k := inst.Problem.K
 	var stats SolverStats
@@ -156,13 +164,17 @@ func refSolve(inst *Instance, opts BABOptions) (*Result, []float64) {
 		}
 		return p, util
 	}
+	eps := 0.0
+	if opts.progressive {
+		eps = opts.Epsilon
+	}
 	stats.BoundEvals++
-	root := ev.bound(nil, nil, k, &opts)
+	root := ev.bound(nil, nil, k, eps)
 	bestPlan, bestUtil := evaluate(nil, root.picks)
 	h := &babHeap{&babNode{upper: root.tau, branch: root.branch}}
 	seq := 0
 	gapBase := 0.0
-	if opts.RawGap {
+	if !opts.strictGap {
 		gapBase = float64(inst.Index.MRR().N()) * logistic.Sigmoid(-inst.Problem.Model.Alpha)
 	}
 	prune := func(upper float64) bool { return upper+gapBase <= (bestUtil+gapBase)*(1+opts.Tolerance) }
@@ -190,7 +202,7 @@ search:
 		stats.Nodes++
 		for _, ch := range []babNode{{plan: node.plan.with(node.branch), excl: node.excl}, {plan: node.plan, excl: node.excl.with(node.branch)}} {
 			stats.BoundEvals++
-			br := ev.bound(ch.plan, ch.excl, k-ch.plan.len(), &opts)
+			br := ev.bound(ch.plan, ch.excl, k-ch.plan.len(), eps)
 			if p, util := evaluate(ch.plan, br.picks); util > bestUtil {
 				bestPlan, bestUtil = p, util
 			}
@@ -215,7 +227,7 @@ search:
 
 // TestUpperCoversEverySetAsideSubtree checks the published upper bound
 // against refSolve's record of every subtree the search left unexpanded,
-// on instances small enough for SolveBrute, across models, tolerances and
+// on instances small enough for solveBrute, across models, tolerances and
 // the ways a search ends: certified or exhausted (BAB, BAB-P), at a node
 // cap, or stopped. Upper must reach each of those bounds and the
 // utility; the utility must not exceed OPT; and since a node's greedy
@@ -246,7 +258,7 @@ func TestUpperCoversEverySetAsideSubtree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt, err := SolveBrute(inst)
+			opt, err := solveBrute(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,7 +266,7 @@ func TestUpperCoversEverySetAsideSubtree(t *testing.T) {
 				for _, v := range variants {
 					opts, solve, ratio := DefaultBABOptions(), SolveBAB, 1-1/math.E
 					if v.babp {
-						opts, solve = DefaultBABPOptions(), SolveBABP
+						solve = SolveBABP
 						ratio -= opts.Epsilon
 					}
 					opts.Tolerance, opts.MaxNodes, opts.Stop = tol, v.maxNodes, v.stop
@@ -263,8 +275,7 @@ func TestUpperCoversEverySetAsideSubtree(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					opts.Progressive = v.babp
-					want, setAside := refSolve(inst, opts)
+					want, setAside := refSolve(inst, refOptions{BABOptions: opts, progressive: v.babp})
 					for _, tau := range setAside {
 						if got.Upper < tau {
 							t.Fatalf("%s: upper %v below a set-aside subtree's bound %v (utility %v)", label, got.Upper, tau, got.Utility)
@@ -307,10 +318,7 @@ var boundRoutines = []boundRoutine{
 		func(ev *evaluator, b int) boundResult { return ev.computeBound(b) },
 		func(ev *evaluator, b int) boundResult { return ev.refComputeBound(b) }},
 	{"alg3",
-		func(ev *evaluator, b int) boundResult { return ev.computeBoundPro(b, 0.5, false) },
-		func(ev *evaluator, b int) boundResult { return ev.refComputeBoundPro(b, 0.5, false) }},
-	{"alg3+fill",
-		func(ev *evaluator, b int) boundResult { return ev.computeBoundPro(b, 0.5, true) },
+		func(ev *evaluator, b int) boundResult { return ev.computeBoundPro(b, 0.5) },
 		func(ev *evaluator, b int) boundResult { return ev.refComputeBoundPro(b, 0.5, true) }},
 }
 
@@ -577,7 +585,7 @@ func TestBoundWorkFollowsTheAffectedSet(t *testing.T) {
 		}
 	}
 	for _, solve := range []func(*Instance, BABOptions) (*Result, error){SolveBAB, SolveBABP} {
-		opts := DefaultBABPOptions()
+		opts := DefaultBABOptions()
 		opts.Tolerance, opts.MaxNodes = 0, 40
 		res, err := solve(inst, opts)
 		if err != nil {

@@ -45,7 +45,9 @@ func declaredNames(t *testing.T) map[string]bool {
 // TestExportedSurface pins one way to prepare: Prepare and its
 // single-graph layouts wrapper are the only Prepare* functions, and an
 // Instance carries one layouts field and no probability vectors. It also
-// pins one search: no parallel search and no sketch-steered evaluation.
+// pins one search: no parallel search, no sketch-steered evaluation, and
+// one configuration — no bound mode, no progressive switch, no second
+// default, no brute-force solver and no plan algebra.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	for name := range names {
@@ -60,40 +62,58 @@ func TestExportedSurface(t *testing.T) {
 	}
 	for _, gone := range []string{"MuxLayouts", "PieceProbs", "ExtendToCtx",
 		"solveBranchAndBoundParallel", "evalCheckout", "directCheckout",
-		"Sketch", "TraceWorker", "SketchEvals", "ReVerifyEvals", "Steals"} {
+		"Sketch", "TraceWorker", "SketchEvals", "ReVerifyEvals", "Steals",
+		"BoundMode", "BoundHull", "BoundTangent", "BoundTangentUncapped", "TangentAt",
+		"RefineGradient", "AdoptionRaw", "NewBoundTableMode", "WithBoundMode", "SolveBrute",
+		"Progressive", "DefaultBABPOptions", "Union", "Contains", "Clone", "Has"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}
 	}
 }
 
-// TestWorkersIsInert pins that BABOptions.Workers, kept only because the
-// benchmark harness still sets it, changes nothing: the search with four
-// workers returns the sequential Result, SpecExpansions and SpecWasted
-// zero.
-func TestWorkersIsInert(t *testing.T) {
-	inst := branchyInstance(t, 19, 40, 160, 6, 2, 3, 800, 8, 6, 2)
+// TestPlaceholdersAreInert pins that the BABOptions fields kept only
+// because the benchmark harness still sets them change nothing: four
+// workers, and RawGap and FillAfterFloor either way, each return the
+// default Result bit for bit, and SpecExpansions and SpecWasted stay
+// zero. On this instance the strict gap that RawGap false used to ask for
+// expands a different tree, and BAB-P without the fill, which
+// FillAfterFloor false used to ask for, returns a different plan.
+func TestPlaceholdersAreInert(t *testing.T) {
+	inst := branchyInstance(t, 20, 40, 160, 6, 2, 5, 800, 8, 6, 2)
+	opts := DefaultBABOptions()
+	opts.Tolerance = 0.1
+	raw, _ := refSolve(inst, refOptions{BABOptions: opts})
+	strict, _ := refSolve(inst, refOptions{BABOptions: opts, strictGap: true})
+	if raw.Stats.Nodes == strict.Stats.Nodes {
+		t.Fatalf("the strict and the raw gap both expand %d nodes", raw.Stats.Nodes)
+	}
 	for _, solve := range []func(*Instance, BABOptions) (*Result, error){SolveBAB, SolveBABP} {
-		opts := DefaultBABPOptions()
-		opts.Tolerance = 0
 		want, err := solve(inst, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want.Stats.Nodes == 0 {
-			t.Fatal("the search certified at the root")
-		}
-		opts.Workers = 4
-		got, err := solve(inst, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got.Elapsed, want.Elapsed = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s with 4 workers:\n got %+v\nwant %+v", want.Method, got, want)
-		}
-		if got.Stats.SpecExpansions != 0 || got.Stats.SpecWasted != 0 {
-			t.Fatalf("%s: speculation stats %+v", got.Method, got.Stats)
+		want.Elapsed = 0
+		for name, set := range map[string]func(*BABOptions){
+			"4 workers":            func(o *BABOptions) { o.Workers = 4 },
+			"RawGap false":         func(o *BABOptions) { o.RawGap = false },
+			"RawGap true":          func(o *BABOptions) { o.RawGap = true },
+			"FillAfterFloor false": func(o *BABOptions) { o.FillAfterFloor = false },
+			"FillAfterFloor true":  func(o *BABOptions) { o.FillAfterFloor = true },
+		} {
+			o := opts
+			set(&o)
+			got, err := solve(inst, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.Elapsed = 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s with %s:\n got %+v\nwant %+v", want.Method, name, got, want)
+			}
+			if got.Stats.SpecExpansions != 0 || got.Stats.SpecWasted != 0 {
+				t.Fatalf("%s: speculation stats %+v", got.Method, got.Stats)
+			}
 		}
 	}
 }

@@ -32,7 +32,7 @@ func FigureMultiplex(c Config, maxLayers int) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := core.DefaultBABPOptions()
+	opts := core.DefaultBABOptions()
 	opts.Epsilon = c.Epsilon
 	opts.MaxNodes = maxSearchNodes
 
@@ -163,16 +163,10 @@ func CheckMultiplex(basePath string, layerPaths []string, l, k, theta int, seed 
 	if err != nil {
 		return nil, err
 	}
-	// The serve tier's "bab" method: exact-gap branch and bound,
-	// uncapped, FillAfterFloor on. Bit-for-bit the solve the server runs,
-	// so float64 equality holds between this utility/plan and the
-	// /v1/solve response.
-	res, err := core.SolveBAB(inst, core.BABOptions{
-		Epsilon:        0.5,
-		Tolerance:      0.01,
-		RawGap:         true,
-		FillAfterFloor: true,
-	})
+	// The serve tier's "bab" method with default options, uncapped.
+	// Bit-for-bit the solve the server runs, so float64 equality holds
+	// between this utility/plan and the /v1/solve response.
+	res, err := core.SolveBAB(inst, core.DefaultBABOptions())
 	if err != nil {
 		return nil, err
 	}

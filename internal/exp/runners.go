@@ -54,7 +54,7 @@ func runMethods(dataset string, inst *core.Instance, param string, x float64, ep
 			opts.MaxNodes = maxSearchNodes
 			res, err = core.SolveBAB(inst, opts)
 		case MethodBABP:
-			opts := core.DefaultBABPOptions()
+			opts := core.DefaultBABOptions()
 			opts.Epsilon = epsilon
 			opts.MaxNodes = maxSearchNodes
 			res, err = core.SolveBABP(inst, opts)

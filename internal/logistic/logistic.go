@@ -1,7 +1,6 @@
 // Package logistic implements the paper's logistic adoption model (Eq. 1)
-// and the tangent-line construction that turns it into a monotone
-// submodular upper bound (paper §V-B, Fig. 2, and the Algorithm 4
-// derivation in the appendix).
+// and the per-user upper bound that makes it tractable for
+// branch-and-bound (paper §V-B).
 //
 // A user who receives c distinct pieces of a campaign adopts it with
 // probability
@@ -11,13 +10,25 @@
 //
 // with α, β > 0. As a function of the assignment plan this is not
 // submodular (the logistic S-curve has an initial convex stretch), so the
-// branch-and-bound framework replaces each per-user logistic term with the
-// minimal *linear* function of the received-piece count that dominates it:
-// the tangent line through the current operating point (x0, f(x0)), where
-// x0 = β·c0 − α and c0 is the count already guaranteed by the partial plan
-// under consideration. Linear functions of coverage counts are monotone
-// submodular set functions, so their sum can be maximized greedily with
-// the classic (1 − 1/e) guarantee.
+// branch-and-bound framework replaces each per-user term with a concave,
+// non-decreasing function of the received-piece count that dominates it.
+// Such functions of coverage counts sum to a monotone submodular set
+// function, which a greedy maximizes with the classic (1 − 1/e)
+// guarantee.
+//
+// The paper draws that function as a tangent line through the operating
+// point (β·c0 − α, f(β·c0 − α)), where c0 is the count the partial plan
+// under consideration already guarantees (Fig. 2, Algorithm 4). BoundTable
+// uses the concave envelope (hull) of Eq. (1)'s adoption values instead:
+// the minimal concave non-decreasing majorant on integer counts. It is
+// exact at the anchor, so an uncovered user contributes 0 rather than the
+// tangent's Sigmoid(−α) > 0. Summed over θ samples that constant alone is
+// n·Sigmoid(−α) — on the paper's tweet configuration ~1.2M utility units
+// against optima of ~6000, which no relative-gap termination test could
+// close. Being concave and non-decreasing, the hull keeps Theorems 2–4
+// intact. The tangent construction and Algorithm 4 live on as test
+// references in reference_test.go, and TestHullTighterThanTangent checks
+// that the hull lies on or below the tangent everywhere.
 package logistic
 
 import (
@@ -53,170 +64,21 @@ func Sigmoid(x float64) float64 {
 	return e / (1 + e)
 }
 
-// SigmoidPrime is f'(x) = f(x)·(1-f(x)).
-func SigmoidPrime(x float64) float64 {
-	f := Sigmoid(x)
-	return f * (1 - f)
-}
-
-// X maps a received-piece count to the logistic argument β·c − α.
-func (m Model) X(count int) float64 { return m.Beta*float64(count) - m.Alpha }
-
 // Adoption returns the adoption probability of a user who received count
 // distinct pieces, following Eq. (1) exactly: zero when count is zero.
 func (m Model) Adoption(count int) float64 {
 	if count <= 0 {
 		return 0
 	}
-	return Sigmoid(m.X(count))
-}
-
-// AdoptionRaw returns the logistic value without Eq. (1)'s zero branch,
-// i.e. the literal formula printed in the paper's Eq. (6) estimator. It
-// exists only for the estimator-semantics ablation; all solvers use
-// Adoption.
-func (m Model) AdoptionRaw(count int) float64 { return Sigmoid(m.X(count)) }
-
-// Tangent describes the minimal linear upper bound of the logistic curve
-// anchored at a point (X0, Sigmoid(X0)): the line passes through the
-// anchor and is tangent to the curve at TangencyX >= max(X0, 0).
-type Tangent struct {
-	X0        float64 // anchor abscissa
-	Value0    float64 // Sigmoid(X0)
-	Slope     float64 // gradient of the line
-	TangencyX float64
-}
-
-// At evaluates the (uncapped) tangent line at abscissa x.
-func (t Tangent) At(x float64) float64 { return t.Value0 + t.Slope*(x-t.X0) }
-
-// tangentTolerance bounds the bisection error of the tangency search.
-const tangentTolerance = 1e-13
-
-// TangentAt computes the minimal linear upper bound of the logistic curve
-// through the point (x0, Sigmoid(x0)), valid for all x >= x0.
-//
-// For x0 >= 0 the curve is concave to the right of the anchor, so the
-// tangent at the anchor itself dominates. For x0 < 0 the curve is convex
-// near the anchor and the minimal dominating line touches the curve at a
-// unique tangency point t > 0, found by bisection on t (equivalent to the
-// paper's Algorithm 4, which bisects on the gradient; see RefineGradient).
-func TangentAt(x0 float64) Tangent {
-	f0 := Sigmoid(x0)
-	if x0 >= 0 {
-		return Tangent{X0: x0, Value0: f0, Slope: SigmoidPrime(x0), TangencyX: x0}
-	}
-	// h(t) = f(t) - f'(t)·(t-x0) - f(x0) is the gap at the anchor between
-	// the curve value and the tangent-at-t line. h(0) <= 0 (the inflection
-	// tangent overshoots for convex x<0) and h(t) -> 1-f(x0) > 0, so a root
-	// exists in (0, hi].
-	lo, hi := 0.0, 1.0
-	for h(hi, x0, f0) <= 0 {
-		hi *= 2
-		if hi > 1e6 {
-			break // unreachable for finite x0; defensive
-		}
-	}
-	for i := 0; i < 200 && hi-lo > tangentTolerance; i++ {
-		mid := (lo + hi) / 2
-		if h(mid, x0, f0) > 0 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	t := (lo + hi) / 2
-	return Tangent{X0: x0, Value0: f0, Slope: SigmoidPrime(t), TangencyX: t}
-}
-
-// h computes f(t) - f'(t)·(t-x0) - f0: positive once the tangent at t
-// passes above the anchor point.
-func h(t, x0, f0 float64) float64 {
-	return Sigmoid(t) - SigmoidPrime(t)*(t-x0) - f0
-}
-
-// RefineGradient is a faithful implementation of the paper's Algorithm 4:
-// a binary search on the gradient w ∈ (0, 1/4) for the line through the
-// anchor (x0, Sigmoid(x0)) that is tangent to the logistic curve. It
-// exists to document and test the paper's routine; TangentAt (bisection on
-// the tangency abscissa) is what the solvers use, and the two agree to
-// within the tolerance.
-func RefineGradient(x0, eps float64) float64 {
-	if eps <= 0 {
-		eps = 1e-12
-	}
-	f0 := Sigmoid(x0)
-	lo, hi := 0.0, 0.25
-	for hi-lo > eps {
-		w := (lo + hi) / 2
-		// Tangency abscissa t with f'(t) = w, on the concave side:
-		// f(t) = (1+sqrt(1-4w))/2, t = log(f/(1-f)).
-		s := math.Sqrt(1 - 4*w)
-		t := math.Log((1 + s) / (1 - s))
-		v := w*t + f0 - w*x0 // line through anchor evaluated at t
-		if v > Sigmoid(t) {
-			hi = w
-		} else {
-			lo = w
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// BoundMode selects how the per-user submodular upper bound is built.
-type BoundMode int
-
-const (
-	// BoundHull (the default) uses the concave envelope of the true
-	// adoption points {(0, 0), (1, f(1)), .., (L, f(L))}, where
-	// f(c) = Sigmoid(β·c − α). The envelope is the *minimal* concave
-	// non-decreasing majorant of Eq. (1)'s adoption function on integer
-	// counts — in particular it is exact at the refinement anchor, which
-	// keeps the branch-and-bound gap U − L free of the constant
-	// n·Sigmoid(−α) slack the raw tangent construction carries.
-	//
-	// Rationale: the paper's Eq. (1) and its Example 2 define σ(∅̄) = 0
-	// (a user who receives no piece never adopts), yet the tangent line
-	// of Fig. 2 is anchored at the logistic value Sigmoid(−α) > 0 for
-	// uncovered users. Summed over all θ samples that anchor alone
-	// contributes n·Sigmoid(−α) to every upper bound — on the paper's own
-	// tweet configuration that is ~1.2M utility units against optima of
-	// ~6000, so a relative-gap termination criterion could never fire.
-	// The hull resolves the inconsistency while preserving everything the
-	// proofs need: it is concave and non-decreasing in the coverage
-	// count, so the per-sample bound is a monotone submodular set
-	// function and Theorems 2–4 go through verbatim.
-	BoundHull BoundMode = iota
-	// BoundTangent is the paper-literal construction of Fig. 2 /
-	// Algorithm 4: the minimal tangent line through the logistic curve at
-	// the anchor, clamped to 1. Kept as an ablation.
-	BoundTangent
-	// BoundTangentUncapped is BoundTangent without the clamp at 1 (the
-	// line as drawn in Fig. 2). Kept as an ablation.
-	BoundTangentUncapped
-)
-
-// String implements fmt.Stringer.
-func (m BoundMode) String() string {
-	switch m {
-	case BoundHull:
-		return "hull"
-	case BoundTangent:
-		return "tangent"
-	case BoundTangentUncapped:
-		return "tangent-uncapped"
-	default:
-		return fmt.Sprintf("BoundMode(%d)", int(m))
-	}
+	return Sigmoid(m.Beta*float64(count) - m.Alpha)
 }
 
 // BoundTable caches, for each possible already-covered piece count
-// c0 ∈ {0..L}, the per-user upper bound as a function of the total
+// c0 ∈ {0..L}, the per-user hull bound as a function of the total
 // covered count c >= c0. All MRR sample roots share the table, so
 // refining the upper bound during branch-and-bound costs a table lookup.
 type BoundTable struct {
-	L    int
-	Mode BoundMode
+	L int
 	// value[c0][c] for 0 <= c0 <= c <= L; marginal[c0][c] =
 	// value[c0][c+1] − value[c0][c].
 	value [][]float64
@@ -227,43 +89,18 @@ type BoundTable struct {
 // non-positive piece count.
 var ErrBadPieces = errors.New("logistic: piece count must be positive")
 
-// NewBoundTable precomputes the bound for counts 0..l under the given
-// mode. The legacy boolean signature (cap) maps to BoundTangent /
-// BoundTangentUncapped; solvers use NewBoundTableMode with BoundHull.
-func NewBoundTable(m Model, l int, cap bool) (*BoundTable, error) {
-	mode := BoundTangent
-	if !cap {
-		mode = BoundTangentUncapped
-	}
-	return NewBoundTableMode(m, l, mode)
-}
-
-// NewBoundTableMode precomputes the bound table for counts 0..l.
-func NewBoundTableMode(m Model, l int, mode BoundMode) (*BoundTable, error) {
+// NewBoundTable precomputes the hull bound for counts 0..l.
+func NewBoundTable(m Model, l int) (*BoundTable, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if l <= 0 {
 		return nil, ErrBadPieces
 	}
-	t := &BoundTable{L: l, Mode: mode, model: m, value: make([][]float64, l+1)}
+	t := &BoundTable{L: l, model: m, value: make([][]float64, l+1)}
 	for c0 := 0; c0 <= l; c0++ {
 		t.value[c0] = make([]float64, l+1)
-		switch mode {
-		case BoundHull:
-			fillHullRow(t.value[c0], m, c0, l)
-		case BoundTangent, BoundTangentUncapped:
-			tan := TangentAt(m.X(c0))
-			for c := c0; c <= l; c++ {
-				v := tan.Value0 + tan.Slope*m.Beta*float64(c-c0)
-				if mode == BoundTangent && v > 1 {
-					v = 1
-				}
-				t.value[c0][c] = v
-			}
-		default:
-			return nil, fmt.Errorf("logistic: unknown bound mode %v", mode)
-		}
+		fillHullRow(t.value[c0], m, c0, l)
 	}
 	return t, nil
 }

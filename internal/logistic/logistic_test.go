@@ -1,7 +1,14 @@
 package logistic
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -70,10 +77,6 @@ func TestAdoptionMatchesPaperExample(t *testing.T) {
 	}
 	if got := m.Adoption(2); math.Abs(got-0.2689414213699951) > 1e-12 {
 		t.Fatalf("Adoption(2) = %v", got)
-	}
-	// AdoptionRaw keeps the logistic value at count 0.
-	if got := m.AdoptionRaw(0); math.Abs(got-Sigmoid(-3)) > 1e-15 {
-		t.Fatalf("AdoptionRaw(0) = %v", got)
 	}
 }
 
@@ -159,16 +162,13 @@ func TestRefineGradientMatchesTangentAt(t *testing.T) {
 }
 
 func TestBoundTableDominatesAdoption(t *testing.T) {
-	// Property: Value(c0, c) >= Adoption(c) for all 0 <= c0 <= c <= L,
-	// over random models. This is the soundness condition for pruning.
+	// Property: the reference tangent table's Value(c0, c) >= Adoption(c)
+	// for all 0 <= c0 <= c <= L, over random models.
 	f := func(seed uint64) bool {
 		r := xrand.New(seed)
 		m := Model{Alpha: 0.5 + r.Float64()*5, Beta: 0.2 + r.Float64()*3}
 		l := 1 + r.Intn(8)
-		tbl, err := NewBoundTable(m, l, true)
-		if err != nil {
-			return false
-		}
+		tbl := tangentTable(m, l, true)
 		for c0 := 0; c0 <= l; c0++ {
 			for c := c0; c <= l; c++ {
 				if tbl.Value(c0, c) < m.Adoption(c)-1e-9 {
@@ -185,30 +185,30 @@ func TestBoundTableDominatesAdoption(t *testing.T) {
 
 func TestBoundTableRefinementTightens(t *testing.T) {
 	// Refining at a higher count gives a weakly tighter bound at that
-	// count: Value(c, c) <= Value(c0, c) for c0 <= c.
+	// count: Value(c, c) <= Value(c0, c) for c0 <= c — for the hull and
+	// for the reference tangent.
 	m := Model{Alpha: 3, Beta: 1}
-	tbl, err := NewBoundTable(m, 5, true)
+	hull, err := NewBoundTable(m, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for c0 := 0; c0 <= 5; c0++ {
-		for c := c0; c <= 5; c++ {
-			if tbl.Value(c, c) > tbl.Value(c0, c)+1e-12 {
-				t.Fatalf("refinement at %d loosened bound at %d: %v > %v",
-					c, c, tbl.Value(c, c), tbl.Value(c0, c))
+	for _, tbl := range []*BoundTable{hull, tangentTable(m, 5, true)} {
+		for c0 := 0; c0 <= 5; c0++ {
+			for c := c0; c <= 5; c++ {
+				if tbl.Value(c, c) > tbl.Value(c0, c)+1e-12 {
+					t.Fatalf("refinement at %d loosened bound at %d: %v > %v",
+						c, c, tbl.Value(c, c), tbl.Value(c0, c))
+				}
 			}
 		}
 	}
 }
 
 func TestBoundTableMarginalDiminishes(t *testing.T) {
-	// With the cap, marginals are non-increasing in c (submodularity of
-	// the per-root bound).
+	// With the cap, the reference tangent's marginals are non-increasing
+	// in c (submodularity of the per-root bound).
 	m := Model{Alpha: 2, Beta: 1.5}
-	tbl, err := NewBoundTable(m, 6, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := tangentTable(m, 6, true)
 	for c0 := 0; c0 <= 6; c0++ {
 		prev := math.Inf(1)
 		for c := c0; c < 6; c++ {
@@ -229,11 +229,11 @@ func TestBoundTableMarginalMatchesValueDifference(t *testing.T) {
 		r := xrand.New(seed)
 		m := Model{Alpha: 0.5 + r.Float64()*4, Beta: 0.3 + r.Float64()*2}
 		l := 1 + r.Intn(6)
-		for _, cap := range []bool{true, false} {
-			tbl, err := NewBoundTable(m, l, cap)
-			if err != nil {
-				return false
-			}
+		hull, err := NewBoundTable(m, l)
+		if err != nil {
+			return false
+		}
+		for _, tbl := range []*BoundTable{hull, tangentTable(m, l, true), tangentTable(m, l, false)} {
 			for c0 := 0; c0 <= l; c0++ {
 				for c := c0; c < l; c++ {
 					want := tbl.Value(c0, c+1) - tbl.Value(c0, c)
@@ -251,11 +251,10 @@ func TestBoundTableMarginalMatchesValueDifference(t *testing.T) {
 }
 
 func TestBoundTableCapTightens(t *testing.T) {
-	// The capped bound is never looser than the uncapped one and never
-	// exceeds 1.
+	// The capped reference tangent is never looser than the uncapped one
+	// and never exceeds 1.
 	m := Model{Alpha: 1, Beta: 2}
-	capped, _ := NewBoundTable(m, 8, true)
-	raw, _ := NewBoundTable(m, 8, false)
+	capped, raw := tangentTable(m, 8, true), tangentTable(m, 8, false)
 	for c0 := 0; c0 <= 8; c0++ {
 		for c := c0; c <= 8; c++ {
 			cv, rv := capped.Value(c0, c), raw.Value(c0, c)
@@ -281,7 +280,7 @@ func TestHullDominatesAdoptionExactAtAnchor(t *testing.T) {
 		r := xrand.New(seed)
 		m := Model{Alpha: 0.5 + r.Float64()*5, Beta: 0.2 + r.Float64()*3}
 		l := 1 + r.Intn(8)
-		tbl, err := NewBoundTableMode(m, l, BoundHull)
+		tbl, err := NewBoundTable(m, l)
 		if err != nil {
 			return false
 		}
@@ -309,7 +308,7 @@ func TestHullIsConcave(t *testing.T) {
 		r := xrand.New(seed)
 		m := Model{Alpha: 0.5 + r.Float64()*5, Beta: 0.2 + r.Float64()*3}
 		l := 2 + r.Intn(8)
-		tbl, err := NewBoundTableMode(m, l, BoundHull)
+		tbl, err := NewBoundTable(m, l)
 		if err != nil {
 			return false
 		}
@@ -331,27 +330,34 @@ func TestHullIsConcave(t *testing.T) {
 }
 
 func TestHullTighterThanTangent(t *testing.T) {
-	// The hull is everywhere at least as tight as the capped tangent.
-	m := Model{Alpha: 3, Beta: 1}
-	hull, err := NewBoundTableMode(m, 5, BoundHull)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tangent, err := NewBoundTableMode(m, 5, BoundTangent)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c0 := 0; c0 <= 5; c0++ {
-		for c := c0; c <= 5; c++ {
-			if hull.Value(c0, c) > tangent.Value(c0, c)+1e-12 {
-				t.Fatalf("hull looser than tangent at c0=%d c=%d: %v > %v",
-					c0, c, hull.Value(c0, c), tangent.Value(c0, c))
+	// Over random models the hull lies on or below both reference
+	// tangents — capped and uncapped — at every (c0, c), and strictly
+	// below them at the uncovered anchor (0, 0), where the tangent starts
+	// at Sigmoid(−α) and the hull at Eq. (1)'s 0.
+	f := func(seed uint64) bool {
+		r := xrand.New(seed)
+		m := Model{Alpha: 0.5 + r.Float64()*5, Beta: 0.2 + r.Float64()*3}
+		l := 1 + r.Intn(8)
+		hull, err := NewBoundTable(m, l)
+		if err != nil {
+			return false
+		}
+		for _, tangent := range []*BoundTable{tangentTable(m, l, true), tangentTable(m, l, false)} {
+			for c0 := 0; c0 <= l; c0++ {
+				for c := c0; c <= l; c++ {
+					if hull.Value(c0, c) > tangent.Value(c0, c)+1e-12 {
+						return false
+					}
+				}
+			}
+			if hull.Value(0, 0) >= tangent.Value(0, 0) {
+				return false
 			}
 		}
+		return true
 	}
-	// Strictly tighter at the zero anchor.
-	if hull.Value(0, 0) >= tangent.Value(0, 0) {
-		t.Fatal("hull not strictly tighter at the uncovered anchor")
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -360,7 +366,7 @@ func TestHullKnownValues(t *testing.T) {
 	// (3,0.5) have increasing slopes, so the hull is the straight chord
 	// from (0,0) to (3,0.5).
 	m := Model{Alpha: 3, Beta: 1}
-	tbl, err := NewBoundTableMode(m, 3, BoundHull)
+	tbl, err := NewBoundTable(m, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,21 +385,11 @@ func TestHullKnownValues(t *testing.T) {
 	}
 }
 
-func TestBoundModeString(t *testing.T) {
-	if BoundHull.String() != "hull" || BoundTangent.String() != "tangent" ||
-		BoundTangentUncapped.String() != "tangent-uncapped" {
-		t.Fatal("BoundMode String values changed")
-	}
-	if BoundMode(99).String() == "" {
-		t.Fatal("unknown mode has empty String")
-	}
-}
-
 func TestNewBoundTableErrors(t *testing.T) {
-	if _, err := NewBoundTable(Model{Alpha: -1, Beta: 1}, 3, true); err == nil {
+	if _, err := NewBoundTable(Model{Alpha: -1, Beta: 1}, 3); err == nil {
 		t.Fatal("invalid model accepted")
 	}
-	if _, err := NewBoundTable(Model{Alpha: 1, Beta: 1}, 0, true); err != ErrBadPieces {
+	if _, err := NewBoundTable(Model{Alpha: 1, Beta: 1}, 0); err != ErrBadPieces {
 		t.Fatal("zero piece count accepted")
 	}
 }
@@ -407,11 +403,54 @@ func BenchmarkTangentAt(b *testing.B) {
 }
 
 func BenchmarkBoundTableMarginal(b *testing.B) {
-	tbl, _ := NewBoundTable(Model{Alpha: 3, Beta: 1}, 5, true)
+	tbl, _ := NewBoundTable(Model{Alpha: 3, Beta: 1}, 5)
 	var sink float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sink = tbl.Marginal(1, 3)
 	}
 	_ = sink
+}
+
+// TestExportedSurface pins the package's exported names: the model, its
+// adoption curve and one bound table, the hull. The tangent construction
+// (BoundMode and its modes, TangentAt, RefineGradient) and AdoptionRaw
+// exist only in reference_test.go.
+func TestExportedSurface(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var ids []*ast.Ident
+				switch d := n.(type) {
+				case *ast.FuncDecl:
+					ids = append(ids, d.Name)
+				case *ast.TypeSpec:
+					ids = append(ids, d.Name)
+				case *ast.ValueSpec:
+					ids = d.Names
+				case *ast.Field:
+					ids = d.Names
+				}
+				for _, id := range ids {
+					if id.IsExported() {
+						got = append(got, id.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(got)
+	want := []string{"Adoption", "Alpha", "Beta", "BoundTable", "ErrBadPieces", "L", "Marginal",
+		"Model", "Model", "NewBoundTable", "Sigmoid", "Validate", "Value"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("exported names %v, want %v", got, want)
+	}
 }

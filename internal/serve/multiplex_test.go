@@ -97,12 +97,7 @@ func TestSolveMultiplexLayers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.SolveBAB(inst, core.BABOptions{
-		Epsilon:        0.5,
-		Tolerance:      0.01,
-		RawGap:         true,
-		FillAfterFloor: true,
-	})
+	want, err := core.SolveBAB(inst, core.DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -214,9 +214,9 @@ func TestDeadlineDegradesSolve(t *testing.T) {
 	if len(resp.Plan) == 0 {
 		t.Fatal("degraded solve returned no plan")
 	}
-	// The incumbent is evaluated exactly; the upper bound comes through
-	// the tangent-table machinery (bisection tolerance 1e-13), so allow
-	// it to undercut the incumbent by FP noise but nothing more.
+	// The incumbent is evaluated exactly; the upper bound sums the hull
+	// table's interpolated values in another order, so allow it to
+	// undercut the incumbent by FP noise but nothing more.
 	if resp.Upper < resp.Utility-1e-9*resp.Utility {
 		t.Fatalf("degraded upper bound %v below incumbent %v", resp.Upper, resp.Utility)
 	}

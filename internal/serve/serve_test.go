@@ -218,6 +218,23 @@ func TestSolveValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
+	// Search options no solver accepts are refused at the door, sync and
+	// async alike, before the registry prepares anything.
+	for _, opts := range []string{
+		`"method": "babp", "k": 2, "epsilon": -0.5`,
+		`"method": "bab", "k": 2, "tolerance": -1`,
+		`"method": "bab", "k": 2, "max_nodes": -1`,
+	} {
+		for _, async := range []string{"", `, "async": true`} {
+			body := `{"campaign": {"name": "t", "pieces": [{"name": "a", "topics": {"0": 1}}]}, ` + opts + async + `}`
+			if code, raw := postBody(t, ts, "/v1/solve", body); code != http.StatusBadRequest {
+				t.Errorf("%s: status %d (%s), want 400", body, code, raw)
+			}
+		}
+	}
+	if n := s.Metrics().Registry.Prepares; n != 0 {
+		t.Errorf("refused solves prepared %d artifacts", n)
+	}
 	// The search is sequential: a body still asking for search workers is
 	// refused, and the error names the field.
 	workers := json.RawMessage(`{"campaign": {"name": "t", "pieces": [{"name": "a", "topics": {"0": 1}}]},

@@ -1035,19 +1035,29 @@ func (s *Server) normalizeSolve(req *SolveRequest) error {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
+	defaults := core.DefaultBABOptions()
 	if req.Epsilon == 0 {
-		req.Epsilon = 0.5
+		req.Epsilon = defaults.Epsilon
 	}
 	if req.Tolerance == 0 {
-		req.Tolerance = 0.01
+		req.Tolerance = defaults.Tolerance
+	}
+	// Validate the search options and the layer set now — async
+	// submissions should be refused at the door, not fail later on a
+	// worker, and a sync one before the registry prepares anything.
+	if err := req.searchOptions().Validate(req.Method == "babp"); err != nil {
+		return err
 	}
 	req.Layers = canonLayers(req.Layers)
-	// Validate the layer set now — async submissions should be refused at
-	// the door, not fail later on a worker.
 	if _, err := s.reg.layerMask(req.Layers); err != nil {
 		return err
 	}
 	return req.Campaign.Validate(s.g.Z())
+}
+
+// searchOptions are the branch-and-bound options a request asks for.
+func (req *SolveRequest) searchOptions() core.BABOptions {
+	return core.BABOptions{Epsilon: req.Epsilon, Tolerance: req.Tolerance, MaxNodes: req.MaxNodes}
 }
 
 // canonLayers canonicalizes a request's layer selection — sorted,
@@ -1122,14 +1132,8 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 			return nil, err
 		}
 	}
-	opts := core.BABOptions{
-		Epsilon:        req.Epsilon,
-		Tolerance:      req.Tolerance,
-		MaxNodes:       req.MaxNodes,
-		RawGap:         true,
-		FillAfterFloor: true,
-		Stop:           ctx.Done(),
-	}
+	opts := req.searchOptions()
+	opts.Stop = ctx.Done()
 
 	// Chaos hook: a fault between artifact acquisition and the solver
 	// dispatch — a delay here burns the request's deadline so the solver

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // JSON forms. A Vector is an object from topic index to weight, which is
@@ -183,7 +184,8 @@ func (p *parser) str(what string) (string, error) {
 }
 
 // strBytes reads a JSON string: its bytes in the input, or, if it has
-// escapes, unquoted by encoding/json.
+// escapes or is not valid UTF-8, unquoted by encoding/json (which, like
+// its decoder, replaces invalid bytes with U+FFFD).
 func (p *parser) strBytes(what string) ([]byte, error) {
 	if p.peek() != '"' {
 		return nil, fmt.Errorf("topic: %s is not a string (byte %d)", what, p.i)
@@ -199,7 +201,7 @@ func (p *parser) strBytes(what string) ([]byte, error) {
 		return nil, fmt.Errorf("topic: %s: unterminated string", what)
 	}
 	p.i++
-	if escaped {
+	if escaped || !utf8.Valid(p.b[start+1:p.i-1]) {
 		var s string
 		err := json.Unmarshal(p.b[start:p.i], &s)
 		return []byte(s), err
@@ -312,13 +314,4 @@ func LoadCampaign(path string) (Campaign, error) {
 		return Campaign{}, fmt.Errorf("topic: campaign %s has no pieces", path)
 	}
 	return c, nil
-}
-
-// SaveCampaign writes a campaign spec to a JSON file.
-func SaveCampaign(path string, c Campaign) error {
-	data, err := json.MarshalIndent(c, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

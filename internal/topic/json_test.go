@@ -94,11 +94,18 @@ func TestCampaignJSONRejectsEmptyPiece(t *testing.T) {
 }
 
 func TestLoadSaveCampaignFile(t *testing.T) {
-	path := t.TempDir() + "/campaign.json"
-	c := Campaign{Name: "file", Pieces: []Piece{{Name: "p0", Dist: SingleTopic(2)}}}
-	if err := SaveCampaign(path, c); err != nil {
-		t.Fatal(err)
+	save := func(path string, c Campaign) {
+		t.Helper()
+		data, err := json.Marshal(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
+	path := t.TempDir() + "/campaign.json"
+	save(path, Campaign{Name: "file", Pieces: []Piece{{Name: "p0", Dist: SingleTopic(2)}}})
 	back, err := LoadCampaign(path)
 	if err != nil {
 		t.Fatal(err)
@@ -111,9 +118,7 @@ func TestLoadSaveCampaignFile(t *testing.T) {
 	}
 	// Empty campaign file rejected.
 	bad := t.TempDir() + "/bad.json"
-	if err := SaveCampaign(bad, Campaign{Name: "empty"}); err != nil {
-		t.Fatal(err)
-	}
+	save(bad, Campaign{Name: "empty"})
 	if _, err := LoadCampaign(bad); err == nil {
 		t.Fatal("empty campaign accepted")
 	}
@@ -243,6 +248,7 @@ func FuzzCampaignJSON(f *testing.F) {
 		`{"pieces":[{"topics":{"1":[1]}}]}`,
 		`{"pieces":[{"topics":{}}]}`,
 		`{"pieces":[]}`, `{}`, `null`, `[]`, `"x"`, `{"pieces":[{"topics":{"20000000":1}}]}`,
+		"{\"pieces\":[{\"name\":\"\x81\",\"topics\":{\"0\":1}}]}", // invalid UTF-8 in a name
 	) {
 		f.Add([]byte(body))
 	}
