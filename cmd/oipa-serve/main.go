@@ -48,7 +48,6 @@ func main() {
 		maxTheta  = flag.Int("maxtheta", 2_000_000, "reject requests above this many samples")
 		layouts   = flag.Int("layouts", 128, "piece-layout cache capacity, in layouts: each holds 12 bytes per edge the piece can cross plus 32 per node, and 8 per graph edge plus 24 per node more once /v1/simulate has used it (layout_bytes at /metrics is the total)")
 		instances = flag.Int("instances", 8, "prepared-instance cache capacity")
-		sketchK   = flag.Int("sketch-k", 0, "bottom-k coverage sketch size attached to prepared indexes, estimates only (0 = disabled): /v1/estimate requests at theta >= 8k are served from the sketch in O(k) per seed, with exact-scan fallback; solves always search exactly")
 		memBudget = flag.Int64("mem-budget", 0, "soft resident-bytes budget for prepared artifacts (0 = ungoverned): over budget, cold grown entries are theta-shrunk to their recently requested theta, then fully cold entries are LRU-evicted")
 		memEpoch  = flag.Int("mem-epoch", 64, "memory-governor recency window, in registry requests")
 		memTick   = flag.Duration("mem-tick", 30*time.Second, "background memory-governor tick interval (negative = request-driven reclaim only)")
@@ -120,7 +119,6 @@ func main() {
 		MaxTheta:         *maxTheta,
 		LayoutCapacity:   *layouts,
 		InstanceCapacity: *instances,
-		SketchK:          *sketchK,
 		MemBudget:        *memBudget,
 		MemEpoch:         *memEpoch,
 		MemTick:          *memTick,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"oipa/internal/bitset"
 	"oipa/internal/graph"
 	"oipa/internal/rrset"
 	"oipa/internal/topic"
@@ -98,101 +97,6 @@ func SolveTIM(inst *Instance) (*Result, error) {
 		Utility: bestUtil,
 		Elapsed: time.Since(start),
 	}, nil
-}
-
-// SolveMDS is a structural baseline: a greedy minimal dominating set
-// over the promoter pool, assigned to the best single piece. Each round
-// takes the pool member whose closed out-neighborhood (itself plus its
-// out-neighbors — unioned across every layer it appears in, for a
-// multiplex) covers the most not-yet-dominated universe nodes, until
-// every node is dominated, the pool is exhausted of useful members, or
-// the budget k is spent. Domination is probability- and topic-blind: the
-// baseline tests how far pure coverage structure gets without the
-// diffusion model, which is exactly why the paper's utility-driven
-// methods should beat it.
-func SolveMDS(inst *Instance) (*Result, error) {
-	start := time.Now()
-	p := inst.Problem
-	n := p.N()
-	mark := bitset.NewStamp(n)
-	nbhd := make([][]int32, len(p.Pool))
-	for i, v := range p.Pool {
-		nbhd[i] = closedOutNeighborhood(p, v, mark)
-	}
-	dominated := make([]bool, n)
-	remaining := n
-	taken := make([]bool, len(p.Pool))
-	var seeds []int32
-	for len(seeds) < p.K && remaining > 0 {
-		best, bestGain := -1, 0
-		for i := range p.Pool {
-			if taken[i] {
-				continue
-			}
-			gain := 0
-			for _, u := range nbhd[i] {
-				if !dominated[u] {
-					gain++
-				}
-			}
-			// Strict > keeps the tie-break on pool order: deterministic
-			// for the golden test and independent of map iteration.
-			if gain > bestGain {
-				best, bestGain = i, gain
-			}
-		}
-		if best < 0 {
-			break
-		}
-		taken[best] = true
-		seeds = append(seeds, p.Pool[best])
-		for _, u := range nbhd[best] {
-			if !dominated[u] {
-				dominated[u] = true
-				remaining--
-			}
-		}
-	}
-	plan, util, err := bestSinglePiecePlan(inst, seeds)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Method:  "MDS",
-		Plan:    plan,
-		Utility: util,
-		Elapsed: time.Since(start),
-	}, nil
-}
-
-// closedOutNeighborhood collects v plus its out-neighbors as universe
-// ids, deduplicated across layers for a multiplex problem. mark is
-// caller-provided scratch over the universe.
-func closedOutNeighborhood(p *Problem, v int32, mark *bitset.Stamp) []int32 {
-	mark.Reset()
-	mark.Mark(int(v))
-	out := []int32{v}
-	for a := 0; a < p.layers(); a++ {
-		g, toGlobal, toLocal := p.layer(a)
-		lv := v
-		if toLocal != nil {
-			lv = toLocal[v]
-		}
-		if lv < 0 || int(lv) >= g.N() {
-			continue // v absent from this layer
-		}
-		to, _ := g.OutNeighbors(lv)
-		for _, lu := range to {
-			u := lu
-			if toGlobal != nil {
-				u = toGlobal[lu]
-			}
-			if mark.MarkOnce(int(u)) {
-				out = append(out, u)
-			}
-		}
-	}
-	return out
 }
 
 // bestSinglePiecePlan assigns seeds to each piece in turn and returns the

@@ -71,7 +71,6 @@ func TestPrepareMultiplexSingleLayerBitIdentity(t *testing.T) {
 		}},
 		{"TIM", SolveTIM},
 		{"IM", func(in *Instance) (*Result, error) { return SolveIM(in, 99) }},
-		{"MDS", SolveMDS},
 	}
 	for _, s := range solvers {
 		ra, err := s.run(a)
@@ -161,73 +160,5 @@ func TestPrepareMultiplexTwoLayers(t *testing.T) {
 	// noise at matched θ.
 	if rm.Utility < rs.Utility*0.95 {
 		t.Fatalf("multiplex utility %v collapsed below single-layer %v", rm.Utility, rs.Utility)
-	}
-}
-
-// TestSolveMDSPaperExample is the MDS golden on the paper's running
-// example: pool {a..e}, out-neighborhoods N[a]={a,b}, N[b]={b,c},
-// N[c]={c,d,b}, N[d]={d,c}, N[e]={e,d}. Greedy takes c (gain 3), then a
-// (gain 1, tie with e broken by pool order), then e — full domination in
-// three seeds, stopping early under a budget of 5. Seeded on either
-// piece, {c,a,e} reaches all five nodes surely (seeds adopt their own
-// piece; the chains cover the rest), so the piece tie breaks to t1.
-func TestSolveMDSPaperExample(t *testing.T) {
-	p := paperProblem(t, 5)
-	inst, err := Prepare(context.Background(), p, 20000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SolveMDS(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Method != "MDS" {
-		t.Fatalf("method %q", res.Method)
-	}
-	want := []int32{2, 0, 4}
-	if len(res.Plan.Seeds[1]) != 0 {
-		t.Fatalf("seeds on t2: %v", res.Plan.Seeds)
-	}
-	got := res.Plan.Seeds[0]
-	if len(got) != len(want) {
-		t.Fatalf("MDS picked %v, want %v on t1", res.Plan.Seeds, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("MDS picked %v, want %v on t1", got, want)
-		}
-	}
-	if res.Utility <= 0 {
-		t.Fatalf("utility %v", res.Utility)
-	}
-}
-
-// TestSolveMDSRespectsBudget pins the early-stop rule the other way: a
-// budget below the dominating-set size truncates greedily.
-func TestSolveMDSRespectsBudget(t *testing.T) {
-	p := paperProblem(t, 1)
-	inst, err := Prepare(context.Background(), p, 5000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SolveMDS(inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Plan.Size() != 1 {
-		t.Fatalf("plan size %d, want 1", res.Plan.Size())
-	}
-	// The single seed is the first greedy pick: c.
-	found := false
-	for j := range res.Plan.Seeds {
-		for _, v := range res.Plan.Seeds[j] {
-			if v != 2 {
-				t.Fatalf("seed %d, want c (2)", v)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("no seed assigned")
 	}
 }

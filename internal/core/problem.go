@@ -97,24 +97,6 @@ func (p *Problem) Z() int {
 	return p.G.Z()
 }
 
-// layers returns the number of layers of the substrate: 1 for a graph.
-func (p *Problem) layers() int {
-	if p.Mux != nil {
-		return p.Mux.L()
-	}
-	return 1
-}
-
-// layer returns layer a of the substrate: its graph and its
-// local→universe and universe→local id maps (nil = the layer is numbered
-// in universe ids, as a single graph is).
-func (p *Problem) layer(a int) (g *graph.Graph, toGlobal, toLocal []int32) {
-	if p.Mux != nil {
-		return p.Mux.Layer(a), p.Mux.ToGlobal(a), p.Mux.ToLocal(a)
-	}
-	return p.G, nil, nil
-}
-
 // pieceLayouts returns the layout of a piece with topic distribution t on
 // every layer of the substrate (through the per-layer layout caches of a
 // multiplex; built afresh for a graph).
@@ -385,14 +367,6 @@ func (in *Instance) ExtendTo(ctx context.Context, theta int) (*Instance, error) 
 		if ix, err = in.MRR.BuildIndex(in.Problem.Pool); err != nil {
 			return nil, err
 		}
-		// The rebuild starts sketchless; re-attach at the receiver's k so
-		// the fallback path matches the delta path (which grows sketches
-		// in place).
-		if k := in.Index.SketchK(); k > 0 {
-			if err := ix.AttachSketches(k); err != nil {
-				return nil, err
-			}
-		}
 	}
 	out := *in
 	out.Index = ix
@@ -425,14 +399,6 @@ func (in *Instance) ShrinkTo(theta int) (*Instance, error) {
 	ix, err := mrr.BuildIndex(in.Problem.Pool)
 	if err != nil {
 		return nil, err
-	}
-	// A shrink is a rebuild, which drops any attached sketches; restore
-	// them at the receiver's k so estimate-mode capability survives the
-	// governor's decay of cold entries.
-	if k := in.Index.SketchK(); k > 0 {
-		if err := ix.AttachSketches(k); err != nil {
-			return nil, err
-		}
 	}
 	out := *in
 	out.MRR = mrr

@@ -47,7 +47,8 @@ func declaredNames(t *testing.T) map[string]bool {
 // Instance carries one layouts field and no probability vectors. It also
 // pins one search: no parallel search, no sketch-steered evaluation, and
 // one configuration — no bound mode, no progressive switch, no second
-// default, no brute-force solver and no plan algebra.
+// default, no brute-force solver, no plan algebra and no
+// structural dominating-set baseline.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	for name := range names {
@@ -65,7 +66,8 @@ func TestExportedSurface(t *testing.T) {
 		"Sketch", "TraceWorker", "SketchEvals", "ReVerifyEvals", "Steals",
 		"BoundMode", "BoundHull", "BoundTangent", "BoundTangentUncapped", "TangentAt",
 		"RefineGradient", "AdoptionRaw", "NewBoundTableMode", "WithBoundMode", "SolveBrute",
-		"Progressive", "DefaultBABPOptions", "Union", "Contains", "Clone", "Has"} {
+		"Progressive", "DefaultBABPOptions", "Union", "Contains", "Clone", "Has",
+		"SolveMDS"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}

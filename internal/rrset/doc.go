@@ -94,8 +94,9 @@
 // 0 to the scan), so on every plan both accept they return the same
 // float64 (estimate_order_test.go). The serve tier answers /v1/estimate
 // through the index, falls back to the scan for plans the index refuses,
-// and keeps the scan as the benchmark oracle; the bottom-k sketches
-// (sketch.go) are an approximate estimator in front of both.
+// and keeps the scan as the benchmark oracle. The bottom-k sketches
+// (sketch.go) are an approximate estimator that no serving path reads;
+// only the benchmark's layer rows still time them.
 //
 // # Artifact lifecycle: grow, shrink
 //

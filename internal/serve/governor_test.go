@@ -145,8 +145,8 @@ func TestGovernorEvictsFullyColdEntries(t *testing.T) {
 
 // TestResidentAccountingUngoverned: with no budget the governor never
 // shrinks or byte-evicts, but resident accounting still tracks every
-// publish and capacity eviction — the gauge the operator watches before
-// choosing a budget.
+// publish and capacity eviction, and counts nothing for a θ-prefix view —
+// the gauge the operator watches before choosing a budget.
 func TestResidentAccountingUngoverned(t *testing.T) {
 	s := testServer(t, func(c *Config) { c.InstanceCapacity = 1 })
 	r := s.reg
@@ -165,6 +165,14 @@ func TestResidentAccountingUngoverned(t *testing.T) {
 	}
 	if got, want := r.ResidentBytes(), g1.Instance().MemUsage(); got != want {
 		t.Fatalf("resident bytes %d != grown artifact bytes %d", got, want)
+	}
+	// A θ-prefix of the grown artifact is a view that owns no bytes: the
+	// gauge must not move.
+	if _, outcome, err := r.Instance(ctx, testCampaign(0), 300, 1); err != nil || outcome != OutcomePrefix {
+		t.Fatalf("θ=300 after growth: outcome %v, err %v; want a prefix", outcome, err)
+	}
+	if got, want := r.ResidentBytes(), g1.Instance().MemUsage(); got != want {
+		t.Fatalf("prefix request moved resident bytes to %d, want %d", got, want)
 	}
 	// Capacity-1 LRU: preparing a second campaign evicts the first and
 	// releases its accounted bytes.

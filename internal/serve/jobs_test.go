@@ -272,7 +272,7 @@ func TestCancelRunningSolveJob(t *testing.T) {
 	s := testServer(t, nil)
 	errc := make(chan error, 1)
 	s.jobs.run = func(j *job) {
-		resp, err := s.solveCoalesced(j.ctx, j.req)
+		resp, err := s.solve(j.ctx, j.req)
 		errc <- err
 		s.jobs.complete(j, resp, err)
 	}
@@ -308,7 +308,7 @@ func TestCancelRunningSolveJob(t *testing.T) {
 	if err := faultpoint.Arm("serve.solve.dispatch", "delay:150ms#1"); err != nil {
 		t.Fatal(err)
 	}
-	req.K = 4 // a different solve key: no coalescing with the warm solve
+	req.K = 4
 	id := submit(req)
 	waitFor("the job to acquire its artifact", func() bool { return s.Metrics().Registry.InstanceHits > hits })
 	if ok, err := s.jobs.cancelJob(id); err != nil || !ok {

@@ -20,15 +20,12 @@ type metrics struct {
 	jobRequests      atomic.Int64
 	requestErrors    atomic.Int64
 
-	inflightSolves  atomic.Int64 // gauge: solves currently executing
-	solvesTotal     atomic.Int64
-	solveErrors     atomic.Int64
-	coalescedSolves atomic.Int64 // requests served from another identical in-flight solve
+	inflightSolves atomic.Int64 // gauge: solves currently executing
+	solvesTotal    atomic.Int64
+	solveErrors    atomic.Int64
 
 	inflightEstimates atomic.Int64 // gauge: estimate scans currently executing
 	inflightSimulates atomic.Int64 // gauge: forward simulations currently executing
-	sketchEstimates   atomic.Int64 // estimates answered from the bottom-k sketch
-	sketchFallbacks   atomic.Int64 // sketch-eligible estimates that fell back to the exact scan
 	shedTotal         atomic.Int64 // requests rejected by overload protection (429/503 + Retry-After)
 	panicsTotal       atomic.Int64 // panics contained by handler/job/registry recovery
 	degradedSolves    atomic.Int64 // deadline-expired solves answered with their incumbent
@@ -156,8 +153,9 @@ type MetricsSnapshot struct {
 		Inflight int64 `json:"inflight"`
 		Total    int64 `json:"total"`
 		Errors   int64 `json:"errors"`
-		// Coalesced counts requests that rode an identical in-flight
-		// solve instead of searching themselves.
+		// Coalesced is always 0: every solve runs its own search. It
+		// stays only because the benchmark (benchmark/run.go) reads it;
+		// the next change to benchmark/ drops it.
 		Coalesced int64 `json:"coalesced_solves"`
 	} `json:"solves"`
 	// Server is the robustness block: overload shedding, deadline
@@ -167,17 +165,11 @@ type MetricsSnapshot struct {
 		ShedTotal      int64 `json:"shed_total"`
 		PanicsTotal    int64 `json:"panics_total"`
 		DegradedSolves int64 `json:"degraded_solves"`
-		// SketchEstimates counts /v1/estimate responses served from the
-		// bottom-k sketch; SketchFallbacks counts sketch-eligible requests
-		// that fell back to the exact scan (plan outside the pool, wrong
-		// shape, …). Exact-mode requests below the θ gate count as neither.
-		SketchEstimates int64 `json:"sketch_estimates"`
-		SketchFallbacks int64 `json:"sketch_fallbacks"`
-		SlowRequests    int64 `json:"slow_requests"`
-		TracedRequests  int64 `json:"traced_requests"`
-		AdmitQueued     int   `json:"admit_queued"` // gauge: requests waiting for admission
-		Draining        bool  `json:"draining"`
-		Inflight        struct {
+		SlowRequests   int64 `json:"slow_requests"`
+		TracedRequests int64 `json:"traced_requests"`
+		AdmitQueued    int   `json:"admit_queued"` // gauge: requests waiting for admission
+		Draining       bool  `json:"draining"`
+		Inflight       struct {
 			Solve    int64 `json:"solve"`
 			Estimate int64 `json:"estimate"`
 			Simulate int64 `json:"simulate"`
@@ -255,12 +247,9 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Solves.Inflight = inflightSolves
 	s.Solves.Total = m.solvesTotal.Load()
 	s.Solves.Errors = m.solveErrors.Load()
-	s.Solves.Coalesced = m.coalescedSolves.Load()
 	s.Server.ShedTotal = m.shedTotal.Load()
 	s.Server.PanicsTotal = m.panicsTotal.Load()
 	s.Server.DegradedSolves = m.degradedSolves.Load()
-	s.Server.SketchEstimates = m.sketchEstimates.Load()
-	s.Server.SketchFallbacks = m.sketchFallbacks.Load()
 	s.Server.SlowRequests = m.slowRequests.Load()
 	s.Server.TracedRequests = m.tracedRequests.Load()
 	s.Server.Inflight.Solve = inflightSolves

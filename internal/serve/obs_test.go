@@ -99,8 +99,8 @@ func TestSolveDebugTraceSpans(t *testing.T) {
 	}
 }
 
-// An estimate traced with ?debug=trace reports which estimator ran as a
-// span ("estimate.exact" without sketches).
+// An estimate traced with ?debug=trace reports the estimator as a span
+// ("estimate.exact").
 func TestEstimateDebugTrace(t *testing.T) {
 	s := testServer(t, nil)
 	ts := httptest.NewServer(s.Handler())

@@ -25,7 +25,6 @@ func (s *Server) writePrometheus(w io.Writer) error {
 
 	pw.Counter("oipa_solves_total", "Solver executions (sync and async).", "", float64(snap.Solves.Total))
 	pw.Counter("oipa_solve_errors_total", "Solver executions that failed.", "", float64(snap.Solves.Errors))
-	pw.Counter("oipa_coalesced_solves_total", "Requests served from an identical in-flight solve.", "", float64(snap.Solves.Coalesced))
 	pw.Gauge("oipa_inflight_requests", "Admitted requests currently executing, by endpoint class.", `endpoint="solve"`, float64(snap.Server.Inflight.Solve))
 	pw.Gauge("oipa_inflight_requests", "", `endpoint="estimate"`, float64(snap.Server.Inflight.Estimate))
 	pw.Gauge("oipa_inflight_requests", "", `endpoint="simulate"`, float64(snap.Server.Inflight.Simulate))
@@ -33,8 +32,6 @@ func (s *Server) writePrometheus(w io.Writer) error {
 	pw.Counter("oipa_shed_total", "Requests rejected by overload protection.", "", float64(snap.Server.ShedTotal))
 	pw.Counter("oipa_panics_total", "Panics contained by handler/job/registry recovery.", "", float64(snap.Server.PanicsTotal))
 	pw.Counter("oipa_degraded_solves_total", "Deadline-expired solves answered with their incumbent.", "", float64(snap.Server.DegradedSolves))
-	pw.Counter("oipa_sketch_estimates_total", "Estimates answered from the bottom-k sketch.", "", float64(snap.Server.SketchEstimates))
-	pw.Counter("oipa_sketch_fallbacks_total", "Sketch-eligible estimates that fell back to the exact scan.", "", float64(snap.Server.SketchFallbacks))
 	pw.Counter("oipa_slow_requests_total", "Requests slower than the slow-request threshold.", "", float64(snap.Server.SlowRequests))
 	pw.Counter("oipa_traced_requests_total", "Requests that carried a span tree (debug or sampled).", "", float64(snap.Server.TracedRequests))
 	pw.Gauge("oipa_admit_queued", "Requests waiting in the admission queue.", "", float64(snap.Server.AdmitQueued))

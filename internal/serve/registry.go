@@ -219,7 +219,6 @@ type Registry struct {
 	model    logistic.Model
 	layouts  *graph.LayoutCache
 	capacity int
-	sketchK  int // bottom-k sketch size attached to prepared indexes (0 = none)
 
 	// mx is the full configured multiplex (base graph as layer 0), nil
 	// on a single-graph server. Requests selecting a proper layer subset
@@ -256,7 +255,7 @@ type Registry struct {
 	m *metrics
 }
 
-func newRegistry(g *graph.Graph, mx *graph.Multiplex, pool []int32, model logistic.Model, layoutCap, instanceCap int, memBudget int64, memEpoch int, sketchK int, m *metrics) *Registry {
+func newRegistry(g *graph.Graph, mx *graph.Multiplex, pool []int32, model logistic.Model, layoutCap, instanceCap int, memBudget int64, memEpoch int, m *metrics) *Registry {
 	r := &Registry{
 		g:           g,
 		mx:          mx,
@@ -266,7 +265,6 @@ func newRegistry(g *graph.Graph, mx *graph.Multiplex, pool []int32, model logist
 		numLayers:   1,
 		layoutCap:   layoutCap,
 		capacity:    instanceCap,
-		sketchK:     sketchK,
 		budget:      memBudget,
 		epochWindow: int64(memEpoch),
 		entries:     make(map[instanceKey]*entry),
@@ -677,16 +675,6 @@ func (r *Registry) prepareArtifact(ctx context.Context, campaign topic.Campaign,
 	inst, err := core.Prepare(ctx, prob, theta, seed, layouts...)
 	if err != nil {
 		return nil, err
-	}
-	// Attach bottom-k coverage sketches before the artifact is published,
-	// so readers never observe an index whose sketch state changes under
-	// them. Growth keeps them current (Index.ExtendFrom appends to the
-	// sketch slots; the rebuild fallback and ShrinkTo re-attach at the
-	// same k), so this is the only attach point the registry needs.
-	if r.sketchK > 0 {
-		if err := inst.Index.AttachSketches(r.sketchK); err != nil {
-			return nil, fmt.Errorf("serve: attach sketches: %w", err)
-		}
 	}
 	r.m.phasePrepare.Observe(time.Since(start))
 	r.m.phaseIndex.Observe(inst.IndexTime)

@@ -486,14 +486,13 @@ func TestRegistryConcurrentMixedTheta(t *testing.T) {
 
 // TestParallelSolveRegistryChurn is the lifecycle stress: concurrent
 // solves hammer a single campaign while varying theta forces ExtendTo
-// growth steps, a one-byte memory budget keeps the governor shrinking the
-// same entry, and SketchK re-attaches sketches on every republish. Run
-// under -race this pins that solves only ever read published immutable
-// snapshots; the final solve must equal a fresh server's.
+// growth steps and a one-byte memory budget keeps the governor shrinking
+// the same entry. Run under -race this pins that solves only ever read
+// published immutable snapshots; the final solve must equal a fresh
+// server's.
 func TestParallelSolveRegistryChurn(t *testing.T) {
 	churn := func(c *Config) {
 		c.AdmitCapacity = 32
-		c.SketchK = 32
 		c.MemBudget = 1 // everything is over budget: shrink after every release
 		c.MemEpoch = 2
 	}

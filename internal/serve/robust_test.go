@@ -86,11 +86,12 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 }
 
 // A burst of identical solves far past admission capacity, each admitted
-// solve held past its own deadline, gets exactly three answers: the one
-// solve that runs degrades to its incumbent (200, degraded); the admitted
-// requests coalesced onto it outlive their deadline waiting (503); the
-// rest overflow the queue or expire in it (429). Every shed carries
-// Retry-After, and /metrics counts exactly what the clients saw.
+// solve held past its own deadline, gets exactly three answers: the
+// admitted solve held before the registry expires there (503); the one
+// held between artifact and dispatch degrades to its incumbent (200,
+// degraded); the rest overflow the queue or expire in it (429). Every
+// shed carries Retry-After, and /metrics counts exactly what the clients
+// saw.
 func TestSaturationBurstAccounting(t *testing.T) {
 	defer faultpoint.Reset()
 	const solveSlots, requests, timeoutMS = 2, 12, 100
@@ -106,10 +107,13 @@ func TestSaturationBurstAccounting(t *testing.T) {
 		t.Fatalf("warm solve: status %d: %s", code, body)
 	}
 	before := s.Metrics().Server
-	// The hold sits between artifact acquisition and dispatch, well past
-	// the deadline, so no request can outlive the solve it coalesced onto.
-	if err := faultpoint.Arm("serve.solve.dispatch", "delay:400ms"); err != nil {
-		t.Fatal(err)
+	// One hold before the registry and one between artifact acquisition
+	// and dispatch, each well past the deadline and each firing once: the
+	// two admitted solves keep their slots past every queued deadline.
+	for _, point := range []string{"serve.solve.pre", "serve.solve.dispatch"} {
+		if err := faultpoint.Arm(point, "delay:400ms#1"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	data, err := json.Marshal(req)
 	if err != nil {
@@ -151,9 +155,7 @@ func TestSaturationBurstAccounting(t *testing.T) {
 			if !o.resp.Degraded || len(o.resp.Plan) == 0 {
 				t.Errorf("request %d: 200 with degraded=%v and %d-piece plan, want a degraded incumbent", i, o.resp.Degraded, len(o.resp.Plan))
 			}
-			if !o.resp.Coalesced { // a coalesced copy is a response, not a solve
-				degraded++
-			}
+			degraded++
 		case o.status == 429 || o.status == 503:
 			if o.retry == "" {
 				t.Errorf("request %d: %d without Retry-After", i, o.status)

@@ -235,6 +235,23 @@ func TestSolveValidation(t *testing.T) {
 	if n := s.Metrics().Registry.Prepares; n != 0 {
 		t.Errorf("refused solves prepared %d artifacts", n)
 	}
+	// A plan with one seed set for a two-piece campaign is refused before
+	// admission: no preparation and no layout build.
+	two := testCampaign(0, 1)
+	for _, tc := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/estimate", EstimateRequest{Campaign: two, Plan: [][]int32{{0}}, Theta: 400}},
+		{"/v1/simulate", SimulateRequest{Campaign: two, Plan: [][]int32{{0}}, Runs: 100}},
+	} {
+		if code, raw := postJSON(t, ts, tc.path, tc.req, nil); code != http.StatusBadRequest {
+			t.Errorf("%s with a 1-piece plan: status %d (%s), want 400", tc.path, code, raw)
+		}
+	}
+	if reg := s.Metrics().Registry; reg.Prepares != 0 || reg.LayoutMisses != 0 {
+		t.Errorf("refused plans ran %d preparations and %d layout builds", reg.Prepares, reg.LayoutMisses)
+	}
 	// The search is sequential: a body still asking for search workers is
 	// refused, and the error names the field.
 	workers := json.RawMessage(`{"campaign": {"name": "t", "pieces": [{"name": "a", "topics": {"0": 1}}]},
@@ -422,14 +439,12 @@ func TestConcurrentSolveSingleflight(t *testing.T) {
 	if snap.Registry.Prepares != 1 {
 		t.Fatalf("%d concurrent identical solves ran %d Prepares, want exactly 1", concurrent, snap.Registry.Prepares)
 	}
-	// Every non-leader request either classifies as an exact-θ hit in the
-	// registry or coalesces onto the leader's in-flight solve before ever
-	// touching the registry; together they account for all of them. The
-	// waits counter independently records how many queued behind the
-	// in-flight preparation (timing-dependent, at most all of them).
-	if got := snap.Registry.InstanceHits + snap.Solves.Coalesced; got != concurrent-1 {
-		t.Fatalf("instance hits (%d) + coalesced solves (%d) = %d, want %d",
-			snap.Registry.InstanceHits, snap.Solves.Coalesced, got, concurrent-1)
+	// Every non-leader request classifies as an exact-θ hit in the
+	// registry. The waits counter independently records how many queued
+	// behind the in-flight preparation (timing-dependent, at most all of
+	// them).
+	if got := snap.Registry.InstanceHits; got != concurrent-1 {
+		t.Fatalf("instance hits = %d, want %d", got, concurrent-1)
 	}
 	if w := snap.Registry.SingleflightWaits; w < 0 || w > concurrent-1 {
 		t.Fatalf("singleflight waits = %d, want within [0, %d]", w, concurrent-1)
@@ -454,19 +469,18 @@ func steepSolve() SolveRequest {
 	}
 }
 
-// TestSolveCoalescing holds a leader in flight with a delay faultpoint
-// and fires identical requests at it: every follower must ride the
-// leader's solve (coalesced_solves moves, the Coalesced flag is set, the
-// payload matches) and exactly one solver execution happens.
-func TestSolveCoalescing(t *testing.T) {
+// TestIdenticalSolvesSearchIndependently holds identical solves in flight
+// together with a delay faultpoint: each runs its own search over the one
+// shared artifact, so solves.total grows by exactly the number of
+// requests, and every answer agrees with the others bit for bit.
+func TestIdenticalSolvesSearchIndependently(t *testing.T) {
 	defer faultpoint.Reset()
 	s := testServer(t, func(c *Config) { c.AdmitCapacity = 32 })
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// The faultpoint fires inside Server.solve, after the leader has
-	// registered its flight — every request admitted during the sleep
-	// finds the flight and waits on it instead of solving.
+	// The delay fires inside Server.solve before the registry, so every
+	// request is admitted and in flight at once.
 	if err := faultpoint.Arm("serve.solve.pre", "delay:400ms"); err != nil {
 		t.Fatal(err)
 	}
@@ -489,46 +503,23 @@ func TestSolveCoalescing(t *testing.T) {
 	wg.Wait()
 	faultpoint.Reset()
 
-	followers := 0
 	for i := range results {
 		if codes[i] != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, codes[i])
 		}
-		if results[i].Utility != results[0].Utility {
-			t.Fatalf("request %d: utility %v != %v", i, results[i].Utility, results[0].Utility)
+		got, want := results[i], results[0]
+		if math.Float64bits(got.Utility) != math.Float64bits(want.Utility) ||
+			math.Float64bits(got.Upper) != math.Float64bits(want.Upper) ||
+			fmt.Sprint(got.Plan) != fmt.Sprint(want.Plan) || got.Stats != want.Stats {
+			t.Fatalf("request %d: (%v, %v, %v, %+v) != request 0's (%v, %v, %v, %+v)", i,
+				got.Utility, got.Upper, got.Plan, got.Stats, want.Utility, want.Upper, want.Plan, want.Stats)
 		}
-		if results[i].Coalesced {
-			followers++
+		if got.Stats.Nodes == 0 {
+			t.Fatalf("request %d expanded no node", i)
 		}
 	}
-	snap := s.Metrics()
-	if snap.Solves.Coalesced == 0 {
-		t.Fatal("no request coalesced onto the in-flight solve")
-	}
-	if int64(followers) != snap.Solves.Coalesced {
-		t.Fatalf("%d responses flagged coalesced, metric says %d", followers, snap.Solves.Coalesced)
-	}
-	if got := snap.Solves.Total + snap.Solves.Coalesced; got != concurrent {
-		t.Fatalf("solves (%d) + coalesced (%d) = %d, want %d",
-			snap.Solves.Total, snap.Solves.Coalesced, got, concurrent)
-	}
-
-	// Distinct solve parameters must NOT coalesce: the key covers the
-	// full normalized request, so a different node cap is a different
-	// flight even against the same artifact. This cap does not bind, so
-	// the answer is the same.
-	before := s.Metrics().Solves.Coalesced
-	capped := steepSolve()
-	capped.MaxNodes = 10_000
-	var other SolveResponse
-	if code, raw := postJSON(t, ts, "/v1/solve", capped, &other); code != http.StatusOK {
-		t.Fatalf("capped solve status %d: %s", code, raw)
-	}
-	if other.Coalesced || s.Metrics().Solves.Coalesced != before {
-		t.Fatal("solve with a different max_nodes coalesced onto a stale flight")
-	}
-	if other.Stats.Nodes == 0 || other.Utility != results[0].Utility {
-		t.Fatalf("capped solve: %d nodes, utility %v (uncapped %v)", other.Stats.Nodes, other.Utility, results[0].Utility)
+	if snap := s.Metrics(); snap.Solves.Total != concurrent {
+		t.Fatalf("solves.total = %d, want %d", snap.Solves.Total, concurrent)
 	}
 }
 

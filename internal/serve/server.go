@@ -119,18 +119,6 @@ type Config struct {
 	LayoutCapacity   int // cached piece layouts (default 128)
 	InstanceCapacity int // cached prepared instances (default 8)
 
-	// SketchK, when positive, attaches bottom-k coverage sketches of this
-	// size to every prepared artifact's inverted index. Estimate requests
-	// at θ ≥ 8·k whose plan fits the index (one seed set per campaign
-	// piece, every seed in the pool) are then answered from the sketch in
-	// O(k·|plan|) — independent of θ — with relative error concentrating
-	// like 1/√k; everything else falls back to the exact estimate, which
-	// remains the golden reference (sketch_estimates / sketch_fallbacks
-	// count the split, estimate_mode labels each response). Estimates
-	// only: solves always search exactly. Sketch bytes are accounted in
-	// resident_bytes. 0 disables sketches entirely.
-	SketchK int
-
 	// MemBudget is the soft resident-bytes target for prepared artifacts
 	// (0 = ungoverned). Over budget the registry θ-shrinks cold grown
 	// entries to their largest recently requested θ, then LRU-evicts
@@ -246,9 +234,6 @@ type Server struct {
 	admit    *admission // weighted overload valve for the heavy endpoints
 	inflight drainGroup // admitted-request tracking for graceful drain
 
-	flightMu sync.Mutex              // guards flights
-	flights  map[string]*solveFlight // identical in-flight solves, keyed by solveKey
-
 	// auScratch pools the exact estimate's *rrset.AUScratch across every
 	// artifact and θ: EstimateAUWith grows a scratch that is too small, so
 	// one pool holds about one θ_max-sized scratch per concurrent
@@ -274,9 +259,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{cfg: cfg, g: cfg.Graph, logger: cfg.Logger}
 	s.auScratch.New = func() any { return new(rrset.AUScratch) }
-	if cfg.SketchK < 0 {
-		return nil, fmt.Errorf("serve: negative sketch k %d", cfg.SketchK)
-	}
 	if cfg.TraceSample < 0 || cfg.TraceSample > 1 {
 		return nil, fmt.Errorf("serve: trace sample rate %v outside [0,1]", cfg.TraceSample)
 	}
@@ -300,12 +282,11 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: multiplex: %w", err)
 		}
 	}
-	s.reg = newRegistry(cfg.Graph, mx, cfg.Pool, cfg.Model, cfg.LayoutCapacity, cfg.InstanceCapacity, cfg.MemBudget, cfg.MemEpoch, cfg.SketchK, &s.m)
+	s.reg = newRegistry(cfg.Graph, mx, cfg.Pool, cfg.Model, cfg.LayoutCapacity, cfg.InstanceCapacity, cfg.MemBudget, cfg.MemEpoch, &s.m)
 	s.reg.startGovernor(cfg.MemTick)
 	s.jobs = newJobQueue(cfg.Workers, cfg.QueueDepth, cfg.JobHistory, &s.m)
 	s.jobs.run = s.runJob
 	s.admit = newAdmission(int64(cfg.AdmitCapacity), cfg.AdmitQueue)
-	s.flights = make(map[string]*solveFlight)
 	s.routes()
 	return s, nil
 }
@@ -561,10 +542,6 @@ type SolveResponse struct {
 	// fully evaluated) and Upper a true residual bound — the answer is
 	// coarser, not wrong.
 	Degraded bool `json:"degraded,omitempty"`
-	// Coalesced: this response was served from an identical in-flight
-	// solve (same campaign, seed, layers, θ, method, and options) rather
-	// than a search of its own.
-	Coalesced bool `json:"coalesced,omitempty"`
 	// RequestID is the server-assigned id of the request that produced
 	// this response (for async solves: of the submission). It keys the
 	// structured request log and any sampled trace.
@@ -596,12 +573,9 @@ type EstimateResponse struct {
 	// Layers echoes the canonical layer set; omitted on the single-graph
 	// path.
 	Layers []int `json:"layers,omitempty"`
-	// EstimateMode is "sketch" when the utility came from the bottom-k
-	// sketch estimator (Config.SketchK set, θ at or above the gate, plan
-	// inside the pool) and "exact" when it came from the exact estimate —
-	// including sketch-eligible requests that fell back (the exact
-	// estimate accepts any graph node as a seed; the sketch only pool
-	// members).
+	// EstimateMode is always "exact": the server has one estimator. The
+	// field stays only because the benchmark oracle (benchmark/oracle.go)
+	// requires it; the next change to benchmark/ drops it.
 	EstimateMode  string `json:"estimate_mode"`
 	CacheHit      bool   `json:"cache_hit"`
 	PrefixHit     bool   `json:"prefix_hit,omitempty"`
@@ -783,7 +757,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	resp, err := s.solveCoalesced(ctx, req)
+	resp, err := s.solve(ctx, req)
 	if err != nil {
 		s.failRequest(w, err)
 		return
@@ -825,6 +799,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, fmt.Errorf("serve: theta %d exceeds the server cap %d", req.Theta, s.cfg.MaxTheta))
 		return
 	}
+	if err := checkPlan("rrset", req.Plan, &req.Campaign); err != nil {
+		s.error(w, http.StatusBadRequest, err)
+		return
+	}
 	req.Layers = canonLayers(req.Layers)
 	model, err := s.model(req.Alpha, req.Beta)
 	if err != nil {
@@ -852,40 +830,18 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, err)
 		return
 	}
-	// Sketch fast path: O(k·|plan|) independent of θ. Any sketch error —
-	// seeds outside the pool, a plan shape the index refuses — falls
-	// back to the exact estimate, which accepts strictly more inputs; the
-	// response always says which estimator answered.
-	util, mode := 0.0, "exact"
-	served := false
-	if s.sketchEligible(req.Theta) {
-		_, sp := obs.StartSpan(ctx, "estimate.sketch")
-		if inst, ierr := art.InstanceAt(req.Theta); ierr == nil {
-			if u, serr := inst.Index.EstimateAUSketch(req.Plan, model); serr == nil {
-				util, mode, served = u, "sketch", true
-				s.m.sketchEstimates.Add(1)
-			} else {
-				s.m.sketchFallbacks.Add(1)
-			}
-		} else {
-			s.m.sketchFallbacks.Add(1)
-		}
-		sp.End()
-	}
-	if !served {
-		_, sp := obs.StartSpan(ctx, "estimate.exact")
-		util, err = s.estimateExact(art, req.Plan, model, req.Theta)
-		sp.End()
-		if err != nil {
-			s.error(w, http.StatusBadRequest, err)
-			return
-		}
+	_, sp := obs.StartSpan(ctx, "estimate.exact")
+	util, err := s.estimateExact(art, req.Plan, model, req.Theta)
+	sp.End()
+	if err != nil {
+		s.error(w, http.StatusBadRequest, err)
+		return
 	}
 	resp := EstimateResponse{
 		Utility:       util,
 		Theta:         req.Theta,
 		Layers:        req.Layers,
-		EstimateMode:  mode,
+		EstimateMode:  "exact",
 		CacheHit:      outcome.CacheHit(),
 		PrefixHit:     outcome == OutcomePrefix,
 		Extended:      outcome == OutcomeExtend,
@@ -900,14 +856,26 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// checkPlan refuses, before admission, a plan whose seed-set count is
+// not the campaign's piece count, so the refusal costs no preparation
+// and no layout build. Its text is the one the estimator behind the
+// endpoint gives for the same plan (pkg: "rrset" for /v1/estimate,
+// "cascade" for /v1/simulate).
+func checkPlan(pkg string, plan [][]int32, c *topic.Campaign) error {
+	if len(plan) != c.L() {
+		return fmt.Errorf("%s: plan has %d seed sets for %d pieces", pkg, len(plan), c.L())
+	}
+	return nil
+}
+
 // estimateExact is the exact estimate σ̂(plan) over the artifact's first
 // theta samples. A plan whose seeds are all pool members is answered
 // through the inverted index, at a cost proportional to the seeds'
 // sample lists rather than θ; the index sums per-sample adoptions in the
 // scan's sample order, so the float64 is the scan's bit for bit. Any
-// plan the index refuses — a seed outside the pool or the graph, a
-// wrong piece count — goes to the θ-scan, which scores any seed, counts
-// ids outside the graph as covering nothing, and owns the error text.
+// plan the index refuses — a seed outside the pool or the graph — goes
+// to the θ-scan, which scores any seed, counts ids outside the graph as
+// covering nothing, and owns the error text.
 func (s *Server) estimateExact(art *Artifact, plan [][]int32, model logistic.Model, theta int) (float64, error) {
 	if inst, err := art.InstanceAt(theta); err == nil {
 		sc := s.auScratch.Get().(*rrset.AUScratch)
@@ -920,13 +888,6 @@ func (s *Server) estimateExact(art *Artifact, plan [][]int32, model logistic.Mod
 	est := art.estimator()
 	defer art.putEstimator(est)
 	return est.EstimateAUPrefix(plan, model, theta)
-}
-
-// sketchEligible gates the sketch estimator by θ: below 8·k the exact
-// estimate is already cheap and the sketch's thresholded slots are barely
-// populated, so small-θ requests stay on the golden exact path.
-func (s *Server) sketchEligible(theta int) bool {
-	return s.cfg.SketchK > 0 && theta >= 8*s.cfg.SketchK
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -946,6 +907,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		req.Seed = 1
 	}
 	if err := req.Campaign.Validate(s.g.Z()); err != nil {
+		s.error(w, http.StatusBadRequest, err)
+		return
+	}
+	if err := checkPlan("cascade", req.Plan, &req.Campaign); err != nil {
 		s.error(w, http.StatusBadRequest, err)
 		return
 	}
@@ -1210,81 +1175,6 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 	}, nil
 }
 
-// solveFlight is one in-flight solve other identical requests can ride.
-type solveFlight struct {
-	done chan struct{}
-	resp *SolveResponse // immutable once done is closed
-	err  error
-}
-
-// solveKey renders every request field that can influence a solve's
-// outcome — the artifact identity (campaign, seed, layer set) plus θ and
-// the full solver configuration. The request must be normalized first so
-// spelling differences (defaulted fields, layer order) key identically.
-func solveKey(req *SolveRequest) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|k=%d|th=%d|sd=%d|eps=%016x|tol=%016x|mn=%d|a=%016x|b=%016x|to=%d|L=%v|",
-		req.Method, req.K, req.Theta, req.Seed,
-		math.Float64bits(req.Epsilon), math.Float64bits(req.Tolerance),
-		req.MaxNodes, math.Float64bits(req.Alpha), math.Float64bits(req.Beta),
-		req.TimeoutMS, req.Layers)
-	sb.WriteString(campaignKey(req.Campaign))
-	return sb.String()
-}
-
-// solveCoalesced singleflights identical in-flight solves: the registry
-// already dedups preparations, but two identical solve requests arriving
-// together would still each run the full search. The first request (the
-// leader) solves; followers with the same key wait on its flight and
-// share the result (marked Coalesced, coalesced_solves counts them).
-// Followers keep holding their own admission slot while they wait —
-// coalescing saves solver work, not admission weight — and inherit the
-// leader's outcome wholesale, including a Degraded incumbent if the
-// leader's deadline expired. TimeoutMS is part of the key, so requests
-// with different deadline budgets never share a flight.
-func (s *Server) solveCoalesced(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
-	key := solveKey(&req)
-	s.flightMu.Lock()
-	if f, ok := s.flights[key]; ok {
-		s.flightMu.Unlock()
-		select {
-		case <-f.done:
-			s.m.coalescedSolves.Add(1)
-			if f.err != nil {
-				return nil, f.err
-			}
-			cp := *f.resp
-			cp.Coalesced = true
-			return &cp, nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &solveFlight{done: make(chan struct{})}
-	s.flights[key] = f
-	s.flightMu.Unlock()
-	defer func() {
-		if f.resp == nil && f.err == nil {
-			// The solve is panicking out from under us. The leader's own
-			// recovery middleware turns it into a 500; followers must not
-			// hang, so fail their flight the same way.
-			f.err = panicError{val: "coalesced solve leader panicked"}
-		}
-		s.flightMu.Lock()
-		delete(s.flights, key)
-		s.flightMu.Unlock()
-		close(f.done)
-	}()
-	f.resp, f.err = s.solve(ctx, req)
-	if f.err != nil {
-		return nil, f.err
-	}
-	// The leader gets a private copy too: callers decorate the response
-	// (request id, trace) while followers may still be copying f.resp.
-	cp := *f.resp
-	return &cp, nil
-}
-
 // runJob executes one queued solve on a worker goroutine under the
 // job's context, which cancelJob (or a drain) cancels. A job whose
 // submission was traced opens a fresh trace under the SAME request id —
@@ -1296,7 +1186,7 @@ func (s *Server) runJob(j *job) {
 	if j.traced {
 		ctx, tr = obs.NewTrace(ctx, j.reqID, "solve")
 	}
-	resp, err := s.solveCoalesced(ctx, j.req)
+	resp, err := s.solve(ctx, j.req)
 	if resp != nil {
 		resp.RequestID = j.reqID
 		if tr != nil {

@@ -43,7 +43,8 @@ func declaredNames(t *testing.T) map[string]bool {
 
 // TestExportedSurface pins one registry lookup, context-only
 // cancellation, the two metric expositions that have readers,
-// instrumentation that is always on, and one sequential search per solve.
+// instrumentation that is always on, one sequential search per solve,
+// one estimator and no solve coalescing.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	if !names["Instance"] {
@@ -51,7 +52,8 @@ func TestExportedSurface(t *testing.T) {
 	}
 	for _, gone := range []string{"InstanceLayers", "stopCtx", "PublishExpvar", "CountsDroppedBytes",
 		"DisableObs", "disabled",
-		"SolveWorkers", "solveWeight", "parallelSolves", "SketchEvals", "ReVerifyEvals", "Steals", "SpecWasted"} {
+		"SolveWorkers", "solveWeight", "parallelSolves", "SketchEvals", "ReVerifyEvals", "Steals", "SpecWasted",
+		"SketchK", "sketchEligible", "solveCoalesced", "solveFlight", "flights", "sketchEstimates"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}
