@@ -34,7 +34,10 @@ lines:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
 
 # The checks that need no network and no second machine, in CI order.
-ci: build vet fmt test race-short fuzz-smoke
+# bench-harness-smoke is the one that recomputes sampled 40-node searches
+# against a fresh in-process preparation; it needs jq and takes ~30 s of
+# wall time on 2 vCPU once its build cache is warm.
+ci: build vet fmt test race-short fuzz-smoke bench-harness-smoke
 
 # Ten seconds of native fuzzing over campaign JSON, the request bytes
 # every solve and estimate decodes (go test alone runs the seed corpus).

@@ -1,7 +1,8 @@
 // Command oipa-exp regenerates the paper's evaluation tables and figures
 // (§VI) on the synthetic dataset substitutes. Each experiment prints the
-// same rows/series the paper plots; EXPERIMENTS.md records a reference
-// run against the paper's reported shapes.
+// same rows/series the paper plots. Absolute numbers differ from the
+// paper's testbed; the reproduction targets are the shapes — method
+// orderings, trends in k, ℓ and β/α, and the BAB-P speedup.
 //
 // Usage:
 //

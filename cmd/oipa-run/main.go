@@ -107,7 +107,7 @@ func main() {
 	fmt.Printf("\nmethod   : %s\n", res.Method)
 	fmt.Printf("utility  : %.4f (MRR estimate)\n", res.Utility)
 	if res.Upper > 0 {
-		fmt.Printf("upper    : %.4f (certified bound)\n", res.Upper)
+		fmt.Printf("upper    : %.4f (greedy bound: OPT ≤ upper/(1−1/e), /(1−1/e−ε) for babp)\n", res.Upper)
 	}
 	fmt.Printf("elapsed  : %s\n", res.Elapsed.Round(1e6))
 	if res.Stats.BoundEvals > 0 {

@@ -58,7 +58,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("expected adopters: %.1f (certified upper bound %.1f)\n",
+	fmt.Printf("expected adopters: %.1f (search bound %.1f; optimum ≤ bound/(1−1/e−ε))\n",
 		res.Utility, res.Upper)
 	fmt.Printf("solved in %s with %d branch-and-bound nodes\n",
 		res.Elapsed.Round(1e6), res.Stats.Nodes)

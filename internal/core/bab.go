@@ -188,7 +188,7 @@ func branchAndBound(inst *Instance, ev *evaluator, opts BABOptions, eps float64,
 
 	// Root bound: the greedy candidate plan is the initial incumbent. Its
 	// utility, like every candidate's, is read off the coverage its bound
-	// just built.
+	// just built; a child skips the walk when utilityBelow rules it out.
 	stats.BoundEvals++
 	rootBR := ev.bound(nil, nil, k, eps)
 	bestPlan, bestUtil := ev.materialize(nil, rootBR.picks), ev.utility()
@@ -258,9 +258,11 @@ search:
 			stats.BoundEvals++
 			front := ev.prepareNode(ch.plan, ch.excl, node.front, ch.include)
 			br := ev.estimate(k-ch.plan.len(), eps)
-			if util := ev.utility(); util > bestUtil {
-				bestUtil = util
-				bestPlan = ev.materialize(ch.plan, br.picks)
+			if !ev.utilityBelow(bestUtil) {
+				if util := ev.utility(); util > bestUtil {
+					bestUtil = util
+					bestPlan = ev.materialize(ch.plan, br.picks)
+				}
 			}
 			if prune(br.tau) {
 				setAside = max(setAside, br.tau)

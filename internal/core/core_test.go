@@ -89,7 +89,7 @@ func randomProblem(t testing.TB, seed uint64, n, m, poolSize, l, k int) *Problem
 // (the default α=2 hull bound is tight enough to certify most random
 // instances at the root — useless for exercising the search). The steeper
 // sigmoid opens a real bound gap, so Tolerance=0 expands a proper tree.
-func branchyInstance(t *testing.T, seed uint64, n, m, pool, l, k, theta int, instSeed uint64, alpha, beta float64) *Instance {
+func branchyInstance(t testing.TB, seed uint64, n, m, pool, l, k, theta int, instSeed uint64, alpha, beta float64) *Instance {
 	t.Helper()
 	p := randomProblem(t, seed, n, m, pool, l, k)
 	p.Model = logistic.Model{Alpha: alpha, Beta: beta}

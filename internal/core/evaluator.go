@@ -25,23 +25,24 @@ type evaluator struct {
 	theta    int // bound instance's sample count, set by bind
 	capTheta int // allocated per-sample array capacity, >= theta
 
-	// Per-sample coverage state for the plan under evaluation:
-	// masks[i] has bit j set when piece j of sample i is covered,
-	// cnts[i] = popcount(masks[i]), refs[i] = count covered by the
-	// *partial* plan only (the bound's refinement anchor, Fig. 2).
-	// dirty lists the samples with non-zero state, for O(touched) reset,
-	// and covered holds the same samples as a θ-bit bitmap, for an
-	// ascending walk.
-	masks   []uint32
-	cnts    []uint8
-	refs    []uint8
+	// Per-sample coverage state for the plan under evaluation, one word
+	// per sample: the piece mask in the low 32 bits, and above them
+	// ref·(l+1)+cnt — sample i's next marginal in marg — with cnt =
+	// popcount(mask) and ref the count covered by the *partial* plan only
+	// (the bound's refinement anchor, Fig. 2). dirty lists the samples
+	// with non-zero state, for O(touched) reset, and covered holds them as
+	// a θ-bit bitmap, for an ascending walk. hist[c] counts the covered
+	// samples with c ≥ 1 pieces (hist[0] is never read).
+	state   []uint64
 	dirty   []int32
 	covered []uint64
+	hist    []int32
 
-	// Hull bound tables flattened from logistic.BoundTable:
-	// value[cA][c] and marg[cA][c] for 0 <= cA <= c <= l.
-	value [][]float64
-	marg  [][]float64
+	// Hull bound tables flattened from logistic.BoundTable: Value(c, c)
+	// in anchored[c], and the marginal from c to c+1 pieces at anchor cA
+	// in marg[cA·(l+1)+c].
+	anchored []float64
+	marg     []float64
 	// adoptAt[c] is the model's Adoption(c), for utility.
 	adoptAt []float64
 
@@ -55,17 +56,18 @@ type evaluator struct {
 	epoch      uint32
 
 	// The gain frontier. Under the empty plan candidate c's gain is
-	// gainOf's running sum after deg[c] additions of marg[0][0], which is
-	// cum[deg[c]]; baseOrder lists the candidates with a positive
-	// empty-plan gain by (gain desc, candidate asc). Both are computed
-	// once per solve by bind. A partial plan changes the gain of exactly
-	// the candidates whose inverted list meets a sample the plan touched;
-	// a search node keeps their exact gains as a chain of levels, one per
-	// include decision (see level). prepare loads the eligible ones with a
-	// positive gain into aff, sorted, and stamps every one in affEpoch;
-	// every other candidate's gain is still its empty-plan gain, bit for
-	// bit. The bound routines read initial gains from these two sources
-	// only.
+	// gainOf's running sum after deg[c] additions of marg[0] (anchor 0,
+	// count 0), which is cum[deg[c]]; baseOrder lists the candidates with
+	// a positive empty-plan gain by (gain desc, candidate asc). Both are
+	// computed once per solve by bind. A partial plan changes the gain of
+	// exactly the candidates whose inverted list meets a sample the plan
+	// touched; a search node keeps their exact gains as a chain of levels,
+	// one per include decision (see level). prepare stamps every one in
+	// affEpoch and leaves the eligible ones with a positive gain in
+	// mergeBuf as sorted runs; aff is their merge, produced only as far as
+	// a bound reads it (affAt). Every other candidate's gain is still its
+	// empty-plan gain, bit for bit. The bound routines read initial gains
+	// from these two sources only (mergeNext).
 	deg       []int32
 	cum       []float64
 	bucket    []int32 // counting-sort scratch for baseOrder
@@ -74,8 +76,8 @@ type evaluator struct {
 
 	// Storage a solve draws on and bind recycles, so a warm search
 	// allocates almost nothing per node: level entries (arena), the
-	// merge's scratch, the persistent chains, the search heap and the
-	// bound's picks.
+	// merge's runs, the persistent chains, the search heap, the lazy
+	// greedy's heap and the bound's picks.
 	arena     []gainEntry
 	mergeBuf  []gainEntry
 	runs      []mergeRun
@@ -84,6 +86,7 @@ type evaluator struct {
 	exclNodes slab[exclNode]
 	babNodes  slab[babNode]
 	heap      babHeap
+	lazyHeap  []gainEntry
 	picks     []candidate
 
 	// tauSum is Σ_i τ_i in per-sample units; multiply by n/θ for the
@@ -112,10 +115,11 @@ func allocEvaluator(l, pp, theta int) *evaluator {
 		pp:         pp,
 		numCands:   l * pp,
 		capTheta:   theta,
-		masks:      make([]uint32, theta),
-		cnts:       make([]uint8, theta),
-		refs:       make([]uint8, theta),
+		state:      make([]uint64, theta),
 		covered:    make([]uint64, (theta+63)/64),
+		hist:       make([]int32, l+1),
+		anchored:   make([]float64, l+1),
+		marg:       make([]float64, (l+1)*(l+1)),
 		adoptAt:    make([]float64, l+1),
 		takenEpoch: make([]uint32, l*pp),
 		exclEpoch:  make([]uint32, l*pp),
@@ -124,12 +128,6 @@ func allocEvaluator(l, pp, theta int) *evaluator {
 		epoch:      1,
 		deg:        make([]int32, l*pp),
 		baseOrder:  make([]candidate, 0, l*pp),
-	}
-	ev.value = make([][]float64, l+1)
-	ev.marg = make([][]float64, l+1)
-	for cA := 0; cA <= l; cA++ {
-		ev.value[cA] = make([]float64, l+1)
-		ev.marg[cA] = make([]float64, l+1)
 	}
 	return ev
 }
@@ -147,11 +145,9 @@ func (ev *evaluator) bind(inst *Instance) {
 	ev.theta = inst.Theta()
 	ev.tauEvals = 0
 	for cA := 0; cA <= ev.l; cA++ {
-		for c := cA; c <= ev.l; c++ {
-			ev.value[cA][c] = inst.Bounds.Value(cA, c)
-			if c < ev.l {
-				ev.marg[cA][c] = inst.Bounds.Marginal(cA, c)
-			}
+		ev.anchored[cA] = inst.Bounds.Value(cA, cA)
+		for c := cA; c < ev.l; c++ {
+			ev.marg[cA*(ev.l+1)+c] = inst.Bounds.Marginal(cA, c)
 		}
 	}
 	for c := range ev.adoptAt {
@@ -168,9 +164,9 @@ func (ev *evaluator) bind(inst *Instance) {
 }
 
 // bindBase computes every candidate's empty-plan gain and their order.
-// With no sample covered gainOf adds marg[0][0] once per list entry, so
+// With no sample covered gainOf adds marg[0] once per list entry, so
 // the gain depends on the list length alone: cum[d] repeats that exact
-// sequence of additions. For marg[0][0] > 0 cum is strictly increasing
+// sequence of additions. For marg[0] > 0 cum is strictly increasing
 // (one addend is far above half an ulp of a sum of at most θ < 2³¹ of
 // them), so (gain desc, candidate asc) is (degree desc, candidate asc),
 // which a stable counting sort over degrees produces without comparing.
@@ -183,7 +179,7 @@ func (ev *evaluator) bindBase() {
 		maxDeg = max(maxDeg, d)
 	}
 	ev.cum = slices.Grow(ev.cum[:0], maxDeg+1)[:maxDeg+1]
-	m00 := ev.marg[0][0]
+	m00 := ev.marg[0]
 	ev.cum[0] = 0
 	for d := 1; d <= maxDeg; d++ {
 		ev.cum[d] = ev.cum[d-1] + m00
@@ -226,12 +222,11 @@ func (ev *evaluator) resetScratch() {
 
 func (ev *evaluator) clearCoverage() {
 	for _, i := range ev.dirty {
-		ev.masks[i] = 0
-		ev.cnts[i] = 0
-		ev.refs[i] = 0
+		ev.state[i] = 0
 		ev.covered[i>>6] = 0
 	}
 	ev.dirty = ev.dirty[:0]
+	clear(ev.hist)
 }
 
 func (ev *evaluator) pieceOf(c candidate) int   { return int(c) / ev.pp }
@@ -241,7 +236,7 @@ func (ev *evaluator) poolPosOf(c candidate) int { return int(c) % ev.pp }
 // an exclusion chain and brings the gain frontier up to the plan from
 // scratch: every candidate the plan's samples reach is re-evaluated —
 // exactly, because re-anchoring refs can raise a marginal above
-// marg[0][0] under a steep model, so the empty-plan gain is not even an
+// marg[0] under a steep model, so the empty-plan gain is not even an
 // upper bound for them. Cost is proportional to the touched samples and
 // the affected candidates, not to the candidate count. The search's root
 // prepares this way; every other node derives its frontier from its
@@ -275,8 +270,8 @@ func (ev *evaluator) prepareNode(plan *planNode, excl *exclNode, front *level, i
 }
 
 // load resets the evaluator and loads a partial plan and an exclusion
-// chain. It refines the bound's anchors: refs[i] becomes the piece count
-// the partial plan guarantees at sample i (the paper's Fig. 2
+// chain. It refines the bound's anchors: sample i's ref becomes the piece
+// count the partial plan guarantees at sample i (the paper's Fig. 2
 // refinement), and tauSum is re-based.
 func (ev *evaluator) load(plan *planNode, excl *exclNode) {
 	ev.clearCoverage()
@@ -299,12 +294,13 @@ func (ev *evaluator) load(plan *planNode, excl *exclNode) {
 		ev.exclEpoch[n.cand] = ev.epoch
 	}
 	// Re-base the bound's anchors at the partial plan's coverage.
-	base0 := ev.value[0][0]
+	base0 := ev.anchored[0]
 	ev.tauSum = float64(ev.theta) * base0
 	for _, i := range ev.dirty {
-		c := ev.cnts[i]
-		ev.refs[i] = c
-		ev.tauSum += ev.value[c][c] - base0
+		mask := uint32(ev.state[i])
+		c := bits.OnesCount32(mask)
+		ev.state[i] = uint64(c*(ev.l+2))<<32 | uint64(mask) // ref = cnt = c
+		ev.tauSum += ev.anchored[c] - base0
 	}
 }
 
@@ -353,12 +349,12 @@ type level struct {
 // mergeRun is one level's surviving entries in mergeBuf, [next, end).
 type mergeRun struct{ next, end int }
 
-// mergeFront loads the frontier front into aff. Walking nearest level
-// first, it stamps every candidate the chain holds in affEpoch — so
-// nextBase skips it — and keeps the eligible ones with a positive gain
-// at their nearest level's gain; each level's survivors are still sorted,
-// so aff is their k-way merge in (gain desc, candidate asc) order, with
-// no sort.
+// mergeFront loads the frontier front. Walking nearest level first, it
+// stamps every candidate the chain holds in affEpoch — so nextBase skips
+// it — and keeps the eligible ones with a positive gain at their nearest
+// level's gain, in mergeBuf; each level's survivors are still sorted, so
+// they form one run per level, and merging them takes no sort. The merge
+// itself is left to affAt: a bound reads a few entries of hundreds.
 func (ev *evaluator) mergeFront(front *level) {
 	buf, runs := ev.mergeBuf[:0], ev.runs[:0]
 	for lv := front; lv != nil; lv = lv.parent {
@@ -376,24 +372,32 @@ func (ev *evaluator) mergeFront(front *level) {
 			runs = append(runs, mergeRun{start, len(buf)})
 		}
 	}
-	aff := ev.aff[:0]
-	for len(runs) > 1 {
+	ev.aff, ev.mergeBuf, ev.runs = ev.aff[:0], buf, runs
+}
+
+// affAt returns entry i of the merge of the frontier's runs, extending
+// the memoised prefix aff one k-way step at a time as far as i, or false
+// past the end. Eligibility is not rechecked: a reader skips what its
+// bound has taken.
+func (ev *evaluator) affAt(i int) (gainEntry, bool) {
+	for len(ev.aff) <= i {
+		buf, runs := ev.mergeBuf, ev.runs
+		if len(runs) == 0 {
+			return gainEntry{}, false
+		}
 		best := 0
 		for r := 1; r < len(runs); r++ {
 			if e := buf[runs[r].next]; e.before(buf[runs[best].next].gain, buf[runs[best].next].cand) {
 				best = r
 			}
 		}
-		aff = append(aff, buf[runs[best].next])
+		ev.aff = append(ev.aff, buf[runs[best].next])
 		if runs[best].next++; runs[best].next == runs[best].end {
 			runs[best] = runs[len(runs)-1]
-			runs = runs[:len(runs)-1]
+			ev.runs = runs[:len(runs)-1]
 		}
 	}
-	if len(runs) == 1 {
-		aff = append(aff, buf[runs[0].next:runs[0].end]...)
-	}
-	ev.aff, ev.mergeBuf, ev.runs = aff, buf, runs
+	return ev.aff[i], true
 }
 
 // coverSamples marks candidate c's samples as covered for its piece and
@@ -402,19 +406,22 @@ func (ev *evaluator) mergeFront(front *level) {
 // discarded and re-based afterwards) and for greedy additions.
 func (ev *evaluator) coverSamples(c candidate) float64 {
 	j := ev.pieceOf(c)
-	bit := uint32(1) << uint(j)
+	bit := uint64(1) << uint(j)
 	gain := 0.0
 	for _, i := range ev.inst.Index.Samples(j, int32(ev.poolPosOf(c))) {
-		if ev.masks[i]&bit != 0 {
+		s := ev.state[i]
+		if s&bit != 0 {
 			continue
 		}
-		if ev.masks[i] == 0 {
+		if uint32(s) == 0 {
 			ev.dirty = append(ev.dirty, i)
 			ev.covered[i>>6] |= 1 << (i & 63)
 		}
-		ev.masks[i] |= bit
-		gain += ev.marg[ev.refs[i]][ev.cnts[i]]
-		ev.cnts[i]++
+		ev.state[i] = (s | bit) + 1<<32 // cnt+1
+		gain += ev.marg[s>>32]
+		cnt := bits.OnesCount32(uint32(s))
+		ev.hist[cnt]--
+		ev.hist[cnt+1]++
 	}
 	ev.tauSum += gain
 	return gain
@@ -424,11 +431,11 @@ func (ev *evaluator) coverSamples(c candidate) float64 {
 // state, without modifying the state.
 func (ev *evaluator) gainOf(c candidate) float64 {
 	j := ev.pieceOf(c)
-	bit := uint32(1) << uint(j)
+	bit := uint64(1) << uint(j)
 	gain := 0.0
 	for _, i := range ev.inst.Index.Samples(j, int32(ev.poolPosOf(c))) {
-		if ev.masks[i]&bit == 0 {
-			gain += ev.marg[ev.refs[i]][ev.cnts[i]]
+		if s := ev.state[i]; s&bit == 0 {
+			gain += ev.marg[s>>32]
 		}
 	}
 	ev.tauEvals++
@@ -450,10 +457,25 @@ func (ev *evaluator) utility() float64 {
 	total := 0.0
 	for w, word := range ev.covered[:(ev.theta+63)/64] {
 		for ; word != 0; word &= word - 1 {
-			total += ev.adoptAt[ev.cnts[w<<6|bits.TrailingZeros64(word)]]
+			total += ev.adoptAt[bits.OnesCount32(uint32(ev.state[w<<6|bits.TrailingZeros64(word)]))]
 		}
 	}
 	return float64(ev.inst.Index.MRR().N()) * total / float64(ev.theta)
+}
+
+// utilityBelow reports whether utility() is certainly below x, without
+// walking the coverage: the same adoption terms summed by piece count
+// from hist. For m covered samples, each sum is within (m+l)·2⁻⁵³ of
+// the exact one, relatively (non-negative terms), and the two scalings
+// within a few more units; the margin δ = (m+l+16)·2⁻⁵¹ exceeds all of
+// them, so true means utility() < x.
+func (ev *evaluator) utilityBelow(x float64) bool {
+	est := 0.0
+	for c := 1; c <= ev.l; c++ {
+		est += float64(ev.hist[c]) * ev.adoptAt[c]
+	}
+	delta := float64(len(ev.dirty)+ev.l+16) * 0x1p-51
+	return ev.scale(est)*(1+delta) < x
 }
 
 // boundResult is the outcome of a bound computation: the greedy additions
@@ -493,8 +515,9 @@ func (ev *evaluator) estimate(budget int, eps float64) boundResult {
 // any candidate whose current marginal gain reaches it, with two early
 // exits — the sorted-prefix break (δ_∅(v) < h implies δ_S̄(v) < h by
 // submodularity) and the τ-floor of Algorithm 3 line 14, which may return
-// fewer than `budget` picks. The order is never materialized: it is the
-// two-pointer merge of the sorted affected entries and baseOrder.
+// fewer than `budget` picks. The order is never materialized: it is
+// mergeNext's merge of the frontier's entries and baseOrder, and the
+// frontier's own merge runs only as deep as the sweep reads.
 //
 // A floor exit with d < budget picks is followed by a lazy greedy
 // completion of the remaining slots, which the paper's Algorithm 3 does
@@ -535,8 +558,7 @@ func (ev *evaluator) computeBoundPro(budget int, eps float64) boundResult {
 			break // Algorithm 3 line 14: remaining candidates cannot matter
 		}
 	}
-	// The initial gains are upper bounds by now (submodularity), and
-	// sorted entries already form a heap.
+	// The initial gains are upper bounds by now (submodularity).
 	ev.lazyGreedy(budget, false, &res)
 	return ev.finish(res)
 }
@@ -547,13 +569,15 @@ type mergeCursor struct{ a, b int }
 // mergeNext returns the next eligible candidate in (initial gain desc,
 // candidate asc) order, with that gain, and advances the cursor past it.
 func (ev *evaluator) mergeNext(mc *mergeCursor) (gainEntry, bool) {
-	for mc.a < len(ev.aff) && !ev.eligible(ev.aff[mc.a].cand) {
+	a, aok := ev.affAt(mc.a)
+	for aok && !ev.eligible(a.cand) {
 		mc.a++
+		a, aok = ev.affAt(mc.a)
 	}
 	b, ok := ev.nextBase(&mc.b)
-	if mc.a < len(ev.aff) && !(ok && b.before(ev.aff[mc.a].gain, ev.aff[mc.a].cand)) {
+	if aok && !(ok && b.before(a.gain, a.cand)) {
 		mc.a++
-		return ev.aff[mc.a-1], true
+		return a, true
 	}
 	if ok {
 		mc.b++

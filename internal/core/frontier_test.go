@@ -3,12 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
+	"testing/quick"
 
+	"oipa/internal/gen"
 	"oipa/internal/logistic"
 	"oipa/internal/rrset"
+	"oipa/internal/topic"
 	"oipa/internal/xrand"
 )
 
@@ -200,5 +204,131 @@ func TestWarmSearchAllocations(t *testing.T) {
 	t.Logf("%v allocations per 40-node search (%d bounds)", allocs, res.Stats.BoundEvals)
 	if allocs > 200 {
 		t.Fatalf("%v allocations per warm 40-node search, want at most 200", allocs)
+	}
+}
+
+// TestUtilityBelowIsSound checks the search's guard on the incumbent
+// walk over random tiny instances, models (the steep α 6, β 2 among
+// them) and plans, loaded as a partial plan and then extended the way a
+// bound extends it: utilityBelow(x) must imply utility() < x, so a
+// skipped walk could not have beaten the incumbent, and so
+// utilityBelow(utility()) is always false.
+func TestUtilityBelowIsSound(t *testing.T) {
+	models := []logistic.Model{{Alpha: 2, Beta: 1}, {Alpha: 6, Beta: 2}, {Alpha: 9, Beta: 0.5}, {Alpha: 0.5, Beta: 3}}
+	guarded := 0 // checks where the guard said below
+	check := func(seed uint64, m uint8, l uint8) bool {
+		p := randomProblem(t, seed, 30, 120, 8, 1+int(l%4), 4)
+		p.Model = models[int(m)%len(models)]
+		inst, err := Prepare(context.Background(), p, 100+int(seed%400), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, r := newEvaluator(inst), xrand.New(seed)
+		var plan *planNode
+		for n := r.Intn(4); n > 0; n-- {
+			plan = plan.with(candidate(r.Intn(ev.numCands)))
+		}
+		ev.load(plan, nil)
+		for n := r.Intn(4); n > 0; n-- {
+			ev.coverSamples(candidate(r.Intn(ev.numCands)))
+		}
+		u := ev.utility()
+		if ev.utilityBelow(u) {
+			t.Logf("seed %d: utilityBelow(utility() = %v)", seed, u)
+			return false
+		}
+		for _, x := range []float64{math.Nextafter(u, math.Inf(1)), u * (1 + 0x1p-40), u * (1 + 0x1p-20), 2*u + 1, u * r.Float64()} {
+			if ev.utilityBelow(x) {
+				guarded++
+				if !(u < x) {
+					t.Logf("seed %d: utilityBelow(%v) but utility() = %v", seed, x, u)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	if guarded == 0 {
+		t.Fatal("the guard never skipped a walk")
+	}
+}
+
+// TestFrontierMergeIsLazy follows a steep BAB path down by its branch
+// variables: below depth 3, where the frontier holds several levels of
+// survivors, a bound must leave the merged order produced only as far as
+// it read. Every entry the bound consumes costs one τ evaluation except
+// an exact bound's first pick, and the stream peeks one entry ahead.
+func TestFrontierMergeIsLazy(t *testing.T) {
+	inst := branchyInstance(t, 77, 800, 2400, 100, 3, 10, 4000, 9, 6, 2)
+	k := inst.Problem.K
+	ev := newEvaluator(inst)
+	br := ev.bound(nil, nil, k, 0)
+	var plan *planNode
+	var front *level
+	for depth := 1; depth <= 5 && br.branch >= 0; depth++ {
+		plan = plan.with(br.branch)
+		front = ev.prepareNode(plan, nil, front, true)
+		tau := ev.tauEvals
+		br = ev.computeBound(k - plan.len())
+		read := int(ev.tauEvals-tau) + 1
+		t.Logf("depth %d: %d merged of %d survivors, %d read", depth, len(ev.aff), len(ev.mergeBuf), read)
+		if depth < 3 {
+			continue
+		}
+		if len(ev.aff) > read+1 {
+			t.Fatalf("depth %d: %d entries merged, %d read", depth, len(ev.aff), read)
+		}
+		if 4*len(ev.aff) > len(ev.mergeBuf) {
+			t.Fatalf("depth %d: %d entries merged of %d survivors", depth, len(ev.aff), len(ev.mergeBuf))
+		}
+	}
+	if plan.len() < 3 {
+		t.Fatalf("the path ended at depth %d", plan.len())
+	}
+}
+
+// BenchmarkWarmSearch times a warm pooled 40-node search of k 10 under
+// the steep model (α 6, β 2) on one generated instance — a three-piece
+// campaign on the dblp preset at scale 0.05, θ 100 000 — the shape of a
+// warm_solve_bab request, in process:
+//
+//	go test ./internal/core -run '^$' -bench WarmSearch -benchtime 100x
+func BenchmarkWarmSearch(b *testing.B) {
+	d, err := gen.Build(gen.Preset("dblp"), 0.05, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool, err := gen.PromoterPool(d.G, 0.10, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := xrand.New(3)
+	c := topic.Campaign{Name: "warm"}
+	for j := 0; j < 3; j++ {
+		c.Pieces = append(c.Pieces, topic.Piece{Name: fmt.Sprint("p", j), Dist: topic.Dirichlet(d.G.Z(), 0.5, 2, rng)})
+	}
+	p := &Problem{G: d.G, Campaign: c, Pool: pool, K: 10, Model: logistic.Model{Alpha: 6, Beta: 2}}
+	inst, err := Prepare(context.Background(), p, 100_000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	evals := NewEvaluatorPool(inst)
+	opts := DefaultBABOptions()
+	opts.MaxNodes = 40
+	for _, s := range []struct {
+		name  string
+		solve func(*Instance, BABOptions) (*Result, error)
+	}{{"bab", evals.SolveBAB}, {"babp", evals.SolveBABP}} {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.solve(inst, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

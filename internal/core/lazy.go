@@ -1,7 +1,5 @@
 package core
 
-import "cmp"
-
 // computeBound is Algorithm 2: greedy maximization of the submodular
 // hull bound — each pick is the eligible candidate with the largest
 // marginal gain, ties broken toward the smaller candidate id, until the
@@ -24,13 +22,13 @@ func (ev *evaluator) computeBound(budget int) boundResult {
 // the one at count 1, and on tiny sample sets near-ties can then come out
 // in another order (see TestFrontierMatchesReferenceBounds).
 //
-// Cached gains come from the gain frontier, never from a scan: ev.aff,
-// which prepare leaves sorted (a sorted slice is already a heap), and a
-// cursor into baseOrder, whose candidates join the heap only when their
-// turn comes. With exact set the initial gains are the current ones and
-// the first pick costs no evaluation; otherwise (the fill after a
-// progressive pass) they are upper bounds and every candidate is
-// re-evaluated before selection.
+// Cached gains come from the gain frontier, never from a scan: one
+// mergeNext stream, which hands out each candidate once in initial-gain
+// order, and a heap of the gains re-evaluated since — a stream entry
+// joins it only when its turn comes. With exact set the initial gains
+// are the current ones and the first pick costs no evaluation; otherwise
+// (the fill after a progressive pass) they are upper bounds and every
+// candidate is re-evaluated before selection.
 func (ev *evaluator) lazyGreedy(budget int, exact bool, res *boundResult) {
 	// An entry is current when its round is this pick's round; initial
 	// gains carry round 0.
@@ -38,38 +36,37 @@ func (ev *evaluator) lazyGreedy(budget int, exact bool, res *boundResult) {
 	if !exact {
 		round = 1
 	}
-	pos := 0
+	h := ev.lazyHeap[:0]
+	var mc mergeCursor
+	next, ok := ev.mergeNext(&mc)
 	for len(res.picks) < budget {
-		for len(ev.aff) > 0 && !ev.eligible(ev.aff[0].cand) {
-			ev.aff = heapPop(ev.aff)
-		}
-		b, ok := ev.nextBase(&pos)
-		if ok && (len(ev.aff) == 0 || b.before(ev.aff[0].gain, ev.aff[0].cand)) {
-			pos++
+		if ok && (len(h) == 0 || next.before(h[0].gain, h[0].cand)) {
 			if round == 0 {
-				ev.take(b.cand, res)
+				ev.take(next.cand, res)
 				round++
-			} else if g := ev.gainOf(b.cand); g > 0 {
-				ev.aff = heapPush(ev.aff, gainEntry{gain: g, cand: b.cand, round: round})
+			} else if g := ev.gainOf(next.cand); g > 0 {
+				h = heapPush(h, gainEntry{gain: g, cand: next.cand, round: round})
 			}
+			next, ok = ev.mergeNext(&mc)
 			continue
 		}
-		if len(ev.aff) == 0 {
-			return // no candidate improves the bound
+		if len(h) == 0 {
+			break // no candidate improves the bound
 		}
-		top := &ev.aff[0]
+		top := &h[0]
 		if top.round == round {
 			c := top.cand
-			ev.aff = heapPop(ev.aff)
+			h = heapPop(h)
 			ev.take(c, res)
 			round++
 		} else if g := ev.gainOf(top.cand); g > 0 {
 			top.gain, top.round = g, round
-			siftDown(ev.aff, 0)
+			siftDown(h, 0)
 		} else {
-			ev.aff = heapPop(ev.aff)
+			h = heapPop(h)
 		}
 	}
+	ev.lazyHeap = h
 }
 
 // gainEntry is a candidate with a cached gain and the greedy round the
@@ -86,12 +83,16 @@ func (e gainEntry) before(gain float64, cand candidate) bool {
 	return e.gain > gain || (e.gain == gain && e.cand < cand)
 }
 
-// cmpGain is the same order as a slices.SortFunc comparison.
+// cmpGain is the same order as a slices.SortFunc comparison, for entries
+// of distinct candidates.
 func cmpGain(a, b gainEntry) int {
-	if c := cmp.Compare(b.gain, a.gain); c != 0 {
-		return c
+	switch {
+	case a.before(b.gain, b.cand):
+		return -1
+	case a.cand == b.cand:
+		return 0
 	}
-	return cmp.Compare(a.cand, b.cand)
+	return 1
 }
 
 // A typed binary max-heap over []gainEntry ordered by before (what

@@ -198,7 +198,7 @@ type Instance struct {
 	IndexTime time.Duration
 }
 
-// maxPieces bounds ℓ: per-sample coverage is tracked in a uint32 bitmask.
+// maxPieces bounds ℓ: per-sample coverage keeps a 32-bit piece mask.
 const maxPieces = 32
 
 // Prepare validates the problem, draws theta multi-RR samples (in
@@ -476,7 +476,10 @@ type Result struct {
 	// Upper is, for the branch-and-bound solvers, the larger of Utility
 	// and the largest bound of any subtree the search left unexpanded
 	// (pruned, unextendable, or still open when it stopped); greedy
-	// reports its root bound, the baselines 0.
+	// reports its root bound, the baselines 0. Bounds are greedy values of
+	// the hull τ, so Upper may fall below the MRR-estimated optimum OPT; it
+	// certifies OPT ≤ Upper/(1−1/e) for BAB and greedy (Theorem 2) and
+	// OPT ≤ Upper/(1−1/e−ε) for BAB-P (Theorem 3).
 	Upper   float64
 	Elapsed time.Duration
 	Stats   SolverStats

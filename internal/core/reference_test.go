@@ -363,9 +363,9 @@ func frontierVariants(t *testing.T, p *Problem, theta int, seed uint64) map[stri
 
 // requireFrontier checks what a prepared frontier promises, against a
 // gainOf scan of every candidate: each eligible candidate it does not
-// hold has its empty-plan gain, bit for bit, and aff holds exactly the
-// eligible ones it does hold with a positive gain, at their exact gains,
-// in (gain desc, candidate asc) order.
+// hold has its empty-plan gain, bit for bit, and the merged order affAt
+// reads holds exactly the eligible ones it does hold with a positive
+// gain, at their exact gains, in (gain desc, candidate asc) order.
 func requireFrontier(t *testing.T, label string, ev *evaluator) {
 	t.Helper()
 	var want []gainEntry
@@ -381,8 +381,16 @@ func requireFrontier(t *testing.T, label string, ev *evaluator) {
 		}
 	}
 	slices.SortFunc(want, cmpGain)
-	if !slices.Equal(ev.aff, want) {
-		t.Fatalf("%s: frontier %v, want %v", label, ev.aff, want)
+	var got []gainEntry
+	for i := 0; ; i++ {
+		e, ok := ev.affAt(i)
+		if !ok {
+			break
+		}
+		got = append(got, e)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: frontier %v, want %v", label, got, want)
 	}
 }
 

@@ -3,7 +3,8 @@
 // substitutes, producing the same rows/series the paper plots. Absolute
 // numbers differ from the paper's testbed; the *shapes* — method
 // orderings, trends in k/ℓ/(β/α), and the BAB-P speedup — are the
-// reproduction targets (see DESIGN.md §4 and EXPERIMENTS.md).
+// reproduction targets. Every number is the maximised objective scored
+// on the samples the method optimised over, not off-sample.
 package exp
 
 import (

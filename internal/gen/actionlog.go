@@ -9,8 +9,9 @@ import (
 )
 
 // ActionLogConfig controls the synthetic propagation-log generator that
-// feeds the TIC learner (the stand-in for the paper's real lastfm action
-// log; see DESIGN.md §3).
+// feeds the TIC learner: the stand-in for the paper's real lastfm action
+// log. The log's cascades run on the dataset's planted graph, so what the
+// learner recovers can be checked against the planted probabilities.
 type ActionLogConfig struct {
 	Items         int // number of distinct items propagated
 	SeedsPerItem  int // how many initial adopters each item starts from

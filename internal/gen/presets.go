@@ -55,8 +55,8 @@ const (
 var Presets = []Preset{PresetLastfm, PresetDBLP, PresetTweet}
 
 // Build generates the named dataset at the given scale (1 = the paper's
-// full size; the experiment defaults shrink dblp and tweet to laptop
-// scale, see DESIGN.md §3).
+// full size; the experiment defaults in internal/exp keep lastfm whole
+// and shrink dblp to 1/50 and tweet to 1/200, laptop scale).
 func Build(p Preset, scale float64, seed uint64) (*Dataset, error) {
 	switch p {
 	case PresetLastfm:

@@ -7,7 +7,8 @@
 // social data — power-law influence/degree distributions (used by Lemma 4
 // to bound BAB-P's work) and topic-heterogeneous edge probabilities (which
 // make single-piece baselines collapse). The generators reproduce both;
-// see DESIGN.md §3 for the substitution rationale.
+// those two properties, not the particular users, are what a synthetic
+// substitute has to preserve.
 package gen
 
 import (

@@ -56,7 +56,7 @@
 // carries a deadline (client timeout_ms capped by Config.RequestTimeout)
 // wired through the registry's sampling loops and into the solvers'
 // Stop hook: a solve whose deadline expires mid-search returns its
-// current incumbent and upper bound marked "degraded" rather than
+// current incumbent and residual bound marked "degraded" rather than
 // failing. Panics anywhere in a handler, job runner, or registry
 // growth are contained (panics_total): a panic mid-growth poisons only
 // that entry — its last published snapshot keeps serving and the next
@@ -513,7 +513,7 @@ type SolveRequest struct {
 type SolveResponse struct {
 	Method  string    `json:"method"`
 	Utility float64   `json:"utility"`
-	Upper   float64   `json:"upper,omitempty"`
+	Upper   float64   `json:"upper,omitempty"` // OPT ≤ upper/(1−1/e), or /(1−1/e−ε) for babp
 	Plan    [][]int32 `json:"plan"`
 	Pieces  []string  `json:"pieces"`
 	Theta   int       `json:"theta"`
@@ -539,8 +539,9 @@ type SolveResponse struct {
 	PreparedTheta int `json:"prepared_theta,omitempty"`
 	// Degraded: the request's deadline expired mid-search and the solver
 	// returned early. Utility is still a valid incumbent (the plan was
-	// fully evaluated) and Upper a true residual bound — the answer is
-	// coarser, not wrong.
+	// fully evaluated) and Upper the residual bound over what the search
+	// left open, certifying OPT ≤ upper/(1−1/e), or /(1−1/e−ε) for babp,
+	// as a complete answer does — the answer is coarser, not wrong.
 	Degraded bool `json:"degraded,omitempty"`
 	// RequestID is the server-assigned id of the request that produced
 	// this response (for async solves: of the submission). It keys the

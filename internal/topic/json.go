@@ -223,6 +223,7 @@ func (p *parser) number() (float64, bool) {
 // piece reads one piece object and normalizes its distribution.
 func (p *parser) piece() (Piece, error) {
 	var pc Piece
+	topics := false
 	err := p.object("piece", func(key []byte) error {
 		switch string(key) {
 		case "name":
@@ -230,6 +231,10 @@ func (p *parser) piece() (Piece, error) {
 			pc.Name, err = p.str("piece name")
 			return err
 		case "topics":
+			if topics { // encoding/json would merge the two maps
+				return fmt.Errorf("topic: piece %q gives its topics twice", pc.Name)
+			}
+			topics = true
 			var err error
 			pc.Dist, err = p.vector()
 			return err

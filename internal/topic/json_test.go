@@ -146,8 +146,9 @@ func TestCampaignJSONOutputReadable(t *testing.T) {
 // Bodies the strict decoder refuses, most of which the lenient decoder
 // it replaced accepted: unknown fields at two levels, non-canonical topic
 // keys, one topic given twice (in two spellings, which decoded to one of
-// two distributions depending on map order), a mis-cased field, and
-// mistyped or out-of-range values.
+// two distributions depending on map order), a piece's topics given
+// twice (which it merged), a mis-cased field, and mistyped or
+// out-of-range values.
 var lenientBodies = []string{
 	`{"pieces":[{"name":"p","topics":{"1":1},"typo":5}],"bogus":1}`,
 	`{"pieces":[{"name":"p","topics":{"1":1}}],"bogus":1}`,
@@ -157,6 +158,7 @@ var lenientBodies = []string{
 	`{"pieces":[{"name":"p","topics":{" 3":1}}]}`,
 	`{"pieces":[{"name":"p","topics":{"3": 0.25, "03": 0.75, "1": 1}}]}`,
 	`{"pieces":[{"name":"p","topics":{"3": 0.25, "3": 0.75}}]}`,
+	`{"pieces":[{"name":"p","topics":{"0":0.0,"1":0.1},"topics":{"10":1}}]}`,
 	`{"pieces":[{"name":"p","topics":{"2147483648": 1}}]}`,
 	`{"pieces":[{"name":"p","topics":{"-0": 1}}]}`,
 	`{"pieces":[{"name":"p","topics":{"1": null}}]}`,
