@@ -48,12 +48,7 @@ func main() {
 		maxTheta  = flag.Int("maxtheta", 2_000_000, "reject requests above this many samples")
 		layouts   = flag.Int("layouts", 128, "piece-layout cache capacity, in layouts: each holds 12 bytes per edge the piece can cross plus 32 per node, and 8 per graph edge plus 24 per node more once /v1/simulate has used it (layout_bytes at /metrics is the total)")
 		instances = flag.Int("instances", 8, "prepared-instance cache capacity")
-		memBudget = flag.Int64("mem-budget", 0, "soft resident-bytes budget for prepared artifacts (0 = ungoverned): over budget, cold grown entries are theta-shrunk to their recently requested theta, then fully cold entries are LRU-evicted")
-		memEpoch  = flag.Int("mem-epoch", 64, "memory-governor recency window, in registry requests")
-		memTick   = flag.Duration("mem-tick", 30*time.Second, "background memory-governor tick interval (negative = request-driven reclaim only)")
-		workers   = flag.Int("workers", 0, "async solve workers (0 = GOMAXPROCS)")
-		queue     = flag.Int("queue", 64, "async job backlog bound")
-		reqTmo    = flag.Duration("request-timeout", 30*time.Second, "server-side deadline per synchronous request; client timeout_ms is capped by it")
+		reqTmo    = flag.Duration("request-timeout", 30*time.Second, "server-side deadline per request; client timeout_ms is capped by it")
 		admitCap  = flag.Int("admit-capacity", 0, "admission semaphore capacity in weight units (solve/simulate=2, estimate=1; 0 = 2x GOMAXPROCS)")
 		admitQ    = flag.Int("admit-queue", 0, "admission wait-queue bound; waiters beyond it are shed with 429 (0 = 4x capacity, negative = no queue)")
 		grace     = flag.Duration("drain-grace", 15*time.Second, "graceful-drain budget on SIGINT/SIGTERM before in-flight work is hard-canceled")
@@ -119,11 +114,6 @@ func main() {
 		MaxTheta:         *maxTheta,
 		LayoutCapacity:   *layouts,
 		InstanceCapacity: *instances,
-		MemBudget:        *memBudget,
-		MemEpoch:         *memEpoch,
-		MemTick:          *memTick,
-		Workers:          *workers,
-		QueueDepth:       *queue,
 		RequestTimeout:   *reqTmo,
 		AdmitCapacity:    *admitCap,
 		AdmitQueue:       *admitQ,
@@ -155,15 +145,14 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), *grace)
 		defer cancel()
 		// Application drain first: flip /readyz, refuse new heavy work,
-		// cancel the async backlog, wait out in-flight solves — then let
-		// the HTTP layer close idle connections and finish the rest.
+		// wait out in-flight requests — then let the HTTP layer close idle
+		// connections and finish the rest.
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("drain: %v", err)
 		}
 		if err := hs.Shutdown(ctx); err != nil {
 			log.Printf("shutdown: %v", err)
 		}
-		srv.Close()
 	}()
 	log.Printf("listening on %s", *addr)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

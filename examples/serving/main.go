@@ -1,7 +1,7 @@
 // Serving walkthrough: run the oipa-serve query service in-process and
-// exercise its whole surface — solve (sync + cached), estimate, forward
-// simulation, async jobs, and the cache metrics that make the
-// prepared-artifact registry observable.
+// exercise its whole surface — solve (fresh + cached), estimate, forward
+// simulation, a deadline-bounded solve, and the cache metrics that make
+// the prepared-artifact registry observable.
 //
 // The same flow works over the network against `cmd/oipa-serve`; this
 // example embeds the server so it runs self-contained:
@@ -17,7 +17,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"time"
 
 	"oipa/internal/gen"
 	"oipa/internal/logistic"
@@ -77,7 +76,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
@@ -114,27 +112,17 @@ func main() {
 	fmt.Printf("estimate: %.2f (MRR, cached instance)  simulate: %.2f (%d MC runs)\n\n",
 		est.Utility, sim.Utility, sim.Runs)
 
-	// 4. A heavier solve as an async job: submit, poll, read the result.
-	bigReq := serve.SolveRequest{Campaign: campaign, Method: "bab", K: 14, Async: true}
-	var accepted struct {
-		Job  string `json:"job"`
-		Poll string `json:"poll"`
-	}
-	if err := call(client, "POST", ts.URL+"/v1/solve", bigReq, &accepted); err != nil {
+	// 4. A heavier solve under a deadline: a steep adoption model (alpha
+	// 6, beta 2) makes bab expand many nodes, and when timeout_ms expires
+	// mid-search the server answers with its incumbent marked degraded;
+	// upper still certifies OPT ≤ upper/(1−1/e).
+	bigReq := serve.SolveRequest{Campaign: campaign, Method: "bab", K: 14, Alpha: 6, Beta: 2, TimeoutMS: 50}
+	var big serve.SolveResponse
+	if err := call(client, "POST", ts.URL+"/v1/solve", bigReq, &big); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("job %s submitted; polling %s\n", accepted.Job, accepted.Poll)
-	var st serve.JobStatus
-	for {
-		if err := call(client, "GET", ts.URL+accepted.Poll, nil, &st); err != nil {
-			log.Fatal(err)
-		}
-		if st.State == serve.JobDone || st.State == serve.JobFailed {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	fmt.Printf("job %s: %s, utility %.2f\n\n", st.ID, st.State, st.Result.Utility)
+	fmt.Printf("bab k=14 (alpha 6, beta 2) within 50 ms: utility %.2f, upper %.2f, degraded=%v (%d nodes)\n\n",
+		big.Utility, big.Upper, big.Degraded, big.Stats.Nodes)
 
 	// 5. The registry's bookkeeping: one Prepare despite four queries
 	// over the campaign, layouts shared across them all.

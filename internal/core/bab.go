@@ -40,7 +40,7 @@ type BABOptions struct {
 	// when MaxNodes is hit. It is checked once per node expansion, so a
 	// solve already inside a bound computation finishes that computation
 	// first. This is the reentrant cancellation hook the query service
-	// wires to HTTP request contexts and job cancellation.
+	// wires to HTTP request deadlines.
 	Stop <-chan struct{}
 
 	// Workers, RawGap and FillAfterFloor are ignored. The search is

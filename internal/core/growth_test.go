@@ -164,50 +164,3 @@ func TestMultiStepGrowthMatchesFreshPrepares(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestInstanceShrinkToMatchesFreshPrepare pins the shrink contract at
-// the instance level: a shrunk instance solves bit-identically to a
-// fresh θ-sized preparation, owns less memory than its source, and can
-// regrow to solve bit-identically at the source's θ again.
-func TestInstanceShrinkToMatchesFreshPrepare(t *testing.T) {
-	prob := randomProblem(t, 33, 50, 300, 12, 2, 3)
-	big, err := Prepare(context.Background(), prob, 1200, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shrunk, err := big.ShrinkTo(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shrunk.Theta() != 300 {
-		t.Fatalf("shrunk theta %d, want 300", shrunk.Theta())
-	}
-	if shrunk.MemUsage() >= big.MemUsage() {
-		t.Fatalf("shrink did not reduce MemUsage: %d -> %d", big.MemUsage(), shrunk.MemUsage())
-	}
-	if shrunk.SampleTime != 0 {
-		t.Fatalf("shrink reported sampling time %v", shrunk.SampleTime)
-	}
-	fresh, err := Prepare(context.Background(), prob, 300, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solversAgree(t, "shrunk-vs-fresh", shrunk, fresh)
-
-	// The source is untouched, and the shrunk instance regrows the exact
-	// samples it shed.
-	if big.Theta() != 1200 {
-		t.Fatalf("source theta drifted to %d", big.Theta())
-	}
-	regrown, err := shrunk.ExtendTo(context.Background(), 1200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solversAgree(t, "regrown-vs-source", regrown, big)
-
-	for _, theta := range []int{0, -1, 1201} {
-		if _, err := big.ShrinkTo(theta); err == nil {
-			t.Fatalf("ShrinkTo(%d) accepted", theta)
-		}
-	}
-}

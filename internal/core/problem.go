@@ -185,16 +185,14 @@ type Instance struct {
 
 	// SampleTime is how long MRR sampling took for THIS instance: the
 	// full sampling pass for a Prepare'd instance, only the growth step's
-	// delta for an ExtendTo result, zero for a ShrinkTo one (no sampling
-	// runs). The paper reports sampling separately (Table III) and
-	// excludes it from solver comparisons.
+	// delta for an ExtendTo result. The paper reports sampling separately
+	// (Table III) and excludes it from solver comparisons.
 	SampleTime time.Duration
 
 	// IndexTime is how long inverted-index work took for THIS instance:
 	// the full BuildIndex for a Prepare'd instance, only the O(Δθ)
-	// ExtendFrom delta for an ExtendTo result, the compaction + exact-fit
-	// rebuild for a ShrinkTo one. The serve layer exports it as the
-	// index_extend_ns metric.
+	// ExtendFrom delta for an ExtendTo result. The serve layer exports it
+	// as the index_extend_ns metric.
 	IndexTime time.Duration
 }
 
@@ -375,44 +373,11 @@ func (in *Instance) ExtendTo(ctx context.Context, theta int) (*Instance, error) 
 	return &out, nil
 }
 
-// ShrinkTo re-materializes the first theta samples as an instance with
-// owned, compact storage: the MRR samples are copied into a single
-// exact-fit shard (seed and layouts retained, so a later ExtendTo
-// regrows the identical samples) and the index is rebuilt tight over
-// them. Solver results are bit-identical to an instance freshly prepared
-// at theta with the same seed. Unlike Prefix — an O(1) view that keeps
-// the full collection reachable — ShrinkTo is an O(θ-prefix) copy after
-// which the receiver's (larger) storage can actually be released; the
-// serve registry's memory governor uses it to decay cold grown entries.
-// The receiver is untouched. theta must lie in [1, Theta()]; SampleTime
-// is zero (no sampling runs) and IndexTime covers the compaction and
-// rebuild.
-func (in *Instance) ShrinkTo(theta int) (*Instance, error) {
-	if theta <= 0 || theta > in.Theta() {
-		return nil, fmt.Errorf("core: shrink theta %d outside [1, %d]", theta, in.Theta())
-	}
-	start := time.Now()
-	mrr, err := in.MRR.ShrinkTo(theta)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := mrr.BuildIndex(in.Problem.Pool)
-	if err != nil {
-		return nil, err
-	}
-	out := *in
-	out.MRR = mrr
-	out.Index = ix
-	out.SampleTime = 0
-	out.IndexTime = time.Since(start)
-	return &out, nil
-}
-
 // MemUsage approximates the instance's owned resident bytes: the MRR
 // sample storage plus the inverted index. Piece layouts are excluded —
 // they are shared through the layout cache and outlive any one instance
-// — as is the (tiny) bound table. The serve registry budgets artifact
-// residency against this figure.
+// — as is the (tiny) bound table. The serve registry accounts artifact
+// residency (resident_bytes) at this figure.
 func (in *Instance) MemUsage() int64 {
 	return in.MRR.MemUsage() + in.Index.MemUsage()
 }

@@ -48,7 +48,8 @@ func declaredNames(t *testing.T) map[string]bool {
 // pins one search: no parallel search, no sketch-steered evaluation, and
 // one configuration — no bound mode, no progressive switch, no second
 // default, no brute-force solver, no plan algebra and no
-// structural dominating-set baseline.
+// structural dominating-set baseline. An instance only grows or is
+// viewed as a prefix: there is no shrink.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	for name := range names {
@@ -67,7 +68,7 @@ func TestExportedSurface(t *testing.T) {
 		"BoundMode", "BoundHull", "BoundTangent", "BoundTangentUncapped", "TangentAt",
 		"RefineGradient", "AdoptionRaw", "NewBoundTableMode", "WithBoundMode", "SolveBrute",
 		"Progressive", "DefaultBABPOptions", "Union", "Contains", "Clone", "Has",
-		"SolveMDS"} {
+		"SolveMDS", "ShrinkTo"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}

@@ -53,8 +53,8 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
-// A trace handed across goroutines (the async job path) keeps its root
-// trace ID and collects spans opened on the far side.
+// A trace handed across goroutines keeps its root trace ID and collects
+// spans opened on the far side.
 func TestTraceCrossGoroutine(t *testing.T) {
 	ctx, tr := NewTrace(context.Background(), "req-async", "job")
 	done := make(chan struct{})

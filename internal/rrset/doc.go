@@ -98,21 +98,18 @@
 // (sketch.go) are an approximate estimator that no serving path reads;
 // only the benchmark's layer rows still time them.
 //
-// # Artifact lifecycle: grow, shrink
+// # Artifact lifecycle: grow, prefix
 //
-// Collections and their indexes grow incrementally and shed memory
-// incrementally. ExtendTo appends samples [oldθ, newθ) into the existing
-// shards, and Index.ExtendFrom appends only those samples to each
-// inverted list — sample ids are strictly ascending, so a growth step's
-// index work is O(Δθ · avg-set-size), not a full O(θ) rebuild (the
-// pre-delta engine rebuilt the exact-fit CSR on every growth step).
-// ShrinkTo runs the other direction: it re-materializes a θ-prefix as an
-// owned, compact collection (single exact-fit shard, seed and layouts
-// retained so it can regrow the identical samples), which is what lets a
-// long-running service bound the memory a grown artifact pins. MemUsage
-// on collections, views and indexes reports the resident bytes these
-// transitions move, and the serve-layer memory governor steers shrinks
-// and evictions by it.
+// Collections and their indexes only grow. ExtendTo appends samples
+// [oldθ, newθ) into the existing shards, and Index.ExtendFrom appends
+// only those samples to each inverted list — sample ids are strictly
+// ascending, so a growth step's index work is O(Δθ · avg-set-size), not
+// a full O(θ) rebuild (the pre-delta engine rebuilt the exact-fit CSR on
+// every growth step). Prefix serves any smaller θ as an O(1) view over
+// the grown storage. MemUsage on collections, views and indexes reports
+// the resident bytes a grown artifact pins; the serve registry exports
+// their sum as resident_bytes and releases an artifact only by LRU
+// eviction.
 //
 // # Determinism contract
 //

@@ -348,17 +348,15 @@ func (ix *Index) Transpose() *Transpose {
 // MemUsage approximates the index's resident bytes: the inverted lists
 // (capacity, not length), the pool translation arrays, the list headers,
 // any attached sketches, and the transpose once Transpose has built it.
-// It is the serve-layer memory governor's accounting unit. The figure is
-// a lower bound after growth — slots that outgrew the original build
+// It is the serve registry's resident_bytes accounting unit. The figure
+// is a lower bound after growth — slots that outgrew the original build
 // arena leave holes in it that are still reachable — and exact for
-// freshly built (or shrink-rematerialized) indexes, whose slots are
-// carved tight.
+// freshly built indexes, whose slots are carved tight.
 //
 // A Prefix derivative owns nothing: lists, pool arrays, sketches and the
 // transpose all alias its parent's storage. It reports 0 so an artifact
 // lineage holding both the full index and a served prefix is not
-// double-counted in the registry's resident gauge (which used to inflate
-// resident_bytes and trigger spurious governor shrinks).
+// double-counted in the registry's resident gauge.
 func (ix *Index) MemUsage() int64 {
 	if ix.shared {
 		return 0

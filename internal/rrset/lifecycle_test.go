@@ -128,8 +128,8 @@ func TestIndexExtendFromRefusals(t *testing.T) {
 	}
 	// A collection behind the index's θ is a contract violation, not a
 	// silent no-op.
-	small, err := m.ShrinkTo(100)
-	if err != nil {
+	small := newMRRCollection(m.sub, m.l, m.seed)
+	if err := small.ExtendTo(100); err != nil {
 		t.Fatal(err)
 	}
 	big, err := m.BuildIndex([]int32{1, 2, 3})
@@ -141,112 +141,15 @@ func TestIndexExtendFromRefusals(t *testing.T) {
 	}
 }
 
-// TestShrinkToBitIdentical pins the shrink contract: a shrunk collection
-// is bit-identical to one freshly sampled at θ — sets, roots, estimates,
-// index — and regrowing it reproduces the exact samples it shed.
-func TestShrinkToBitIdentical(t *testing.T) {
-	const small, large = 250, 900
-	big, fresh := mrrPair(t, 31, small, large)
-	shrunk, err := big.ShrinkTo(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shrunk.Theta() != small {
-		t.Fatalf("shrunk theta %d, want %d", shrunk.Theta(), small)
-	}
-	if shrunk.Shards() != 1 {
-		t.Fatalf("shrunk collection has %d shards, want 1 compact shard", shrunk.Shards())
-	}
-	for i := 0; i < small; i++ {
-		if shrunk.Root(i) != fresh.Root(i) {
-			t.Fatalf("sample %d: roots %d vs %d", i, shrunk.Root(i), fresh.Root(i))
-		}
-		for j := 0; j < shrunk.L(); j++ {
-			a, b := shrunk.Set(i, j), fresh.Set(i, j)
-			if len(a) != len(b) {
-				t.Fatalf("sample %d piece %d: sizes %d vs %d", i, j, len(a), len(b))
-			}
-			for x := range a {
-				if a[x] != b[x] {
-					t.Fatalf("sample %d piece %d differs", i, j)
-				}
-			}
-		}
-	}
-	plan := [][]int32{{0, 3, 17}, {5, 9}}
-	got, err := shrunk.EstimateAUScan(plan, paperModel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.EstimateAUScan(plan, paperModel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("shrunk scan %v != fresh scan %v", got, want)
-	}
-	// The shrunk collection indexes and regrows bit-identically.
-	pool := []int32{1, 4, 9, 16, 25}
-	six, err := shrunk.BuildIndex(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fix, err := fresh.BuildIndex(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexesEqual(t, "shrunk-vs-fresh", six, fix)
-	if err := shrunk.ExtendTo(large); err != nil {
-		t.Fatal(err)
-	}
-	for _, i := range []int{0, small - 1, small, large - 1} {
-		for j := 0; j < big.L(); j++ {
-			a, b := shrunk.Set(i, j), big.Set(i, j)
-			if len(a) != len(b) {
-				t.Fatalf("regrown sample %d piece %d: sizes %d vs %d", i, j, len(a), len(b))
-			}
-			for x := range a {
-				if a[x] != b[x] {
-					t.Fatalf("regrown sample %d piece %d differs", i, j)
-				}
-			}
-		}
-	}
-	// The source collection is untouched.
-	if big.Theta() != large {
-		t.Fatalf("source theta drifted to %d", big.Theta())
-	}
-	for _, theta := range []int{0, -1, large + 1} {
-		if _, err := big.ShrinkTo(theta); err == nil {
-			t.Fatalf("ShrinkTo(%d) accepted", theta)
-		}
-	}
-}
-
-// TestShrinkReleasesMemory: MemUsage must drop across a shrink and be
-// consistent between a shrunk collection and a freshly sampled one —
-// the accounting the serve-layer governor budgets with.
-func TestShrinkReleasesMemory(t *testing.T) {
+// TestIndexMemUsageTracksGrowth: collection and index MemUsage — the
+// serve registry's resident_bytes accounting — stay positive and grow
+// with the samples.
+func TestIndexMemUsageTracksGrowth(t *testing.T) {
 	const small, large = 200, 2000
 	big, fresh := mrrPair(t, 41, small, large)
-	shrunk, err := big.ShrinkTo(small)
-	if err != nil {
-		t.Fatal(err)
+	if bb, fb := big.MemUsage(), fresh.MemUsage(); fb <= 0 || bb <= fb {
+		t.Fatalf("collection MemUsage: θ=%d %d, θ=%d %d", small, fb, large, bb)
 	}
-	bb, sb, fb := big.MemUsage(), shrunk.MemUsage(), fresh.MemUsage()
-	if sb >= bb {
-		t.Fatalf("shrink did not reduce bytes: %d -> %d", bb, sb)
-	}
-	// The compact copy must not exceed the freshly sampled layout (it
-	// has one shard, exact arenas).
-	if sb > fb {
-		t.Fatalf("shrunk bytes %d exceed fresh bytes %d", sb, fb)
-	}
-	if sb <= 0 || bb <= 0 {
-		t.Fatalf("non-positive MemUsage: big=%d shrunk=%d", bb, sb)
-	}
-	// Index accounting: exact-fit build equals its total list footprint;
-	// growth keeps it positive and monotone.
 	pool := []int32{0, 2, 4, 6, 8, 10}
 	ix, err := big.BuildIndex(pool)
 	if err != nil {

@@ -390,7 +390,7 @@ func newMRRCollection(sub *substrate, l int, seed uint64) *MRRCollection {
 // multiplex. Sample i derives its RNG and universe root from (seed, i)
 // the same way over both, and the collection stores universe node ids,
 // so every downstream consumer — Index, sketches, estimators,
-// Prefix/ExtendTo/ShrinkTo — is substrate-agnostic; for a single
+// Prefix/ExtendTo — is substrate-agnostic; for a single
 // identity-mapped layer the samples are bit-identical to the collection
 // over that layer's graph (pinned by the multiplex golden tests).
 func NewMRRCollection(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.PieceLayout, seed uint64) (*MRRCollection, error) {
@@ -545,29 +545,6 @@ func (m *MRRCollection) ExtendToCtx(ctx context.Context, theta int) error {
 		start = end
 	}
 	return nil
-}
-
-// ShrinkTo re-materializes the first theta samples as a NEW collection
-// with owned, compact storage: sets are copied into a single exact-fit
-// shard, so dropping the receiver actually releases the tail samples and
-// every byte of append slack — the memory-reclaim half of the serve
-// registry's artifact lifecycle (grow → shrink → evict). The receiver is
-// untouched, and views over it stay valid.
-//
-// Because sample i is deterministic in (graph, layouts, seed), the
-// shrunk collection is bit-identical to one freshly sampled to theta —
-// and it keeps the seed and substrate, so a later ExtendTo regrows the
-// exact samples that were shed. theta must lie in [1, Theta()]; passing
-// Theta() still compacts.
-func (m *MRRCollection) ShrinkTo(theta int) (*MRRCollection, error) {
-	if theta <= 0 || theta > m.Theta() {
-		return nil, fmt.Errorf("rrset: shrink theta %d outside [1, %d]", theta, m.Theta())
-	}
-	out := newMRRCollection(m.sub, m.l, m.seed)
-	out.st = m.st.compactPrefix(theta)
-	out.roots = append([]int32(nil), m.roots[:theta]...)
-	out.rootsPinned = m.rootsPinned
-	return out, nil
 }
 
 // sampleRange samples the sets of roots [start, theta), which must

@@ -199,7 +199,7 @@ func (sk *sketchSet) compactSlot(slot int) {
 }
 
 // memUsage approximates the sketch's resident bytes (capacity, not
-// length), the governor's accounting unit for sketch storage.
+// length), its share of Index.MemUsage.
 func (sk *sketchSet) memUsage() int64 {
 	b := int64(cap(sk.tau))*8 + int64(cap(sk.hs))*24 + int64(cap(sk.ids))*24
 	for _, h := range sk.hs {

@@ -151,33 +151,6 @@ func (st *store) set(s int64) []int32 {
 	return sh.nodes[start:sh.offsets[o]]
 }
 
-// compactPrefix returns a store holding the first numSamples samples of
-// st (numSamples·setsPerSample sets, in deterministic order), re-packed
-// into a single shard with exact-fit arenas. It is the storage half of
-// ShrinkTo — the copy owns its memory, so dropping the source store
-// actually releases the tail samples (and any slack capacity the
-// append-only shards accumulated). The shard holds every set in the
-// order of a single serial worker, so the directory is one run whose
-// blocks lie back-to-back in shard 0.
-func (st *store) compactPrefix(numSamples int) store {
-	numSets := int64(numSamples) * int64(st.setsPerSample)
-	total := int64(0)
-	for s := int64(0); s < numSets; s++ {
-		total += int64(len(st.set(s)))
-	}
-	sh := shard{nodes: make([]int32, 0, total), offsets: make([]int64, 0, numSets)}
-	for s := int64(0); s < numSets; s++ {
-		sh.nodes = append(sh.nodes, st.set(s)...)
-		sh.closeSet()
-	}
-	spb := int64(sampleBlockSize * st.setsPerSample)
-	blocks := make([]blockLoc, (numSets+spb-1)/spb)
-	for b := range blocks {
-		blocks[b] = blockLoc{shard: 0, off: int64(b) * spb}
-	}
-	return store{shards: []shard{sh}, blocks: blocks, runs: []run{{}}, setsPerSample: st.setsPerSample, numSets: numSets}
-}
-
 // memUsage returns the store's resident bytes: shard arenas (capacity,
 // not length — append-only growth retains its slack) and the block/run
 // directory.

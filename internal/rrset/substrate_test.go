@@ -105,7 +105,8 @@ func declaredNames(t *testing.T) map[string]bool {
 // TestExportedSurface pins the constructor surface: one collection type
 // with one substrate-generic constructor plus thin wrappers, no *Ctx
 // twins, no fused-count API, and no file format (every substrate comes
-// from newSubstrate).
+// from newSubstrate). A collection only grows: there is no shrink and
+// no compacting copy.
 func TestExportedSurface(t *testing.T) {
 	want := map[string]bool{"NewMRRCollection": true,
 		"SampleMRR": true, "SampleMRRLayouts": true, "SampleMRRMultiplexLayouts": true, "SampleMRRWithRoots": true}
@@ -126,7 +127,8 @@ func TestExportedSurface(t *testing.T) {
 	}
 	for _, gone := range []string{"DropSampleCounts", "counted", "shardsAfter",
 		"Write", "Save", "ReadMRR", "LoadMRR", "packedStore",
-		"type Collection", "type View", "Coverage", "EstimateSpread"} {
+		"type Collection", "type View", "Coverage", "EstimateSpread",
+		"ShrinkTo", "compactPrefix"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}

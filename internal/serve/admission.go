@@ -21,7 +21,7 @@ var errDraining = errors.New("serve: draining")
 // Endpoint-class weights against the shared admission semaphore. Solve
 // and simulate both burn a core for their full duration (BAB search,
 // Monte-Carlo cascades); an estimate is a single σ̂ scan, markedly
-// cheaper. Cheap reads (healthz, readyz, metrics, job polls) are not
+// cheaper. Cheap reads (healthz, readyz, metrics) are not
 // admitted at all.
 const (
 	weightSolve    = 2
@@ -150,15 +150,6 @@ func (d *drainGroup) leave() {
 		close(d.idle)
 		d.idle = nil
 	}
-	d.mu.Unlock()
-}
-
-// beginDrain flips the group into draining mode — all future enters
-// fail, readiness probes report draining — without waiting for the
-// in-flight work. drain() picks up the wait later.
-func (d *drainGroup) beginDrain() {
-	d.mu.Lock()
-	d.draining = true
 	d.mu.Unlock()
 }
 

@@ -17,7 +17,6 @@ type metrics struct {
 	solveRequests    atomic.Int64
 	estimateRequests atomic.Int64
 	simulateRequests atomic.Int64
-	jobRequests      atomic.Int64
 	requestErrors    atomic.Int64
 
 	inflightSolves atomic.Int64 // gauge: solves currently executing
@@ -27,32 +26,24 @@ type metrics struct {
 	inflightEstimates atomic.Int64 // gauge: estimate scans currently executing
 	inflightSimulates atomic.Int64 // gauge: forward simulations currently executing
 	shedTotal         atomic.Int64 // requests rejected by overload protection (429/503 + Retry-After)
-	panicsTotal       atomic.Int64 // panics contained by handler/job/registry recovery
+	panicsTotal       atomic.Int64 // panics contained by handler/registry recovery
 	degradedSolves    atomic.Int64 // deadline-expired solves answered with their incumbent
 	slowRequests      atomic.Int64 // requests past the slow-request log threshold
 	tracedRequests    atomic.Int64 // requests that carried a span tree (debug or sampled)
 
-	prepares           atomic.Int64 // core.Prepare invocations
-	extends            atomic.Int64 // growth steps: delta sampling + Index.ExtendFrom
-	indexExtendNS      atomic.Int64 // cumulative ns spent in per-step index work (IndexTime)
-	shrinks            atomic.Int64 // governor θ-shrinks (Instance.ShrinkTo republishes)
-	reclaimsBackground atomic.Int64 // governor passes started by the timer tick, not a request
-	reprepares         atomic.Int64 // poisoned entries rebuilt after a contained mid-growth panic
-	instanceHits       atomic.Int64 // exact-θ snapshot served
-	prefixHits         atomic.Int64 // θ-prefix of a larger snapshot served
-	instanceMisses     atomic.Int64
-	singleflightWaits  atomic.Int64 // requests that waited on another's Prepare
-	instanceEvictions  atomic.Int64 // LRU (capacity) + governor (bytes) evictions
+	prepares          atomic.Int64 // core.Prepare invocations
+	extends           atomic.Int64 // growth steps: delta sampling + Index.ExtendFrom
+	indexExtendNS     atomic.Int64 // cumulative ns spent in per-step index work (IndexTime)
+	reprepares        atomic.Int64 // poisoned entries rebuilt after a contained mid-growth panic
+	instanceHits      atomic.Int64 // exact-θ snapshot served
+	prefixHits        atomic.Int64 // θ-prefix of a larger snapshot served
+	instanceMisses    atomic.Int64
+	singleflightWaits atomic.Int64 // requests that waited on another's Prepare
+	instanceEvictions atomic.Int64 // LRU capacity evictions
 
-	jobsSubmitted atomic.Int64
-	jobsDone      atomic.Int64
-	jobsFailed    atomic.Int64
-	jobsCanceled  atomic.Int64
-	jobsRejected  atomic.Int64 // queue full
-
-	// Solver-work aggregates, summed over every completed solve (sync
-	// and async) so /metrics shows where branch-and-bound effort goes
-	// fleet-wide, not just per response.
+	// Solver-work aggregates, summed over every completed solve so
+	// /metrics shows where branch-and-bound effort goes fleet-wide, not
+	// just per response.
 	solverNodes      atomic.Int64
 	solverBoundEvals atomic.Int64
 	solverTauEvals   atomic.Int64
@@ -70,7 +61,6 @@ type metrics struct {
 	phasePrepare obs.Histogram // full preparation (sampling + index build)
 	phaseExtend  obs.Histogram // growth step (delta sampling + index delta)
 	phaseIndex   obs.Histogram // index work alone (build on prepare, delta on extend)
-	phaseShrink  obs.Histogram // governor re-materializations
 }
 
 // latency returns the request-latency histogram for an endpoint class
@@ -146,7 +136,6 @@ type MetricsSnapshot struct {
 		Solve    int64 `json:"solve"`
 		Estimate int64 `json:"estimate"`
 		Simulate int64 `json:"simulate"`
-		Jobs     int64 `json:"jobs"`
 		Errors   int64 `json:"errors"`
 	} `json:"requests"`
 	Solves struct {
@@ -190,45 +179,32 @@ type MetricsSnapshot struct {
 		TauEvals   int64 `json:"tau_evals"`
 	} `json:"solver"`
 	Registry struct {
-		Prepares           int64 `json:"prepares"`
-		Extends            int64 `json:"extends"`
-		IndexExtendNS      int64 `json:"index_extend_ns"`
-		Shrinks            int64 `json:"shrinks"`
-		ReclaimsBackground int64 `json:"reclaims_background"`
-		Reprepares         int64 `json:"reprepares"`
-		ResidentBytes      int64 `json:"resident_bytes"` // gauge: accounted artifact bytes
-		MemBudget          int64 `json:"mem_budget"`     // configured budget (0 = ungoverned)
-		InstanceHits       int64 `json:"instance_hits"`
-		PrefixHits         int64 `json:"prefix_hits"`
-		InstanceMisses     int64 `json:"instance_misses"`
-		SingleflightWaits  int64 `json:"singleflight_waits"`
-		InstanceEvictions  int64 `json:"instance_evictions"`
-		Instances          int   `json:"instances"`
-		LayoutHits         int64 `json:"layout_hits"`
-		LayoutMisses       int64 `json:"layout_misses"`
-		Layouts            int   `json:"layouts"`
+		Prepares          int64 `json:"prepares"`
+		Extends           int64 `json:"extends"`
+		IndexExtendNS     int64 `json:"index_extend_ns"`
+		Reprepares        int64 `json:"reprepares"`
+		ResidentBytes     int64 `json:"resident_bytes"` // gauge: accounted artifact bytes
+		InstanceHits      int64 `json:"instance_hits"`
+		PrefixHits        int64 `json:"prefix_hits"`
+		InstanceMisses    int64 `json:"instance_misses"`
+		SingleflightWaits int64 `json:"singleflight_waits"`
+		InstanceEvictions int64 `json:"instance_evictions"`
+		Instances         int   `json:"instances"`
+		LayoutHits        int64 `json:"layout_hits"`
+		LayoutMisses      int64 `json:"layout_misses"`
+		Layouts           int   `json:"layouts"`
 		// LayoutBytes is what the cached layouts hold (pruned reverse
 		// arrays, plus forward arrays once a simulation built them);
 		// it sits outside ResidentBytes.
 		LayoutBytes int64 `json:"layout_bytes"`
 		// Phase is the registry's artifact-lifecycle timing: full
-		// preparations, growth steps, the index share of both, and
-		// governor shrinks.
+		// preparations, growth steps and the index share of both.
 		Phase struct {
 			Prepare HistogramStats `json:"prepare"`
 			Extend  HistogramStats `json:"extend"`
 			Index   HistogramStats `json:"index"`
-			Shrink  HistogramStats `json:"shrink"`
 		} `json:"phase"`
 	} `json:"registry"`
-	Jobs struct {
-		Submitted int64 `json:"submitted"`
-		Done      int64 `json:"done"`
-		Failed    int64 `json:"failed"`
-		Canceled  int64 `json:"canceled"`
-		Rejected  int64 `json:"rejected"`
-		Queued    int   `json:"queued"`
-	} `json:"jobs"`
 	// Runtime is the Go runtime's health block (heap, GC, goroutines),
 	// read per scrape.
 	Runtime obs.RuntimeStats `json:"runtime"`
@@ -239,7 +215,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Requests.Solve = m.solveRequests.Load()
 	s.Requests.Estimate = m.estimateRequests.Load()
 	s.Requests.Simulate = m.simulateRequests.Load()
-	s.Requests.Jobs = m.jobRequests.Load()
 	s.Requests.Errors = m.requestErrors.Load()
 	// One load serves both views of the solve gauge — they must agree
 	// within a snapshot.
@@ -265,8 +240,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Registry.Prepares = m.prepares.Load()
 	s.Registry.Extends = m.extends.Load()
 	s.Registry.IndexExtendNS = m.indexExtendNS.Load()
-	s.Registry.Shrinks = m.shrinks.Load()
-	s.Registry.ReclaimsBackground = m.reclaimsBackground.Load()
 	s.Registry.Reprepares = m.reprepares.Load()
 	s.Registry.InstanceHits = m.instanceHits.Load()
 	s.Registry.PrefixHits = m.prefixHits.Load()
@@ -276,11 +249,5 @@ func (m *metrics) snapshot() MetricsSnapshot {
 	s.Registry.Phase.Prepare = histStats(&m.phasePrepare)
 	s.Registry.Phase.Extend = histStats(&m.phaseExtend)
 	s.Registry.Phase.Index = histStats(&m.phaseIndex)
-	s.Registry.Phase.Shrink = histStats(&m.phaseShrink)
-	s.Jobs.Submitted = m.jobsSubmitted.Load()
-	s.Jobs.Done = m.jobsDone.Load()
-	s.Jobs.Failed = m.jobsFailed.Load()
-	s.Jobs.Canceled = m.jobsCanceled.Load()
-	s.Jobs.Rejected = m.jobsRejected.Load()
 	return s
 }

@@ -271,9 +271,8 @@ func TestMultiplexLayerValidation(t *testing.T) {
 		t.Fatalf("layers=[0] on a single-graph server: %d %s", code, body)
 	}
 
-	// Instance rejects out-of-range sets directly too (the async
-	// submission path validates before enqueueing; this pins the registry
-	// check those submissions rely on).
+	// Instance rejects out-of-range sets directly too (normalizeSolve
+	// validates before the registry; this pins the registry's own check).
 	if _, _, err := single.Registry().Instance(context.Background(), testCampaign(0), 300, 1, 1); err == nil {
 		t.Fatal("registry accepted a layer beyond the configuration")
 	}

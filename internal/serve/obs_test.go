@@ -15,25 +15,6 @@ import (
 	"oipa/internal/obs"
 )
 
-// waitJob polls a job until it reaches a terminal state.
-func waitJob(t *testing.T, ts *httptest.Server, id string) JobStatus {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		var st JobStatus
-		if code := getJSON(t, ts, "/v1/jobs/"+id, &st); code != http.StatusOK {
-			t.Fatalf("job poll status %d", code)
-		}
-		switch st.State {
-		case JobDone, JobFailed, JobCanceled:
-			return st
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("job did not finish")
-	return JobStatus{}
-}
-
 // A ?debug=trace solve must return its span tree inline: root named
 // after the endpoint, with the admission wait, the registry work (a
 // "prepare" child on the miss), and the solver dispatch as children —
@@ -118,45 +99,6 @@ func TestEstimateDebugTrace(t *testing.T) {
 	}
 	if resp.Trace.Find("registry") == nil {
 		t.Fatalf("traced estimate missing registry span: %s", raw)
-	}
-}
-
-// An async submission with ?debug=trace must keep the submitting
-// request's id as the job's trace root: the job result carries both the
-// request id and a span tree under that SAME trace id.
-func TestAsyncJobKeepsRootTraceID(t *testing.T) {
-	s := testServer(t, nil)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	var accepted struct {
-		Job       string `json:"job"`
-		RequestID string `json:"request_id"`
-	}
-	code, raw := postJSON(t, ts, "/v1/solve?debug=trace", SolveRequest{
-		Campaign: testCampaign(1), K: 2, Theta: 200, Async: true,
-	}, &accepted)
-	if code != http.StatusAccepted {
-		t.Fatalf("async submit status %d: %s", code, raw)
-	}
-	if accepted.RequestID == "" {
-		t.Fatal("202 response missing request_id")
-	}
-	st := waitJob(t, ts, accepted.Job)
-	if st.State != JobDone {
-		t.Fatalf("job state %q (err %q)", st.State, st.Error)
-	}
-	if st.Result.RequestID != accepted.RequestID {
-		t.Fatalf("job result request id %q != submission id %q", st.Result.RequestID, accepted.RequestID)
-	}
-	if st.Result.Trace == nil {
-		t.Fatal("traced async job has no span tree in its result")
-	}
-	if st.Result.Trace.TraceID != accepted.RequestID {
-		t.Fatalf("async trace id %q != submission request id %q", st.Result.Trace.TraceID, accepted.RequestID)
-	}
-	if st.Result.Trace.Find("solve.babp") == nil {
-		t.Fatal("async trace missing solver span")
 	}
 }
 

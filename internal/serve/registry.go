@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -146,28 +145,21 @@ func (a *Artifact) putEstimator(e *rrset.AUEstimator) { a.ests.Put(e) }
 // entry is one θ-monotone registry slot. The initial preparation runs
 // once (ready/err, singleflight); afterwards art always holds the
 // current snapshot, grown by delta sampling + Index.ExtendFrom (O(Δθ),
-// never a full re-index) and — under memory pressure — θ-shrunk back to
-// its recently requested sizes by the governor. grow is a one-slot
-// semaphore serializing every artifact transition (ExtendTo, ShrinkTo),
-// so concurrent larger-θ requests run one sampling pass per growth step,
-// never a duplicate — a channel rather than a mutex so requests canceled
-// while queued behind a multi-second growth return ctx.Err immediately
-// instead of pinning a goroutine for the growth's duration, and so the
-// governor can skip busy entries without blocking. Readers never take
-// it.
+// never a full re-index). grow is a one-slot semaphore serializing
+// growth, so concurrent larger-θ requests run one sampling pass per
+// growth step, never a duplicate — a channel rather than a mutex so
+// requests canceled while queued behind a multi-second growth return
+// ctx.Err immediately instead of pinning a goroutine for the growth's
+// duration. Readers never take it.
 //
-// bytes is the current artifact's MemUsage and curMax/prevMax the
-// largest θ requested in the current and previous recency epochs — the
-// governor's accounting and shrink targets. All three are guarded by the
-// registry mutex.
+// bytes is the current artifact's MemUsage (the resident_bytes
+// accounting), guarded by the registry mutex.
 type entry struct {
 	key     instanceKey
 	ready   chan struct{} // closed once art/err are set
 	err     error
 	lastUse int64
-
-	bytes           int64 // resident bytes of the current artifact
-	curMax, prevMax int   // largest θ requested this / previous epoch
+	bytes   int64 // resident bytes of the current artifact
 
 	grow chan struct{}
 	art  atomic.Pointer[Artifact]
@@ -177,13 +169,12 @@ type entry struct {
 	// the entry's unpublished growth state — a collection possibly
 	// abandoned mid-sample — must never be grown from again. The next
 	// request that needs a larger θ rebuilds the entry from scratch
-	// under the grow lock (reprepareEntry), and the governor's shrink
-	// pass skips it.
+	// under the grow lock (reprepareEntry).
 	poisoned atomic.Bool
 }
 
-func newEntry(key instanceKey, lastUse int64, theta int) *entry {
-	return &entry{key: key, ready: make(chan struct{}), grow: make(chan struct{}, 1), lastUse: lastUse, curMax: theta}
+func newEntry(key instanceKey, lastUse int64) *entry {
+	return &entry{key: key, ready: make(chan struct{}), grow: make(chan struct{}, 1), lastUse: lastUse}
 }
 
 // Registry is the prepared-artifact cache at the heart of the service:
@@ -196,23 +187,10 @@ func newEntry(key instanceKey, lastUse int64, theta int) *entry {
 // entry's growth lock and grow the shared collection incrementally
 // (delta sampling plus an O(Δθ) Index.ExtendFrom — never a full
 // re-index), while smaller-θ requests are served immediately from a
-// prefix of the current snapshot.
-//
-// # Memory governor
-//
-// With a positive budget the registry also governs the bytes its
-// artifacts pin: every published artifact is accounted at its
-// core.Instance.MemUsage (resident_bytes in the metrics), and whenever
-// the total exceeds the budget a reclaim pass runs the pressure policy —
-// first θ-shrink cold grown entries back to the largest θ anything
-// recently requested of them (Instance.ShrinkTo: the tail samples and
-// index slack are actually released once old snapshots drain), then
-// LRU-evict entries that have gone entirely cold. "Recent" is measured
-// in request-clock epochs of epochWindow ticks: an entry's shrink target
-// is the largest θ requested in the current or previous epoch, and only
-// entries untouched for a full window are eviction candidates. The
-// budget is a soft target: a single hot artifact larger than the budget
-// stays resident (shrinking it under its own live demand would thrash).
+// prefix of the current snapshot. An artifact only ever grows, is served
+// as a prefix, or is evicted by LRU capacity; every published artifact
+// is accounted at its core.Instance.MemUsage (resident_bytes in the
+// metrics).
 type Registry struct {
 	g        *graph.Graph
 	pool     []int32
@@ -232,44 +210,28 @@ type Registry struct {
 	subMu     sync.Mutex
 	subs      map[uint64]*graph.Multiplex
 
-	budget      int64 // resident-bytes target; 0 disables the governor
-	epochWindow int64 // request-clock ticks per recency epoch
+	mu      sync.Mutex
+	entries map[instanceKey]*entry
+	clock   int64
 
-	mu         sync.Mutex
-	entries    map[instanceKey]*entry
-	clock      int64
-	epochClock int64 // clock at the last epoch rotation
-
-	resident   atomic.Int64
-	reclaiming atomic.Bool
-
-	// Background governor tick (startGovernor): a timer-driven reclaim
-	// pass so an idle-but-over-budget registry shrinks without waiting
-	// for a request to push it. lastTickClock (guarded by mu) detects
-	// idleness between ticks.
-	govQuit       chan struct{}
-	govDone       chan struct{}
-	govStop       sync.Once
-	lastTickClock int64
+	resident atomic.Int64
 
 	m *metrics
 }
 
-func newRegistry(g *graph.Graph, mx *graph.Multiplex, pool []int32, model logistic.Model, layoutCap, instanceCap int, memBudget int64, memEpoch int, m *metrics) *Registry {
+func newRegistry(g *graph.Graph, mx *graph.Multiplex, pool []int32, model logistic.Model, layoutCap, instanceCap int, m *metrics) *Registry {
 	r := &Registry{
-		g:           g,
-		mx:          mx,
-		pool:        pool,
-		model:       model,
-		layouts:     graph.NewLayoutCache(g, layoutCap),
-		numLayers:   1,
-		layoutCap:   layoutCap,
-		capacity:    instanceCap,
-		budget:      memBudget,
-		epochWindow: int64(memEpoch),
-		entries:     make(map[instanceKey]*entry),
-		subs:        make(map[uint64]*graph.Multiplex),
-		m:           m,
+		g:         g,
+		mx:        mx,
+		pool:      pool,
+		model:     model,
+		layouts:   graph.NewLayoutCache(g, layoutCap),
+		numLayers: 1,
+		layoutCap: layoutCap,
+		capacity:  instanceCap,
+		entries:   make(map[instanceKey]*entry),
+		subs:      make(map[uint64]*graph.Multiplex),
+		m:         m,
 	}
 	if mx != nil {
 		r.numLayers = mx.L()
@@ -389,16 +351,12 @@ func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta 
 	}
 	key := instanceKey{campaign: campaignKey(campaign), seed: seed, layers: mask}
 
-	// Any return path below may have published bytes; run the pressure
-	// policy on the way out (cheap no-op while under budget).
-	defer r.maybeReclaim()
-
 	r.mu.Lock()
 	e, ok := r.entries[key]
 	if !ok {
 		r.m.instanceMisses.Add(1)
 		r.clock++
-		e = newEntry(key, r.clock, theta)
+		e = newEntry(key, r.clock)
 		r.entries[key] = e
 		r.evictLocked()
 		r.mu.Unlock()
@@ -406,9 +364,6 @@ func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta 
 	}
 	r.clock++
 	e.lastUse = r.clock
-	if theta > e.curMax {
-		e.curMax = theta
-	}
 	select {
 	case <-e.ready:
 	default:
@@ -438,7 +393,7 @@ func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta 
 }
 
 // panicError carries a panic recovered inside the serve tier (registry
-// growth, job runner, handler middleware) as an ordinary error: the
+// growth, handler middleware) as an ordinary error: the
 // triggering request is answered with a 500, panics_total counts it,
 // and the process keeps serving.
 type panicError struct{ val interface{} }
@@ -681,245 +636,38 @@ func (r *Registry) prepareArtifact(ctx context.Context, campaign topic.Campaign,
 	return &Artifact{theta: theta, inst: inst, evals: core.NewEvaluatorPool(inst)}, nil
 }
 
-// maybeReclaim runs the pressure policy when the resident bytes exceed
-// the budget: shrink cold grown entries to their recently requested θ,
-// then LRU-evict entries that have gone entirely cold. It runs
-// synchronously on the request that pushed the registry over budget
-// (typically the grower that added the bytes), and at most one pass at a
-// time — concurrent requests observe the guard and move on.
-func (r *Registry) maybeReclaim() {
-	if r.budget <= 0 || r.resident.Load() <= r.budget {
-		return
-	}
-	r.reclaimPass(false)
-}
-
-// startGovernor launches the background reclaim tick: a registry left
-// idle after a burst never advances its request clock, so the normal
-// (request-driven) epoch rotation and eviction predicates would hold
-// its over-budget artifacts resident forever. The tick runs a reclaim
-// pass on a timer; with the registry idle since the previous tick it
-// forces the epoch rotation, so demand ages out on wall-clock time —
-// two idle ticks take a hot entry to fully cold and evictable. No-op
-// without a budget or with a non-positive tick.
-func (r *Registry) startGovernor(tick time.Duration) {
-	if r.budget <= 0 || tick <= 0 {
-		return
-	}
-	r.govQuit = make(chan struct{})
-	r.govDone = make(chan struct{})
-	go func() {
-		defer close(r.govDone)
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for {
-			select {
-			case <-r.govQuit:
-				return
-			case <-t.C:
-				r.backgroundTick()
-			}
-		}
-	}()
-}
-
-// stopGovernor stops the background tick and waits for it to exit.
-// Idempotent; a no-op if the governor never started.
-func (r *Registry) stopGovernor() {
-	if r.govQuit == nil {
-		return
-	}
-	r.govStop.Do(func() { close(r.govQuit) })
-	<-r.govDone
-}
-
-// backgroundTick is one timer-driven governor pass (reclaims_background
-// counts them). It only acts over budget, and forces the epoch rotation
-// only when no request arrived since the previous tick — traffic keeps
-// the request-driven policy authoritative.
-func (r *Registry) backgroundTick() {
-	if r.resident.Load() <= r.budget {
-		return
-	}
-	r.mu.Lock()
-	idle := r.clock == r.lastTickClock
-	r.lastTickClock = r.clock
-	r.mu.Unlock()
-	r.m.reclaimsBackground.Add(1)
-	r.reclaimPass(idle)
-}
-
-// reclaimPass is one pressure-policy pass; force (the idle background
-// tick) rotates the recency epoch unconditionally and widens pass 2 to
-// entries whose demand has fully aged out of the window, so reclaim
-// converges without request-clock progress.
-func (r *Registry) reclaimPass(force bool) {
-	if !r.reclaiming.CompareAndSwap(false, true) {
-		return
-	}
-	defer r.reclaiming.Store(false)
-
-	// Pass 1: collect shrink candidates — completed entries whose
-	// artifact θ exceeds the largest θ anything requested of them within
-	// the recency window (current + previous epoch) — coldest first.
-	// Epochs rotate here, on reclaim passes at least epochWindow request
-	// ticks apart, so a hot entry's demand ages out of the window only
-	// after it has actually gone quiet.
-	type candidate struct {
-		e      *entry
-		target int
-		use    int64
-	}
-	var cands []candidate
-	r.mu.Lock()
-	rotate := force || r.clock-r.epochClock >= r.epochWindow
-	if rotate {
-		r.epochClock = r.clock
-	}
-	for _, e := range r.entries {
-		select {
-		case <-e.ready:
-		default:
-			continue
-		}
-		if e.err != nil {
-			continue
-		}
-		target := e.curMax
-		if e.prevMax > target {
-			target = e.prevMax
-		}
-		if rotate {
-			e.prevMax, e.curMax = e.curMax, 0
-		}
-		if a := e.art.Load(); a != nil && target > 0 && a.Theta() > target {
-			cands = append(cands, candidate{e: e, target: target, use: e.lastUse})
-		}
-	}
-	r.mu.Unlock()
-	sort.Slice(cands, func(i, j int) bool { return cands[i].use < cands[j].use })
-	for _, c := range cands {
-		if r.resident.Load() <= r.budget {
-			return
-		}
-		r.shrinkEntry(c.e, c.target)
-	}
-
-	// Pass 2: still over budget — evict entries untouched for a full
-	// epoch window, coldest first. Recently used entries are spared even
-	// over budget (the budget is a soft target; evicting live demand
-	// would re-prepare it right back).
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for r.resident.Load() > r.budget {
-		if !r.evictColdestLocked(func(e *entry) bool {
-			if e.lastUse <= r.clock-r.epochWindow {
-				return true
-			}
-			// Idle tick: the request clock is frozen, so lastUse can
-			// never age past the window — once forced rotations have
-			// drained both epoch maxima the demand is provably stale.
-			return force && e.curMax == 0 && e.prevMax == 0
-		}) {
-			return
-		}
-	}
-}
-
-// evictColdestLocked drops the least-recently-used completed entry
-// satisfying eligible, releasing its accounted bytes. It reports whether
-// anything was evicted; in-flight preparations are never candidates
-// (waiters hold them).
-func (r *Registry) evictColdestLocked(eligible func(*entry) bool) bool {
-	var (
-		oldKey instanceKey
-		oldest *entry
-	)
-	for k, e := range r.entries {
-		select {
-		case <-e.ready:
-		default:
-			continue
-		}
-		if !eligible(e) {
-			continue
-		}
-		if oldest == nil || e.lastUse < oldest.lastUse {
-			oldKey, oldest = k, e
-		}
-	}
-	if oldest == nil {
-		return false
-	}
-	delete(r.entries, oldKey)
-	r.resident.Add(-oldest.bytes)
-	oldest.bytes = 0
-	r.m.instanceEvictions.Add(1)
-	return true
-}
-
-// shrinkEntry re-materializes the entry's artifact at target θ
-// (Instance.ShrinkTo: an owned compact copy — the shed tail and index
-// slack are actually released once in-flight readers of older snapshots
-// drain). It takes the entry's growth slot non-blockingly: an entry
-// busy growing is simply skipped — its grower re-triggers reclaim on
-// publish — and a request that asks for a larger θ right after a shrink
-// regrows the identical samples (deterministic in (seed, i)).
-func (r *Registry) shrinkEntry(e *entry, target int) {
-	select {
-	case e.grow <- struct{}{}:
-	default:
-		return
-	}
-	defer func() { <-e.grow }()
-	if e.poisoned.Load() {
-		// Post-panic growth state is suspect; the entry is rebuilt (or
-		// evicted) rather than re-materialized from it.
-		return
-	}
-	// Requests may have raised the entry's recent demand between
-	// candidate collection and here; shrinking below it would regrow
-	// samples the entry just had resident. Re-read the window max.
-	r.mu.Lock()
-	if e.curMax > target {
-		target = e.curMax
-	}
-	if e.prevMax > target {
-		target = e.prevMax
-	}
-	r.mu.Unlock()
-	a := e.art.Load()
-	if a == nil || a.Theta() <= target {
-		return
-	}
-	shrinkStart := time.Now()
-	inst, err := a.inst.ShrinkTo(target)
-	if err != nil {
-		return
-	}
-	r.m.phaseShrink.Observe(time.Since(shrinkStart))
-	// A fresh evaluator pool sized at the shrunk θ: the old pool's
-	// θ-sized scratch arrays would otherwise keep (a multiple of) the
-	// shed bytes alive.
-	na := &Artifact{theta: target, inst: inst, evals: core.NewEvaluatorPool(inst)}
-	e.art.Store(na)
-	r.m.shrinks.Add(1)
-	r.account(e, inst.MemUsage())
-}
-
 // evictLocked drops least-recently-used completed entries until the
-// count is back within capacity; in-flight preparations are never
-// evicted (waiters hold them). An entry evicted while one request is
-// still growing it is harmless: the growth completes on the orphaned
-// entry (unaccounted — see account) and the next request re-prepares.
+// count is back within capacity, releasing their accounted bytes;
+// in-flight preparations are never evicted (waiters hold them). An entry
+// evicted while one request is still growing it is harmless: the growth
+// completes on the orphaned entry (unaccounted — see account) and the
+// next request re-prepares.
 func (r *Registry) evictLocked() {
 	if r.capacity <= 0 {
 		return
 	}
 	for len(r.entries) > r.capacity {
-		if !r.evictColdestLocked(func(*entry) bool { return true }) {
+		var (
+			oldKey instanceKey
+			oldest *entry
+		)
+		for k, e := range r.entries {
+			select {
+			case <-e.ready:
+			default:
+				continue
+			}
+			if oldest == nil || e.lastUse < oldest.lastUse {
+				oldKey, oldest = k, e
+			}
+		}
+		if oldest == nil {
 			return
 		}
+		delete(r.entries, oldKey)
+		r.resident.Add(-oldest.bytes)
+		oldest.bytes = 0
+		r.m.instanceEvictions.Add(1)
 	}
 }
 

@@ -384,7 +384,7 @@ func TestRegistryWaiterSurvivesOwnerCancellation(t *testing.T) {
 	// Mimic the miss path up to the point where the owner would build:
 	// insert the in-flight entry by hand so a waiter can join it.
 	r.mu.Lock()
-	e := newEntry(key, 1, 300)
+	e := newEntry(key, 1)
 	r.entries[key] = e
 	r.mu.Unlock()
 
@@ -486,16 +486,11 @@ func TestRegistryConcurrentMixedTheta(t *testing.T) {
 
 // TestParallelSolveRegistryChurn is the lifecycle stress: concurrent
 // solves hammer a single campaign while varying theta forces ExtendTo
-// growth steps and a one-byte memory budget keeps the governor shrinking
-// the same entry. Run under -race this pins that solves only ever read
-// published immutable snapshots; the final solve must equal a fresh
-// server's.
+// growth steps and θ-prefix serving of the same entry. Run under -race
+// this pins that solves only ever read published immutable snapshots;
+// the final solve must equal a fresh server's.
 func TestParallelSolveRegistryChurn(t *testing.T) {
-	churn := func(c *Config) {
-		c.AdmitCapacity = 32
-		c.MemBudget = 1 // everything is over budget: shrink after every release
-		c.MemEpoch = 2
-	}
+	churn := func(c *Config) { c.AdmitCapacity = 32 }
 	s := testServer(t, churn)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -521,7 +516,7 @@ func TestParallelSolveRegistryChurn(t *testing.T) {
 	if t.Failed() {
 		t.FailNow()
 	}
-	if snap := s.Metrics(); snap.Registry.Shrinks == 0 && snap.Registry.Extends == 0 {
+	if snap := s.Metrics(); snap.Registry.PrefixHits == 0 && snap.Registry.Extends == 0 {
 		t.Fatalf("churn produced no artifact transitions: %+v", snap.Registry)
 	}
 
@@ -537,5 +532,53 @@ func TestParallelSolveRegistryChurn(t *testing.T) {
 	if got.Utility != want.Utility || got.Upper != want.Upper || fmt.Sprint(got.Plan) != fmt.Sprint(want.Plan) {
 		t.Fatalf("post-churn solve (%v, %v, %v) != fresh server's (%v, %v, %v)",
 			got.Utility, got.Upper, got.Plan, want.Utility, want.Upper, want.Plan)
+	}
+}
+
+// TestResidentAccounting: resident accounting tracks every publish and
+// capacity eviction, and counts nothing for a θ-prefix view — the
+// artifact lifecycle is grow, prefix, evict, and the gauge follows it.
+func TestResidentAccounting(t *testing.T) {
+	s := testServer(t, func(c *Config) { c.InstanceCapacity = 1 })
+	r := s.reg
+	ctx := context.Background()
+
+	a1, _, err := r.Instance(ctx, testCampaign(0), 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.ResidentBytes(), a1.Instance().MemUsage(); got != want {
+		t.Fatalf("resident bytes %d != artifact bytes %d", got, want)
+	}
+	g1, _, err := r.Instance(ctx, testCampaign(0), 900, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.ResidentBytes(), g1.Instance().MemUsage(); got != want {
+		t.Fatalf("resident bytes %d != grown artifact bytes %d", got, want)
+	}
+	// A θ-prefix of the grown artifact is a view that owns no bytes: the
+	// gauge must not move.
+	if _, outcome, err := r.Instance(ctx, testCampaign(0), 300, 1); err != nil || outcome != OutcomePrefix {
+		t.Fatalf("θ=300 after growth: outcome %v, err %v; want a prefix", outcome, err)
+	}
+	if got, want := r.ResidentBytes(), g1.Instance().MemUsage(); got != want {
+		t.Fatalf("prefix request moved resident bytes to %d, want %d", got, want)
+	}
+	// Capacity-1 LRU: preparing a second campaign evicts the first and
+	// releases its accounted bytes.
+	a2, _, err := r.Instance(ctx, testCampaign(1), 300, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.ResidentBytes(), a2.Instance().MemUsage(); got != want {
+		t.Fatalf("resident bytes %d != surviving artifact bytes %d", got, want)
+	}
+	snap := s.Metrics()
+	if snap.Registry.ResidentBytes != r.ResidentBytes() {
+		t.Fatal("metrics snapshot disagrees with registry resident gauge")
+	}
+	if snap.Registry.InstanceEvictions != 1 {
+		t.Fatalf("instance_evictions %d, want 1", snap.Registry.InstanceEvictions)
 	}
 }

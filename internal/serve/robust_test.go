@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -338,49 +339,6 @@ func samePlan(a, b [][]int32) bool {
 	return true
 }
 
-// A panic inside an async job fails that job only: the worker survives
-// and the next submission completes.
-func TestJobPanicIsolated(t *testing.T) {
-	defer faultpoint.Reset()
-	s := testServer(t, func(c *Config) { c.Workers = 1 })
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	if err := faultpoint.Arm("serve.solve.pre", "panic#1"); err != nil {
-		t.Fatal(err)
-	}
-	req := SolveRequest{Campaign: testCampaign(0, 1), Method: "greedy", K: 2, Theta: 400, Async: true}
-	var sub struct {
-		Job string `json:"job"`
-	}
-	if code, body := postJSON(t, ts, "/v1/solve", req, &sub); code != 202 {
-		t.Fatalf("submit: status %d: %s", code, body)
-	}
-	waitFor(t, "panicked job to fail", func() bool {
-		st, err := s.jobs.status(sub.Job)
-		return err == nil && st.State == JobFailed
-	})
-	st, err := s.jobs.status(sub.Job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(st.Error, "panic") {
-		t.Fatalf("failed job error does not mention the panic: %q", st.Error)
-	}
-
-	// The single worker survived: the next job runs to completion.
-	if code, body := postJSON(t, ts, "/v1/solve", req, &sub); code != 202 {
-		t.Fatalf("second submit: status %d: %s", code, body)
-	}
-	waitFor(t, "follow-up job to finish", func() bool {
-		st, err := s.jobs.status(sub.Job)
-		return err == nil && st.State == JobDone
-	})
-	if m := s.Metrics(); m.Server.PanicsTotal < 1 {
-		t.Fatalf("panics_total = %d, want >= 1", m.Server.PanicsTotal)
-	}
-}
-
 // Shutdown drains gracefully: readiness flips, new heavy work is
 // refused with 503, the in-flight request completes normally, and
 // Shutdown returns nil within the grace.
@@ -436,77 +394,51 @@ func TestShutdownDrain(t *testing.T) {
 	}
 }
 
-// Shutdown cancels the queued async backlog but lets the running job
-// retire with its incumbent.
-func TestShutdownCancelsQueuedJobs(t *testing.T) {
-	defer faultpoint.Reset()
-	s := testServer(t, func(c *Config) {
-		c.Workers = 1
-		c.QueueDepth = 4
-	})
+// A server starts no goroutine of its own: after traffic through every
+// registry outcome and every heavy endpoint, Shutdown plus closing the
+// listener brings the goroutine count back to what it was before New.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	camp := testCampaign(0, 1)
 
-	if err := faultpoint.Arm("serve.solve.pre", "delay:200ms"); err != nil {
-		t.Fatal(err)
-	}
-	req := SolveRequest{Campaign: testCampaign(0, 1), Method: "greedy", K: 2, Theta: 400, Async: true}
-	ids := make([]string, 0, 3)
-	for i := 0; i < 3; i++ {
-		var sub struct {
-			Job string `json:"job"`
+	for _, tc := range []struct {
+		name  string
+		theta int
+		ok    func(SolveResponse) bool
+	}{
+		{"miss", 300, func(r SolveResponse) bool { return !r.CacheHit && !r.Extended }},
+		{"extend", 600, func(r SolveResponse) bool { return r.Extended }},
+		{"prefix", 300, func(r SolveResponse) bool { return r.PrefixHit }},
+	} {
+		var resp SolveResponse
+		req := SolveRequest{Campaign: camp, Method: "greedy", K: 2, Theta: tc.theta}
+		if code, raw := postJSON(t, ts, "/v1/solve", req, &resp); code != 200 || !tc.ok(resp) {
+			t.Fatalf("%s solve: status %d: %s", tc.name, code, raw)
 		}
-		if code, body := postJSON(t, ts, "/v1/solve", req, &sub); code != 202 {
-			t.Fatalf("submit %d: status %d: %s", i, code, body)
-		}
-		ids = append(ids, sub.Job)
 	}
-	waitFor(t, "first job running", func() bool {
-		st, err := s.jobs.status(ids[0])
-		return err == nil && st.State != JobQueued
-	})
+	plan := [][]int32{{s.cfg.Pool[0]}, {s.cfg.Pool[1]}}
+	if code, raw := postJSON(t, ts, "/v1/estimate", EstimateRequest{Campaign: camp, Plan: plan, Theta: 600}, nil); code != 200 {
+		t.Fatalf("estimate: status %d: %s", code, raw)
+	}
+	if code, raw := postJSON(t, ts, "/v1/simulate", SimulateRequest{Campaign: camp, Plan: plan, Runs: 100}, nil); code != 200 {
+		t.Fatalf("simulate: status %d: %s", code, raw)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
-	canceled := 0
-	for _, id := range ids {
-		st, err := s.jobs.status(id)
-		if err != nil {
-			t.Fatal(err)
+	ts.Close()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after shutdown, %d before New:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
 		}
-		switch st.State {
-		case JobCanceled:
-			canceled++
-		case JobDone:
-		default:
-			t.Fatalf("job %s left in state %s after drain", id, st.State)
-		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if canceled == 0 {
-		t.Fatal("no queued job was canceled by the drain")
-	}
-}
-
-// The background governor reclaims an idle-over-budget registry without
-// any request traffic driving it.
-func TestBackgroundGovernorTick(t *testing.T) {
-	s := testServer(t, func(c *Config) {
-		c.MemBudget = 1 // everything is over budget
-		c.MemTick = 5 * time.Millisecond
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	req := SolveRequest{Campaign: testCampaign(0, 1), Method: "greedy", K: 2, Theta: 400}
-	if code, _, body := postRaw(t, ts, "/v1/solve", req); code != 200 {
-		t.Fatalf("solve: status %d: %s", code, body)
-	}
-	// Two idle ticks age the entry's demand out; the next evicts it.
-	waitFor(t, "background reclaim to evict the idle artifact", func() bool {
-		m := s.Metrics()
-		return m.Registry.ReclaimsBackground >= 1 && m.Registry.ResidentBytes == 0 && m.Registry.Instances == 0
-	})
 }

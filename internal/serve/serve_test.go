@@ -69,7 +69,6 @@ func testServer(t testing.TB, mutate func(*Config)) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.Close)
 	return s
 }
 
@@ -218,22 +217,44 @@ func TestSolveValidation(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
-	// Search options no solver accepts are refused at the door, sync and
-	// async alike, before the registry prepares anything.
+	// Search options no solver accepts are refused at the door, before
+	// the registry prepares anything.
 	for _, opts := range []string{
 		`"method": "babp", "k": 2, "epsilon": -0.5`,
 		`"method": "bab", "k": 2, "tolerance": -1`,
 		`"method": "bab", "k": 2, "max_nodes": -1`,
 	} {
-		for _, async := range []string{"", `, "async": true`} {
-			body := `{"campaign": {"name": "t", "pieces": [{"name": "a", "topics": {"0": 1}}]}, ` + opts + async + `}`
-			if code, raw := postBody(t, ts, "/v1/solve", body); code != http.StatusBadRequest {
-				t.Errorf("%s: status %d (%s), want 400", body, code, raw)
-			}
+		body := `{"campaign": {"name": "t", "pieces": [{"name": "a", "topics": {"0": 1}}]}, ` + opts + `}`
+		if code, raw := postBody(t, ts, "/v1/solve", body); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", body, code, raw)
 		}
 	}
-	if n := s.Metrics().Registry.Prepares; n != 0 {
-		t.Errorf("refused solves prepared %d artifacts", n)
+	// There is no job queue: a body asking for one is refused by the
+	// strict decoder's unknown-field rule, and the job routes are 404.
+	async := `{"campaign": {"name": "t", "pieces": [{"name": "a", "topics": {"0": 1}}]}, "method": "bab", "k": 2, "async": true}`
+	if code, raw := postBody(t, ts, "/v1/solve", async); code != http.StatusBadRequest || !strings.Contains(raw, "async") {
+		t.Errorf("async: status %d (%s), want 400 naming the field", code, raw)
+	}
+	for _, tc := range []struct{ method, path string }{
+		{http.MethodGet, "/v1/jobs"},
+		{http.MethodGet, "/v1/jobs/x"},
+		{http.MethodDelete, "/v1/jobs/x"},
+	} {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
+	}
+	if reg := s.Metrics().Registry; reg.Prepares != 0 || reg.LayoutMisses != 0 {
+		t.Errorf("refused solves ran %d preparations and %d layout builds", reg.Prepares, reg.LayoutMisses)
 	}
 	// A plan with one seed set for a two-piece campaign is refused before
 	// admission: no preparation and no layout build.

@@ -20,12 +20,10 @@
 //     inverted lists — never a full re-index; serialized per entry) and
 //     republishes an immutable snapshot — in-flight readers of older
 //     snapshots are never invalidated;
-//   - a memory-governed artifact lifecycle (grow → shrink → evict): with
-//     MemBudget set, published artifacts are accounted (resident_bytes)
-//     and memory pressure first θ-shrinks cold grown entries back to
-//     their largest recently requested θ (core.Instance.ShrinkTo — an
-//     owned compact copy, so the shed samples are actually released),
-//     then LRU-evicts entries that have gone entirely cold;
+//   - one artifact lifecycle (grow → prefix → evict): an artifact only
+//     grows, is served as a θ-prefix, or is evicted by LRU capacity;
+//     published artifacts are accounted at their resident bytes
+//     (resident_bytes in the metrics);
 //   - per-entry core.EvaluatorPools and rrset.AUEstimator pools, and one
 //     server-wide pool of index-estimate scratch, so concurrent requests
 //     reuse solver scratch without data races — the MRR views, indexes
@@ -33,17 +31,12 @@
 //
 // Endpoints (JSON over HTTP):
 //
-//	POST /v1/solve     solve an OIPA instance (sync, or async via the
-//	                   bounded job queue with {"async": true})
+//	POST /v1/solve     solve an OIPA instance
 //	POST /v1/estimate  MRR-estimate σ(S̄) of a given plan
 //	POST /v1/simulate  forward Monte-Carlo σ(S̄) of a given plan
-//	GET  /v1/jobs      list async jobs; /v1/jobs/{id} polls one
-//	                   (DELETE cancels: queued jobs are dropped, running
-//	                   solves stop at the next node expansion and return
-//	                   their incumbent)
 //	GET  /healthz      liveness + graph shape (stays 200 through a drain)
 //	GET  /readyz       readiness: 503 once draining began
-//	GET  /metrics      request/cache/job counters (JSON; Prometheus text
+//	GET  /metrics      request/cache counters (JSON; Prometheus text
 //	                   with ?format=prometheus)
 //
 // # Overload safety
@@ -57,13 +50,13 @@
 // wired through the registry's sampling loops and into the solvers'
 // Stop hook: a solve whose deadline expires mid-search returns its
 // current incumbent and residual bound marked "degraded" rather than
-// failing. Panics anywhere in a handler, job runner, or registry
-// growth are contained (panics_total): a panic mid-growth poisons only
-// that entry — its last published snapshot keeps serving and the next
-// request that needs more samples rebuilds it from scratch,
-// bit-identical to a fresh preparation. Shutdown drains gracefully:
-// readiness flips, new heavy work is refused with 503, queued jobs are
-// canceled, and in-flight solves run to completion within the grace.
+// failing. Panics anywhere in a handler or in registry growth are
+// contained (panics_total): a panic mid-growth poisons only that entry —
+// its last published snapshot keeps serving and the next request that
+// needs more samples rebuilds it from scratch, bit-identical to a fresh
+// preparation. Shutdown drains gracefully: readiness flips, new heavy
+// work is refused with 503, and in-flight requests run to completion
+// within the grace.
 package serve
 
 import (
@@ -119,27 +112,6 @@ type Config struct {
 	LayoutCapacity   int // cached piece layouts (default 128)
 	InstanceCapacity int // cached prepared instances (default 8)
 
-	// MemBudget is the soft resident-bytes target for prepared artifacts
-	// (0 = ungoverned). Over budget the registry θ-shrinks cold grown
-	// entries to their largest recently requested θ, then LRU-evicts
-	// fully cold ones; a single hot artifact may exceed the budget.
-	MemBudget int64
-	// MemEpoch is the recency window in registry requests (default 64):
-	// shrink targets look at the largest θ requested within the current
-	// and previous epoch, and only entries untouched for a full epoch
-	// are eviction candidates.
-	MemEpoch int
-
-	// MemTick is the background governor period (default 30s; negative
-	// disables): with a MemBudget set, a timer runs the reclaim policy
-	// so an idle-but-over-budget registry shrinks without waiting for a
-	// request (reclaims_background counts the passes).
-	MemTick time.Duration
-
-	Workers    int // async solve workers (default GOMAXPROCS)
-	QueueDepth int // async backlog bound (default 64)
-	JobHistory int // finished jobs retained for polling (default 256)
-
 	// RequestTimeout caps — and, for clients that send no timeout_ms,
 	// defaults — the execution deadline of every heavy request (default
 	// 30s). The deadline is honored at sample-block granularity inside
@@ -191,21 +163,6 @@ func (c *Config) fillDefaults() {
 	if c.InstanceCapacity <= 0 {
 		c.InstanceCapacity = 8
 	}
-	if c.MemEpoch <= 0 {
-		c.MemEpoch = 64
-	}
-	if c.MemTick == 0 {
-		c.MemTick = 30 * time.Second
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.JobHistory <= 0 {
-		c.JobHistory = 256
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
@@ -220,16 +177,15 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Server is the oipa-serve HTTP service. Create with New, mount
-// Handler(), Close when done (stops the job workers and cancels
-// outstanding jobs).
+// Server is the oipa-serve HTTP service. Create with New and mount
+// Handler(); New starts no goroutine, so a server needs no teardown
+// beyond Shutdown's drain.
 type Server struct {
-	cfg  Config
-	g    *graph.Graph
-	reg  *Registry
-	jobs *jobQueue
-	mux  *http.ServeMux
-	m    metrics
+	cfg Config
+	g   *graph.Graph
+	reg *Registry
+	mux *http.ServeMux
+	m   metrics
 
 	admit    *admission // weighted overload valve for the heavy endpoints
 	inflight drainGroup // admitted-request tracking for graceful drain
@@ -282,10 +238,7 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: multiplex: %w", err)
 		}
 	}
-	s.reg = newRegistry(cfg.Graph, mx, cfg.Pool, cfg.Model, cfg.LayoutCapacity, cfg.InstanceCapacity, cfg.MemBudget, cfg.MemEpoch, &s.m)
-	s.reg.startGovernor(cfg.MemTick)
-	s.jobs = newJobQueue(cfg.Workers, cfg.QueueDepth, cfg.JobHistory, &s.m)
-	s.jobs.run = s.runJob
+	s.reg = newRegistry(cfg.Graph, mx, cfg.Pool, cfg.Model, cfg.LayoutCapacity, cfg.InstanceCapacity, &s.m)
 	s.admit = newAdmission(int64(cfg.AdmitCapacity), cfg.AdmitQueue)
 	s.routes()
 	return s, nil
@@ -298,30 +251,21 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // inspect cache state through it).
 func (s *Server) Registry() *Registry { return s.reg }
 
-// Close stops the async workers and cancels queued and running jobs —
-// the immediate, ungraceful stop. Prefer Shutdown for serving processes.
-func (s *Server) Close() {
-	s.reg.stopGovernor()
-	s.jobs.close()
-}
+// Close does nothing: New starts no goroutine, so there is nothing to
+// stop. It stays only because benchmark/ calls it; the next change to
+// benchmark/ drops those calls and this method.
+func (s *Server) Close() {}
 
 // Shutdown drains the service gracefully: readiness flips to draining
 // immediately (load balancers stop routing, /readyz turns 503), new
-// heavy requests are refused with 503, jobs still waiting in the
-// backlog are canceled, and Shutdown waits — bounded by ctx — first for
-// running jobs, then for in-flight synchronous requests, to complete.
-// Expired grace hard-cancels what remains (solvers stop at their next
-// node expansion) and is reported as an error. The HTTP listener is the
-// caller's to stop: call http.Server.Shutdown after this returns so
-// completed responses still flush.
+// heavy requests are refused with 503, and Shutdown waits — bounded by
+// ctx — for in-flight requests to complete. An expired ctx is reported
+// as an error naming the requests still in flight; each keeps running
+// under its own deadline. The HTTP listener is the caller's to stop:
+// call http.Server.Shutdown after this returns so completed responses
+// still flush.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.inflight.beginDrain()
-	s.reg.stopGovernor()
-	err := s.jobs.drain(ctx)
-	if e := s.inflight.drain(ctx); e != nil && err == nil {
-		err = e
-	}
-	return err
+	return s.inflight.drain(ctx)
 }
 
 // Metrics snapshots every service counter plus the registry gauges.
@@ -329,9 +273,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap := s.m.snapshot()
 	snap.Registry.Instances = s.reg.Len()
 	snap.Registry.ResidentBytes = s.reg.ResidentBytes()
-	snap.Registry.MemBudget = s.cfg.MemBudget
 	snap.Registry.Layouts, snap.Registry.LayoutBytes, snap.Registry.LayoutHits, snap.Registry.LayoutMisses = s.reg.layoutStats()
-	snap.Jobs.Queued = s.jobs.queued()
 	snap.Server.AdmitQueued = s.admit.queued()
 	snap.Server.Draining = s.inflight.isDraining()
 	snap.Runtime = obs.ReadRuntime()
@@ -346,8 +288,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/v1/solve", s.instrument("solve", s.withRecover(s.handleSolve)))
 	s.mux.HandleFunc("/v1/estimate", s.instrument("estimate", s.withRecover(s.handleEstimate)))
 	s.mux.HandleFunc("/v1/simulate", s.instrument("simulate", s.withRecover(s.handleSimulate)))
-	s.mux.HandleFunc("/v1/jobs", s.withRecover(s.handleJobs))
-	s.mux.HandleFunc("/v1/jobs/", s.withRecover(s.handleJob))
 }
 
 // reqInfo is the per-request observability state threaded through the
@@ -498,18 +438,15 @@ type SolveRequest struct {
 	MaxNodes  int     `json:"max_nodes"` // 0 = unbounded
 	Alpha     float64 `json:"alpha"`     // adoption model override (0 = server default)
 	Beta      float64 `json:"beta"`
-	Async     bool    `json:"async"` // enqueue instead of solving inline
 	// TimeoutMS is the client's execution deadline in milliseconds,
 	// capped by the server's RequestTimeout (which also applies when the
 	// field is omitted). An expiring solve returns its incumbent marked
 	// degraded; a deadline spent entirely in the admission queue sheds
-	// the request with 429 before any work runs. Ignored for async
-	// submissions (jobs are bounded by the worker pool and canceled
-	// explicitly).
+	// the request with 429 before any work runs.
 	TimeoutMS int `json:"timeout_ms"`
 }
 
-// SolveResponse is the body of a completed solve (inline or via job).
+// SolveResponse is the body of a completed solve.
 type SolveResponse struct {
 	Method  string    `json:"method"`
 	Utility float64   `json:"utility"`
@@ -544,12 +481,11 @@ type SolveResponse struct {
 	// as a complete answer does — the answer is coarser, not wrong.
 	Degraded bool `json:"degraded,omitempty"`
 	// RequestID is the server-assigned id of the request that produced
-	// this response (for async solves: of the submission). It keys the
-	// structured request log and any sampled trace.
+	// this response. It keys the structured request log and any sampled
+	// trace.
 	RequestID string `json:"request_id,omitempty"`
 	// Trace is the request's span tree, returned inline when the request
-	// asked for it with ?debug=trace (async solves traced at submission
-	// carry it in the job result).
+	// asked for it with ?debug=trace.
 	Trace *obs.SpanTree `json:"trace,omitempty"`
 }
 
@@ -630,7 +566,7 @@ func (s *Server) graphInfo() map[string]int {
 }
 
 // handleReadyz is the readiness probe, split from liveness: it turns
-// 503 the moment a drain begins (or the job queue stops accepting), so
+// 503 the moment a drain begins, so
 // load balancers stop routing while /healthz keeps answering 200 and
 // orchestrators don't kill a process that is finishing its in-flight
 // work.
@@ -736,19 +672,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ri := requestInfo(r.Context())
 	if ri != nil {
 		ri.campaign, ri.theta, ri.method = campaignLabel(req.Campaign), req.Theta, req.Method
-	}
-	if req.Async {
-		reqID, traced := "", false
-		if ri != nil {
-			reqID, traced = ri.id, ri.trace != nil
-		}
-		id, err := s.jobs.submit(req, reqID, traced)
-		if err != nil {
-			s.error(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, map[string]string{"job": id, "poll": "/v1/jobs/" + id, "request_id": reqID})
-		return
 	}
 	ctx, cancel := s.deadline(r, req.TimeoutMS)
 	defer cancel()
@@ -947,37 +870,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, SimulateResponse{Utility: util, Runs: req.Runs})
 }
 
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	s.m.jobRequests.Add(1)
-	writeJSON(w, http.StatusOK, s.jobs.list())
-}
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.m.jobRequests.Add(1)
-	id := strings.TrimPrefix(r.URL.Path, "/v1/jobs/")
-	if id == "" {
-		s.error(w, http.StatusNotFound, fmt.Errorf("serve: missing job id"))
-		return
-	}
-	switch r.Method {
-	case http.MethodDelete:
-		canceled, err := s.jobs.cancelJob(id)
-		if err != nil {
-			s.error(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"canceled": canceled})
-	default:
-		st, err := s.jobs.status(id)
-		if err != nil {
-			s.error(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-	}
-}
-
-// ---- solve execution (shared by the sync path and the job workers) ----
+// ---- solve execution ----
 
 func (s *Server) normalizeSolve(req *SolveRequest) error {
 	if req.Method == "" {
@@ -1008,9 +901,8 @@ func (s *Server) normalizeSolve(req *SolveRequest) error {
 	if req.Tolerance == 0 {
 		req.Tolerance = defaults.Tolerance
 	}
-	// Validate the search options and the layer set now — async
-	// submissions should be refused at the door, not fail later on a
-	// worker, and a sync one before the registry prepares anything.
+	// Validate the search options and the layer set now, before the
+	// registry prepares anything.
 	if err := req.searchOptions().Validate(req.Method == "babp"); err != nil {
 		return err
 	}
@@ -1064,7 +956,7 @@ func (s *Server) model(alpha, beta float64) (logistic.Model, error) {
 }
 
 // solve runs one normalized solve request against the registry. ctx
-// (request deadline / job cancellation) bounds the registry wait and the
+// (the request deadline) bounds the registry wait and the
 // growth path, and its Done channel is the branch-and-bound search's
 // Stop hook.
 func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
@@ -1174,27 +1066,6 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 		PreparedTheta: art.Theta(),
 		Degraded:      degraded,
 	}, nil
-}
-
-// runJob executes one queued solve on a worker goroutine under the
-// job's context, which cancelJob (or a drain) cancels. A job whose
-// submission was traced opens a fresh trace under the SAME request id —
-// the async solve's span tree lands in the job result, keyed to the
-// submitting request.
-func (s *Server) runJob(j *job) {
-	ctx := j.ctx
-	var tr *obs.Trace
-	if j.traced {
-		ctx, tr = obs.NewTrace(ctx, j.reqID, "solve")
-	}
-	resp, err := s.solve(ctx, j.req)
-	if resp != nil {
-		resp.RequestID = j.reqID
-		if tr != nil {
-			resp.Trace = tr.Finish()
-		}
-	}
-	s.jobs.complete(j, resp, err)
 }
 
 // ---- plumbing ----

@@ -44,7 +44,8 @@ func declaredNames(t *testing.T) map[string]bool {
 // TestExportedSurface pins one registry lookup, context-only
 // cancellation, the two metric expositions that have readers,
 // instrumentation that is always on, one sequential search per solve,
-// one estimator and no solve coalescing.
+// one estimator, no solve coalescing, no memory governor and no async
+// jobs.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	if !names["Instance"] {
@@ -53,7 +54,16 @@ func TestExportedSurface(t *testing.T) {
 	for _, gone := range []string{"InstanceLayers", "stopCtx", "PublishExpvar", "CountsDroppedBytes",
 		"DisableObs", "disabled",
 		"SolveWorkers", "solveWeight", "parallelSolves", "SketchEvals", "ReVerifyEvals", "Steals", "SpecWasted",
-		"SketchK", "sketchEligible", "solveCoalesced", "solveFlight", "flights", "sketchEstimates"} {
+		"SketchK", "sketchEligible", "solveCoalesced", "solveFlight", "flights", "sketchEstimates",
+		// the memory governor
+		"MemBudget", "MemEpoch", "MemTick", "budget", "epochWindow", "epochClock", "reclaiming",
+		"govQuit", "govDone", "govStop", "lastTickClock", "maybeReclaim", "startGovernor",
+		"stopGovernor", "backgroundTick", "reclaimPass", "shrinkEntry", "evictColdestLocked",
+		"curMax", "prevMax", "shrinks", "reclaimsBackground", "phaseShrink", "Shrinks",
+		"ReclaimsBackground", "Shrink",
+		// async jobs
+		"Async", "Workers", "QueueDepth", "JobHistory", "jobs", "jobQueue", "JobStatus",
+		"handleJobs", "handleJob", "runJob", "jobRequests", "Jobs", "ErrQueueFull", "ErrClosed"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}
