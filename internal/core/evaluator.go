@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
+
+	"oipa/internal/rrset"
 )
 
 // A candidate is an (assignment) pair of a campaign piece and a promoter,
@@ -58,8 +61,10 @@ type evaluator struct {
 	// The gain frontier. Under the empty plan candidate c's gain is
 	// gainOf's running sum after deg[c] additions of marg[0] (anchor 0,
 	// count 0), which is cum[deg[c]]; baseOrder lists the candidates with
-	// a positive empty-plan gain by (gain desc, candidate asc). Both are
-	// computed once per solve by bind. A partial plan changes the gain of
+	// a positive empty-plan gain by (gain desc, candidate asc). deg and
+	// baseOrder are the instance lineage's read-only base frontier at θ
+	// (baseFrontier), computed once per lineage and θ; bind fills cum,
+	// which depends on the model. A partial plan changes the gain of
 	// exactly the candidates whose inverted list meets a sample the plan
 	// touched; a search node keeps their exact gains as a chain of levels,
 	// one per include decision (see level). prepare stamps every one in
@@ -68,10 +73,9 @@ type evaluator struct {
 	// a bound reads it (affAt). Every other candidate's gain is still its
 	// empty-plan gain, bit for bit. The bound routines read initial gains
 	// from these two sources only (mergeNext).
-	deg       []int32
+	deg       []int32 // shared, read-only
 	cum       []float64
-	bucket    []int32 // counting-sort scratch for baseOrder
-	baseOrder []candidate
+	baseOrder []candidate // shared, read-only
 	aff       []gainEntry
 
 	// Storage a solve draws on and bind recycles, so a warm search
@@ -108,7 +112,8 @@ func newEvaluator(inst *Instance) *evaluator {
 // allocation serves every instance whose sample count is at most theta
 // and whose candidate shape matches (an instance, its WithK/WithModel
 // derivatives, and any θ-prefix of those). EvaluatorPool recycles these
-// allocations across concurrent solves.
+// allocations across concurrent solves. The empty-plan frontier is not
+// scratch: bind borrows it from the instance.
 func allocEvaluator(l, pp, theta int) *evaluator {
 	ev := &evaluator{
 		l:          l,
@@ -126,8 +131,6 @@ func allocEvaluator(l, pp, theta int) *evaluator {
 		affEpoch:   make([]uint32, l*pp),
 		reachEpoch: make([]uint32, l*pp),
 		epoch:      1,
-		deg:        make([]int32, l*pp),
-		baseOrder:  make([]candidate, 0, l*pp),
 	}
 	return ev
 }
@@ -137,9 +140,10 @@ func allocEvaluator(l, pp, theta int) *evaluator {
 // derivatives), adopts the instance's sample count (a θ-prefix instance
 // binds with its prefix θ; the arrays are sized to capTheta >= θ),
 // zeroes the per-solve counters, recycles the previous solve's levels,
-// chains and heap, and computes the empty-plan half of the gain frontier,
-// O(candidates). The per-sample scratch is
-// assumed clean (fresh allocation or released via resetScratch).
+// chains and heap, and binds the empty-plan half of the gain frontier:
+// the lineage's degrees and order at θ, read-only, and cum, O(maxDeg).
+// The per-sample scratch is assumed clean (fresh allocation or released
+// via resetScratch).
 func (ev *evaluator) bind(inst *Instance) {
 	ev.inst = inst
 	ev.theta = inst.Theta()
@@ -160,51 +164,95 @@ func (ev *evaluator) bind(inst *Instance) {
 	ev.babNodes.reset()
 	clear(ev.heap)
 	ev.heap = ev.heap[:0]
-	ev.bindBase()
-}
 
-// bindBase computes every candidate's empty-plan gain and their order.
-// With no sample covered gainOf adds marg[0] once per list entry, so
-// the gain depends on the list length alone: cum[d] repeats that exact
-// sequence of additions. For marg[0] > 0 cum is strictly increasing
-// (one addend is far above half an ulp of a sum of at most θ < 2³¹ of
-// them), so (gain desc, candidate asc) is (degree desc, candidate asc),
-// which a stable counting sort over degrees produces without comparing.
-func (ev *evaluator) bindBase() {
-	ix := ev.inst.Index
-	maxDeg := 0
-	for c := range ev.deg {
-		d := ix.Degree(c/ev.pp, int32(c%ev.pp))
-		ev.deg[c] = int32(d)
-		maxDeg = max(maxDeg, d)
-	}
-	ev.cum = slices.Grow(ev.cum[:0], maxDeg+1)[:maxDeg+1]
+	f := inst.baseFrontier()
+	ev.deg, ev.baseOrder = f.deg, f.order
+	ev.cum = slices.Grow(ev.cum[:0], f.maxDeg+1)[:f.maxDeg+1]
 	m00 := ev.marg[0]
 	ev.cum[0] = 0
-	for d := 1; d <= maxDeg; d++ {
+	for d := 1; d <= f.maxDeg; d++ {
 		ev.cum[d] = ev.cum[d-1] + m00
 	}
-	ev.baseOrder = ev.baseOrder[:0]
 	if m00 <= 0 {
-		return // no candidate has a positive gain
+		ev.baseOrder = nil // no candidate has a positive gain
 	}
-	ev.bucket = slices.Grow(ev.bucket[:0], maxDeg+1)[:maxDeg+1]
-	start := ev.bucket // start[d]: count of degree d, then its first slot
-	clear(start)
-	for _, d := range ev.deg {
+}
+
+// baseFrontier is the model-independent half of the empty-plan gain
+// frontier at one θ: every candidate's degree (its inverted list's
+// length), their maximum, and the candidates of positive degree by
+// (degree desc, candidate asc). With no sample covered gainOf adds
+// marg[0] once per list entry, so the gain depends on the list length
+// alone: cum[d] repeats that exact sequence of additions. For marg[0] > 0
+// cum is strictly increasing (one addend is far above half an ulp of a
+// sum of at most θ < 2³¹ of them), so under every model order is the
+// (gain desc, candidate asc) order. It is shared and never written after
+// newBaseFrontier returns.
+type baseFrontier struct {
+	theta  int
+	deg    []int32
+	order  []candidate
+	maxDeg int
+}
+
+// newBaseFrontier computes ix's frontier, ordering the candidates with a
+// stable counting sort over degrees, which compares nothing.
+func newBaseFrontier(ix *rrset.Index, l int) *baseFrontier {
+	pp := ix.PoolSize()
+	f := &baseFrontier{theta: ix.MRR().Theta(), deg: make([]int32, l*pp)}
+	for c := range f.deg {
+		d := ix.Degree(c/pp, int32(c%pp))
+		f.deg[c] = int32(d)
+		f.maxDeg = max(f.maxDeg, d)
+	}
+	start := make([]int32, f.maxDeg+1) // start[d]: count of degree d, then its first slot
+	for _, d := range f.deg {
 		start[d]++
 	}
 	n := int32(0)
-	for d := maxDeg; d >= 1; d-- {
+	for d := f.maxDeg; d >= 1; d-- {
 		start[d], n = n, n+start[d]
 	}
-	ev.baseOrder = ev.baseOrder[:n]
-	for c, d := range ev.deg {
+	f.order = make([]candidate, n)
+	for c, d := range f.deg {
 		if d > 0 {
-			ev.baseOrder[start[d]] = candidate(c)
+			f.order[start[d]] = candidate(c)
 			start[d]++
 		}
 	}
+	return f
+}
+
+// baseMemoSlots is how many θ values a lineage's baseMemo holds: a
+// client can ask for any θ, and four cover a ladder of growth steps.
+const baseMemoSlots = 4
+
+// baseMemo holds an instance lineage's base frontiers, one per θ, up to
+// baseMemoSlots of them, replacing the oldest first. Prepare creates it
+// and every copy derived from the instance shares it (see Instance).
+type baseMemo struct {
+	mu    sync.Mutex
+	slots [baseMemoSlots]*baseFrontier
+	next  int // the slot a miss fills
+}
+
+// baseFrontier returns the instance's frontier at its θ: the lineage's
+// memoised one, or on a miss a new one, memoised in place of the oldest.
+// A miss computes under the lock, so concurrent first solves at one θ
+// compute it once.
+func (in *Instance) baseFrontier() *baseFrontier {
+	m, theta := in.base, in.Theta()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, f := range m.slots {
+		if f != nil && f.theta == theta {
+			return f
+		}
+	}
+	f := newBaseFrontier(in.Index, in.L())
+	m.slots[m.next] = f
+	m.next = (m.next + 1) % baseMemoSlots
+	return f
 }
 
 // baseGain is c's gain under the empty plan — and under any plan that
@@ -217,7 +265,7 @@ func (ev *evaluator) baseGain(c candidate) float64 { return ev.cum[ev.deg[c]] }
 func (ev *evaluator) resetScratch() {
 	ev.clearCoverage()
 	ev.tauSum = 0
-	ev.inst = nil
+	ev.inst, ev.deg, ev.baseOrder = nil, nil, nil
 }
 
 func (ev *evaluator) clearCoverage() {

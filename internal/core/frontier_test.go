@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -128,11 +129,100 @@ func TestUtilityMatchesEstimators(t *testing.T) {
 	}
 }
 
+// TestBaseFrontierMatchesFreshBind walks one lineage — Prepare at θ,
+// Prefix(θ/2), ExtendTo(2θ), WithK, and WithModel with α 2 and the steep
+// α 6, β 2 — binding a pooled evaluator at each step through the
+// lineage's memo. Its degrees, order, maxDeg and cum must equal, bit for
+// bit, what a fresh instance prepared at the same θ yields from scratch:
+// every list's length, the positive empty-plan gains gainOf computes,
+// sorted by (gain desc, candidate asc), and marg[0] summed d times. Every
+// step at a θ already solved must bind the very frontier memoised there.
+func TestBaseFrontierMatchesFreshBind(t *testing.T) {
+	ctx := context.Background()
+	const theta = 1000
+	p := randomProblem(t, 83, 60, 260, 12, 3, 6)
+	must := func(inst *Instance, err error) *Instance {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	root := must(Prepare(ctx, p, theta, 7))
+	half := must(root.Prefix(theta / 2))
+	grown := must(root.ExtendTo(ctx, 2*theta))
+	steps := []struct {
+		name string
+		inst *Instance
+		same *Instance // an earlier step at the same θ, or nil
+	}{
+		{"prepare", root, nil},
+		{"prefix", half, nil},
+		{"extend", grown, nil},
+		{"prefix of parent θ", must(root.Prefix(theta)), root},
+		{"prefix of grown", must(grown.Prefix(theta / 2)), half},
+		{"withK", must(grown.WithK(2)), grown},
+		{"α 2", must(grown.WithModel(logistic.Model{Alpha: 2, Beta: 1})), grown},
+		{"α 6 β 2", must(half.WithModel(logistic.Model{Alpha: 6, Beta: 2})), half},
+	}
+	pool := NewEvaluatorPool(grown)
+	for _, s := range steps {
+		ev, err := pool.acquire(s.inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := s.inst.baseFrontier()
+		if s.same != nil && f != s.same.baseFrontier() {
+			t.Fatalf("%s: a frontier of its own at θ %d", s.name, s.inst.Theta())
+		}
+
+		fresh := must(Prepare(ctx, s.inst.Problem, s.inst.Theta(), 7))
+		ref := newEvaluator(fresh)
+		ref.load(nil, nil)
+		deg, maxDeg := make([]int32, ref.numCands), int32(0)
+		var order []gainEntry
+		for c := range deg {
+			deg[c] = int32(len(fresh.Index.Samples(c/ref.pp, int32(c%ref.pp))))
+			maxDeg = max(maxDeg, deg[c])
+			g := ref.gainOf(candidate(c))
+			if g > 0 {
+				order = append(order, gainEntry{gain: g, cand: candidate(c)})
+			}
+			if ev.baseGain(candidate(c)) != g {
+				t.Fatalf("%s: candidate %d has empty-plan gain %v, fresh gainOf %v", s.name, c, ev.baseGain(candidate(c)), g)
+			}
+		}
+		slices.SortFunc(order, cmpGain)
+		wantOrder := make([]candidate, len(order))
+		for i, e := range order {
+			wantOrder[i] = e.cand
+		}
+		cum := []float64{0}
+		for d := int32(1); d <= maxDeg; d++ {
+			cum = append(cum, cum[d-1]+ref.marg[0])
+		}
+		switch {
+		case !slices.Equal(ev.deg, deg):
+			t.Fatalf("%s: degrees differ from the fresh instance's", s.name)
+		case f.maxDeg != int(maxDeg):
+			t.Fatalf("%s: maxDeg %d, fresh %d", s.name, f.maxDeg, maxDeg)
+		case !slices.Equal(ev.baseOrder, wantOrder):
+			t.Fatalf("%s: order %v, fresh %v", s.name, ev.baseOrder, wantOrder)
+		case !slices.EqualFunc(ev.cum, cum, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }):
+			t.Fatalf("%s: cum differs from the fresh one", s.name)
+		}
+		pool.release(ev)
+	}
+}
+
 // TestConcurrentSolvesShareOneTranspose runs steep pooled searches
-// concurrently on one instance and on a θ-prefix of it, before either has
-// built the index transpose: under -race this checks the one-time build
-// and its publication to every solve, and each result must equal the
-// same search on a freshly prepared instance with its own transpose.
+// concurrently on one instance and on more θ-prefixes of it than its
+// lineage's base-frontier memo has slots, before any has built the index
+// transpose: under -race this checks the one-time build and its
+// publication to every solve, and the memo's misses, hits and evictions
+// under contention. Each result must equal the same search on a freshly
+// prepared instance with its own transpose and memo, and the memo must
+// end holding baseMemoSlots distinct θ.
 func TestConcurrentSolvesShareOneTranspose(t *testing.T) {
 	ctx := context.Background()
 	p := randomProblem(t, 71, 60, 260, 12, 3, 6)
@@ -141,12 +231,16 @@ func TestConcurrentSolvesShareOneTranspose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefix, err := inst.Prefix(700)
-	if err != nil {
-		t.Fatal(err)
+	targets := []*Instance{inst}
+	for _, theta := range []int{1100, 1000, 900, 800, 700} {
+		prefix, err := inst.Prefix(theta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		targets = append(targets, prefix)
 	}
 	want := map[*Instance]*Result{}
-	for _, target := range []*Instance{inst, prefix} {
+	for _, target := range targets {
 		fresh, err := Prepare(ctx, p, target.Theta(), 5)
 		if err != nil {
 			t.Fatal(err)
@@ -157,8 +251,8 @@ func TestConcurrentSolvesShareOneTranspose(t *testing.T) {
 	}
 	pool := NewEvaluatorPool(inst)
 	var wg sync.WaitGroup
-	for w := 0; w < 6; w++ {
-		target := []*Instance{inst, prefix}[w%2]
+	for w := 0; w < 3*len(targets); w++ {
+		target := targets[w%len(targets)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -177,15 +271,31 @@ func TestConcurrentSolvesShareOneTranspose(t *testing.T) {
 	if want[inst].Stats.Nodes == 0 {
 		t.Fatal("the search certified at the root and never read the transpose")
 	}
-	if inst.Index.Transpose() != prefix.Index.Transpose() {
-		t.Fatal("the prefix has a transpose of its own")
+	for _, target := range targets[1:] {
+		if inst.Index.Transpose() != target.Index.Transpose() {
+			t.Fatalf("the θ %d prefix has a transpose of its own", target.Theta())
+		}
+	}
+	held := map[int]bool{}
+	for _, f := range inst.base.slots {
+		if f != nil {
+			held[f.theta] = true
+		}
+	}
+	if len(held) != baseMemoSlots {
+		t.Fatalf("the memo holds %d distinct θ after solves at %d, want %d", len(held), len(targets), baseMemoSlots)
 	}
 }
 
 // TestWarmSearchAllocations pins what a warm pooled search allocates: a
 // 40-node steep BAB takes its chains, nodes, heap, levels and picks from
 // the evaluator and materializes only incumbents, so it stays far below
-// one allocation per bound (81 bounds).
+// one allocation per bound (81 bounds). A warm greedy solve binds the
+// lineage's memoised base frontier and materializes one plan: it
+// allocates a handful (6 when pinned), nothing per candidate (300). The
+// greedy runs bind, solve and release on one evaluator, as a pooled
+// solve does, without the sync.Pool, which the race detector makes drop
+// evaluators at random.
 func TestWarmSearchAllocations(t *testing.T) {
 	inst := branchyInstance(t, 77, 800, 2400, 100, 3, 8, 4000, 9, 6, 2)
 	pool := NewEvaluatorPool(inst)
@@ -204,6 +314,17 @@ func TestWarmSearchAllocations(t *testing.T) {
 	t.Logf("%v allocations per 40-node search (%d bounds)", allocs, res.Stats.BoundEvals)
 	if allocs > 200 {
 		t.Fatalf("%v allocations per warm 40-node search, want at most 200", allocs)
+	}
+
+	ev := allocEvaluator(inst.L(), inst.Index.PoolSize(), inst.Theta())
+	allocs = testing.AllocsPerRun(10, func() {
+		ev.bind(inst)
+		res = greedy(inst, ev)
+		ev.resetScratch()
+	})
+	t.Logf("%v allocations per greedy solve", allocs)
+	if allocs > 8 {
+		t.Fatalf("%v allocations per warm greedy solve, want at most 8", allocs)
 	}
 }
 
@@ -290,10 +411,13 @@ func TestFrontierMergeIsLazy(t *testing.T) {
 	}
 }
 
-// BenchmarkWarmSearch times a warm pooled 40-node search of k 10 under
-// the steep model (α 6, β 2) on one generated instance — a three-piece
-// campaign on the dblp preset at scale 0.05, θ 100 000 — the shape of a
-// warm_solve_bab request, in process:
+// BenchmarkWarmSearch times warm pooled solves on one generated instance
+// — a three-piece campaign on the dblp preset at scale 0.05, θ 100 000 —
+// in process. bab and babp are a 40-node search of k 10 under the steep
+// model (α 6, β 2), the shape of a warm_solve_bab request; the mix
+// sub-benchmarks are the solves of a warm_query_mix request, under the
+// serve default model (α 2, β 1) and options: greedy of k 10, BAB-P of
+// k 5, and BAB-P of k 10 on the θ 50 000 prefix.
 //
 //	go test ./internal/core -run '^$' -bench WarmSearch -benchtime 100x
 func BenchmarkWarmSearch(b *testing.B) {
@@ -315,17 +439,37 @@ func BenchmarkWarmSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	mix, err := inst.WithModel(logistic.Model{Alpha: 2, Beta: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	mixK5, err := mix.WithK(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	mixHalf, err := mix.Prefix(50_000)
+	if err != nil {
+		b.Fatal(err)
+	}
 	evals := NewEvaluatorPool(inst)
-	opts := DefaultBABOptions()
-	opts.MaxNodes = 40
+	steep := DefaultBABOptions()
+	steep.MaxNodes = 40
 	for _, s := range []struct {
 		name  string
 		solve func(*Instance, BABOptions) (*Result, error)
-	}{{"bab", evals.SolveBAB}, {"babp", evals.SolveBABP}} {
+		inst  *Instance
+		opts  BABOptions
+	}{
+		{"bab", evals.SolveBAB, inst, steep},
+		{"babp", evals.SolveBABP, inst, steep},
+		{"mix/greedy", evals.SolveGreedy, mix, DefaultBABOptions()},
+		{"mix/babp_k5", evals.SolveBABP, mixK5, DefaultBABOptions()},
+		{"mix/babp_prefix", evals.SolveBABP, mixHalf, DefaultBABOptions()},
+	} {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.solve(inst, opts); err != nil {
+				if _, err := s.solve(s.inst, s.opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -34,10 +34,11 @@
 // one of two routines: computeBound, Algorithm 2 as a lazy greedy
 // (lazy.go), and computeBoundPro, Algorithm 3, whose completion is that
 // same lazy greedy. Both take their initial gains from the
-// evaluator's gain frontier — empty-plan gains and their order once per
-// solve (bind), plus the exact gains of only the candidates a node's
-// partial plan touched — so a bound's cost follows the plan's footprint
-// in the samples, not the candidate count. A search node carries those
+// evaluator's gain frontier — empty-plan gains and their order, computed
+// once per prepared lineage and θ and bound by every solve there, plus
+// the exact gains of only the candidates a node's partial plan touched —
+// so a bound's cost follows the plan's footprint in the samples, not the
+// candidate count. A search node carries those
 // gains as a chain of levels, and a child's bound starts from its
 // parent's: an exclude child shares the parent's chain, and an include
 // child adds one level holding just the candidates the included
@@ -171,6 +172,16 @@ func (p Plan) Size() int {
 // (ExtendTo appends samples in place), while every published Instance,
 // including θ-prefix derivatives (Prefix), keeps reading its own frozen
 // view and stays bit-identical forever.
+//
+// Prepare starts a lineage, and every copy derived from it — Prefix,
+// ExtendTo, WithK, WithModel, and theirs — shares the lineage's memo of
+// empty-plan gain frontiers: each candidate's degree at a θ and the
+// candidates' order by degree. No copy changes them: sample i is fixed
+// by the seed and i, inverted lists only grow, and neither depends on k
+// or the model. A solve at a θ the memo holds binds that frontier
+// instead of recomputing it. The memo holds at most four θ, a new one
+// replacing the one memoised first, and is freed with the lineage's
+// last instance.
 type Instance struct {
 	Problem *Problem
 	// Layouts[j][a] is piece j's influence graph on layer a (see
@@ -194,6 +205,8 @@ type Instance struct {
 	// ExtendFrom delta for an ExtendTo result. The serve layer exports it
 	// as the index_extend_ns metric.
 	IndexTime time.Duration
+
+	base *baseMemo // shared by the lineage's copies
 }
 
 // maxPieces bounds ℓ: per-sample coverage keeps a 32-bit piece mask.
@@ -269,6 +282,7 @@ func Prepare(ctx context.Context, p *Problem, theta int, seed uint64, layouts ..
 		Bounds:     bounds,
 		SampleTime: sampleTime,
 		IndexTime:  indexTime,
+		base:       new(baseMemo),
 	}, nil
 }
 
