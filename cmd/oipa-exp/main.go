@@ -13,20 +13,10 @@
 //	oipa-exp -exp fig5                   # utility & time vs l
 //	oipa-exp -exp fig6                   # utility vs beta/alpha
 //	oipa-exp -exp speedup                # BAB-P speedup over BAB (from fig4 sweep)
-//	oipa-exp -exp multiplex              # utility vs diffusion layer count
 //	oipa-exp -exp all -small             # everything, at smoke-test scale
-//
-// The multiplex-check mode is different: it loads stored graph files,
-// re-runs a default-flag oipa-serve's multiplex solve locally, replays
-// every sample through the combined-graph reduction, and prints the
-// bundle as JSON — CI diffs it against the live /v1/solve answer:
-//
-//	oipa-exp -exp multiplex-check -graph base.graph -layer l2.graph \
-//	  -check-l 2 -check-k 5 -theta 2000 -seed 1
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -42,45 +32,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("oipa-exp: ")
 	var (
-		which    = flag.String("exp", "all", "experiment: table3, params, fig3, fig4, fig5, fig6, speedup, multiplex, multiplex-check, all")
+		which    = flag.String("exp", "all", "experiment: table3, params, fig3, fig4, fig5, fig6, speedup, all")
 		datasets = flag.String("datasets", "lastfm,dblp,tweet", "comma-separated dataset presets")
 		small    = flag.Bool("small", false, "use smoke-test scale (seconds instead of minutes)")
-		theta    = flag.Int("theta", 0, "override MRR sample count (0 = preset default; multiplex-check default 2000)")
+		theta    = flag.Int("theta", 0, "override MRR sample count (0 = preset default)")
 		scale    = flag.Float64("scale", 0, "override dataset scale (0 = preset default)")
 		seed     = flag.Uint64("seed", 1, "randomness seed")
 		kList    = flag.String("k", "10,20,30,40,50,60,70,80,90,100", "k sweep for fig4")
 		lList    = flag.String("l", "1,2,3,4,5", "l sweep for fig5")
-		muxMax   = flag.Int("layers", 3, "layer-count sweep ceiling for the multiplex figure")
-
-		graphPath = flag.String("graph", "", "multiplex-check: base graph file from oipa-gen")
-		checkL    = flag.Int("check-l", 2, "multiplex-check: campaign pieces (single-topic, topics 0..l-1)")
-		checkK    = flag.Int("check-k", 5, "multiplex-check: seed budget")
 	)
-	var layerPaths []string
-	flag.Func("layer", "multiplex-check: additional layer graph file (repeatable)", func(v string) error {
-		layerPaths = append(layerPaths, v)
-		return nil
-	})
 	flag.Parse()
-
-	if *which == "multiplex-check" {
-		if *graphPath == "" {
-			log.Fatal("multiplex-check needs -graph")
-		}
-		th := *theta
-		if th <= 0 {
-			th = 2000
-		}
-		chk, err := exp.CheckMultiplex(*graphPath, layerPaths, *checkL, *checkK, th, *seed)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(chk); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 
 	configs := make([]exp.Config, 0, 3)
 	for _, name := range strings.Split(*datasets, ",") {
@@ -156,14 +117,6 @@ func main() {
 				}
 				exp.RenderRows(os.Stdout, fmt.Sprintf("Figure 6 (%s): vary beta/alpha", c.Preset), rows)
 			}
-		case "multiplex":
-			for _, c := range configs {
-				rows, err := exp.FigureMultiplex(c, *muxMax)
-				if err != nil {
-					log.Fatal(err)
-				}
-				exp.RenderRows(os.Stdout, fmt.Sprintf("Multiplex (%s): single vs multi-layer spread", c.Preset), rows)
-			}
 		default:
 			log.Fatalf("unknown experiment %q", name)
 		}
@@ -171,7 +124,7 @@ func main() {
 	}
 
 	if *which == "all" {
-		for _, name := range []string{"params", "table3", "fig3", "fig4", "fig5", "fig6", "multiplex"} {
+		for _, name := range []string{"params", "table3", "fig3", "fig4", "fig5", "fig6"} {
 			run(name)
 		}
 		return

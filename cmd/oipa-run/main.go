@@ -119,7 +119,7 @@ func main() {
 	}
 
 	if *simulate {
-		mc, err := cascade.EstimateAdoptionLayouts(g, inst.LayerLayouts(0), res.Plan.Seeds, prob.Model, *simRuns, *seed+4)
+		mc, err := cascade.EstimateAdoptionLayouts(g, inst.Layouts, res.Plan.Seeds, prob.Model, *simRuns, *seed+4)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -58,11 +58,6 @@ func main() {
 		traceSample = flag.Float64("trace-sample", 0, "fraction of requests traced without ?debug=trace; sampled span trees go to the request log (0 = off, 0.01 = every 100th)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled); keep it loopback-only or firewalled")
 	)
-	var layerPaths []string
-	flag.Func("layer", "additional multiplex layer graph file (repeatable; same topic count as -graph, node ids identity-mapped into its universe, so each layer's node count must not exceed the base graph's); requests may then select layer sets with \"layers\", layer 0 being the base graph", func(v string) error {
-		layerPaths = append(layerPaths, v)
-		return nil
-	})
 	flag.Parse()
 	if *graphPath == "" {
 		flag.Usage()
@@ -81,15 +76,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var muxLayers []graph.MultiplexLayer
-	for _, p := range layerPaths {
-		lg, err := graph.Load(p)
-		if err != nil {
-			log.Fatalf("layer %s: %v", p, err)
-		}
-		log.Printf("layer %s: n=%d m=%d topics=%d", p, lg.N(), lg.M(), lg.Z())
-		muxLayers = append(muxLayers, graph.MultiplexLayer{G: lg})
-	}
 	var logger *slog.Logger
 	if *logReqs {
 		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
@@ -107,7 +93,6 @@ func main() {
 	}
 	srv, err := serve.New(serve.Config{
 		Graph:            g,
-		Layers:           muxLayers,
 		Pool:             pool,
 		Model:            logistic.Model{Alpha: 1 / *ratio, Beta: 1},
 		DefaultTheta:     *theta,
@@ -125,9 +110,6 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("graph %s: n=%d m=%d topics=%d, pool=%d promoters", *graphPath, g.N(), g.M(), g.Z(), len(pool))
-	if len(muxLayers) > 0 {
-		log.Printf("multiplex serving: %d layers (base graph is layer 0)", len(muxLayers)+1)
-	}
 
 	hs := &http.Server{
 		Addr:              *addr,

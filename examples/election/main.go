@@ -93,7 +93,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		truth, err := cascade.EstimateAdoptionLayouts(dataset.G, inst.LayerLayouts(0), res.Plan.Seeds, problem.Model, 20_000, 99)
+		truth, err := cascade.EstimateAdoptionLayouts(dataset.G, inst.Layouts, res.Plan.Seeds, problem.Model, 20_000, 99)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -23,18 +23,16 @@ import (
 // method gets — rather than IMM's adaptively sized sample.
 func SolveIM(inst *Instance, seed uint64) (*Result, error) {
 	start := time.Now()
-	uniform := make([]float64, inst.Problem.Z())
+	p := inst.Problem
+	uniform := make([]float64, p.G.Z())
 	for i := range uniform {
 		uniform[i] = 1 / float64(len(uniform))
 	}
-	// Over a multiplex the uniform mixture's walk couples across layers
-	// exactly like the campaign pieces' walks.
-	p := inst.Problem
-	lays, err := p.pieceLayouts(topic.FromDense(uniform))
+	lay, err := p.G.PieceLayout(topic.FromDense(uniform))
 	if err != nil {
 		return nil, err
 	}
-	col, err := rrset.NewMRRCollection(p.G, p.Mux, [][]*graph.PieceLayout{lays}, seed)
+	col, err := rrset.NewMRRCollection(p.G, []*graph.PieceLayout{lay}, seed)
 	if err != nil {
 		return nil, err
 	}

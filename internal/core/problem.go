@@ -68,56 +68,22 @@ import (
 	"oipa/internal/topic"
 )
 
-// Problem is an OIPA problem statement (Definition 1). The diffusion
-// substrate is either a single graph (G) or an ordered layer set over a
-// shared node universe (Mux) — exactly one must be set. Pool members and
-// plan seeds are universe node ids in both cases, so everything past
-// sampling (solvers, estimators, plans) is substrate-agnostic.
+// Problem is an OIPA problem statement (Definition 1) over the
+// topic-aware social graph G.
 type Problem struct {
 	G        *graph.Graph
-	Mux      *graph.Multiplex
 	Campaign topic.Campaign
 	Pool     []int32 // V^p, the eligible promoters
 	K        int     // total promoter assignments available
 	Model    logistic.Model
 }
 
-// N returns the size of the problem's node universe.
-func (p *Problem) N() int {
-	if p.Mux != nil {
-		return p.Mux.N()
-	}
-	return p.G.N()
-}
-
-// Z returns the size of the problem's topic space.
-func (p *Problem) Z() int {
-	if p.Mux != nil {
-		return p.Mux.Z()
-	}
-	return p.G.Z()
-}
-
-// pieceLayouts returns the layout of a piece with topic distribution t on
-// every layer of the substrate (through the per-layer layout caches of a
-// multiplex; built afresh for a graph).
-func (p *Problem) pieceLayouts(t topic.Vector) ([]*graph.PieceLayout, error) {
-	if p.Mux != nil {
-		return p.Mux.Layouts(t)
-	}
-	lay, err := p.G.PieceLayout(t)
-	if err != nil {
-		return nil, err
-	}
-	return []*graph.PieceLayout{lay}, nil
-}
-
 // Validate checks the problem statement.
 func (p *Problem) Validate() error {
-	if (p.G == nil) == (p.Mux == nil) {
-		return fmt.Errorf("core: exactly one of G and Mux must be set")
+	if p.G == nil {
+		return fmt.Errorf("core: nil graph")
 	}
-	if err := p.Campaign.Validate(p.Z()); err != nil {
+	if err := p.Campaign.Validate(p.G.Z()); err != nil {
 		return fmt.Errorf("core: campaign: %w", err)
 	}
 	if len(p.Pool) == 0 {
@@ -125,7 +91,7 @@ func (p *Problem) Validate() error {
 	}
 	seen := make(map[int32]bool, len(p.Pool))
 	for _, v := range p.Pool {
-		if v < 0 || int(v) >= p.N() {
+		if v < 0 || int(v) >= p.G.N() {
 			return fmt.Errorf("core: pool member %d outside graph", v)
 		}
 		if seen[v] {
@@ -184,12 +150,11 @@ func (p Plan) Size() int {
 // last instance.
 type Instance struct {
 	Problem *Problem
-	// Layouts[j][a] is piece j's influence graph on layer a (see
-	// graph.PieceLayout); a single-graph instance has one layer. Sampling
-	// consumes them at Prepare time, parameter sweeps (WithK/WithModel)
-	// share them, and LayerLayouts hands one layer's to the forward
-	// simulator.
-	Layouts [][]*graph.PieceLayout
+	// Layouts[j] is piece j's influence graph (see graph.PieceLayout).
+	// Sampling consumes them at Prepare time, parameter sweeps
+	// (WithK/WithModel) share them, and the forward simulator
+	// (cascade.EstimateAdoptionLayouts) takes them as they are.
+	Layouts []*graph.PieceLayout
 	MRR     *rrset.MRRCollection
 	Index   *rrset.Index
 	Bounds  *logistic.BoundTable
@@ -214,25 +179,21 @@ const maxPieces = 32
 
 // Prepare validates the problem, draws theta multi-RR samples (in
 // parallel, deterministically from seed) and builds the pool index and
-// bound table — over a single graph or a multiplex alike: a multiplex
-// holding one identity-mapped layer prepares an instance whose samples,
-// and therefore every solver output, are bit-identical to the instance
-// over that layer's graph (pinned by the single-layer golden test).
+// bound table.
 //
 // layouts are the optional prebuilt per-piece influence graphs,
-// layouts[j][a] piece j's layout on layer a — typically served by a
-// graph.LayoutCache or Multiplex.Layouts, so repeated preparations of the
-// same campaign skip the per-piece materialization; with none given they
-// are built from the campaign. Layouts are immutable and Prepare touches
-// no other shared state, so any number of calls may run concurrently
-// over one substrate.
+// layouts[j] piece j's layout on p.G — typically served by a
+// graph.LayoutCache, so repeated preparations of the same campaign skip
+// the per-piece materialization; with none given they are built from the
+// campaign. Layouts are immutable and Prepare touches no other shared
+// state, so any number of calls may run concurrently over one graph.
 //
 // The sampling pass checks ctx at sample-block granularity
 // (rrset.MRRCollection.ExtendToCtx) and a cancellation surfaces as
 // ctx.Err() with no instance — a query service can abandon a
 // multi-second preparation the moment its request deadline expires
 // instead of finishing work nobody will read.
-func Prepare(ctx context.Context, p *Problem, theta int, seed uint64, layouts ...[]*graph.PieceLayout) (*Instance, error) {
+func Prepare(ctx context.Context, p *Problem, theta int, seed uint64, layouts ...*graph.PieceLayout) (*Instance, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -244,19 +205,19 @@ func Prepare(ctx context.Context, p *Problem, theta int, seed uint64, layouts ..
 		return nil, fmt.Errorf("core: non-positive theta %d", theta)
 	}
 	if len(layouts) == 0 {
-		layouts = make([][]*graph.PieceLayout, l)
+		layouts = make([]*graph.PieceLayout, l)
 		for j, piece := range p.Campaign.Pieces {
-			lays, err := p.pieceLayouts(piece.Dist)
+			lay, err := p.G.PieceLayout(piece.Dist)
 			if err != nil {
 				return nil, err
 			}
-			layouts[j] = lays
+			layouts[j] = lay
 		}
 	} else if len(layouts) != l {
 		return nil, fmt.Errorf("core: %d layouts for %d pieces", len(layouts), l)
 	}
 	start := time.Now()
-	mrr, err := rrset.NewMRRCollection(p.G, p.Mux, layouts, seed)
+	mrr, err := rrset.NewMRRCollection(p.G, layouts, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -286,26 +247,14 @@ func Prepare(ctx context.Context, p *Problem, theta int, seed uint64, layouts ..
 	}, nil
 }
 
-// PrepareLayouts is Prepare over a single-graph problem's prebuilt
-// per-piece layouts (layouts[j] is piece j's layout on p.G), without a
-// context.
+// PrepareLayouts is Prepare over prebuilt per-piece layouts (layouts[j]
+// is piece j's layout on p.G), without a context.
 func PrepareLayouts(p *Problem, layouts []*graph.PieceLayout, theta int, seed uint64) (*Instance, error) {
-	return Prepare(context.Background(), p, theta, seed, rrset.OneLayer(layouts)...)
+	return Prepare(context.Background(), p, theta, seed, layouts...)
 }
 
 // L returns the number of campaign pieces.
 func (in *Instance) L() int { return in.Problem.Campaign.L() }
-
-// LayerLayouts returns every piece's layout on layer a (layer 0 of a
-// single-graph instance is the graph itself) — the shape
-// cascade.EstimateAdoptionLayouts takes.
-func (in *Instance) LayerLayouts(a int) []*graph.PieceLayout {
-	out := make([]*graph.PieceLayout, len(in.Layouts))
-	for j, lays := range in.Layouts {
-		out[j] = lays[a]
-	}
-	return out
-}
 
 // Theta returns the number of MRR samples visible to the solvers: the
 // sample count of the index's frozen view. A θ-prefix instance reports

@@ -337,10 +337,9 @@ func requireSameBound(t *testing.T, label string, want, got boundResult) {
 	}
 }
 
-// frontierVariants prepares the same (problem, θ, seed) four ways whose
+// frontierVariants prepares the same (problem, θ, seed) three ways whose
 // instances must be interchangeable: fresh, the θ-prefix of a larger
-// instance, grown in place from a smaller one, and as a one-layer
-// multiplex.
+// instance, and grown in place from a smaller one.
 func frontierVariants(t *testing.T, p *Problem, theta int, seed uint64) map[string]*Instance {
 	t.Helper()
 	ctx := context.Background()
@@ -357,7 +356,6 @@ func frontierVariants(t *testing.T, p *Problem, theta int, seed uint64) map[stri
 		"fresh":    must(Prepare(ctx, p, theta, seed)),
 		"prefix":   must(big.Prefix(theta)),
 		"extended": must(small.ExtendTo(ctx, theta)),
-		"mux1":     must(Prepare(ctx, muxProblem(t, p), theta, seed)),
 	}
 }
 
@@ -650,86 +648,61 @@ func refGreedyCover(v *rrset.MRRView, j int, pool []int32, k int) []int32 {
 	return seeds
 }
 
-// twoLayerMuxProblem puts p's graph on layer 0 of a multiplex and a
-// second random graph over a random subset of the universe on layer 1,
-// numbered through a non-identity ToGlobal map.
-func twoLayerMuxProblem(t *testing.T, p *Problem, seed uint64) *Problem {
-	t.Helper()
-	n := p.G.N()
-	extra := randomProblem(t, seed+1000, n*2/3, 3*n, 1, 1, 1).G
-	toGlobal := make([]int32, extra.N())
-	for i, u := range xrand.New(seed).Sample(n, extra.N()) {
-		toGlobal[i] = int32(u)
-	}
-	mx, err := graph.NewMultiplex(n, []graph.MultiplexLayer{{G: p.G}, {G: extra, ToGlobal: toGlobal}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := *p
-	q.G, q.Mux = nil, mx
-	return &q
-}
-
 // TestIMMatchesReferenceCover checks SolveIM against refGreedyCover on a
-// freshly sampled one-piece collection of the uniform topic mixture, over
-// a graph, a one-layer multiplex and a two-layer non-identity multiplex
-// at several θ and seeds: the seeds SolveIM assigns must be the
+// freshly sampled one-piece collection of the uniform topic mixture at
+// several θ and seeds: the seeds SolveIM assigns must be the
 // reference's, in order, on the piece whose estimate is largest (the
 // first on ties), and its utility that estimate, bit for bit.
 func TestIMMatchesReferenceCover(t *testing.T) {
 	picked := 0
 	for seed := uint64(1); seed <= 4; seed++ {
-		base := randomProblem(t, 60+seed, 60, 260, 14, 3, 4)
-		for name, p := range map[string]*Problem{
-			"graph": base, "mux1": muxProblem(t, base), "mux2": twoLayerMuxProblem(t, base, seed),
-		} {
-			for _, theta := range []int{50, 700, 3000} {
-				label := fmt.Sprintf("seed %d %s θ %d", seed, name, theta)
-				inst, err := Prepare(context.Background(), p, theta, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				imSeed := 17 * seed
-				got, err := SolveIM(inst, imSeed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				uniform := make([]float64, p.Z())
-				for z := range uniform {
-					uniform[z] = 1 / float64(len(uniform))
-				}
-				lays, err := p.pieceLayouts(topic.FromDense(uniform))
-				if err != nil {
-					t.Fatal(err)
-				}
-				col, err := rrset.NewMRRCollection(p.G, p.Mux, [][]*graph.PieceLayout{lays}, imSeed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := col.ExtendTo(theta); err != nil {
-					t.Fatal(err)
-				}
-				seeds := refGreedyCover(col.View(), 0, p.Pool, p.K)
-				want, wantUtil := NewPlan(inst.L()), 0.0
-				if len(seeds) > 0 {
-					wantUtil = -1
-					for j := 0; j < inst.L(); j++ {
-						plan := NewPlan(inst.L())
-						plan.Seeds[j] = seeds
-						util, err := inst.EstimateAU(plan)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if util > wantUtil {
-							want, wantUtil = plan, util
-						}
+		p := randomProblem(t, 60+seed, 60, 260, 14, 3, 4)
+		for _, theta := range []int{50, 700, 3000} {
+			label := fmt.Sprintf("seed %d θ %d", seed, theta)
+			inst, err := Prepare(context.Background(), p, theta, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			imSeed := 17 * seed
+			got, err := SolveIM(inst, imSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			uniform := make([]float64, p.G.Z())
+			for z := range uniform {
+				uniform[z] = 1 / float64(len(uniform))
+			}
+			lay, err := p.G.PieceLayout(topic.FromDense(uniform))
+			if err != nil {
+				t.Fatal(err)
+			}
+			col, err := rrset.NewMRRCollection(p.G, []*graph.PieceLayout{lay}, imSeed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := col.ExtendTo(theta); err != nil {
+				t.Fatal(err)
+			}
+			seeds := refGreedyCover(col.View(), 0, p.Pool, p.K)
+			want, wantUtil := NewPlan(inst.L()), 0.0
+			if len(seeds) > 0 {
+				wantUtil = -1
+				for j := 0; j < inst.L(); j++ {
+					plan := NewPlan(inst.L())
+					plan.Seeds[j] = seeds
+					util, err := inst.EstimateAU(plan)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if util > wantUtil {
+						want, wantUtil = plan, util
 					}
 				}
-				if !reflect.DeepEqual(got.Plan, want) || got.Utility != wantUtil {
-					t.Fatalf("%s: SolveIM plan %v utility %v, reference %v utility %v", label, got.Plan.Seeds, got.Utility, want.Seeds, wantUtil)
-				}
-				picked += len(seeds)
 			}
+			if !reflect.DeepEqual(got.Plan, want) || got.Utility != wantUtil {
+				t.Fatalf("%s: SolveIM plan %v utility %v, reference %v utility %v", label, got.Plan.Seeds, got.Utility, want.Seeds, wantUtil)
+			}
+			picked += len(seeds)
 		}
 	}
 	if picked == 0 {

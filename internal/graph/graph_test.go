@@ -2,7 +2,9 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -374,6 +376,35 @@ func TestReadRejectsGarbage(t *testing.T) {
 	// Correct magic but truncated header.
 	if _, err := Read(bytes.NewReader(magic[:])); err == nil {
 		t.Fatal("truncated header accepted")
+	}
+}
+
+// TestReadRejectsOversizedCounts: a header whose vertex or topic count
+// does not fit an int32 is refused, not wrapped to a negative count.
+func TestReadRejectsOversizedCounts(t *testing.T) {
+	header := func(n, z uint32) []byte {
+		b := append([]byte(nil), magic[:]...)
+		b = binary.LittleEndian.AppendUint32(b, n)
+		b = binary.LittleEndian.AppendUint64(b, 0)
+		return binary.LittleEndian.AppendUint32(b, z)
+	}
+	for _, tc := range []struct {
+		name string
+		n, z uint32
+		want string
+	}{
+		{"topics 2^32-1", 4, math.MaxUint32, "topic count"},
+		{"topics 2^31", 4, 1 << 31, "topic count"},
+		{"vertices 2^32-1", math.MaxUint32, 2, "vertex count"},
+	} {
+		_, err := Read(bytes.NewReader(header(tc.n, tc.z)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming the %s", tc.name, err, tc.want)
+		}
+	}
+	g, err := Read(bytes.NewReader(header(4, 2)))
+	if err != nil || g.N() != 4 || g.Z() != 2 {
+		t.Fatalf("a 4-node 2-topic header: graph %v, error %v", g, err)
 	}
 }
 

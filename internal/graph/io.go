@@ -87,8 +87,11 @@ func Read(r io.Reader) (*Graph, error) {
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	m := binary.LittleEndian.Uint64(hdr[4:12])
 	z := binary.LittleEndian.Uint32(hdr[12:16])
-	if n > 1<<31-1 {
+	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("graph: vertex count %d too large", n)
+	}
+	if z > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: topic count %d too large", z)
 	}
 	b := NewBuilder(int(n), int(z))
 	var scratch [12]byte

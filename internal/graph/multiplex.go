@@ -27,8 +27,9 @@ type MultiplexLayer struct {
 // et al.). All layers share one topic space.
 //
 // A Multiplex is immutable after construction and safe for concurrent
-// use; each layer owns a LayoutCache so repeated preparations of the
-// same pieces reuse layouts exactly like the single-graph path.
+// use; each layer owns a LayoutCache. No program path builds one: it
+// stays for the benchmark's rrset.sample_mux1_ms row, which samples a
+// one-identity-layer multiplex through rrset.SampleMRRMultiplexLayouts.
 type Multiplex struct {
 	n      int
 	z      int
@@ -101,9 +102,6 @@ func NewMultiplex(n int, layers []MultiplexLayer, layoutCapacity int) (*Multiple
 // N returns the universe size.
 func (m *Multiplex) N() int { return m.n }
 
-// Z returns the shared topic-space size.
-func (m *Multiplex) Z() int { return m.z }
-
 // L returns the number of layers.
 func (m *Multiplex) L() int { return len(m.layers) }
 
@@ -139,16 +137,6 @@ func (m *Multiplex) Layouts(t topic.Vector) ([]*PieceLayout, error) {
 		out[a] = lay
 	}
 	return out, nil
-}
-
-// LayoutCacheStats sums the per-layer caches: cached layouts, their
-// resident bytes, and the hit/miss counters.
-func (m *Multiplex) LayoutCacheStats() (entries int, bytes, hits, misses int64) {
-	for _, c := range m.caches {
-		h, ms := c.Stats()
-		entries, bytes, hits, misses = entries+c.Len(), bytes+c.MemUsage(), hits+h, misses+ms
-	}
-	return
 }
 
 // CombinedGraph materializes the gateway-node reduction of the

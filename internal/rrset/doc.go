@@ -26,7 +26,7 @@
 // one flip per in-edge.
 //
 // A layout built from a topic vector (Graph.PieceLayout, LayoutCache.Get,
-// Multiplex.Layouts, core.Prepare) is pruned: edges with p(t, e) = 0 are
+// core.Prepare) is pruned: edges with p(t, e) = 0 are
 // not in G_j and are not stored, which on sparse topic data is most of
 // every in-range the walk would otherwise scan. A layout built from an
 // explicit probability vector (Graph.Layout — SampleMRR, tests and the
@@ -38,26 +38,22 @@
 // layoutparity_test.go). Samplers therefore always walk the layout's own
 // arrays, never the graph's.
 //
-// # One substrate, one fork
+// # One collection, one graph
 //
-// A collection samples over a substrate: a node universe [0, n), the
-// graph of every layer, and the per-piece layouts as [piece][layer]. One
-// graph is the one-layer case; a graph.Multiplex (layers coupled at shared
-// identities, in the sense of Kuhnle et al.) is the general one. There is
-// one collection type, MRRCollection, and one constructor,
-// NewMRRCollection, taking a graph or a multiplex: it validates the
-// layouts, derives sample i's RNG and root from (seed, i) the same way
-// over both, and stores universe node ids, so ExtendTo, views, the index,
-// sketches and the estimators never know which it was given. A plain RR
-// collection — what the IM baselines cover — is the one-piece (ℓ = 1)
-// case. SampleMRR, SampleMRRLayouts and SampleMRRMultiplexLayouts are
-// thin wrappers.
-// The package asks "one graph or many layers?" in exactly one place,
-// newSubstrate, where the per-worker sampler is chosen: traverse.Walker
-// for one graph, traverse.MultiWalker otherwise. A one-identity-layer
-// multiplex samples bit-identically to its layer's graph; Walker stays as
-// the one-graph specialisation because it measures ~5 % faster there.
-// Cancellation enters through ExtendToCtx only.
+// There is one collection type, MRRCollection, and one constructor,
+// NewMRRCollection, over one graph and its per-piece layouts: it
+// validates the layouts and derives sample i's RNG and root from
+// (seed, i). A plain RR collection — what the IM baselines cover — is
+// the one-piece (ℓ = 1) case. SampleMRR and SampleMRRLayouts are thin
+// wrappers. Cancellation enters through ExtendToCtx only.
+//
+// SampleMRRMultiplexLayouts samples over a graph.Multiplex (layers
+// coupled at shared identities, in the sense of Kuhnle et al.) through
+// traverse.MultiWalker. No program path reaches it: it is kept only for
+// the benchmark's rrset.sample_mux1_ms row, which times a
+// one-identity-layer multiplex — bit-identical to its layer's graph —
+// beside the one-graph walk. newSubstrate is the one place the package
+// tells the two apart.
 //
 // # Sharded storage
 //

@@ -78,17 +78,16 @@ type substrate struct {
 
 // newSubstrate assembles and validates the substrate of g (one graph) or
 // mx (a multiplex) — exactly one is non-nil.
+//
+// The multiplex branch is reachable only through
+// SampleMRRMultiplexLayouts, and exists for the benchmark's
+// rrset.sample_mux1_ms row, which times a one-identity-layer multiplex
+// against the one-graph walk. It goes when that row does.
 func newSubstrate(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.PieceLayout) (*substrate, error) {
 	if (g == nil) == (mx == nil) {
 		return nil, fmt.Errorf("rrset: exactly one of a graph and a multiplex must be given")
 	}
 	s := &substrate{g: g, mux: mx, layouts: layouts}
-	// One graph keeps traverse.Walker rather than running as a one-layer
-	// MultiWalker, although the two are bit-identical there: on identical
-	// layouts the one-layer multiplex walk measures 1.05× the Walker's time
-	// (rrset.sample_mux1_ms ÷ rrset.sample_ms, benchmark/README.md),
-	// sampling is ~55 % of cold_prepare's CPU, and cascade and the
-	// benchmark need Walker whatever is chosen here.
 	if mx == nil {
 		s.n, s.graphs = g.N(), []*graph.Graph{g}
 		s.newPieceSampler = func() pieceSampler {
@@ -139,9 +138,9 @@ func (s *substrate) validate() error {
 // multiplex (Index.ExtendFrom matches collections by it).
 func (s *substrate) same(o *substrate) bool { return s.g == o.g && s.mux == o.mux }
 
-// OneLayer lifts per-piece layouts over one graph into the [piece][layer]
-// shape the substrate-generic constructors take.
-func OneLayer(layouts []*graph.PieceLayout) [][]*graph.PieceLayout {
+// oneLayer lifts per-piece layouts over one graph into the substrate's
+// [piece][layer] shape.
+func oneLayer(layouts []*graph.PieceLayout) [][]*graph.PieceLayout {
 	out := make([][]*graph.PieceLayout, len(layouts))
 	for j := range layouts {
 		out[j] = layouts[j : j+1 : j+1]
@@ -383,17 +382,15 @@ func newMRRCollection(sub *substrate, l int, seed uint64) *MRRCollection {
 	}
 }
 
-// NewMRRCollection returns an empty multi-RR collection over g (one
-// graph; mx nil) or mx (a multiplex; g nil), to be grown with ExtendTo or
-// ExtendToCtx: layouts[j][a] is piece j's layout on layer a — OneLayer of
-// the per-piece layouts for a graph, Multiplex.Layouts per piece for a
-// multiplex. Sample i derives its RNG and universe root from (seed, i)
-// the same way over both, and the collection stores universe node ids,
-// so every downstream consumer — Index, sketches, estimators,
-// Prefix/ExtendTo — is substrate-agnostic; for a single
-// identity-mapped layer the samples are bit-identical to the collection
-// over that layer's graph (pinned by the multiplex golden tests).
-func NewMRRCollection(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.PieceLayout, seed uint64) (*MRRCollection, error) {
+// NewMRRCollection returns an empty multi-RR collection over g, to be
+// grown with ExtendTo or ExtendToCtx: layouts[j] is piece j's layout on
+// g. Sample i derives its RNG and root from (seed, i).
+func NewMRRCollection(g *graph.Graph, layouts []*graph.PieceLayout, seed uint64) (*MRRCollection, error) {
+	return newSubstrateCollection(g, nil, oneLayer(layouts), seed)
+}
+
+// newSubstrateCollection is NewMRRCollection over either substrate.
+func newSubstrateCollection(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.PieceLayout, seed uint64) (*MRRCollection, error) {
 	sub, err := newSubstrate(g, mx, layouts)
 	if err != nil {
 		return nil, err
@@ -401,9 +398,9 @@ func NewMRRCollection(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.Pi
 	return newMRRCollection(sub, len(layouts), seed), nil
 }
 
-// sampleMRR is NewMRRCollection grown to theta samples.
+// sampleMRR is newSubstrateCollection grown to theta samples.
 func sampleMRR(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.PieceLayout, theta int, seed uint64) (*MRRCollection, error) {
-	m, err := NewMRRCollection(g, mx, layouts, seed)
+	m, err := newSubstrateCollection(g, mx, layouts, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -448,12 +445,13 @@ func buildLayouts(g *graph.Graph, pieceProbs [][]float64) ([]*graph.PieceLayout,
 // solvers that sample repeatedly over the same campaign (progressive
 // estimation, parameter sweeps) prepare the layouts once.
 func SampleMRRLayouts(g *graph.Graph, layouts []*graph.PieceLayout, theta int, seed uint64) (*MRRCollection, error) {
-	return sampleMRR(g, nil, OneLayer(layouts), theta, seed)
+	return sampleMRR(g, nil, oneLayer(layouts), theta, seed)
 }
 
 // SampleMRRMultiplexLayouts draws theta multi-RR samples over a
 // multiplex; layouts[j][a] is piece j's layout on layer a (as built by
-// Multiplex.Layouts).
+// Multiplex.Layouts). Only the benchmark's rrset.sample_mux1_ms row calls
+// it.
 func SampleMRRMultiplexLayouts(mx *graph.Multiplex, layouts [][]*graph.PieceLayout, theta int, seed uint64) (*MRRCollection, error) {
 	return sampleMRR(nil, mx, layouts, theta, seed)
 }
@@ -474,7 +472,7 @@ func SampleMRRWithRoots(g *graph.Graph, pieceProbs [][]float64, roots []int32, s
 	if err != nil {
 		return nil, err
 	}
-	m, err := NewMRRCollection(g, nil, OneLayer(layouts), seed)
+	m, err := NewMRRCollection(g, layouts, seed)
 	if err != nil {
 		return nil, err
 	}

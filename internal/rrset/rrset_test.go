@@ -101,7 +101,7 @@ func spread(c setReader, seeds []int32) float64 {
 // emptyGraphMRR returns an empty one-graph collection over per-piece
 // layouts.
 func emptyGraphMRR(g *graph.Graph, layouts []*graph.PieceLayout, seed uint64) *MRRCollection {
-	m, err := NewMRRCollection(g, nil, OneLayer(layouts), seed)
+	m, err := NewMRRCollection(g, layouts, seed)
 	if err != nil {
 		panic(err)
 	}
@@ -251,11 +251,11 @@ func TestEstimateSpreadUnbiased(t *testing.T) {
 
 func TestNewCollectionValidates(t *testing.T) {
 	g, _ := paperExample(t)
-	if _, err := NewMRRCollection(g, nil, [][]*graph.PieceLayout{{nil}}, 0); err == nil {
+	if _, err := NewMRRCollection(g, []*graph.PieceLayout{nil}, 0); err == nil {
 		t.Fatal("nil layout accepted")
 	}
-	if _, err := NewMRRCollection(nil, nil, [][]*graph.PieceLayout{{nil}}, 0); err == nil {
-		t.Fatal("neither graph nor multiplex accepted")
+	if _, err := NewMRRCollection(nil, []*graph.PieceLayout{nil}, 0); err == nil {
+		t.Fatal("nil graph accepted")
 	}
 }
 

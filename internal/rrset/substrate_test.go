@@ -41,9 +41,9 @@ func TestSubstrateValidate(t *testing.T) {
 		theta   int
 		want    string // substring of the error; "" = accepted
 	}{
-		{"graph ok", g, nil, OneLayer(good), 10, ""},
+		{"graph ok", g, nil, oneLayer(good), 10, ""},
 		{"mux ok", nil, mx, muxGood, 10, ""},
-		{"neither substrate", nil, nil, OneLayer(good), 10, "exactly one"},
+		{"neither substrate", nil, nil, oneLayer(good), 10, "exactly one"},
 		{"both substrates", g, mx, muxGood, 10, "exactly one"},
 		{"graph zero pieces", g, nil, nil, 10, "no pieces"},
 		{"mux zero pieces", nil, mx, nil, 10, "no pieces"},
@@ -53,7 +53,7 @@ func TestSubstrateValidate(t *testing.T) {
 		{"mux wrong layer", nil, mx, layouts{{muxGood[0][1], muxGood[0][0]}, muxGood[1]}, 10, "piece 0"},
 		{"graph wrong layer count", g, nil, layouts{good[:1], good}, 10, "piece 1 has 2 layouts for 1 layers"},
 		{"mux wrong layer count", nil, mx, layouts{muxGood[0], muxGood[1][:1]}, 10, "piece 1 has 1 layouts for 2 layers"},
-		{"graph zero theta", g, nil, OneLayer(good), 0, "non-positive theta"},
+		{"graph zero theta", g, nil, oneLayer(good), 0, "non-positive theta"},
 		{"mux negative theta", nil, mx, muxGood, -3, "non-positive theta"},
 	} {
 		m, err := sampleMRR(tc.g, tc.mx, tc.layouts, tc.theta, 1)
@@ -103,9 +103,10 @@ func declaredNames(t *testing.T) map[string]bool {
 }
 
 // TestExportedSurface pins the constructor surface: one collection type
-// with one substrate-generic constructor plus thin wrappers, no *Ctx
-// twins, no fused-count API, and no file format (every substrate comes
-// from newSubstrate). A collection only grows: there is no shrink and
+// with one one-graph constructor plus thin wrappers, no *Ctx twins, no
+// fused-count API, and no file format (every substrate comes from
+// newSubstrate). No caller outside the package lifts layouts into
+// layers. A collection only grows: there is no shrink and
 // no compacting copy.
 func TestExportedSurface(t *testing.T) {
 	want := map[string]bool{"NewMRRCollection": true,
@@ -128,7 +129,7 @@ func TestExportedSurface(t *testing.T) {
 	for _, gone := range []string{"DropSampleCounts", "counted", "shardsAfter",
 		"Write", "Save", "ReadMRR", "LoadMRR", "packedStore",
 		"type Collection", "type View", "Coverage", "EstimateSpread",
-		"ShrinkTo", "compactPrefix"} {
+		"ShrinkTo", "compactPrefix", "OneLayer"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}

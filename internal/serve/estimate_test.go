@@ -16,11 +16,11 @@ import (
 // TestEstimateIndexMatchesScan: /v1/estimate answers a plan of pool
 // members through the inverted index and anything else through the θ-scan,
 // and either way the served utility is the scan's float64 bit for bit —
-// before and after growth, on a θ-prefix of the grown artifact, on a
-// one-layer multiplex, with duplicate seeds and empty seed sets — while a
-// malformed plan gets the scan's 400 text.
+// before and after growth, on a θ-prefix of the grown artifact, with
+// duplicate seeds and empty seed sets — while a malformed plan gets the
+// scan's 400 text.
 func TestEstimateIndexMatchesScan(t *testing.T) {
-	s, _ := testMultiplexServer(t)
+	s := testServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	g, pool := testGraph(t)
@@ -34,25 +34,23 @@ func TestEstimateIndexMatchesScan(t *testing.T) {
 	cases := []struct {
 		name    string
 		theta   int
-		layers  []int
 		plan    [][]int32
 		indexed bool   // every seed a pool member: the index answers
 		outcome string // the registry's
 	}{
-		{"before growth", 400, nil, [][]int32{{a, b}, {c}}, true, "miss"},
-		{"full theta after growth", 800, nil, [][]int32{{a, b}, {c}}, true, "extend"},
-		{"prefix after growth", 300, nil, [][]int32{{a, b}, {c}}, true, "prefix"},
-		{"one-layer multiplex", 500, []int{1}, [][]int32{{a}, {b, c}}, true, "miss"},
-		{"duplicate seeds within a piece", 800, nil, [][]int32{{a, a, b}, {c, c}}, true, "hit"},
-		{"empty seed set for a piece", 800, nil, [][]int32{{a, b}, {}}, true, "hit"},
-		{"off-pool seed", 800, nil, [][]int32{{a, off}, {c}}, false, "hit"},
-		{"id beyond the graph", 800, nil, [][]int32{{a, int32(g.N())}, {c}}, false, "hit"},
-		{"negative id", 800, nil, [][]int32{{-1, a}, {c}}, false, "hit"},
+		{"before growth", 400, [][]int32{{a, b}, {c}}, true, "miss"},
+		{"full theta after growth", 800, [][]int32{{a, b}, {c}}, true, "extend"},
+		{"prefix after growth", 300, [][]int32{{a, b}, {c}}, true, "prefix"},
+		{"duplicate seeds within a piece", 800, [][]int32{{a, a, b}, {c, c}}, true, "hit"},
+		{"empty seed set for a piece", 800, [][]int32{{a, b}, {}}, true, "hit"},
+		{"off-pool seed", 800, [][]int32{{a, off}, {c}}, false, "hit"},
+		{"id beyond the graph", 800, [][]int32{{a, int32(g.N())}, {c}}, false, "hit"},
+		{"negative id", 800, [][]int32{{-1, a}, {c}}, false, "hit"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var resp EstimateResponse
-			req := EstimateRequest{Campaign: camp, Plan: tc.plan, Theta: tc.theta, Layers: tc.layers}
+			req := EstimateRequest{Campaign: camp, Plan: tc.plan, Theta: tc.theta}
 			if code, raw := postJSON(t, ts, "/v1/estimate", req, &resp); code != http.StatusOK {
 				t.Fatalf("status %d: %s", code, raw)
 			}
@@ -68,7 +66,7 @@ func TestEstimateIndexMatchesScan(t *testing.T) {
 			if resp.EstimateMode != "exact" || outcome != tc.outcome {
 				t.Fatalf("mode %q, registry outcome %s; want exact, %s", resp.EstimateMode, outcome, tc.outcome)
 			}
-			art, _, err := s.reg.Instance(context.Background(), camp, tc.theta, 1, tc.layers...)
+			art, _, err := s.reg.Instance(context.Background(), camp, tc.theta, 1)
 			if err != nil {
 				t.Fatal(err)
 			}

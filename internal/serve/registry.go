@@ -21,27 +21,17 @@ import (
 
 // instanceKey identifies one θ-monotone sampling entry: the campaign's
 // canonical piece content (names excluded — two campaigns with the same
-// distributions share samples), the sampling seed, and the layer-set
-// hash. θ is deliberately NOT part of the key: MRR sample i is
-// identical for a given (campaign, seed, layer set) regardless of how
-// far the collection has grown, so one entry serves every requested θ —
-// smaller ones through θ-prefix views, larger ones by extending the
-// shared collection in place. Budget k and the adoption model are not
+// distributions share samples) and the sampling seed. θ is deliberately
+// NOT part of the key: MRR sample i is identical for a given
+// (campaign, seed) regardless of how far the collection has grown, so
+// one entry serves every requested θ — smaller ones through θ-prefix
+// views, larger ones by extending the shared collection in place. Budget k and the adoption model are not
 // in the key either: neither affects the samples or the index, so
 // per-request variation is served through core.Instance.WithK /
 // WithModel shallow copies over one artifact.
-//
-// layers is the layer-set hash: a bitmask of the selected multiplex
-// layer indices. Layer indices are bounded to [0, 64) at request
-// validation, so the mask is collision-free, and equal sets collide to
-// the same entry regardless of request spelling (the server
-// canonicalizes order and duplicates first). 0 is the single-graph path
-// — a request for just the base layer keys identically to a layerless
-// request, so both share one artifact.
 type instanceKey struct {
 	campaign string
 	seed     uint64
-	layers   uint64
 }
 
 // campaignKey renders the piece distributions in a canonical, collision
@@ -198,18 +188,6 @@ type Registry struct {
 	layouts  *graph.LayoutCache
 	capacity int
 
-	// mx is the full configured multiplex (base graph as layer 0), nil
-	// on a single-graph server. Requests selecting a proper layer subset
-	// are served off sub-multiplexes derived from it — cached per
-	// layer-set mask in subs (which also holds mx itself, under the full
-	// mask) so each subset's layout caches are built once. layoutCap
-	// sizes the per-layer layout caches of those derived sub-multiplexes.
-	mx        *graph.Multiplex
-	numLayers int // layers requests may select: mx.L(), or 1 on a single-graph server
-	layoutCap int
-	subMu     sync.Mutex
-	subs      map[uint64]*graph.Multiplex
-
 	mu      sync.Mutex
 	entries map[instanceKey]*entry
 	clock   int64
@@ -219,25 +197,16 @@ type Registry struct {
 	m *metrics
 }
 
-func newRegistry(g *graph.Graph, mx *graph.Multiplex, pool []int32, model logistic.Model, layoutCap, instanceCap int, m *metrics) *Registry {
-	r := &Registry{
-		g:         g,
-		mx:        mx,
-		pool:      pool,
-		model:     model,
-		layouts:   graph.NewLayoutCache(g, layoutCap),
-		numLayers: 1,
-		layoutCap: layoutCap,
-		capacity:  instanceCap,
-		entries:   make(map[instanceKey]*entry),
-		subs:      make(map[uint64]*graph.Multiplex),
-		m:         m,
+func newRegistry(g *graph.Graph, pool []int32, model logistic.Model, layoutCap, instanceCap int, m *metrics) *Registry {
+	return &Registry{
+		g:        g,
+		pool:     pool,
+		model:    model,
+		layouts:  graph.NewLayoutCache(g, layoutCap),
+		capacity: instanceCap,
+		entries:  make(map[instanceKey]*entry),
+		m:        m,
 	}
-	if mx != nil {
-		r.numLayers = mx.L()
-		r.subs[^uint64(0)>>(64-uint(mx.L()))] = mx
-	}
-	return r
 }
 
 // ResidentBytes reports the accounted bytes of every published artifact
@@ -249,107 +218,32 @@ func (r *Registry) ResidentBytes() int64 { return r.resident.Load() }
 // straight off cached layouts without preparing an instance).
 func (r *Registry) Layouts() *graph.LayoutCache { return r.layouts }
 
-// layoutStats sums every layout cache the registry prepares from: the
-// base graph's and, on a multiplex server, the per-layer caches of the
-// full multiplex and of each memoized sub-multiplex — what an operator
-// sizing -layouts has resident. A single-graph server reads exactly its
-// one cache.
+// layoutStats reads the layout cache: what an operator sizing -layouts
+// has resident, and how often it served.
 func (r *Registry) layoutStats() (entries int, bytes, hits, misses int64) {
-	entries, bytes = r.layouts.Len(), r.layouts.MemUsage()
 	hits, misses = r.layouts.Stats()
-	r.subMu.Lock()
-	defer r.subMu.Unlock()
-	for _, mx := range r.subs {
-		e, b, h, ms := mx.LayoutCacheStats()
-		entries, bytes, hits, misses = entries+e, bytes+b, hits+h, misses+ms
-	}
-	return
+	return r.layouts.Len(), r.layouts.MemUsage(), hits, misses
 }
 
-// layerMask folds a canonical (sorted, deduplicated) layer selection
-// into the entry key's layer-set hash. Empty — or just layer 0, the
-// base graph — is the single-graph path: mask 0, exactly how a
-// layerless request keys, so both spellings share one artifact. Any
-// other selection requires a configured multiplex, and indices are
-// bounded to [0, 64) so the mask is collision-free.
-func (r *Registry) layerMask(layers []int) (uint64, error) {
-	var mask uint64
-	for _, a := range layers {
-		if a < 0 || a >= r.numLayers {
-			return 0, fmt.Errorf("serve: layer %d outside the configured layers [0, %d)", a, r.numLayers)
-		}
-		if a >= 64 {
-			return 0, fmt.Errorf("serve: layer %d beyond the 64-layer key limit", a)
-		}
-		mask |= 1 << uint(a)
-	}
-	if mask == 1 {
-		mask = 0
-	}
-	return mask, nil
-}
-
-// subMultiplex returns the diffusion substrate for a non-trivial layer
-// set: the full multiplex when every layer is selected, otherwise a
-// derived multiplex over the selected layers — same universe, same
-// per-layer graphs and identity mappings, its own layout caches —
-// memoized per mask so repeated campaigns over the same layer set share
-// layouts.
-func (r *Registry) subMultiplex(mask uint64) (*graph.Multiplex, error) {
-	r.subMu.Lock()
-	defer r.subMu.Unlock()
-	if mx, ok := r.subs[mask]; ok {
-		return mx, nil
-	}
-	var sel []graph.MultiplexLayer
-	for a := 0; a < r.mx.L() && a < 64; a++ {
-		if mask&(uint64(1)<<uint(a)) != 0 {
-			sel = append(sel, graph.MultiplexLayer{G: r.mx.Layer(a), ToGlobal: r.mx.ToGlobal(a)})
-		}
-	}
-	// The universe stays the FULL node set even when layer 0 is not
-	// selected: roots draw over it and plans/pools keep their global
-	// ids, so utilities across layer sets are comparable.
-	mx, err := graph.NewMultiplex(r.mx.N(), sel, r.layoutCap)
-	if err != nil {
-		return nil, err
-	}
-	r.subs[mask] = mx
-	return mx, nil
-}
-
-// Instance returns an artifact serving (campaign, theta, seed) over the
-// selected multiplex layer set and how it was obtained: a fresh
-// preparation (miss), the current snapshot (exact hit or θ-prefix), or a
-// snapshot grown to theta. layers must be canonical — sorted,
-// deduplicated, indices valid for the configured multiplex; none (or 0
-// alone) is the base graph and keys identically to it. The returned
+// Instance returns an artifact serving (campaign, theta, seed) and how
+// it was obtained: a fresh preparation (miss), the current snapshot
+// (exact hit or θ-prefix), or a snapshot grown to theta. The returned
 // artifact is shared and immutable; callers go through its evaluator and
 // estimator pools for scratch-carrying operations, and bound their reads
 // with InstanceAt / EstimateAUPrefix at the requested θ.
-func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta int, seed uint64, layers ...int) (*Artifact, Outcome, error) {
+func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta int, seed uint64) (*Artifact, Outcome, error) {
 	if err := campaign.Validate(r.g.Z()); err != nil {
 		return nil, OutcomeMiss, fmt.Errorf("serve: campaign: %w", err)
 	}
 	if theta <= 0 {
 		return nil, OutcomeMiss, fmt.Errorf("serve: non-positive theta %d", theta)
 	}
-	mask, err := r.layerMask(layers)
-	if err != nil {
-		return nil, OutcomeMiss, err
-	}
-	var mx *graph.Multiplex
-	if mask != 0 {
-		if mx, err = r.subMultiplex(mask); err != nil {
-			return nil, OutcomeMiss, err
-		}
-	}
 	// An already-canceled request must not pay (or trigger) a
 	// multi-second build; bail before touching the cache.
 	if err := ctx.Err(); err != nil {
 		return nil, OutcomeMiss, err
 	}
-	key := instanceKey{campaign: campaignKey(campaign), seed: seed, layers: mask}
+	key := instanceKey{campaign: campaignKey(campaign), seed: seed}
 
 	r.mu.Lock()
 	e, ok := r.entries[key]
@@ -360,7 +254,7 @@ func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta 
 		r.entries[key] = e
 		r.evictLocked()
 		r.mu.Unlock()
-		return r.prepareEntry(ctx, e, campaign, mx, theta, seed)
+		return r.prepareEntry(ctx, e, campaign, theta, seed)
 	}
 	r.clock++
 	e.lastUse = r.clock
@@ -385,11 +279,11 @@ func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta 
 			// That cancellation is the owner's, not ours: the aborted
 			// entry is already gone from the map, so retry as a fresh
 			// miss instead of surfacing someone else's ctx error.
-			return r.Instance(ctx, campaign, theta, seed, layers...)
+			return r.Instance(ctx, campaign, theta, seed)
 		}
 		return nil, OutcomeHit, e.err
 	}
-	return r.serveEntry(ctx, e, campaign, mx, theta, seed)
+	return r.serveEntry(ctx, e, campaign, theta, seed)
 }
 
 // panicError carries a panic recovered inside the serve tier (registry
@@ -410,7 +304,7 @@ var errPrepareAborted = errors.New("serve: preparation aborted by a canceled req
 // failures (including cancellation) close the entry with the error and
 // drop it from the map, so waiters fail fast and nothing half-built is
 // cached — a corrected request simply retries.
-func (r *Registry) prepareEntry(ctx context.Context, e *entry, campaign topic.Campaign, mx *graph.Multiplex, theta int, seed uint64) (*Artifact, Outcome, error) {
+func (r *Registry) prepareEntry(ctx context.Context, e *entry, campaign topic.Campaign, theta int, seed uint64) (*Artifact, Outcome, error) {
 	fail := func(entryErr, err error) (*Artifact, Outcome, error) {
 		// Drop the entry from the map BEFORE closing ready: a waiter that
 		// wakes on errPrepareAborted retries immediately, and must find
@@ -429,7 +323,7 @@ func (r *Registry) prepareEntry(ctx context.Context, e *entry, campaign topic.Ca
 		// error — their own contexts may be perfectly healthy.
 		return fail(errPrepareAborted, err)
 	}
-	art, err := r.prepareArtifact(ctx, campaign, mx, theta, seed)
+	art, err := r.prepareArtifact(ctx, campaign, theta, seed)
 	if err != nil {
 		return fail(err, err)
 	}
@@ -444,7 +338,7 @@ func (r *Registry) prepareEntry(ctx context.Context, e *entry, campaign topic.Ca
 // snapshots are immutable and bounded at their own θ), or grow it. A
 // poisoned entry that needs growth is rebuilt from scratch instead —
 // its unpublished growth state cannot be trusted after a panic.
-func (r *Registry) serveEntry(ctx context.Context, e *entry, campaign topic.Campaign, mx *graph.Multiplex, theta int, seed uint64) (*Artifact, Outcome, error) {
+func (r *Registry) serveEntry(ctx context.Context, e *entry, campaign topic.Campaign, theta int, seed uint64) (*Artifact, Outcome, error) {
 	if a, outcome, ok := serveSnapshot(e.art.Load(), theta); ok {
 		r.countServe(outcome)
 		return a, outcome, nil
@@ -470,7 +364,7 @@ func (r *Registry) serveEntry(ctx context.Context, e *entry, campaign topic.Camp
 		return nil, OutcomeExtend, err
 	}
 	if e.poisoned.Load() {
-		return r.reprepareEntry(ctx, e, campaign, mx, theta, seed)
+		return r.reprepareEntry(ctx, e, campaign, theta, seed)
 	}
 	growCtx, sp := obs.StartSpan(ctx, "grow")
 	growStart := time.Now()
@@ -536,8 +430,8 @@ func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, the
 // bit-identical to one prepared on a server that never panicked — the
 // chaos suite pins exactly this. On failure the entry stays poisoned
 // and its snapshot keeps serving.
-func (r *Registry) reprepareEntry(ctx context.Context, e *entry, campaign topic.Campaign, mx *graph.Multiplex, theta int, seed uint64) (*Artifact, Outcome, error) {
-	na, err := r.prepareArtifact(ctx, campaign, mx, theta, seed)
+func (r *Registry) reprepareEntry(ctx context.Context, e *entry, campaign topic.Campaign, theta int, seed uint64) (*Artifact, Outcome, error) {
+	na, err := r.prepareArtifact(ctx, campaign, theta, seed)
 	if err != nil {
 		return nil, OutcomeMiss, err
 	}
@@ -593,14 +487,12 @@ func (r *Registry) countServe(outcome Outcome) {
 // fails fast on the same error — and the process keeps serving;
 // "registry.prepare" is its chaos hook.
 //
-// Base-graph layouts come through the shared layout cache (so campaigns
-// overlapping in pieces share them); a multiplex substrate brings its
-// own per-layer caches, which core.Prepare builds from. Prepare honors
-// ctx at sample-block granularity, so an expired request deadline
-// abandons the build instead of finishing work nobody will read. The
-// budget placeholder k=1 is never used directly — request handlers
-// derive WithK copies.
-func (r *Registry) prepareArtifact(ctx context.Context, campaign topic.Campaign, mx *graph.Multiplex, theta int, seed uint64) (art *Artifact, err error) {
+// Piece layouts come through the shared layout cache, so campaigns
+// overlapping in pieces share them. Prepare honors ctx at sample-block
+// granularity, so an expired request deadline abandons the build
+// instead of finishing work nobody will read. The budget placeholder
+// k=1 is never used directly — request handlers derive WithK copies.
+func (r *Registry) prepareArtifact(ctx context.Context, campaign topic.Campaign, theta int, seed uint64) (art *Artifact, err error) {
 	ctx, sp := obs.StartSpan(ctx, "prepare")
 	defer sp.End()
 	defer func() {
@@ -614,18 +506,14 @@ func (r *Registry) prepareArtifact(ctx context.Context, campaign topic.Campaign,
 		return nil, err
 	}
 	r.m.prepares.Add(1)
-	prob := &core.Problem{Mux: mx, Campaign: campaign, Pool: r.pool, K: 1, Model: r.model}
-	var layouts [][]*graph.PieceLayout
-	if mx == nil {
-		prob.G = r.g
-		layouts = make([][]*graph.PieceLayout, campaign.L())
-		for j, piece := range campaign.Pieces {
-			lay, err := r.layouts.Get(piece.Dist)
-			if err != nil {
-				return nil, fmt.Errorf("serve: piece %d: %w", j, err)
-			}
-			layouts[j] = []*graph.PieceLayout{lay}
+	prob := &core.Problem{G: r.g, Campaign: campaign, Pool: r.pool, K: 1, Model: r.model}
+	layouts := make([]*graph.PieceLayout, campaign.L())
+	for j, piece := range campaign.Pieces {
+		lay, err := r.layouts.Get(piece.Dist)
+		if err != nil {
+			return nil, fmt.Errorf("serve: piece %d: %w", j, err)
 		}
+		layouts[j] = lay
 	}
 	inst, err := core.Prepare(ctx, prob, theta, seed, layouts...)
 	if err != nil {

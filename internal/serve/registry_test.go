@@ -403,7 +403,7 @@ func TestRegistryWaiterSurvivesOwnerCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := r.prepareEntry(ctx, e, camp, nil, 300, 1); err == nil {
+	if _, _, err := r.prepareEntry(ctx, e, camp, 300, 1); err == nil {
 		t.Fatal("canceled owner did not surface its own ctx error")
 	}
 	got := <-waiter

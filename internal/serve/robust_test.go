@@ -80,9 +80,19 @@ func TestAdmissionShedsWhenSaturated(t *testing.T) {
 	if retry == "" {
 		t.Fatal("shed response missing Retry-After")
 	}
+	// A request that can never succeed is refused, not shed: 400 with no
+	// Retry-After while the slot is still held.
+	for _, tc := range hopelessRequests() {
+		if code, retry, body := postRaw(t, ts, tc.path, tc.req); code != 400 || retry != "" {
+			t.Errorf("%s %s while saturated: status %d, Retry-After %q (want 400, none): %s", tc.path, tc.name, code, retry, body)
+		}
+	}
+	if s.inflight.inflight() != 1 {
+		t.Error("the pinned solve left before the refusals were checked")
+	}
 	wg.Wait()
-	if m := s.Metrics(); m.Server.ShedTotal < 1 {
-		t.Fatalf("shed_total = %d, want >= 1", m.Server.ShedTotal)
+	if m := s.Metrics(); m.Server.ShedTotal != 1 {
+		t.Fatalf("shed_total = %d, want 1", m.Server.ShedTotal)
 	}
 }
 

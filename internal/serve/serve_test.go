@@ -196,6 +196,23 @@ func TestSolveEndpointAndCache(t *testing.T) {
 	}
 }
 
+// hopelessRequests are solve and estimate bodies no preparation can
+// serve: the server must refuse them before they wait for admission.
+func hopelessRequests() []struct {
+	name, path string
+	req        any
+} {
+	camp := testCampaign(0)
+	return []struct {
+		name, path string
+		req        any
+	}{
+		{"negative theta", "/v1/solve", SolveRequest{Campaign: camp, K: 2, Theta: -5}},
+		{"negative theta", "/v1/estimate", EstimateRequest{Campaign: camp, Plan: [][]int32{{0}}, Theta: -5}},
+		{"bad topic index", "/v1/estimate", EstimateRequest{Campaign: testCampaign(17), Plan: [][]int32{{0}}}},
+	}
+}
+
 func TestSolveValidation(t *testing.T) {
 	s := testServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
@@ -251,6 +268,20 @@ func TestSolveValidation(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, resp.StatusCode)
+		}
+	}
+	// A request that can never succeed is refused before admission.
+	for _, tc := range hopelessRequests() {
+		if code, raw := postJSON(t, ts, tc.path, tc.req, nil); code != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d (%s), want 400", tc.path, tc.name, code, raw)
+		}
+	}
+	// The server serves one graph: a body selecting layers is refused by
+	// the strict decoder, and the error names the field.
+	for path, rest := range map[string]string{"/v1/solve": `"method": "bab", "k": 2`, "/v1/estimate": `"plan": [[]]`} {
+		body := `{"campaign": {"name": "t", "pieces": [{"name": "a", "topics": {"0": 1}}]}, ` + rest + `, "layers": [0, 1]}`
+		if code, raw := postBody(t, ts, path, body); code != http.StatusBadRequest || !strings.Contains(raw, "layers") {
+			t.Errorf("%s with layers: status %d (%s), want 400 naming the field", path, code, raw)
 		}
 	}
 	if reg := s.Metrics().Registry; reg.Prepares != 0 || reg.LayoutMisses != 0 {

@@ -69,7 +69,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -91,19 +90,6 @@ type Config struct {
 	Graph *graph.Graph
 	Pool  []int32        // promoter pool V^p shared by every query
 	Model logistic.Model // default adoption model (zero: alpha=2, beta=1)
-
-	// Layers configures additional multiplex layers beyond Graph, which
-	// is always layer 0. Each layer is a directed graph over the same
-	// topic space whose nodes either are universe ids directly (ToGlobal
-	// nil; the layer's N() must not exceed Graph.N()) or map into them
-	// via ToGlobal. With layers configured, solve and estimate requests
-	// may select a layer set with "layers": diffusion then couples
-	// losslessly across the selected layers at shared identities —
-	// equivalent to the gateway-node combined-graph reduction — while
-	// plans, pools, and utilities keep their universe meaning. At most
-	// 64 layers (the registry's layer-set hash is a bitmask). Empty
-	// means single-graph serving, exactly as before.
-	Layers []graph.MultiplexLayer
 
 	DefaultTheta int // MRR samples when a request omits theta (default 50k)
 	MaxTheta     int // reject requests above this (default 2M; memory guard)
@@ -224,21 +210,7 @@ func New(cfg Config) (*Server, error) {
 			s.traceEvery = 1
 		}
 	}
-	var mx *graph.Multiplex
-	if len(cfg.Layers) > 0 {
-		if len(cfg.Layers)+1 > 64 {
-			return nil, fmt.Errorf("serve: %d layers beyond the 64-layer limit", len(cfg.Layers)+1)
-		}
-		all := append([]graph.MultiplexLayer{{G: cfg.Graph}}, cfg.Layers...)
-		var err error
-		// The universe is the base graph's node set: layer 0 carries
-		// every id the pool and plans speak, extra layers embed into it.
-		mx, err = graph.NewMultiplex(cfg.Graph.N(), all, cfg.LayoutCapacity)
-		if err != nil {
-			return nil, fmt.Errorf("serve: multiplex: %w", err)
-		}
-	}
-	s.reg = newRegistry(cfg.Graph, mx, cfg.Pool, cfg.Model, cfg.LayoutCapacity, cfg.InstanceCapacity, &s.m)
+	s.reg = newRegistry(cfg.Graph, cfg.Pool, cfg.Model, cfg.LayoutCapacity, cfg.InstanceCapacity, &s.m)
 	s.admit = newAdmission(int64(cfg.AdmitCapacity), cfg.AdmitQueue)
 	s.routes()
 	return s, nil
@@ -420,24 +392,16 @@ func (s *Server) withRecover(h http.HandlerFunc) http.HandlerFunc {
 
 // SolveRequest is the body of POST /v1/solve.
 type SolveRequest struct {
-	Campaign topic.Campaign `json:"campaign"`
-	Method   string         `json:"method"` // greedy | bab | babp | im | tim (default babp)
-	K        int            `json:"k"`
-	Theta    int            `json:"theta"` // default Config.DefaultTheta
-	Seed     uint64         `json:"seed"`  // sampling seed (default 1)
-	// Layers selects the multiplex layer set to diffuse over: indices
-	// into the server's configured layers, 0 being the base graph.
-	// Omitted — or [0] alone — is the single-graph path, identical to a
-	// server without layers; anything else requires Config.Layers and
-	// couples activation across the selected layers at shared node
-	// identities. Order and duplicates are irrelevant (the set is
-	// canonicalized before it keys the registry).
-	Layers    []int   `json:"layers,omitempty"`
-	Epsilon   float64 `json:"epsilon"`   // BAB-P decay (default 0.5)
-	Tolerance float64 `json:"tolerance"` // termination gap (default 0.01)
-	MaxNodes  int     `json:"max_nodes"` // 0 = unbounded
-	Alpha     float64 `json:"alpha"`     // adoption model override (0 = server default)
-	Beta      float64 `json:"beta"`
+	Campaign  topic.Campaign `json:"campaign"`
+	Method    string         `json:"method"` // greedy | bab | babp | im | tim (default babp)
+	K         int            `json:"k"`
+	Theta     int            `json:"theta"`     // default Config.DefaultTheta
+	Seed      uint64         `json:"seed"`      // sampling seed (default 1)
+	Epsilon   float64        `json:"epsilon"`   // BAB-P decay (default 0.5)
+	Tolerance float64        `json:"tolerance"` // termination gap (default 0.01)
+	MaxNodes  int            `json:"max_nodes"` // 0 = unbounded
+	Alpha     float64        `json:"alpha"`     // adoption model override (0 = server default)
+	Beta      float64        `json:"beta"`
 	// TimeoutMS is the client's execution deadline in milliseconds,
 	// capped by the server's RequestTimeout (which also applies when the
 	// field is omitted). An expiring solve returns its incumbent marked
@@ -448,18 +412,15 @@ type SolveRequest struct {
 
 // SolveResponse is the body of a completed solve.
 type SolveResponse struct {
-	Method  string    `json:"method"`
-	Utility float64   `json:"utility"`
-	Upper   float64   `json:"upper,omitempty"` // OPT ≤ upper/(1−1/e), or /(1−1/e−ε) for babp
-	Plan    [][]int32 `json:"plan"`
-	Pieces  []string  `json:"pieces"`
-	Theta   int       `json:"theta"`
-	K       int       `json:"k"`
-	// Layers echoes the canonical layer set the solve diffused over
-	// (sorted, deduplicated); omitted on the single-graph path.
-	Layers   []int   `json:"layers,omitempty"`
-	SolveMS  float64 `json:"solve_ms"`
-	SampleMS float64 `json:"sample_ms"` // 0 when no sampling ran (hit / prefix)
+	Method   string    `json:"method"`
+	Utility  float64   `json:"utility"`
+	Upper    float64   `json:"upper,omitempty"` // OPT ≤ upper/(1−1/e), or /(1−1/e−ε) for babp
+	Plan     [][]int32 `json:"plan"`
+	Pieces   []string  `json:"pieces"`
+	Theta    int       `json:"theta"`
+	K        int       `json:"k"`
+	SolveMS  float64   `json:"solve_ms"`
+	SampleMS float64   `json:"sample_ms"` // 0 when no sampling ran (hit / prefix)
 	// IndexMS is the inverted-index time behind this request: the full
 	// BuildIndex on a miss, only the O(Δθ) ExtendFrom delta on a growth
 	// step, 0 on a hit / prefix.
@@ -492,24 +453,19 @@ type SolveResponse struct {
 // EstimateRequest is the body of POST /v1/estimate: MRR-estimate the
 // adoption utility of an explicit plan. Seeds may be any graph node.
 type EstimateRequest struct {
-	Campaign topic.Campaign `json:"campaign"`
-	Plan     [][]int32      `json:"plan"`
-	Theta    int            `json:"theta"`
-	Seed     uint64         `json:"seed"`
-	// Layers selects the multiplex layer set; see SolveRequest.Layers.
-	Layers    []int   `json:"layers,omitempty"`
-	Alpha     float64 `json:"alpha"`
-	Beta      float64 `json:"beta"`
-	TimeoutMS int     `json:"timeout_ms"` // see SolveRequest.TimeoutMS
+	Campaign  topic.Campaign `json:"campaign"`
+	Plan      [][]int32      `json:"plan"`
+	Theta     int            `json:"theta"`
+	Seed      uint64         `json:"seed"`
+	Alpha     float64        `json:"alpha"`
+	Beta      float64        `json:"beta"`
+	TimeoutMS int            `json:"timeout_ms"` // see SolveRequest.TimeoutMS
 }
 
 // EstimateResponse is the body of a completed estimate.
 type EstimateResponse struct {
 	Utility float64 `json:"utility"`
 	Theta   int     `json:"theta"`
-	// Layers echoes the canonical layer set; omitted on the single-graph
-	// path.
-	Layers []int `json:"layers,omitempty"`
 	// EstimateMode is always "exact": the server has one estimator. The
 	// field stays only because the benchmark oracle (benchmark/oracle.go)
 	// requires it; the next change to benchmark/ drops it.
@@ -525,9 +481,7 @@ type EstimateResponse struct {
 
 // SimulateRequest is the body of POST /v1/simulate: forward Monte-Carlo
 // ground truth for an explicit plan (no MRR sampling involved — only the
-// layout cache is consulted). Simulation runs on the base graph only —
-// there is no "layers" field, and sending one is rejected as an unknown
-// field like any other.
+// layout cache is consulted).
 type SimulateRequest struct {
 	Campaign  topic.Campaign `json:"campaign"`
 	Plan      [][]int32      `json:"plan"`
@@ -554,15 +508,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// graphInfo is the substrate shape block of the health probes: the base
-// graph's dimensions plus the layer count when the server carries a
-// multiplex.
+// graphInfo is the graph shape block of the health probes.
 func (s *Server) graphInfo() map[string]int {
-	info := map[string]int{"n": s.g.N(), "m": s.g.M(), "z": s.g.Z()}
-	if s.reg.numLayers > 1 {
-		info["layers"] = s.reg.numLayers
-	}
-	return info
+	return map[string]int{"n": s.g.N(), "m": s.g.M(), "z": s.g.Z()}
 }
 
 // handleReadyz is the readiness probe, split from liveness: it turns
@@ -719,15 +667,18 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	if req.Theta > s.cfg.MaxTheta {
-		s.error(w, http.StatusBadRequest, fmt.Errorf("serve: theta %d exceeds the server cap %d", req.Theta, s.cfg.MaxTheta))
+	if err := s.checkTheta(req.Theta); err != nil {
+		s.error(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := checkPlan("rrset", req.Plan, &req.Campaign); err != nil {
 		s.error(w, http.StatusBadRequest, err)
 		return
 	}
-	req.Layers = canonLayers(req.Layers)
+	if err := req.Campaign.Validate(s.g.Z()); err != nil {
+		s.error(w, http.StatusBadRequest, fmt.Errorf("serve: campaign: %w", err))
+		return
+	}
 	model, err := s.model(req.Alpha, req.Beta)
 	if err != nil {
 		s.error(w, http.StatusBadRequest, err)
@@ -748,7 +699,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	s.m.inflightEstimates.Add(1)
 	defer s.m.inflightEstimates.Add(-1)
 	regCtx, regSpan := obs.StartSpan(ctx, "registry")
-	art, outcome, err := s.reg.Instance(regCtx, req.Campaign, req.Theta, req.Seed, req.Layers...)
+	art, outcome, err := s.reg.Instance(regCtx, req.Campaign, req.Theta, req.Seed)
 	regSpan.End()
 	if err != nil {
 		s.failRequest(w, err)
@@ -764,7 +715,6 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	resp := EstimateResponse{
 		Utility:       util,
 		Theta:         req.Theta,
-		Layers:        req.Layers,
 		EstimateMode:  "exact",
 		CacheHit:      outcome.CacheHit(),
 		PrefixHit:     outcome == OutcomePrefix,
@@ -778,6 +728,19 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// checkTheta refuses, before admission, a θ no preparation can serve:
+// negative, or above the server cap. Its text for a negative θ is the
+// registry's.
+func (s *Server) checkTheta(theta int) error {
+	if theta < 0 {
+		return fmt.Errorf("serve: non-positive theta %d", theta)
+	}
+	if theta > s.cfg.MaxTheta {
+		return fmt.Errorf("serve: theta %d exceeds the server cap %d", theta, s.cfg.MaxTheta)
+	}
+	return nil
 }
 
 // checkPlan refuses, before admission, a plan whose seed-set count is
@@ -888,8 +851,8 @@ func (s *Server) normalizeSolve(req *SolveRequest) error {
 	if req.Theta == 0 {
 		req.Theta = s.cfg.DefaultTheta
 	}
-	if req.Theta > s.cfg.MaxTheta {
-		return fmt.Errorf("serve: theta %d exceeds the server cap %d", req.Theta, s.cfg.MaxTheta)
+	if err := s.checkTheta(req.Theta); err != nil {
+		return err
 	}
 	if req.Seed == 0 {
 		req.Seed = 1
@@ -901,13 +864,9 @@ func (s *Server) normalizeSolve(req *SolveRequest) error {
 	if req.Tolerance == 0 {
 		req.Tolerance = defaults.Tolerance
 	}
-	// Validate the search options and the layer set now, before the
-	// registry prepares anything.
+	// Validate the search options now, before the registry prepares
+	// anything.
 	if err := req.searchOptions().Validate(req.Method == "babp"); err != nil {
-		return err
-	}
-	req.Layers = canonLayers(req.Layers)
-	if _, err := s.reg.layerMask(req.Layers); err != nil {
 		return err
 	}
 	return req.Campaign.Validate(s.g.Z())
@@ -916,28 +875,6 @@ func (s *Server) normalizeSolve(req *SolveRequest) error {
 // searchOptions are the branch-and-bound options a request asks for.
 func (req *SolveRequest) searchOptions() core.BABOptions {
 	return core.BABOptions{Epsilon: req.Epsilon, Tolerance: req.Tolerance, MaxNodes: req.MaxNodes}
-}
-
-// canonLayers canonicalizes a request's layer selection — sorted,
-// deduplicated — so equal sets key the same registry entry regardless
-// of spelling. [0] alone collapses to nil: the base graph IS layer 0,
-// and a request for just it must share the single-graph artifact
-// bit-for-bit. Bounds are the registry's to check.
-func canonLayers(layers []int) []int {
-	if len(layers) == 0 {
-		return nil
-	}
-	sort.Ints(layers)
-	out := layers[:0]
-	for i, a := range layers {
-		if i == 0 || a != out[len(out)-1] {
-			out = append(out, a)
-		}
-	}
-	if len(out) == 1 && out[0] == 0 {
-		return nil
-	}
-	return out
 }
 
 // model resolves a per-request adoption-model override.
@@ -967,7 +904,7 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 		return nil, err
 	}
 	regCtx, regSpan := obs.StartSpan(ctx, "registry")
-	art, outcome, err := s.reg.Instance(regCtx, req.Campaign, req.Theta, req.Seed, req.Layers...)
+	art, outcome, err := s.reg.Instance(regCtx, req.Campaign, req.Theta, req.Seed)
 	regSpan.End()
 	if err != nil {
 		return nil, err
@@ -1055,7 +992,6 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 		Pieces:        pieces,
 		Theta:         req.Theta,
 		K:             req.K,
-		Layers:        req.Layers,
 		SolveMS:       float64(res.Elapsed) / float64(time.Millisecond),
 		SampleMS:      sampleMS,
 		IndexMS:       indexMS,

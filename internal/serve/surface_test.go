@@ -44,8 +44,8 @@ func declaredNames(t *testing.T) map[string]bool {
 // TestExportedSurface pins one registry lookup, context-only
 // cancellation, the two metric expositions that have readers,
 // instrumentation that is always on, one sequential search per solve,
-// one estimator, no solve coalescing, no memory governor and no async
-// jobs.
+// one estimator, no solve coalescing, no memory governor, no async
+// jobs and one graph.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	if !names["Instance"] {
@@ -63,7 +63,10 @@ func TestExportedSurface(t *testing.T) {
 		"ReclaimsBackground", "Shrink",
 		// async jobs
 		"Async", "Workers", "QueueDepth", "JobHistory", "jobs", "jobQueue", "JobStatus",
-		"handleJobs", "handleJob", "runJob", "jobRequests", "Jobs", "ErrQueueFull", "ErrClosed"} {
+		"handleJobs", "handleJob", "runJob", "jobRequests", "Jobs", "ErrQueueFull", "ErrClosed",
+		// layer sets: the server serves one graph
+		"Layers", "mx", "numLayers", "layoutCap", "subMu", "subs", "layerMask", "subMultiplex",
+		"layers", "canonLayers"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}

@@ -1,7 +1,8 @@
 // Package traverse implements the randomized BFS core shared by the
 // reverse-reachable sampler (internal/rrset) and the forward cascade
 // simulator (internal/cascade), plus its layer-generic extension to
-// multiplex networks.
+// multiplex networks, which only the benchmark's rrset.sample_mux1_ms
+// row still reaches (through rrset.SampleMRRMultiplexLayouts).
 //
 // # Single-graph walks
 //
@@ -23,7 +24,8 @@
 //
 // # Multiplex walks and the coupling rule
 //
-// MultiWalker generalizes the walk to an ordered set of layers over a
+// No program path runs a multiplex walk: MultiWalker is kept for the
+// benchmark row above and goes with it. MultiWalker generalizes the walk to an ordered set of layers over a
 // shared node universe (multiplex influence maximization in the sense of
 // Kuhnle et al.): each layer runs the same geometric-skip BFS over its
 // own CSR and layout, and activation couples across layers losslessly at
