@@ -24,9 +24,11 @@ fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); if [ -n "$$out" ]; then echo "gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
 
 # The race detector over the packages that run concurrent solves, in
-# short mode.
+# short mode; three runs of serve, whose registry builds and request
+# paths interleave differently from run to run.
 race-short:
-	$(GO) test -race -short ./internal/core ./internal/logistic ./internal/serve
+	$(GO) test -race -short ./internal/core ./internal/logistic
+	$(GO) test -race -short -count=3 ./internal/serve
 
 # Non-test Go lines outside benchmark/ (ROADMAP aim 2: the count goes
 # down). The CI job summary prints this target's output.

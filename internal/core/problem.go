@@ -174,8 +174,9 @@ type Instance struct {
 	base *baseMemo // shared by the lineage's copies
 }
 
-// maxPieces bounds ℓ: per-sample coverage keeps a 32-bit piece mask.
-const maxPieces = 32
+// MaxPieces bounds ℓ, the pieces one instance takes: per-sample coverage
+// keeps a 32-bit piece mask.
+const MaxPieces = 32
 
 // Prepare validates the problem, draws theta multi-RR samples (in
 // parallel, deterministically from seed) and builds the pool index and
@@ -198,8 +199,8 @@ func Prepare(ctx context.Context, p *Problem, theta int, seed uint64, layouts ..
 		return nil, err
 	}
 	l := p.Campaign.L()
-	if l > maxPieces {
-		return nil, fmt.Errorf("core: %d pieces exceed the %d-piece limit", l, maxPieces)
+	if l > MaxPieces {
+		return nil, fmt.Errorf("core: %d pieces exceed the %d-piece limit", l, MaxPieces)
 	}
 	if theta <= 0 {
 		return nil, fmt.Errorf("core: non-positive theta %d", theta)

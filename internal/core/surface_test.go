@@ -11,7 +11,8 @@ import (
 )
 
 // declaredNames parses the package's non-test files and returns the name
-// of every function, method, type and struct field they declare.
+// of every function, method, type, struct field, constant and variable
+// they declare.
 func declaredNames(t *testing.T) map[string]bool {
 	t.Helper()
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
@@ -34,6 +35,10 @@ func declaredNames(t *testing.T) map[string]bool {
 					for _, id := range d.Names {
 						names[id.Name] = true
 					}
+				case *ast.ValueSpec:
+					for _, id := range d.Names {
+						names[id.Name] = true
+					}
 				}
 				return true
 			})
@@ -49,7 +54,8 @@ func declaredNames(t *testing.T) map[string]bool {
 // sketch-steered evaluation, and one configuration — no bound mode, no
 // progressive switch, no second default, no brute-force solver, no plan
 // algebra and no structural dominating-set baseline. An instance only
-// grows or is viewed as a prefix: there is no shrink.
+// grows or is viewed as a prefix: there is no shrink. MaxPieces is the
+// one piece limit, which the serve tier checks before admission.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	for name := range names {
@@ -57,7 +63,7 @@ func TestExportedSurface(t *testing.T) {
 			t.Errorf("unexpected prepare entry point %s", name)
 		}
 	}
-	for _, want := range []string{"Prepare", "PrepareLayouts", "Layouts"} {
+	for _, want := range []string{"Prepare", "PrepareLayouts", "Layouts", "MaxPieces"} {
 		if !names[want] {
 			t.Errorf("%s is gone", want)
 		}

@@ -19,12 +19,12 @@ type metrics struct {
 	simulateRequests atomic.Int64
 	requestErrors    atomic.Int64
 
-	inflightSolves atomic.Int64 // gauge: solves currently executing
+	inflightSolves atomic.Int64 // gauge: admitted solves currently executing
 	solvesTotal    atomic.Int64
 	solveErrors    atomic.Int64
 
-	inflightEstimates atomic.Int64 // gauge: estimate scans currently executing
-	inflightSimulates atomic.Int64 // gauge: forward simulations currently executing
+	inflightEstimates atomic.Int64 // gauge: admitted estimates currently executing
+	inflightSimulates atomic.Int64 // gauge: admitted simulations currently executing
 	shedTotal         atomic.Int64 // requests rejected by overload protection (429/503 + Retry-After)
 	panicsTotal       atomic.Int64 // panics contained by handler/registry recovery
 	degradedSolves    atomic.Int64 // deadline-expired solves answered with their incumbent
@@ -38,7 +38,7 @@ type metrics struct {
 	instanceHits      atomic.Int64 // exact-θ snapshot served
 	prefixHits        atomic.Int64 // θ-prefix of a larger snapshot served
 	instanceMisses    atomic.Int64
-	singleflightWaits atomic.Int64 // requests that waited on another's Prepare
+	singleflightWaits atomic.Int64 // requests that found their entry's first preparation unpublished
 	instanceEvictions atomic.Int64 // LRU capacity evictions
 
 	// Solver-work aggregates, summed over every completed solve so

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -132,22 +131,21 @@ func (a *Artifact) estimator() *rrset.AUEstimator {
 
 func (a *Artifact) putEstimator(e *rrset.AUEstimator) { a.ests.Put(e) }
 
-// entry is one θ-monotone registry slot. The initial preparation runs
-// once (ready/err, singleflight); afterwards art always holds the
-// current snapshot, grown by delta sampling + Index.ExtendFrom (O(Δθ),
-// never a full re-index). grow is a one-slot semaphore serializing
-// growth, so concurrent larger-θ requests run one sampling pass per
-// growth step, never a duplicate — a channel rather than a mutex so
-// requests canceled while queued behind a multi-second growth return
-// ctx.Err immediately instead of pinning a goroutine for the growth's
-// duration. Readers never take it.
+// entry is one θ-monotone registry slot. art is the current published
+// snapshot, nil until the first preparation publishes; readers load it
+// without locking. Every build of the entry — the first preparation, a
+// growth step (delta sampling + Index.ExtendFrom, O(Δθ), never a full
+// re-index) and a re-prepare after a panic — runs under grow, a one-slot
+// semaphore, so concurrent requests for a θ the snapshot does not cover
+// run one build, never a duplicate, and the rest find its snapshot once
+// they take the slot. It is a channel rather than a mutex so a request
+// canceled while queued behind a multi-second build returns ctx.Err
+// immediately instead of pinning a goroutine for the build's duration.
 //
 // bytes is the current artifact's MemUsage (the resident_bytes
 // accounting), guarded by the registry mutex.
 type entry struct {
 	key     instanceKey
-	ready   chan struct{} // closed once art/err are set
-	err     error
 	lastUse int64
 	bytes   int64 // resident bytes of the current artifact
 
@@ -158,29 +156,28 @@ type entry struct {
 	// snapshot (bounded at its own θ) is still perfectly servable, but
 	// the entry's unpublished growth state — a collection possibly
 	// abandoned mid-sample — must never be grown from again. The next
-	// request that needs a larger θ rebuilds the entry from scratch
-	// under the grow lock (reprepareEntry).
+	// request that needs a larger θ prepares the entry from scratch
+	// under grow.
 	poisoned atomic.Bool
 }
 
 func newEntry(key instanceKey, lastUse int64) *entry {
-	return &entry{key: key, ready: make(chan struct{}), grow: make(chan struct{}, 1), lastUse: lastUse}
+	return &entry{key: key, grow: make(chan struct{}, 1), lastUse: lastUse}
 }
 
 // Registry is the prepared-artifact cache at the heart of the service:
 // per-piece layouts keyed by topic-vector hash (graph.LayoutCache) and
 // θ-monotone sampling entries keyed by (campaign, seed) with LRU
-// eviction. Concurrent requests for the same missing entry are
-// de-duplicated (exactly one goroutine runs core.Prepare, the
-// rest wait — observable as singleflight_waits vs prepares in the
-// metrics); requests for a θ the entry has not reached yet take the
-// entry's growth lock and grow the shared collection incrementally
-// (delta sampling plus an O(Δθ) Index.ExtendFrom — never a full
-// re-index), while smaller-θ requests are served immediately from a
-// prefix of the current snapshot. An artifact only ever grows, is served
-// as a prefix, or is evicted by LRU capacity; every published artifact
-// is accounted at its core.Instance.MemUsage (resident_bytes in the
-// metrics).
+// eviction. A request whose θ the entry's snapshot covers is served from
+// it at once, exactly or as a θ-prefix. Any other request takes the
+// entry's grow slot and builds: the first preparation (exactly one
+// goroutine runs core.Prepare while identical requests queue —
+// observable as singleflight_waits vs prepares in the metrics), a growth
+// step (delta sampling plus an O(Δθ) Index.ExtendFrom — never a full
+// re-index) or a re-prepare of a poisoned entry. An artifact only ever
+// grows, is served as a prefix, or is evicted by LRU capacity; every
+// published artifact is accounted at its core.Instance.MemUsage
+// (resident_bytes in the metrics).
 type Registry struct {
 	g        *graph.Graph
 	pool     []int32
@@ -246,154 +243,112 @@ func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta 
 	key := instanceKey{campaign: campaignKey(campaign), seed: seed}
 
 	r.mu.Lock()
+	r.clock++
 	e, ok := r.entries[key]
 	if !ok {
 		r.m.instanceMisses.Add(1)
-		r.clock++
 		e = newEntry(key, r.clock)
 		r.entries[key] = e
 		r.evictLocked()
-		r.mu.Unlock()
-		return r.prepareEntry(ctx, e, campaign, theta, seed)
-	}
-	r.clock++
-	e.lastUse = r.clock
-	select {
-	case <-e.ready:
-	default:
-		// Counts requests that waited on another's preparation —
-		// independent of the hit/prefix/extend classification below,
-		// since with θ out of the key a joiner may be requesting a
-		// different θ than the preparing owner.
-		r.m.singleflightWaits.Add(1)
+	} else {
+		e.lastUse = r.clock
+		if e.art.Load() == nil {
+			// Counts requests that found another's first preparation
+			// unpublished — independent of their outcome, since with θ
+			// out of the key a joiner may ask for a different θ.
+			r.m.singleflightWaits.Add(1)
+		}
 	}
 	r.mu.Unlock()
-	select {
-	case <-e.ready:
-	case <-ctx.Done():
-		return nil, OutcomeHit, ctx.Err()
-	}
-	if e.err != nil {
-		if errors.Is(e.err, errPrepareAborted) {
-			// The owning request was canceled before it built anything.
-			// That cancellation is the owner's, not ours: the aborted
-			// entry is already gone from the map, so retry as a fresh
-			// miss instead of surfacing someone else's ctx error.
-			return r.Instance(ctx, campaign, theta, seed)
-		}
-		return nil, OutcomeHit, e.err
-	}
 	return r.serveEntry(ctx, e, campaign, theta, seed)
 }
 
 // panicError carries a panic recovered inside the serve tier (registry
-// growth, handler middleware) as an ordinary error: the
-// triggering request is answered with a 500, panics_total counts it,
-// and the process keeps serving.
+// builds, handler middleware) as an ordinary error: the triggering
+// request is answered with a 500, panics_total counts it, and the
+// process keeps serving.
 type panicError struct{ val interface{} }
 
 func (e panicError) Error() string { return fmt.Sprintf("serve: internal panic: %v", e.val) }
 
-// errPrepareAborted closes an entry whose owning request was canceled
-// before the preparation ran. It is never returned to callers: the owner
-// reports its own ctx error, and waiters retry.
-var errPrepareAborted = errors.New("serve: preparation aborted by a canceled request")
-
-// prepareEntry runs the initial preparation for a freshly inserted
-// entry. The owner honors cancellation before the expensive build;
-// failures (including cancellation) close the entry with the error and
-// drop it from the map, so waiters fail fast and nothing half-built is
-// cached — a corrected request simply retries.
-func (r *Registry) prepareEntry(ctx context.Context, e *entry, campaign topic.Campaign, theta int, seed uint64) (*Artifact, Outcome, error) {
-	fail := func(entryErr, err error) (*Artifact, Outcome, error) {
-		// Drop the entry from the map BEFORE closing ready: a waiter that
-		// wakes on errPrepareAborted retries immediately, and must find
-		// the slot empty (fresh miss), not this dead entry again.
-		r.mu.Lock()
-		if cur, ok := r.entries[e.key]; ok && cur == e {
-			delete(r.entries, e.key)
-		}
-		r.mu.Unlock()
-		e.err = entryErr
-		close(e.ready)
-		return nil, OutcomeMiss, err
-	}
-	if err := ctx.Err(); err != nil {
-		// Waiters get the retriable sentinel, not this request's ctx
-		// error — their own contexts may be perfectly healthy.
-		return fail(errPrepareAborted, err)
-	}
-	art, err := r.prepareArtifact(ctx, campaign, theta, seed)
-	if err != nil {
-		return fail(err, err)
-	}
-	e.art.Store(art)
-	r.account(e, art.inst.MemUsage())
-	close(e.ready)
-	return art, OutcomeMiss, nil
-}
-
-// serveEntry resolves a request against a ready entry: serve the current
-// snapshot (exact or as a θ-prefix — valid even on a poisoned entry,
-// snapshots are immutable and bounded at their own θ), or grow it. A
-// poisoned entry that needs growth is rebuilt from scratch instead —
-// its unpublished growth state cannot be trusted after a panic.
+// serveEntry resolves a request against its entry. The published
+// snapshot serves it when it covers θ, exactly or as a θ-prefix — even
+// on a poisoned entry, since snapshots are immutable and bounded at their
+// own θ. Otherwise the request takes grow and builds: it prepares when
+// the entry has no snapshot yet or is poisoned (its unpublished growth
+// state cannot be trusted after a panic), and grows the snapshot
+// otherwise. A failed first preparation drops the entry, so nothing
+// half-built is cached. A request queued on grow finds what the holder
+// before it left: a snapshot that now covers θ, or an entry that failure
+// dropped, in which case it goes back through Instance so that its own
+// build is cached.
 func (r *Registry) serveEntry(ctx context.Context, e *entry, campaign topic.Campaign, theta int, seed uint64) (*Artifact, Outcome, error) {
 	if a, outcome, ok := serveSnapshot(e.art.Load(), theta); ok {
 		r.countServe(outcome)
 		return a, outcome, nil
 	}
-
-	// Growth path: serialize so N concurrent (or sequential) ascending-θ
-	// requests run exactly one ExtendTo per growth step — never a full
-	// re-sample, never a duplicate extension. Acquisition is ctx-aware:
-	// a request canceled while queued behind an in-flight growth returns
-	// right away.
+	// A free slot is taken even when ctx is done, so a request that gives
+	// up here always leaves an unpublished entry to a holder that
+	// publishes or drops it; the ctx check below reports the cancellation.
 	select {
 	case e.grow <- struct{}{}:
-	case <-ctx.Done():
-		return nil, OutcomeExtend, ctx.Err()
+	default:
+		select {
+		case e.grow <- struct{}{}:
+		case <-ctx.Done():
+			return nil, OutcomeExtend, ctx.Err()
+		}
+	}
+	a := e.art.Load()
+	if a == nil && !r.holds(e) {
+		<-e.grow
+		return r.Instance(ctx, campaign, theta, seed)
 	}
 	defer func() { <-e.grow }()
-	if a, outcome, ok := serveSnapshot(e.art.Load(), theta); ok {
-		// Another request grew past us while we waited for the lock.
+	if a, outcome, ok := serveSnapshot(a, theta); ok {
+		// Another request built past us while we waited for the slot.
 		r.countServe(outcome)
 		return a, outcome, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, OutcomeExtend, err
-	}
-	if e.poisoned.Load() {
-		return r.reprepareEntry(ctx, e, campaign, theta, seed)
-	}
-	growCtx, sp := obs.StartSpan(ctx, "grow")
-	growStart := time.Now()
-	a := e.art.Load()
-	na, err := r.growContained(growCtx, e, a, theta)
-	sp.End()
-	if err == nil {
-		r.m.phaseExtend.Observe(time.Since(growStart))
+
+	var na *Artifact
+	outcome, err := OutcomeExtend, ctx.Err()
+	switch {
+	case err != nil:
+	case a == nil || e.poisoned.Load():
+		// Sampling is deterministic in (campaign, seed, i), so a re-prepared
+		// artifact is bit-identical to one prepared on a server that never
+		// panicked — the chaos suite pins exactly this.
+		outcome = OutcomeMiss
+		if na, err = r.prepareArtifact(ctx, campaign, theta, seed); err == nil && a != nil {
+			e.poisoned.Store(false)
+			r.m.reprepares.Add(1)
+		}
+	default:
+		na, err = r.growContained(ctx, e, a, theta)
 	}
 	if err != nil {
-		// The old snapshot is untouched and stays published; a later
-		// request may retry the growth (or, after a panic, trigger the
-		// re-prepare path above).
-		return nil, OutcomeExtend, err
+		// Only a failed first preparation leaves nothing worth keeping: a
+		// failed growth or re-prepare leaves the old snapshot published
+		// (and, after a panic, the entry poisoned) for a later request.
+		if a == nil {
+			r.drop(e)
+		}
+		return nil, outcome, err
 	}
-	e.art.Store(na)
-	r.account(e, na.inst.MemUsage())
-	return na, OutcomeExtend, nil
+	r.publish(e, na)
+	return na, outcome, nil
 }
 
-// growContained runs one growth step with panic containment. A panic
-// anywhere in the step — delta sampling, the chaos hooks, the index
-// extension — poisons the entry and surfaces as a panicError on the
-// triggering request; the grow lock is released by serveEntry's defer
-// during the normal (non-)unwind, the published snapshot keeps serving
-// every θ at or below its own, and the next growth request rebuilds the
-// entry from scratch. An ordinary error (including ctx expiry between
-// sample blocks) leaves the entry healthy: partial growth is consistent
-// and unpublished, so a retry resumes where it stopped.
+// growContained runs one growth step under a "grow" span, with panic
+// containment. A panic anywhere in the step — delta sampling, the chaos
+// hooks, the index extension — poisons the entry and surfaces as a
+// panicError on the triggering request; the grow slot is released by
+// serveEntry's defer, the published snapshot keeps serving every θ at
+// or below its own, and the next growth request prepares the entry from
+// scratch. An ordinary error (including ctx expiry between sample
+// blocks) leaves the entry healthy: partial growth is consistent and
+// unpublished, so a retry resumes where it stopped.
 func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, theta int) (na *Artifact, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -402,6 +357,9 @@ func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, the
 			na, err = nil, panicError{val: p}
 		}
 	}()
+	ctx, sp := obs.StartSpan(ctx, "grow")
+	defer sp.End()
+	start := time.Now()
 	inst, err := a.inst.ExtendTo(ctx, theta)
 	if err != nil {
 		return nil, err
@@ -419,37 +377,36 @@ func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, the
 	// delta — exactly the index share of this growth step.
 	r.m.phaseIndex.Observe(inst.IndexTime)
 	a.evals.EnsureTheta(theta)
+	r.m.phaseExtend.Observe(time.Since(start))
 	return &Artifact{theta: theta, inst: inst, evals: a.evals}, nil
 }
 
-// reprepareEntry rebuilds a poisoned entry from scratch while holding
-// its grow lock: a fresh preparation at the requested θ (which is above
-// the snapshot's θ — smaller requests were already served off the
-// snapshot), published with a fresh evaluator pool. Sampling is
-// deterministic in (campaign, seed, i), so the rebuilt artifact is
-// bit-identical to one prepared on a server that never panicked — the
-// chaos suite pins exactly this. On failure the entry stays poisoned
-// and its snapshot keeps serving.
-func (r *Registry) reprepareEntry(ctx context.Context, e *entry, campaign topic.Campaign, theta int, seed uint64) (*Artifact, Outcome, error) {
-	na, err := r.prepareArtifact(ctx, campaign, theta, seed)
-	if err != nil {
-		return nil, OutcomeMiss, err
-	}
-	e.art.Store(na)
-	e.poisoned.Store(false)
-	r.m.reprepares.Add(1)
-	r.account(e, na.inst.MemUsage())
-	return na, OutcomeMiss, nil
-}
-
-// account books the entry's current artifact at bytes, adjusting the
-// registry-wide resident gauge by the delta. Entries no longer in the
-// map (evicted while this request was growing the orphan) are not
-// accounted: their artifacts die with their in-flight readers.
-func (r *Registry) account(e *entry, bytes int64) {
+// holds reports whether e is still the map's entry for its key.
+func (r *Registry) holds(e *entry) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cur, ok := r.entries[e.key]; !ok || cur != e {
+	return r.entries[e.key] == e
+}
+
+// drop removes e from the map if it is still there.
+func (r *Registry) drop(e *entry) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.entries[e.key] == e {
+		delete(r.entries, e.key)
+	}
+}
+
+// publish stores a as e's current snapshot and books its bytes,
+// adjusting the registry-wide resident gauge by the delta. An entry no
+// longer in the map (evicted while this request was building it) is not
+// booked: its artifacts die with their in-flight readers.
+func (r *Registry) publish(e *entry, a *Artifact) {
+	bytes := a.inst.MemUsage()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e.art.Store(a)
+	if r.entries[e.key] != e {
 		return
 	}
 	r.resident.Add(bytes - e.bytes)
@@ -457,9 +414,11 @@ func (r *Registry) account(e *entry, bytes int64) {
 }
 
 // serveSnapshot classifies a request against one published snapshot:
-// exact hit, θ-prefix, or (ok=false) in need of growth.
+// exact hit, θ-prefix, or (ok=false) in need of a build — always so
+// when there is no snapshot yet.
 func serveSnapshot(a *Artifact, theta int) (*Artifact, Outcome, bool) {
 	switch {
+	case a == nil:
 	case theta == a.theta:
 		return a, OutcomeHit, true
 	case theta < a.theta:
@@ -483,9 +442,8 @@ func (r *Registry) countServe(outcome Outcome) {
 // prepareArtifact materializes a fresh artifact at theta under a
 // "prepare" span, feeding the prepare and index phase histograms. A panic
 // inside the preparation is recovered, counted, and returned as a
-// panicError so the calling request fails with a 500 while every waiter
-// fails fast on the same error — and the process keeps serving;
-// "registry.prepare" is its chaos hook.
+// panicError, so the calling request fails with a 500 and the process
+// keeps serving; "registry.prepare" is its chaos hook.
 //
 // Piece layouts come through the shared layout cache, so campaigns
 // overlapping in pieces share them. Prepare honors ctx at sample-block
@@ -524,12 +482,12 @@ func (r *Registry) prepareArtifact(ctx context.Context, campaign topic.Campaign,
 	return &Artifact{theta: theta, inst: inst, evals: core.NewEvaluatorPool(inst)}, nil
 }
 
-// evictLocked drops least-recently-used completed entries until the
-// count is back within capacity, releasing their accounted bytes;
-// in-flight preparations are never evicted (waiters hold them). An entry
-// evicted while one request is still growing it is harmless: the growth
-// completes on the orphaned entry (unaccounted — see account) and the
-// next request re-prepares.
+// evictLocked drops least-recently-used published entries until the
+// count is back within capacity, releasing their accounted bytes; an
+// unpublished entry is never evicted (the request building it holds
+// grow and will publish or drop it). An entry evicted while one request
+// is still growing it is harmless: the growth completes on the orphaned
+// entry (unaccounted — see publish) and the next request re-prepares.
 func (r *Registry) evictLocked() {
 	if r.capacity <= 0 {
 		return
@@ -540,9 +498,7 @@ func (r *Registry) evictLocked() {
 			oldest *entry
 		)
 		for k, e := range r.entries {
-			select {
-			case <-e.ready:
-			default:
+			if e.art.Load() == nil {
 				continue
 			}
 			if oldest == nil || e.lastUse < oldest.lastUse {

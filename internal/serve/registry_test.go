@@ -382,11 +382,13 @@ func TestRegistryWaiterSurvivesOwnerCancellation(t *testing.T) {
 	key := instanceKey{campaign: campaignKey(camp), seed: 1}
 
 	// Mimic the miss path up to the point where the owner would build:
-	// insert the in-flight entry by hand so a waiter can join it.
+	// insert the unpublished entry and take its grow slot by hand, so a
+	// waiter queues behind the owner.
 	r.mu.Lock()
 	e := newEntry(key, 1)
 	r.entries[key] = e
 	r.mu.Unlock()
+	e.grow <- struct{}{}
 
 	type res struct {
 		outcome Outcome
@@ -397,15 +399,13 @@ func TestRegistryWaiterSurvivesOwnerCancellation(t *testing.T) {
 		_, outcome, err := r.Instance(context.Background(), camp, 300, 1)
 		waiter <- res{outcome, err}
 	}()
-	// Let the waiter block on the in-flight entry, then abort the owner.
+	// Let the waiter find the entry unpublished, then abort the owner the
+	// way a canceled build ends: drop the entry, release the slot.
 	for s.m.singleflightWaits.Load() == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := r.prepareEntry(ctx, e, camp, 300, 1); err == nil {
-		t.Fatal("canceled owner did not surface its own ctx error")
-	}
+	r.drop(e)
+	<-e.grow
 	got := <-waiter
 	if got.err != nil {
 		t.Fatalf("waiter inherited the owner's cancellation: %v", got.err)
@@ -415,6 +415,9 @@ func TestRegistryWaiterSurvivesOwnerCancellation(t *testing.T) {
 	}
 	if got := s.m.prepares.Load(); got != 1 {
 		t.Fatalf("prepares = %d, want 1 (the waiter's retry)", got)
+	}
+	if n := r.Len(); n != 1 {
+		t.Fatalf("the waiter's build left %d registry entries, want 1", n)
 	}
 }
 

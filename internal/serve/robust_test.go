@@ -332,6 +332,91 @@ func TestChaosPanicMidGrowthLeavesSnapshotServing(t *testing.T) {
 	}
 }
 
+// A panic in an entry's first preparation fails only the request whose
+// build hit it: the entry is dropped, the identical solves queued behind
+// that build go back through the registry, prepare the entry once more
+// between them and answer with one plan, and that preparation is cached.
+func TestChaosPanicInFirstPrepare(t *testing.T) {
+	defer faultpoint.Reset()
+	const clients = 4
+	s := testServer(t, func(c *Config) { c.AdmitCapacity = clients * weightSolve })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	req := SolveRequest{Campaign: testCampaign(0, 1), Method: "babp", K: 3, Theta: 800}
+
+	// Queue every solve behind one build: insert the entry unpublished and
+	// hold its grow slot until all of them wait on it.
+	e := newEntry(instanceKey{campaign: campaignKey(req.Campaign), seed: 1}, 0)
+	s.reg.mu.Lock()
+	s.reg.entries[e.key] = e
+	s.reg.mu.Unlock()
+	e.grow <- struct{}{}
+	if err := faultpoint.Arm("registry.prepare", "panic#1"); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		status int
+		resp   SolveResponse
+		err    error
+	}
+	outcomes := make([]outcome, clients)
+	var wg sync.WaitGroup
+	for i := range outcomes {
+		wg.Add(1)
+		go func(o *outcome) {
+			defer wg.Done()
+			resp, err := ts.Client().Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(data))
+			if err != nil {
+				o.err = err
+				return
+			}
+			defer resp.Body.Close()
+			o.status = resp.StatusCode
+			if resp.StatusCode == 200 {
+				o.err = json.NewDecoder(resp.Body).Decode(&o.resp)
+			}
+		}(&outcomes[i])
+	}
+	waitFor(t, "solves queued on the entry", func() bool { return s.m.singleflightWaits.Load() == clients })
+	<-e.grow
+	wg.Wait()
+
+	var served []SolveResponse
+	for i, o := range outcomes {
+		switch {
+		case o.err != nil:
+			t.Fatalf("solve %d: %v", i, o.err)
+		case o.status == 200:
+			served = append(served, o.resp)
+		case o.status != 500:
+			t.Fatalf("solve %d: status %d", i, o.status)
+		}
+	}
+	if len(served) != clients-1 {
+		t.Fatalf("%d of %d solves failed, want 1", clients-len(served), clients)
+	}
+	for _, r := range served[1:] {
+		if r.Utility != served[0].Utility || !samePlan(r.Plan, served[0].Plan) {
+			t.Fatalf("identical solves answered differently: %v/%v vs %v/%v", r.Utility, r.Plan, served[0].Utility, served[0].Plan)
+		}
+	}
+	m := s.Metrics()
+	if m.Server.PanicsTotal != 1 {
+		t.Fatalf("panics_total = %d, want 1", m.Server.PanicsTotal)
+	}
+	var again SolveResponse
+	if code, body := postJSON(t, ts, "/v1/solve", req, &again); code != 200 || !again.CacheHit {
+		t.Fatalf("solve after the burst: status %d, cache hit %v: %s", code, again.CacheHit, body)
+	}
+	if got := s.Metrics().Registry.Prepares; got != m.Registry.Prepares {
+		t.Fatalf("prepares %d → %d: the burst's preparation was not cached", m.Registry.Prepares, got)
+	}
+}
+
 func samePlan(a, b [][]int32) bool {
 	if len(a) != len(b) {
 		return false

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"oipa/internal/core"
 	"oipa/internal/faultpoint"
 	"oipa/internal/graph"
 	"oipa/internal/logistic"
@@ -203,6 +204,7 @@ func hopelessRequests() []struct {
 	req        any
 } {
 	camp := testCampaign(0)
+	tooMany := testCampaign(make([]int32, core.MaxPieces+1)...)
 	return []struct {
 		name, path string
 		req        any
@@ -210,6 +212,9 @@ func hopelessRequests() []struct {
 		{"negative theta", "/v1/solve", SolveRequest{Campaign: camp, K: 2, Theta: -5}},
 		{"negative theta", "/v1/estimate", EstimateRequest{Campaign: camp, Plan: [][]int32{{0}}, Theta: -5}},
 		{"bad topic index", "/v1/estimate", EstimateRequest{Campaign: testCampaign(17), Plan: [][]int32{{0}}}},
+		{"negative alpha", "/v1/solve", SolveRequest{Campaign: camp, K: 2, Alpha: -1}},
+		{"too many pieces", "/v1/solve", SolveRequest{Campaign: tooMany, K: 2}},
+		{"too many pieces", "/v1/estimate", EstimateRequest{Campaign: tooMany, Plan: make([][]int32, len(tooMany.Pieces))}},
 	}
 }
 

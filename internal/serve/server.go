@@ -22,7 +22,9 @@
 //     snapshots are never invalidated;
 //   - one artifact lifecycle (grow → prefix → evict): an artifact only
 //     grows, is served as a θ-prefix, or is evicted by LRU capacity;
-//     published artifacts are accounted at their resident bytes
+//     every build of an entry — its first preparation, a growth step, a
+//     re-prepare after a panic — runs under the entry's one grow slot,
+//     and published artifacts are accounted at their resident bytes
 //     (resident_bytes in the metrics);
 //   - per-entry core.EvaluatorPools and rrset.AUEstimator pools, and one
 //     server-wide pool of index-estimate scratch, so concurrent requests
@@ -41,22 +43,25 @@
 //
 // # Overload safety
 //
-// The heavy endpoints (solve, estimate, simulate) pass through a
-// weighted admission semaphore with a bounded wait queue before doing
-// any registry or solver work; beyond the queue — or once a request's
-// deadline expires while still in line — the request is shed with a
-// 429 and Retry-After, having cost the server nothing. Every request
-// carries a deadline (client timeout_ms capped by Config.RequestTimeout)
-// wired through the registry's sampling loops and into the solvers'
-// Stop hook: a solve whose deadline expires mid-search returns its
-// current incumbent and residual bound marked "degraded" rather than
-// failing. Panics anywhere in a handler or in registry growth are
-// contained (panics_total): a panic mid-growth poisons only that entry —
-// its last published snapshot keeps serving and the next request that
-// needs more samples rebuilds it from scratch, bit-identical to a fresh
-// preparation. Shutdown drains gracefully: readiness flips, new heavy
-// work is refused with 503, and in-flight requests run to completion
-// within the grace.
+// The heavy endpoints (solve, estimate, simulate) share one request
+// path. A body no preparation or estimator can serve is refused with a
+// 400 at the door. The rest pass through a weighted admission semaphore
+// with a bounded wait queue before doing any registry or solver work;
+// beyond the queue — or once a request's deadline expires while still
+// in line — the request is shed with a 429 and Retry-After, having cost
+// the server nothing. Every request carries a deadline (client
+// timeout_ms capped by Config.RequestTimeout) wired through the
+// registry's sampling loops and into the solvers' Stop hook: a solve
+// whose deadline expires mid-search returns its current incumbent and
+// residual bound marked "degraded" rather than failing. Panics anywhere
+// in a handler or in a registry build are contained (panics_total). A
+// panic in a first preparation fails only the request whose build hit
+// it and drops the entry; the requests queued behind it prepare it
+// afresh. A panic mid-growth poisons only that entry: its last published
+// snapshot keeps serving, and the next request that needs more samples
+// rebuilds it from scratch, bit-identical to a fresh preparation.
+// Shutdown drains gracefully: readiness flips, new heavy work is refused
+// with 503, and in-flight requests run to completion within the grace.
 package serve
 
 import (
@@ -279,11 +284,22 @@ type reqInfo struct {
 
 type reqInfoKey struct{}
 
-// requestInfo retrieves the instrumented request state (nil on paths
-// that bypass the middleware, e.g. direct solver calls in tests).
+// requestInfo retrieves the instrumented request state. Every heavy
+// handler is mounted under instrument, so a handler always finds it.
 func requestInfo(ctx context.Context) *reqInfo {
 	ri, _ := ctx.Value(reqInfoKey{}).(*reqInfo)
 	return ri
+}
+
+// echo is what a response repeats of its request: the request id, and
+// under ?debug=trace the span tree. The root span is still open (the
+// middleware ends it after the response is written); Tree renders it
+// with its duration so far.
+func (ri *reqInfo) echo() (string, *obs.SpanTree) {
+	if ri.debug && ri.trace != nil {
+		return ri.id, ri.trace.Tree()
+	}
+	return ri.id, nil
 }
 
 // statusWriter captures the response status for the request log.
@@ -553,33 +569,42 @@ func (s *Server) deadline(r *http.Request, timeoutMS int) (context.Context, cont
 	return context.WithTimeout(r.Context(), d)
 }
 
-// acquireSlot brackets one heavy request: refuse when draining (503),
-// acquire the endpoint class's weight from the admission semaphore —
-// shedding (429) when the wait queue overflows or the deadline expires
-// in line — and shed work whose deadline is already gone at grant time.
-// On nil error the caller must invoke the returned release when done.
-func (s *Server) acquireSlot(ctx context.Context, weight int64) (func(), error) {
+// admitted runs one heavy request's work under its deadline and an
+// admission slot of the endpoint class's weight: refused with 503 once
+// draining, shed with 429 when the wait queue overflows or the deadline
+// expires in line or by the time the slot is granted. From the grant
+// until run returns, inflight counts the request. run's result is
+// answered as JSON, its error through failRequest.
+func (s *Server) admitted(w http.ResponseWriter, r *http.Request, weight int64, inflight *atomic.Int64, timeoutMS int, run func(context.Context) (any, error)) {
+	ctx, cancel := s.deadline(r, timeoutMS)
+	defer cancel()
 	if err := s.inflight.enter(); err != nil {
-		return nil, err
+		s.failRequest(w, err)
+		return
 	}
+	defer s.inflight.leave()
 	_, sp := obs.StartSpan(ctx, "admit")
 	waitStart := time.Now()
 	err := s.admit.acquire(ctx, weight)
 	s.m.latAdmit.Observe(time.Since(waitStart))
 	sp.End()
 	if err != nil {
-		s.inflight.leave()
-		return nil, err
+		s.failRequest(w, err)
+		return
 	}
+	defer s.admit.release(weight)
 	if err := ctx.Err(); err != nil {
-		s.admit.release(weight)
-		s.inflight.leave()
-		return nil, fmt.Errorf("%w: deadline expired at admission: %v", errShed, err)
+		s.failRequest(w, fmt.Errorf("%w: deadline expired at admission: %v", errShed, err))
+		return
 	}
-	return func() {
-		s.admit.release(weight)
-		s.inflight.leave()
-	}, nil
+	inflight.Add(1)
+	defer inflight.Add(-1)
+	resp, err := run(ctx)
+	if err != nil {
+		s.failRequest(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // failRequest maps a heavy-path failure onto the transport: shed work →
@@ -618,31 +643,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ri := requestInfo(r.Context())
-	if ri != nil {
-		ri.campaign, ri.theta, ri.method = campaignLabel(req.Campaign), req.Theta, req.Method
-	}
-	ctx, cancel := s.deadline(r, req.TimeoutMS)
-	defer cancel()
-	release, err := s.acquireSlot(ctx, weightSolve)
-	if err != nil {
-		s.failRequest(w, err)
-		return
-	}
-	defer release()
-	resp, err := s.solve(ctx, req)
-	if err != nil {
-		s.failRequest(w, err)
-		return
-	}
-	if ri != nil {
-		resp.RequestID = ri.id
-		if ri.debug && ri.trace != nil {
-			// The root span is still open (the middleware ends it after the
-			// response is written); Tree renders it with duration-so-far.
-			resp.Trace = ri.trace.Tree()
+	ri.campaign, ri.theta, ri.method = campaignLabel(req.Campaign), req.Theta, req.Method
+	s.admitted(w, r, weightSolve, &s.m.inflightSolves, req.TimeoutMS, func(ctx context.Context) (any, error) {
+		resp, err := s.solve(ctx, req)
+		if err != nil {
+			return nil, err
 		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+		resp.RequestID, resp.Trace = ri.echo()
+		return resp, nil
+	})
 }
 
 // campaignLabel renders a campaign's piece names for log and trace
@@ -667,92 +676,79 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	if err := s.checkTheta(req.Theta); err != nil {
+	if err := s.checkPrepare(req.Theta, &req.Campaign); err != nil {
 		s.error(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := checkPlan("rrset", req.Plan, &req.Campaign); err != nil {
-		s.error(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := req.Campaign.Validate(s.g.Z()); err != nil {
-		s.error(w, http.StatusBadRequest, fmt.Errorf("serve: campaign: %w", err))
-		return
-	}
-	model, err := s.model(req.Alpha, req.Beta)
+	model, err := s.checkPlan("rrset", req.Plan, &req.Campaign, req.Alpha, req.Beta)
 	if err != nil {
 		s.error(w, http.StatusBadRequest, err)
 		return
 	}
 	ri := requestInfo(r.Context())
-	if ri != nil {
-		ri.campaign, ri.theta = campaignLabel(req.Campaign), req.Theta
-	}
-	ctx, cancel := s.deadline(r, req.TimeoutMS)
-	defer cancel()
-	release, err := s.acquireSlot(ctx, weightEstimate)
-	if err != nil {
-		s.failRequest(w, err)
-		return
-	}
-	defer release()
-	s.m.inflightEstimates.Add(1)
-	defer s.m.inflightEstimates.Add(-1)
-	regCtx, regSpan := obs.StartSpan(ctx, "registry")
-	art, outcome, err := s.reg.Instance(regCtx, req.Campaign, req.Theta, req.Seed)
-	regSpan.End()
-	if err != nil {
-		s.failRequest(w, err)
-		return
-	}
-	_, sp := obs.StartSpan(ctx, "estimate.exact")
-	util, err := s.estimateExact(art, req.Plan, model, req.Theta)
-	sp.End()
-	if err != nil {
-		s.error(w, http.StatusBadRequest, err)
-		return
-	}
-	resp := EstimateResponse{
-		Utility:       util,
-		Theta:         req.Theta,
-		EstimateMode:  "exact",
-		CacheHit:      outcome.CacheHit(),
-		PrefixHit:     outcome == OutcomePrefix,
-		Extended:      outcome == OutcomeExtend,
-		PreparedTheta: art.Theta(),
-	}
-	if ri != nil {
-		resp.RequestID = ri.id
-		if ri.debug && ri.trace != nil {
-			resp.Trace = ri.trace.Tree()
+	ri.campaign, ri.theta = campaignLabel(req.Campaign), req.Theta
+	s.admitted(w, r, weightEstimate, &s.m.inflightEstimates, req.TimeoutMS, func(ctx context.Context) (any, error) {
+		regCtx, regSpan := obs.StartSpan(ctx, "registry")
+		art, outcome, err := s.reg.Instance(regCtx, req.Campaign, req.Theta, req.Seed)
+		regSpan.End()
+		if err != nil {
+			return nil, err
 		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+		_, sp := obs.StartSpan(ctx, "estimate.exact")
+		util, err := s.estimateExact(art, req.Plan, model, req.Theta)
+		sp.End()
+		if err != nil {
+			return nil, err
+		}
+		resp := &EstimateResponse{
+			Utility:       util,
+			Theta:         req.Theta,
+			EstimateMode:  "exact",
+			CacheHit:      outcome.CacheHit(),
+			PrefixHit:     outcome == OutcomePrefix,
+			Extended:      outcome == OutcomeExtend,
+			PreparedTheta: art.Theta(),
+		}
+		resp.RequestID, resp.Trace = ri.echo()
+		return resp, nil
+	})
 }
 
-// checkTheta refuses, before admission, a θ no preparation can serve:
-// negative, or above the server cap. Its text for a negative θ is the
-// registry's.
-func (s *Server) checkTheta(theta int) error {
+// checkPrepare refuses, before admission, what no preparation can
+// serve: a negative θ or one above the server cap, or more pieces than
+// core.Prepare takes. Its texts for a negative θ and for the piece count
+// are the registry's and core's.
+func (s *Server) checkPrepare(theta int, c *topic.Campaign) error {
 	if theta < 0 {
 		return fmt.Errorf("serve: non-positive theta %d", theta)
 	}
 	if theta > s.cfg.MaxTheta {
 		return fmt.Errorf("serve: theta %d exceeds the server cap %d", theta, s.cfg.MaxTheta)
 	}
+	if l := c.L(); l > core.MaxPieces {
+		return fmt.Errorf("core: %d pieces exceed the %d-piece limit", l, core.MaxPieces)
+	}
 	return nil
 }
 
-// checkPlan refuses, before admission, a plan whose seed-set count is
-// not the campaign's piece count, so the refusal costs no preparation
-// and no layout build. Its text is the one the estimator behind the
-// endpoint gives for the same plan (pkg: "rrset" for /v1/estimate,
-// "cascade" for /v1/simulate).
-func checkPlan(pkg string, plan [][]int32, c *topic.Campaign) error {
-	if len(plan) != c.L() {
-		return fmt.Errorf("%s: plan has %d seed sets for %d pieces", pkg, len(plan), c.L())
+// checkPlan refuses, before admission, an estimate or simulate body no
+// estimator can answer — an invalid campaign, a plan whose seed-set count
+// is not the campaign's piece count, or an invalid model override — so
+// the refusal costs no admission wait, no preparation and no layout
+// build. It returns the request's model. Its texts are the ones the work
+// behind the endpoint gives: pkg "rrset" for /v1/estimate, whose campaign
+// text is the registry's, "cascade" for /v1/simulate.
+func (s *Server) checkPlan(pkg string, plan [][]int32, c *topic.Campaign, alpha, beta float64) (logistic.Model, error) {
+	if err := c.Validate(s.g.Z()); err != nil {
+		if pkg == "rrset" {
+			err = fmt.Errorf("serve: campaign: %w", err)
+		}
+		return logistic.Model{}, err
 	}
-	return nil
+	if len(plan) != c.L() {
+		return logistic.Model{}, fmt.Errorf("%s: plan has %d seed sets for %d pieces", pkg, len(plan), c.L())
+	}
+	return s.model(alpha, beta)
 }
 
 // estimateExact is the exact estimate σ̂(plan) over the artifact's first
@@ -793,44 +789,26 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	if err := req.Campaign.Validate(s.g.Z()); err != nil {
-		s.error(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := checkPlan("cascade", req.Plan, &req.Campaign); err != nil {
-		s.error(w, http.StatusBadRequest, err)
-		return
-	}
-	model, err := s.model(req.Alpha, req.Beta)
+	model, err := s.checkPlan("cascade", req.Plan, &req.Campaign, req.Alpha, req.Beta)
 	if err != nil {
 		s.error(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel := s.deadline(r, req.TimeoutMS)
-	defer cancel()
-	release, err := s.acquireSlot(ctx, weightSimulate)
-	if err != nil {
-		s.failRequest(w, err)
-		return
-	}
-	defer release()
-	s.m.inflightSimulates.Add(1)
-	defer s.m.inflightSimulates.Add(-1)
-	layouts := make([]*graph.PieceLayout, req.Campaign.L())
-	for j, piece := range req.Campaign.Pieces {
-		lay, err := s.reg.Layouts().Get(piece.Dist)
-		if err != nil {
-			s.error(w, http.StatusBadRequest, err)
-			return
+	s.admitted(w, r, weightSimulate, &s.m.inflightSimulates, req.TimeoutMS, func(context.Context) (any, error) {
+		layouts := make([]*graph.PieceLayout, req.Campaign.L())
+		for j, piece := range req.Campaign.Pieces {
+			lay, err := s.reg.Layouts().Get(piece.Dist)
+			if err != nil {
+				return nil, err
+			}
+			layouts[j] = lay
 		}
-		layouts[j] = lay
-	}
-	util, err := cascade.EstimateAdoptionLayouts(s.g, layouts, req.Plan, model, req.Runs, req.Seed)
-	if err != nil {
-		s.error(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, SimulateResponse{Utility: util, Runs: req.Runs})
+		util, err := cascade.EstimateAdoptionLayouts(s.g, layouts, req.Plan, model, req.Runs, req.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return SimulateResponse{Utility: util, Runs: req.Runs}, nil
+	})
 }
 
 // ---- solve execution ----
@@ -851,7 +829,7 @@ func (s *Server) normalizeSolve(req *SolveRequest) error {
 	if req.Theta == 0 {
 		req.Theta = s.cfg.DefaultTheta
 	}
-	if err := s.checkTheta(req.Theta); err != nil {
+	if err := s.checkPrepare(req.Theta, &req.Campaign); err != nil {
 		return err
 	}
 	if req.Seed == 0 {
@@ -869,7 +847,13 @@ func (s *Server) normalizeSolve(req *SolveRequest) error {
 	if err := req.searchOptions().Validate(req.Method == "babp"); err != nil {
 		return err
 	}
-	return req.Campaign.Validate(s.g.Z())
+	if err := req.Campaign.Validate(s.g.Z()); err != nil {
+		return err
+	}
+	// The model override resolves to the model the solve runs with.
+	model, err := s.model(req.Alpha, req.Beta)
+	req.Alpha, req.Beta = model.Alpha, model.Beta
+	return err
 }
 
 // searchOptions are the branch-and-bound options a request asks for.
@@ -918,11 +902,7 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 	if err != nil {
 		return nil, err
 	}
-	model, err := s.model(req.Alpha, req.Beta)
-	if err != nil {
-		return nil, err
-	}
-	if model != s.cfg.Model {
+	if model := (logistic.Model{Alpha: req.Alpha, Beta: req.Beta}); model != s.cfg.Model {
 		if inst, err = inst.WithModel(model); err != nil {
 			return nil, err
 		}
@@ -936,8 +916,6 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 	if err := faultpoint.Hit("serve.solve.dispatch"); err != nil {
 		return nil, err
 	}
-	s.m.inflightSolves.Add(1)
-	defer s.m.inflightSolves.Add(-1)
 	s.m.solvesTotal.Add(1)
 	_, solveSpan := obs.StartSpan(ctx, "solve."+req.Method)
 	var res *core.Result

@@ -45,7 +45,8 @@ func declaredNames(t *testing.T) map[string]bool {
 // cancellation, the two metric expositions that have readers,
 // instrumentation that is always on, one sequential search per solve,
 // one estimator, no solve coalescing, no memory governor, no async
-// jobs and one graph.
+// jobs, one graph, one build path for a registry entry and one request
+// path for a heavy endpoint.
 func TestExportedSurface(t *testing.T) {
 	names := declaredNames(t)
 	if !names["Instance"] {
@@ -66,7 +67,9 @@ func TestExportedSurface(t *testing.T) {
 		"handleJobs", "handleJob", "runJob", "jobRequests", "Jobs", "ErrQueueFull", "ErrClosed",
 		// layer sets: the server serves one graph
 		"Layers", "mx", "numLayers", "layoutCap", "subMu", "subs", "layerMask", "subMultiplex",
-		"layers", "canonLayers"} {
+		"layers", "canonLayers",
+		// builds outside the grow slot, per-handler admission
+		"prepareEntry", "reprepareEntry", "account", "acquireSlot", "checkTheta"} {
 		if names[gone] {
 			t.Errorf("%s is back", gone)
 		}
