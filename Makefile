@@ -41,10 +41,12 @@ lines:
 # wall time on 2 vCPU once its build cache is warm.
 ci: build vet fmt test race-short fuzz-smoke bench-harness-smoke
 
-# Ten seconds of native fuzzing over campaign JSON, the request bytes
-# every solve and estimate decodes (go test alone runs the seed corpus).
+# Ten seconds each of native fuzzing over the two untrusted inputs:
+# campaign JSON, the request bytes every solve and estimate decodes, and
+# the graph file every boot reads (go test alone runs the seed corpora).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCampaignJSON -fuzztime 10s ./internal/topic
+	$(GO) test -run '^$$' -fuzz FuzzRead -fuzztime 10s ./internal/graph
 
 # The benchmark at smoke length: benchmark/ builds oipa-serve from the
 # tree, drives 5 s of a workload over loopback, and its oracle recomputes

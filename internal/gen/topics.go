@@ -95,6 +95,7 @@ func AttachTopics(n int, edges []Edge, interests []topic.Vector, cfg TopicConfig
 		val float64
 	}
 	top := make([]kv, 0, cfg.Z)
+	var vec topic.Vector // reused: AddEdge copies its entries
 	for _, e := range edges {
 		// Combine endpoint interests into a dense affinity profile.
 		for i := range dense {
@@ -158,7 +159,14 @@ func AttachTopics(n int, edges []Edge, interests []topic.Vector, cfg TopicConfig
 			}
 			dense[rng.Intn(cfg.Z)] = p
 		}
-		if err := b.AddEdge(e.From, e.To, topic.FromDense(dense)); err != nil {
+		vec.Idx, vec.Val = vec.Idx[:0], vec.Val[:0]
+		for z, x := range dense {
+			if x != 0 {
+				vec.Idx = append(vec.Idx, int32(z))
+				vec.Val = append(vec.Val, x)
+			}
+		}
+		if err := b.AddEdge(e.From, e.To, vec); err != nil {
 			return nil, err
 		}
 	}

@@ -22,12 +22,20 @@
 // aligned with Graph.InCSR/OutCSR, which is what tests and harnesses that
 // index by graph position rely on. Both walk to identical sets, because a
 // zero-probability edge never draws a random number.
+//
+// A Builder is the one way to make a Graph: the generator fills it with
+// AddEdge, which copies each vector's entries into flat arrays, and Read
+// decodes a file's records straight into the same arrays. Build orders
+// the edges with counting passes, not a comparison sort.
 package graph
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"runtime"
 	"sort"
+	"sync"
 
 	"oipa/internal/topic"
 )
@@ -149,8 +157,9 @@ func (g *Graph) OutDegrees() []float64 {
 	return d
 }
 
-// Validate re-checks structural invariants; primarily used after
-// deserialization.
+// Validate re-checks structural invariants. Builder and Read establish
+// them as they go; tests, and FuzzRead on every graph Read accepts, use
+// Validate to confirm it.
 func (g *Graph) Validate() error {
 	m := g.M()
 	if len(g.inFrom) != m || len(g.edgePos) != m || len(g.topicOff) != m+1 {
@@ -194,39 +203,71 @@ func (g *Graph) Validate() error {
 // Builder accumulates edges and produces an immutable Graph. Duplicate
 // (u, v) pairs are rejected at Build time; self-loops are allowed (they are
 // harmless for reachability but generators avoid them).
+//
+// Edges are held flat, in insertion order: edge i runs from[i] -> to[i]
+// and carries topics idx[off[i]:off[i+1]] with values val[...]. Adding an
+// edge copies its vector's entries there, so it allocates nothing beyond
+// the amortised growth of those arrays, and the builder holds no pointer
+// per edge for the collector to scan.
 type Builder struct {
-	n     int
-	z     int
-	from  []int32
-	to    []int32
-	probs []topic.Vector
+	n, z     int
+	from, to []int32
+	off      []int64
+	idx      []int32
+	val      []float64
 }
 
 // NewBuilder returns a builder for a graph with n vertices over z topics.
 func NewBuilder(n, z int) *Builder {
-	return &Builder{n: n, z: z}
+	return &Builder{n: n, z: z, off: []int64{0}}
 }
 
 // AddEdge appends a directed edge u -> v with topic-wise influence vector
-// p. The vector is not copied; callers must not mutate it afterwards.
+// p. The vector's entries are copied, so the caller may reuse p.
 func (b *Builder) AddEdge(u, v int32, p topic.Vector) error {
-	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
-		return fmt.Errorf("graph: edge (%d,%d) outside [0,%d)", u, v, b.n)
+	if err := b.checkNodes(u, v); err != nil {
+		return err
 	}
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("graph: edge (%d,%d): %w", u, v, err)
 	}
-	if nnz := p.NNZ(); nnz > 0 && int(p.Idx[nnz-1]) >= b.z {
-		return fmt.Errorf("graph: edge (%d,%d) references topic %d outside [0,%d)", u, v, p.Idx[nnz-1], b.z)
+	b.idx = append(b.idx, p.Idx...)
+	b.val = append(b.val, p.Val...)
+	return b.commit(u, v)
+}
+
+func (b *Builder) checkNodes(u, v int32) error {
+	if u < 0 || int(u) >= b.n || v < 0 || int(v) >= b.n {
+		return fmt.Errorf("graph: edge (%d,%d) outside [0,%d)", u, v, b.n)
 	}
-	for _, val := range p.Val {
-		if val > 1 {
-			return fmt.Errorf("graph: edge (%d,%d) has probability %v > 1", u, v, val)
+	return nil
+}
+
+// commit ends edge u -> v, whose topic entries are the ones idx and val
+// hold past the previous edge's, already checked in order and
+// non-negative. It checks them against the topic space and the
+// probability ceiling and, on a refusal, drops them again.
+func (b *Builder) commit(u, v int32) error {
+	start := b.off[len(b.off)-1]
+	idx, val := b.idx[start:], b.val[start:]
+	var err error
+	if nnz := len(idx); nnz > 0 && int(idx[nnz-1]) >= b.z {
+		err = fmt.Errorf("graph: edge (%d,%d) references topic %d outside [0,%d)", u, v, idx[nnz-1], b.z)
+	} else {
+		for _, x := range val {
+			if x > 1 {
+				err = fmt.Errorf("graph: edge (%d,%d) has probability %v > 1", u, v, x)
+				break
+			}
 		}
+	}
+	if err != nil {
+		b.idx, b.val = b.idx[:start], b.val[:start]
+		return err
 	}
 	b.from = append(b.from, u)
 	b.to = append(b.to, v)
-	b.probs = append(b.probs, p)
+	b.off = append(b.off, int64(len(b.idx)))
 	return nil
 }
 
@@ -235,91 +276,170 @@ func (b *Builder) M() int { return len(b.from) }
 
 // Build constructs the immutable Graph. Edge identifiers are assigned in
 // (u, v) sorted order, making the result independent of insertion order.
+//
+// Two stable counting passes put the insertion indices in that order —
+// by v, then by u — and edges that arrived in that order already, as
+// Read receives a file Write produced, skip them. The graph's own arrays
+// serve as the scratch: inEdge holds the order by v, outEdge the order
+// by (u, v) until the topic arrays are laid out, and outOff the per-node
+// cursor of the topic entries while they are, so Build allocates no
+// edge- or node-sized array beyond the graph's own.
 func (b *Builder) Build() (*Graph, error) {
 	m := len(b.from)
-	order := make([]int32, m)
-	for i := range order {
-		order[i] = int32(i)
+	if m > math.MaxInt32 {
+		return nil, fmt.Errorf("graph: edge count %d too large", m)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, c := order[i], order[j]
-		if b.from[a] != b.from[c] {
-			return b.from[a] < b.from[c]
-		}
-		return b.to[a] < b.to[c]
-	})
-	for i := 1; i < m; i++ {
-		a, c := order[i-1], order[i]
-		if b.from[a] == b.from[c] && b.to[a] == b.to[c] {
-			return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", b.from[a], b.to[a])
-		}
-	}
-
 	g := &Graph{
-		n:       int32(b.n),
-		z:       int32(b.z),
-		outOff:  make([]int64, b.n+1),
-		outTo:   make([]int32, m),
-		outEdge: make([]int32, m),
-		inOff:   make([]int64, b.n+1),
-		inFrom:  make([]int32, m),
-		inEdge:  make([]int32, m),
-		edgePos: make([]int32, m),
+		n:        int32(b.n),
+		z:        int32(b.z),
+		outOff:   make([]int64, b.n+1),
+		outTo:    make([]int32, m),
+		outEdge:  make([]int32, m),
+		inOff:    make([]int64, b.n+1),
+		inFrom:   make([]int32, m),
+		inEdge:   make([]int32, m),
+		topicOff: make([]int64, m+1),
+		topicIdx: make([]int32, len(b.idx)),
+		topicVal: make([]float64, len(b.val)),
+		edgePos:  make([]int32, m),
 	}
-
-	// Forward CSR directly from the sorted order.
-	for u := range g.outOff {
-		g.outOff[u] = 0
+	countOffsets(g.inOff, b.to)
+	countOffsets(g.outOff, b.from)
+	order := g.outEdge
+	if b.sorted() {
+		for i := range order {
+			order[i] = int32(i)
+		}
+	} else {
+		byTo := g.inEdge
+		for i, v := range b.to {
+			byTo[g.inOff[v]] = int32(i)
+			g.inOff[v]++
+		}
+		restoreOffsets(g.inOff)
+		for _, i := range byTo {
+			u := b.from[i]
+			order[g.outOff[u]] = i
+			g.outOff[u]++
+		}
+		restoreOffsets(g.outOff)
 	}
-	for _, idx := range order {
-		g.outOff[b.from[idx]+1]++
+	// Forward CSR: edge eid sits at position eid.
+	for eid, i := range order {
+		g.outTo[eid] = b.to[i]
 	}
 	for u := 0; u < b.n; u++ {
-		g.outOff[u+1] += g.outOff[u]
-	}
-	cursor := make([]int64, b.n)
-	for eid, idx := range order {
-		u := b.from[idx]
-		pos := g.outOff[u] + cursor[u]
-		cursor[u]++
-		g.outTo[pos] = b.to[idx]
-		g.outEdge[pos] = int32(eid)
+		for eid := g.outOff[u] + 1; eid < g.outOff[u+1]; eid++ {
+			if g.outTo[eid] == g.outTo[eid-1] {
+				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", u, g.outTo[eid])
+			}
+		}
 	}
 
-	// Reverse CSR by counting sort over destinations.
-	for _, idx := range order {
-		g.inOff[b.to[idx]+1]++
+	// Reverse CSR and the topic entries, laid out by one pass over the
+	// edges per part of the nodes (see layIn). outOff, free until it is
+	// counted again below, becomes each node's topic-entry cursor.
+	clear(g.outOff)
+	for i, v := range b.to {
+		g.outOff[v+1] += b.off[i+1] - b.off[i]
 	}
-	for v := 0; v < b.n; v++ {
-		g.inOff[v+1] += g.inOff[v]
+	for v := 1; v <= b.n; v++ {
+		g.outOff[v] += g.outOff[v-1]
 	}
-	for i := range cursor {
-		cursor[i] = 0
+	if parts := min(runtime.GOMAXPROCS(0), m/minPartEdges); parts < 2 {
+		b.layIn(g, order, 0, g.n)
+	} else {
+		// One part per processor, split where the in-edge count crosses
+		// each multiple of m/parts; the bounds are read before any part
+		// moves the inOff cursors.
+		bounds := make([]int32, parts+1)
+		for p := 1; p < parts; p++ {
+			share := int64(m) * int64(p) / int64(parts)
+			bounds[p] = int32(sort.Search(b.n, func(v int) bool { return g.inOff[v] >= share }))
+		}
+		bounds[parts] = g.n
+		var wg sync.WaitGroup
+		for p := 0; p < parts; p++ {
+			wg.Add(1)
+			go func(lo, hi int32) {
+				defer wg.Done()
+				b.layIn(g, order, lo, hi)
+			}(bounds[p], bounds[p+1])
+		}
+		wg.Wait()
 	}
-	for eid, idx := range order {
-		v := b.to[idx]
-		pos := g.inOff[v] + cursor[v]
-		cursor[v]++
-		g.inFrom[pos] = b.from[idx]
-		g.inEdge[pos] = int32(eid)
-	}
-
-	// Flatten the builder's topic vectors in reverse-CSR position order.
-	entries := 0
-	for _, p := range b.probs {
-		entries += p.NNZ()
-	}
-	g.topicOff = make([]int64, m+1)
-	g.topicIdx = make([]int32, 0, entries)
-	g.topicVal = make([]float64, 0, entries)
-	for pos, eid := range g.inEdge {
-		g.edgePos[eid] = int32(pos)
-		p := b.probs[order[eid]]
-		g.topicIdx = append(g.topicIdx, p.Idx...)
-		g.topicVal = append(g.topicVal, p.Val...)
-		g.topicOff[pos+1] = int64(len(g.topicIdx))
+	g.topicOff[m] = int64(len(g.topicIdx))
+	restoreOffsets(g.inOff)
+	clear(g.outOff)
+	countOffsets(g.outOff, b.from)
+	for eid := range g.outEdge {
+		g.outEdge[eid] = int32(eid)
 	}
 	return g, nil
+}
+
+// minPartEdges is the fewest edges worth a part of its own in Build's
+// parallel layout: below it, starting a goroutine costs more than the
+// part saves.
+const minPartEdges = 1 << 16
+
+// layIn lays out the in-edges of nodes [lo, hi) and their topic entries,
+// visiting the edges in edge-id order, which for a file Write produced is
+// their insertion order, so every read streams. inOff[v] is the cursor of
+// v's next in-edge position and outOff[v] of its next topic entry. A
+// node's positions and entries are its own, so parts over disjoint node
+// ranges write disjoint memory and run in parallel; each lays out the
+// same arrays whatever the split.
+func (b *Builder) layIn(g *Graph, order []int32, lo, hi int32) {
+	for eid, i := range order {
+		v := b.to[i]
+		if v < lo || v >= hi {
+			continue
+		}
+		pos := g.inOff[v]
+		g.inOff[v]++
+		g.inFrom[pos] = b.from[i]
+		g.inEdge[pos] = int32(eid)
+		g.edgePos[eid] = int32(pos)
+		dst := g.outOff[v]
+		g.topicOff[pos] = dst
+		for k := b.off[i]; k < b.off[i+1]; k++ {
+			g.topicIdx[dst] = b.idx[k]
+			g.topicVal[dst] = b.val[k]
+			dst++
+		}
+		g.outOff[v] = dst
+	}
+}
+
+// sorted reports whether the edges were added in strictly increasing
+// (u, v) order, as Read receives them from a file Write produced; their
+// order is then already the edge-id order.
+func (b *Builder) sorted() bool {
+	for i := 1; i < len(b.from); i++ {
+		if b.from[i] < b.from[i-1] || b.from[i] == b.from[i-1] && b.to[i] <= b.to[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// countOffsets fills off (len n+1, zero) with the start of each key's run
+// in a sort of keys: off[k] = the number of keys below k.
+func countOffsets(off []int64, keys []int32) {
+	for _, k := range keys {
+		off[k+1]++
+	}
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+}
+
+// restoreOffsets undoes a scatter that advanced off[k] past each key k's
+// run, which left off[k] where off[k+1] began.
+func restoreOffsets(off []int64) {
+	copy(off[1:], off[:len(off)-1])
+	off[0] = 0
 }
 
 // EdgeEndpoints returns the (from, to) pair of edge eid. It costs a binary

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -379,32 +380,52 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestReadRejectsOversizedCounts: a header whose vertex or topic count
-// does not fit an int32 is refused, not wrapped to a negative count.
+// TestReadRejectsOversizedCounts: a header whose vertex, topic or edge
+// count does not fit an int32 is refused, not wrapped to a negative
+// count, and an edge count the body cannot back is refused before any
+// array is sized from it.
 func TestReadRejectsOversizedCounts(t *testing.T) {
-	header := func(n, z uint32) []byte {
+	header := func(n uint32, m uint64, z uint32) []byte {
 		b := append([]byte(nil), magic[:]...)
 		b = binary.LittleEndian.AppendUint32(b, n)
-		b = binary.LittleEndian.AppendUint64(b, 0)
+		b = binary.LittleEndian.AppendUint64(b, m)
 		return binary.LittleEndian.AppendUint32(b, z)
 	}
 	for _, tc := range []struct {
 		name string
-		n, z uint32
+		n    uint32
+		m    uint64
+		z    uint32
 		want string
 	}{
-		{"topics 2^32-1", 4, math.MaxUint32, "topic count"},
-		{"topics 2^31", 4, 1 << 31, "topic count"},
-		{"vertices 2^32-1", math.MaxUint32, 2, "vertex count"},
+		{"topics 2^32-1", 4, 0, math.MaxUint32, "topic count"},
+		{"topics 2^31", 4, 0, 1 << 31, "topic count"},
+		{"vertices 2^32-1", math.MaxUint32, 0, 2, "vertex count"},
+		{"edges 2^31", 4, 1 << 31, 2, "edge count"},
+		{"edges 2^64-1", 4, math.MaxUint64, 2, "edge count"},
 	} {
-		_, err := Read(bytes.NewReader(header(tc.n, tc.z)))
+		_, err := Read(bytes.NewReader(header(tc.n, tc.m, tc.z)))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one naming the %s", tc.name, err, tc.want)
 		}
 	}
-	g, err := Read(bytes.NewReader(header(4, 2)))
+	g, err := Read(bytes.NewReader(header(4, 0, 2)))
 	if err != nil || g.N() != 4 || g.Z() != 2 {
 		t.Fatalf("a 4-node 2-topic header: graph %v, error %v", g, err)
+	}
+
+	// 28 bytes that claim 2^22 edges: sizing the edge arrays from the
+	// claim would allocate ~100 MB.
+	body := append(header(4, 1<<22, 2), 0, 0, 0, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = Read(bytes.NewReader(body))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "edge count 4194304") {
+		t.Errorf("28 bytes claiming 2^22 edges: error %v, want one naming the edge count", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing 28 bytes that claim 2^22 edges allocated %d bytes", grew)
 	}
 }
 
