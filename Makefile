@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-short short vet fmt lines ci fuzz-smoke bench-harness-smoke bench-pairs
+.PHONY: build test race race-short short vet fmt lines test-lines ci fuzz-smoke bench-harness-smoke bench-pairs
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,8 @@ fmt:
 
 # The race detector over the packages that run concurrent solves, in
 # short mode; three runs of serve, whose registry builds and request
-# paths interleave differently from run to run.
+# paths interleave differently from run to run, and whose lifecycle
+# conformance model reads published snapshots while entries grow.
 race-short:
 	$(GO) test -race -short ./internal/core ./internal/logistic
 	$(GO) test -race -short -count=3 ./internal/serve
@@ -34,6 +35,11 @@ race-short:
 # down). The CI job summary prints this target's output.
 lines:
 	@git ls-files '*.go' | grep -v '_test.go$$' | grep -v '^benchmark/' | xargs cat | wc -l
+
+# Test Go lines outside benchmark/ (ROADMAP item 15: at most 0.75× the
+# lines target). The CI job summary prints it beside lines.
+test-lines:
+	@git ls-files '*_test.go' | grep -v '^benchmark/' | xargs cat | wc -l
 
 # The checks that need no network and no second machine, in CI order.
 # bench-harness-smoke is the one that recomputes sampled 40-node searches

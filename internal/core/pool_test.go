@@ -96,8 +96,11 @@ func TestEvaluatorPoolConcurrent(t *testing.T) {
 	}
 }
 
-// TestEvaluatorPoolDerivedInstances checks that one pool serves WithK /
-// WithModel derivatives (shared shape, different bound tables).
+// TestEvaluatorPoolDerivedInstances checks what one pool refuses: an
+// instance above its θ capacity until EnsureTheta raises it, and another
+// candidate shape outright. That pooled solves of the WithK, WithModel,
+// θ-prefix and grown instances it serves equal unpooled ones is checked
+// by the serve lifecycle conformance model.
 func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 	prob := randomProblem(t, 7, 30, 150, 8, 2, 2)
 	inst, err := Prepare(context.Background(), prob, 200, 3)
@@ -105,57 +108,6 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	pool := NewEvaluatorPool(inst)
-	k4, err := inst.WithK(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := SolveBABP(k4, DefaultBABOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := pool.SolveBABP(k4, DefaultBABOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Utility != want.Utility {
-		t.Fatalf("pooled WithK solve %v != %v", got.Utility, want.Utility)
-	}
-	m := prob.Model
-	m.Alpha *= 2
-	remodeled, err := inst.WithModel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantM, err := SolveBABP(remodeled, DefaultBABOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotM, err := pool.SolveBABP(remodeled, DefaultBABOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotM.Utility != wantM.Utility {
-		t.Fatalf("pooled WithModel solve %v != %v (stale bound tables?)", gotM.Utility, wantM.Utility)
-	}
-	// A smaller-θ instance fits the pool's capacity (the θ-prefix serving
-	// path depends on this) and solves exactly like an unpooled run.
-	smaller, err := Prepare(context.Background(), prob, 150, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantS, err := SolveBABP(smaller, DefaultBABOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotS, err := pool.SolveBABP(smaller, DefaultBABOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotS.Utility != wantS.Utility {
-		t.Fatalf("pooled smaller-theta solve %v != %v", gotS.Utility, wantS.Utility)
-	}
-	// A larger θ exceeds the capacity until EnsureTheta raises it; a
-	// different candidate shape is rejected outright.
 	larger, err := Prepare(context.Background(), prob, 300, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -164,16 +116,8 @@ func TestEvaluatorPoolDerivedInstances(t *testing.T) {
 		t.Fatal("pool accepted an instance above its theta capacity")
 	}
 	pool.EnsureTheta(300)
-	wantL, err := SolveBABP(larger, DefaultBABOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotL, err := pool.SolveBABP(larger, DefaultBABOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotL.Utility != wantL.Utility {
-		t.Fatalf("pooled grown-theta solve %v != %v", gotL.Utility, wantL.Utility)
+	if _, err := pool.SolveBABP(larger, DefaultBABOptions()); err != nil {
+		t.Fatalf("pool refused an instance within its raised capacity: %v", err)
 	}
 	otherShape := randomProblem(t, 8, 30, 150, 9, 2, 2) // 9-promoter pool
 	badInst, err := Prepare(context.Background(), otherShape, 200, 3)

@@ -303,6 +303,8 @@ func (in *Instance) Prefix(theta int) (*Instance, error) {
 // of the same collection (the serve registry serializes growth behind a
 // per-entry lock); concurrent readers of published instances are safe.
 // theta at or below the current Theta() returns the receiver unchanged.
+// A θ-prefix instance does not grow (Index.ExtendFrom refuses it); the
+// result holds more than theta samples if an unpublished growth did.
 func (in *Instance) ExtendTo(ctx context.Context, theta int) (*Instance, error) {
 	if theta <= in.Theta() {
 		return in, nil
@@ -322,13 +324,7 @@ func (in *Instance) ExtendTo(ctx context.Context, theta int) (*Instance, error) 
 	start = time.Now()
 	ix, err := in.Index.ExtendFrom(in.MRR)
 	if err != nil {
-		// A θ-prefix instance's index aliases a larger index's list
-		// storage and refuses to append; rebuild from scratch for it.
-		// Full instances — the only kind the serve registry grows — stay
-		// on the delta path.
-		if ix, err = in.MRR.BuildIndex(in.Problem.Pool); err != nil {
-			return nil, err
-		}
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	out := *in
 	out.Index = ix

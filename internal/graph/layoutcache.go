@@ -83,12 +83,15 @@ func (c *LayoutCache) Get(t topic.Vector) (*PieceLayout, error) {
 
 	e.lay = c.g.pieceLayout(e.t)
 	close(e.ready)
+	c.mu.Lock()
+	c.evictLocked()
+	c.mu.Unlock()
 	return e.lay, nil
 }
 
 // evictLocked drops least-recently-used completed entries until the size
 // is back within capacity. In-flight entries (ready not yet closed) are
-// skipped: a waiter holds a reference to them.
+// skipped — a waiter holds a reference to them — until Get evicts again.
 func (c *LayoutCache) evictLocked() {
 	if c.capacity <= 0 {
 		return

@@ -145,6 +145,23 @@ func TestLayoutCacheEvictsLRU(t *testing.T) {
 	}
 }
 
+// A build that completes while another is in flight evicts down to
+// capacity then, not only when the next miss inserts.
+func TestLayoutCacheEvictsWhenABuildCompletes(t *testing.T) {
+	c := NewLayoutCache(cacheTestGraph(t), 1)
+	held := &layoutEntry{t: topic.SingleTopic(0), ready: make(chan struct{})}
+	c.mu.Lock()
+	c.entries[held.t.Hash()] = []*layoutEntry{held}
+	c.size++
+	c.mu.Unlock()
+	if _, err := c.Get(topic.SingleTopic(1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := c.Len(); n != 1 {
+		t.Fatalf("cache holds %d layouts at capacity 1 once no build is in flight but the held one", n)
+	}
+}
+
 func TestLayoutCacheRejectsBadVectors(t *testing.T) {
 	g := cacheTestGraph(t)
 	c := NewLayoutCache(g, 2)

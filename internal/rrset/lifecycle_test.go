@@ -2,7 +2,6 @@ package rrset
 
 import (
 	"math"
-	"sync"
 	"testing"
 )
 
@@ -204,79 +203,5 @@ func TestEmptyIndexEstimateErrors(t *testing.T) {
 	}
 	if got := spread(c, []int32{0}); got != 0 || math.IsNaN(got) {
 		t.Fatalf("empty-collection spread %v", got)
-	}
-}
-
-// TestExtendFromStableUnderConcurrentReaders hammers estimators over an
-// index lineage (full + prefix) while ExtendFrom repeatedly extends it —
-// the registry's read-while-grow pattern at the index layer. Appends
-// land beyond every published index's list lengths, so under -race this
-// pins the storage-sharing contract.
-func TestExtendFromStableUnderConcurrentReaders(t *testing.T) {
-	g, probs := randomTestGraph(t, 61, 50, 300)
-	m, err := SampleMRR(g, probs, 200, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := []int32{0, 4, 8, 12, 16, 20}
-	ix, err := m.BuildIndex(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix, err := ix.Prefix(90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := [][]int32{{0, 8}, {4, 20}}
-	wantFull, err := ix.EstimateAU(plan, paperModel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPrefix, err := prefix.EstimateAU(plan, paperModel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const readers = 4
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sf, sp := new(AUScratch), new(AUScratch)
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if got, err := ix.EstimateAUWith(plan, paperModel, sf); err != nil || got != wantFull {
-					t.Errorf("full estimate drifted: %v (%v)", got, err)
-					return
-				}
-				if got, err := prefix.EstimateAUWith(plan, paperModel, sp); err != nil || got != wantPrefix {
-					t.Errorf("prefix estimate drifted: %v (%v)", got, err)
-					return
-				}
-			}
-		}()
-	}
-	cur := ix
-	for theta := 400; theta <= 1600; theta += 400 {
-		if err := m.ExtendTo(theta); err != nil {
-			t.Error(err)
-			break
-		}
-		next, err := cur.ExtendFrom(m)
-		if err != nil {
-			t.Error(err)
-			break
-		}
-		cur = next
-	}
-	close(stop)
-	wg.Wait()
-	if cur.MRR().Theta() != 1600 {
-		t.Fatalf("index lineage grew to %d, want 1600", cur.MRR().Theta())
 	}
 }

@@ -152,12 +152,10 @@ type entry struct {
 	grow chan struct{}
 	art  atomic.Pointer[Artifact]
 
-	// poisoned marks an entry whose growth step panicked: the published
-	// snapshot (bounded at its own θ) is still perfectly servable, but
-	// the entry's unpublished growth state — a collection possibly
-	// abandoned mid-sample — must never be grown from again. The next
-	// request that needs a larger θ prepares the entry from scratch
-	// under grow.
+	// poisoned marks an entry whose growth step panicked: its published
+	// snapshot still serves, but its growth state — a collection perhaps
+	// abandoned mid-sample — is never grown from again; the next request
+	// for a larger θ prepares the entry from scratch under grow.
 	poisoned atomic.Bool
 }
 
@@ -365,9 +363,10 @@ func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, the
 		return nil, err
 	}
 	// Chaos hook: a fault between the finished growth and the publish.
-	// In error mode the grown state simply stays unpublished (a retry
-	// re-extends — a no-op over the already-grown collection — and
-	// publishes); in panic mode the recover above poisons the entry.
+	// In error mode the grown state stays unpublished, and the next
+	// growth publishes it: the snapshot is frozen at inst's θ, above
+	// theta when an unpublished growth (this, or a canceled one) went
+	// further. In panic mode the recover above poisons the entry.
 	if err := faultpoint.Hit("registry.grow.publish"); err != nil {
 		return nil, err
 	}
@@ -376,9 +375,9 @@ func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, the
 	// After ExtendTo the instance's IndexTime covers only the O(Δθ)
 	// delta — exactly the index share of this growth step.
 	r.m.phaseIndex.Observe(inst.IndexTime)
-	a.evals.EnsureTheta(theta)
+	a.evals.EnsureTheta(inst.Theta())
 	r.m.phaseExtend.Observe(time.Since(start))
-	return &Artifact{theta: theta, inst: inst, evals: a.evals}, nil
+	return &Artifact{theta: inst.Theta(), inst: inst, evals: a.evals}, nil
 }
 
 // holds reports whether e is still the map's entry for its key.
@@ -397,8 +396,8 @@ func (r *Registry) drop(e *entry) {
 	}
 }
 
-// publish stores a as e's current snapshot and books its bytes,
-// adjusting the registry-wide resident gauge by the delta. An entry no
+// publish stores a as e's current snapshot, books its bytes (moving the
+// resident gauge by the delta) and evicts down to capacity. An entry no
 // longer in the map (evicted while this request was building it) is not
 // booked: its artifacts die with their in-flight readers.
 func (r *Registry) publish(e *entry, a *Artifact) {
@@ -411,6 +410,7 @@ func (r *Registry) publish(e *entry, a *Artifact) {
 	}
 	r.resident.Add(bytes - e.bytes)
 	e.bytes = bytes
+	r.evictLocked()
 }
 
 // serveSnapshot classifies a request against one published snapshot:
@@ -485,9 +485,10 @@ func (r *Registry) prepareArtifact(ctx context.Context, campaign topic.Campaign,
 // evictLocked drops least-recently-used published entries until the
 // count is back within capacity, releasing their accounted bytes; an
 // unpublished entry is never evicted (the request building it holds
-// grow and will publish or drop it). An entry evicted while one request
-// is still growing it is harmless: the growth completes on the orphaned
-// entry (unaccounted — see publish) and the next request re-prepares.
+// grow and will publish or drop it, and publish evicts again). An entry
+// evicted while one request is still growing it is harmless: the growth
+// completes on the orphaned entry (unaccounted — see publish) and the
+// next request re-prepares.
 func (r *Registry) evictLocked() {
 	if r.capacity <= 0 {
 		return

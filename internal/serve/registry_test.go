@@ -60,219 +60,40 @@ func TestRegistrySingleflightDirect(t *testing.T) {
 	}
 }
 
-// TestRegistryKeyByCampaignAndSeed pins the θ-monotone keying: the same
-// (campaign, seed) shares one entry across every requested θ, while a
-// different seed still prepares separately.
+// The registry lifecycle scenarios below run through the conformance
+// model (conformance_test.go): every step's served digest equals a fresh
+// Prepare's, and counters, resident bytes and Len equal the model's.
+
+// TestRegistryKeyByCampaignAndSeed: one entry per (campaign content,
+// seed) serves every θ — names are not in the key — and another seed
+// prepares separately.
 func TestRegistryKeyByCampaignAndSeed(t *testing.T) {
-	s := testServer(t, nil)
-	camp := testCampaign(0)
-	ctx := context.Background()
-	a1, outcome, err := s.reg.Instance(ctx, camp, 300, 1)
-	if err != nil || outcome != OutcomeMiss {
-		t.Fatalf("first request: outcome %v, err %v", outcome, err)
-	}
-	a2, outcome, err := s.reg.Instance(ctx, camp, 400, 1)
-	if err != nil || outcome != OutcomeExtend {
-		t.Fatalf("larger theta: outcome %v, err %v (want extend)", outcome, err)
-	}
-	if a2.Theta() != 400 {
-		t.Fatalf("grown artifact theta %d, want 400", a2.Theta())
-	}
-	if a1.Theta() != 300 || a1.Instance().Theta() != 300 {
-		t.Fatal("growth invalidated the previously returned snapshot")
-	}
-	if _, outcome, err = s.reg.Instance(ctx, camp, 300, 2); err != nil || outcome != OutcomeMiss {
-		t.Fatalf("different seed: outcome %v, err %v (want miss)", outcome, err)
-	}
-	if _, outcome, err = s.reg.Instance(ctx, camp, 400, 1); err != nil || outcome != OutcomeHit {
-		t.Fatalf("exact theta: outcome %v, err %v (want hit)", outcome, err)
-	}
-	if _, outcome, err = s.reg.Instance(ctx, camp, 250, 1); err != nil || outcome != OutcomePrefix {
-		t.Fatalf("smaller theta: outcome %v, err %v (want prefix)", outcome, err)
-	}
-	if got := s.m.prepares.Load(); got != 2 {
-		t.Fatalf("prepares = %d, want 2 (one per seed)", got)
-	}
-	if got := s.reg.Len(); got != 2 {
-		t.Fatalf("registry holds %d entries, want 2", got)
-	}
+	lifecycle(t, 8, "miss extend miss hit prefix hit",
+		req(0, 300, 1), req(0, 400, 1), req(0, 300, 2), req(1, 400, 1), req(1, 250, 1), req(1, 300, 2))
 }
 
-// TestRegistryAscendingThetaEconomics is the PR's acceptance criterion:
-// N identical-campaign requests with ascending θ perform exactly one
-// Prepare plus one ExtendTo per growth step — never a full re-sample —
-// and every step's artifact reports the requested θ.
+// TestRegistryAscendingThetaEconomics: ascending θ over one campaign is
+// one Prepare plus one growth step per larger θ.
 func TestRegistryAscendingThetaEconomics(t *testing.T) {
-	s := testServer(t, nil)
-	camp := testCampaign(0, 1)
-	ctx := context.Background()
-	steps := []int{200, 400, 800, 1600}
-	for i, theta := range steps {
-		a, outcome, err := s.reg.Instance(ctx, camp, theta, 1)
-		if err != nil {
-			t.Fatalf("step %d (theta %d): %v", i, theta, err)
-		}
-		want := OutcomeExtend
-		if i == 0 {
-			want = OutcomeMiss
-		}
-		if outcome != want {
-			t.Fatalf("step %d (theta %d): outcome %v, want %v", i, theta, outcome, want)
-		}
-		if a.Theta() != theta {
-			t.Fatalf("step %d: artifact theta %d, want %d", i, a.Theta(), theta)
-		}
-	}
-	if got := s.m.prepares.Load(); got != 1 {
-		t.Fatalf("prepares = %d, want exactly 1", got)
-	}
-	if got := s.m.extends.Load(); got != int64(len(steps)-1) {
-		t.Fatalf("extends = %d, want %d (one per growth step)", got, len(steps)-1)
-	}
-	if got := s.reg.Len(); got != 1 {
-		t.Fatalf("registry holds %d entries, want 1", got)
-	}
+	lifecycle(t, 8, "miss extend extend extend", req(0, 200, 1), req(0, 400, 1), req(0, 800, 1), req(0, 1600, 1))
 }
 
-// TestRegistryPrefixGolden is the bit-identity acceptance criterion: a
-// θ-prefix solve and estimate against a large cached artifact must equal
-// — bit for bit — the same query against a freshly prepared θ-sized
-// instance.
+// TestRegistryPrefixGolden: a smaller θ is served as a prefix of the
+// larger artifact.
 func TestRegistryPrefixGolden(t *testing.T) {
-	camp := testCampaign(0, 1, 2)
-	req := SolveRequest{Campaign: camp, Method: "babp", K: 4, Theta: 300, Seed: 1}
-
-	// Fresh server prepared directly at the small θ.
-	fresh := testServer(t, nil)
-	if err := fresh.normalizeSolve(&req); err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Cached server prepared at 4x the θ, serving the same request as a
-	// prefix.
-	cached := testServer(t, nil)
-	if _, _, err := cached.reg.Instance(context.Background(), camp, 1200, 1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := cached.solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.PrefixHit || got.PreparedTheta != 1200 {
-		t.Fatalf("expected a prefix hit off the 1200-sample artifact, got %+v", got)
-	}
-	if got.Utility != want.Utility || got.Upper != want.Upper {
-		t.Fatalf("prefix solve (%v, %v) != fresh solve (%v, %v)",
-			got.Utility, got.Upper, want.Utility, want.Upper)
-	}
-	if len(got.Plan) != len(want.Plan) {
-		t.Fatalf("plan shapes differ: %v vs %v", got.Plan, want.Plan)
-	}
-	for j := range want.Plan {
-		if len(got.Plan[j]) != len(want.Plan[j]) {
-			t.Fatalf("piece %d plans differ: %v vs %v", j, got.Plan, want.Plan)
-		}
-		for i := range want.Plan[j] {
-			if got.Plan[j][i] != want.Plan[j][i] {
-				t.Fatalf("piece %d plans differ: %v vs %v", j, got.Plan, want.Plan)
-			}
-		}
-	}
-
-	// Estimates of the solved plan agree bit-for-bit too.
-	model := fresh.cfg.Model
-	freshArt, _, err := fresh.reg.Instance(context.Background(), camp, 300, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cachedArt, _, err := cached.reg.Instance(context.Background(), camp, 1200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	we := freshArt.estimator()
-	wantU, err := we.EstimateAU(want.Plan, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge := cachedArt.estimator()
-	gotU, err := ge.EstimateAUPrefix(want.Plan, model, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotU != wantU {
-		t.Fatalf("prefix estimate %v != fresh estimate %v", gotU, wantU)
-	}
+	lifecycle(t, 8, "miss prefix", req(0, 1200, 1), req(0, 300, 1))
 }
 
-// TestRegistryExtendGolden: growing a small artifact to θ must serve the
-// same results as preparing at θ directly.
+// TestRegistryExtendGolden: a larger θ grows the artifact in place.
 func TestRegistryExtendGolden(t *testing.T) {
-	camp := testCampaign(1, 2)
-	req := SolveRequest{Campaign: camp, Method: "babp", K: 3, Theta: 900, Seed: 1}
-
-	fresh := testServer(t, nil)
-	if err := fresh.normalizeSolve(&req); err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	grown := testServer(t, nil)
-	if _, _, err := grown.reg.Instance(context.Background(), camp, 300, 1); err != nil {
-		t.Fatal(err)
-	}
-	got, err := grown.solve(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Extended || got.PreparedTheta != 900 {
-		t.Fatalf("expected the request to extend the artifact to 900, got %+v", got)
-	}
-	if got.Utility != want.Utility || got.Upper != want.Upper {
-		t.Fatalf("extended solve (%v, %v) != fresh solve (%v, %v)",
-			got.Utility, got.Upper, want.Utility, want.Upper)
-	}
-	if grown.m.prepares.Load() != 1 || grown.m.extends.Load() != 1 {
-		t.Fatalf("prepares=%d extends=%d, want 1 and 1",
-			grown.m.prepares.Load(), grown.m.extends.Load())
-	}
+	lifecycle(t, 8, "miss extend", req(2, 300, 1), req(2, 900, 1))
 }
 
+// TestRegistryEvictionLRU: at capacity a miss evicts the least recently
+// used entry, and a request for it prepares again.
 func TestRegistryEvictionLRU(t *testing.T) {
-	s := testServer(t, func(c *Config) { c.InstanceCapacity = 2 })
-	ctx := context.Background()
-	get := func(z int32) {
-		t.Helper()
-		if _, _, err := s.reg.Instance(ctx, testCampaign(z), 300, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	get(0)
-	get(1)
-	get(0) // refresh 0: LRU is now campaign(1)
-	get(2) // evicts campaign(1)
-	if n := s.reg.Len(); n != 2 {
-		t.Fatalf("registry holds %d instances, want 2", n)
-	}
-	if got := s.m.instanceEvictions.Load(); got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
-	}
-	prepBefore := s.m.prepares.Load()
-	get(0) // still resident
-	get(2) // still resident
-	if got := s.m.prepares.Load(); got != prepBefore {
-		t.Fatal("resident instances were re-prepared")
-	}
-	get(1) // evicted: must re-prepare
-	if got := s.m.prepares.Load(); got != prepBefore+1 {
-		t.Fatalf("re-request of evicted campaign ran %d prepares, want 1", got-prepBefore)
-	}
+	lifecycle(t, 2, "miss miss hit evict+miss hit hit evict+miss",
+		req(0, 300, 1), req(2, 300, 1), req(0, 300, 1), req(0, 300, 2), req(0, 300, 1), req(0, 300, 2), req(2, 300, 1))
 }
 
 func TestRegistryRejectsBadRequests(t *testing.T) {
@@ -538,50 +359,8 @@ func TestParallelSolveRegistryChurn(t *testing.T) {
 	}
 }
 
-// TestResidentAccounting: resident accounting tracks every publish and
-// capacity eviction, and counts nothing for a θ-prefix view — the
-// artifact lifecycle is grow, prefix, evict, and the gauge follows it.
+// TestResidentAccounting: resident bytes follow every publish and
+// eviction and do not move for a prefix.
 func TestResidentAccounting(t *testing.T) {
-	s := testServer(t, func(c *Config) { c.InstanceCapacity = 1 })
-	r := s.reg
-	ctx := context.Background()
-
-	a1, _, err := r.Instance(ctx, testCampaign(0), 300, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r.ResidentBytes(), a1.Instance().MemUsage(); got != want {
-		t.Fatalf("resident bytes %d != artifact bytes %d", got, want)
-	}
-	g1, _, err := r.Instance(ctx, testCampaign(0), 900, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r.ResidentBytes(), g1.Instance().MemUsage(); got != want {
-		t.Fatalf("resident bytes %d != grown artifact bytes %d", got, want)
-	}
-	// A θ-prefix of the grown artifact is a view that owns no bytes: the
-	// gauge must not move.
-	if _, outcome, err := r.Instance(ctx, testCampaign(0), 300, 1); err != nil || outcome != OutcomePrefix {
-		t.Fatalf("θ=300 after growth: outcome %v, err %v; want a prefix", outcome, err)
-	}
-	if got, want := r.ResidentBytes(), g1.Instance().MemUsage(); got != want {
-		t.Fatalf("prefix request moved resident bytes to %d, want %d", got, want)
-	}
-	// Capacity-1 LRU: preparing a second campaign evicts the first and
-	// releases its accounted bytes.
-	a2, _, err := r.Instance(ctx, testCampaign(1), 300, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r.ResidentBytes(), a2.Instance().MemUsage(); got != want {
-		t.Fatalf("resident bytes %d != surviving artifact bytes %d", got, want)
-	}
-	snap := s.Metrics()
-	if snap.Registry.ResidentBytes != r.ResidentBytes() {
-		t.Fatal("metrics snapshot disagrees with registry resident gauge")
-	}
-	if snap.Registry.InstanceEvictions != 1 {
-		t.Fatalf("instance_evictions %d, want 1", snap.Registry.InstanceEvictions)
-	}
+	lifecycle(t, 1, "miss extend prefix evict+miss", req(0, 300, 1), req(0, 900, 1), req(0, 300, 1), req(2, 300, 1))
 }
