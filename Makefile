@@ -43,7 +43,7 @@ test-lines:
 
 # The checks that need no network and no second machine, in CI order.
 # bench-harness-smoke is the one that recomputes sampled 40-node searches
-# against a fresh in-process preparation; it needs jq and takes ~30 s of
+# against a fresh in-process preparation; it needs jq and takes ~40 s of
 # wall time on 2 vCPU once its build cache is warm.
 ci: build vet fmt test race-short fuzz-smoke bench-harness-smoke
 
@@ -63,11 +63,14 @@ fuzz-smoke:
 # warm_solve_bab (steep model, 40 expanded nodes) is the one that checks
 # a real search — bounds under partial plans — against the oracle;
 # warm_query_mix is the one whose oracle compares served estimates, which
-# the server reads off the inverted index, with the θ-scan.
+# the server reads off the inverted index, with the θ-scan; theta_ladder
+# is the one that grows entries in place and solves θ-prefixes of them,
+# through the solver scratch each instance lineage owns.
 bench-harness-smoke:
 	bash benchmark/run.sh --workload cold_prepare --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'
 	bash benchmark/run.sh --workload warm_solve_bab --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'
 	bash benchmark/run.sh --workload warm_query_mix --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'
+	bash benchmark/run.sh --workload theta_ladder --seed 1 --seconds 5 --trace 0 | tail -n 1 | jq -e '.correct == true and .failed == 0'
 
 # Alternating parent/change pairs of one workload (one 20 s run per seed
 # per side), printed as BENCH.md rows and a q1 / median / q3 table:

@@ -31,7 +31,7 @@ func main() {
 	var (
 		graphPath    = flag.String("graph", "", "input graph file from oipa-gen (required)")
 		campaignPath = flag.String("campaign", "", "campaign spec JSON (default: uniform random pieces)")
-		method       = flag.String("method", "babp", "solver: bab, babp, greedy, im, tim")
+		method       = flag.String("method", "babp", "solver: "+strings.Join(core.Methods(), ", "))
 		k            = flag.Int("k", 50, "promoter assignment budget")
 		l            = flag.Int("l", 3, "number of campaign pieces (ignored with -campaign)")
 		theta        = flag.Int("theta", 100000, "MRR samples")
@@ -85,21 +85,7 @@ func main() {
 	// The search oipa-serve and oipa-exp run, with -eps and -tol applied.
 	opts := core.DefaultBABOptions()
 	opts.Epsilon, opts.Tolerance = *eps, *tol
-	var res *core.Result
-	switch strings.ToLower(*method) {
-	case "bab":
-		res, err = core.SolveBAB(inst, opts)
-	case "babp":
-		res, err = core.SolveBABP(inst, opts)
-	case "greedy":
-		res, err = core.SolveGreedy(inst, opts)
-	case "im":
-		res, err = core.SolveIM(inst, *seed+3)
-	case "tim":
-		res, err = core.SolveTIM(inst)
-	default:
-		log.Fatalf("unknown method %q", *method)
-	}
+	res, err := core.Solve(context.Background(), inst, strings.ToLower(*method), opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -67,16 +67,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	type strategy struct {
-		name  string
-		solve func() (*core.Result, error)
-	}
-	strategies := []strategy{
-		{"IM (topic-agnostic, single message)", func() (*core.Result, error) { return core.SolveIM(inst, 17) }},
-		{"TIM (best single issue)", func() (*core.Result, error) { return core.SolveTIM(inst) }},
-		{"OIPA BAB-P (joint assignment)", func() (*core.Result, error) {
-			return core.SolveBABP(inst, core.DefaultBABOptions())
-		}},
+	strategies := []struct{ name, method string }{
+		{"IM (topic-agnostic, single message)", "im"},
+		{"TIM (best single issue)", "tim"},
+		{"OIPA BAB-P (joint assignment)", "babp"},
 	}
 	// An immutable read-side snapshot of the MRR samples: the full-scan
 	// estimator on the view cross-checks each solver's (index-based)
@@ -85,7 +79,7 @@ func main() {
 
 	fmt.Println("strategy                                estimated        scan   simulated   assignment (tax/imm/health)")
 	for _, s := range strategies {
-		res, err := s.solve()
+		res, err := core.Solve(context.Background(), inst, s.method, core.DefaultBABOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

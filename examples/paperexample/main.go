@@ -98,7 +98,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.SolveBAB(inst, core.BABOptions{Tolerance: 0})
+	res, err := core.Solve(context.Background(), inst, "bab", core.BABOptions{Tolerance: 0})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := core.SolveBABP(inst, core.DefaultBABOptions())
+	res, err := core.Solve(context.Background(), inst, "babp", core.DefaultBABOptions())
 	if err != nil {
 		log.Fatal(err)
 	}

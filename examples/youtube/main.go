@@ -51,11 +51,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		tim, err := core.SolveTIM(inst)
+		tim, err := core.Solve(context.Background(), inst, "tim", core.DefaultBABOptions())
 		if err != nil {
 			log.Fatal(err)
 		}
-		oipa, err := core.SolveBABP(inst, core.DefaultBABOptions())
+		oipa, err := core.Solve(context.Background(), inst, "babp", core.DefaultBABOptions())
 		if err != nil {
 			log.Fatal(err)
 		}

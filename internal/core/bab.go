@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"context"
 	"fmt"
 	"time"
 
@@ -34,15 +35,6 @@ type BABOptions struct {
 	// MaxNodes caps node expansions (0 = unbounded); when hit, the best
 	// plan so far is returned with the current global upper bound.
 	MaxNodes int
-	// Stop, when non-nil, asks the search to return early: as soon as the
-	// channel is closed (or receives), the best incumbent found so far is
-	// returned together with the residual global upper bound, exactly as
-	// when MaxNodes is hit. It is checked once per node expansion, so a
-	// solve already inside a bound computation finishes that computation
-	// first. This is the reentrant cancellation hook the query service
-	// wires to HTTP request deadlines.
-	Stop <-chan struct{}
-
 	// Workers, RawGap and FillAfterFloor are ignored. The search is
 	// sequential, its gap is always raw and BAB-P always fills. They remain
 	// only because the benchmark harness (benchmark/) still sets them, and
@@ -58,16 +50,20 @@ func DefaultBABOptions() BABOptions {
 	return BABOptions{Epsilon: 0.5, Tolerance: 0.01}
 }
 
-// Validate reports options no solver accepts: a negative tolerance or
-// node cap, and — when progressive, as for BAB-P — an epsilon that is not
-// positive.
-func (o BABOptions) Validate(progressive bool) error {
+// Validate reports why Solve refuses to run method with these options: a
+// method it does not take, a negative tolerance or node cap, or — for
+// BAB-P — an epsilon that is not positive. Every method is held to the
+// tolerance and node cap, also those that do not read them.
+func (o BABOptions) Validate(method string) error {
+	m, ok := lookupMethod(method)
 	switch {
+	case !ok:
+		return fmt.Errorf("core: unknown method %q", method)
 	case !(o.Tolerance >= 0):
 		return fmt.Errorf("core: tolerance must be non-negative, got %v", o.Tolerance)
 	case o.MaxNodes < 0:
 		return fmt.Errorf("core: max nodes must be non-negative, got %d", o.MaxNodes)
-	case progressive && !(o.Epsilon > 0):
+	case m.progressive && !(o.Epsilon > 0):
 		return fmt.Errorf("core: BAB-P requires a positive epsilon, got %v", o.Epsilon)
 	}
 	return nil
@@ -106,66 +102,6 @@ func (h *babHeap) Pop() interface{} {
 	return item
 }
 
-// SolveBAB runs the plain branch-and-bound framework: Algorithm 1 with
-// Algorithm 2 as the bound estimator. It returns a plan whose
-// MRR-estimated utility is within (1−1/e)/(1+Tolerance) of the
-// MRR-estimated optimum (Theorem 2).
-func SolveBAB(inst *Instance, opts BABOptions) (*Result, error) {
-	return solve(inst, nil, opts, solveBAB)
-}
-
-// SolveBABP runs branch-and-bound with the progressive upper-bound
-// estimator (Algorithm 3), achieving (1−1/e−ε)/(1+Tolerance) with far
-// fewer τ evaluations (Theorems 3 and 4).
-func SolveBABP(inst *Instance, opts BABOptions) (*Result, error) {
-	return solve(inst, nil, opts, solveBABP)
-}
-
-// SolveGreedy runs a single bound computation from the empty plan and
-// returns its candidate solution — the root lower bound of BAB. It has no
-// approximation guarantee for OIPA (the objective is not submodular) but
-// is a strong, cheap heuristic and the natural ablation for how much the
-// search itself adds. It reads no option, but refuses the options the
-// searches refuse.
-func SolveGreedy(inst *Instance, opts BABOptions) (*Result, error) {
-	return solve(inst, nil, opts, solveGreedy)
-}
-
-// solver names what a solve runs on its evaluator.
-type solver int
-
-const (
-	solveGreedy solver = iota // one Algorithm 2 bound from the empty plan
-	solveBAB                  // Algorithm 1 over Algorithm 2
-	solveBABP                 // Algorithm 1 over Algorithm 3
-)
-
-// solve validates opts and runs s on an evaluator from pool, or on a fresh
-// one when pool is nil.
-func solve(inst *Instance, pool *EvaluatorPool, opts BABOptions, s solver) (*Result, error) {
-	if err := opts.Validate(s == solveBABP); err != nil {
-		return nil, err
-	}
-	var ev *evaluator
-	if pool == nil {
-		ev = newEvaluator(inst)
-	} else {
-		var err error
-		if ev, err = pool.acquire(inst); err != nil {
-			return nil, err
-		}
-		defer pool.release(ev)
-	}
-	switch s {
-	case solveGreedy:
-		return greedy(inst, ev), nil
-	case solveBAB:
-		return branchAndBound(inst, ev, opts, 0, "BAB"), nil
-	default:
-		return branchAndBound(inst, ev, opts, opts.Epsilon, "BAB-P"), nil
-	}
-}
-
 func greedy(inst *Instance, ev *evaluator) *Result {
 	start := time.Now()
 	br := ev.bound(nil, nil, inst.Problem.K, 0)
@@ -180,8 +116,9 @@ func greedy(inst *Instance, ev *evaluator) *Result {
 }
 
 // branchAndBound is Algorithm 1. Its bounds are Algorithm 3's with decay
-// eps when eps > 0, Algorithm 2's when eps is 0.
-func branchAndBound(inst *Instance, ev *evaluator, opts BABOptions, eps float64, name string) *Result {
+// eps when eps > 0, Algorithm 2's when eps is 0. It stops once ctx is
+// done (see Solve).
+func branchAndBound(ctx context.Context, inst *Instance, ev *evaluator, opts BABOptions, eps float64, name string) *Result {
 	start := time.Now()
 	k := inst.Problem.K
 	stats := SolverStats{}
@@ -219,16 +156,15 @@ func branchAndBound(inst *Instance, ev *evaluator, opts BABOptions, eps float64,
 		return upper+gapBase <= (bestUtil+gapBase)*(1+opts.Tolerance)
 	}
 
+	done := ctx.Done()
 search:
 	for h.Len() > 0 {
-		if opts.Stop != nil {
-			select {
-			case <-opts.Stop:
-				// Canceled: return the incumbent with the bound over what
-				// is still open.
-				break search
-			default:
-			}
+		select {
+		case <-done:
+			// Canceled: return the incumbent with the bound over what is
+			// still open.
+			break search
+		default:
 		}
 		node := heap.Pop(h).(*babNode)
 		if prune(node.upper) || (opts.MaxNodes > 0 && stats.Nodes >= opts.MaxNodes) {

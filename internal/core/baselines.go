@@ -9,7 +9,7 @@ import (
 	"oipa/internal/topic"
 )
 
-// SolveIM is the paper's IM baseline (§VI-A): pick one seed set S of size
+// solveIM is the paper's IM baseline (§VI-A): pick one seed set S of size
 // k on the *topic-agnostic* graph under the IC model, then assign S to
 // whichever single viral piece yields the largest adoption utility. It
 // ignores both the topic heterogeneity of pieces and the multifaceted
@@ -20,8 +20,10 @@ import (
 // expected probability for a message with no topic information. S is
 // greedy maximum coverage (greedyCover) over θ RR sets of that graph —
 // a one-piece MRR collection grown to the instance's θ, the same θ every
-// method gets — rather than IMM's adaptively sized sample.
-func SolveIM(inst *Instance, seed uint64) (*Result, error) {
+// method gets — rather than IMM's adaptively sized sample. Those sets are
+// drawn with the lineage's seed + 1, so they are not the instance's own
+// samples.
+func solveIM(inst *Instance) (*Result, error) {
 	start := time.Now()
 	p := inst.Problem
 	uniform := make([]float64, p.G.Z())
@@ -32,7 +34,7 @@ func SolveIM(inst *Instance, seed uint64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	col, err := rrset.NewMRRCollection(p.G, []*graph.PieceLayout{lay}, seed)
+	col, err := rrset.NewMRRCollection(p.G, []*graph.PieceLayout{lay}, inst.lin.seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -59,8 +61,8 @@ func SolveIM(inst *Instance, seed uint64) (*Result, error) {
 	}, nil
 }
 
-// SolveTIM is the paper's TIM baseline (§VI-A): for every piece t_j, run
-// SolveIM's greedy cover on the piece's own influence graph G_{t_j} to get
+// solveTIM is the paper's TIM baseline (§VI-A): for every piece t_j, run
+// solveIM's greedy cover on the piece's own influence graph G_{t_j} to get
 // a k-seed set S_j, then keep the single (piece, seed set) pair with the
 // largest adoption utility. Topic-aware but still single-piece: users who
 // receive only one piece adopt with low probability, which is the paper's
@@ -68,7 +70,7 @@ func SolveIM(inst *Instance, seed uint64) (*Result, error) {
 //
 // The per-piece RR sets are the MRR collection's own slices — the same
 // "θ RR sets for each viral piece" the paper grants every method.
-func SolveTIM(inst *Instance) (*Result, error) {
+func solveTIM(inst *Instance) (*Result, error) {
 	start := time.Now()
 	l := inst.L()
 	best := Plan{}

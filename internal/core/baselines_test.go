@@ -180,7 +180,7 @@ func BenchmarkSolveIM(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveIM(inst, 1); err != nil {
+		if _, err := Solve(context.Background(), inst, "im", BABOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -178,7 +178,7 @@ func TestBABSolvesPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveBAB(inst, BABOptions{Tolerance: 0})
+	res, err := Solve(context.Background(), inst, "bab", BABOptions{Tolerance: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestBABPSolvesPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveBABP(inst, BABOptions{Epsilon: 0.5, Tolerance: 0})
+	res, err := Solve(context.Background(), inst, "babp", BABOptions{Epsilon: 0.5, Tolerance: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestBABMatchesBruteForceOnRandomInstances(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bab, err := SolveBAB(inst, BABOptions{Tolerance: 0})
+		bab, err := Solve(context.Background(), inst, "bab", BABOptions{Tolerance: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestBABPApproximationGuarantee(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		babp, err := SolveBABP(inst, BABOptions{Epsilon: eps, Tolerance: 0})
+		babp, err := Solve(context.Background(), inst, "babp", BABOptions{Epsilon: eps, Tolerance: 0})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,11 +267,11 @@ func TestBABPCloseToBAB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bab, err := SolveBAB(inst, DefaultBABOptions())
+	bab, err := Solve(context.Background(), inst, "bab", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	babp, err := SolveBABP(inst, DefaultBABOptions())
+	babp, err := Solve(context.Background(), inst, "babp", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +300,11 @@ func TestBABPFewerTauEvalsPerBoundCall(t *testing.T) {
 	if pro.tauEvals >= scan.tauEvals/2 {
 		t.Fatalf("Algorithm 3 τ evals per call (%d) not well below Algorithm 2's scan (%d)", pro.tauEvals, scan.tauEvals)
 	}
-	bab, err := SolveBAB(inst, DefaultBABOptions())
+	bab, err := Solve(context.Background(), inst, "bab", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	babp, err := SolveBABP(inst, DefaultBABOptions())
+	babp, err := Solve(context.Background(), inst, "babp", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,11 +328,11 @@ func TestSolversRespectBudgetAndPool(t *testing.T) {
 		pool[v] = true
 	}
 	solvers := []func() (*Result, error){
-		func() (*Result, error) { return SolveBAB(inst, DefaultBABOptions()) },
-		func() (*Result, error) { return SolveBABP(inst, DefaultBABOptions()) },
-		func() (*Result, error) { return SolveGreedy(inst, BABOptions{}) },
-		func() (*Result, error) { return SolveIM(inst, 1) },
-		func() (*Result, error) { return SolveTIM(inst) },
+		func() (*Result, error) { return Solve(context.Background(), inst, "bab", DefaultBABOptions()) },
+		func() (*Result, error) { return Solve(context.Background(), inst, "babp", DefaultBABOptions()) },
+		func() (*Result, error) { return Solve(context.Background(), inst, "greedy", BABOptions{}) },
+		func() (*Result, error) { return Solve(context.Background(), inst, "im", BABOptions{}) },
+		func() (*Result, error) { return Solve(context.Background(), inst, "tim", BABOptions{}) },
 	}
 	for _, solve := range solvers {
 		res, err := solve()
@@ -373,15 +373,15 @@ func TestBABBeatsBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bab, err := SolveBAB(inst, DefaultBABOptions())
+	bab, err := Solve(context.Background(), inst, "bab", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tim, err := SolveTIM(inst)
+	tim, err := Solve(context.Background(), inst, "tim", BABOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	imr, err := SolveIM(inst, 9)
+	imr, err := Solve(context.Background(), inst, "im", BABOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,18 +394,18 @@ func TestBABBeatsBaselines(t *testing.T) {
 }
 
 func TestSolveGreedyIsRootBound(t *testing.T) {
-	// SolveGreedy equals the first incumbent of BAB, so BAB can only
+	// Greedy equals the first incumbent of BAB, so BAB can only
 	// improve on it.
 	p := randomProblem(t, 17, 50, 200, 8, 2, 4)
 	inst, err := Prepare(context.Background(), p, 1000, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	greedy, err := SolveGreedy(inst, BABOptions{})
+	greedy, err := Solve(context.Background(), inst, "greedy", BABOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bab, err := SolveBAB(inst, BABOptions{Tolerance: 0})
+	bab, err := Solve(context.Background(), inst, "bab", BABOptions{Tolerance: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,11 +420,11 @@ func TestSolverDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := SolveBABP(inst, DefaultBABOptions())
+	a, err := Solve(context.Background(), inst, "babp", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SolveBABP(inst, DefaultBABOptions())
+	b, err := Solve(context.Background(), inst, "babp", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestBABMaxNodesCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveBAB(inst, BABOptions{Tolerance: 0, MaxNodes: 3})
+	res, err := Solve(context.Background(), inst, "bab", BABOptions{Tolerance: 0, MaxNodes: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,11 +467,19 @@ func TestBABPRejectsZeroEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SolveBABP(inst, BABOptions{}); err == nil {
-		t.Fatal("zero epsilon accepted")
-	}
-	if _, err := SolveBAB(inst, BABOptions{Tolerance: -1}); err == nil {
-		t.Fatal("negative tolerance accepted")
+	for _, c := range []struct {
+		method string
+		opts   BABOptions
+		want   string
+	}{
+		{"babp", BABOptions{}, "core: BAB-P requires a positive epsilon, got 0"},
+		{"bab", BABOptions{Tolerance: -1}, "core: tolerance must be non-negative, got -1"},
+		{"im", BABOptions{MaxNodes: -1}, "core: max nodes must be non-negative, got -1"},
+		{"BAB", DefaultBABOptions(), `core: unknown method "BAB"`},
+	} {
+		if _, err := Solve(context.Background(), inst, c.method, c.opts); err == nil || err.Error() != c.want {
+			t.Fatalf("%s %+v: %v, want %q", c.method, c.opts, err, c.want)
+		}
 	}
 }
 
@@ -494,8 +502,8 @@ func TestUpperBoundDominatesUtilityAcrossSolvers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, mk := range []func() (*Result, error){
-			func() (*Result, error) { return SolveBAB(inst, DefaultBABOptions()) },
-			func() (*Result, error) { return SolveBABP(inst, DefaultBABOptions()) },
+			func() (*Result, error) { return Solve(context.Background(), inst, "bab", DefaultBABOptions()) },
+			func() (*Result, error) { return Solve(context.Background(), inst, "babp", DefaultBABOptions()) },
 		} {
 			res, err := mk()
 			if err != nil {
@@ -517,7 +525,7 @@ func TestRawGapIrrelevantAtZeroTolerance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := SolveBAB(inst, BABOptions{Tolerance: 0})
+	raw, err := Solve(context.Background(), inst, "bab", BABOptions{Tolerance: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +552,7 @@ func TestRawGapTerminatesEarlier(t *testing.T) {
 	}
 	opts := BABOptions{Tolerance: 0.25, MaxNodes: 500}
 	strict, _ := refSolve(inst, refOptions{BABOptions: opts, strictGap: true})
-	loose, err := SolveBAB(inst, opts)
+	loose, err := Solve(context.Background(), inst, "bab", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

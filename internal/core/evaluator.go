@@ -100,20 +100,14 @@ type evaluator struct {
 	tauEvals int64 // running count of candidate marginal evaluations
 }
 
-func newEvaluator(inst *Instance) *evaluator {
-	ev := allocEvaluator(inst.L(), inst.Index.PoolSize(), inst.Theta())
-	ev.bind(inst)
-	return ev
-}
-
 // allocEvaluator allocates the scratch arrays for instances of the given
 // shape, without binding to a particular instance: the per-sample state
 // depends only on theta and the candidate state only on l·pp, so one
 // allocation serves every instance whose sample count is at most theta
 // and whose candidate shape matches (an instance, its WithK/WithModel
-// derivatives, and any θ-prefix of those). EvaluatorPool recycles these
-// allocations across concurrent solves. The empty-plan frontier is not
-// scratch: bind borrows it from the instance.
+// derivatives, and any θ-prefix of those). The instance lineage pools
+// these allocations across concurrent solves. The empty-plan frontier is
+// not scratch: bind borrows it from the instance.
 func allocEvaluator(l, pp, theta int) *evaluator {
 	ev := &evaluator{
 		l:          l,
@@ -228,8 +222,7 @@ func newBaseFrontier(ix *rrset.Index, l int) *baseFrontier {
 const baseMemoSlots = 4
 
 // baseMemo holds an instance lineage's base frontiers, one per θ, up to
-// baseMemoSlots of them, replacing the oldest first. Prepare creates it
-// and every copy derived from the instance shares it (see Instance).
+// baseMemoSlots of them, replacing the oldest first.
 type baseMemo struct {
 	mu    sync.Mutex
 	slots [baseMemoSlots]*baseFrontier
@@ -241,7 +234,7 @@ type baseMemo struct {
 // A miss computes under the lock, so concurrent first solves at one θ
 // compute it once.
 func (in *Instance) baseFrontier() *baseFrontier {
-	m, theta := in.base, in.Theta()
+	m, theta := &in.lin.base, in.Theta()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, f := range m.slots {

@@ -8,6 +8,14 @@ import (
 	"oipa/internal/xrand"
 )
 
+// newEvaluator returns an evaluator of its own bound to inst, outside
+// the lineage's scratch.
+func newEvaluator(inst *Instance) *evaluator {
+	ev := allocEvaluator(inst.L(), inst.Index.PoolSize(), inst.Theta())
+	ev.bind(inst)
+	return ev
+}
+
 // prepInstance builds a small instance with a fresh evaluator for
 // white-box tests of the bound machinery.
 func prepInstance(t *testing.T, seed uint64) (*Instance, *evaluator) {

@@ -7,14 +7,14 @@ import (
 )
 
 // solversAgree asserts two instances produce bit-identical results for
-// every pooled solver and the index estimate of the winning plan.
+// every solver but IM and the index estimate of the winning plan.
 func solversAgree(t *testing.T, label string, a, b *Instance) {
 	t.Helper()
-	ra, err := SolveBABP(a, DefaultBABOptions())
+	ra, err := Solve(context.Background(), a, "babp", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := SolveBABP(b, DefaultBABOptions())
+	rb, err := Solve(context.Background(), b, "babp", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +24,11 @@ func solversAgree(t *testing.T, label string, a, b *Instance) {
 	if ra.Stats.TauEvals != rb.Stats.TauEvals || ra.Stats.Nodes != rb.Stats.Nodes {
 		t.Fatalf("%s: BAB-P search trajectories diverged: %+v vs %+v", label, ra.Stats, rb.Stats)
 	}
-	ga, err := SolveGreedy(a, BABOptions{})
+	ga, err := Solve(context.Background(), a, "greedy", BABOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := SolveGreedy(b, BABOptions{})
+	gb, err := Solve(context.Background(), b, "greedy", BABOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,11 +46,11 @@ func solversAgree(t *testing.T, label string, a, b *Instance) {
 	if ua != ub {
 		t.Fatalf("%s: estimates %v != %v", label, ua, ub)
 	}
-	ta, err := SolveTIM(a)
+	ta, err := Solve(context.Background(), a, "tim", BABOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := SolveTIM(b)
+	tb, err := Solve(context.Background(), b, "tim", BABOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestInstanceExtendMatchesFreshPrepare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	smallBefore, err := SolveBABP(small, DefaultBABOptions())
+	smallBefore, err := Solve(context.Background(), small, "babp", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestInstanceExtendMatchesFreshPrepare(t *testing.T) {
 	if small.Theta() != 300 {
 		t.Fatalf("pre-growth instance theta drifted to %d", small.Theta())
 	}
-	smallAfter, err := SolveBABP(small, DefaultBABOptions())
+	smallAfter, err := Solve(context.Background(), small, "babp", DefaultBABOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,36 +135,12 @@ func TestInstancePrefixMatchesFreshPrepare(t *testing.T) {
 	if _, err := big.Prefix(1201); err == nil {
 		t.Fatal("Prefix beyond theta accepted")
 	}
-	// A prefix shares the larger index's lists, so it does not grow.
+	// A prefix shares the larger index's lists, so it does not grow, and
+	// it refuses before sampling into the shared collection.
 	if _, err := prefix.ExtendTo(context.Background(), 1500); err == nil || !strings.Contains(err.Error(), "cannot extend a prefix index") {
 		t.Fatalf("ExtendTo on a prefix instance: %v, want the prefix-index refusal", err)
 	}
-}
-
-// TestEvaluatorPoolAcrossGrowthAndPrefix: a pool fits the θ-prefixes of
-// its instance, and a grown instance only after EnsureTheta. That pooled
-// solves across the lifecycle equal unpooled ones is checked by the serve
-// lifecycle conformance model.
-func TestEvaluatorPoolAcrossGrowthAndPrefix(t *testing.T) {
-	prob := randomProblem(t, 23, 40, 250, 10, 2, 3)
-	inst, err := Prepare(context.Background(), prob, 400, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := NewEvaluatorPool(inst)
-	prefix, err := inst.Prefix(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grown, err := inst.ExtendTo(context.Background(), 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pool.Compatible(prefix) || pool.Compatible(grown) {
-		t.Fatal("pool must fit the prefix and not the grown instance before EnsureTheta")
-	}
-	pool.EnsureTheta(grown.Theta())
-	if !pool.Compatible(grown) || !pool.Compatible(prefix) {
-		t.Fatal("pool must fit both after EnsureTheta")
+	if got := big.MRR.Theta(); got != 1200 {
+		t.Fatalf("the refused growth sampled the shared collection to θ %d, want 1200", got)
 	}
 }

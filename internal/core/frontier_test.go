@@ -20,14 +20,10 @@ import (
 // TestSearchMatchesFromScratchSearch pins the search built on node
 // frontiers to refSolve, which prepares every bound from scratch and
 // estimates every candidate through the index: the whole Result —
-// method aside, and TauEvals, which may only fall — must be equal, plain
-// and pooled, BAB and BAB-P, capped and exhaustive, on every instance
+// method aside, and TauEvals, which may only fall — must be equal, BAB
+// and BAB-P, capped and exhaustive, on every instance
 // variant.
 func TestSearchMatchesFromScratchSearch(t *testing.T) {
-	type search struct {
-		name  string
-		solve func(*Instance, BABOptions) (*Result, error)
-	}
 	seeds := []uint64{1, 2}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -40,26 +36,24 @@ func TestSearchMatchesFromScratchSearch(t *testing.T) {
 			cases[name] = inst
 		}
 		for name, base := range cases {
-			pool := NewEvaluatorPool(base)
-			searches := []search{{"bab", SolveBAB}, {"babp", SolveBABP}, {"pooled bab", pool.SolveBAB}, {"pooled babp", pool.SolveBABP}}
 			for _, model := range []logistic.Model{{Alpha: 2, Beta: 1}, {Alpha: 6, Beta: 2}} {
 				inst, err := base.WithModel(model)
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, s := range searches {
+				for _, method := range []string{"bab", "babp"} {
 					for _, o := range []BABOptions{{Tolerance: 0.01, MaxNodes: 40}, {Tolerance: 0, MaxNodes: 25}, {Tolerance: 0.01}} {
 						if o.MaxNodes == 0 && name != "tiny" {
 							continue // exhaustive only where the tree is small
 						}
 						opts := DefaultBABOptions()
 						opts.Tolerance, opts.MaxNodes = o.Tolerance, o.MaxNodes
-						label := fmt.Sprintf("seed %d %s α=%v %s tol=%v max=%d", seed, name, model.Alpha, s.name, o.Tolerance, o.MaxNodes)
-						got, err := s.solve(inst, opts)
+						label := fmt.Sprintf("seed %d %s α=%v %s tol=%v max=%d", seed, name, model.Alpha, method, o.Tolerance, o.MaxNodes)
+						got, err := Solve(context.Background(), inst, method, opts)
 						if err != nil {
 							t.Fatal(err)
 						}
-						want, _ := refSolve(inst, refOptions{BABOptions: opts, progressive: s.name == "babp" || s.name == "pooled babp"})
+						want, _ := refSolve(inst, refOptions{BABOptions: opts, progressive: method == "babp"})
 						if want.Stats.Nodes > 0 {
 							searched++
 						}
@@ -131,8 +125,8 @@ func TestUtilityMatchesEstimators(t *testing.T) {
 
 // TestBaseFrontierMatchesFreshBind walks one lineage — Prepare at θ,
 // Prefix(θ/2), ExtendTo(2θ), WithK, and WithModel with α 2 and the steep
-// α 6, β 2 — binding a pooled evaluator at each step through the
-// lineage's memo. Its degrees, order, maxDeg and cum must equal, bit for
+// α 6, β 2 — binding an evaluator from the lineage's scratch at each
+// step through the lineage's memo. Its degrees, order, maxDeg and cum must equal, bit for
 // bit, what a fresh instance prepared at the same θ yields from scratch:
 // every list's length, the positive empty-plan gains gainOf computes,
 // sorted by (gain desc, candidate asc), and marg[0] summed d times. Every
@@ -165,12 +159,8 @@ func TestBaseFrontierMatchesFreshBind(t *testing.T) {
 		{"α 2", must(grown.WithModel(logistic.Model{Alpha: 2, Beta: 1})), grown},
 		{"α 6 β 2", must(half.WithModel(logistic.Model{Alpha: 6, Beta: 2})), half},
 	}
-	pool := NewEvaluatorPool(grown)
 	for _, s := range steps {
-		ev, err := pool.acquire(s.inst)
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev := s.inst.lin.acquire(s.inst)
 		f := s.inst.baseFrontier()
 		if s.same != nil && f != s.same.baseFrontier() {
 			t.Fatalf("%s: a frontier of its own at θ %d", s.name, s.inst.Theta())
@@ -211,7 +201,7 @@ func TestBaseFrontierMatchesFreshBind(t *testing.T) {
 		case !slices.EqualFunc(ev.cum, cum, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }):
 			t.Fatalf("%s: cum differs from the fresh one", s.name)
 		}
-		pool.release(ev)
+		s.inst.lin.release(ev)
 	}
 }
 
@@ -245,18 +235,17 @@ func TestConcurrentSolvesShareOneTranspose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want[target], err = SolveBAB(fresh, DefaultBABOptions()); err != nil {
+		if want[target], err = Solve(context.Background(), fresh, "bab", DefaultBABOptions()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pool := NewEvaluatorPool(inst)
 	var wg sync.WaitGroup
 	for w := 0; w < 3*len(targets); w++ {
 		target := targets[w%len(targets)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := pool.SolveBAB(target, DefaultBABOptions())
+			got, err := Solve(ctx, target, "bab", DefaultBABOptions())
 			if err != nil {
 				t.Error(err)
 				return
@@ -277,7 +266,7 @@ func TestConcurrentSolvesShareOneTranspose(t *testing.T) {
 		}
 	}
 	held := map[int]bool{}
-	for _, f := range inst.base.slots {
+	for _, f := range inst.lin.base.slots {
 		if f != nil {
 			held[f.theta] = true
 		}
@@ -298,13 +287,12 @@ func TestConcurrentSolvesShareOneTranspose(t *testing.T) {
 // evaluators at random.
 func TestWarmSearchAllocations(t *testing.T) {
 	inst := branchyInstance(t, 77, 800, 2400, 100, 3, 8, 4000, 9, 6, 2)
-	pool := NewEvaluatorPool(inst)
 	opts := DefaultBABOptions()
 	opts.MaxNodes = 40
 	var res *Result
 	allocs := testing.AllocsPerRun(10, func() {
 		var err error
-		if res, err = pool.SolveBAB(inst, opts); err != nil {
+		if res, err = Solve(context.Background(), inst, "bab", opts); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -451,25 +439,23 @@ func BenchmarkWarmSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	evals := NewEvaluatorPool(inst)
 	steep := DefaultBABOptions()
 	steep.MaxNodes = 40
 	for _, s := range []struct {
-		name  string
-		solve func(*Instance, BABOptions) (*Result, error)
-		inst  *Instance
-		opts  BABOptions
+		name, method string
+		inst         *Instance
+		opts         BABOptions
 	}{
-		{"bab", evals.SolveBAB, inst, steep},
-		{"babp", evals.SolveBABP, inst, steep},
-		{"mix/greedy", evals.SolveGreedy, mix, DefaultBABOptions()},
-		{"mix/babp_k5", evals.SolveBABP, mixK5, DefaultBABOptions()},
-		{"mix/babp_prefix", evals.SolveBABP, mixHalf, DefaultBABOptions()},
+		{"bab", "bab", inst, steep},
+		{"babp", "babp", inst, steep},
+		{"mix/greedy", "greedy", mix, DefaultBABOptions()},
+		{"mix/babp_k5", "babp", mixK5, DefaultBABOptions()},
+		{"mix/babp_prefix", "babp", mixHalf, DefaultBABOptions()},
 	} {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.solve(s.inst, s.opts); err != nil {
+				if _, err := Solve(context.Background(), s.inst, s.method, s.opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,20 +9,20 @@
 // model of Eq. (1). σ is monotone but not submodular, and OIPA is NP-hard
 // to approximate within any constant factor (paper Theorem 1).
 //
-// The package provides:
+// Solve runs every solver, by name:
 //
-//   - SolveBAB: the branch-and-bound framework (Algorithm 1) with the
+//   - "bab": the branch-and-bound framework (Algorithm 1) with the
 //     greedy upper bound (Algorithm 2) over the concave hull of Eq. (1)
 //     (package logistic), a (1−1/e) approximation of the MRR-estimated
 //     optimum (Theorem 2);
-//   - SolveBABP: the same framework with progressive upper-bound
+//   - "babp": the same framework with progressive upper-bound
 //     estimation (Algorithm 3), a (1−1/e−ε) approximation (Theorem 3)
 //     with far fewer bound evaluations (Theorem 4);
-//   - SolveIM / SolveTIM: the paper's two baselines adapted from
+//   - "im" / "tim": the paper's two baselines adapted from
 //     state-of-the-art IM (§VI-A), both greedy maximum coverage on θ RR
 //     sets — of the uniform topic mixture for IM, of each piece for TIM
 //     — at the same θ every method gets, not IMM's adaptive θ;
-//   - SolveGreedy: the one-shot greedy on the hull bound (the root
+//   - "greedy": the one-shot greedy on the hull bound (the root
 //     bound computation of BAB, useful as a fast heuristic/ablation).
 //
 // Every solver runs one configuration: the hull bound, the termination
@@ -140,14 +140,20 @@ func (p Plan) Size() int {
 // view and stays bit-identical forever.
 //
 // Prepare starts a lineage, and every copy derived from it — Prefix,
-// ExtendTo, WithK, WithModel, and theirs — shares the lineage's memo of
-// empty-plan gain frontiers: each candidate's degree at a θ and the
-// candidates' order by degree. No copy changes them: sample i is fixed
-// by the seed and i, inverted lists only grow, and neither depends on k
-// or the model. A solve at a θ the memo holds binds that frontier
-// instead of recomputing it. The memo holds at most four θ, a new one
-// replacing the one memoised first, and is freed with the lineage's
-// last instance.
+// ExtendTo, WithK, WithModel, and theirs — shares what the lineage keeps
+// for its solves, which is freed with its last instance:
+//
+//   - the memo of empty-plan gain frontiers: each candidate's degree at
+//     a θ and the candidates' order by degree. No copy changes them:
+//     sample i is fixed by the seed and i, inverted lists only grow, and
+//     neither depends on k or the model. A solve at a θ the memo holds
+//     binds that frontier instead of recomputing it. The memo holds at
+//     most four θ, a new one replacing the one memoised first;
+//   - the solvers' scratch: a pool of evaluators, each sized for the
+//     lineage's largest θ, which ExtendTo raises. Every copy has the
+//     lineage's (ℓ, |pool|) shape and at most that θ, so any number of
+//     solves on any copies share one pool without data races;
+//   - the sampling seed, whose successor seeds IM's RR sets.
 type Instance struct {
 	Problem *Problem
 	// Layouts[j] is piece j's influence graph (see graph.PieceLayout).
@@ -171,7 +177,7 @@ type Instance struct {
 	// as the index_extend_ns metric.
 	IndexTime time.Duration
 
-	base *baseMemo // shared by the lineage's copies
+	lin *lineage // shared by the lineage's copies
 }
 
 // MaxPieces bounds ℓ, the pieces one instance takes: per-sample coverage
@@ -244,7 +250,7 @@ func Prepare(ctx context.Context, p *Problem, theta int, seed uint64, layouts ..
 		Bounds:     bounds,
 		SampleTime: sampleTime,
 		IndexTime:  indexTime,
-		base:       new(baseMemo),
+		lin:        newLineage(seed, theta),
 	}, nil
 }
 
@@ -303,11 +309,15 @@ func (in *Instance) Prefix(theta int) (*Instance, error) {
 // of the same collection (the serve registry serializes growth behind a
 // per-entry lock); concurrent readers of published instances are safe.
 // theta at or below the current Theta() returns the receiver unchanged.
-// A θ-prefix instance does not grow (Index.ExtendFrom refuses it); the
-// result holds more than theta samples if an unpublished growth did.
+// A θ-prefix instance does not grow: ExtendTo refuses it before
+// sampling anything. The result holds more than theta samples if an
+// unpublished growth did, and raises the lineage's θ to its own.
 func (in *Instance) ExtendTo(ctx context.Context, theta int) (*Instance, error) {
 	if theta <= in.Theta() {
 		return in, nil
+	}
+	if err := in.Index.CheckExtend(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	start := time.Now()
 	if err := in.MRR.ExtendToCtx(ctx, theta); err != nil {
@@ -330,6 +340,7 @@ func (in *Instance) ExtendTo(ctx context.Context, theta int) (*Instance, error) 
 	out.Index = ix
 	out.SampleTime = sampleTime
 	out.IndexTime = time.Since(start)
+	in.lin.theta.Store(int64(out.Theta()))
 	return &out, nil
 }
 

@@ -142,6 +142,7 @@ type refOptions struct {
 	BABOptions
 	progressive bool // Algorithm 3 bounds (with the fill) instead of Algorithm 2
 	strictGap   bool // test the gap on Eq. (1)'s scale, not the raw Eq. (6) one
+	stop        <-chan struct{}
 }
 
 // refSolve is Algorithm 1 as the sequential search ran before search
@@ -182,7 +183,7 @@ func refSolve(inst *Instance, opts refOptions) (*Result, []float64) {
 search:
 	for h.Len() > 0 {
 		select {
-		case <-opts.Stop:
+		case <-opts.stop:
 			break search
 		default:
 		}
@@ -234,17 +235,17 @@ search:
 // bound is at least (1−1/e) — progressive: (1−1/e−ε) — of the best plan
 // in its subtree, Upper must reach that share of OPT.
 func TestUpperCoversEverySetAsideSubtree(t *testing.T) {
-	stop := make(chan struct{})
-	close(stop)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
 	variants := []struct {
 		name     string
 		babp     bool
 		maxNodes int
-		stop     <-chan struct{}
+		ctx      context.Context
 	}{
-		{"bab", false, 0, nil}, {"babp", true, 0, nil},
-		{"bab capped", false, 2, nil}, {"babp capped", true, 2, nil},
-		{"bab stopped", false, 0, stop}, {"babp stopped", true, 0, stop},
+		{"bab", false, 0, context.Background()}, {"babp", true, 0, context.Background()},
+		{"bab capped", false, 2, context.Background()}, {"babp capped", true, 2, context.Background()},
+		{"bab stopped", false, 0, canceled}, {"babp stopped", true, 0, canceled},
 	}
 	models := []logistic.Model{{Alpha: 2, Beta: 1}, {Alpha: 3, Beta: 1}, {Alpha: 6, Beta: 2}}
 	above := 0 // set-aside bounds above Utility·(1+tol)
@@ -264,18 +265,18 @@ func TestUpperCoversEverySetAsideSubtree(t *testing.T) {
 			}
 			for _, tol := range []float64{0, 0.01, 0.05} {
 				for _, v := range variants {
-					opts, solve, ratio := DefaultBABOptions(), SolveBAB, 1-1/math.E
+					opts, method, ratio := DefaultBABOptions(), "bab", 1-1/math.E
 					if v.babp {
-						solve = SolveBABP
+						method = "babp"
 						ratio -= opts.Epsilon
 					}
-					opts.Tolerance, opts.MaxNodes, opts.Stop = tol, v.maxNodes, v.stop
+					opts.Tolerance, opts.MaxNodes = tol, v.maxNodes
 					label := fmt.Sprintf("seed %d α=%v tol=%v %s", seed, model.Alpha, tol, v.name)
-					got, err := solve(inst, opts)
+					got, err := Solve(v.ctx, inst, method, opts)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, setAside := refSolve(inst, refOptions{BABOptions: opts, progressive: v.babp})
+					want, setAside := refSolve(inst, refOptions{BABOptions: opts, progressive: v.babp, stop: v.ctx.Done()})
 					for _, tau := range setAside {
 						if got.Upper < tau {
 							t.Fatalf("%s: upper %v below a set-aside subtree's bound %v (utility %v)", label, got.Upper, tau, got.Utility)
@@ -544,7 +545,7 @@ func TestLazyBoundMatchesPlainGreedy(t *testing.T) {
 }
 
 func TestLazyGreedySolver(t *testing.T) {
-	// SolveGreedy publishes the full-scan greedy's plan: same upper bound,
+	// The greedy method publishes the full-scan greedy's plan: same upper bound,
 	// same utility.
 	p := randomProblem(t, 7, 40, 160, 8, 2, 4)
 	inst, err := Prepare(context.Background(), p, 600, 3)
@@ -558,7 +559,7 @@ func TestLazyGreedySolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveGreedy(inst, BABOptions{})
+	got, err := Solve(context.Background(), inst, "greedy", BABOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,10 +591,10 @@ func TestBoundWorkFollowsTheAffectedSet(t *testing.T) {
 			t.Fatalf("root %s spent %d τ evals for %d picks over %d candidates", rt.name, spent, k, ev.numCands)
 		}
 	}
-	for _, solve := range []func(*Instance, BABOptions) (*Result, error){SolveBAB, SolveBABP} {
+	for _, method := range []string{"bab", "babp"} {
 		opts := DefaultBABOptions()
 		opts.Tolerance, opts.MaxNodes = 0, 40
-		res, err := solve(inst, opts)
+		res, err := Solve(context.Background(), inst, method, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -648,9 +649,10 @@ func refGreedyCover(v *rrset.MRRView, j int, pool []int32, k int) []int32 {
 	return seeds
 }
 
-// TestIMMatchesReferenceCover checks SolveIM against refGreedyCover on a
-// freshly sampled one-piece collection of the uniform topic mixture at
-// several θ and seeds: the seeds SolveIM assigns must be the
+// TestIMMatchesReferenceCover checks the IM baseline against
+// refGreedyCover on a freshly sampled one-piece collection of the uniform
+// topic mixture, drawn with the lineage's seed + 1, at several θ and
+// seeds: the seeds IM assigns must be the
 // reference's, in order, on the piece whose estimate is largest (the
 // first on ties), and its utility that estimate, bit for bit.
 func TestIMMatchesReferenceCover(t *testing.T) {
@@ -663,8 +665,7 @@ func TestIMMatchesReferenceCover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			imSeed := 17 * seed
-			got, err := SolveIM(inst, imSeed)
+			got, err := Solve(context.Background(), inst, "im", BABOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -676,7 +677,7 @@ func TestIMMatchesReferenceCover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			col, err := rrset.NewMRRCollection(p.G, []*graph.PieceLayout{lay}, imSeed)
+			col, err := rrset.NewMRRCollection(p.G, []*graph.PieceLayout{lay}, seed+1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -700,7 +701,7 @@ func TestIMMatchesReferenceCover(t *testing.T) {
 				}
 			}
 			if !reflect.DeepEqual(got.Plan, want) || got.Utility != wantUtil {
-				t.Fatalf("%s: SolveIM plan %v utility %v, reference %v utility %v", label, got.Plan.Seeds, got.Utility, want.Seeds, wantUtil)
+				t.Fatalf("%s: IM plan %v utility %v, reference %v utility %v", label, got.Plan.Seeds, got.Utility, want.Seeds, wantUtil)
 			}
 			picked += len(seeds)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -75,6 +76,8 @@ func TestExportedSurface(t *testing.T) {
 		"RefineGradient", "AdoptionRaw", "NewBoundTableMode", "WithBoundMode", "SolveBrute",
 		"Progressive", "DefaultBABPOptions", "Union", "Contains", "Clone", "Has",
 		"SolveMDS", "ShrinkTo",
+		// one way to solve and to cancel: Solve, over the lineage's scratch
+		"Stop", "SolveIM", "SolveTIM", "EnsureTheta", "Compatible",
 		// layer sets: one graph reaches the solver
 		"Mux", "N", "Z", "pieceLayouts", "LayerLayouts"} {
 		if names[gone] {
@@ -83,13 +86,15 @@ func TestExportedSurface(t *testing.T) {
 	}
 }
 
-// TestPlaceholdersAreInert pins that the BABOptions fields kept only
-// because the benchmark harness still sets them change nothing: four
-// workers, and RawGap and FillAfterFloor either way, each return the
-// default Result bit for bit, and SpecExpansions and SpecWasted stay
-// zero. On this instance the strict gap that RawGap false used to ask for
-// expands a different tree, and BAB-P without the fill, which
-// FillAfterFloor false used to ask for, returns a different plan.
+// TestPlaceholdersAreInert pins that the names kept only because the
+// benchmark harness still uses them change nothing. Among the BABOptions
+// fields, four workers, and RawGap and FillAfterFloor either way, each
+// return the default Result bit for bit, and SpecExpansions and
+// SpecWasted stay zero. EvaluatorPool's SolveBAB, SolveBABP and
+// SolveGreedy return what Solve returns for bab, babp and greedy. On
+// this instance the strict gap that RawGap false used to ask for expands
+// a different tree, and BAB-P without the fill, which FillAfterFloor
+// false used to ask for, returns a different plan.
 func TestPlaceholdersAreInert(t *testing.T) {
 	inst := branchyInstance(t, 20, 40, 160, 6, 2, 5, 800, 8, 6, 2)
 	opts := DefaultBABOptions()
@@ -99,12 +104,25 @@ func TestPlaceholdersAreInert(t *testing.T) {
 	if raw.Stats.Nodes == strict.Stats.Nodes {
 		t.Fatalf("the strict and the raw gap both expand %d nodes", raw.Stats.Nodes)
 	}
-	for _, solve := range []func(*Instance, BABOptions) (*Result, error){SolveBAB, SolveBABP} {
+	pool := NewEvaluatorPool(inst)
+	for method, forwarder := range map[string]func(*Instance, BABOptions) (*Result, error){
+		"bab": pool.SolveBAB, "babp": pool.SolveBABP, "greedy": pool.SolveGreedy,
+	} {
+		solve := func(inst *Instance, opts BABOptions) (*Result, error) {
+			return Solve(context.Background(), inst, method, opts)
+		}
 		want, err := solve(inst, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want.Elapsed = 0
+		fwd, err := forwarder(inst, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fwd.Elapsed = 0; !reflect.DeepEqual(fwd, want) {
+			t.Fatalf("the EvaluatorPool forwarder of %s:\n got %+v\nwant %+v", method, fwd, want)
+		}
 		for name, set := range map[string]func(*BABOptions){
 			"4 workers":            func(o *BABOptions) { o.Workers = 4 },
 			"RawGap false":         func(o *BABOptions) { o.RawGap = false },

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -23,7 +24,7 @@ type Row struct {
 	Seconds float64
 }
 
-// Methods in paper order.
+// Row labels of the compared methods, as core.Result.Method reports them.
 const (
 	MethodIM   = "IM"
 	MethodTIM  = "TIM"
@@ -37,36 +38,21 @@ const (
 // upper bound.
 const maxSearchNodes = 2000
 
-// runMethods executes the four compared methods on one instance and
-// returns their rows. epsilon parametrizes BAB-P.
+// runMethods runs each named core.Solve method on one instance and
+// returns their rows, labelled as the solver reports itself. epsilon
+// parametrizes BAB-P.
 func runMethods(dataset string, inst *core.Instance, param string, x float64, epsilon float64, methods []string) ([]Row, error) {
+	opts := core.DefaultBABOptions()
+	opts.Epsilon, opts.MaxNodes = epsilon, maxSearchNodes
 	rows := make([]Row, 0, len(methods))
 	for _, m := range methods {
-		var res *core.Result
-		var err error
-		switch m {
-		case MethodIM:
-			res, err = core.SolveIM(inst, 0xA11CE)
-		case MethodTIM:
-			res, err = core.SolveTIM(inst)
-		case MethodBAB:
-			opts := core.DefaultBABOptions()
-			opts.MaxNodes = maxSearchNodes
-			res, err = core.SolveBAB(inst, opts)
-		case MethodBABP:
-			opts := core.DefaultBABOptions()
-			opts.Epsilon = epsilon
-			opts.MaxNodes = maxSearchNodes
-			res, err = core.SolveBABP(inst, opts)
-		default:
-			return nil, fmt.Errorf("exp: unknown method %q", m)
-		}
+		res, err := core.Solve(context.Background(), inst, m, opts)
 		if err != nil {
 			return nil, fmt.Errorf("exp: %s on %s (%s=%v): %w", m, dataset, param, x, err)
 		}
 		rows = append(rows, Row{
 			Dataset: dataset,
-			Method:  m,
+			Method:  res.Method,
 			Param:   param,
 			X:       x,
 			Utility: res.Utility,
@@ -76,9 +62,10 @@ func runMethods(dataset string, inst *core.Instance, param string, x float64, ep
 	return rows, nil
 }
 
-// AllMethods lists the four compared methods in paper order.
+// AllMethods names the four compared methods, as core.Solve takes them,
+// in paper order.
 func AllMethods() []string {
-	return []string{MethodIM, MethodTIM, MethodBAB, MethodBABP}
+	return []string{"im", "tim", "bab", "babp"}
 }
 
 // SummaryRow is one row of Table III.
@@ -116,7 +103,7 @@ func Figure3(c Config, epsilons []float64) ([]Row, error) {
 	}
 	var rows []Row
 	for _, eps := range epsilons {
-		r, err := runMethods(w.Dataset.Name, w.Instance, "eps", eps, eps, []string{MethodBABP})
+		r, err := runMethods(w.Dataset.Name, w.Instance, "eps", eps, eps, []string{"babp"})
 		if err != nil {
 			return nil, err
 		}

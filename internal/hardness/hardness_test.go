@@ -179,7 +179,7 @@ func TestBABSolvesReductionInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.SolveBAB(inst, core.BABOptions{Tolerance: 0})
+	res, err := core.Solve(context.Background(), inst, "bab", core.BABOptions{Tolerance: 0})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,11 +230,10 @@ func (m *MRRCollection) BuildIndex(pool []int32) (*Index, error) {
 // mutators of the same index lineage — the serve registry serializes
 // growth behind a per-entry lock — but concurrent readers of the
 // receiver (and of its Prefix derivatives) are safe. Prefix-derived
-// indexes refuse to extend: their lists alias a larger index's storage
-// and already contain the tail.
+// indexes refuse to extend (CheckExtend).
 func (ix *Index) ExtendFrom(m *MRRCollection) (*Index, error) {
-	if ix.shared {
-		return nil, fmt.Errorf("rrset: cannot extend a prefix index; extend the full index it derives from")
+	if err := ix.CheckExtend(); err != nil {
+		return nil, err
 	}
 	v := m.View()
 	if !v.sub.same(ix.mrr.sub) || v.l != ix.mrr.l {
@@ -330,6 +329,16 @@ func (ix *Index) Prefix(theta int) (*Index, error) {
 		sk: ix.sk,
 		tr: ix.tr,
 	}, nil
+}
+
+// CheckExtend refuses an index ExtendFrom cannot grow: a Prefix-derived
+// one, whose lists alias a larger index's storage and already contain
+// the tail. A caller that samples before extending checks it first.
+func (ix *Index) CheckExtend() error {
+	if ix.shared {
+		return fmt.Errorf("rrset: cannot extend a prefix index; extend the full index it derives from")
+	}
+	return nil
 }
 
 // Transpose returns the transpose of the inverted lists: per sample, the

@@ -77,6 +77,7 @@ type modelEntry struct {
 	grown    int // the collection's θ: above theta after an unpublished growth
 	poisoned bool
 	lastUse  int64
+	art      *Artifact // the published snapshot
 	bytes    int64
 }
 
@@ -210,11 +211,11 @@ func confPlans(in *core.Instance) [2][][]int32 {
 // inverted lists (every slot's Samples) and both plans' estimates off the
 // index and off est's θ-scan bounded at in's θ (est may read a larger
 // view); view adds every Root and Set; all adds the view of in's own
-// Prefix(θ/2) and the results of node-capped BAB-P and BAB, greedy (the
-// three through evals, unpooled if nil) and TIM under the default model
+// Prefix(θ/2) and the core.Solve results of node-capped BAB-P and BAB,
+// greedy and TIM under the default model
 // and a WithK / WithModel(α 6, β 2) copy: Utility and Upper bits, plan
 // and Stats.
-func digests(in *core.Instance, est *rrset.AUEstimator, evals *core.EvaluatorPool, sc *rrset.AUScratch, full bool) (read, view, all uint64, err error) {
+func digests(in *core.Instance, est *rrset.AUEstimator, sc *rrset.AUScratch, full bool) (read, view, all uint64, err error) {
 	var d digest
 	ix, v := in.Index, in.Index.MRR()
 	d.put(uint64(v.Theta()))
@@ -237,19 +238,14 @@ func digests(in *core.Instance, est *rrset.AUEstimator, evals *core.EvaluatorPoo
 	if view = uint64(d); !full {
 		return read, view, 0, nil
 	}
-	_, half, _, _ := digests(must(in.Prefix(v.Theta()/2)), est, evals, sc, false)
+	_, half, _, _ := digests(must(in.Prefix(v.Theta()/2)), est, sc, false)
 	d.put(half)
 	opts := core.DefaultBABOptions()
 	opts.MaxNodes = 8
-	babp, bab, greedy := core.SolveBABP, core.SolveBAB, core.SolveGreedy
-	if evals != nil {
-		babp, bab, greedy = evals.SolveBABP, evals.SolveBAB, evals.SolveGreedy
-	}
-	tim := func(in *core.Instance, _ core.BABOptions) (*core.Result, error) { return core.SolveTIM(in) }
 	steep := must(must(in.WithK(3)).WithModel(logistic.Model{Alpha: 6, Beta: 2}))
 	for _, v := range []*core.Instance{must(in.WithK(2)), steep} {
-		for _, solve := range []func(*core.Instance, core.BABOptions) (*core.Result, error){babp, bab, greedy, tim} {
-			res, err := solve(v, opts)
+		for _, method := range []string{"babp", "bab", "greedy", "tim"} {
+			res, err := core.Solve(context.Background(), v, method, opts)
 			if err != nil {
 				return read, view, 0, err
 			}
@@ -293,7 +289,7 @@ func freshDigest(t testing.TB, s *Server, camp, theta int, seed uint64) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, d, err := digests(in, in.Index.MRR().NewEstimator(), nil, new(rrset.AUScratch), true)
+	_, _, d, err := digests(in, in.Index.MRR().NewEstimator(), new(rrset.AUScratch), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +306,8 @@ type snapshot struct {
 }
 
 // digests computes a snapshot's digests through the artifact's own
-// pools, as a request reads it; full only when asked.
+// estimator pool and its instance lineage's solver scratch, as a request
+// reads it; full only when asked.
 func (sn *snapshot) digests(sc *rrset.AUScratch, full bool) (snapshot, error) {
 	got := snapshot{art: sn.art, theta: sn.theta}
 	in, err := sn.art.InstanceAt(sn.theta)
@@ -319,7 +316,7 @@ func (sn *snapshot) digests(sc *rrset.AUScratch, full bool) (snapshot, error) {
 	}
 	est := sn.art.estimator()
 	defer sn.art.putEstimator(est)
-	got.read, got.view, got.full, err = digests(in, est, sn.art.evals, sc, full)
+	got.read, got.view, got.full, err = digests(in, est, sc, full)
 	return got, err
 }
 
@@ -380,11 +377,19 @@ func runLifecycle(t *testing.T, capacity int, ops []op) string {
 		if outcome != wantOutcome || (err != nil) != wantErr {
 			t.Fatalf("%s: outcome %v, err %v; model says %v, failure %v", where, outcome, err, wantOutcome, wantErr)
 		}
+		// A build, published or not, books the entry at its published
+		// snapshot's MemUsage as it ends, which counts samples an
+		// unpublished growth left in the shared collection.
+		if e := m.entries[k]; e != nil && !outcome.CacheHit() {
+			if err == nil {
+				e.art = art
+			}
+			if e.art != nil {
+				e.bytes = e.art.Instance().MemUsage()
+			}
+		}
 		if err != nil {
 			return
-		}
-		if e := m.entries[k]; e != nil && !outcome.CacheHit() {
-			e.bytes = art.Instance().MemUsage()
 		}
 		sn, err := (&snapshot{art: art, theta: theta}).digests(sc, true)
 		if err != nil || sn.full != freshDigest(t, s, camp, theta, seed) {

@@ -84,26 +84,24 @@ func (o Outcome) String() string {
 }
 
 // Artifact is one immutable published snapshot of a θ-monotone entry: a
-// prepared core.Instance frozen at the snapshot's θ, the entry's shared
-// EvaluatorPool, and a pool of AUEstimators over the snapshot's MRR
-// view. Snapshots are never invalidated — growth publishes a NEW
-// Artifact while in-flight readers keep using the one they hold (views
-// are frozen and shard arenas append-only, so old snapshots stay
-// bit-identical forever).
+// prepared core.Instance frozen at the snapshot's θ, whose lineage holds
+// the entry's solver scratch, and a pool of AUEstimators over the
+// snapshot's MRR view. Snapshots are never invalidated — growth
+// publishes a NEW Artifact while in-flight readers keep using the one
+// they hold (views are frozen and shard arenas append-only, so old
+// snapshots stay bit-identical forever).
 type Artifact struct {
-	theta int
-	inst  *core.Instance
-	evals *core.EvaluatorPool
-	ests  sync.Pool // of *rrset.AUEstimator over inst.Index.MRR()
+	inst *core.Instance
+	ests sync.Pool // of *rrset.AUEstimator over inst.Index.MRR()
 }
 
 // Theta returns the sample count this artifact was frozen at (requests
 // with smaller θ are served as prefixes of it).
-func (a *Artifact) Theta() int { return a.theta }
+func (a *Artifact) Theta() int { return a.inst.Theta() }
 
 // Instance returns the artifact's full-θ prepared instance. Callers must
-// treat it as immutable and go through the artifact's evaluator and
-// estimator pools for any scratch-carrying operation.
+// treat it as immutable, solve it through core.Solve and estimate
+// through the artifact's estimator pool.
 func (a *Artifact) Instance() *core.Instance { return a.inst }
 
 // InstanceAt returns the instance bounded to the requested θ: the full
@@ -113,7 +111,7 @@ func (a *Artifact) Instance() *core.Instance { return a.inst }
 // registry grows entries before handing out artifacts, so handlers
 // never see it).
 func (a *Artifact) InstanceAt(theta int) (*core.Instance, error) {
-	if theta == a.theta {
+	if theta == a.Theta() {
 		return a.inst, nil
 	}
 	return a.inst.Prefix(theta)
@@ -143,7 +141,9 @@ func (a *Artifact) putEstimator(e *rrset.AUEstimator) { a.ests.Put(e) }
 // immediately instead of pinning a goroutine for the build's duration.
 //
 // bytes is the current artifact's MemUsage (the resident_bytes
-// accounting), guarded by the registry mutex.
+// accounting), guarded by the registry mutex. It is booked whenever a
+// build under grow ends, so it also counts samples an unpublished
+// growth left in the shared collection.
 type entry struct {
 	key     instanceKey
 	lastUse int64
@@ -223,9 +223,9 @@ func (r *Registry) layoutStats() (entries int, bytes, hits, misses int64) {
 // Instance returns an artifact serving (campaign, theta, seed) and how
 // it was obtained: a fresh preparation (miss), the current snapshot
 // (exact hit or θ-prefix), or a snapshot grown to theta. The returned
-// artifact is shared and immutable; callers go through its evaluator and
-// estimator pools for scratch-carrying operations, and bound their reads
-// with InstanceAt / EstimateAUPrefix at the requested θ.
+// artifact is shared and immutable; callers go through its estimator
+// pool for estimates, and bound their reads with InstanceAt /
+// EstimateAUPrefix at the requested θ.
 func (r *Registry) Instance(ctx context.Context, campaign topic.Campaign, theta int, seed uint64) (*Artifact, Outcome, error) {
 	if err := campaign.Validate(r.g.Z()); err != nil {
 		return nil, OutcomeMiss, fmt.Errorf("serve: campaign: %w", err)
@@ -329,8 +329,12 @@ func (r *Registry) serveEntry(ctx context.Context, e *entry, campaign topic.Camp
 		// Only a failed first preparation leaves nothing worth keeping: a
 		// failed growth or re-prepare leaves the old snapshot published
 		// (and, after a panic, the entry poisoned) for a later request.
+		// Publishing it again rebooks its bytes: a growth that failed
+		// after sampling left the shared collection under it grown.
 		if a == nil {
 			r.drop(e)
+		} else {
+			r.publish(e, a)
 		}
 		return nil, outcome, err
 	}
@@ -375,9 +379,8 @@ func (r *Registry) growContained(ctx context.Context, e *entry, a *Artifact, the
 	// After ExtendTo the instance's IndexTime covers only the O(Δθ)
 	// delta — exactly the index share of this growth step.
 	r.m.phaseIndex.Observe(inst.IndexTime)
-	a.evals.EnsureTheta(inst.Theta())
 	r.m.phaseExtend.Observe(time.Since(start))
-	return &Artifact{theta: inst.Theta(), inst: inst, evals: a.evals}, nil
+	return &Artifact{inst: inst}, nil
 }
 
 // holds reports whether e is still the map's entry for its key.
@@ -396,10 +399,12 @@ func (r *Registry) drop(e *entry) {
 	}
 }
 
-// publish stores a as e's current snapshot, books its bytes (moving the
-// resident gauge by the delta) and evicts down to capacity. An entry no
-// longer in the map (evicted while this request was building it) is not
-// booked: its artifacts die with their in-flight readers.
+// publish stores a as e's current snapshot, books its current MemUsage
+// (moving the resident gauge by the delta) and evicts down to capacity.
+// Its caller holds e's grow slot, so nothing grows the collection under
+// a meanwhile. An entry no longer in the map (evicted while this request
+// was building it) is not booked: its artifacts die with their
+// in-flight readers.
 func (r *Registry) publish(e *entry, a *Artifact) {
 	bytes := a.inst.MemUsage()
 	r.mu.Lock()
@@ -419,9 +424,9 @@ func (r *Registry) publish(e *entry, a *Artifact) {
 func serveSnapshot(a *Artifact, theta int) (*Artifact, Outcome, bool) {
 	switch {
 	case a == nil:
-	case theta == a.theta:
+	case theta == a.Theta():
 		return a, OutcomeHit, true
-	case theta < a.theta:
+	case theta < a.Theta():
 		return a, OutcomePrefix, true
 	}
 	return nil, OutcomeExtend, false
@@ -479,7 +484,7 @@ func (r *Registry) prepareArtifact(ctx context.Context, campaign topic.Campaign,
 	}
 	r.m.phasePrepare.Observe(time.Since(start))
 	r.m.phaseIndex.Observe(inst.IndexTime)
-	return &Artifact{theta: theta, inst: inst, evals: core.NewEvaluatorPool(inst)}, nil
+	return &Artifact{inst: inst}, nil
 }
 
 // evictLocked drops least-recently-used published entries until the

@@ -282,7 +282,7 @@ func TestRegistryConcurrentMixedTheta(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := a.evals.SolveGreedy(withK, core.BABOptions{}); err != nil {
+				if _, err := core.Solve(context.Background(), withK, "greedy", core.BABOptions{}); err != nil {
 					t.Error(err)
 				}
 			}(theta)

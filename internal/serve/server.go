@@ -26,9 +26,10 @@
 //     re-prepare after a panic — runs under the entry's one grow slot,
 //     and published artifacts are accounted at their resident bytes
 //     (resident_bytes in the metrics);
-//   - per-entry core.EvaluatorPools and rrset.AUEstimator pools, and one
-//     server-wide pool of index-estimate scratch, so concurrent requests
-//     reuse solver scratch without data races — the MRR views, indexes
+//   - solver scratch in each entry's core.Instance lineage (core.Solve
+//     checks evaluators out of it), per-entry rrset.AUEstimator pools,
+//     and one server-wide pool of index-estimate scratch, so concurrent
+//     requests reuse scratch without data races — the MRR views, indexes
 //     and layouts they read are immutable and shared.
 //
 // Endpoints (JSON over HTTP):
@@ -51,8 +52,8 @@
 // in line — the request is shed with a 429 and Retry-After, having cost
 // the server nothing. Every request carries a deadline (client
 // timeout_ms capped by Config.RequestTimeout) wired through the
-// registry's sampling loops and into the solvers' Stop hook: a solve
-// whose deadline expires mid-search returns its current incumbent and
+// registry's sampling loops and into core.Solve: a search whose
+// deadline expires mid-search returns its current incumbent and
 // residual bound marked "degraded" rather than failing. Panics anywhere
 // in a handler or in a registry build are contained (panics_total). A
 // panic in a first preparation fails only the request whose build hit
@@ -74,6 +75,7 @@ import (
 	"math"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,8 +108,8 @@ type Config struct {
 	// RequestTimeout caps — and, for clients that send no timeout_ms,
 	// defaults — the execution deadline of every heavy request (default
 	// 30s). The deadline is honored at sample-block granularity inside
-	// the registry and through the solvers' Stop hook: an expiring solve
-	// degrades to its incumbent instead of failing.
+	// the registry and by core.Solve's search: an expiring solve degrades
+	// to its incumbent instead of failing.
 	RequestTimeout time.Duration
 	// AdmitCapacity sizes the weighted admission semaphore shared by the
 	// heavy endpoints (solve and simulate weigh 2, estimate 1; default
@@ -818,9 +820,7 @@ func (s *Server) normalizeSolve(req *SolveRequest) error {
 		req.Method = "babp"
 	}
 	req.Method = strings.ToLower(req.Method)
-	switch req.Method {
-	case "greedy", "bab", "babp", "im", "tim":
-	default:
+	if !slices.Contains(core.Methods(), req.Method) {
 		return fmt.Errorf("serve: unknown method %q", req.Method)
 	}
 	if req.K <= 0 {
@@ -844,7 +844,7 @@ func (s *Server) normalizeSolve(req *SolveRequest) error {
 	}
 	// Validate the search options now, before the registry prepares
 	// anything.
-	if err := req.searchOptions().Validate(req.Method == "babp"); err != nil {
+	if err := req.searchOptions().Validate(req.Method); err != nil {
 		return err
 	}
 	if err := req.Campaign.Validate(s.g.Z()); err != nil {
@@ -877,9 +877,8 @@ func (s *Server) model(alpha, beta float64) (logistic.Model, error) {
 }
 
 // solve runs one normalized solve request against the registry. ctx
-// (the request deadline) bounds the registry wait and the
-// growth path, and its Done channel is the branch-and-bound search's
-// Stop hook.
+// (the request deadline) bounds the registry wait, the growth path and
+// the branch-and-bound search.
 func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
 	// Chaos hook: a fault before any registry work — a delay here holds
 	// the request's admission slot, which is how the chaos suite
@@ -907,30 +906,16 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 			return nil, err
 		}
 	}
-	opts := req.searchOptions()
-	opts.Stop = ctx.Done()
 
 	// Chaos hook: a fault between artifact acquisition and the solver
-	// dispatch — a delay here burns the request's deadline so the solver
-	// below starts with Stop already fired and degrades immediately.
+	// dispatch — a delay here burns the request's deadline so the search
+	// below starts with ctx already done and degrades immediately.
 	if err := faultpoint.Hit("serve.solve.dispatch"); err != nil {
 		return nil, err
 	}
 	s.m.solvesTotal.Add(1)
 	_, solveSpan := obs.StartSpan(ctx, "solve."+req.Method)
-	var res *core.Result
-	switch req.Method {
-	case "bab":
-		res, err = art.evals.SolveBAB(inst, opts)
-	case "babp":
-		res, err = art.evals.SolveBABP(inst, opts)
-	case "greedy":
-		res, err = art.evals.SolveGreedy(inst, opts)
-	case "im":
-		res, err = core.SolveIM(inst, req.Seed+1)
-	case "tim":
-		res, err = core.SolveTIM(inst)
-	}
+	res, err := core.Solve(ctx, inst, req.Method, req.searchOptions())
 	solveSpan.End()
 	if err != nil {
 		s.m.solveErrors.Add(1)
@@ -938,17 +923,14 @@ func (s *Server) solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 	}
 	s.m.addSolverStats(res.Stats)
 	// Graceful degradation: the deadline expired but the search still
-	// produced a valid incumbent via its Stop hook (BAB seeds the root
-	// with a fully evaluated greedy plan before the first expansion, so
-	// even an immediately-stopped solve answers). IM/TIM ignore Stop and
-	// ran to completion — their results are never degraded.
-	degraded := false
-	if ctx.Err() != nil {
-		switch req.Method {
-		case "bab", "babp", "greedy":
-			degraded = true
-			s.m.degradedSolves.Add(1)
-		}
+	// produced a valid incumbent (BAB seeds the root with a fully
+	// evaluated greedy plan before the first expansion, so even an
+	// immediately-stopped solve answers). A solve that computed bounds —
+	// greedy, bab, babp — is marked degraded; the IM baselines compute
+	// none, ignore ctx and ran to completion.
+	degraded := ctx.Err() != nil && res.Stats.BoundEvals > 0
+	if degraded {
+		s.m.degradedSolves.Add(1)
 	}
 
 	pieces := make([]string, req.Campaign.L())
