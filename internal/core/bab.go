@@ -173,7 +173,10 @@ search:
 			setAside = max(setAside, node.upper)
 			break
 		}
-		if node.branch < 0 || node.plan.len() >= k {
+		// A full plan needs no check of its own: its node was bounded with
+		// budget 0, which picks nothing and leaves branch −1, and the root's
+		// plan is empty while Problem.Validate refuses K ≤ 0.
+		if node.branch < 0 {
 			setAside = max(setAside, node.upper)
 			continue // subtree cannot be extended further
 		}

@@ -68,23 +68,27 @@ type evaluator struct {
 	// exactly the candidates whose inverted list meets a sample the plan
 	// touched; a search node keeps their exact gains as a chain of levels,
 	// one per include decision (see level). prepare stamps every one in
-	// affEpoch and leaves the eligible ones with a positive gain in
-	// mergeBuf as sorted runs; aff is their merge, produced only as far as
-	// a bound reads it (affAt). Every other candidate's gain is still its
-	// empty-plan gain, bit for bit. The bound routines read initial gains
-	// from these two sources only (mergeNext).
+	// affEpoch, and owner names the level (by its depth in the chain)
+	// whose entry an eligible one with a positive gain survives in, or -1;
+	// each level with survivors is one run of the merge, and aff is the
+	// merge, produced only as far as a bound reads it (affAt). Every other
+	// candidate's gain is still its empty-plan gain, bit for bit. The
+	// bound routines read initial gains from these two sources only
+	// (mergeNext).
 	deg       []int32 // shared, read-only
 	cum       []float64
 	baseOrder []candidate // shared, read-only
+	owner     []int32
 	aff       []gainEntry
 
 	// Storage a solve draws on and bind recycles, so a warm search
 	// allocates almost nothing per node: level entries (arena), the
 	// merge's runs, the persistent chains, the search heap, the lazy
-	// greedy's heap and the bound's picks.
+	// greedy's heap and the bound's picks. rootLevel is the level a
+	// from-scratch prepare builds.
 	arena     []gainEntry
-	mergeBuf  []gainEntry
 	runs      []mergeRun
+	rootLevel level
 	levels    slab[level]
 	planNodes slab[planNode]
 	exclNodes slab[exclNode]
@@ -124,6 +128,7 @@ func allocEvaluator(l, pp, theta int) *evaluator {
 		exclEpoch:  make([]uint32, l*pp),
 		affEpoch:   make([]uint32, l*pp),
 		reachEpoch: make([]uint32, l*pp),
+		owner:      make([]int32, l*pp),
 		epoch:      1,
 	}
 	return ev
@@ -261,10 +266,20 @@ func (ev *evaluator) resetScratch() {
 	ev.inst, ev.deg, ev.baseOrder = nil, nil, nil
 }
 
+// clearCoverage zeroes the dirty samples' state, bitmap and hist. Once
+// there is a dirty sample per eight bitmap words, a cache line, one bulk
+// clear of the bitmap costs less than a scattered write per sample.
 func (ev *evaluator) clearCoverage() {
-	for _, i := range ev.dirty {
-		ev.state[i] = 0
-		ev.covered[i>>6] = 0
+	if words := (ev.theta + 63) / 64; 8*len(ev.dirty) > words {
+		clear(ev.covered[:words])
+		for _, i := range ev.dirty {
+			ev.state[i] = 0
+		}
+	} else {
+		for _, i := range ev.dirty {
+			ev.state[i] = 0
+			ev.covered[i>>6] = 0
+		}
 	}
 	ev.dirty = ev.dirty[:0]
 	clear(ev.hist)
@@ -273,20 +288,29 @@ func (ev *evaluator) clearCoverage() {
 func (ev *evaluator) pieceOf(c candidate) int   { return int(c) / ev.pp }
 func (ev *evaluator) poolPosOf(c candidate) int { return int(c) % ev.pp }
 
+// samplesOf returns candidate c's inverted list at the bound θ.
+func (ev *evaluator) samplesOf(c candidate) []int32 {
+	j := ev.pieceOf(c)
+	return ev.inst.Index.Samples(j, int32(int(c)-j*ev.pp))
+}
+
 // prepare loads a partial plan (as a chain of included candidates) and
 // an exclusion chain and brings the gain frontier up to the plan from
 // scratch: every candidate the plan's samples reach is re-evaluated —
 // exactly, because re-anchoring refs can raise a marginal above
 // marg[0] under a steep model, so the empty-plan gain is not even an
-// upper bound for them. Cost is proportional to the touched samples and
-// the affected candidates, not to the candidate count. The search's root
-// prepares this way; every other node derives its frontier from its
-// parent's (prepareNode).
+// upper bound for them — into one level, rootLevel. Cost is proportional
+// to the touched samples and the affected candidates, not to the
+// candidate count. The level's arena space is handed back at once: its
+// run is read only until the next prepare, which reaches into that space
+// again before it merges anew. The search's root prepares this way;
+// every other node derives its frontier from its parent's (prepareNode).
 func (ev *evaluator) prepare(plan *planNode, excl *exclNode) {
 	ev.load(plan, excl)
 	start := len(ev.arena)
 	ev.arena = ev.reach(ev.dirty, ev.arena)
-	ev.mergeFront(&level{entries: ev.arena[start:]})
+	ev.rootLevel = level{entries: ev.arena[start:]}
+	ev.mergeFront(&ev.rootLevel)
 	ev.arena = ev.arena[:start]
 }
 
@@ -301,7 +325,7 @@ func (ev *evaluator) prepareNode(plan *planNode, excl *exclNode, front *level, i
 	if include {
 		c := plan.cand
 		start := len(ev.arena)
-		ev.arena = ev.reach(ev.inst.Index.Samples(ev.pieceOf(c), int32(ev.poolPosOf(c))), ev.arena)
+		ev.arena = ev.reach(ev.samplesOf(c), ev.arena)
 		lv := ev.levels.new()
 		*lv = level{parent: front, entries: ev.arena[start:len(ev.arena):len(ev.arena)]}
 		front = lv
@@ -311,9 +335,12 @@ func (ev *evaluator) prepareNode(plan *planNode, excl *exclNode, front *level, i
 }
 
 // load resets the evaluator and loads a partial plan and an exclusion
-// chain. It refines the bound's anchors: sample i's ref becomes the piece
-// count the partial plan guarantees at sample i (the paper's Fig. 2
-// refinement), and tauSum is re-based.
+// chain. Covering the plan only sets each covered sample's piece bits,
+// listing the sample in dirty and covered the first time. The re-base
+// then refines the bound's anchors — sample i's ref and cnt become the
+// piece count the partial plan guarantees at sample i (the paper's
+// Fig. 2 refinement) — counts the sample in hist and re-bases tauSum, in
+// the order the samples were first covered.
 func (ev *evaluator) load(plan *planNode, excl *exclNode) {
 	ev.clearCoverage()
 	ev.epoch++
@@ -327,34 +354,45 @@ func (ev *evaluator) load(plan *planNode, excl *exclNode) {
 		ev.epoch = 1
 	}
 
+	state, covered, dirty := ev.state, ev.covered, ev.dirty
 	for n := plan; n != nil; n = n.parent {
 		ev.takenEpoch[n.cand] = ev.epoch
-		ev.coverSamples(n.cand)
+		bit := uint64(1) << uint(ev.pieceOf(n.cand))
+		for _, i := range ev.samplesOf(n.cand) {
+			if state[i] == 0 {
+				dirty = append(dirty, i)
+				covered[i>>6] |= 1 << (i & 63)
+			}
+			state[i] |= bit
+		}
 	}
+	ev.dirty = dirty
 	for n := excl; n != nil; n = n.parent {
 		ev.exclEpoch[n.cand] = ev.epoch
 	}
-	// Re-base the bound's anchors at the partial plan's coverage.
-	base0 := ev.anchored[0]
-	ev.tauSum = float64(ev.theta) * base0
-	for _, i := range ev.dirty {
-		mask := uint32(ev.state[i])
+	anchored, hist, step := ev.anchored, ev.hist, ev.l+2
+	base0 := anchored[0]
+	tau := float64(ev.theta) * base0
+	for _, i := range dirty {
+		mask := uint32(state[i])
 		c := bits.OnesCount32(mask)
-		ev.state[i] = uint64(c*(ev.l+2))<<32 | uint64(mask) // ref = cnt = c
-		ev.tauSum += ev.anchored[c] - base0
+		state[i] = uint64(c*step)<<32 | uint64(mask) // ref = cnt = c
+		hist[c]++
+		tau += anchored[c] - base0
 	}
+	ev.tauSum = tau
 }
 
 // reach appends to buf every eligible candidate the given samples reach,
-// once, with its exact gain under the loaded plan, sorts the appended
-// entries by (gain desc, candidate asc) and returns buf. The index's
-// transpose names the candidates; it is built by the first call that
-// has a sample to walk.
+// once, with its exact gain under the loaded plan, in the order the walk
+// meets them, and returns buf. Nothing is sorted here: the level the
+// entries become orders itself only as far as it is read (level.at). The
+// index's transpose names the candidates; it is built by the first call
+// that has a sample to walk.
 func (ev *evaluator) reach(samples []int32, buf []gainEntry) []gainEntry {
 	if len(samples) == 0 {
 		return buf
 	}
-	start := len(buf)
 	tr := ev.inst.Index.Transpose()
 	for _, i := range samples {
 		for _, c := range tr.Slots(i) {
@@ -367,73 +405,132 @@ func (ev *evaluator) reach(samples []int32, buf []gainEntry) []gainEntry {
 			}
 		}
 	}
-	slices.SortFunc(buf[start:], cmpGain)
 	return buf
 }
 
 // A level is one include decision's share of a search node's gain
 // frontier: the candidates the included candidate's samples reach that
 // were eligible then, with their exact gains under the plan that
-// includes it, sorted by (gain desc, candidate asc). Gains ≤ 0 stay in:
-// the candidate's empty-plan gain no longer holds, so it must still mask
-// baseOrder. A node's frontier is its chain of levels, one per include
-// on its path, shared with its ancestors like planNode. A candidate's
-// gain is the one in the nearest level holding it — no later include
-// reached its samples, so the gain has not moved — and a candidate in no
-// level has its empty-plan gain. Eligibility only shrinks along a path,
-// so entries of candidates taken or excluded since are merely skipped.
+// includes it. Gains ≤ 0 stay in: the candidate's empty-plan gain no
+// longer holds, so it must still mask baseOrder. A node's frontier is
+// its chain of levels, one per include on its path, shared with its
+// ancestors like planNode. A candidate's gain is the one in the nearest
+// level holding it — no later include reached its samples, so the gain
+// has not moved — and a candidate in no level has its empty-plan gain.
+// Eligibility only shrinks along a path, so entries of candidates taken
+// or excluded since are merely skipped.
+//
+// A level is put in (gain desc, candidate asc) order only as far as it
+// is read. Its first read turns entries into a max-heap under that
+// order, and each read past the ordered part pops the heap's top into
+// the slot below the ordered tail: entries[len-sorted:] hold the level's
+// first sorted entries, the first in the last slot. The order is
+// memoised in the level, which the node's descendants share; a solve
+// owns its levels, so nothing locks. It is a strict total order over
+// distinct candidates, so entry i is the one a full sort puts at i.
 type level struct {
 	parent  *level
 	entries []gainEntry
+	sorted  int
 }
 
-// mergeRun is one level's surviving entries in mergeBuf, [next, end).
-type mergeRun struct{ next, end int }
+// at returns the level's entry i in (gain desc, candidate asc) order,
+// for i < len(entries), ordering the level as far as i first.
+func (lv *level) at(i int) gainEntry {
+	n := len(lv.entries)
+	for lv.sorted <= i {
+		h := lv.entries[:n-lv.sorted]
+		if lv.sorted == 0 {
+			for p := len(h)/2 - 1; p >= 0; p-- {
+				siftDown(h, p)
+			}
+		}
+		last := len(h) - 1
+		h[0], h[last] = h[last], h[0]
+		siftDown(h[:last], 0)
+		lv.sorted++
+	}
+	return lv.entries[n-1-i]
+}
+
+// mergeRun is one level's survivors in the merge: head is the next one
+// not yet handed out, the level's entry pos−1, and left counts it and
+// those after it.
+type mergeRun struct {
+	lv   *level
+	id   int32 // the level's depth in the chain, as owner records it
+	pos  int
+	left int
+	head gainEntry
+}
 
 // mergeFront loads the frontier front. Walking nearest level first, it
 // stamps every candidate the chain holds in affEpoch — so nextBase skips
-// it — and keeps the eligible ones with a positive gain at their nearest
-// level's gain, in mergeBuf; each level's survivors are still sorted, so
-// they form one run per level, and merging them takes no sort. The merge
+// it — and, in owner, the level whose entry survives: the nearest one
+// holding the candidate, if it is eligible and its gain there positive.
+// Each level with survivors is one run, which reads them in the level's
+// own order (level.at), so the merge copies and sorts nothing. The merge
 // itself is left to affAt: a bound reads a few entries of hundreds.
 func (ev *evaluator) mergeFront(front *level) {
-	buf, runs := ev.mergeBuf[:0], ev.runs[:0]
-	for lv := front; lv != nil; lv = lv.parent {
-		start := len(buf)
+	runs := ev.runs[:0]
+	id := int32(0)
+	for lv := front; lv != nil; lv, id = lv.parent, id+1 {
+		left := 0
 		for _, e := range lv.entries {
 			if ev.affEpoch[e.cand] == ev.epoch {
 				continue // a nearer level holds it
 			}
 			ev.affEpoch[e.cand] = ev.epoch
 			if e.gain > 0 && ev.eligible(e.cand) {
-				buf = append(buf, e)
+				ev.owner[e.cand] = id
+				left++
+			} else {
+				ev.owner[e.cand] = -1
 			}
 		}
-		if len(buf) > start {
-			runs = append(runs, mergeRun{start, len(buf)})
+		if left > 0 {
+			runs = append(runs, mergeRun{lv: lv, id: id, left: left})
+			ev.advance(&runs[len(runs)-1])
 		}
 	}
-	ev.aff, ev.mergeBuf, ev.runs = ev.aff[:0], buf, runs
+	ev.aff, ev.runs = ev.aff[:0], runs
+}
+
+// advance moves run r's head to the next of its level's entries that it
+// owns; r.left says one is left.
+func (ev *evaluator) advance(r *mergeRun) {
+	for {
+		e := r.lv.at(r.pos)
+		r.pos++
+		if ev.owner[e.cand] == r.id {
+			r.head = e
+			return
+		}
+	}
 }
 
 // affAt returns entry i of the merge of the frontier's runs, extending
-// the memoised prefix aff one k-way step at a time as far as i, or false
-// past the end. Eligibility is not rechecked: a reader skips what its
-// bound has taken.
+// the memoised prefix aff one k-way step at a time as far as i — the
+// first head in (gain desc, candidate asc) order is handed out and its
+// run advanced — or false past the end. Eligibility is not rechecked: a
+// reader skips what its bound has taken.
 func (ev *evaluator) affAt(i int) (gainEntry, bool) {
 	for len(ev.aff) <= i {
-		buf, runs := ev.mergeBuf, ev.runs
+		runs := ev.runs
 		if len(runs) == 0 {
 			return gainEntry{}, false
 		}
 		best := 0
 		for r := 1; r < len(runs); r++ {
-			if e := buf[runs[r].next]; e.before(buf[runs[best].next].gain, buf[runs[best].next].cand) {
+			if h := runs[r].head; h.before(runs[best].head.gain, runs[best].head.cand) {
 				best = r
 			}
 		}
-		ev.aff = append(ev.aff, buf[runs[best].next])
-		if runs[best].next++; runs[best].next == runs[best].end {
+		r := &runs[best]
+		ev.aff = append(ev.aff, r.head)
+		if r.left--; r.left > 0 {
+			ev.advance(r)
+		} else {
 			runs[best] = runs[len(runs)-1]
 			ev.runs = runs[:len(runs)-1]
 		}
@@ -443,27 +540,28 @@ func (ev *evaluator) affAt(i int) (gainEntry, bool) {
 
 // coverSamples marks candidate c's samples as covered for its piece and
 // returns the τ gain in per-sample units (using the *current* refinement
-// levels). Used both for plan materialization (where the gain is
-// discarded and re-based afterwards) and for greedy additions.
+// levels). It adds a bound's picks (take); load covers a partial plan
+// without the marginals, which its re-base would overwrite.
 func (ev *evaluator) coverSamples(c candidate) float64 {
-	j := ev.pieceOf(c)
-	bit := uint64(1) << uint(j)
+	bit := uint64(1) << uint(ev.pieceOf(c))
+	state, covered, dirty, marg, hist := ev.state, ev.covered, ev.dirty, ev.marg, ev.hist
 	gain := 0.0
-	for _, i := range ev.inst.Index.Samples(j, int32(ev.poolPosOf(c))) {
-		s := ev.state[i]
+	for _, i := range ev.samplesOf(c) {
+		s := state[i]
 		if s&bit != 0 {
 			continue
 		}
 		if uint32(s) == 0 {
-			ev.dirty = append(ev.dirty, i)
-			ev.covered[i>>6] |= 1 << (i & 63)
+			dirty = append(dirty, i)
+			covered[i>>6] |= 1 << (i & 63)
 		}
-		ev.state[i] = (s | bit) + 1<<32 // cnt+1
-		gain += ev.marg[s>>32]
+		state[i] = (s | bit) + 1<<32 // cnt+1
+		gain += marg[s>>32]
 		cnt := bits.OnesCount32(uint32(s))
-		ev.hist[cnt]--
-		ev.hist[cnt+1]++
+		hist[cnt]--
+		hist[cnt+1]++
 	}
+	ev.dirty = dirty
 	ev.tauSum += gain
 	return gain
 }
@@ -471,12 +569,12 @@ func (ev *evaluator) coverSamples(c candidate) float64 {
 // gainOf computes δ_S̄(c): the τ gain of adding candidate c to the current
 // state, without modifying the state.
 func (ev *evaluator) gainOf(c candidate) float64 {
-	j := ev.pieceOf(c)
-	bit := uint64(1) << uint(j)
+	bit := uint64(1) << uint(ev.pieceOf(c))
+	state, marg := ev.state, ev.marg
 	gain := 0.0
-	for _, i := range ev.inst.Index.Samples(j, int32(ev.poolPosOf(c))) {
-		if s := ev.state[i]; s&bit == 0 {
-			gain += ev.marg[s>>32]
+	for _, i := range ev.samplesOf(c) {
+		if s := state[i]; s&bit == 0 {
+			gain += marg[s>>32]
 		}
 	}
 	ev.tauEvals++

@@ -160,6 +160,32 @@ func TestComputeBoundRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestFullPlanBoundDoesNotBranch pins why the search needs no check that
+// a node's plan is full: its child with k candidates is bounded with
+// budget 0, and both bounds then pick nothing and branch on -1, although
+// candidates with a positive gain remain (a budget of 1 still branches).
+func TestFullPlanBoundDoesNotBranch(t *testing.T) {
+	for seed := uint64(20); seed < 24; seed++ {
+		inst, ev := prepInstance(t, seed)
+		k := inst.Problem.K
+		var plan *planNode
+		for _, c := range ev.bound(nil, nil, k, 0).picks {
+			plan = plan.with(c)
+		}
+		if plan.len() != k {
+			t.Fatalf("seed %d: the root bound picked %d of %d", seed, plan.len(), k)
+		}
+		for _, eps := range []float64{0, 0.5} {
+			if br := ev.bound(plan, nil, k-plan.len(), eps); br.branch != -1 || len(br.picks) != 0 {
+				t.Fatalf("seed %d ε %v: a full plan's bound branches on %d with %d picks", seed, eps, br.branch, len(br.picks))
+			}
+			if br := ev.bound(plan, nil, 1, eps); br.branch < 0 {
+				t.Fatalf("seed %d ε %v: nothing left to branch on", seed, eps)
+			}
+		}
+	}
+}
+
 func TestComputeBoundProSubsetOfBudget(t *testing.T) {
 	// The paper's Algorithm 3 (the reference, without the fill) may stop
 	// below budget (floor), but never above; the production bound, with

@@ -369,7 +369,9 @@ func TestUtilityBelowIsSound(t *testing.T) {
 // variables: below depth 3, where the frontier holds several levels of
 // survivors, a bound must leave the merged order produced only as far as
 // it read. Every entry the bound consumes costs one τ evaluation except
-// an exact bound's first pick, and the stream peeks one entry ahead.
+// an exact bound's first pick, and the stream peeks one entry ahead. No
+// level may be ordered further than its readers consumed: a read orders
+// one entry at a time, so a level's selection chunk is the entry read.
 func TestFrontierMergeIsLazy(t *testing.T) {
 	inst := branchyInstance(t, 77, 800, 2400, 100, 3, 10, 4000, 9, 6, 2)
 	k := inst.Problem.K
@@ -377,25 +379,167 @@ func TestFrontierMergeIsLazy(t *testing.T) {
 	br := ev.bound(nil, nil, k, 0)
 	var plan *planNode
 	var front *level
+	consumed := map[*level]int{} // the most entries of a level any merge read
 	for depth := 1; depth <= 5 && br.branch >= 0; depth++ {
 		plan = plan.with(br.branch)
 		front = ev.prepareNode(plan, nil, front, true)
 		tau := ev.tauEvals
 		br = ev.computeBound(k - plan.len())
 		read := int(ev.tauEvals-tau) + 1
-		t.Logf("depth %d: %d merged of %d survivors, %d read", depth, len(ev.aff), len(ev.mergeBuf), read)
+		survivors := len(ev.aff)
+		for _, r := range ev.runs {
+			survivors += r.left
+		}
+		inPlan := map[candidate]bool{}
+		for n := plan; n != nil; n = n.parent {
+			inPlan[n.cand] = true
+		}
+		for lv, n := range consumedByMerge(front, func(c candidate) bool { return !inPlan[c] }, ev.aff) {
+			consumed[lv] = max(consumed[lv], n)
+		}
+		t.Logf("depth %d: %d merged of %d survivors, %d read", depth, len(ev.aff), survivors, read)
 		if depth < 3 {
 			continue
 		}
 		if len(ev.aff) > read+1 {
 			t.Fatalf("depth %d: %d entries merged, %d read", depth, len(ev.aff), read)
 		}
-		if 4*len(ev.aff) > len(ev.mergeBuf) {
-			t.Fatalf("depth %d: %d entries merged of %d survivors", depth, len(ev.aff), len(ev.mergeBuf))
+		if 4*len(ev.aff) > survivors {
+			t.Fatalf("depth %d: %d entries merged of %d survivors", depth, len(ev.aff), survivors)
 		}
 	}
 	if plan.len() < 3 {
 		t.Fatalf("the path ended at depth %d", plan.len())
+	}
+	for lv, depth := front, plan.len(); lv != nil; lv, depth = lv.parent, depth-1 {
+		t.Logf("level %d: %d of %d entries ordered, %d consumed", depth, lv.sorted, len(lv.entries), consumed[lv])
+		if lv.sorted > consumed[lv] {
+			t.Fatalf("level %d: %d entries ordered, its readers consumed %d", depth, lv.sorted, consumed[lv])
+		}
+	}
+}
+
+// consumedByMerge computes, from a fully sorted copy of each of front's
+// levels, how many entries a merge that has handed out aff read off
+// each: up to and including the run's next survivor, which the merge
+// peeks, or its last one once all are out. A level's survivors are the
+// eligible candidates with a positive gain that no nearer level holds.
+func consumedByMerge(front *level, eligible func(candidate) bool, aff []gainEntry) map[*level]int {
+	handed, seen := map[candidate]bool{}, map[candidate]bool{}
+	for _, e := range aff {
+		handed[e.cand] = true
+	}
+	out := map[*level]int{}
+	for lv := front; lv != nil; lv = lv.parent {
+		owned := map[candidate]bool{}
+		for _, e := range lv.entries {
+			if !seen[e.cand] {
+				seen[e.cand], owned[e.cand] = true, e.gain > 0 && eligible(e.cand)
+			}
+		}
+		for i, e := range sortedCopy(lv.entries) {
+			if owned[e.cand] {
+				out[lv] = i + 1
+				if !handed[e.cand] {
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// sortedCopy is es fully sorted under cmpGain.
+func sortedCopy(es []gainEntry) []gainEntry {
+	out := slices.Clone(es)
+	slices.SortFunc(out, cmpGain)
+	return out
+}
+
+// TestLazyLevelsMatchFullSort builds random trees of levels — equal
+// gains, gains ≤ 0, candidates repeated across levels — and interleaves
+// direct reads of random levels to random depths with merges of random
+// chains read to random depths, under random taken candidates, so one
+// level is ordered further by several readers in turn. Every read must
+// equal a fully sorted copy under cmpGain, every merge the chain's
+// survivors sorted, and no level may end ordered further than its
+// deepest read.
+func TestLazyLevelsMatchFullSort(t *testing.T) {
+	const numCands = 24
+	gains := []float64{-1, 0, 0.25, 1, 1, 2, 3}
+	for seed := uint64(1); seed <= 300; seed++ {
+		r := xrand.New(seed)
+		ev := allocEvaluator(1, numCands, 1)
+		var levels []*level
+		for n := 1 + r.Intn(6); n > 0; n-- {
+			lv := &level{}
+			if len(levels) > 0 && r.Intn(4) != 0 {
+				lv.parent = levels[r.Intn(len(levels))]
+			}
+			for _, c := range r.Perm(numCands)[:r.Intn(numCands+1)] {
+				lv.entries = append(lv.entries, gainEntry{gain: gains[r.Intn(len(gains))], cand: candidate(c)})
+			}
+			levels = append(levels, lv)
+		}
+		sorted, deepest := map[*level][]gainEntry{}, map[*level]int{}
+		for _, lv := range levels {
+			sorted[lv] = sortedCopy(lv.entries)
+		}
+		for step := 0; step < 12; step++ {
+			if lv := levels[r.Intn(len(levels))]; r.Intn(2) == 0 && len(lv.entries) > 0 {
+				for i := 0; i <= r.Intn(len(lv.entries)); i++ {
+					if got := lv.at(i); got != sorted[lv][i] {
+						t.Fatalf("seed %d step %d: entry %d is %+v, sorted %+v", seed, step, i, got, sorted[lv][i])
+					}
+					deepest[lv] = max(deepest[lv], i+1)
+				}
+				continue
+			}
+			front := levels[r.Intn(len(levels))]
+			ev.epoch++
+			taken := map[candidate]bool{}
+			for _, c := range r.Perm(numCands)[:r.Intn(4)] {
+				ev.takenEpoch[c], taken[candidate(c)] = ev.epoch, true
+			}
+			var want []gainEntry
+			seen := map[candidate]bool{}
+			for lv := front; lv != nil; lv = lv.parent {
+				for _, e := range lv.entries {
+					if !seen[e.cand] && e.gain > 0 && !taken[e.cand] {
+						want = append(want, e)
+					}
+					seen[e.cand] = true
+				}
+			}
+			slices.SortFunc(want, cmpGain)
+			ev.mergeFront(front)
+			depth := r.Intn(len(want) + 2)
+			for i := 0; i < depth; i++ {
+				got, ok := ev.affAt(i)
+				if i == len(want) {
+					if ok {
+						t.Fatalf("seed %d step %d: merge entry %d is %+v past the %d survivors", seed, step, i, got, len(want))
+					}
+					break
+				}
+				if !ok || got != want[i] {
+					t.Fatalf("seed %d step %d: merge entry %d is %+v (%v), want %+v", seed, step, i, got, ok, want[i])
+				}
+			}
+			for lv, n := range consumedByMerge(front, func(c candidate) bool { return !taken[c] }, ev.aff) {
+				deepest[lv] = max(deepest[lv], n)
+			}
+		}
+		for i, lv := range levels {
+			if lv.sorted > deepest[lv] {
+				t.Fatalf("seed %d: level %d ordered %d of %d entries, read to %d", seed, i, lv.sorted, len(lv.entries), deepest[lv])
+			}
+			for j := 0; j < lv.sorted; j++ {
+				if got := lv.entries[len(lv.entries)-1-j]; got != sorted[lv][j] {
+					t.Fatalf("seed %d: level %d holds %+v as ordered entry %d, sorted %+v", seed, i, got, j, sorted[lv][j])
+				}
+			}
+		}
 	}
 }
 

@@ -43,9 +43,10 @@
 // parent's: an exclude child shares the parent's chain, and an include
 // child adds one level holding just the candidates the included
 // candidate's samples reach (named by the index's sample → candidate
-// transpose), re-evaluated and sorted; prepareNode merges the chain,
-// sorting nothing else. The incumbent's utility is read off the
-// coverage the bound has just built (evaluator.utility), the float64
+// transpose), re-evaluated and left unsorted; a level is ordered only as
+// deep as a bound reads it, and prepareNode merges the chain lazily,
+// reading each level in its own order. The incumbent's utility is read
+// off the coverage the bound has just built (evaluator.utility), the float64
 // Index.EstimateAUWith would return. Nodes, chains, levels, the heap and
 // the picks live in the evaluator, so a warm pooled search allocates
 // little beyond its result. The routines that evaluate what the paper's

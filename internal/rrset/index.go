@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"oipa/internal/logistic"
 )
@@ -78,7 +77,6 @@ type Transpose struct {
 	rank  []int32
 	off   []int64
 	slots []int32
-	bytes atomic.Int64 // set when built, for MemUsage
 }
 
 // Slots returns the slots j·PoolSize()+p, ascending, whose list holds
@@ -134,7 +132,6 @@ func (t *Transpose) build() {
 	copy(t.off[1:], t.off[:n])
 	t.off[0] = 0
 	t.lists = nil
-	t.bytes.Store(int64(len(t.has))*8 + int64(len(t.rank))*4 + int64(len(t.off))*8 + int64(len(t.slots))*4)
 }
 
 // BuildIndex inverts the collection over the given promoter pool. The
@@ -355,12 +352,18 @@ func (ix *Index) Transpose() *Transpose {
 }
 
 // MemUsage approximates the index's resident bytes: the inverted lists
-// (capacity, not length), the pool translation arrays, the list headers,
-// any attached sketches, and the transpose once Transpose has built it.
-// It is the serve registry's resident_bytes accounting unit. The figure
-// is a lower bound after growth — slots that outgrew the original build
-// arena leave holes in it that are still reachable — and exact for
-// freshly built indexes, whose slots are carved tight.
+// (capacity, not length), the pool translation arrays, the list headers
+// and any attached sketches. It is the serve registry's resident_bytes
+// accounting unit. The figure is a lower bound after growth — slots that
+// outgrew the original build arena leave holes in it that are still
+// reachable — and exact for freshly built indexes, whose slots are
+// carved tight.
+//
+// The transpose is left out. The first search that needs it builds it
+// (Transpose), outside any build the registry books, so counting it
+// would move the figure under readers alone. Once built it holds 4 bytes
+// per list entry, as the lists do, plus 8 per sample some list holds
+// and 12 per 64 samples.
 //
 // A Prefix derivative owns nothing: lists, pool arrays, sketches and the
 // transpose all alias its parent's storage. It reports 0 so an artifact
@@ -378,7 +381,7 @@ func (ix *Index) MemUsage() int64 {
 	if ix.sk != nil {
 		b += ix.sk.memUsage()
 	}
-	return b + ix.tr.bytes.Load()
+	return b
 }
 
 // Pool returns the promoter pool (do not modify).

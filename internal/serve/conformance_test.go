@@ -78,7 +78,6 @@ type modelEntry struct {
 	poisoned bool
 	lastUse  int64
 	art      *Artifact // the published snapshot
-	bytes    int64
 }
 
 // state is what the model predicts of the registry after a step: its
@@ -91,6 +90,20 @@ type model struct {
 	entries  map[modelKey]*modelEntry
 	n        state
 	labels   []string // the current step's transitions
+}
+
+// resident is what the registry must book: every entry at its published
+// snapshot's current MemUsage. That counts the samples an unpublished
+// growth left in the shared collection, which only the entry's builds
+// add, and no transpose, which the first solve after a build makes.
+func (m *model) resident() int64 {
+	var b int64
+	for _, e := range m.entries {
+		if e.art != nil {
+			b += e.art.Instance().MemUsage()
+		}
+	}
+	return b
 }
 
 // saw records a transition of the current step and counts it in n.
@@ -377,16 +390,13 @@ func runLifecycle(t *testing.T, capacity int, ops []op) string {
 		if outcome != wantOutcome || (err != nil) != wantErr {
 			t.Fatalf("%s: outcome %v, err %v; model says %v, failure %v", where, outcome, err, wantOutcome, wantErr)
 		}
-		// A build, published or not, books the entry at its published
-		// snapshot's MemUsage as it ends, which counts samples an
-		// unpublished growth left in the shared collection.
-		if e := m.entries[k]; e != nil && !outcome.CacheHit() {
-			if err == nil {
-				e.art = art
-			}
-			if e.art != nil {
-				e.bytes = e.art.Instance().MemUsage()
-			}
+		if e := m.entries[k]; e != nil && !outcome.CacheHit() && err == nil {
+			e.art = art
+		}
+		// The gauge must match the model after the build and again after
+		// the solves the digests run.
+		if got, want := r.ResidentBytes(), m.resident(); got != want {
+			t.Fatalf("%s: %d resident bytes booked after the build, model %d", where, got, want)
 		}
 		if err != nil {
 			return
@@ -394,6 +404,9 @@ func runLifecycle(t *testing.T, capacity int, ops []op) string {
 		sn, err := (&snapshot{art: art, theta: theta}).digests(sc, true)
 		if err != nil || sn.full != freshDigest(t, s, camp, theta, seed) {
 			t.Fatalf("%s: served digest differs from a fresh Prepare's: %v", where, err)
+		}
+		if got, want := r.ResidentBytes(), m.resident(); got != want {
+			t.Fatalf("%s: %d resident bytes booked after its solves, model %d", where, got, want)
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -440,9 +453,7 @@ func runLifecycle(t *testing.T, capacity int, ops []op) string {
 		steps = append(steps, strings.Join(m.labels, "+"))
 
 		want := m.n
-		for _, e := range m.entries {
-			want.resident += e.bytes
-		}
+		want.resident = m.resident()
 		want.entries = int64(len(m.entries))
 		got := state{s.m.prepares.Load(), s.m.extends.Load(), s.m.instanceHits.Load(), s.m.prefixHits.Load(), s.m.instanceMisses.Load(),
 			s.m.reprepares.Load(), s.m.instanceEvictions.Load(), s.m.panicsTotal.Load(), r.ResidentBytes(), int64(r.Len())}

@@ -11,7 +11,11 @@
 # its own copy of `bash benchmark/run.sh --workload W --seed N --seconds S
 # --trace 0` — one run per seed per side, a fresh server each. Pair n runs
 # the parent first when n is odd and the change first when n is even. The
-# raw result lines stay in the directory printed on standard error.
+# runs' output stays in the directory printed on standard error. The
+# script stops with an error, naming the run, when benchmark/run.sh exits
+# non-zero or its last line is not a result, and when an oipa-serve or
+# harness process that was not running before a run is still running
+# after it.
 #
 # Output (markdown): one row per seed, each side's cell being
 # throughput_rps | req_p50_ms | cpu_ms_per_req | rss_peak_mb | setup_s;
@@ -33,12 +37,38 @@ mkdir "$work/parent"
 git -C "$root" archive "$parent_rev" | tar -x -C "$work/parent"
 echo "parent $(git -C "$root" rev-parse --short "$parent_rev"), results in $work" >&2
 
+# pids lists the server and harness processes now running, one a line.
+pids() {
+	{
+		pgrep -x oipa-serve || true
+		pgrep -f '/benchmark/\.build/bin/benchmark( |$)' || true
+	} | sort
+}
+
+# run stops the script when benchmark/run.sh fails, when its last line is
+# not a result, or when a server or harness process it started outlives
+# it: such a run measured nothing, and the next would share the box.
 run() { # side seed
-	local dir=$root
+	local dir=$root out=$work/$1-$2 before status=0 left
 	if [ "$1" = parent ]; then dir=$work/parent; fi
-	bash "$dir/benchmark/run.sh" --workload "$workload" --seed "$2" --seconds "$secs" --trace 0 |
-		tail -n 1 >"$work/$1-$2.json"
-	echo "$1 seed $2: $(cat "$work/$1-$2.json")" >&2
+	before=$(pids)
+	bash "$dir/benchmark/run.sh" --workload "$workload" --seed "$2" --seconds "$secs" --trace 0 >"$out.out" || status=$?
+	if [ "$status" -ne 0 ]; then
+		echo "$1 seed $2: benchmark/run.sh exited $status; its output is in $out.out" >&2
+		exit 1
+	fi
+	left=$(comm -13 <(echo "$before") <(pids))
+	if [ -n "$left" ]; then
+		echo "$1 seed $2: still running after benchmark/run.sh exited:" >&2
+		ps -o pid=,args= -p "$(echo $left | tr ' ' ,)" >&2 || true
+		exit 1
+	fi
+	tail -n 1 "$out.out" >"$out.json"
+	if ! jq -e '.metrics' "$out.json" >/dev/null 2>&1; then
+		echo "$1 seed $2: the last line of $out.out is not a result" >&2
+		exit 1
+	fi
+	echo "$1 seed $2: $(cat "$out.json")" >&2
 }
 
 n=0
