@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race race-short short vet fmt lines test-lines ci fuzz-smoke bench-harness-smoke bench-pairs
+.PHONY: build test race race-short short vet fmt lines test-lines ci fuzz-smoke bench-smoke bench-harness-smoke bench-pairs
 
 build:
 	$(GO) build ./...
@@ -45,7 +45,14 @@ test-lines:
 # bench-harness-smoke is the one that recomputes sampled 40-node searches
 # against a fresh in-process preparation; it needs jq and takes ~40 s of
 # wall time on 2 vCPU once its build cache is warm.
-ci: build vet fmt test race-short fuzz-smoke bench-harness-smoke
+ci: build vet fmt test race-short fuzz-smoke bench-smoke bench-harness-smoke
+
+# One iteration of each MRR sampling benchmark: the WC ones (uniform
+# in-ranges) and BenchmarkSampleMRRTopic, the cold-prepare shape, whose
+# mixed in-ranges are the only ones to reach the bounded geometric skip.
+# It fails when a benchmark does; it times nothing against a bound.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'SampleMRR' -benchtime 1x ./internal/rrset
 
 # Ten seconds each of native fuzzing over the two untrusted inputs:
 # campaign JSON, the request bytes every solve and estimate decodes, and

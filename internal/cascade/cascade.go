@@ -25,10 +25,11 @@ import (
 
 // Simulator runs IC cascades over one fixed per-edge probability vector
 // (one viral piece's homogeneous influence graph), viewed through a
-// graph.PieceLayout: probabilities are read in forward-CSR position
-// order, and nodes whose out-edges share one probability are expanded
-// with geometric-skip jumps — the same traverse.Walker core the RR
-// sampler runs in reverse. It is not safe for concurrent use; create one
+// graph.PieceLayout's forward walk view (PieceLayout.Forward): the
+// out-edges with p > 0, probabilities read in forward-CSR position
+// order, and nodes whose out-edges share one probability expanded with
+// geometric-skip jumps — the same traverse.Walker core the RR sampler
+// runs in reverse. It is not safe for concurrent use; create one
 // per goroutine (see EstimateSpread).
 type Simulator struct {
 	g        *graph.Graph
@@ -53,7 +54,7 @@ func NewSimulator(g *graph.Graph, probs []float64) (*Simulator, error) {
 
 // NewSimulatorLayout returns a simulator over a prebuilt piece layout.
 // The layout is shared, read-only; only the scratch state is per-instance.
-// A topic-built layout builds its forward side here, on first use.
+// The layout builds its forward walk view here, on first use.
 func NewSimulatorLayout(lay *graph.PieceLayout) *Simulator {
 	s := &Simulator{g: lay.Graph(), w: traverse.NewWalker(lay.Graph().N())}
 	s.outOff, s.outTo, s.outDist, s.outProbs = lay.Forward()

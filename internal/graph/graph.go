@@ -12,16 +12,17 @@
 //
 // For sampling hot paths, PieceLayout (layout.go) materializes one
 // piece's homogeneous influence graph G_j (§V-A) as a reverse CSR with
-// the activation probabilities in position order and per-node uniformity
-// metadata, enabling sequential probability reads and geometric-skip edge
-// sampling in the rrset and cascade packages. A layout built from a topic
-// vector (Graph.PieceLayout, LayoutCache.Get, Multiplex.Layouts) is
-// pruned — edges with p(t, e) = 0 are not in G_j and are not stored — and
-// is walked through its own InOff/InFrom; a layout built from an explicit
-// probability vector (Graph.Layout) is unpruned and stays position-
-// aligned with Graph.InCSR/OutCSR, which is what tests and harnesses that
-// index by graph position rely on. Both walk to identical sets, because a
-// zero-probability edge never draws a random number.
+// the activation probabilities in position order and per-node summaries
+// (NodeDist), enabling sequential probability reads and geometric-skip
+// edge sampling in the rrset and cascade packages. Walks read a layout's
+// walk views (PieceLayout.Reverse, Forward), which hold only the edges
+// with p > 0. A layout built from a topic vector (Graph.PieceLayout,
+// LayoutCache.Get, Multiplex.Layouts) stores only those — edges with
+// p(t, e) = 0 are not in G_j — and is its own reverse view; a layout
+// built from an explicit probability vector (Graph.Layout) keeps its
+// exported arrays position-aligned with Graph.InCSR/OutCSR, which is
+// what tests and harnesses that index by graph position rely on, and
+// builds pruned views on first use. Both walk to identical sets.
 //
 // A Builder is the one way to make a Graph: the generator fills it with
 // AddEdge, which copies each vector's entries into flat arrays, and Read

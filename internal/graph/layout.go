@@ -3,67 +3,86 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"oipa/internal/topic"
 )
 
-// NodeDist summarizes the probability distribution across one node's CSR
-// edge range (in-edges for reverse traversal, out-edges for forward). The
-// three fields are packed together so a sampler touching a node pays one
-// cache line for all of its dispatch metadata.
+// GeoSkipMinDeg is the range length above which a walk takes
+// geometric-skip jumps rather than one flip per edge: a jump costs a
+// math.Log (~5 flips' worth of RNG), so short scans stay on the flip
+// path, and a NodeDist carries its skip caches only for longer ranges.
+const GeoSkipMinDeg = 8
+
+// NodeDist summarizes the probabilities of one node's stored edge range
+// (in-edges for reverse traversal, out-edges for forward). The three
+// fields are packed together so a sampler touching a node pays one cache
+// line for all of its dispatch metadata.
+//
+// The range it describes is the one stored beside it: a walk view (see
+// PieceLayout) stores only edges with p > 0, so there a range holding a
+// few zero-probability edges and otherwise one shared p is uniform; the
+// position-aligned arrays of an explicit layout store every edge, zeros
+// included.
 type NodeDist struct {
 	// Uniform is the probability shared by every edge in the range when
-	// they are all equal, -1 when the range is mixed, and 0 when the
-	// range is empty (nothing to scan either way).
+	// they are all equal, the negated largest probability −q when the
+	// range is mixed, and 0 when the range is empty or holds no edge
+	// with p > 0 (nothing to scan either way). A mixed range with q ≥ 1
+	// therefore reads ≤ −1.
 	Uniform float64
-	// InvLogQ caches 1/ln(1-Uniform) for Uniform ∈ (0,1): a
-	// geometric-skip sampler multiplies ln(U) by this value to jump
-	// straight to the next live edge. 0 elsewhere.
+	// InvLogQ caches 1/ln(1−q) for q = |Uniform| ∈ (0,1) on a range of
+	// more than GeoSkipMinDeg edges: a geometric-skip sampler multiplies
+	// ln(U) by this value to jump straight to the next candidate edge.
+	// 0 elsewhere.
 	InvLogQ float64
-	// QD caches (1-Uniform)^degree for Uniform ∈ (0,1): the probability
-	// that every edge in the range is dead. Samplers compare one uniform
-	// draw U against it — U ≤ QD is exactly the event
-	// ⌊ln U/ln(1-Uniform)⌋ ≥ degree — to dispose of the whole scan
-	// without a math.Log call in the common no-live-edge case. 0
-	// elsewhere.
+	// QD caches (1−q)^degree where InvLogQ is cached: the probability
+	// that a geometric scan at q finds no candidate in the range.
+	// Samplers compare one uniform draw U against it — U ≤ QD is exactly
+	// the event ⌊ln U/ln(1−q)⌋ ≥ degree — to dispose of the whole scan
+	// without a math.Log call in the common empty case. 0 elsewhere.
 	QD float64
 }
 
 // PieceLayout is one viral piece's homogeneous influence graph G_j
 // (paper §V-A) materialized in traversal order: a reverse CSR carrying
 // the activation probability of every in-edge next to its source, plus
-// the per-node uniformity metadata that enables geometric-skip sampling
-// (SUBSIM-style). Samplers walk the layout's own arrays —
+// the per-node summaries that enable geometric-skip sampling
+// (SUBSIM-style). Samplers walk the layout's walk views —
 //
-//	walker.RunFrom(lay.InOff, lay.InFrom, lay.InDist, lay.InProbs, root, rng)
+//	walker.RunFrom(off, from, dist, probs, root, rng) // off, from, dist, probs := lay.Reverse()
 //
 // — and read probabilities sequentially instead of through a per-edge-id
-// indirection.
+// indirection. A walk view holds only the edges with p > 0, and its
+// NodeDist describes exactly those; Reverse and Forward return them.
 //
-// There are two constructors, sharing one builder:
+// There are two constructors:
 //
 //   - Graph.PieceLayout(t) builds the layout of a topic distribution. The
 //     reverse CSR is pruned: an edge whose topics do not meet the piece's
-//     has p(t, e) = 0, is not in G_j, and is not stored. InDist is still
-//     computed over each node's full in-range of G, so every dispatch
-//     decision is the one the unpruned arrays would take; and since a
-//     zero-probability edge never drew a random number, a walk visits the
-//     same nodes in the same order under either representation. The
-//     forward side is built on first use (Forward).
+//     has p(t, e) = 0, is not in G_j, and is not stored. Its own
+//     InOff/InFrom/InProbs/InDist are its reverse walk view. The forward
+//     view is built on first use (Forward).
 //   - Graph.Layout(probs) builds the layout of an explicit per-edge
-//     probability vector. Nothing is pruned: InOff/InFrom alias the
-//     graph's reverse CSR, so InProbs and InDist are position-aligned with
-//     Graph.InCSR, and OutProbs/OutDist are filled eagerly. Tests and
-//     harnesses that index a layout by graph CSR position use this one.
+//     probability vector. Its exported arrays are not pruned: InOff/InFrom
+//     alias the graph's reverse CSR, so InProbs and InDist are
+//     position-aligned with Graph.InCSR, and OutProbs/OutDist with
+//     Graph.OutCSR; tests and harnesses that index a layout by graph CSR
+//     position use this one. When probs holds a zero, each direction's
+//     walk view is the pruned copy of those arrays, built once on the
+//     first walk; otherwise the arrays are the views.
 //
-// Layouts are immutable after construction (the lazily built forward side
-// is guarded) and safe for concurrent use.
+// The walk views of the two constructors over the same probabilities are
+// equal array for array, so every walk draws the same sets from either.
+//
+// Layouts are immutable after construction (the lazily built views are
+// guarded) and safe for concurrent use.
 type PieceLayout struct {
 	g *Graph
 
-	// InOff/InFrom are the layout's reverse CSR: the live-candidate
-	// in-neighbors of v are InFrom[InOff[v]:InOff[v+1]].
+	// InOff/InFrom are the layout's reverse CSR: the stored in-neighbors
+	// of v are InFrom[InOff[v]:InOff[v+1]].
 	InOff  []int64
 	InFrom []int32
 
@@ -71,79 +90,122 @@ type PieceLayout struct {
 	// position pos of InFrom.
 	InProbs []float64
 
-	// InDist[v] describes v's in-edge range in G (zero-probability edges
-	// included); the RR samplers dispatch on it per visited node.
+	// InDist[v] describes v's stored in-edge range.
 	InDist []NodeDist
 
 	// OutProbs/OutDist are the forward analogue, in the position order of
 	// Graph.OutCSR. Only explicit-probability layouts fill them at
 	// construction; on a topic-built layout they stay nil and Forward
-	// builds the forward side on demand.
+	// builds the forward view on demand.
 	OutProbs []float64
 	OutDist  []NodeDist
 
-	// fwd is the lazily built forward side of a topic-built layout (nil
-	// on explicit-probability layouts). A pointer, so copies of the
+	// piece is the topic vector of a topic-built layout (nil on explicit
+	// layouts); its forward view is built from it.
+	piece *topic.Vector
+
+	// rev and fwd are the walk views built on first use: rev on an
+	// explicit layout whose probabilities hold a zero (nil otherwise: the
+	// exported reverse arrays are the view), fwd on every topic-built
+	// layout and on such an explicit one. Pointers, so copies of the
 	// layout value share one build.
-	fwd *forwardSide
+	rev, fwd *lazyView
 }
 
-// forwardSide holds what a topic-built layout needs to build its forward
-// arrays the first time a simulator asks: the piece's topic vector, and
-// the arrays once built.
-type forwardSide struct {
-	t topic.Vector
-
-	mu    sync.Mutex
-	probs []float64
+// walkView is one direction of a layout as a walk reads it, plus the
+// bytes it owns beyond the arrays it aliases.
+type walkView struct {
+	off   []int64
+	adj   []int32
 	dist  []NodeDist
+	probs []float64
+	bytes int64
+}
+
+// lazyView is a walk view built exactly once, however many goroutines
+// ask.
+type lazyView struct {
+	mu sync.Mutex
+	v  *walkView
+}
+
+// get returns the view, building it with build on the first call.
+func (z *lazyView) get(build func() walkView) walkView {
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if z.v == nil {
+		v := build()
+		z.v = &v
+	}
+	return *z.v
+}
+
+// bytes is the built view's own bytes, 0 before the build (or on nil).
+func (z *lazyView) bytes() int64 {
+	if z == nil {
+		return 0
+	}
+	z.mu.Lock()
+	defer z.mu.Unlock()
+	if z.v == nil {
+		return 0
+	}
+	return z.v.bytes
 }
 
 // Graph returns the graph the layout was built for.
 func (l *PieceLayout) Graph() *Graph { return l.g }
 
-// Forward returns the forward-direction arrays in Walker.Run argument
-// order: the graph's forward CSR and the layout's per-out-edge
-// probabilities and per-node metadata. On a topic-built layout the first
-// call builds them (exactly once, however many goroutines ask); the
-// solve and estimate paths never call it, so cached layouts carry no
-// forward arrays until /v1/simulate needs them.
+// Reverse returns the reverse walk view in Walker.Run argument order: the
+// CSR of the in-edges with p > 0, their per-node summaries and their
+// probabilities. On a topic-built layout these are its own reverse
+// arrays; on an explicit one whose probabilities hold a zero, the first
+// call builds the pruned copy (exactly once, however many goroutines
+// ask).
+func (l *PieceLayout) Reverse() (off []int64, from []int32, dist []NodeDist, probs []float64) {
+	if l.rev == nil {
+		return l.InOff, l.InFrom, l.InDist, l.InProbs
+	}
+	v := l.rev.get(func() walkView { return layView(l.InOff, l.InFrom, nil, l.InProbs, true) })
+	return v.off, v.adj, v.dist, v.probs
+}
+
+// Forward returns the forward walk view in Walker.Run argument order: the
+// CSR of the out-edges with p > 0 (the graph's forward CSR itself when
+// none is zero), their per-node summaries and their probabilities. On a
+// topic-built layout the first call builds it (exactly once, however many
+// goroutines ask); the solve and estimate paths never call it, so cached
+// layouts carry no forward arrays until /v1/simulate needs them.
 func (l *PieceLayout) Forward() (off []int64, to []int32, dist []NodeDist, probs []float64) {
 	off, to = l.g.OutCSR()
-	f := l.fwd
-	if f == nil {
+	if l.fwd == nil {
 		return off, to, l.OutDist, l.OutProbs
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.dist == nil {
-		f.probs, f.dist = l.g.forward(l.g.PieceProbs(f.t))
-	}
-	return off, to, f.dist, f.probs
+	v := l.fwd.get(func() walkView {
+		if l.piece != nil {
+			return layView(off, to, l.g.outEdge, l.g.PieceProbs(*l.piece), true)
+		}
+		return layView(off, to, nil, l.OutProbs, true)
+	})
+	return v.off, v.adj, v.dist, v.probs
 }
 
 // MemUsage returns the bytes the layout holds beyond the graph itself:
-// the reverse arrays it owns (an explicit-probability layout aliases the
-// graph's InOff/InFrom and is not charged for them) plus the forward
-// arrays if they have been built.
+// the arrays it owns (an explicit-probability layout aliases the graph's
+// InOff/InFrom and is not charged for them) plus the walk views built so
+// far.
 func (l *PieceLayout) MemUsage() int64 {
-	b := int64(cap(l.InProbs))*8 + int64(cap(l.InDist))*24
-	if f := l.fwd; f != nil {
+	b := int64(cap(l.InProbs))*8 + int64(cap(l.InDist))*24 + int64(cap(l.OutProbs))*8 + int64(cap(l.OutDist))*24
+	if l.piece != nil {
 		b += int64(cap(l.InOff))*8 + int64(cap(l.InFrom))*4
-		f.mu.Lock()
-		b += int64(cap(f.probs))*8 + int64(cap(f.dist))*24
-		f.mu.Unlock()
-	} else {
-		b += int64(cap(l.OutProbs))*8 + int64(cap(l.OutDist))*24
 	}
-	return b
+	return b + l.rev.bytes() + l.fwd.bytes()
 }
 
 // InCSR exposes the reverse-CSR arrays: the in-neighbors of v are
 // from[off[v]:off[v+1]]. The slices alias internal storage and must not
-// be modified. Only an explicit-probability layout (Graph.Layout) is
-// position-aligned with them; walk any layout through its own
-// InOff/InFrom instead.
+// be modified. Only an explicit-probability layout's exported arrays are
+// position-aligned with them; walk any layout through Reverse instead.
 func (g *Graph) InCSR() (off []int64, from []int32) { return g.inOff, g.inFrom }
 
 // OutCSR exposes the forward-CSR arrays: the out-neighbors of u are
@@ -151,15 +213,19 @@ func (g *Graph) InCSR() (off []int64, from []int32) { return g.inOff, g.inFrom }
 func (g *Graph) OutCSR() (off []int64, to []int32) { return g.outOff, g.outTo }
 
 // Layout builds the PieceLayout of an explicit per-edge probability
-// vector (indexed by edge id, as produced by PieceProbs). Nothing is
-// pruned: the layout's reverse arrays are position-aligned with InCSR and
-// the forward arrays with OutCSR. Cost is O(n + m).
+// vector (indexed by edge id, as produced by PieceProbs). Its exported
+// arrays are not pruned: the reverse ones are position-aligned with InCSR
+// and the forward ones with OutCSR. Cost is O(n + m).
 func (g *Graph) Layout(probs []float64) (*PieceLayout, error) {
 	if len(probs) != g.M() {
 		return nil, fmt.Errorf("graph: %d probabilities for %d edges", len(probs), g.M())
 	}
-	l := g.buildLayout(probs, nil)
-	l.OutProbs, l.OutDist = g.forward(probs)
+	in := layView(g.inOff, g.inFrom, g.inEdge, probs, false)
+	out := layView(g.outOff, g.outTo, g.outEdge, probs, false)
+	l := &PieceLayout{g: g, InOff: in.off, InFrom: in.adj, InProbs: in.probs, InDist: in.dist, OutProbs: out.probs, OutDist: out.dist}
+	if slices.ContainsFunc(probs, dead) {
+		l.rev, l.fwd = &lazyView{}, &lazyView{}
+	}
 	return l, nil
 }
 
@@ -189,63 +255,45 @@ func (g *Graph) checkPiece(t topic.Vector) error {
 // pieceLayout is PieceLayout over a vector checkPiece has accepted; the
 // layout keeps t, which the caller must not modify afterwards.
 func (g *Graph) pieceLayout(t topic.Vector) *PieceLayout {
-	l := g.buildLayout(nil, t.Dense(g.Z()))
-	l.fwd = &forwardSide{t: t}
+	l := g.buildLayout(t.Dense(g.Z()))
+	l.piece, l.fwd = &t, &lazyView{}
 	return l
 }
 
-// buildLayout is the one builder behind both constructors. It streams
-// every node's in-range once, taking the probability of the in-edge at
-// graph position pos from exactly one of two sources:
-//
-//   - probs (explicit constructor): probs[inEdge[pos]], stored at pos —
-//     the layout aliases the graph's reverse CSR;
-//   - dense (topic constructor): the piece's dense topic weights, dotted
-//     with the edge's flat topic entries in ascending index order — bit
-//     for bit Vector.Dot's merge, since a topic absent from the piece
-//     contributes +0 — clamped like PieceProbs, and kept in the layout's
-//     own pruned CSR only when positive.
-//
-// Either way InDist[v] summarizes v's full in-range, so the pruned and
-// unpruned representations dispatch identically.
-func (g *Graph) buildLayout(probs, dense []float64) *PieceLayout {
+// buildLayout is the topic constructor's builder. It streams every
+// node's in-range once, taking the probability of the in-edge at graph
+// position pos from the piece's dense topic weights, dotted with the
+// edge's flat topic entries in ascending index order — bit for bit
+// Vector.Dot's merge, since a topic absent from the piece contributes
+// +0 — clamped like PieceProbs, and kept in the layout's own pruned CSR
+// only when positive. InDist[v] summarizes the kept edges, so the layout
+// equals the walk view of the explicit layout of PieceProbs(t).
+func (g *Graph) buildLayout(dense []float64) *PieceLayout {
 	n, m := g.N(), g.M()
-	l := &PieceLayout{g: g, InOff: g.inOff, InFrom: g.inFrom, InProbs: make([]float64, m), InDist: make([]NodeDist, n)}
-	prune := dense != nil
-	if prune {
-		l.InOff, l.InFrom = make([]int64, n+1), make([]int32, m)
-	}
+	l := &PieceLayout{g: g, InOff: make([]int64, n+1), InFrom: make([]int32, m), InProbs: make([]float64, m), InDist: make([]NodeDist, n)}
 	tOff, tIdx, tVal := g.topicOff, g.topicIdx, g.topicVal
 	// w is the write cursor into the layout's arrays. Every edge is
 	// written at w; only a kept edge advances it, so a pruned edge is
 	// overwritten by the next one without a data-dependent branch.
 	w := int64(0)
 	for v := 0; v < n; v++ {
-		lo, hi := g.inOff[v], g.inOff[v+1]
-		uniform := 0.0
-		for pos := lo; pos < hi; pos++ {
+		start := w
+		for pos := g.inOff[v]; pos < g.inOff[v+1]; pos++ {
 			var p float64
-			keep := int64(1)
-			if prune {
-				for k := tOff[pos]; k < tOff[pos+1]; k++ {
-					p += dense[tIdx[k]] * tVal[k]
-				}
-				p = clamp01(p)
-				l.InFrom[w] = g.inFrom[pos]
-				if p <= 0 { // the edges expand skips without a draw
-					keep = 0
-				}
-			} else {
-				p = probs[g.inEdge[pos]]
+			for k := tOff[pos]; k < tOff[pos+1]; k++ {
+				p += dense[tIdx[k]] * tVal[k]
 			}
-			uniform = mergeUniform(uniform, p, pos == lo)
+			p = clamp01(p)
+			keep := int64(1)
+			if dead(p) {
+				keep = 0
+			}
+			l.InFrom[w] = g.inFrom[pos]
 			l.InProbs[w] = p
 			w += keep
 		}
-		if prune {
-			l.InOff[v+1] = w
-		}
-		l.InDist[v] = newNodeDist(uniform, hi-lo)
+		l.InOff[v+1] = w
+		l.InDist[v] = summarize(l.InProbs[start:w])
 	}
 	if w < int64(m) {
 		// Exact fit: a cached layout lives long, its m-sized scratch
@@ -256,26 +304,59 @@ func (g *Graph) buildLayout(probs, dense []float64) *PieceLayout {
 	return l
 }
 
-// forward gathers per-edge-id probabilities into forward-CSR position
-// order (which coincides with edge-id order for graphs built by Builder,
-// but is constructed independently of that invariant) and summarizes
-// every node's out-range.
-func (g *Graph) forward(byEdge []float64) (probs []float64, dist []NodeDist) {
-	probs = make([]float64, len(byEdge))
-	for pos, eid := range g.outEdge {
-		probs[pos] = byEdge[eid]
-	}
-	dist = make([]NodeDist, g.N())
-	for u := range dist {
-		lo, hi := g.outOff[u], g.outOff[u+1]
-		uniform := 0.0
-		for pos := lo; pos < hi && uniform != -1; pos++ {
-			uniform = mergeUniform(uniform, probs[pos], pos == lo)
+// layView lays one CSR direction (off, adj) out for walking: the
+// probability of the edge at position pos is byEdge[edge[pos]], or
+// byEdge[pos] when edge is nil. With prune, edges with p ≤ 0 are dropped,
+// and the CSR is copied only when one is; without, every edge is kept in
+// position. dist[v] summarizes v's kept range.
+func layView(off []int64, adj []int32, edge []int32, byEdge []float64, prune bool) walkView {
+	n := len(off) - 1
+	kept := len(byEdge)
+	if prune {
+		for _, p := range byEdge {
+			if dead(p) {
+				kept--
+			}
 		}
-		dist[u] = newNodeDist(uniform, hi-lo)
 	}
-	return probs, dist
+	v := walkView{off: off, adj: adj, dist: make([]NodeDist, n), probs: make([]float64, kept)}
+	v.bytes = int64(kept)*8 + int64(n)*24
+	if kept == len(byEdge) {
+		if edge == nil {
+			copy(v.probs, byEdge)
+		} else {
+			for pos, e := range edge {
+				v.probs[pos] = byEdge[e]
+			}
+		}
+		for u := range v.dist {
+			v.dist[u] = summarize(v.probs[off[u]:off[u+1]])
+		}
+		return v
+	}
+	v.off, v.adj = make([]int64, n+1), make([]int32, kept)
+	v.bytes += int64(n+1)*8 + int64(kept)*4
+	w := int64(0)
+	for u := 0; u < n; u++ {
+		start := w
+		for pos := off[u]; pos < off[u+1]; pos++ {
+			p := byEdge[pos]
+			if edge != nil {
+				p = byEdge[edge[pos]]
+			}
+			if !dead(p) {
+				v.adj[w], v.probs[w] = adj[pos], p
+				w++
+			}
+		}
+		v.off[u+1] = w
+		v.dist[u] = summarize(v.probs[start:w])
+	}
+	return v
 }
+
+// dead reports whether an edge of probability p can never be live.
+func dead(p float64) bool { return p <= 0 }
 
 // clamp01 clamps an activation probability into [0, 1].
 func clamp01(p float64) float64 {
@@ -288,26 +369,35 @@ func clamp01(p float64) float64 {
 	return p
 }
 
-// mergeUniform folds one more edge probability into a range's running
-// Uniform value: the first edge sets it, any later edge that differs
-// makes the range mixed (-1) for good.
-func mergeUniform(uniform, p float64, first bool) float64 {
-	if first {
-		return p
+// summarize returns the NodeDist of one stored edge range: uniform when
+// every probability is equal, otherwise mixed at its largest probability
+// q; a range with no positive probability is dead. The geometric-skip
+// caches exist for q ∈ (0,1) on ranges longer than GeoSkipMinDeg only —
+// no walk reads them on a shorter one, and most ranges of a pruned
+// layout are short.
+func summarize(probs []float64) NodeDist {
+	if len(probs) == 0 {
+		return NodeDist{}
 	}
-	if p != uniform {
-		return -1
+	lo, q := probs[0], probs[0]
+	for _, p := range probs[1:] {
+		if p < lo {
+			lo = p
+		}
+		if p > q {
+			q = p
+		}
 	}
-	return uniform
-}
-
-// newNodeDist completes a range's NodeDist from its Uniform value and
-// degree: the geometric-skip caches exist for uniform p ∈ (0,1) only.
-func newNodeDist(uniform float64, degree int64) NodeDist {
-	d := NodeDist{Uniform: uniform}
-	if uniform > 0 && uniform < 1 {
-		d.InvLogQ = 1 / math.Log(1-uniform)
-		d.QD = math.Pow(1-uniform, float64(degree))
+	if q <= 0 {
+		return NodeDist{}
+	}
+	d := NodeDist{Uniform: q}
+	if lo != q {
+		d.Uniform = -q
+	}
+	if q < 1 && len(probs) > GeoSkipMinDeg {
+		d.InvLogQ = 1 / math.Log(1-q)
+		d.QD = math.Pow(1-q, float64(len(probs)))
 	}
 	return d
 }

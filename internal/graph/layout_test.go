@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"oipa/internal/topic"
@@ -68,29 +69,78 @@ func TestLayoutUniformityDetection(t *testing.T) {
 		v    int32
 		want float64
 	}{
-		{0, 0},    // no in-edges
-		{1, 0},    // single dead in-edge
-		{2, 0.25}, // uniform fractional
-		{3, -1},   // mixed
-		{4, 1},    // certain
+		{0, 0},     // no in-edges
+		{1, 0},     // single dead in-edge
+		{2, 0.25},  // uniform fractional
+		{3, -0.75}, // mixed: the negated largest probability
+		{4, 1},     // certain
 	}
 	for _, c := range cases {
 		if got := lay.InDist[c.v].Uniform; got != c.want {
 			t.Fatalf("InDist[%d].Uniform = %v, want %v", c.v, got, c.want)
 		}
 	}
-	d := lay.InDist[2]
-	if want := 1 / math.Log(1-0.25); d.InvLogQ != want {
-		t.Fatalf("InvLogQ = %v, want %v", d.InvLogQ, want)
-	}
-	if want := math.Pow(1-0.25, 2); math.Abs(d.QD-want) > 1e-15 {
-		t.Fatalf("QD = %v, want %v", d.QD, want)
-	}
-	// Non-geometric nodes carry zero caches.
-	for _, v := range []int32{0, 1, 3, 4} {
+	// No range here is longer than GeoSkipMinDeg, so none carries the
+	// geometric-skip caches (TestWalkViewDropsDeadEdges checks a longer
+	// one).
+	for v := range lay.InDist {
 		if lay.InDist[v].InvLogQ != 0 || lay.InDist[v].QD != 0 {
 			t.Fatalf("node %d: unexpected geometric caches %+v", v, lay.InDist[v])
 		}
+	}
+}
+
+// TestWalkViewDropsDeadEdges pins what a walk reads of an explicit
+// layout whose probabilities hold zeros: the exported arrays keep every
+// edge in CSR position and summarize it, the reverse and forward walk
+// views drop the zeros and summarize what is left — so a range of one
+// shared p plus zeros is uniform there — and both views equal the
+// topic-built layout's.
+func TestWalkViewDropsDeadEdges(t *testing.T) {
+	b := NewBuilder(12, 2)
+	add := func(u, v int32, p0, p1 float64) {
+		t.Helper()
+		if err := b.AddEdge(u, v, topic.FromDense([]float64{p0, p1})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(1, 0, 0.25, 0) // in-edges of 0 under topic 0: 0.25, 0, 0.25
+	add(2, 0, 0, 1)
+	add(3, 0, 0.25, 0)
+	for u := int32(1); u < 12; u++ { // out-edges of 0: mixed, largest 0.1
+		add(0, u, 0.01*float64(u%10+1), 0)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	piece := topic.SingleTopic(0)
+	lay, err := g.Layout(g.PieceProbs(piece))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lay.InDist[0].Uniform; got != -0.25 {
+		t.Fatalf("exported InDist[0].Uniform = %v, want -0.25 (mixed with its zero)", got)
+	}
+	off, from, dist, probs := lay.Reverse()
+	if got := off[1] - off[0]; got != 2 || dist[0].Uniform != 0.25 || dist[0].QD != 0 {
+		t.Fatalf("reverse view of node 0: %d edges, %+v; want 2 uniform at 0.25", got, dist[0])
+	}
+	_, _, fdist, _ := lay.Forward()
+	if d, q := fdist[0], 0.1; d.Uniform != -q || d.InvLogQ != 1/math.Log(1-q) || d.QD != math.Pow(1-q, 11) {
+		t.Fatalf("forward view of node 0 = %+v, want mixed at q = %v over 11 edges", d, q)
+	}
+	topicLay, err := g.PieceLayout(piece)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(off, topicLay.InOff) || !slices.Equal(from, topicLay.InFrom) || !slices.Equal(dist, topicLay.InDist) || !slices.Equal(probs, topicLay.InProbs) {
+		t.Fatal("explicit reverse view differs from the topic-built layout")
+	}
+	a1, a2, a3, a4 := lay.Forward()
+	b1, b2, b3, b4 := topicLay.Forward()
+	if !slices.Equal(a1, b1) || !slices.Equal(a2, b2) || !slices.Equal(a3, b3) || !slices.Equal(a4, b4) {
+		t.Fatal("explicit forward view differs from the topic-built layout's")
 	}
 }
 

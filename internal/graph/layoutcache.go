@@ -39,9 +39,10 @@ type layoutEntry struct {
 // NewLayoutCache returns a cache over g holding at most capacity layouts
 // (capacity <= 0 means unbounded). A cached layout is the piece's pruned
 // reverse CSR: 12 bytes per live edge (an edge the piece gives a positive
-// probability) plus 32 per node, and a further 8 per graph edge and 24
-// per node once a forward simulation has asked for the forward side
-// (MemUsage reports what is actually held). Services size the capacity to
+// probability) plus 32 per node, and as much again once a forward
+// simulation has asked for the forward view (8 per graph edge plus 24 per
+// node when every edge is live, the graph's forward CSR then serving as
+// its own; MemUsage reports what is actually held). Services size the capacity to
 // the number of distinct pieces they expect to be hot.
 func NewLayoutCache(g *Graph, capacity int) *LayoutCache {
 	return &LayoutCache{g: g, capacity: capacity, entries: make(map[uint64][]*layoutEntry)}

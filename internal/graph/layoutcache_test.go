@@ -70,17 +70,14 @@ func liveIn(l *PieceLayout, v int) []liveEdge {
 	return out
 }
 
-// sameMeaning fails unless the two layouts describe the same per-piece
-// graph: equal InDist and equal live in-edge lists at every node.
+// sameMeaning fails unless the two layouts walk the same per-piece graph:
+// reverse walk views equal array for array.
 func sameMeaning(t *testing.T, got, want *PieceLayout) {
 	t.Helper()
-	for v := 0; v < want.Graph().N(); v++ {
-		if got.InDist[v] != want.InDist[v] {
-			t.Fatalf("node %d: InDist %+v, want %+v", v, got.InDist[v], want.InDist[v])
-		}
-		if a, b := liveIn(got, v), liveIn(want, v); !slices.Equal(a, b) {
-			t.Fatalf("node %d: live in-edges %v, want %v", v, a, b)
-		}
+	o1, f1, d1, p1 := got.Reverse()
+	o2, f2, d2, p2 := want.Reverse()
+	if !slices.Equal(o1, o2) || !slices.Equal(f1, f2) || !slices.Equal(d1, d2) || !slices.Equal(p1, p2) {
+		t.Fatal("reverse walk views differ")
 	}
 }
 

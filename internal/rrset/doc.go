@@ -17,26 +17,28 @@
 // per-sample coverage counts into the logistic model.
 //
 // The sampling engine walks graph.PieceLayouts: a layout is one piece's
-// homogeneous influence graph G_j as a reverse CSR of its own
-// (InOff/InFrom) with the probabilities alongside in position order (no
-// per-edge indirection), and nodes whose in-edges share one probability —
-// the weighted-cascade case, p = 1/in-degree — are sampled with
-// geometric-skip jumps (SUBSIM-style), paying O(1 + p·indeg) RNG draws
-// instead of O(indeg) coin flips. Mixed-probability nodes fall back to
-// one flip per in-edge.
+// homogeneous influence graph G_j as a reverse CSR of its own with the
+// probabilities alongside in position order (no per-edge indirection),
+// and nodes whose in-edges share one probability — the weighted-cascade
+// case, p = 1/in-degree — are sampled with geometric-skip jumps
+// (SUBSIM-style), paying O(1 + p·indeg) RNG draws instead of O(indeg)
+// coin flips. A mixed-probability node with more than
+// traverse.GeoSkipMinDeg in-edges and a largest probability q below
+// traverse.GeoSkipMaxQ jumps the same way at q and thins each candidate
+// to its own p, paying O(1 + q·indeg) draws (SUBSIM's bound sampling);
+// other mixed nodes flip one coin per in-edge.
 //
-// A layout built from a topic vector (Graph.PieceLayout, LayoutCache.Get,
-// core.Prepare) is pruned: edges with p(t, e) = 0 are
-// not in G_j and are not stored, which on sparse topic data is most of
-// every in-range the walk would otherwise scan. A layout built from an
-// explicit probability vector (Graph.Layout — SampleMRR, tests and the
-// benchmark harness) keeps every edge and
-// stays aligned with Graph.InCSR positions. Both sample the same sets:
-// per-node dispatch metadata is computed over the full in-range either
-// way, and a zero-probability edge never draws a random number, so sample
-// i is bit-identical under either representation (pinned by
-// layoutparity_test.go). Samplers therefore always walk the layout's own
-// arrays, never the graph's.
+// Samplers walk a layout's reverse walk view (PieceLayout.Reverse): the
+// in-edges with p > 0, each node's range summarized over exactly those.
+// A layout built from a topic vector (Graph.PieceLayout,
+// LayoutCache.Get, core.Prepare) stores only those edges, which on
+// sparse topic data is most of every in-range the walk would otherwise
+// scan, and is its own view. A layout built from an explicit probability
+// vector (Graph.Layout — SampleMRR, tests and the benchmark harness)
+// keeps every edge aligned with Graph.InCSR positions in its exported
+// arrays and builds the pruned view on its first walk. The two views are
+// equal array for array, so sample i is bit-identical under either
+// constructor (pinned by layoutparity_test.go).
 //
 // # One collection, one graph
 //

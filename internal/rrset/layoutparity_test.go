@@ -11,11 +11,15 @@ package rrset
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
 
+	"oipa/internal/cascade"
 	"oipa/internal/graph"
 	"oipa/internal/logistic"
 	"oipa/internal/topic"
@@ -92,6 +96,10 @@ func TestPrunedLayoutsSampleIdenticallyToExplicitLayouts(t *testing.T) {
 		name   string
 		g      *graph.Graph
 		pieces []topic.Vector
+		// gt, when set, is g's transpose: the fixture also checks that a
+		// forward cascade from each sample's root in gt replays the set,
+		// and that the walks expanded bounded ranges.
+		gt *graph.Graph
 	}
 	var fixtures []fixture
 
@@ -100,12 +108,12 @@ func TestPrunedLayoutsSampleIdenticallyToExplicitLayouts(t *testing.T) {
 	sparse, _ := randomTestGraph(t, 21, 80, 560)
 	fixtures = append(fixtures, fixture{"sparse topics", sparse, []topic.Vector{
 		topic.SingleTopic(0), topic.SingleTopic(2), {Idx: []int32{0, 1}, Val: []float64{0.7, 0.3}},
-	}})
+	}, nil})
 
 	// Weighted cascade: every in-range uniform, the geometric-skip path,
 	// nothing to prune.
 	wc, _ := wcGraph(t, 5, 400, 6000)
-	fixtures = append(fixtures, fixture{"weighted cascade", wc, []topic.Vector{topic.SingleTopic(0), topic.SingleTopic(0)}})
+	fixtures = append(fixtures, fixture{"weighted cascade", wc, []topic.Vector{topic.SingleTopic(0), topic.SingleTopic(0)}, nil})
 
 	// Certain edges, dead edges and sources: nodes 0..9 have no in-edges,
 	// chains of p = 1 edges hang off them, and every node also has a dead
@@ -129,7 +137,13 @@ func TestPrunedLayoutsSampleIdenticallyToExplicitLayouts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixtures = append(fixtures, fixture{"certain edges and sources", certain, []topic.Vector{topic.SingleTopic(0), topic.SingleTopic(1)}})
+	fixtures = append(fixtures, fixture{"certain edges and sources", certain, []topic.Vector{topic.SingleTopic(0), topic.SingleTopic(1)}, nil})
+
+	// Bounded ranges: long mixed in-ranges with a largest probability
+	// under traverse.GeoSkipMaxQ, tiny probabilities and zeros the
+	// explicit layouts store.
+	bounded, boundedT := boundedGraph(t, 41, 200)
+	fixtures = append(fixtures, fixture{"bounded mixed ranges", bounded, boundedPieces, boundedT})
 
 	for _, fx := range fixtures {
 		fx := fx
@@ -163,7 +177,66 @@ func TestPrunedLayoutsSampleIdenticallyToExplicitLayouts(t *testing.T) {
 					t.Fatalf("single-piece set %d: explicit root %d %v, cached root %d %v", i, ca.Root(i), ca.Set(i, 0), cc.Root(i), cc.Set(i, 0))
 				}
 			}
+			if fx.gt == nil {
+				return
+			}
+			for j, lay := range cached {
+				if n := boundedExpansions(lay, func(yield func([]int32)) {
+					for i := 0; i < c.Theta(); i++ {
+						yield(c.Set(i, j))
+					}
+				}); n == 0 {
+					t.Fatalf("piece %d: no sample expanded a bounded range", j)
+				}
+			}
+			// Reverse/forward lockstep: the cascade from each root in the
+			// transpose, on the sample's own stream past its root draw,
+			// activates the RR set in the same order.
+			simLay, err := fx.gt.Layout(fx.gt.PieceProbs(fx.pieces[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := cascade.NewSimulatorLayout(simLay)
+			var got []int32
+			for i := 0; i < theta; i++ {
+				rng := xrand.Derive(seed, uint64(i))
+				if root := int32(rng.Uint64n(uint64(fx.g.N()))); root != cc.Root(i) {
+					t.Fatalf("sample %d: derived root %d, collection root %d", i, root, cc.Root(i))
+				}
+				got = got[:0]
+				sim.Run([]int32{cc.Root(i)}, rng, &got)
+				if !slices.Equal(got, cc.Set(i, 0)) {
+					t.Fatalf("sample %d: forward cascade %v, RR set %v", i, got, cc.Set(i, 0))
+				}
+			}
 		})
+	}
+}
+
+// TestWCCollectionDigest pins a weighted-cascade collection to its bytes:
+// every in-range is uniform, which the bounded skip leaves alone, so the
+// roots and sets hash to the same SHA-256 as before it existed.
+func TestWCCollectionDigest(t *testing.T) {
+	g, probs := wcGraph(t, 5, 400, 6000)
+	m, err := SampleMRR(g, probs, 2000, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b []byte
+	for i := 0; i < m.Theta(); i++ {
+		b = binary.LittleEndian.AppendUint32(b[:0], uint32(m.Root(i)))
+		for j := 0; j < m.L(); j++ {
+			set := m.Set(i, j)
+			b = binary.LittleEndian.AppendUint32(b, uint32(len(set)))
+			for _, v := range set {
+				b = binary.LittleEndian.AppendUint32(b, uint32(v))
+			}
+		}
+		h.Write(b)
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "02c555b2cce43b10ad5f5d09d4f4a338af6b6b32ccd2936bb8464cf01bef3d2a"; got != want {
+		t.Fatalf("WC collection digest %s, want %s", got, want)
 	}
 }
 

@@ -21,26 +21,22 @@ type pieceSampler interface {
 }
 
 // sampler is the one-graph pieceSampler: the per-goroutine reverse-BFS
-// scratch of traverse.Walker plus the substrate's layouts.
+// scratch of traverse.Walker plus each piece's reverse walk view.
 type sampler struct {
-	w       *traverse.Walker
-	layouts [][]*graph.PieceLayout
+	w      *traverse.Walker
+	pieces []traverse.Layer
 }
 
-// sample grows the RR set of root under the given piece layout and
+// samplePiece grows the RR set of root under piece j's layout and
 // appends its nodes (including the root) to out. The traversal — per-node
 // uniform/mixed dispatch, geometric-skip jumps, RNG draw order — is
-// traverse.Walker.Run over the layout's own reverse CSR (the pruned
-// per-piece graph for a topic-built layout, the graph's reverse CSR for
-// an explicit-probability one — same sets either way); the cascade
-// simulator runs the identical core forward.
-func (s *sampler) sample(root int32, lay *graph.PieceLayout, rng *xrand.SplitMix64, out []int32) []int32 {
-	order := s.w.RunFrom(lay.InOff, lay.InFrom, lay.InDist, lay.InProbs, root, rng)
-	return append(out, order...)
-}
-
+// traverse.Walker.Run over the layout's reverse walk view (the pruned
+// per-piece graph, whichever constructor built the layout — same sets
+// either way); the cascade simulator runs the identical core forward.
 func (s *sampler) samplePiece(root int32, j int, rng *xrand.SplitMix64, out []int32) []int32 {
-	return s.sample(root, s.layouts[j][0], rng, out)
+	l := &s.pieces[j]
+	order := s.w.RunFrom(l.Off, l.Adj, l.Dist, l.Probs, root, rng)
+	return append(out, order...)
 }
 
 // muxSampler is the multiplex pieceSampler: the layer-generic reverse
@@ -91,7 +87,11 @@ func newSubstrate(g *graph.Graph, mx *graph.Multiplex, layouts [][]*graph.PieceL
 	if mx == nil {
 		s.n, s.graphs = g.N(), []*graph.Graph{g}
 		s.newPieceSampler = func() pieceSampler {
-			return &sampler{w: traverse.NewWalker(s.n), layouts: s.layouts}
+			pieces := make([]traverse.Layer, len(s.layouts))
+			for j, lays := range s.layouts {
+				pieces[j] = traverse.LayerOf(lays[0], nil, nil)
+			}
+			return &sampler{w: traverse.NewWalker(s.n), pieces: pieces}
 		}
 	} else {
 		s.n, s.graphs = mx.N(), make([]*graph.Graph, mx.L())

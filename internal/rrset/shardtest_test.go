@@ -36,14 +36,17 @@ func (a *refArena) set(k int) []int32 { return a.nodes[a.offsets[k]:a.offsets[k+
 // sample i, piece j lives at arena index i·ℓ+j (i itself when ℓ = 1).
 func refSampleMRR(g *graph.Graph, layouts []*graph.PieceLayout, theta int, seed uint64) *refArena {
 	s := &sampler{w: traverse.NewWalker(g.N())}
+	for _, lay := range layouts {
+		s.pieces = append(s.pieces, traverse.LayerOf(lay, nil, nil))
+	}
 	a := &refArena{offsets: []int64{0}}
 	n := uint64(g.N())
 	for i := 0; i < theta; i++ {
 		rng := xrand.Derive(seed, uint64(i))
 		root := int32(rng.Uint64n(n))
 		a.roots = append(a.roots, root)
-		for _, lay := range layouts {
-			a.nodes = s.sample(root, lay, rng, a.nodes)
+		for j := range layouts {
+			a.nodes = s.samplePiece(root, j, rng, a.nodes)
 			a.offsets = append(a.offsets, int64(len(a.nodes)))
 		}
 	}

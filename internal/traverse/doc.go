@@ -7,20 +7,37 @@
 // # Single-graph walks
 //
 // Both classic callers expand a frontier over one CSR direction of a
-// graph, viewed through a graph.PieceLayout: probabilities are read in
-// CSR position order, and nodes whose edge range carries one common
+// graph, viewed through a graph.PieceLayout's walk view (PieceLayout.
+// Reverse or Forward: only the edges with p > 0, each node's range
+// summarized by a graph.NodeDist): probabilities are read in CSR
+// position order, and nodes whose edge range carries one common
 // probability are expanded with geometric-skip jumps (SUBSIM-style)
-// instead of one coin flip per edge. The two hot loops used to be
+// instead of one coin flip per edge. A long mixed range whose largest
+// probability q is small is expanded by SUBSIM's bound sampling: jumps at
+// q, each candidate thinned to its own p. The two hot loops used to be
 // maintained in lockstep by hand; expand is the single copy, with the
 // direction (in-CSR vs out-CSR) supplied by the caller as plain slices
 // so the loop itself stays direction-agnostic and allocation-free.
 //
-// Determinism contract: for a fixed (layout, seed sequence) a walk
-// consumes RNG draws in a fixed order — one draw per flip, one per
-// geometric jump, one for each all-dead test — so RR sampling and
-// forward simulation driven by identical RNG streams visit identical
-// node sequences (pinned by the cross-check tests in traverse_test.go
-// and relied on by the rrset schedule-invariance suite).
+// Determinism contract: for a fixed (walk view, seed sequence) a walk
+// consumes RNG draws in a fixed order, node by node in visit order:
+//
+//   - a uniform range with p ∈ (0,1) of at most GeoSkipMinDeg edges, and
+//     a mixed range of at most GeoSkipMinDeg edges or with q ≥
+//     GeoSkipMaxQ: one draw per edge with p < 1, in position order
+//     (edges with p ≥ 1 are live with none);
+//   - a longer uniform range: the all-dead test U ≤ (1−p)^deg, then one
+//     draw per geometric jump;
+//   - a longer mixed range with q < GeoSkipMaxQ: the all-dead test at q,
+//     then at each candidate position one thinning draw U (live iff
+//     U·q < p) unless its p equals q, then the next jump's draw;
+//   - empty, dead and p ≥ 1 ranges: none.
+//
+// RR sampling and forward simulation driven by identical RNG streams
+// therefore visit identical node sequences (pinned by the cross-check
+// tests in traverse_test.go and relied on by the rrset
+// schedule-invariance suite). A uniform range is unchanged by the
+// bounded case, so weighted-cascade walks draw as they did before it.
 //
 // # Multiplex walks and the coupling rule
 //

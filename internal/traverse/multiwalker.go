@@ -29,10 +29,12 @@ type Layer struct {
 }
 
 // LayerOf builds the reverse-direction (RR-sampling) Layer view of one
-// multiplex layer under one piece layout — the layout's own reverse CSR,
-// pruned or not. toGlobal/toLocal follow the Layer field conventions.
+// multiplex layer under one piece layout — the layout's reverse walk
+// view (PieceLayout.Reverse). toGlobal/toLocal follow the Layer field
+// conventions.
 func LayerOf(lay *graph.PieceLayout, toGlobal, toLocal []int32) Layer {
-	return Layer{Off: lay.InOff, Adj: lay.InFrom, Dist: lay.InDist, Probs: lay.InProbs, ToGlobal: toGlobal, ToLocal: toLocal}
+	off, adj, dist, probs := lay.Reverse()
+	return Layer{Off: off, Adj: adj, Dist: dist, Probs: probs, ToGlobal: toGlobal, ToLocal: toLocal}
 }
 
 func (l *Layer) size() int { return len(l.Off) - 1 }

@@ -8,10 +8,18 @@ import (
 	"oipa/internal/xrand"
 )
 
-// GeoSkipMinDeg is the uniform-node degree above which geometric-skip
-// jumps beat per-edge flips: a jump costs a math.Log (~5 flips' worth of
-// RNG), so short scans stay on the flip path.
-const GeoSkipMinDeg = 8
+// GeoSkipMinDeg is the range length above which geometric-skip jumps
+// beat per-edge flips (graph.GeoSkipMinDeg, which also bounds the ranges
+// whose NodeDist carries the skip caches).
+const GeoSkipMinDeg = graph.GeoSkipMinDeg
+
+// GeoSkipMaxQ is the largest probability q below which a mixed range
+// longer than GeoSkipMinDeg is walked by geometric jumps at q plus
+// thinning rather than by one flip per edge. A range of d edges yields
+// d·q candidates, each costing a log jump and a thinning draw, against d
+// flips; measured per range (BENCH.md), the two break even near q = 1/16
+// on 10–36 edges and near 1/10 on 350.
+const GeoSkipMaxQ = 1.0 / 16
 
 // Walker holds the per-goroutine scratch of a randomized BFS: the
 // visited stamp and the frontier queue. One Walker serves many walks;
@@ -38,11 +46,14 @@ func NewWalker(n int) *Walker {
 // any visited state, so a caller may filter the returned endpoints
 // through its own visited structure without perturbing the stream.
 //
-// Per-node dispatch: uniform-probability ranges draw the index of their
-// next live edge with a geometric jump (ties the number of RNG draws to
-// the number of live edges, not the degree); mixed ranges flip one coin
-// per edge, reading probabilities sequentially from the layout; p >= 1
-// ranges take every edge with zero draws.
+// Per-node dispatch on the range's NodeDist: a uniform range draws the
+// index of its next live edge with a geometric jump (ties the number of
+// RNG draws to the number of live edges, not the degree); a mixed range
+// longer than GeoSkipMinDeg whose largest probability q is below
+// GeoSkipMaxQ jumps the same way at q and thins each candidate to its own
+// p; any other mixed range flips one coin per edge, reading probabilities
+// sequentially from the layout; p >= 1 ranges take every edge with zero
+// draws.
 func expand(off []int64, adj []int32, dist []graph.NodeDist, probs []float64, v int32, rng *xrand.SplitMix64, buf []int32) []int32 {
 	lo, hi := off[v], off[v+1]
 	if lo == hi {
@@ -52,22 +63,34 @@ func expand(off []int64, adj []int32, dist []graph.NodeDist, probs []float64, v 
 	switch p := d.Uniform; {
 	case p == 0:
 		// Every edge in the range is dead.
-	case p > 0 && p < 1:
-		if hi-lo <= GeoSkipMinDeg {
-			// Short scan: one flip per edge beats a log call, and the
-			// uniform probability needs no per-edge loads.
-			for pos := lo; pos < hi; pos++ {
-				if rng.Float64() >= p {
-					continue
-				}
-				buf = append(buf, adj[pos])
-			}
-			return buf
+	case p >= 1:
+		for pos := lo; pos < hi; pos++ {
+			buf = append(buf, adj[pos])
 		}
-		// Geometric skip: ⌊ln(U)/ln(1-p)⌋ is the number of dead edges
-		// before the next live one. The first draw doubles as the
-		// all-dead test — U ≤ (1-p)^deg is that exact event — so the
-		// common empty scan costs one draw and no log.
+	case p > 0 && hi-lo <= GeoSkipMinDeg:
+		// Short scan: one flip per edge beats a log call, and the
+		// uniform probability needs no per-edge loads.
+		for pos := lo; pos < hi; pos++ {
+			if rng.Float64() >= p {
+				continue
+			}
+			buf = append(buf, adj[pos])
+		}
+	case p > 0 || (-p < GeoSkipMaxQ && hi-lo > GeoSkipMinDeg):
+		// Geometric skip at q = |p|: ⌊ln(U)/ln(1-q)⌋ is the number of
+		// positions before the next candidate, so every position is a
+		// candidate with probability q. The first draw doubles as the
+		// all-dead test — U ≤ QD = (1-q)^deg is that exact event — so
+		// the common empty scan costs one draw and no log. In a uniform
+		// range every candidate is live. In a mixed one (thin) a
+		// candidate whose p equals q is live with no further draw, and
+		// any other is live iff one more draw U satisfies U·q < p: live
+		// with probability q·p/q = p, independently per edge. The
+		// thinning draw precedes the next jump's.
+		q, thin := p, p < 0
+		if thin {
+			q = -p
+		}
 		u0 := rng.Float64()
 		if u0 <= d.QD {
 			return buf
@@ -81,7 +104,9 @@ func expand(off []int64, adj []int32, dist []graph.NodeDist, probs []float64, v 
 			return buf
 		}
 		for {
-			buf = append(buf, adj[pos])
+			if !thin || probs[pos] >= q || rng.Float64()*q < probs[pos] {
+				buf = append(buf, adj[pos])
+			}
 			pos++
 			if pos >= hi {
 				break
@@ -91,10 +116,6 @@ func expand(off []int64, adj []int32, dist []graph.NodeDist, probs []float64, v 
 				break
 			}
 			pos += int64(jump)
-		}
-	case p >= 1:
-		for pos := lo; pos < hi; pos++ {
-			buf = append(buf, adj[pos])
 		}
 	default: // mixed probabilities: one flip per live-candidate edge
 		for pos := lo; pos < hi; pos++ {

@@ -122,8 +122,8 @@ func TestSamplerSimulatorLockstep(t *testing.T) {
 }
 
 // TestWalkerMatchesSampler pins the exported Walker API itself to the RR
-// sampler's output: a reverse walk over (InCSR, InDist, InProbs) is the
-// RR set.
+// sampler's output: a reverse walk over the layout's reverse walk view
+// is the RR set.
 func TestWalkerMatchesSampler(t *testing.T) {
 	const n, theta, seed = 80, 100, uint64(11)
 	g, _ := buildPair(t, n, 5)
@@ -140,12 +140,12 @@ func TestWalkerMatchesSampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inOff, inFrom := g.InCSR()
+	inOff, inFrom, inDist, inProbs := lay.Reverse()
 	w := traverse.NewWalker(g.N())
 	for i := 0; i < theta; i++ {
 		rng := xrand.Derive(seed, uint64(i))
 		rng.Uint64n(uint64(g.N()))
-		order := w.RunFrom(inOff, inFrom, lay.InDist, lay.InProbs, roots[i], rng)
+		order := w.RunFrom(inOff, inFrom, inDist, inProbs, roots[i], rng)
 		want := mrr.Set(i, 0)
 		if len(order) != len(want) {
 			t.Fatalf("sample %d: walker visited %d nodes, RR set has %d", i, len(order), len(want))
