@@ -46,7 +46,6 @@ func main() {
 		ratio     = flag.Float64("ratio", 0.5, "beta/alpha ratio of the default adoption model (beta=1)")
 		theta     = flag.Int("theta", 50_000, "default MRR samples per prepared instance")
 		maxTheta  = flag.Int("maxtheta", 2_000_000, "reject requests above this many samples")
-		layouts   = flag.Int("layouts", 128, "piece-layout cache capacity, in layouts: each holds 12 bytes per edge the piece can cross plus 32 per node, and about as much again once /v1/simulate has used it (layout_bytes at /metrics is the total)")
 		instances = flag.Int("instances", 8, "prepared-instance cache capacity")
 		reqTmo    = flag.Duration("request-timeout", 30*time.Second, "server-side deadline per request; client timeout_ms is capped by it")
 		admitCap  = flag.Int("admit-capacity", 0, "admission semaphore capacity in weight units (solve/simulate=2, estimate=1; 0 = 2x GOMAXPROCS)")
@@ -97,7 +96,6 @@ func main() {
 		Model:            logistic.Model{Alpha: 1 / *ratio, Beta: 1},
 		DefaultTheta:     *theta,
 		MaxTheta:         *maxTheta,
-		LayoutCapacity:   *layouts,
 		InstanceCapacity: *instances,
 		RequestTimeout:   *reqTmo,
 		AdmitCapacity:    *admitCap,

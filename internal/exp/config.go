@@ -120,7 +120,7 @@ type Workload struct {
 	Instance  *core.Instance
 	BuildTime time.Duration
 
-	// Layouts caches the dataset's piece layouts by topic-vector hash.
+	// Layouts indexes the dataset's live piece layouts by topic-vector hash.
 	// Instance preparation routes through it, so sweeps that re-prepare
 	// over recurring pieces (DeriveCampaign: Figure 5's nested
 	// campaigns) stop rebuilding identical layouts.
@@ -144,8 +144,9 @@ func BuildWorkload(c Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Unbounded cache: a sweep touches at most a handful of distinct
-	// pieces, and the workload's lifetime is the experiment run.
+	// No strong window: the workload's instance holds its layouts for
+	// the experiment run, which is what DeriveCampaign's sub-campaigns
+	// hit.
 	cache := graph.NewLayoutCache(d.G, 0)
 	inst, err := prepareCached(cache, d, campaign, pool, c)
 	if err != nil {

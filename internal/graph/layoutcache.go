@@ -1,60 +1,73 @@
 package graph
 
 import (
+	"runtime"
 	"sync"
+	"weak"
 
 	"oipa/internal/topic"
 )
 
-// LayoutCache caches topic-built PieceLayouts (Graph.PieceLayout) keyed
-// by topic-vector hash, so repeated Prepare calls over the same pieces —
-// parameter sweeps re-running a campaign, or a long-running query service
-// answering many requests over one graph — stop paying the O(n + m)
-// rebuild.
+// LayoutCache indexes topic-built PieceLayouts (Graph.PieceLayout) by
+// topic-vector hash, so a Get for a piece whose layout is still alive —
+// held by a prepared instance, by a request in flight, or by anything
+// else — returns that layout instead of paying the O(n + m) rebuild.
+//
+// The cache does not own what it indexes: each entry holds its layout
+// through a weak pointer, and only the capacity most recently used
+// layouts are also held strongly (the strong window). A layout nothing
+// else holds is collected, its entry leaves the index, and the next Get
+// of that piece rebuilds it. Layout memory is therefore what its holders
+// keep alive plus the strong window, not the number of distinct pieces
+// ever requested.
 //
 // The cache is safe for concurrent use. Concurrent Get calls for the same
 // vector are de-duplicated: one goroutine builds, the rest wait for the
-// finished layout (layouts are immutable and shared freely afterwards).
-// Eviction is LRU over completed entries once the entry count exceeds the
-// capacity; in-flight builds are never evicted.
+// finished layout and receive it whether or not the builder still holds
+// it (layouts are immutable and shared freely afterwards).
 type LayoutCache struct {
 	g        *Graph
 	capacity int
 
 	mu      sync.Mutex
 	entries map[uint64][]*layoutEntry // hash -> collision chain
-	size    int
-	clock   int64 // LRU clock, advanced on every hit/insert
+	recent  []*PieceLayout            // strong window, least recently used first
 
 	hits, misses int64
 }
 
 type layoutEntry struct {
-	t       topic.Vector
-	lay     *PieceLayout
-	ready   chan struct{} // closed when lay is set
-	lastUse int64
+	t     topic.Vector
+	lay   weak.Pointer[PieceLayout] // set once the build completes
+	build *layoutBuild              // non-nil while the build is in flight
 }
 
-// NewLayoutCache returns a cache over g holding at most capacity layouts
-// (capacity <= 0 means unbounded). A cached layout is the piece's pruned
-// reverse CSR: 12 bytes per live edge (an edge the piece gives a positive
-// probability) plus 32 per node, and as much again once a forward
-// simulation has asked for the forward view (8 per graph edge plus 24 per
-// node when every edge is live, the graph's forward CSR then serving as
-// its own; MemUsage reports what is actually held). Services size the capacity to
-// the number of distinct pieces they expect to be hot.
+// layoutBuild is one in-flight build. Its waiters hold it, and through it
+// the layout, until they return; the entry drops it once the build ends.
+type layoutBuild struct {
+	done chan struct{} // closed when lay is set
+	lay  *PieceLayout
+}
+
+// NewLayoutCache returns a cache over g whose strong window holds the
+// capacity most recently used layouts alive (capacity <= 0: none, so a
+// layout lives exactly as long as a caller holds it). A layout is the
+// piece's pruned reverse CSR: 12 bytes per live edge (an edge the piece
+// gives a positive probability) plus 32 per node, and as much again once
+// a forward simulation has asked for the forward view (8 per graph edge
+// plus 24 per node when every edge is live, the graph's forward CSR then
+// serving as its own; MemUsage reports what is actually held).
 func NewLayoutCache(g *Graph, capacity int) *LayoutCache {
-	return &LayoutCache{g: g, capacity: capacity, entries: make(map[uint64][]*layoutEntry)}
+	return &LayoutCache{g: g, capacity: max(capacity, 0), entries: make(map[uint64][]*layoutEntry)}
 }
 
 // Graph returns the graph the cache builds layouts for.
 func (c *LayoutCache) Graph() *Graph { return c.g }
 
-// Get returns the PieceLayout of a piece with topic distribution t,
-// building (and caching) it on first use. The returned layout is shared:
-// it is immutable and safe for concurrent use by any number of samplers
-// and simulators.
+// Get returns the PieceLayout of a piece with topic distribution t: the
+// live layout of an equal vector when there is one (a hit), otherwise a
+// fresh build (a miss). The returned layout is shared: it is immutable
+// and safe for concurrent use by any number of samplers and simulators.
 func (c *LayoutCache) Get(t topic.Vector) (*PieceLayout, error) {
 	if err := c.g.checkPiece(t); err != nil {
 		return nil, err
@@ -63,62 +76,68 @@ func (c *LayoutCache) Get(t topic.Vector) (*PieceLayout, error) {
 
 	c.mu.Lock()
 	for _, e := range c.entries[h] {
-		if e.t.Equal(t) {
-			c.hits++
-			c.clock++
-			e.lastUse = c.clock
-			c.mu.Unlock()
-			<-e.ready
-			return e.lay, nil
+		if !e.t.Equal(t) {
+			continue
 		}
+		if b := e.build; b != nil {
+			c.hits++
+			c.mu.Unlock()
+			<-b.done
+			return b.lay, nil
+		}
+		if lay := e.lay.Value(); lay != nil {
+			c.hits++
+			c.touchLocked(lay)
+			c.mu.Unlock()
+			return lay, nil
+		}
+		// Collected, its cleanup not yet run: a new entry replaces it.
+		c.removeLocked(h, e)
+		break
 	}
 	// Miss: insert an in-flight entry so concurrent requests for the same
 	// vector wait for this build instead of duplicating it.
 	c.misses++
-	c.clock++
-	e := &layoutEntry{t: t.Clone(), ready: make(chan struct{}), lastUse: c.clock}
+	b := &layoutBuild{done: make(chan struct{})}
+	e := &layoutEntry{t: t.Clone(), build: b}
 	c.entries[h] = append(c.entries[h], e)
-	c.size++
-	c.evictLocked()
 	c.mu.Unlock()
 
-	e.lay = c.g.pieceLayout(e.t)
-	close(e.ready)
+	lay := c.g.pieceLayout(e.t)
+	b.lay = lay
+	close(b.done)
+	runtime.AddCleanup(lay, c.remove, e)
 	c.mu.Lock()
-	c.evictLocked()
+	e.lay, e.build = weak.Make(lay), nil
+	c.touchLocked(lay)
 	c.mu.Unlock()
-	return e.lay, nil
+	return lay, nil
 }
 
-// evictLocked drops least-recently-used completed entries until the size
-// is back within capacity. In-flight entries (ready not yet closed) are
-// skipped — a waiter holds a reference to them — until Get evicts again.
-func (c *LayoutCache) evictLocked() {
-	if c.capacity <= 0 {
+// touchLocked makes lay the most recently used layout of the strong
+// window, dropping the least recently used one when the window is full.
+func (c *LayoutCache) touchLocked(lay *PieceLayout) {
+	if c.capacity == 0 {
 		return
 	}
-	for c.size > c.capacity {
-		var (
-			oldHash  uint64
-			oldEntry *layoutEntry
-		)
-		for h, chain := range c.entries {
-			for _, e := range chain {
-				select {
-				case <-e.ready:
-				default:
-					continue // in-flight
-				}
-				if oldEntry == nil || e.lastUse < oldEntry.lastUse {
-					oldHash, oldEntry = h, e
-				}
-			}
-		}
-		if oldEntry == nil {
-			return // everything is in-flight; nothing evictable yet
-		}
-		c.removeLocked(oldHash, oldEntry)
+	i := len(c.recent) - 1
+	for i >= 0 && c.recent[i] != lay {
+		i--
 	}
+	if i < 0 && len(c.recent) < c.capacity {
+		c.recent = append(c.recent, lay)
+		return
+	}
+	i = max(i, 0)
+	copy(c.recent[i:], c.recent[i+1:])
+	c.recent[len(c.recent)-1] = lay
+}
+
+// remove drops e from the index once its layout has been collected.
+func (c *LayoutCache) remove(e *layoutEntry) {
+	c.mu.Lock()
+	c.removeLocked(e.t.Hash(), e)
+	c.mu.Unlock()
 }
 
 func (c *LayoutCache) removeLocked(h uint64, e *layoutEntry) {
@@ -126,7 +145,6 @@ func (c *LayoutCache) removeLocked(h uint64, e *layoutEntry) {
 	for i, x := range chain {
 		if x == e {
 			c.entries[h] = append(chain[:i:i], chain[i+1:]...)
-			c.size--
 			break
 		}
 	}
@@ -135,30 +153,29 @@ func (c *LayoutCache) removeLocked(h uint64, e *layoutEntry) {
 	}
 }
 
-// Len returns the number of cached (or in-flight) layouts.
-func (c *LayoutCache) Len() int {
+// live returns the built layouts that are still alive.
+func (c *LayoutCache) live() []*PieceLayout {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.size
-}
-
-// MemUsage sums PieceLayout.MemUsage over the completed entries: the
-// bytes the cache keeps alive, forward sides included once built.
-func (c *LayoutCache) MemUsage() int64 {
-	c.mu.Lock()
-	lays := make([]*PieceLayout, 0, c.size)
+	var lays []*PieceLayout
 	for _, chain := range c.entries {
 		for _, e := range chain {
-			select {
-			case <-e.ready:
-				lays = append(lays, e.lay)
-			default: // in-flight
+			if lay := e.lay.Value(); lay != nil {
+				lays = append(lays, lay)
 			}
 		}
 	}
-	c.mu.Unlock()
+	return lays
+}
+
+// Len returns the number of live built layouts in the index.
+func (c *LayoutCache) Len() int { return len(c.live()) }
+
+// MemUsage sums PieceLayout.MemUsage over the live built layouts, forward
+// sides included once built: the layout bytes alive, whoever holds them.
+func (c *LayoutCache) MemUsage() int64 {
 	b := int64(0)
-	for _, lay := range lays {
+	for _, lay := range c.live() {
 		b += lay.MemUsage()
 	}
 	return b

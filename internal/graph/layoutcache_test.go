@@ -1,9 +1,11 @@
 package graph
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"oipa/internal/topic"
 )
@@ -110,9 +112,11 @@ func TestLayoutCacheConcurrentDedup(t *testing.T) {
 	}
 }
 
-func TestLayoutCacheEvictsLRU(t *testing.T) {
-	g := cacheTestGraph(t)
-	c := NewLayoutCache(g, 2)
+// A layout outside the strong window is still a hit, with the same
+// pointer, while a caller holds it; one inside the window is a hit though
+// no caller holds it.
+func TestLayoutCacheHitsLiveLayouts(t *testing.T) {
+	c := NewLayoutCache(cacheTestGraph(t), 1)
 	get := func(z int32) *PieceLayout {
 		lay, err := c.Get(topic.SingleTopic(z))
 		if err != nil {
@@ -120,42 +124,90 @@ func TestLayoutCacheEvictsLRU(t *testing.T) {
 		}
 		return lay
 	}
-	l0 := get(0)
+	held := get(0)
 	get(1)
-	get(0)       // refresh 0: LRU is now 1
-	l2 := get(2) // evicts 1
-	if c.Len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.Len())
+	get(2) // the window now holds only piece 2
+	runtime.GC()
+	runtime.GC()
+	if again := get(0); again != held {
+		t.Fatal("a layout its caller still holds was rebuilt")
 	}
-	if again := get(0); again != l0 {
-		t.Fatal("entry 0 was evicted despite being recently used")
+	get(2)
+	if hits, misses := c.Stats(); hits != 2 || misses != 3 {
+		t.Fatalf("stats = (%d hits, %d misses), want (2, 3)", hits, misses)
 	}
-	if again := get(2); again != l2 {
-		t.Fatal("entry 2 was evicted despite being recently used")
+	runtime.KeepAlive(held)
+}
+
+// Once nothing holds a layout and a collection has run, the cache counts
+// neither it nor its bytes, its entry leaves the index, and the next Get
+// of its piece rebuilds it.
+func TestLayoutCacheForgetsUnheldLayouts(t *testing.T) {
+	c := NewLayoutCache(cacheTestGraph(t), 0)
+	for z := int32(0); z < 3; z++ {
+		if _, err := c.Get(topic.SingleTopic(z)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	hitsBefore, missesBefore := c.Stats()
-	get(1) // was evicted: must rebuild
-	hits, misses := c.Stats()
-	if hits != hitsBefore || misses != missesBefore+1 {
-		t.Fatalf("re-Get of evicted entry: stats went (%d,%d) -> (%d,%d), want one new miss",
-			hitsBefore, missesBefore, hits, misses)
+	indexed := func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.entries)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		runtime.GC()
+		if c.Len() == 0 && c.MemUsage() == 0 && indexed() == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("10 s after its layouts were dropped: Len %d, MemUsage %d, %d entries indexed", c.Len(), c.MemUsage(), indexed())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := c.Get(topic.SingleTopic(0)); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := c.Stats(); hits != 0 || misses != 4 {
+		t.Fatalf("stats = (%d hits, %d misses), want (0, 4): a collected layout must be rebuilt", hits, misses)
 	}
 }
 
-// A build that completes while another is in flight evicts down to
-// capacity then, not only when the next miss inserts.
-func TestLayoutCacheEvictsWhenABuildCompletes(t *testing.T) {
-	c := NewLayoutCache(cacheTestGraph(t), 1)
-	held := &layoutEntry{t: topic.SingleTopic(0), ready: make(chan struct{})}
-	c.mu.Lock()
-	c.entries[held.t.Hash()] = []*layoutEntry{held}
-	c.size++
-	c.mu.Unlock()
-	if _, err := c.Get(topic.SingleTopic(1)); err != nil {
-		t.Fatal(err)
+// Concurrent Gets of one vector, raced against a goroutine that gets the
+// layout, drops it and collects — which may take the layout between its
+// build and a waiter's wake-up — always return a layout of the piece.
+func TestLayoutCacheGetRacesCollection(t *testing.T) {
+	g := cacheTestGraph(t)
+	c := NewLayoutCache(g, 0)
+	rounds := 200
+	if testing.Short() {
+		rounds = 50
 	}
-	if n := c.Len(); n != 1 {
-		t.Fatalf("cache holds %d layouts at capacity 1 once no build is in flight but the held one", n)
+	for r := 0; r < rounds; r++ {
+		piece := topic.SingleTopic(int32(r % 2))
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Get(piece); err != nil {
+				t.Error(err)
+			}
+			runtime.GC()
+		}()
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				lay, err := c.Get(piece)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if lay == nil || len(lay.InOff) != g.N()+1 {
+					t.Error("Get returned no layout of the piece")
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

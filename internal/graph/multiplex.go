@@ -42,7 +42,9 @@ type Multiplex struct {
 
 // NewMultiplex builds a multiplex over a universe of n nodes (n <= 0
 // infers the smallest universe covering every layer). layoutCapacity
-// bounds each layer's piece-layout cache (<= 0 = unbounded).
+// is the strong window of each layer's piece-layout cache: how many of
+// its most recently used layouts it keeps alive (<= 0: none, so a
+// layer's layout lives while a caller holds it).
 func NewMultiplex(n int, layers []MultiplexLayer, layoutCapacity int) (*Multiplex, error) {
 	if len(layers) == 0 {
 		return nil, errors.New("graph: multiplex needs at least one layer")

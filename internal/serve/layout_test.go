@@ -4,12 +4,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"oipa/internal/cascade"
 	"oipa/internal/graph"
 	"oipa/internal/logistic"
+	"oipa/internal/topic"
 )
 
 // TestSimulateOnCachedLayoutsMatchesExplicitLayouts drives the lazy
@@ -87,4 +90,50 @@ func TestSimulateOnCachedLayoutsMatchesExplicitLayouts(t *testing.T) {
 	if !strings.Contains(string(body), "# TYPE oipa_layout_cache_bytes gauge") {
 		t.Fatal("prometheus exposition lacks oipa_layout_cache_bytes")
 	}
+}
+
+// TestLayoutsLiveWithTheirInstances pins what bounds layout memory: the
+// layout cache holds no layout alive itself, so once an instance is
+// evicted and collections have run, layouts and layout_bytes at /metrics
+// count the resident campaign's layouts alone.
+func TestLayoutsLiveWithTheirInstances(t *testing.T) {
+	s := testServer(t, func(c *Config) { c.InstanceCapacity = 1 })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	evicted, resident := testCampaign(0, 1), testCampaign(2)
+	for _, camp := range []topic.Campaign{evicted, resident} {
+		if code, raw := postJSON(t, ts, "/v1/solve", SolveRequest{Campaign: camp, K: 2}, nil); code != http.StatusOK {
+			t.Fatalf("solve status %d: %s", code, raw)
+		}
+	}
+	lay, err := s.reg.Layouts().Get(resident.Pieces[0].Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := lay.MemUsage()
+	var snap MetricsSnapshot
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		// The first collection only moves sync.Pool contents (evaluators
+		// bound to the evicted instance) to the pools' victim caches.
+		runtime.GC()
+		runtime.GC()
+		if code := getJSON(t, ts, "/metrics", &snap); code != http.StatusOK {
+			t.Fatalf("metrics status %d", code)
+		}
+		if snap.Registry.Layouts == 1 && snap.Registry.LayoutBytes == want {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("layouts %d, layout_bytes %d with only a one-piece campaign resident; want 1, %d", snap.Registry.Layouts, snap.Registry.LayoutBytes, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if snap.Registry.Instances != 1 || snap.Registry.InstanceEvictions != 1 {
+		t.Fatalf("instances %d, evictions %d; want 1 and 1", snap.Registry.Instances, snap.Registry.InstanceEvictions)
+	}
+	if hits, misses := snap.Registry.LayoutHits, snap.Registry.LayoutMisses; hits != 1 || misses != 3 {
+		t.Fatalf("layout hits %d, misses %d; want 1 (this test's Get) and 3", hits, misses)
+	}
+	runtime.KeepAlive(lay)
 }

@@ -53,8 +53,8 @@ func (s *Server) writePrometheus(w io.Writer) error {
 	pw.Gauge("oipa_registry_instances", "Cached (or in-flight) artifact entries.", "", float64(snap.Registry.Instances))
 	pw.Counter("oipa_layout_cache_hits_total", "Piece-layout cache hits.", "", float64(snap.Registry.LayoutHits))
 	pw.Counter("oipa_layout_cache_misses_total", "Piece-layout cache misses.", "", float64(snap.Registry.LayoutMisses))
-	pw.Gauge("oipa_layout_cache_entries", "Cached piece layouts.", "", float64(snap.Registry.Layouts))
-	pw.Gauge("oipa_layout_cache_bytes", "Bytes held by cached piece layouts (not part of resident_bytes).", "", float64(snap.Registry.LayoutBytes))
+	pw.Gauge("oipa_layout_cache_entries", "Live piece layouts (held by a cached instance or a request in flight).", "", float64(snap.Registry.Layouts))
+	pw.Gauge("oipa_layout_cache_bytes", "Bytes held by live piece layouts (not part of resident_bytes).", "", float64(snap.Registry.LayoutBytes))
 
 	pw.Histogram("oipa_request_latency_seconds", "Request latency by endpoint class.", `endpoint="solve"`, s.m.latSolve.Snapshot())
 	pw.Histogram("oipa_request_latency_seconds", "", `endpoint="estimate"`, s.m.latEstimate.Snapshot())

@@ -164,10 +164,13 @@ func newEntry(key instanceKey, lastUse int64) *entry {
 }
 
 // Registry is the prepared-artifact cache at the heart of the service:
-// per-piece layouts keyed by topic-vector hash (graph.LayoutCache) and
 // θ-monotone sampling entries keyed by (campaign, seed) with LRU
-// eviction. A request whose θ the entry's snapshot covers is served from
-// it at once, exactly or as a θ-prefix. Any other request takes the
+// eviction, and an index of the live per-piece layouts keyed by
+// topic-vector hash (graph.LayoutCache with no strong window), so
+// campaigns and requests that share a piece share its layout while any
+// of them holds it, and an evicted entry's layouts go with it. A
+// request whose θ the entry's snapshot covers is served from it at
+// once, exactly or as a θ-prefix. Any other request takes the
 // entry's grow slot and builds: the first preparation (exactly one
 // goroutine runs core.Prepare while identical requests queue —
 // observable as singleflight_waits vs prepares in the metrics), a growth
@@ -192,12 +195,12 @@ type Registry struct {
 	m *metrics
 }
 
-func newRegistry(g *graph.Graph, pool []int32, model logistic.Model, layoutCap, instanceCap int, m *metrics) *Registry {
+func newRegistry(g *graph.Graph, pool []int32, model logistic.Model, instanceCap int, m *metrics) *Registry {
 	return &Registry{
 		g:        g,
 		pool:     pool,
 		model:    model,
-		layouts:  graph.NewLayoutCache(g, layoutCap),
+		layouts:  graph.NewLayoutCache(g, 0),
 		capacity: instanceCap,
 		entries:  make(map[instanceKey]*entry),
 		m:        m,
@@ -210,11 +213,11 @@ func newRegistry(g *graph.Graph, pool []int32, model logistic.Model, layoutCap, 
 func (r *Registry) ResidentBytes() int64 { return r.resident.Load() }
 
 // Layouts exposes the layout cache (the /v1/simulate path samples
-// straight off cached layouts without preparing an instance).
+// straight off live layouts without preparing an instance).
 func (r *Registry) Layouts() *graph.LayoutCache { return r.layouts }
 
-// layoutStats reads the layout cache: what an operator sizing -layouts
-// has resident, and how often it served.
+// layoutStats reads the layout cache: the live layouts, their bytes, and
+// how often a Get found one alive.
 func (r *Registry) layoutStats() (entries int, bytes, hits, misses int64) {
 	hits, misses = r.layouts.Stats()
 	return r.layouts.Len(), r.layouts.MemUsage(), hits, misses

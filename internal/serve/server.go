@@ -6,8 +6,10 @@
 // query. The service instead loads the graph once and holds the expensive
 // intermediate artifacts in a prepared-artifact registry:
 //
-//   - graph.PieceLayouts cached by topic-vector hash (campaigns that
-//     share pieces share layouts);
+//   - graph.PieceLayouts indexed by topic-vector hash: campaigns and
+//     requests that share a piece share its layout while a cached
+//     instance or a request in flight holds it; the index owns none, so
+//     layout memory is bounded by the instance capacity and admission;
 //   - θ-monotone prepared artifacts (MRR samples + pool index + bound
 //     table) cached by (campaign, seed) with LRU eviction and
 //     singleflight de-duplication of concurrent identical preparations.
@@ -102,8 +104,10 @@ type Config struct {
 	MaxTheta     int // reject requests above this (default 2M; memory guard)
 	MaxSimRuns   int // cap forward-simulation runs (default 1M)
 
-	LayoutCapacity   int // cached piece layouts (default 128)
-	InstanceCapacity int // cached prepared instances (default 8)
+	// InstanceCapacity bounds the cached prepared instances (default 8).
+	// It also bounds layout memory: a piece layout lives while a cached
+	// instance or an admitted request holds it.
+	InstanceCapacity int
 
 	// RequestTimeout caps — and, for clients that send no timeout_ms,
 	// defaults — the execution deadline of every heavy request (default
@@ -149,9 +153,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxSimRuns <= 0 {
 		c.MaxSimRuns = 1_000_000
-	}
-	if c.LayoutCapacity <= 0 {
-		c.LayoutCapacity = 128
 	}
 	if c.InstanceCapacity <= 0 {
 		c.InstanceCapacity = 8
@@ -217,7 +218,7 @@ func New(cfg Config) (*Server, error) {
 			s.traceEvery = 1
 		}
 	}
-	s.reg = newRegistry(cfg.Graph, cfg.Pool, cfg.Model, cfg.LayoutCapacity, cfg.InstanceCapacity, &s.m)
+	s.reg = newRegistry(cfg.Graph, cfg.Pool, cfg.Model, cfg.InstanceCapacity, &s.m)
 	s.admit = newAdmission(int64(cfg.AdmitCapacity), cfg.AdmitQueue)
 	s.routes()
 	return s, nil
