@@ -24,13 +24,14 @@ fmt:
 	@out=$$(gofmt -l $$(git ls-files '*.go')); if [ -n "$$out" ]; then echo "gofmt -l lists:" >&2; echo "$$out" >&2; exit 1; fi
 
 # The race detector over the packages that run concurrent solves, in
-# short mode, and over graph, whose layout cache races Gets against the
-# collections that take unheld layouts; three runs of serve, whose
+# short mode, over graph, whose layout cache races Gets against the
+# collections that take unheld layouts, and over cascade, whose workers
+# watch a context while they run; three runs of serve, whose
 # registry builds and request paths interleave differently from run to
 # run, and whose lifecycle conformance model reads published snapshots
 # while entries grow.
 race-short:
-	$(GO) test -race -short ./internal/core ./internal/logistic ./internal/graph
+	$(GO) test -race -short ./internal/core ./internal/logistic ./internal/graph ./internal/cascade
 	$(GO) test -race -short -count=3 ./internal/serve
 
 # Non-test Go lines outside benchmark/ (ROADMAP aim 2: the count goes

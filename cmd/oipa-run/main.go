@@ -105,7 +105,11 @@ func main() {
 	}
 
 	if *simulate {
-		mc, err := cascade.EstimateAdoptionLayouts(g, inst.Layouts, res.Plan.Seeds, prob.Model, *simRuns, *seed+4)
+		pieceProbs := make([][]float64, campaign.L())
+		for j, piece := range campaign.Pieces {
+			pieceProbs[j] = g.PieceProbs(piece.Dist)
+		}
+		mc, err := cascade.EstimateAdoption(context.Background(), g, pieceProbs, res.Plan.Seeds, prob.Model, *simRuns, *seed+4)
 		if err != nil {
 			log.Fatal(err)
 		}

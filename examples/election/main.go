@@ -77,6 +77,11 @@ func main() {
 	// utility on exactly the samples it optimized over.
 	samples := inst.MRR.View()
 
+	pieceProbs := make([][]float64, campaign.L())
+	for j, piece := range campaign.Pieces {
+		pieceProbs[j] = dataset.G.PieceProbs(piece.Dist)
+	}
+
 	fmt.Println("strategy                                estimated        scan   simulated   assignment (tax/imm/health)")
 	for _, s := range strategies {
 		res, err := core.Solve(context.Background(), inst, s.method, core.DefaultBABOptions())
@@ -87,7 +92,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		truth, err := cascade.EstimateAdoptionLayouts(dataset.G, inst.Layouts, res.Plan.Seeds, problem.Model, 20_000, 99)
+		truth, err := cascade.EstimateAdoption(context.Background(), dataset.G, pieceProbs, res.Plan.Seeds, problem.Model, 20_000, 99)
 		if err != nil {
 			log.Fatal(err)
 		}

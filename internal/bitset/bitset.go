@@ -25,9 +25,6 @@ func (b *Bits) Len() int { return b.n }
 // Set sets bit i.
 func (b *Bits) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
-// Clear clears bit i.
-func (b *Bits) Clear(i int) { b.words[i>>6] &^= 1 << (uint(i) & 63) }
-
 // Test reports whether bit i is set.
 func (b *Bits) Test(i int) bool { return b.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 

@@ -1,17 +1,19 @@
-// Package cascade implements forward Monte-Carlo simulation of the
-// topic-aware independent cascade (IC) model from the paper (§III-A), and
-// the ground-truth estimators built on top of it:
+// Package cascade estimates the adoption utility σ(S̄) of an assignment
+// plan (paper Eq. (1)) by forward Monte-Carlo simulation of the
+// topic-aware independent cascade (IC) model (§III-A).
 //
-//   - the expected influence spread σ_im(S) of a single viral piece, and
-//   - the adoption utility σ(S̄) of a full assignment plan under the
-//     logistic adoption model of Eq. (1).
-//
-// The simulator is the repository's source of truth: the reverse-reachable
-// estimators in internal/rrset are validated against it, never the other
-// way around.
+// It is the independent check of the reverse-reachable estimators in
+// internal/rrset, so it shares no code with them: no traverse walker, no
+// graph.PieceLayout, no geometric skip. A call keeps, per piece, the
+// out-edges with p > 0 from Graph.OutNeighbors and the piece's per-edge
+// probabilities; each world then runs a breadth-first search from every
+// piece's seed set that flips every kept out-edge of every activated node
+// once, feeds each user's received-piece count through the logistic model,
+// and sums the adoption probabilities.
 package cascade
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -19,174 +21,153 @@ import (
 	"oipa/internal/bitset"
 	"oipa/internal/graph"
 	"oipa/internal/logistic"
-	"oipa/internal/traverse"
 	"oipa/internal/xrand"
 )
 
-// Simulator runs IC cascades over one fixed per-edge probability vector
-// (one viral piece's homogeneous influence graph), viewed through a
-// graph.PieceLayout's forward walk view (PieceLayout.Forward): the
-// out-edges with p > 0, probabilities read in forward-CSR position
-// order, and nodes whose out-edges share one probability expanded with
-// geometric-skip jumps — the same traverse.Walker core the RR sampler
-// runs in reverse. It is not safe for concurrent use; create one
-// per goroutine (see EstimateSpread).
-type Simulator struct {
-	g        *graph.Graph
-	outOff   []int64
-	outTo    []int32
-	outDist  []graph.NodeDist
-	outProbs []float64
-	w        *traverse.Walker
+// liveCSR is one piece's out-edges with p > 0, in forward-CSR order: the
+// kept out-edges of u are to[off[u]:off[u+1]], with probabilities
+// probs[off[u]:off[u+1]].
+type liveCSR struct {
+	off   []int64
+	to    []int32
+	probs []float64
 }
 
-// NewSimulator returns a simulator for the given graph and per-edge
-// activation probabilities (as produced by graph.PieceProbs). The layout
-// is built once here; callers that already hold one should use
-// NewSimulatorLayout.
-func NewSimulator(g *graph.Graph, probs []float64) (*Simulator, error) {
-	lay, err := g.Layout(probs)
-	if err != nil {
-		return nil, fmt.Errorf("cascade: %w", err)
+// keepLive builds the liveCSR of one piece's per-edge probabilities
+// (indexed by edge id, as produced by Graph.PieceProbs). Every edge is
+// written at the cursor w and only a kept one advances it, so a dropped
+// edge is overwritten by the next one without a data-dependent branch.
+func keepLive(g *graph.Graph, probs []float64) liveCSR {
+	kept := 0
+	for _, p := range probs {
+		kept += live01(p)
 	}
-	return NewSimulatorLayout(lay), nil
+	c := liveCSR{off: make([]int64, g.N()+1), to: make([]int32, kept+1), probs: make([]float64, kept+1)}
+	w := 0
+	for u := range int32(g.N()) {
+		to, edges := g.OutNeighbors(u)
+		for i, e := range edges {
+			p := probs[e]
+			c.to[w], c.probs[w] = to[i], p
+			w += live01(p)
+		}
+		c.off[u+1] = int64(w)
+	}
+	c.to, c.probs = c.to[:kept], c.probs[:kept]
+	return c
 }
 
-// NewSimulatorLayout returns a simulator over a prebuilt piece layout.
-// The layout is shared, read-only; only the scratch state is per-instance.
-// The layout builds its forward walk view here, on first use.
-func NewSimulatorLayout(lay *graph.PieceLayout) *Simulator {
-	s := &Simulator{g: lay.Graph(), w: traverse.NewWalker(lay.Graph().N())}
-	s.outOff, s.outTo, s.outDist, s.outProbs = lay.Forward()
-	return s
+// live01 is 1 when an edge of probability p can be live, else 0.
+func live01(p float64) int {
+	if p > 0 {
+		return 1
+	}
+	return 0
 }
 
-// Run performs one cascade from the seed set and returns the number of
-// activated nodes (including seeds; duplicate seeds count once). If out
-// is non-nil, activated node ids are appended to it in activation order.
-func (s *Simulator) Run(seeds []int32, rng *xrand.SplitMix64, out *[]int32) int {
-	order := s.w.Run(s.outOff, s.outTo, s.outDist, s.outProbs, seeds, rng)
-	if out != nil {
-		*out = append(*out, order...)
-	}
-	return len(order)
+// world is the per-goroutine scratch of one cascade: the activated stamp
+// and the activation queue.
+type world struct {
+	seen  *bitset.Stamp
+	queue []int32
 }
 
-// EstimateSpread estimates the expected influence spread σ_im(S) of seeds
-// over `runs` Monte-Carlo cascades, parallelized across CPUs. Each run r
-// uses an RNG derived from (seed, r), so the result is independent of the
-// degree of parallelism.
-func EstimateSpread(g *graph.Graph, probs []float64, seeds []int32, runs int, seed uint64) (float64, error) {
-	if runs <= 0 {
-		return 0, fmt.Errorf("cascade: non-positive run count %d", runs)
+func newWorld(n int) *world {
+	return &world{seen: bitset.NewStamp(n), queue: make([]int32, 0, 256)}
+}
+
+// run performs one cascade of a piece from seeds: every kept out-edge of
+// every activated node is live with its probability, one draw of rng (a
+// copy, which keeps its state in a register) each in forward-CSR order,
+// whether or not its target is already active. It returns the activated
+// nodes in activation order, seeds first and duplicate seeds once; the
+// slice aliases the world's queue.
+func (w *world) run(c *liveCSR, seeds []int32, rng xrand.SplitMix64) []int32 {
+	w.seen.Reset()
+	queue := w.queue[:0]
+	for _, s := range seeds {
+		if w.seen.MarkOnce(int(s)) {
+			queue = append(queue, s)
+		}
 	}
-	lay, err := g.Layout(probs)
-	if err != nil {
-		return 0, fmt.Errorf("cascade: %w", err)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > runs {
-		workers = runs
-	}
-	totals := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sim := NewSimulatorLayout(lay)
-			var sum int64
-			for r := w; r < runs; r += workers {
-				rng := xrand.Derive(seed, uint64(r))
-				sum += int64(sim.Run(seeds, rng, nil))
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		lo, hi := c.off[u], c.off[u+1]
+		to := c.to[lo:hi]
+		for i, p := range c.probs[lo:hi] {
+			if rng.Float64() < p && w.seen.MarkOnce(int(to[i])) {
+				queue = append(queue, to[i])
 			}
-			totals[w] = sum
-		}(w)
+		}
 	}
-	wg.Wait()
-	var total int64
-	for _, t := range totals {
-		total += t
-	}
-	return float64(total) / float64(runs), nil
+	w.queue = queue
+	return queue
 }
 
 // EstimateAdoption estimates the adoption utility σ(S̄) of an assignment
-// plan by full forward simulation: in each Monte-Carlo run, every piece j
-// is propagated independently from its seed set S_j (using independent
-// randomness, as the paper's model prescribes), each user's received-piece
-// count is fed through the logistic model, and the per-user adoption
-// probabilities are summed. pieceProbs[j] holds the per-edge probabilities
-// of piece j and plan[j] its seed set.
+// plan over `runs` Monte-Carlo worlds: in each, every piece j propagates
+// independently from its seed set plan[j] under its per-edge
+// probabilities pieceProbs[j] (indexed by edge id, as produced by
+// Graph.PieceProbs), each user's received-piece count is fed through the
+// logistic model, and the per-user adoption probabilities are summed.
 //
-// Runs are parallelized and derive their RNG streams from (seed, run,
-// piece), so results are deterministic for a fixed seed.
-func EstimateAdoption(g *graph.Graph, pieceProbs [][]float64, plan [][]int32, model logistic.Model, runs int, seed uint64) (float64, error) {
-	layouts := make([]*graph.PieceLayout, len(pieceProbs))
-	for j, probs := range pieceProbs {
-		lay, err := g.Layout(probs)
-		if err != nil {
-			return 0, fmt.Errorf("cascade: piece %d: %w", j, err)
-		}
-		layouts[j] = lay
-	}
-	return EstimateAdoptionLayouts(g, layouts, plan, model, runs, seed)
-}
-
-// EstimateAdoptionLayouts is EstimateAdoption over prebuilt piece
-// layouts (for example core.Instance.Layouts), skipping the per-call
-// layout construction.
-func EstimateAdoptionLayouts(g *graph.Graph, layouts []*graph.PieceLayout, plan [][]int32, model logistic.Model, runs int, seed uint64) (float64, error) {
+// Runs are spread over GOMAXPROCS workers, and run r of piece j draws
+// from the stream derived from (seed, r·ℓ+j+1), so for a fixed seed the
+// worlds do not depend on the parallelism (the float sum's order does).
+// Each worker stops between runs once ctx is done, and the call then
+// returns ctx's error.
+func EstimateAdoption(ctx context.Context, g *graph.Graph, pieceProbs [][]float64, plan [][]int32, model logistic.Model, runs int, seed uint64) (float64, error) {
 	if runs <= 0 {
 		return 0, fmt.Errorf("cascade: non-positive run count %d", runs)
 	}
-	l := len(layouts)
+	l := len(pieceProbs)
 	if len(plan) != l {
 		return 0, fmt.Errorf("cascade: plan has %d seed sets for %d pieces", len(plan), l)
-	}
-	for j, lay := range layouts {
-		if lay == nil || lay.Graph() != g {
-			return 0, fmt.Errorf("cascade: piece %d layout not built for this graph", j)
-		}
 	}
 	if err := model.Validate(); err != nil {
 		return 0, err
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > runs {
-		workers = runs
+	live := make([]liveCSR, l)
+	for j, probs := range pieceProbs {
+		if len(probs) != g.M() {
+			return 0, fmt.Errorf("cascade: piece %d: %d probabilities for %d edges", j, len(probs), g.M())
+		}
+		if len(plan[j]) > 0 {
+			live[j] = keepLive(g, probs)
+		}
 	}
-	// Precompute the adoption probability for each possible piece count.
+	// The adoption probability for each possible piece count.
 	adoptAt := make([]float64, l+1)
 	for c := 1; c <= l; c++ {
 		adoptAt[c] = model.Adoption(c)
 	}
+	workers := min(runtime.GOMAXPROCS(0), runs)
 	totals := make([]float64, workers)
+	done := ctx.Done()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sims := make([]*Simulator, l)
-			for j := range sims {
-				sims[j] = NewSimulatorLayout(layouts[j])
-			}
-			counts := bitset.NewCounter(g.N())
-			activated := make([]int32, 0, 1024)
+			wd, counts := newWorld(g.N()), bitset.NewCounter(g.N())
+			var rng xrand.SplitMix64
 			var sum float64
 			for r := w; r < runs; r += workers {
+				select {
+				case <-done:
+					return
+				default:
+				}
 				counts.Reset()
-				for j := 0; j < l; j++ {
+				for j := range live {
 					if len(plan[j]) == 0 {
 						continue
 					}
-					activated = activated[:0]
-					rng := xrand.Derive(seed, uint64(r)*uint64(l)+uint64(j)+1)
-					sims[j].Run(plan[j], rng, &activated)
-					for _, v := range activated {
+					rng.Reseed(seed, uint64(r)*uint64(l)+uint64(j)+1)
+					for _, v := range wd.run(&live[j], plan[j], rng) {
+						// Moving a user from count c-1 to c adds
+						// adoptAt[c]-adoptAt[c-1].
 						c := counts.Add(int(v))
-						// Incremental utility update: moving a user from
-						// count c-1 to c adds adoptAt[c]-adoptAt[c-1].
 						sum += adoptAt[c] - adoptAt[c-1]
 					}
 				}
@@ -195,6 +176,9 @@ func EstimateAdoptionLayouts(g *graph.Graph, layouts []*graph.PieceLayout, plan 
 		}(w)
 	}
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return 0, fmt.Errorf("cascade: %w", err)
+	}
 	var total float64
 	for _, t := range totals {
 		total += t
@@ -202,10 +186,36 @@ func EstimateAdoptionLayouts(g *graph.Graph, layouts []*graph.PieceLayout, plan 
 	return total / float64(runs), nil
 }
 
+// EstimateAdoptionLayouts is EstimateAdoption over piece layouts. It
+// rebuilds each piece's per-edge probabilities from the layout's reverse
+// arrays: a layout's in-range of v is an in-order subsequence of
+// Graph.InNeighbors(v), and a Graph has no parallel edges, so a
+// two-pointer merge finds each stored edge's id.
+func EstimateAdoptionLayouts(g *graph.Graph, layouts []*graph.PieceLayout, plan [][]int32, model logistic.Model, runs int, seed uint64) (float64, error) {
+	pieceProbs := make([][]float64, len(layouts))
+	for j, lay := range layouts {
+		if lay == nil || lay.Graph() != g {
+			return 0, fmt.Errorf("cascade: piece %d layout not built for this graph", j)
+		}
+		pieceProbs[j] = make([]float64, g.M())
+		for v := range int32(g.N()) {
+			from, edges := g.InNeighbors(v)
+			i := 0
+			for pos := lay.InOff[v]; pos < lay.InOff[v+1]; pos, i = pos+1, i+1 {
+				for from[i] != lay.InFrom[pos] {
+					i++
+				}
+				pieceProbs[j][edges[i]] = lay.InProbs[pos]
+			}
+		}
+	}
+	return EstimateAdoption(context.Background(), g, pieceProbs, plan, model, runs, seed)
+}
+
 // ExactAdoptionDeterministic computes σ(S̄) exactly for graphs whose edge
 // probabilities are all 0 or 1 (such as the paper's running example):
-// reachability is deterministic, so one BFS per piece suffices. It returns
-// an error if any edge probability is fractional.
+// reachability is deterministic, so one world is the expectation. It
+// returns an error if any edge probability is fractional.
 func ExactAdoptionDeterministic(g *graph.Graph, pieceProbs [][]float64, plan [][]int32, model logistic.Model) (float64, error) {
 	for j, probs := range pieceProbs {
 		for eid, p := range probs {
@@ -214,30 +224,5 @@ func ExactAdoptionDeterministic(g *graph.Graph, pieceProbs [][]float64, plan [][
 			}
 		}
 	}
-	if err := model.Validate(); err != nil {
-		return 0, err
-	}
-	counts := make([]int, g.N())
-	rng := xrand.New(0) // never consulted: all probabilities are 0 or 1
-	for j, probs := range pieceProbs {
-		if j >= len(plan) || len(plan[j]) == 0 {
-			continue
-		}
-		sim, err := NewSimulator(g, probs)
-		if err != nil {
-			return 0, err
-		}
-		var activated []int32
-		sim.Run(plan[j], rng, &activated)
-		for _, v := range activated {
-			counts[v]++
-		}
-	}
-	total := 0.0
-	for _, c := range counts {
-		if c > 0 {
-			total += model.Adoption(c)
-		}
-	}
-	return total, nil
+	return EstimateAdoption(context.Background(), g, pieceProbs, plan, model, 1, 0)
 }

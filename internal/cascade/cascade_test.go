@@ -1,9 +1,13 @@
 package cascade
 
 import (
+	"context"
+	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"oipa/internal/graph"
 	"oipa/internal/logistic"
@@ -38,58 +42,41 @@ func paperExample(t testing.TB) (*graph.Graph, [][]float64) {
 
 var paperModel = logistic.Model{Alpha: 3, Beta: 1}
 
-func TestRunDeterministicReach(t *testing.T) {
-	g, probs := paperExample(t)
-	sim, err := NewSimulator(g, probs[0])
+// spread is σ_im(seeds) of one piece through the one entry point: with
+// a single piece every activated user holds one piece, so the utility is
+// adopt(1) times the expected number of activated users.
+func spread(t testing.TB, g *graph.Graph, probs []float64, seeds []int32, runs int, seed uint64) float64 {
+	t.Helper()
+	u, err := EstimateAdoption(context.Background(), g, [][]float64{probs}, [][]int32{seeds}, paperModel, runs, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := xrand.New(1)
-	var out []int32
-	n := sim.Run([]int32{0}, rng, &out)
+	return u / paperModel.Adoption(1)
+}
+
+func TestRunDeterministicReach(t *testing.T) {
+	g, probs := paperExample(t)
+	live := keepLive(g, probs[0])
+	out := newWorld(g.N()).run(&live, []int32{0}, *xrand.New(1))
 	// Piece t1 from a reaches a, b, c, d but not e (paper Example 1).
-	if n != 4 || len(out) != 4 {
-		t.Fatalf("spread of t1 from {a} = %d, want 4", n)
-	}
-	reached := map[int32]bool{}
-	for _, v := range out {
-		reached[v] = true
-	}
-	for _, v := range []int32{0, 1, 2, 3} {
-		if !reached[v] {
-			t.Fatalf("node %d not reached", v)
-		}
-	}
-	if reached[4] {
-		t.Fatal("node e reached by t1")
+	if !slices.Equal(out, []int32{0, 1, 2, 3}) {
+		t.Fatalf("t1 from {a} activated %v, want [0 1 2 3]", out)
 	}
 }
 
 func TestRunDedupesSeeds(t *testing.T) {
 	g, probs := paperExample(t)
-	sim, _ := NewSimulator(g, probs[0])
-	n := sim.Run([]int32{0, 0, 0}, xrand.New(1), nil)
-	if n != 4 {
-		t.Fatalf("duplicate seeds inflated spread: %d", n)
-	}
-}
-
-func TestNewSimulatorValidates(t *testing.T) {
-	g, _ := paperExample(t)
-	if _, err := NewSimulator(g, make([]float64, 2)); err == nil {
-		t.Fatal("wrong probability count accepted")
+	live := keepLive(g, probs[0])
+	if out := newWorld(g.N()).run(&live, []int32{0, 0, 3, 0}, *xrand.New(1)); !slices.Equal(out, []int32{0, 3, 1, 2}) {
+		t.Fatalf("seeds [0 0 3 0] activated %v, want [0 3 1 2]: distinct seeds once, in order, first", out)
 	}
 }
 
 func TestEstimateSpreadDeterministicGraph(t *testing.T) {
 	g, probs := paperExample(t)
-	got, err := EstimateSpread(g, probs[1], []int32{4}, 100, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// t2 from e deterministically reaches e, d, c, b.
-	if got != 4 {
-		t.Fatalf("EstimateSpread = %v, want exactly 4", got)
+	if got := spread(t, g, probs[1], []int32{4}, 100, 7); math.Abs(got-4) > 1e-12 {
+		t.Fatalf("spread = %v, want 4", got)
 	}
 }
 
@@ -103,39 +90,35 @@ func TestEstimateSpreadBernoulliEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probs := g.PieceProbs(topic.SingleTopic(0))
-	got, err := EstimateSpread(g, probs, []int32{0}, 200000, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-1.3) > 0.01 {
-		t.Fatalf("EstimateSpread = %v, want about 1.3", got)
+	if got := spread(t, g, g.PieceProbs(topic.SingleTopic(0)), []int32{0}, 200000, 42); math.Abs(got-1.3) > 0.01 {
+		t.Fatalf("spread = %v, want about 1.3", got)
 	}
 }
 
 func TestEstimateSpreadDeterministicAcrossParallelism(t *testing.T) {
-	g, probs := paperExample(t)
-	// Same seed must give bit-identical results regardless of GOMAXPROCS,
-	// because RNG streams derive from the run index.
+	g, probs := fractionalGraph(t)
+	// Run r draws from a stream derived from (seed, r), so the worlds do
+	// not depend on GOMAXPROCS; only the float sum's order does.
 	old := runtime.GOMAXPROCS(1)
-	serial, err := EstimateSpread(g, probs[0], []int32{0, 4}, 1000, 99)
+	serial := spread(t, g, probs[0], []int32{0, 4}, 1000, 99)
 	runtime.GOMAXPROCS(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := EstimateSpread(g, probs[0], []int32{0, 4}, 1000, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != parallel {
+	parallel := spread(t, g, probs[0], []int32{0, 4}, 1000, 99)
+	if math.Abs(serial-parallel) > 1e-9*serial {
 		t.Fatalf("parallel (%v) != serial (%v)", parallel, serial)
+	}
+	if again := spread(t, g, probs[0], []int32{0, 4}, 1000, 99); again != parallel {
+		t.Fatalf("rerun %v != %v", again, parallel)
 	}
 }
 
 func TestEstimateSpreadErrors(t *testing.T) {
 	g, probs := paperExample(t)
-	if _, err := EstimateSpread(g, probs[0], []int32{0}, 0, 1); err == nil {
+	ctx := context.Background()
+	if _, err := EstimateAdoption(ctx, g, probs[:1], [][]int32{{0}}, paperModel, 0, 1); err == nil {
 		t.Fatal("zero runs accepted")
+	}
+	if _, err := EstimateAdoption(ctx, g, [][]float64{make([]float64, 2)}, [][]int32{{0}}, paperModel, 10, 1); err == nil {
+		t.Fatal("wrong probability count accepted")
 	}
 }
 
@@ -201,7 +184,7 @@ func TestEstimateAdoptionMatchesExactOnDeterministicGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := EstimateAdoption(g, probs, plan, paperModel, 50, 3)
+	est, err := EstimateAdoption(context.Background(), g, probs, plan, paperModel, 50, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +195,7 @@ func TestEstimateAdoptionMatchesExactOnDeterministicGraph(t *testing.T) {
 
 func TestEstimateAdoptionEmptyPlanIsZero(t *testing.T) {
 	g, probs := paperExample(t)
-	got, err := EstimateAdoption(g, probs, [][]int32{nil, nil}, paperModel, 10, 1)
+	got, err := EstimateAdoption(context.Background(), g, probs, [][]int32{nil, nil}, paperModel, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +207,11 @@ func TestEstimateAdoptionEmptyPlanIsZero(t *testing.T) {
 func TestEstimateAdoptionMonotone(t *testing.T) {
 	// Adding a seed never decreases utility (σ is monotone, §IV-A).
 	g, probs := paperExample(t)
-	small, err := EstimateAdoption(g, probs, [][]int32{{0}, nil}, paperModel, 500, 11)
+	small, err := EstimateAdoption(context.Background(), g, probs, [][]int32{{0}, nil}, paperModel, 500, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := EstimateAdoption(g, probs, [][]int32{{0}, {4}}, paperModel, 500, 11)
+	large, err := EstimateAdoption(context.Background(), g, probs, [][]int32{{0}, {4}}, paperModel, 500, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +242,7 @@ func TestEstimateAdoptionBernoulli(t *testing.T) {
 	}
 	m := logistic.Model{Alpha: 2, Beta: 1}
 	want := m.Adoption(2) + 0.25*m.Adoption(2) + 0.5*m.Adoption(1)
-	got, err := EstimateAdoption(g, probs, [][]int32{{0}, {0}}, m, 400000, 123)
+	got, err := EstimateAdoption(context.Background(), g, probs, [][]int32{{0}, {0}}, m, 400000, 123)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,47 +253,123 @@ func TestEstimateAdoptionBernoulli(t *testing.T) {
 
 func TestEstimateAdoptionValidates(t *testing.T) {
 	g, probs := paperExample(t)
-	if _, err := EstimateAdoption(g, probs, [][]int32{{0}}, paperModel, 10, 1); err == nil {
+	if _, err := EstimateAdoption(context.Background(), g, probs, [][]int32{{0}}, paperModel, 10, 1); err == nil {
 		t.Fatal("plan/piece count mismatch accepted")
 	}
-	if _, err := EstimateAdoption(g, probs, [][]int32{{0}, {4}}, paperModel, 0, 1); err == nil {
+	if _, err := EstimateAdoption(context.Background(), g, probs, [][]int32{{0}, {4}}, paperModel, 0, 1); err == nil {
 		t.Fatal("zero runs accepted")
 	}
-	if _, err := EstimateAdoption(g, probs, [][]int32{{0}, {4}}, logistic.Model{}, 10, 1); err == nil {
+	if _, err := EstimateAdoption(context.Background(), g, probs, [][]int32{{0}, {4}}, logistic.Model{}, 10, 1); err == nil {
 		t.Fatal("invalid model accepted")
 	}
 }
 
 func TestEstimateAdoptionDeterministicAcrossParallelism(t *testing.T) {
-	g, probs := paperExample(t)
-	plan := [][]int32{{0}, {4}}
+	g, probs := fractionalGraph(t)
+	plan := [][]int32{{0, 9}, {4, 9}}
 	old := runtime.GOMAXPROCS(1)
-	serial, err := EstimateAdoption(g, probs, plan, paperModel, 200, 5)
+	serial, err := EstimateAdoption(context.Background(), g, probs, plan, paperModel, 200, 5)
 	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := EstimateAdoption(g, probs, plan, paperModel, 200, 5)
+	parallel, err := EstimateAdoption(context.Background(), g, probs, plan, paperModel, 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(serial-parallel) > 1e-9 {
+	if math.Abs(serial-parallel) > 1e-9*serial {
 		t.Fatalf("parallel (%v) != serial (%v)", parallel, serial)
 	}
 }
 
+// TestEstimateAdoptionStopsWhenDone: a done context stops the workers
+// between runs, and the call reports the context's error instead of a
+// utility, however many runs were asked for.
+func TestEstimateAdoptionStopsWhenDone(t *testing.T) {
+	g, probs := fractionalGraph(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := EstimateAdoption(ctx, g, probs, [][]int32{{0}, {4}}, paperModel, 1<<40, 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled estimate returned %v, want context.Canceled", err)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, err := EstimateAdoption(ctx, g, probs, [][]int32{{0}, {4}}, paperModel, 1<<40, 1); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired estimate returned %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestEstimateAdoptionLayoutsMatchesProbs: the layout forwarder recovers
+// each piece's per-edge probabilities from explicit and from pruned
+// topic-built layouts, so both give EstimateAdoption's number bit for
+// bit.
+func TestEstimateAdoptionLayoutsMatchesProbs(t *testing.T) {
+	g, probs := fractionalGraph(t)
+	pieces := []topic.Vector{topic.SingleTopic(0), {Idx: []int32{1, 2}, Val: []float64{0.5, 0.5}}}
+	probs = [][]float64{g.PieceProbs(pieces[0]), g.PieceProbs(pieces[1])}
+	plan := [][]int32{{0, 9, 33}, {4, 9}}
+	want, err := EstimateAdoption(context.Background(), g, probs, plan, paperModel, 500, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, build := range []func(int) (*graph.PieceLayout, error){
+		func(j int) (*graph.PieceLayout, error) { return g.Layout(probs[j]) },
+		func(j int) (*graph.PieceLayout, error) { return g.PieceLayout(pieces[j]) },
+	} {
+		layouts := make([]*graph.PieceLayout, len(pieces))
+		for j := range layouts {
+			if layouts[j], err = build(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, err := EstimateAdoptionLayouts(g, layouts, plan, paperModel, 500, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("EstimateAdoptionLayouts = %v, EstimateAdoption = %v", got, want)
+		}
+	}
+
+}
+
 func BenchmarkRunCascade(b *testing.B) {
 	g, probs := benchGraph(b)
-	sim, err := NewSimulator(g, probs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := xrand.New(1)
+	live := keepLive(g, probs)
+	wd := newWorld(g.N())
 	seeds := []int32{0, 1, 2, 3, 4}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sim.Run(seeds, rng, nil)
+		wd.run(&live, seeds, *xrand.Derive(1, uint64(i)))
 	}
+}
+
+// fractionalGraph is a 60-node graph over three topics whose edges carry
+// fractional probabilities, with per-piece probabilities for topics 0
+// and 1.
+func fractionalGraph(t testing.TB) (*graph.Graph, [][]float64) {
+	t.Helper()
+	r := xrand.New(5)
+	const n = 60
+	b := graph.NewBuilder(n, 3)
+	seen := map[[2]int32]bool{}
+	for b.M() < 300 {
+		u, v := int32(r.Intn(n)), int32(r.Intn(n))
+		if u == v || seen[[2]int32{u, v}] {
+			continue
+		}
+		seen[[2]int32{u, v}] = true
+		dense := make([]float64, 3)
+		dense[r.Intn(3)] = 0.1 + 0.4*r.Float64()
+		if err := b.AddEdge(u, v, topic.FromDense(dense)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, [][]float64{g.PieceProbs(topic.SingleTopic(0)), g.PieceProbs(topic.SingleTopic(1))}
 }
 
 func benchGraph(b *testing.B) (*graph.Graph, []float64) {
@@ -336,62 +395,4 @@ func benchGraph(b *testing.B) (*graph.Graph, []float64) {
 		b.Fatal(err)
 	}
 	return g, g.PieceProbs(topic.SingleTopic(0))
-}
-
-// TestForwardGeoSkipMatchesFlip cross-checks the simulator's two
-// expansion strategies: on a graph whose out-edges are uniform per node
-// (so every node takes the geometric-skip path), spread estimates must
-// match a simulator whose layout has uniformity detection defeated (the
-// per-edge-flip reference).
-func TestForwardGeoSkipMatchesFlip(t *testing.T) {
-	r := xrand.New(3)
-	const n = 500
-	b := graph.NewBuilder(n, 1)
-	// Assign each source one fixed fractional probability for all of its
-	// out-edges, so every out-range is uniform.
-	for u := int32(0); u < n; u++ {
-		p := 0.02 + 0.1*r.Float64()
-		deg := 10 + r.Intn(10)
-		seen := map[int32]bool{}
-		for d := 0; d < deg; d++ {
-			v := int32(r.Intn(n))
-			if v == u || seen[v] {
-				continue
-			}
-			seen[v] = true
-			if err := b.AddEdge(u, v, topic.FromDense([]float64{p})); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	probs := g.PieceProbs(topic.SingleTopic(0))
-	lay, err := g.Layout(probs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipLay := &graph.PieceLayout{}
-	*flipLay = *lay
-	flipLay.OutDist = append([]graph.NodeDist(nil), lay.OutDist...)
-	for v := range flipLay.OutDist {
-		flipLay.OutDist[v] = graph.NodeDist{Uniform: -1}
-	}
-	seeds := []int32{0, 7, 99}
-	const runs = 60000
-	run := func(lay *graph.PieceLayout, seed uint64) float64 {
-		sim := NewSimulatorLayout(lay)
-		total := 0
-		for r := 0; r < runs; r++ {
-			total += sim.Run(seeds, xrand.Derive(seed, uint64(r)), nil)
-		}
-		return float64(total) / runs
-	}
-	geo := run(lay, 77)
-	flip := run(flipLay, 78)
-	if tol := 0.05*flip + 0.3; math.Abs(geo-flip) > tol {
-		t.Fatalf("forward spread: geoskip %.3f vs flip %.3f", geo, flip)
-	}
 }

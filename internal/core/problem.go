@@ -158,9 +158,9 @@ func (p Plan) Size() int {
 type Instance struct {
 	Problem *Problem
 	// Layouts[j] is piece j's influence graph (see graph.PieceLayout).
-	// Sampling consumes them at Prepare time, parameter sweeps
-	// (WithK/WithModel) share them, and the forward simulator
-	// (cascade.EstimateAdoptionLayouts) takes them as they are.
+	// Sampling consumes them at Prepare time and parameter sweeps
+	// (WithK/WithModel) share them; the forward simulator reads the
+	// graph, not them.
 	Layouts []*graph.PieceLayout
 	MRR     *rrset.MRRCollection
 	Index   *rrset.Index

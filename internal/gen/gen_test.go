@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"oipa/internal/stats"
@@ -91,7 +92,7 @@ func TestGenerateEdgesHeavyTail(t *testing.T) {
 	for _, e := range edges {
 		indeg[e.To]++
 	}
-	max, _ := stats.Max(indeg)
+	max := slices.Max(indeg)
 	mean := stats.Mean(indeg)
 	if max < 8*mean {
 		t.Fatalf("in-degree max %v not heavy-tailed vs mean %v", max, mean)

@@ -14,15 +14,15 @@
 // piece's homogeneous influence graph G_j (§V-A) as a reverse CSR with
 // the activation probabilities in position order and per-node summaries
 // (NodeDist), enabling sequential probability reads and geometric-skip
-// edge sampling in the rrset and cascade packages. Walks read a layout's
-// walk views (PieceLayout.Reverse, Forward), which hold only the edges
-// with p > 0. A layout built from a topic vector (Graph.PieceLayout,
-// LayoutCache.Get, Multiplex.Layouts) stores only those — edges with
-// p(t, e) = 0 are not in G_j — and is its own reverse view; a layout
-// built from an explicit probability vector (Graph.Layout) keeps its
-// exported arrays position-aligned with Graph.InCSR/OutCSR, which is
-// what tests and harnesses that index by graph position rely on, and
-// builds pruned views on first use. Both walk to identical sets.
+// edge sampling in the rrset package. Walks read a layout's reverse walk
+// view (PieceLayout.Reverse), which holds only the edges with p > 0. A
+// layout built from a topic vector (Graph.PieceLayout, LayoutCache.Get,
+// Multiplex.Layouts) stores only those — edges with p(t, e) = 0 are not
+// in G_j — and is its own reverse view; a layout built from an explicit
+// probability vector (Graph.Layout) keeps its exported arrays
+// position-aligned with the graph's CSRs, which is what tests and
+// harnesses that index by graph position rely on, and builds the pruned
+// view on first use. Both walk to identical sets.
 //
 // A Builder is the one way to make a Graph: the generator fills it with
 // AddEdge, which copies each vector's entries into flat arrays, and Read
@@ -123,11 +123,29 @@ func (g *Graph) vectorAt(pos int32) topic.Vector {
 // [0, 1]. This materializes the per-piece homogeneous influence graph the
 // paper constructs for each t_j (§V-A) and is computed once per piece.
 func (g *Graph) PieceProbs(t topic.Vector) []float64 {
+	dense := make([]float64, g.Z())
+	for i, z := range t.Idx {
+		if int(z) < len(dense) {
+			dense[z] = t.Val[i]
+		}
+	}
 	out := make([]float64, g.M())
 	for pos, eid := range g.inEdge {
-		out[eid] = clamp01(t.Dot(g.vectorAt(int32(pos))))
+		out[eid] = clamp01(g.denseDot(dense, int64(pos)))
 	}
 	return out
+}
+
+// denseDot is p(t, e) before clamping for the in-edge at reverse-CSR
+// position pos, the piece's topic weights given densely: the edge's flat
+// topic entries dotted with them in ascending index order — bit for bit
+// Vector.Dot's merge, since a topic absent from the piece contributes +0.
+func (g *Graph) denseDot(dense []float64, pos int64) float64 {
+	var p float64
+	for k := g.topicOff[pos]; k < g.topicOff[pos+1]; k++ {
+		p += dense[g.topicIdx[k]] * g.topicVal[k]
+	}
+	return p
 }
 
 // AvgDegree returns the average out-degree m/n.

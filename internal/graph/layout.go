@@ -46,37 +46,39 @@ type NodeDist struct {
 }
 
 // PieceLayout is one viral piece's homogeneous influence graph G_j
-// (paper §V-A) materialized in traversal order: a reverse CSR carrying
-// the activation probability of every in-edge next to its source, plus
-// the per-node summaries that enable geometric-skip sampling
-// (SUBSIM-style). Samplers walk the layout's walk views —
+// (paper §V-A) materialized in reverse traversal order: a reverse CSR
+// carrying the activation probability of every in-edge next to its
+// source, plus the per-node summaries that enable geometric-skip sampling
+// (SUBSIM-style). The RR samplers walk the layout's reverse walk view —
 //
 //	walker.RunFrom(off, from, dist, probs, root, rng) // off, from, dist, probs := lay.Reverse()
 //
 // — and read probabilities sequentially instead of through a per-edge-id
-// indirection. A walk view holds only the edges with p > 0, and its
-// NodeDist describes exactly those; Reverse and Forward return them.
+// indirection. The walk view holds only the in-edges with p > 0, and its
+// NodeDist describes exactly those. A layout has no forward side: the
+// forward cascade simulator (internal/cascade) reads the graph's own
+// out-edges and never a layout.
 //
 // There are two constructors:
 //
 //   - Graph.PieceLayout(t) builds the layout of a topic distribution. The
 //     reverse CSR is pruned: an edge whose topics do not meet the piece's
 //     has p(t, e) = 0, is not in G_j, and is not stored. Its own
-//     InOff/InFrom/InProbs/InDist are its reverse walk view. The forward
-//     view is built on first use (Forward).
+//     InOff/InFrom/InProbs/InDist are its reverse walk view.
 //   - Graph.Layout(probs) builds the layout of an explicit per-edge
 //     probability vector. Its exported arrays are not pruned: InOff/InFrom
 //     alias the graph's reverse CSR, so InProbs and InDist are
-//     position-aligned with Graph.InCSR, and OutProbs/OutDist with
-//     Graph.OutCSR; tests and harnesses that index a layout by graph CSR
-//     position use this one. When probs holds a zero, each direction's
-//     walk view is the pruned copy of those arrays, built once on the
-//     first walk; otherwise the arrays are the views.
+//     position-aligned with Graph.InCSR, and OutProbs/OutDist with the
+//     graph's forward CSR; tests and harnesses that index a layout by
+//     graph CSR position use this one. When probs holds a zero, the
+//     reverse walk view is the pruned copy of the reverse arrays, built
+//     once on the first walk; otherwise the arrays are the view.
 //
-// The walk views of the two constructors over the same probabilities are
-// equal array for array, so every walk draws the same sets from either.
+// The reverse walk views of the two constructors over the same
+// probabilities are equal array for array, so every walk draws the same
+// sets from either.
 //
-// Layouts are immutable after construction (the lazily built views are
+// Layouts are immutable after construction (the lazily built view is
 // guarded) and safe for concurrent use.
 type PieceLayout struct {
 	g *Graph
@@ -93,27 +95,21 @@ type PieceLayout struct {
 	// InDist[v] describes v's stored in-edge range.
 	InDist []NodeDist
 
-	// OutProbs/OutDist are the forward analogue, in the position order of
-	// Graph.OutCSR. Only explicit-probability layouts fill them at
-	// construction; on a topic-built layout they stay nil and Forward
-	// builds the forward view on demand.
+	// OutProbs/OutDist are the forward analogue, in the graph's
+	// forward-CSR position order (Graph.OutNeighbors, node by node). Only
+	// explicit-probability layouts fill them; no walk reads them.
 	OutProbs []float64
 	OutDist  []NodeDist
 
-	// piece is the topic vector of a topic-built layout (nil on explicit
-	// layouts); its forward view is built from it.
-	piece *topic.Vector
-
-	// rev and fwd are the walk views built on first use: rev on an
-	// explicit layout whose probabilities hold a zero (nil otherwise: the
-	// exported reverse arrays are the view), fwd on every topic-built
-	// layout and on such an explicit one. Pointers, so copies of the
-	// layout value share one build.
-	rev, fwd *lazyView
+	// rev is the reverse walk view built on first use on an explicit
+	// layout whose probabilities hold a zero (nil otherwise: the exported
+	// reverse arrays are the view). A pointer, so copies of the layout
+	// value share one build.
+	rev *lazyView
 }
 
-// walkView is one direction of a layout as a walk reads it, plus the
-// bytes it owns beyond the arrays it aliases.
+// walkView is a layout as a walk reads it, plus the bytes it owns beyond
+// the arrays it aliases.
 type walkView struct {
 	off   []int64
 	adj   []int32
@@ -156,7 +152,7 @@ func (z *lazyView) bytes() int64 {
 // Graph returns the graph the layout was built for.
 func (l *PieceLayout) Graph() *Graph { return l.g }
 
-// Reverse returns the reverse walk view in Walker.Run argument order: the
+// Reverse returns the reverse walk view in Walker.RunFrom argument order: the
 // CSR of the in-edges with p > 0, their per-node summaries and their
 // probabilities. On a topic-built layout these are its own reverse
 // arrays; on an explicit one whose probabilities hold a zero, the first
@@ -170,36 +166,16 @@ func (l *PieceLayout) Reverse() (off []int64, from []int32, dist []NodeDist, pro
 	return v.off, v.adj, v.dist, v.probs
 }
 
-// Forward returns the forward walk view in Walker.Run argument order: the
-// CSR of the out-edges with p > 0 (the graph's forward CSR itself when
-// none is zero), their per-node summaries and their probabilities. On a
-// topic-built layout the first call builds it (exactly once, however many
-// goroutines ask); the solve and estimate paths never call it, so cached
-// layouts carry no forward arrays until /v1/simulate needs them.
-func (l *PieceLayout) Forward() (off []int64, to []int32, dist []NodeDist, probs []float64) {
-	off, to = l.g.OutCSR()
-	if l.fwd == nil {
-		return off, to, l.OutDist, l.OutProbs
-	}
-	v := l.fwd.get(func() walkView {
-		if l.piece != nil {
-			return layView(off, to, l.g.outEdge, l.g.PieceProbs(*l.piece), true)
-		}
-		return layView(off, to, nil, l.OutProbs, true)
-	})
-	return v.off, v.adj, v.dist, v.probs
-}
-
 // MemUsage returns the bytes the layout holds beyond the graph itself:
 // the arrays it owns (an explicit-probability layout aliases the graph's
-// InOff/InFrom and is not charged for them) plus the walk views built so
+// InOff/InFrom and is not charged for them) plus the walk view built so
 // far.
 func (l *PieceLayout) MemUsage() int64 {
 	b := int64(cap(l.InProbs))*8 + int64(cap(l.InDist))*24 + int64(cap(l.OutProbs))*8 + int64(cap(l.OutDist))*24
-	if l.piece != nil {
+	if &l.InOff[0] != &l.g.inOff[0] {
 		b += int64(cap(l.InOff))*8 + int64(cap(l.InFrom))*4
 	}
-	return b + l.rev.bytes() + l.fwd.bytes()
+	return b + l.rev.bytes()
 }
 
 // InCSR exposes the reverse-CSR arrays: the in-neighbors of v are
@@ -208,14 +184,10 @@ func (l *PieceLayout) MemUsage() int64 {
 // position-aligned with them; walk any layout through Reverse instead.
 func (g *Graph) InCSR() (off []int64, from []int32) { return g.inOff, g.inFrom }
 
-// OutCSR exposes the forward-CSR arrays: the out-neighbors of u are
-// to[off[u]:off[u+1]]. Same aliasing caveat as InCSR.
-func (g *Graph) OutCSR() (off []int64, to []int32) { return g.outOff, g.outTo }
-
 // Layout builds the PieceLayout of an explicit per-edge probability
 // vector (indexed by edge id, as produced by PieceProbs). Its exported
 // arrays are not pruned: the reverse ones are position-aligned with InCSR
-// and the forward ones with OutCSR. Cost is O(n + m).
+// and the forward ones with the forward CSR. Cost is O(n + m).
 func (g *Graph) Layout(probs []float64) (*PieceLayout, error) {
 	if len(probs) != g.M() {
 		return nil, fmt.Errorf("graph: %d probabilities for %d edges", len(probs), g.M())
@@ -224,7 +196,7 @@ func (g *Graph) Layout(probs []float64) (*PieceLayout, error) {
 	out := layView(g.outOff, g.outTo, g.outEdge, probs, false)
 	l := &PieceLayout{g: g, InOff: in.off, InFrom: in.adj, InProbs: in.probs, InDist: in.dist, OutProbs: out.probs, OutDist: out.dist}
 	if slices.ContainsFunc(probs, dead) {
-		l.rev, l.fwd = &lazyView{}, &lazyView{}
+		l.rev = &lazyView{}
 	}
 	return l, nil
 }
@@ -238,7 +210,7 @@ func (g *Graph) PieceLayout(t topic.Vector) (*PieceLayout, error) {
 	if err := g.checkPiece(t); err != nil {
 		return nil, err
 	}
-	return g.pieceLayout(t.Clone()), nil
+	return g.buildLayout(t.Dense(g.Z())), nil
 }
 
 // checkPiece vets a piece's topic vector against the graph's topic space.
@@ -252,26 +224,14 @@ func (g *Graph) checkPiece(t topic.Vector) error {
 	return nil
 }
 
-// pieceLayout is PieceLayout over a vector checkPiece has accepted; the
-// layout keeps t, which the caller must not modify afterwards.
-func (g *Graph) pieceLayout(t topic.Vector) *PieceLayout {
-	l := g.buildLayout(t.Dense(g.Z()))
-	l.piece, l.fwd = &t, &lazyView{}
-	return l
-}
-
 // buildLayout is the topic constructor's builder. It streams every
 // node's in-range once, taking the probability of the in-edge at graph
-// position pos from the piece's dense topic weights, dotted with the
-// edge's flat topic entries in ascending index order — bit for bit
-// Vector.Dot's merge, since a topic absent from the piece contributes
-// +0 — clamped like PieceProbs, and kept in the layout's own pruned CSR
-// only when positive. InDist[v] summarizes the kept edges, so the layout
+// position pos as PieceProbs does (denseDot, clamped), and keeps it in
+// the layout's own pruned CSR only when positive. InDist[v] summarizes the kept edges, so the layout
 // equals the walk view of the explicit layout of PieceProbs(t).
 func (g *Graph) buildLayout(dense []float64) *PieceLayout {
 	n, m := g.N(), g.M()
 	l := &PieceLayout{g: g, InOff: make([]int64, n+1), InFrom: make([]int32, m), InProbs: make([]float64, m), InDist: make([]NodeDist, n)}
-	tOff, tIdx, tVal := g.topicOff, g.topicIdx, g.topicVal
 	// w is the write cursor into the layout's arrays. Every edge is
 	// written at w; only a kept edge advances it, so a pruned edge is
 	// overwritten by the next one without a data-dependent branch.
@@ -279,11 +239,7 @@ func (g *Graph) buildLayout(dense []float64) *PieceLayout {
 	for v := 0; v < n; v++ {
 		start := w
 		for pos := g.inOff[v]; pos < g.inOff[v+1]; pos++ {
-			var p float64
-			for k := tOff[pos]; k < tOff[pos+1]; k++ {
-				p += dense[tIdx[k]] * tVal[k]
-			}
-			p = clamp01(p)
+			p := clamp01(g.denseDot(dense, pos))
 			keep := int64(1)
 			if dead(p) {
 				keep = 0

@@ -53,10 +53,7 @@ type layoutBuild struct {
 // capacity most recently used layouts alive (capacity <= 0: none, so a
 // layout lives exactly as long as a caller holds it). A layout is the
 // piece's pruned reverse CSR: 12 bytes per live edge (an edge the piece
-// gives a positive probability) plus 32 per node, and as much again once
-// a forward simulation has asked for the forward view (8 per graph edge
-// plus 24 per node when every edge is live, the graph's forward CSR then
-// serving as its own; MemUsage reports what is actually held).
+// gives a positive probability) plus 32 per node.
 func NewLayoutCache(g *Graph, capacity int) *LayoutCache {
 	return &LayoutCache{g: g, capacity: max(capacity, 0), entries: make(map[uint64][]*layoutEntry)}
 }
@@ -67,7 +64,7 @@ func (c *LayoutCache) Graph() *Graph { return c.g }
 // Get returns the PieceLayout of a piece with topic distribution t: the
 // live layout of an equal vector when there is one (a hit), otherwise a
 // fresh build (a miss). The returned layout is shared: it is immutable
-// and safe for concurrent use by any number of samplers and simulators.
+// and safe for concurrent use by any number of samplers.
 func (c *LayoutCache) Get(t topic.Vector) (*PieceLayout, error) {
 	if err := c.g.checkPiece(t); err != nil {
 		return nil, err
@@ -103,7 +100,7 @@ func (c *LayoutCache) Get(t topic.Vector) (*PieceLayout, error) {
 	c.entries[h] = append(c.entries[h], e)
 	c.mu.Unlock()
 
-	lay := c.g.pieceLayout(e.t)
+	lay := c.g.buildLayout(e.t.Dense(c.g.Z()))
 	b.lay = lay
 	close(b.done)
 	runtime.AddCleanup(lay, c.remove, e)
@@ -171,8 +168,8 @@ func (c *LayoutCache) live() []*PieceLayout {
 // Len returns the number of live built layouts in the index.
 func (c *LayoutCache) Len() int { return len(c.live()) }
 
-// MemUsage sums PieceLayout.MemUsage over the live built layouts, forward
-// sides included once built: the layout bytes alive, whoever holds them.
+// MemUsage sums PieceLayout.MemUsage over the live built layouts: the
+// layout bytes alive, whoever holds them.
 func (c *LayoutCache) MemUsage() int64 {
 	b := int64(0)
 	for _, lay := range c.live() {

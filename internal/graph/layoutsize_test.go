@@ -23,7 +23,7 @@ func benchmarkGraph(tb testing.TB) *graph.Graph {
 // TestCachedLayoutIsHalfTheUnprunedSize pins the memory claim on the
 // benchmark graph: a cache-built layout of a 2-of-9-topics piece holds at
 // most half of the 16·m + 48·n bytes an unpruned two-direction layout
-// costs — and, never having been simulated on, no forward arrays.
+// costs, and no more than its reverse arrays.
 func TestCachedLayoutIsHalfTheUnprunedSize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates the 300k-edge benchmark graph")
@@ -41,7 +41,7 @@ func TestCachedLayoutIsHalfTheUnprunedSize(t *testing.T) {
 			t.Fatalf("piece %d: cache-built layout holds %d bytes, more than half of the unpruned %d", i, got, unpruned)
 		}
 		if want := int64(8*len(lay.InOff) + 4*len(lay.InFrom) + 8*len(lay.InProbs) + 24*len(lay.InDist)); lay.MemUsage() != want {
-			t.Fatalf("piece %d: MemUsage %d, reverse arrays alone are %d: forward arrays were built", i, lay.MemUsage(), want)
+			t.Fatalf("piece %d: MemUsage %d, reverse arrays alone are %d", i, lay.MemUsage(), want)
 		}
 	}
 	explicit, err := g.Layout(g.PieceProbs(topic.SingleTopic(0)))

@@ -40,11 +40,10 @@ func sparseTopicGraph(tb testing.TB, seed uint64, n, m, z, keep int) *Graph {
 	return g
 }
 
-// TestFusedDotEqualsVectorDot pins the arithmetic the pruned layout rests
-// on: the streaming dense-lookup dot of PieceLayout equals
-// Vector.Dot — and therefore PieceProbs — bit for bit, on random sparse
-// piece vectors (zeros stored explicitly, weights above 1, empty vectors
-// included).
+// TestFusedDotEqualsVectorDot pins the arithmetic the pruned layout and
+// PieceProbs rest on: their dense-lookup dot equals Vector.Dot bit for
+// bit, on random sparse piece vectors (zeros stored explicitly, weights
+// above 1, empty vectors included).
 func TestFusedDotEqualsVectorDot(t *testing.T) {
 	const z = 9
 	g := sparseTopicGraph(t, 3, 200, 2400, z, 2)
@@ -70,7 +69,11 @@ func TestFusedDotEqualsVectorDot(t *testing.T) {
 			from, eids := g.InNeighbors(v)
 			var want []liveEdge
 			for i, eid := range eids {
-				if p := probs[eid]; p > 0 {
+				p := min(piece.Dot(g.EdgeProb(eid)), 1)
+				if math.Float64bits(probs[eid]) != math.Float64bits(p) {
+					return false
+				}
+				if p > 0 {
 					want = append(want, liveEdge{from[i], p})
 				}
 			}
@@ -121,14 +124,15 @@ func TestPieceLayoutMatchesExplicitLayout(t *testing.T) {
 	}
 }
 
-// TestForwardBuiltOnceUnderRace has many goroutines ask one topic-built
-// layout — and a by-value copy of it — for the forward side at once: all
-// must see the same arrays, equal to the explicit constructor's, and the
-// layout's accounted size must grow by exactly one forward side.
-func TestForwardBuiltOnceUnderRace(t *testing.T) {
+// TestReverseViewBuiltOnceUnderRace has many goroutines ask one explicit
+// layout whose probabilities hold zeros — and a by-value copy of it — for
+// its reverse walk view at once: all must see the same arrays, equal to
+// the topic-built layout's, and the layout's accounted size must grow by
+// exactly one pruned view.
+func TestReverseViewBuiltOnceUnderRace(t *testing.T) {
 	g := sparseTopicGraph(t, 5, 300, 3000, 4, 2)
 	piece := topic.Vector{Idx: []int32{0, 2}, Val: []float64{0.4, 0.6}}
-	lay, err := g.PieceLayout(piece)
+	lay, err := g.Layout(g.PieceProbs(piece))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,27 +150,25 @@ func TestForwardBuiltOnceUnderRace(t *testing.T) {
 			if w%2 == 1 {
 				l = &cp
 			}
-			_, _, dists[w], probs[w] = l.Forward()
+			_, _, dists[w], probs[w] = l.Reverse()
 			_ = l.MemUsage()
 		}(w)
 	}
 	wg.Wait()
 	for w := 1; w < workers; w++ {
 		if &dists[w][0] != &dists[0][0] || &probs[w][0] != &probs[0][0] {
-			t.Fatalf("goroutine %d saw a different forward build", w)
+			t.Fatalf("goroutine %d saw a different reverse build", w)
 		}
 	}
-	want, err := g.Layout(g.PieceProbs(piece))
+	want, err := g.PieceLayout(piece)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, wantDist, wantProbs := want.Forward()
-	if !slices.Equal(probs[0], wantProbs) || !slices.Equal(dists[0], wantDist) {
-		t.Fatal("lazily built forward side differs from the explicit constructor's")
+	if !slices.Equal(probs[0], want.InProbs) || !slices.Equal(dists[0], want.InDist) {
+		t.Fatal("lazily built reverse view differs from the topic-built layout")
 	}
-	// The forward view keeps the same live edges as the reverse one, so
-	// it is the same size: its own CSR, probabilities and summaries.
-	if got, want := lay.MemUsage()-before, before; got != want {
-		t.Fatalf("forward side accounted as %d bytes, want %d", got, want)
+	// The pruned view is what the topic-built layout holds in all.
+	if got, want := lay.MemUsage()-before, want.MemUsage(); got != want {
+		t.Fatalf("reverse view accounted as %d bytes, want %d", got, want)
 	}
 }

@@ -94,22 +94,11 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is an immutable copy of a histogram over the global
-// bucket layout. Snapshots merge bucket-wise (Merge) and answer
-// quantile queries against the bucket bounds.
+// bucket layout. It answers quantile queries against the bucket bounds.
 type HistSnapshot struct {
 	Counts [NumBuckets]uint64
 	Count  uint64
 	Sum    time.Duration
-}
-
-// Merge adds another snapshot bucket-wise (same global layout, so any
-// two snapshots merge).
-func (s *HistSnapshot) Merge(o HistSnapshot) {
-	for i := range s.Counts {
-		s.Counts[i] += o.Counts[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
 }
 
 // Quantile returns the upper bound of the bucket containing the q-th

@@ -105,29 +105,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-// Merge: two snapshots merged must equal the snapshot of one histogram
-// that saw both observation streams.
-func TestHistogramMerge(t *testing.T) {
-	var a, b, both Histogram
-	r := xrand.New(7)
-	for i := 0; i < 2000; i++ {
-		d := time.Duration(r.Intn(int(time.Minute)))
-		if i%2 == 0 {
-			a.Observe(d)
-		} else {
-			b.Observe(d)
-		}
-		both.Observe(d)
-	}
-	sa, sb := a.Snapshot(), b.Snapshot()
-	sa.Merge(sb)
-	want := both.Snapshot()
-	if sa != want {
-		t.Fatalf("merged snapshot differs from unified histogram:\n merged: count=%d sum=%v\n   want: count=%d sum=%v",
-			sa.Count, sa.Sum, want.Count, want.Sum)
-	}
-}
-
 // Quantile accuracy: against a reference sort, the bucket-derived
 // quantile must bracket the true order statistic from above by at most
 // the layout's relative-error bound (1 + 2^-subBits).

@@ -29,12 +29,11 @@ var boundedPieces = []topic.Vector{topic.SingleTopic(0), {Idx: []int32{0, 1}, Va
 // node v has 10–40 in-edges, one at a largest probability q_v just under
 // or well under traverse.GeoSkipMaxQ, the rest at q_v·U² (many of them
 // tiny), and one in five carries topic 1 only, so it is a zero that an
-// explicit layout of topic 0 stores. It also returns the transpose, built
-// from the same vectors, for reverse/forward lockstep checks.
-func boundedGraph(t testing.TB, seed uint64, n int) (g, gt *graph.Graph) {
+// explicit layout of topic 0 stores.
+func boundedGraph(t testing.TB, seed uint64, n int) *graph.Graph {
 	t.Helper()
 	r := xrand.New(seed)
-	b, bt := graph.NewBuilder(n, 2), graph.NewBuilder(n, 2)
+	b := graph.NewBuilder(n, 2)
 	qs := []float64{0.9 * traverse.GeoSkipMaxQ, 0.6 * traverse.GeoSkipMaxQ, 0.1 * traverse.GeoSkipMaxQ}
 	for v := 0; v < n; v++ {
 		q := qs[v%len(qs)]
@@ -50,23 +49,16 @@ func boundedGraph(t testing.TB, seed uint64, n int) (g, gt *graph.Graph) {
 			case r.Intn(5) == 0:
 				dense[0] = 0
 			}
-			vec := topic.FromDense(dense)
-			if err := b.AddEdge(int32(u), int32(v), vec); err != nil {
-				t.Fatal(err)
-			}
-			if err := bt.AddEdge(int32(v), int32(u), vec); err != nil {
+			if err := b.AddEdge(int32(u), int32(v), topic.FromDense(dense)); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	var err error
-	if g, err = b.Build(); err != nil {
+	g, err := b.Build()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if gt, err = bt.Build(); err != nil {
-		t.Fatal(err)
-	}
-	return g, gt
+	return g
 }
 
 // flipBFS is the reference RR walk: from root, every in-edge of every
@@ -119,7 +111,7 @@ func TestBoundedSkipInclusionMatchesFlipBFS(t *testing.T) {
 	if testing.Short() {
 		walks = 10_000
 	}
-	g, _ := boundedGraph(t, 31, n)
+	g := boundedGraph(t, 31, n)
 	probs := g.PieceProbs(boundedPieces[0])
 	lay, err := g.Layout(probs)
 	if err != nil {
@@ -177,7 +169,7 @@ func TestBoundedSkipEstimateAUMatchesFlipBFS(t *testing.T) {
 	if testing.Short() {
 		theta = 1500
 	}
-	g, _ := boundedGraph(t, 32, n)
+	g := boundedGraph(t, 32, n)
 	probs := make([][]float64, len(boundedPieces))
 	for j, p := range boundedPieces {
 		probs[j] = g.PieceProbs(p)

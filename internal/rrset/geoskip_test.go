@@ -15,10 +15,8 @@ import (
 func flipLayout(lay *graph.PieceLayout) *graph.PieceLayout {
 	cp := *lay
 	cp.InDist = append([]graph.NodeDist(nil), lay.InDist...)
-	cp.OutDist = append([]graph.NodeDist(nil), lay.OutDist...)
 	for v := range cp.InDist {
 		cp.InDist[v] = graph.NodeDist{Uniform: -1}
-		cp.OutDist[v] = graph.NodeDist{Uniform: -1}
 	}
 	return &cp
 }

@@ -30,9 +30,9 @@ type sampler struct {
 // samplePiece grows the RR set of root under piece j's layout and
 // appends its nodes (including the root) to out. The traversal — per-node
 // uniform/mixed dispatch, geometric-skip jumps, RNG draw order — is
-// traverse.Walker.Run over the layout's reverse walk view (the pruned
+// traverse.Walker.RunFrom over the layout's reverse walk view (the pruned
 // per-piece graph, whichever constructor built the layout — same sets
-// either way); the cascade simulator runs the identical core forward.
+// either way).
 func (s *sampler) samplePiece(root int32, j int, rng *xrand.SplitMix64, out []int32) []int32 {
 	l := &s.pieces[j]
 	order := s.w.RunFrom(l.Off, l.Adj, l.Dist, l.Probs, root, rng)

@@ -1,6 +1,7 @@
 package rrset
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -240,10 +241,13 @@ func TestEstimateSpreadUnbiased(t *testing.T) {
 	c, _ := newCollectionProbs(g, probs[0], 11)
 	extend(t, c, 200000)
 	rrEst := spread(c, seeds)
-	mcEst, err := cascade.EstimateSpread(g, probs[0], seeds, 200000, 13)
+	// With one piece every activated user holds one piece, so the
+	// forward utility is adopt(1) times the spread.
+	mcUtil, err := cascade.EstimateAdoption(context.Background(), g, probs[:1], [][]int32{seeds}, paperModel, 200000, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mcEst := mcUtil / paperModel.Adoption(1)
 	if rel := math.Abs(rrEst-mcEst) / mcEst; rel > 0.03 {
 		t.Fatalf("RR estimate %v vs MC estimate %v (rel err %v)", rrEst, mcEst, rel)
 	}
@@ -404,7 +408,7 @@ func TestEstimateAUScanUnbiased(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcEst, err := cascade.EstimateAdoption(g, probs, plan, paperModel, 300000, 19)
+	mcEst, err := cascade.EstimateAdoption(context.Background(), g, probs, plan, paperModel, 300000, 19)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,12 +16,12 @@ import (
 	"oipa/internal/topic"
 )
 
-// TestSimulateOnCachedLayoutsMatchesExplicitLayouts drives the lazy
-// forward side through the real handlers: a solve caches pruned,
-// reverse-only layouts (layout_bytes says so); /v1/simulate over the same
-// pieces builds their forward sides on first use and must return exactly
-// the number a local run over explicit-probability layouts gives; and
-// layout_bytes then accounts one forward side per piece.
+// TestSimulateOnCachedLayoutsMatchesExplicitLayouts drives /v1/simulate
+// after a solve over the same pieces: the simulation reads the graph, not
+// the layout cache, so layout_bytes and the cache's hit and miss counts
+// stay as the solve left them; its utility equals the in-process
+// cascade.EstimateAdoption bit for bit, and so does the layout forwarder
+// over the solve's cached layouts and over explicit-probability layouts.
 func TestSimulateOnCachedLayoutsMatchesExplicitLayouts(t *testing.T) {
 	s := testServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
@@ -31,53 +32,54 @@ func TestSimulateOnCachedLayoutsMatchesExplicitLayouts(t *testing.T) {
 	if code, raw := postJSON(t, ts, "/v1/solve", SolveRequest{Campaign: camp, K: 3}, &solved); code != http.StatusOK {
 		t.Fatalf("solve status %d: %s", code, raw)
 	}
-	var reverseOnly int64
-	for _, piece := range camp.Pieces {
-		lay, err := s.reg.Layouts().Get(piece.Dist)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reverseOnly += int64(8*len(lay.InOff) + 4*len(lay.InFrom) + 8*len(lay.InProbs) + 24*len(lay.InDist))
-	}
-	var snap MetricsSnapshot
-	if code := getJSON(t, ts, "/metrics", &snap); code != http.StatusOK {
+	var before, after MetricsSnapshot
+	if code := getJSON(t, ts, "/metrics", &before); code != http.StatusOK {
 		t.Fatalf("metrics status %d", code)
 	}
-	if snap.Registry.LayoutBytes != reverseOnly {
-		t.Fatalf("layout_bytes = %d after a solve, want the reverse arrays alone = %d", snap.Registry.LayoutBytes, reverseOnly)
-	}
-
 	const runs, seed = 3000, 9
 	var sim SimulateResponse
 	if code, raw := postJSON(t, ts, "/v1/simulate", SimulateRequest{Campaign: camp, Plan: solved.Plan, Runs: runs, Seed: seed}, &sim); code != http.StatusOK {
 		t.Fatalf("simulate status %d: %s", code, raw)
 	}
-	g, _ := testGraph(t)
+	if code := getJSON(t, ts, "/metrics", &after); code != http.StatusOK {
+		t.Fatalf("metrics status %d", code)
+	}
+	b, a := before.Registry, after.Registry
+	if a.LayoutBytes != b.LayoutBytes || a.LayoutHits != b.LayoutHits || a.LayoutMisses != b.LayoutMisses {
+		t.Fatalf("simulate moved the layout cache: bytes %d → %d, hits %d → %d, misses %d → %d", b.LayoutBytes, a.LayoutBytes, b.LayoutHits, a.LayoutHits, b.LayoutMisses, a.LayoutMisses)
+	}
+
+	g, model := s.g, logistic.Model{Alpha: 2, Beta: 1}
+	probs := make([][]float64, camp.L())
+	cached := make([]*graph.PieceLayout, camp.L())
 	explicit := make([]*graph.PieceLayout, camp.L())
 	for j, piece := range camp.Pieces {
-		lay, err := g.Layout(g.PieceProbs(piece.Dist))
-		if err != nil {
+		probs[j] = g.PieceProbs(piece.Dist)
+		var err error
+		if cached[j], err = s.reg.layouts.Get(piece.Dist); err != nil {
 			t.Fatal(err)
 		}
-		explicit[j] = lay
+		if explicit[j], err = g.Layout(probs[j]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	want, err := cascade.EstimateAdoptionLayouts(g, explicit, solved.Plan, logistic.Model{Alpha: 2, Beta: 1}, runs, seed)
+	want, err := cascade.EstimateAdoption(context.Background(), g, probs, solved.Plan, model, runs, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sim.Utility != want {
-		t.Fatalf("simulate over cached layouts = %v, over explicit layouts = %v", sim.Utility, want)
+		t.Fatalf("simulate = %v, in-process EstimateAdoption = %v", sim.Utility, want)
+	}
+	for name, layouts := range map[string][]*graph.PieceLayout{"cached": cached, "explicit": explicit} {
+		got, err := cascade.EstimateAdoptionLayouts(g, layouts, solved.Plan, model, runs, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("EstimateAdoptionLayouts over %s layouts = %v, EstimateAdoption = %v", name, got, want)
+		}
 	}
 
-	if code := getJSON(t, ts, "/metrics", &snap); code != http.StatusOK {
-		t.Fatalf("metrics status %d", code)
-	}
-	// Each forward view holds the piece's live edges, as its reverse
-	// layout does, so it is the same size.
-	forward := reverseOnly
-	if snap.Registry.LayoutBytes != reverseOnly+forward {
-		t.Fatalf("layout_bytes = %d after a simulate, want %d + %d", snap.Registry.LayoutBytes, reverseOnly, forward)
-	}
 	resp, err := ts.Client().Get(ts.URL + "/metrics?format=prometheus")
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +109,7 @@ func TestLayoutsLiveWithTheirInstances(t *testing.T) {
 			t.Fatalf("solve status %d: %s", code, raw)
 		}
 	}
-	lay, err := s.reg.Layouts().Get(resident.Pieces[0].Dist)
+	lay, err := s.reg.layouts.Get(resident.Pieces[0].Dist)
 	if err != nil {
 		t.Fatal(err)
 	}

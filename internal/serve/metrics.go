@@ -195,8 +195,8 @@ type MetricsSnapshot struct {
 		Layouts           int   `json:"layouts"`
 		// Layouts and LayoutBytes count the live piece layouts — those a
 		// cached instance or a request in flight holds — and what they
-		// hold (pruned reverse arrays, plus forward arrays once a
-		// simulation built them); the bytes sit outside ResidentBytes.
+		// hold (their pruned reverse arrays; /v1/simulate reads no
+		// layout); the bytes sit outside ResidentBytes.
 		LayoutBytes int64 `json:"layout_bytes"`
 		// Phase is the registry's artifact-lifecycle timing: full
 		// preparations, growth steps and the index share of both.

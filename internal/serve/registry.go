@@ -212,10 +212,6 @@ func newRegistry(g *graph.Graph, pool []int32, model logistic.Model, instanceCap
 // in-flight readers are not counted — they drain with their requests.
 func (r *Registry) ResidentBytes() int64 { return r.resident.Load() }
 
-// Layouts exposes the layout cache (the /v1/simulate path samples
-// straight off live layouts without preparing an instance).
-func (r *Registry) Layouts() *graph.LayoutCache { return r.layouts }
-
 // layoutStats reads the layout cache: the live layouts, their bytes, and
 // how often a Get found one alive.
 func (r *Registry) layoutStats() (entries int, bytes, hits, misses int64) {

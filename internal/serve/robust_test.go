@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"oipa/internal/cascade"
 	"oipa/internal/faultpoint"
+	"oipa/internal/logistic"
 )
 
 // postRaw is postJSON without the status-code filtering: it returns the
@@ -234,6 +236,51 @@ func TestDeadlineDegradesSolve(t *testing.T) {
 	}
 	if m := s.Metrics(); m.Server.DegradedSolves < 1 {
 		t.Fatalf("degraded_solves = %d, want >= 1", m.Server.DegradedSolves)
+	}
+}
+
+// TestDeadlineAbortsSimulate: a simulate's timeout_ms bounds the
+// simulation itself, not only its admission wait. A request for the
+// server's cap of runs with a 50 ms deadline is shed with 503 +
+// Retry-After long before the runs would have finished, and its
+// admission slot is free for the next simulate at once.
+func TestDeadlineAbortsSimulate(t *testing.T) {
+	s := testServer(t, func(c *Config) { c.AdmitCapacity = weightSimulate })
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	g, _ := testGraph(t)
+	camp := testCampaign(0, 1)
+	plan := [][]int32{{0, 1, 2}, {3, 4}}
+	probs := [][]float64{g.PieceProbs(camp.Pieces[0].Dist), g.PieceProbs(camp.Pieces[1].Dist)}
+	const probe = 20_000
+	start := time.Now()
+	if _, err := cascade.EstimateAdoption(context.Background(), g, probs, plan, logistic.Model{Alpha: 2, Beta: 1}, probe, 1); err != nil {
+		t.Fatal(err)
+	}
+	full := time.Since(start) * time.Duration(s.cfg.MaxSimRuns/probe)
+
+	req := SimulateRequest{Campaign: camp, Plan: plan, Runs: s.cfg.MaxSimRuns, TimeoutMS: 50}
+	start = time.Now()
+	code, retry, body := postRaw(t, ts, "/v1/simulate", req)
+	elapsed := time.Since(start)
+	if code != 503 || retry == "" {
+		t.Fatalf("expired simulate: status %d, Retry-After %q (want 503 and a value): %s", code, retry, body)
+	}
+	if m := s.Metrics(); m.Server.ShedTotal != 1 {
+		t.Fatalf("shed_total = %d after one expired simulate, want 1", m.Server.ShedTotal)
+	}
+	if elapsed > full/4 {
+		t.Fatalf("expired simulate answered after %v; its %d runs take ~%v", elapsed, req.Runs, full)
+	}
+	// The admission semaphore holds one simulate: the next one is
+	// admitted only if the expired one let go of its slot.
+	req.Runs, req.TimeoutMS = 100, 1000
+	if code, _, body := postRaw(t, ts, "/v1/simulate", req); code != 200 {
+		t.Fatalf("simulate after an expired one: status %d: %s", code, body)
+	}
+	if elapsed := time.Since(start); elapsed > full/4 {
+		t.Fatalf("two simulates took %v; the first one's runs alone take ~%v", elapsed, full)
 	}
 }
 

@@ -398,6 +398,7 @@ func TestSimulateEndpoint(t *testing.T) {
 	if code, raw := postJSON(t, ts, "/v1/solve", SolveRequest{Campaign: camp, K: 3}, &solved); code != http.StatusOK {
 		t.Fatalf("solve status %d: %s", code, raw)
 	}
+	hits, misses := s.reg.layouts.Stats()
 	var sim SimulateResponse
 	code, raw := postJSON(t, ts, "/v1/simulate", SimulateRequest{Campaign: camp, Plan: solved.Plan, Runs: 2000}, &sim)
 	if code != http.StatusOK {
@@ -411,9 +412,9 @@ func TestSimulateEndpoint(t *testing.T) {
 	if diff := math.Abs(sim.Utility - solved.Utility); diff > 0.5*solved.Utility+1 {
 		t.Fatalf("simulated utility %v far from MRR estimate %v", sim.Utility, solved.Utility)
 	}
-	// Simulate shares piece layouts with the earlier prepare.
-	if snap := s.Metrics(); snap.Registry.LayoutHits == 0 {
-		t.Fatal("simulate did not hit the layout cache after a solve over the same pieces")
+	// Simulate reads the graph's out-edges, never the layout cache.
+	if h, m := s.reg.layouts.Stats(); h != hits || m != misses {
+		t.Fatalf("simulate moved the layout cache: hits %d → %d, misses %d → %d", hits, h, misses, m)
 	}
 }
 

@@ -499,8 +499,8 @@ type EstimateResponse struct {
 }
 
 // SimulateRequest is the body of POST /v1/simulate: forward Monte-Carlo
-// ground truth for an explicit plan (no MRR sampling involved — only the
-// layout cache is consulted).
+// ground truth for an explicit plan (no MRR sampling and no piece layout
+// involved — it reads the graph's out-edges).
 type SimulateRequest struct {
 	Campaign  topic.Campaign `json:"campaign"`
 	Plan      [][]int32      `json:"plan"`
@@ -508,7 +508,7 @@ type SimulateRequest struct {
 	Seed      uint64         `json:"seed"`
 	Alpha     float64        `json:"alpha"`
 	Beta      float64        `json:"beta"`
-	TimeoutMS int            `json:"timeout_ms"` // admission-queue deadline; the simulation itself is not interruptible
+	TimeoutMS int            `json:"timeout_ms"` // deadline of the admission wait and of the runs, which stop between worlds
 }
 
 // SimulateResponse is the body of a completed simulation.
@@ -797,16 +797,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusBadRequest, err)
 		return
 	}
-	s.admitted(w, r, weightSimulate, &s.m.inflightSimulates, req.TimeoutMS, func(context.Context) (any, error) {
-		layouts := make([]*graph.PieceLayout, req.Campaign.L())
+	s.admitted(w, r, weightSimulate, &s.m.inflightSimulates, req.TimeoutMS, func(ctx context.Context) (any, error) {
+		pieceProbs := make([][]float64, req.Campaign.L())
 		for j, piece := range req.Campaign.Pieces {
-			lay, err := s.reg.Layouts().Get(piece.Dist)
-			if err != nil {
-				return nil, err
-			}
-			layouts[j] = lay
+			pieceProbs[j] = s.g.PieceProbs(piece.Dist)
 		}
-		util, err := cascade.EstimateAdoptionLayouts(s.g, layouts, req.Plan, model, req.Runs, req.Seed)
+		util, err := cascade.EstimateAdoption(ctx, s.g, pieceProbs, req.Plan, model, req.Runs, req.Seed)
 		if err != nil {
 			return nil, err
 		}

@@ -78,20 +78,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	return s[lo]*(1-frac) + s[hi]*frac, nil
 }
 
-// Max returns the maximum of xs.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
 // Min returns the minimum of xs.
 func Min(xs []float64) (float64, error) {
 	if len(xs) == 0 {

@@ -118,17 +118,6 @@ func (v Vector) Dot(w Vector) float64 {
 	return s
 }
 
-// DotDense returns the inner product against a dense vector.
-func (v Vector) DotDense(dense []float64) float64 {
-	s := 0.0
-	for i, idx := range v.Idx {
-		if int(idx) < len(dense) {
-			s += v.Val[i] * dense[idx]
-		}
-	}
-	return s
-}
-
 // Scale returns a copy of v with all values multiplied by c (c >= 0).
 func (v Vector) Scale(c float64) Vector {
 	out := Vector{Idx: append([]int32(nil), v.Idx...), Val: make([]float64, len(v.Val))}

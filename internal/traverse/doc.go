@@ -1,23 +1,23 @@
-// Package traverse implements the randomized BFS core shared by the
-// reverse-reachable sampler (internal/rrset) and the forward cascade
-// simulator (internal/cascade), plus its layer-generic extension to
-// multiplex networks, which only the benchmark's rrset.sample_mux1_ms
-// row still reaches (through rrset.SampleMRRMultiplexLayouts).
+// Package traverse implements the randomized BFS core of the
+// reverse-reachable sampler (internal/rrset), plus its layer-generic
+// extension to multiplex networks, which only the benchmark's
+// rrset.sample_mux1_ms row still reaches (through
+// rrset.SampleMRRMultiplexLayouts). The forward cascade simulator
+// (internal/cascade) shares none of it: it is the sampler's independent
+// check.
 //
 // # Single-graph walks
 //
-// Both classic callers expand a frontier over one CSR direction of a
-// graph, viewed through a graph.PieceLayout's walk view (PieceLayout.
-// Reverse or Forward: only the edges with p > 0, each node's range
-// summarized by a graph.NodeDist): probabilities are read in CSR
-// position order, and nodes whose edge range carries one common
-// probability are expanded with geometric-skip jumps (SUBSIM-style)
-// instead of one coin flip per edge. A long mixed range whose largest
-// probability q is small is expanded by SUBSIM's bound sampling: jumps at
-// q, each candidate thinned to its own p. The two hot loops used to be
-// maintained in lockstep by hand; expand is the single copy, with the
-// direction (in-CSR vs out-CSR) supplied by the caller as plain slices
-// so the loop itself stays direction-agnostic and allocation-free.
+// Walker.RunFrom expands a frontier from one root over a
+// graph.PieceLayout's reverse walk view (PieceLayout.Reverse: only the
+// edges with p > 0, each node's range summarized by a graph.NodeDist):
+// probabilities are read in CSR position order, and nodes whose edge
+// range carries one common probability are expanded with geometric-skip
+// jumps (SUBSIM-style) instead of one coin flip per edge. A long mixed
+// range whose largest probability q is small is expanded by SUBSIM's
+// bound sampling: jumps at q, each candidate thinned to its own p. expand
+// is the per-node core, shared with MultiWalker, over plain slices so the
+// loop stays allocation-free.
 //
 // Determinism contract: for a fixed (walk view, seed sequence) a walk
 // consumes RNG draws in a fixed order, node by node in visit order:
@@ -33,11 +33,9 @@
 //     U·q < p) unless its p equals q, then the next jump's draw;
 //   - empty, dead and p ≥ 1 ranges: none.
 //
-// RR sampling and forward simulation driven by identical RNG streams
-// therefore visit identical node sequences (pinned by the cross-check
-// tests in traverse_test.go and relied on by the rrset
-// schedule-invariance suite). A uniform range is unchanged by the
-// bounded case, so weighted-cascade walks draw as they did before it.
+// The rrset schedule-invariance suite relies on this order. A uniform
+// range is unchanged by the bounded case, so weighted-cascade walks draw
+// as they did before it.
 //
 // # Multiplex walks and the coupling rule
 //

@@ -28,7 +28,6 @@ type Walker struct {
 	visited *bitset.Stamp
 	queue   []int32
 	scratch []int32
-	seedBuf [1]int32
 }
 
 // NewWalker returns a walker for graphs of n nodes.
@@ -36,7 +35,7 @@ func NewWalker(n int) *Walker {
 	return &Walker{visited: bitset.NewStamp(n), queue: make([]int32, 0, 256), scratch: make([]int32, 0, 64)}
 }
 
-// expand draws the live in-edges (resp. out-edges) of node v under the
+// expand draws the live edges of node v in the CSR (off, adj) under the
 // layout arrays (dist, probs) and appends the corresponding endpoints to
 // buf, which it returns. It is the per-node core of every walk in this
 // package — the single copy of the geometric-skip dispatch shared by the
@@ -132,35 +131,22 @@ func expand(off []int64, adj []int32, dist []graph.NodeDist, probs []float64, v 
 	return buf
 }
 
-// RunFrom is Run seeded at a single root, without the caller needing a
-// seed slice (the hot path of RR-set sampling).
-func (w *Walker) RunFrom(off []int64, adj []int32, dist []graph.NodeDist, probs []float64, root int32, rng *xrand.SplitMix64) []int32 {
-	w.seedBuf[0] = root
-	return w.Run(off, adj, dist, probs, w.seedBuf[:], rng)
-}
-
-// Run performs one randomized BFS from the seed set over the CSR
-// direction given by (off, adj), drawing edge liveness under the layout
-// arrays (dist, probs) for that same direction — (InDist, InProbs) with
-// the reverse CSR for RR sampling, (OutDist, OutProbs) with the forward
-// CSR for cascade simulation. Duplicate seeds are visited once.
+// RunFrom performs one randomized BFS from root over the CSR direction
+// given by (off, adj), drawing edge liveness under the layout arrays
+// (dist, probs) for that same direction — a layout's reverse walk view
+// (PieceLayout.Reverse) for RR sampling.
 //
-// It returns the visited nodes in visit order (seeds first). The slice
+// It returns the visited nodes in visit order (root first). The slice
 // aliases the walker's internal queue and is only valid until the next
-// Run.
+// RunFrom.
 //
 // Each visited node's live edges are drawn by expand; since the draw
-// sequence is independent of the visited state, filtering the drawn
-// endpoints through the stamp afterwards consumes the RNG stream in the
-// same order as the historical fused loop.
-func (w *Walker) Run(off []int64, adj []int32, dist []graph.NodeDist, probs []float64, seeds []int32, rng *xrand.SplitMix64) []int32 {
+// sequence is independent of the visited state, the drawn endpoints are
+// filtered through the stamp afterwards.
+func (w *Walker) RunFrom(off []int64, adj []int32, dist []graph.NodeDist, probs []float64, root int32, rng *xrand.SplitMix64) []int32 {
 	w.visited.Reset()
-	w.queue = w.queue[:0]
-	for _, v := range seeds {
-		if w.visited.MarkOnce(int(v)) {
-			w.queue = append(w.queue, v)
-		}
-	}
+	w.visited.Mark(int(root))
+	w.queue = append(w.queue[:0], root)
 	for head := 0; head < len(w.queue); head++ {
 		v := w.queue[head]
 		w.scratch = expand(off, adj, dist, probs, v, rng, w.scratch[:0])

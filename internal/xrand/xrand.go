@@ -126,16 +126,6 @@ func (r *SplitMix64) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *SplitMix64) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Perm returns a random permutation of [0, n) using Fisher-Yates.
 func (r *SplitMix64) Perm(n int) []int {
 	p := make([]int, n)

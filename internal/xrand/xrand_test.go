@@ -200,18 +200,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(8)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exponential mean %v too far from 1", mean)
-	}
-}
-
 func TestPowerLawSupport(t *testing.T) {
 	r := New(4)
 	for i := 0; i < 10000; i++ {
