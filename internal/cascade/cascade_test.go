@@ -12,6 +12,7 @@ import (
 	"oipa/internal/graph"
 	"oipa/internal/logistic"
 	"oipa/internal/topic"
+	"oipa/internal/traverse"
 	"oipa/internal/xrand"
 )
 
@@ -331,6 +332,73 @@ func TestEstimateAdoptionLayoutsMatchesProbs(t *testing.T) {
 		}
 	}
 
+}
+
+// TestForwardGeoSkipMatchesFlip checks the cascade's edge-by-edge flips
+// against the geometric-skip walker in distribution: a reverse walk from
+// r over the transpose's layout follows g's out-edges, so its mean size
+// is the expected spread of {r} in g. Every source gives all of its
+// out-edges one fractional probability, so most of the walk's ranges are
+// uniform and long enough to be crossed by geometric jumps.
+func TestForwardGeoSkipMatchesFlip(t *testing.T) {
+	r := xrand.New(3)
+	const n = 500
+	b, bt := graph.NewBuilder(n, 1), graph.NewBuilder(n, 1)
+	for u := int32(0); u < n; u++ {
+		p := 0.02 + 0.1*r.Float64()
+		deg := 10 + r.Intn(10)
+		seen := map[int32]bool{}
+		for d := 0; d < deg; d++ {
+			v := int32(r.Intn(n))
+			if v == u || seen[v] {
+				continue
+			}
+			seen[v] = true
+			if err := b.AddEdge(u, v, topic.FromDense([]float64{p})); err != nil {
+				t.Fatal(err)
+			}
+			if err := bt.AddEdge(v, u, topic.FromDense([]float64{p})); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := bt.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	piece := topic.SingleTopic(0)
+	lay, err := gt.Layout(gt.PieceProbs(piece))
+	if err != nil {
+		t.Fatal(err)
+	}
+	off, from, dist, lprobs := lay.Reverse()
+	skipped := 0
+	for _, d := range dist {
+		if d.Uniform > 0 && d.InvLogQ != 0 {
+			skipped++
+		}
+	}
+	if skipped < n/2 {
+		t.Fatalf("%d of %d ranges take geometric jumps, want at least half", skipped, n)
+	}
+	probs := g.PieceProbs(piece)
+	w := traverse.NewWalker(gt.N())
+	const runs = 60000
+	for i, root := range []int32{0, 7, 99} {
+		total := 0
+		for k := 0; k < runs; k++ {
+			total += len(w.RunFrom(off, from, dist, lprobs, root, xrand.Derive(uint64(77+i), uint64(k))))
+		}
+		geo := float64(total) / runs
+		flip := spread(t, g, probs, []int32{root}, runs, uint64(78+i))
+		if tol := 0.05*flip + 0.3; math.Abs(geo-flip) > tol {
+			t.Fatalf("spread of {%d}: geometric-skip walk %.3f vs flips %.3f", root, geo, flip)
+		}
+	}
 }
 
 func BenchmarkRunCascade(b *testing.B) {

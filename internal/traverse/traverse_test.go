@@ -1,9 +1,12 @@
 package traverse_test
 
 import (
+	"math"
 	"testing"
 
+	"oipa/internal/cascade"
 	"oipa/internal/graph"
+	"oipa/internal/logistic"
 	"oipa/internal/rrset"
 	"oipa/internal/topic"
 	"oipa/internal/traverse"
@@ -65,6 +68,72 @@ func buildGraph(t *testing.T, n int, seed uint64) *graph.Graph {
 		t.Fatal(err)
 	}
 	return g
+}
+
+// TestSamplerSimulatorLockstep pins the RR sampler to the forward
+// cascade, which shares no code with it, on a graph whose edges are all
+// live or all dead: the RR set of every root r in g and the nodes the
+// cascade activates from {r} in the transpose gt are both the nodes that
+// reach r, so they must have the same size for every r. A walker change
+// that drops or repeats a node on any dispatch path shows up here.
+func TestSamplerSimulatorLockstep(t *testing.T) {
+	const n, seed = 80, uint64(7)
+	rng := xrand.New(3)
+	b, bt := graph.NewBuilder(n, 1), graph.NewBuilder(n, 1)
+	seen := map[[2]int32]bool{}
+	for i := 0; i < n*8; i++ {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if u == v || seen[[2]int32{u, v}] {
+			continue
+		}
+		seen[[2]int32{u, v}] = true
+		// About one edge in seven is live, so reach sizes vary from the
+		// root alone to most of the graph.
+		vec := topic.Vector{}
+		if rng.Intn(7) == 0 {
+			vec = topic.SingleTopic(0)
+		}
+		if err := b.AddEdge(u, v, vec); err != nil {
+			t.Fatal(err)
+		}
+		if err := bt.AddEdge(v, u, vec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, err := bt.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	piece := topic.SingleTopic(0)
+	roots := make([]int32, n)
+	for i := range roots {
+		roots[i] = int32(i)
+	}
+	mrr, err := rrset.SampleMRRWithRoots(g, [][]float64{g.PieceProbs(piece)}, roots, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := logistic.Model{Alpha: 3, Beta: 1}
+	probs := [][]float64{gt.PieceProbs(piece)}
+	sizes := map[int]bool{}
+	for i, r := range roots {
+		u, err := cascade.ExactAdoptionDeterministic(gt, probs, [][]int32{{r}}, model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := len(mrr.Set(i, 0))
+		sizes[want] = true
+		if got := u / model.Adoption(1); math.Abs(got-float64(want)) > 1e-9 {
+			t.Fatalf("root %d: cascade in the transpose activated %.3f nodes, RR set has %d", r, got, want)
+		}
+	}
+	if len(sizes) < 3 {
+		t.Fatalf("reach sizes %v: the fixture does not vary reach", sizes)
+	}
 }
 
 // TestWalkerMatchesSampler pins the exported Walker API itself to the RR
